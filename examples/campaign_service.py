@@ -5,8 +5,8 @@ PRs 1-6 made one campaign fast; this walkthrough shows the PR-7 service
 tier that makes campaigns *infrastructure*: a long-lived asyncio
 :class:`~repro.service.CampaignService` accepting scenario submissions into
 a job queue, streaming incremental events while the stage graph drains, and
-checkpointing canonical merged partials so a killed service resumes with
-byte-identical results.  Five acts:
+journaling finished stages so a killed service resumes with byte-identical
+results.  Five acts:
 
 1. **Submit & stream** -- two scenario jobs enter the queue; we subscribe to
    the first job's event stream and print stage completions and
@@ -19,8 +19,8 @@ byte-identical results.  Five acts:
 3. **Kill & resume** -- a crash is injected at a checkpoint boundary
    (equivalent to SIGKILL: the resumed service instance shares no memory
    with the crashed one); a fresh service recovers the pending job from
-   disk, replays only unfinished stages, and the final bytes equal the
-   uninterrupted run's.
+   disk, preloads the journaled stages, re-runs the rest, and the final
+   bytes equal the uninterrupted run's.
 4. **Warm cache & overhead** -- a job re-submitting the same circuit hits
    the service-tier prepared-scenario cache (zero fresh kernel compiles),
    and the service's total wall time is compared against a bare

@@ -243,8 +243,8 @@ class ServiceCrashError(RuntimeError):
     """Injected service-tier crash (the lifecycle harness's SIGKILL stand-in).
 
     Raised out of the service's stage observer, which aborts the schedule
-    and fails the job with ``interrupted=True`` -- the spec and the last
-    progress snapshot survive on disk, exactly as if the process had been
+    and fails the job with ``interrupted=True`` -- the spec and the stage
+    journal saved so far survive on disk, exactly as if the process had been
     killed there (the resumed service shares no memory with the crashed
     run either way).  Feeding one of these on *every* attempt produces the
     crash-looping poison job the quarantine machinery must contain.

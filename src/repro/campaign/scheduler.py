@@ -56,11 +56,10 @@ Both schedulers additionally support the service tier
 * a :class:`StageObserver` receives start/retry/finish/error/failed
   callbacks as stages execute -- the hook the service uses to stream
   incremental events and to persist checkpoints at stage boundaries, and
-* ``run(nodes, preloaded=..., expansions=...)`` resumes a half-finished
-  graph: preloaded artifact values are injected into the store and their
-  nodes are skipped, while preloaded :class:`Expansion` records splice their
-  recorded children without re-running the expander (so e.g. signature fold
-  stages keep the exact per-domain copies the original run embedded), and
+* ``run(nodes, preloaded=...)`` resumes a half-finished graph: preloaded
+  artifact values are injected into the store and their nodes are skipped
+  (original or spliced alike); everything else, expanders included, runs
+  against them as usual, and
 * a :class:`CancelToken` (``run(..., cancel_token=...)``) stops either
   schedule cooperatively at the next stage boundary --
   :class:`ScheduleCancelled` carries the half-finished
@@ -109,8 +108,8 @@ class ScheduleCancelled(BaseException):
 
     Raised by either scheduler when its :class:`CancelToken` trips.  The
     half-finished :class:`PipelineRun` rides along so the caller can persist
-    a checkpoint-consistent resume point (``run.store``/``run.expansions``
-    are only ever mutated between stages, never mid-stage).  Deliberately a
+    a checkpoint-consistent resume point (``run.store`` is only ever mutated
+    between stages, never mid-stage).  Deliberately a
     ``BaseException``: no :class:`~repro.core.config.RetryPolicy`
     classification may retry or degrade a cancellation.
     """
@@ -233,12 +232,12 @@ class StageObserver:
     """No-op base class for schedule observers (service tier hooks).
 
     An observer rides one graph execution: :meth:`on_run_begin` fires once
-    the graph state (preloaded artifacts and expansions included) is
-    assembled but before any stage executes; the per-stage callbacks fire in
-    the parent process as stages start and land.  ``on_stage_finish`` runs
-    *after* the stage's artifact is recorded, so the :class:`PipelineRun`
-    the observer holds is always a consistent resume point -- the service's
-    checkpointer snapshots it there.  Callbacks execute on the scheduler's
+    the graph state (preloaded artifacts included) is assembled but before
+    any stage executes; the per-stage callbacks fire in the parent process
+    as stages start and land.  ``on_stage_finish`` runs *after* the stage's
+    artifact is recorded, so the :class:`PipelineRun` the observer holds is
+    always a consistent resume point -- the service's checkpointer journals
+    the finished stage there.  Callbacks execute on the scheduler's
     thread; an exception raised from one aborts the schedule (the pooled
     scheduler tears its pool down), which is exactly the semantics a failed
     checkpoint write wants.
@@ -321,19 +320,11 @@ class PipelineRun:
 
     ``store`` maps artifact keys to values; ``aliases`` maps expander keys to
     the keys they resolved to.  Use :meth:`value` to read an artifact through
-    the alias chain.  ``expansions`` keeps each expander's spliced
-    :class:`Expansion` record -- together with ``store`` it is a complete
-    resume point: re-running the same node list with ``store``/``expansions``
-    preloaded replays only the unfinished stages (see
-    :mod:`repro.service.checkpoint`).
+    the alias chain.
     """
 
     store: dict[str, object] = field(default_factory=dict)
     aliases: dict[str, str] = field(default_factory=dict)
-    #: Expander key -> the Expansion it produced (resume replays these
-    #: instead of re-running the expander, preserving any per-run copies the
-    #: expansion's child tasks embedded).
-    expansions: dict[str, Expansion] = field(default_factory=dict)
     trace: list[StageTrace] = field(default_factory=list)
     #: Retried attempts, in the order the scheduler observed them.
     retries: list[StageRetry] = field(default_factory=list)
@@ -373,7 +364,7 @@ class PipelineRun:
     def trace_only(self) -> "PipelineRun":
         """A retention-safe copy: the trace and timings without the artifacts.
 
-        The store and expansions (and with them every scenario's packed
+        The store (and with it every scenario's packed
         session, core and fault list) are dropped, so :meth:`value` on the
         copy raises ``KeyError`` by design -- use it where only the timing
         and resilience diagnostics (:meth:`seconds_by_phase`, ``retries``,
@@ -430,12 +421,10 @@ def _fatal(error: BaseException) -> bool:
 class _GraphState:
     """Shared bookkeeping of both schedulers: pending nodes, store, aliases.
 
-    ``preloaded`` / ``expansions`` resume a half-finished schedule: preloaded
-    artifact values land in the store up front and their nodes are *skipped*
-    when added (original or spliced alike); preloaded expansions splice their
-    recorded children in place of re-running the expander.  Each preloaded
-    key is consumed exactly once, so a genuinely duplicated stage key still
-    raises.
+    ``preloaded`` resumes a half-finished schedule: preloaded artifact values
+    land in the store up front and their nodes are *skipped* when added
+    (original or spliced alike).  Each preloaded key is consumed exactly
+    once, so a genuinely duplicated stage key still raises.
 
     ``poisoned`` tracks quarantine (degrade mode): the keys of permanently
     failed stages plus every cancelled descendant.  A pending node whose
@@ -448,7 +437,6 @@ class _GraphState:
         self,
         nodes: Sequence[StageNode],
         preloaded: Optional[Mapping[str, object]] = None,
-        expansions: Optional[Mapping[str, Expansion]] = None,
     ) -> None:
         self.pending: dict[str, StageNode] = {}
         #: Keys handed to the pool and not yet finished -- an expansion must
@@ -458,10 +446,7 @@ class _GraphState:
         self.poisoned: set[str] = set()
         self.run = PipelineRun()
         self._skip = set(preloaded or ())
-        self._preexpanded = dict(expansions or {})
         self.run.store.update(preloaded or {})
-        #: Keys whose stages were satisfied from a checkpoint, not executed.
-        self.resumed: set[str] = set(self._skip)
         for node in nodes:
             self.add(node)
 
@@ -469,17 +454,6 @@ class _GraphState:
         if node.key in self._skip:
             # Satisfied from a checkpoint: value is already in the store.
             self._skip.discard(node.key)
-            return
-        if node.key in self._preexpanded:
-            # Replay the recorded expansion instead of re-running the
-            # expander: its children splice in (each possibly preloaded
-            # itself) with the exact task objects the original run built.
-            expansion = self._preexpanded.pop(node.key)
-            self.resumed.add(node.key)
-            self.run.aliases[node.key] = expansion.result
-            self.run.expansions[node.key] = expansion
-            for child in expansion.nodes:
-                self.add(child)
             return
         if (
             node.key in self.pending
@@ -506,7 +480,6 @@ class _GraphState:
             for child in value.nodes:
                 self.add(child)
             self.run.aliases[node.key] = value.result
-            self.run.expansions[node.key] = value
             if self.poisoned:
                 # Spliced-in children may depend on an already-poisoned key.
                 self.sweep_poisoned()
@@ -676,10 +649,9 @@ class SerialScheduler:
         nodes: Sequence[StageNode],
         observer: Optional[StageObserver] = None,
         preloaded: Optional[Mapping[str, object]] = None,
-        expansions: Optional[Mapping[str, Expansion]] = None,
         cancel_token: Optional[CancelToken] = None,
     ) -> PipelineRun:
-        state = _GraphState(nodes, preloaded=preloaded, expansions=expansions)
+        state = _GraphState(nodes, preloaded=preloaded)
         observer = observer or StageObserver()
         observer.on_run_begin(state.run)
         executor = _StagePolicy(self.retry_policy, self.chaos, self.degrade)
@@ -981,10 +953,9 @@ class PooledScheduler:
         nodes: Sequence[StageNode],
         observer: Optional[StageObserver] = None,
         preloaded: Optional[Mapping[str, object]] = None,
-        expansions: Optional[Mapping[str, Expansion]] = None,
         cancel_token: Optional[CancelToken] = None,
     ) -> PipelineRun:
-        state = _GraphState(nodes, preloaded=preloaded, expansions=expansions)
+        state = _GraphState(nodes, preloaded=preloaded)
         observer = observer or StageObserver()
         observer.on_run_begin(state.run)
         policy = self.retry_policy or RetryPolicy()

@@ -326,9 +326,11 @@ class ServiceConfig:
     stream-replay suites under ``tests/service``).
     """
 
-    #: Persist a job checkpoint after every N completed stages (1 = after
-    #: every stage, the tightest resume granularity; larger values trade
-    #: re-executed stages on resume for fewer pickle writes).
+    #: Append the job's buffered stage-journal records to disk after every
+    #: N completed stages (1 = after every stage, the tightest resume
+    #: granularity).  Values are pickled when their stage finishes either
+    #: way; larger values trade re-executed stages after a crash for fewer
+    #: file appends.  Cancel and shutdown flush the buffer.
     checkpoint_every: int = 1
     #: Maximum coverage-curve points per streamed ``CoverageDelta`` event;
     #: longer curves are split into consecutive chunks (the reassembled

@@ -11,10 +11,10 @@ turns them into infrastructure:
   start/done/error, coverage-curve deltas, section completions) published
   to subscribers *while the campaign runs*, plus the reassembler that
   rebuilds the canonical report bytes from any event interleaving,
-* :mod:`repro.service.checkpoint` -- durable per-job checkpoints of the
-  canonical merged partials (the :class:`~repro.campaign.scheduler.PipelineRun`
-  store + expansions), so a killed service restarts and replays only the
-  unfinished stages, byte-identical by test,
+* :mod:`repro.service.checkpoint` -- durable per-job checkpoints: an
+  append-only journal of finished non-local stage values, so a killed
+  service restarts, preloads them and re-runs only the unfinished and the
+  local stages, byte-identical by test,
 * :mod:`repro.service.cache` -- the service-tier prepared-scenario LRU that
   keeps compiled kernels and their ``analysis_cache`` warm across jobs
   sharing a ``Circuit.revision``.

@@ -1,29 +1,25 @@
-"""Durable per-job checkpoints: specs, merged partials, final reports.
+"""Durable per-job checkpoints: specs, stage journals, final reports.
 
 Layout (everything under one root directory, one subdirectory per job)::
 
     <root>/<job_id>/spec.pkl      -- the pickled JobSpec (what was submitted)
-    <root>/<job_id>/progress.pkl  -- canonical merged partials (resume point)
+    <root>/<job_id>/progress.pkl  -- append-only stage journal (resume point)
     <root>/<job_id>/report.json   -- final canonical report bytes
     <root>/<job_id>/state.json    -- lifecycle record (terminal state,
                                      resume-attempt counter, started flag)
 
-``progress.pkl`` is **one** pickle dump of the run's ``{"store": ...,
-"expansions": ...}``.  The single dump matters: stage artifacts share
-mutated objects in-process (after the detection merge, the bundle's fault
-list *is* the result's fault list), and pickle's memo preserves exactly
-those identities across the dump/load boundary.  Snapshotting artifacts
-individually would silently fork shared objects and change resumed report
-bytes.  Expansions are persisted alongside the store so resume *replays*
-recorded fan-outs (with the exact task objects the original run built,
-per-run copies included) instead of re-running expanders against
-post-mutation state.
-
-All writes are atomic (temp file + ``os.replace`` in the same directory), so
-a crash mid-write -- the whole point of a checkpoint store -- leaves the
-previous consistent snapshot in place.  :class:`CheckpointStore` is the
-seam the crash-injection suite subclasses to inject failures at exact
-checkpoint boundaries.
+``progress.pkl`` is an append-only journal with one sha256-framed ``(stage
+key, value)`` record per finished non-local stage, pickled as the stage
+finishes.  Local stages (expanders, trims, merges, report assembly) are
+never written; they re-run on resume.  Non-local values cross a pipe in
+every pooled run, so pickling them one by one changes no report byte (the
+pooled differential suites prove it); local outputs alias and mutate
+earlier artifacts, so they are re-derived, never stored.  On load a torn
+tail is cut back to the longest valid record prefix (logged), and a file
+that is no journal -- a whole-store snapshot from older code, an unframed
+blob -- is logged and ignored unpickled; the job then re-runs from its
+spec.  :class:`CheckpointStore` is the seam the crash-injection suite
+subclasses to inject failures at exact checkpoint boundaries.
 
 ``state.json`` is the durable job-*lifecycle* record (PR 10).  It carries
 three facts recovery needs that the other artifacts cannot express: the
@@ -36,12 +32,10 @@ resume attempts.  It is plain JSON, not pickle: human-inspectable during
 incident response, and a corrupt record degrades to "no lifecycle info"
 (the job resumes normally) rather than poisoning recovery.
 
-Pickled artifacts (spec, progress) are framed with a SHA-256 checksum so a
-corrupt or truncated blob -- a torn disk write, bit rot, a partial copy --
-is *detected* on load instead of crashing recovery deep inside the
-unpickler.  A bad snapshot reads as ``None`` (logged): a bad progress
-snapshot re-runs the job from its spec; a bad spec skips that job at
-recovery.  Unframed legacy blobs still load.
+Specs, reports and lifecycle records are written atomically (temp file +
+``os.replace``).  Specs are sha256-framed, so a torn or corrupt spec is
+*detected* on load, logged, and recovery skips that job; unframed legacy
+specs still load.
 """
 
 from __future__ import annotations
@@ -61,9 +55,18 @@ PROGRESS_FILE = "progress.pkl"
 REPORT_FILE = "report.json"
 STATE_FILE = "state.json"
 
-#: Frame layout: magic + 64 hex chars of sha256(payload) + newline + payload.
+#: Spec frame: magic + 64 hex chars of sha256(payload) + newline + payload.
+#: Older code framed whole-store progress snapshots the same way.
 CHECKSUM_MAGIC = b"repro-ckpt-v1\n"
 _DIGEST_LEN = 64
+#: Journal record: magic + 16 hex chars of the payload length + 64 hex
+#: chars of sha256(payload) + newline + payload, a pickled (key, value).
+JOURNAL_MAGIC = b"repro-jrnl-v1\n"
+_RECORD_HEADER_LEN = len(JOURNAL_MAGIC) + 16 + _DIGEST_LEN + 1
+
+
+def _sha256(payload: bytes) -> bytes:
+    return hashlib.sha256(payload).hexdigest().encode("ascii")
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -73,51 +76,80 @@ def _atomic_write(path: Path, payload: bytes) -> None:
 
 
 def _frame(payload: bytes) -> bytes:
-    digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-    return CHECKSUM_MAGIC + digest + b"\n" + payload
-
-
-def _unframe(blob: bytes, path: Path) -> Optional[bytes]:
-    """Verify and strip the checksum frame; ``None`` if corrupt/truncated."""
-    if not blob.startswith(CHECKSUM_MAGIC):
-        # Legacy unframed pickle: no integrity check available, let the
-        # (guarded) unpickler judge it.
-        return blob
-    header_end = len(CHECKSUM_MAGIC) + _DIGEST_LEN
-    if len(blob) <= header_end or blob[header_end : header_end + 1] != b"\n":
-        logger.warning(
-            "checkpoint %s: truncated checksum header; ignoring snapshot", path
-        )
-        return None
-    digest = blob[len(CHECKSUM_MAGIC) : header_end]
-    payload = blob[header_end + 1 :]
-    if hashlib.sha256(payload).hexdigest().encode("ascii") != digest:
-        logger.warning(
-            "checkpoint %s: checksum mismatch (corrupt or truncated); "
-            "ignoring snapshot",
-            path,
-        )
-        return None
-    return payload
+    return CHECKSUM_MAGIC + _sha256(payload) + b"\n" + payload
 
 
 def _load_pickle(path: Path):
-    """Load a checksum-framed pickle; corruption reads as ``None``, logged."""
+    """Load a checksum-framed (or legacy unframed) pickle; corruption reads
+    as ``None``, logged."""
     if not path.exists():
         return None
-    payload = _unframe(path.read_bytes(), path)
-    if payload is None:
-        return None
+    payload = path.read_bytes()
+    if payload.startswith(CHECKSUM_MAGIC):
+        header_end = len(CHECKSUM_MAGIC) + _DIGEST_LEN
+        digest = payload[len(CHECKSUM_MAGIC) : header_end]
+        payload = payload[header_end + 1 :]
+        if _sha256(payload) != digest:
+            logger.warning(
+                "checkpoint %s: checksum mismatch (corrupt or truncated); "
+                "ignoring it",
+                path,
+            )
+            return None
     try:
         return pickle.loads(payload)
     except Exception as error:
         logger.warning(
-            "checkpoint %s: unreadable snapshot (%s: %s); ignoring it",
+            "checkpoint %s: unreadable blob (%s: %s); ignoring it",
             path,
             type(error).__name__,
             error,
         )
         return None
+
+
+def _journal_record(key: str, value) -> bytes:
+    payload = pickle.dumps((key, value))
+    header = JOURNAL_MAGIC + b"%016x" % len(payload) + _sha256(payload)
+    return header + b"\n" + payload
+
+
+def _read_journal(blob: bytes, path: Path) -> tuple[dict, int]:
+    """The journaled ``key -> value`` map and the byte length of the
+    longest valid record prefix; whatever follows is logged and dropped."""
+    if blob and not blob.startswith(JOURNAL_MAGIC[: len(blob)]):
+        kind = "unframed blob"
+        if blob.startswith(CHECKSUM_MAGIC):
+            kind = "whole-store snapshot from older code"
+        logger.warning(
+            "checkpoint %s: %s, not a stage journal; ignoring it (the job "
+            "re-runs from its spec)", path, kind
+        )
+        return {}, 0
+    values: dict = {}
+    end = 0
+    while end < len(blob):
+        header = blob[end : end + _RECORD_HEADER_LEN]
+        start = end + _RECORD_HEADER_LEN
+        try:
+            if len(header) < _RECORD_HEADER_LEN:
+                raise ValueError("truncated record header")
+            length = int(header[len(JOURNAL_MAGIC) : -1 - _DIGEST_LEN], 16)
+            payload = blob[start : start + length]
+            if len(payload) < length:
+                raise ValueError("truncated record payload")
+            if _sha256(payload) != header[-1 - _DIGEST_LEN : -1]:
+                raise ValueError("record checksum mismatch")
+            key, value = pickle.loads(payload)
+        except Exception as error:
+            logger.warning(
+                "checkpoint %s: %s at byte %d; keeping the records before "
+                "it, the stages after re-run", path, error, end
+            )
+            break
+        values[key] = value
+        end = start + length
+    return values, end
 
 
 class CheckpointStore:
@@ -131,6 +163,8 @@ class CheckpointStore:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: Per job: journal records captured but not yet appended.
+        self._pending: dict[str, list[bytes]] = {}
 
     # -- paths --------------------------------------------------------- #
     def job_dir(self, job_id: str) -> Path:
@@ -150,44 +184,54 @@ class CheckpointStore:
         return _load_pickle(self._path(job_id, SPEC_FILE))
 
     # -- progress ------------------------------------------------------ #
-    def save_progress(self, job_id: str, run) -> None:
-        """Snapshot a consistent resume point of a (running) pipeline.
+    def record_stage(self, job_id: str, node, value) -> None:
+        """Capture a finished stage for the next :meth:`save_progress`.
 
-        ``run`` is the live :class:`~repro.campaign.scheduler.PipelineRun`;
-        callers invoke this from
-        :meth:`~repro.campaign.scheduler.StageObserver.on_stage_finish`,
-        where the store/expansions are guaranteed consistent.
+        A non-local value is pickled now: later, local stages may have
+        mutated it.  Local stages are skipped; they re-run on resume.
+        """
+        if not node.local:
+            self._pending.setdefault(job_id, []).append(
+                _journal_record(node.key, value)
+            )
+
+    def save_progress(self, job_id: str, run) -> None:
+        """Append the records captured since the last save to the journal.
+
+        ``run`` is the live :class:`~repro.campaign.scheduler.PipelineRun`
+        they came from, passed so subclasses can act at this exact
+        checkpoint boundary.  ``progress.pkl`` exists afterwards even when
+        there was nothing to append.
         """
         self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
-        snapshot = {"store": run.store, "expansions": run.expansions}
-        _atomic_write(
-            self._path(job_id, PROGRESS_FILE), _frame(pickle.dumps(snapshot))
-        )
+        with open(self._path(job_id, PROGRESS_FILE), "ab") as handle:
+            handle.writelines(self._pending.pop(job_id, ()))
 
     def load_progress(self, job_id: str) -> Optional[dict]:
-        """The last snapshot as ``{"store": ..., "expansions": ...}``.
+        """The journaled stage values (``key -> value``), or ``None``.
 
-        A corrupt or truncated snapshot reads as ``None`` -- the job
-        re-runs from its spec instead of crashing recovery.
+        A torn or foreign tail is truncated away here, so the next append
+        follows the valid prefix.  Records captured but never saved are
+        dropped: they belong to the run being resumed.
         """
-        snapshot = _load_pickle(self._path(job_id, PROGRESS_FILE))
-        if snapshot is not None and not (
-            isinstance(snapshot, dict) and "store" in snapshot
-        ):
-            logger.warning(
-                "checkpoint %s: unexpected snapshot shape; ignoring it",
-                self._path(job_id, PROGRESS_FILE),
-            )
+        self._pending.pop(job_id, None)
+        path = self._path(job_id, PROGRESS_FILE)
+        if not path.exists():
             return None
-        return snapshot
+        blob = path.read_bytes()
+        values, end = _read_journal(blob, path)
+        if end < len(blob):
+            os.truncate(path, end)
+        return values or None
 
     def has_progress(self, job_id: str) -> bool:
         """Whether a resume point exists on disk (no unpickling; existence
-        only -- a corrupt snapshot still reads as ``None`` on load)."""
+        only -- a corrupt journal still reads as ``None`` on load)."""
         return self._path(job_id, PROGRESS_FILE).exists()
 
     def discard_progress(self, job_id: str) -> None:
         """Drop the resume point (the job finished; the report is durable)."""
+        self._pending.pop(job_id, None)
         path = self._path(job_id, PROGRESS_FILE)
         if path.exists():
             path.unlink()
@@ -288,6 +332,7 @@ class CheckpointStore:
 
     def discard(self, job_id: str) -> None:
         """Remove every artifact of ``job_id`` (report included)."""
+        self._pending.pop(job_id, None)
         directory = self.job_dir(job_id)
         if not directory.exists():
             return

@@ -68,8 +68,9 @@ class JobStarted(JobEvent):
     """The job left the queue and its stage graph is about to execute.
 
     ``resumed`` jobs were recovered from a checkpoint: ``preloaded_stages``
-    of their stage graph (artifacts + replayed expansions) were satisfied
-    from disk and will not execute again.
+    artifacts of their stage graph (journaled stage values plus any
+    prep-cache hits) were satisfied up front and will not execute again.
+    Local stages are never journaled; they re-run against those artifacts.
     """
 
     resumed: bool = False

@@ -14,13 +14,13 @@ stage starts/finishes, coverage-curve deltas and section completions *live*
 (:mod:`repro.service.events`).
 
 Durability: with a checkpoint directory, every job persists its spec at
-submission, a consistent merged-partials snapshot every
-``checkpoint_every`` finished stages, and the final canonical report bytes
+submission, journals every finished non-local stage (appended every
+``checkpoint_every`` finished stages), and the final canonical report bytes
 (:mod:`repro.service.checkpoint`).  A service killed mid-job restarts,
-recovers the pending jobs from disk, preloads the checkpointed artifacts
-and replayed expansions into a fresh schedule, and re-executes only the
-unfinished stages -- the resumed report bytes are identical to an
-uninterrupted run (``tests/service/test_checkpoint_resume.py``).
+recovers the pending jobs from disk, preloads the journaled artifacts into
+a fresh schedule, and re-executes the rest, local stages included -- the
+resumed report bytes are identical to an uninterrupted run
+(``tests/service/test_checkpoint_resume.py``).
 
 Scenario keys are **deterministic** here (``<job_id>/s<i>:<name>``), unlike
 the invocation-unique keys of the one-shot runner: a resumed schedule must
@@ -238,16 +238,15 @@ class _JobObserver(StageObserver):
     (:class:`~repro.campaign.pipeline.RandomPhaseOutcome` -> ``random``
     curve deltas, :class:`~repro.campaign.pipeline.TransitionOutcome` ->
     ``transition`` deltas, :class:`~repro.campaign.results.ScenarioResult`
-    -> section completions + scenario checksum).  On a resumed schedule the
-    preloaded artifacts never re-execute, so :meth:`on_run_begin` replays
-    their content events from the restored store -- a fresh subscriber's
-    stream still reassembles into the *full* canonical report.
+    -> section completions + scenario checksum).  All three come from local
+    stages, which a resumed schedule always re-executes, so a fresh
+    subscriber's stream on a resumed job still reassembles into the *full*
+    canonical report.
     """
 
     def __init__(
         self,
         emitter: _JobEmitter,
-        scenario_artifacts,
         checkpoints: Optional[CheckpointStore],
         job_id: str,
         checkpoint_every: int,
@@ -256,9 +255,6 @@ class _JobObserver(StageObserver):
         lifecycle_chaos=None,
     ) -> None:
         self._emitter = emitter
-        #: ``(scenario name, artifact-key mapping)`` per scenario, in
-        #: submission order -- the replay walk on resume.
-        self._scenario_artifacts = list(scenario_artifacts)
         self._checkpoints = checkpoints
         self._job_id = job_id
         self._checkpoint_every = checkpoint_every
@@ -276,14 +272,6 @@ class _JobObserver(StageObserver):
     # -- schedule callbacks -------------------------------------------- #
     def on_run_begin(self, run) -> None:
         self._run = run
-        for name, keys in self._scenario_artifacts:
-            for logical in ("fault_sim", "transition", "report"):
-                key = keys.get(logical)
-                if key is None:
-                    continue
-                resolved = run.resolve_key(key)
-                if resolved in run.store:
-                    self._emit_content(name, run.store[resolved])
 
     def on_stage_start(self, node) -> None:
         self._emitter.emit(
@@ -301,6 +289,7 @@ class _JobObserver(StageObserver):
         )
         self._emit_content(node.scenario, value)
         if self._checkpoints is not None:
+            self._checkpoints.record_stage(self._job_id, node, value)
             self._since_save += 1
             if self._since_save >= self._checkpoint_every:
                 self._checkpoints.save_progress(self._job_id, self._run)
@@ -455,7 +444,7 @@ class CampaignService:
 
         Returns the re-enqueued job ids (oldest first).  Recovered jobs run
         before anything submitted afterwards and resume from their last
-        progress snapshot.  Jobs whose durable lifecycle record says they
+        saved stage journal.  Jobs whose durable lifecycle record says they
         were cancelled or timed out are surfaced as terminal records (not
         resumed -- an explicit :meth:`resume` restarts them); a job
         recovered-and-started more than
@@ -945,21 +934,15 @@ class CampaignService:
                     )
                 )
 
-            progress = (
-                self.checkpoints.load_progress(record.job_id)
-                if self.checkpoints is not None
-                else None
-            )
-            expansions = None
-            if progress is not None:
-                # Checkpointed values win over cache preloads: the restored
-                # store is one identity-consistent snapshot.
-                preloads = {**preloads, **progress["store"]}
-                expansions = progress["expansions"]
+            progress = None
+            if self.checkpoints is not None:
+                progress = self.checkpoints.load_progress(record.job_id)
+            # Journaled values win over (content-equal) cache preloads.
+            preloads = {**preloads, **(progress or {})}
             emitter.emit(
                 JobStarted,
                 resumed=progress is not None,
-                preloaded_stages=len(preloads) + len(expansions or ()),
+                preloaded_stages=len(preloads),
             )
 
             key_by_name = {
@@ -968,7 +951,6 @@ class CampaignService:
             }
             observer = _JobObserver(
                 emitter,
-                [(scenario.name, keys) for scenario, keys in scenario_meta],
                 checkpoints=self.checkpoints,
                 job_id=record.job_id,
                 checkpoint_every=self.config.checkpoint_every,
@@ -995,7 +977,6 @@ class CampaignService:
                     nodes,
                     observer=observer,
                     preloaded=preloads,
-                    expansions=expansions,
                     cancel_token=token,
                 )
             finally:
@@ -1041,8 +1022,8 @@ class CampaignService:
                 failed_scenarios=tuple(sorted(failures)),
             )
         except ScheduleCancelled as stop:
-            # Cooperative stop at a stage boundary: checkpoint whatever the
-            # half-finished run merged so far, then record the terminal
+            # Cooperative stop at a stage boundary: flush the stages the
+            # journal has not written yet, then record the terminal
             # state.  reason "shutdown" (stop(mode="cancel")) writes NO
             # terminal marker -- the job stays pending on disk and the next
             # start() resumes it; user cancels and deadline timeouts write
@@ -1063,7 +1044,7 @@ class CampaignService:
             )
         except BaseException as error:
             # With a checkpoint store the failure is resumable: the spec and
-            # the last progress snapshot survive; a restarted service picks
+            # the saved stage journal survive; a restarted service picks
             # the job up from CheckpointStore.pending_jobs().
             emitter.emit(
                 JobFailed,

@@ -15,8 +15,8 @@ asserts:
 * the resumed job really resumed (preloaded stages > 0) rather than
   silently re-running from scratch,
 * a fresh subscriber's event stream on the *resumed* job still reassembles
-  into the full canonical report (preloaded artifacts replay their
-  content events),
+  into the full canonical report (the local stages that emit content
+  events always re-run on resume),
 * crashes at randomized checkpoint boundaries -- first save, a seeded
   random middle save, the last save -- and chained double crashes all
   converge to the same bytes.
@@ -99,7 +99,7 @@ class SimulatedCrash(RuntimeError):
 class CrashingStore(CheckpointStore):
     """Counts progress saves; raises out of the ``crash_after``-th one.
 
-    The save itself completes *before* the crash (the snapshot is durable,
+    The save itself completes *before* the crash (the journal is durable,
     the process dies immediately after), which is the adversarial timing:
     resume must replay from exactly that boundary.  ``crash_after=None``
     only counts -- used to discover how many checkpoints a run writes.
@@ -209,8 +209,8 @@ def test_crash_resume_byte_identity(tmp_path, num_workers, backend):
     assert resumed.state == "finished"
     assert resumed.report == expected
     # A subscriber that only ever saw the resumed service still reassembles
-    # the complete canonical report: preloaded artifacts replayed their
-    # content events.
+    # the complete canonical report: the local stages that emit content
+    # events re-ran.
     assert_stream_well_formed(resumed_events, job_id)
     reassembled = EventReassembler().feed_all(resumed_events)
     assert reassembled.report_bytes() == expected
