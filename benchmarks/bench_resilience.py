@@ -274,7 +274,10 @@ def run() -> dict:
             "CancelToken with an armed deadline checked at every stage "
             "boundary, never tripped; cancel_latency_seconds is the wall "
             "from service.cancel() on a mid-run job to its checkpointed "
-            "JobCancelled event (recorded only; bounded by one stage)"
+            "JobCancelled event (recorded only; bounded by one stage).  "
+            "Both 2% bars are below the noise of a small shared host: on 2 "
+            "vCPUs the 0.5 s walls swing by 15-40% run to run, so there one "
+            "record's overheads are unresolved, in either direction"
         ),
     }
     path = write_bench_json("resilience", payload)

@@ -14,10 +14,13 @@ finishes.  Local stages (expanders, trims, merges, report assembly) are
 never written; they re-run on resume.  Non-local values cross a pipe in
 every pooled run, so pickling them one by one changes no report byte (the
 pooled differential suites prove it); local outputs alias and mutate
-earlier artifacts, so they are re-derived, never stored.  On load a torn
-tail is cut back to the longest valid record prefix (logged), and a file
-that is no journal -- a whole-store snapshot from older code, an unframed
-blob -- is logged and ignored unpickled; the job then re-runs from its
+earlier artifacts, so they are re-derived, never stored.  Expansion
+children are keyed by shard index only, so the first record holds the
+shard plan (shard counts) the journal was made under.  On load a torn
+tail is cut back to the longest valid record prefix (logged).  A journal
+from another plan is logged and ignored, and a file that is no journal --
+a whole-store snapshot from older code, an unframed blob -- is logged and
+ignored without being unpickled; either way the job re-runs from its
 spec.  :class:`CheckpointStore` is the seam the crash-injection suite
 subclasses to inject failures at exact checkpoint boundaries.
 
@@ -63,6 +66,8 @@ _DIGEST_LEN = 64
 #: chars of sha256(payload) + newline + payload, a pickled (key, value).
 JOURNAL_MAGIC = b"repro-jrnl-v1\n"
 _RECORD_HEADER_LEN = len(JOURNAL_MAGIC) + 16 + _DIGEST_LEN + 1
+#: Key of every journal's first record: the shard plan of its records.
+PLAN_KEY = "__plan__"
 
 
 def _sha256(payload: bytes) -> bytes:
@@ -165,6 +170,8 @@ class CheckpointStore:
         self.root.mkdir(parents=True, exist_ok=True)
         #: Per job: journal records captured but not yet appended.
         self._pending: dict[str, list[bytes]] = {}
+        #: Per job: the shard plan a new journal is headed with.
+        self._plans: dict[str, object] = {}
 
     # -- paths --------------------------------------------------------- #
     def job_dir(self, job_id: str) -> Path:
@@ -201,25 +208,40 @@ class CheckpointStore:
         ``run`` is the live :class:`~repro.campaign.scheduler.PipelineRun`
         they came from, passed so subclasses can act at this exact
         checkpoint boundary.  ``progress.pkl`` exists afterwards even when
-        there was nothing to append.
+        there was nothing to append; a new journal starts with the plan
+        record.
         """
         self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
         with open(self._path(job_id, PROGRESS_FILE), "ab") as handle:
+            if handle.tell() == 0:
+                handle.write(_journal_record(PLAN_KEY, self._plans.get(job_id)))
             handle.writelines(self._pending.pop(job_id, ()))
 
-    def load_progress(self, job_id: str) -> Optional[dict]:
+    def load_progress(self, job_id: str, plan=None) -> Optional[dict]:
         """The journaled stage values (``key -> value``), or ``None``.
 
-        A torn or foreign tail is truncated away here, so the next append
-        follows the valid prefix.  Records captured but never saved are
-        dropped: they belong to the run being resumed.
+        ``plan`` is the resuming run's shard plan; a journal made under
+        another plan holds shard records that would satisfy the wrong
+        nodes, so it is logged and dropped.  A torn or foreign tail is
+        truncated away here, so the next append follows the valid prefix.
+        Records captured but never saved are dropped: they belong to the
+        run being resumed.
         """
         self._pending.pop(job_id, None)
+        self._plans[job_id] = plan
         path = self._path(job_id, PROGRESS_FILE)
         if not path.exists():
             return None
         blob = path.read_bytes()
         values, end = _read_journal(blob, path)
+        journal_plan = values.pop(PLAN_KEY, None)
+        if end and journal_plan != plan:
+            logger.warning(
+                "checkpoint %s: journal made under shard plan %r, not %r; "
+                "ignoring it (the job re-runs from its spec)",
+                path, journal_plan, plan,
+            )
+            values, end = {}, 0
         if end < len(blob):
             os.truncate(path, end)
         return values or None
@@ -229,9 +251,15 @@ class CheckpointStore:
         only -- a corrupt journal still reads as ``None`` on load)."""
         return self._path(job_id, PROGRESS_FILE).exists()
 
+    def drop_unsaved(self, job_id: str) -> None:
+        """Forget the records captured but not yet saved: their run died,
+        and a resume re-runs their stages."""
+        self._pending.pop(job_id, None)
+        self._plans.pop(job_id, None)
+
     def discard_progress(self, job_id: str) -> None:
         """Drop the resume point (the job finished; the report is durable)."""
-        self._pending.pop(job_id, None)
+        self.drop_unsaved(job_id)
         path = self._path(job_id, PROGRESS_FILE)
         if path.exists():
             path.unlink()
@@ -332,7 +360,7 @@ class CheckpointStore:
 
     def discard(self, job_id: str) -> None:
         """Remove every artifact of ``job_id`` (report included)."""
-        self._pending.pop(job_id, None)
+        self.drop_unsaved(job_id)
         directory = self.job_dir(job_id)
         if not directory.exists():
             return

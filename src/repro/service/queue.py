@@ -934,14 +934,23 @@ class CampaignService:
                     )
                 )
 
-            progress = None
+            resumed = False
             if self.checkpoints is not None:
-                progress = self.checkpoints.load_progress(record.job_id)
-            # Journaled values win over (content-equal) cache preloads.
-            preloads = {**preloads, **(progress or {})}
+                resumed = self.checkpoints.has_progress(record.job_id)
+                # Shard children are keyed by index only: a journal from
+                # another shard plan is dropped, never preloaded.
+                progress = self.checkpoints.load_progress(
+                    record.job_id,
+                    plan={
+                        "fault_shards": self.fault_shards,
+                        "pattern_shards": self.pattern_shards,
+                    },
+                )
+                # Journaled values win over (content-equal) cache preloads.
+                preloads.update(progress or {})
             emitter.emit(
                 JobStarted,
-                resumed=progress is not None,
+                resumed=resumed,
                 preloaded_stages=len(preloads),
             )
 
@@ -1046,6 +1055,8 @@ class CampaignService:
             # With a checkpoint store the failure is resumable: the spec and
             # the saved stage journal survive; a restarted service picks
             # the job up from CheckpointStore.pending_jobs().
+            if self.checkpoints is not None:
+                self.checkpoints.drop_unsaved(record.job_id)
             emitter.emit(
                 JobFailed,
                 error=str(error),

@@ -6,6 +6,9 @@ what that format promises:
 
 * only non-local stages are journaled, each value as it was when its stage
   finished, and a save with nothing to append still leaves the file on disk,
+* a journal starts with the shard plan its records were made under; a
+  resume under another plan (e.g. another worker count) ignores it, since
+  shard records are keyed by index only,
 * a torn tail -- cut mid-header, cut mid-payload, or a flipped byte in the
   last record -- keeps the valid record prefix (logged), the next append
   truncates the garbage first, and a job resumed from such a journal still
@@ -22,7 +25,12 @@ import pickle
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignScenario, LifecycleChaosPlan
+from repro.campaign import (
+    CampaignRunner,
+    CampaignScenario,
+    LifecycleChaosPlan,
+    LifecycleInjection,
+)
 from repro.campaign.scheduler import StageNode
 from repro.core.config import LogicBistConfig, ServiceConfig
 from repro.service import CampaignService, CheckpointStore, EventReassembler
@@ -48,6 +56,9 @@ pytestmark = pytest.mark.service
 HEADER_LEN = len(JOURNAL_MAGIC) + 16 + 64 + 1
 
 LOGGER = "repro.service.checkpoint"
+
+#: The shard plan of a one-worker service with default sharding.
+SERIAL_PLAN = {"fault_shards": 1, "pattern_shards": 1}
 
 
 def record_spans(blob: bytes) -> list[tuple[int, int]]:
@@ -107,9 +118,34 @@ def test_empty_save_leaves_the_journal_on_disk(tmp_path):
     store.record_stage("job-x", node("report", local=True), "local only")
     store.save_progress("job-x", None)
     path = tmp_path / "job-x" / PROGRESS_FILE
-    assert path.exists() and path.stat().st_size == 0
+    assert len(record_spans(path.read_bytes())) == 1  # the plan record
     assert store.has_progress("job-x")
     assert store.load_progress("job-x") is None
+
+
+def test_journal_from_another_shard_plan_is_ignored(tmp_path, caplog):
+    """Shard records are keyed ``shard{i}`` whatever the shard count, so a
+    journal made under one plan must not preload another plan's nodes."""
+    four = {"fault_shards": 4, "pattern_shards": 1}
+    store = CheckpointStore(tmp_path)
+    assert store.load_progress("job-x", plan=four) is None
+    journal_of(store, "job-x", {"a/shard0": 1, "a/shard1": 2})
+    assert CheckpointStore(tmp_path).load_progress("job-x", plan=four) == {
+        "a/shard0": 1, "a/shard1": 2,
+    }
+
+    resumed = CheckpointStore(tmp_path)
+    with caplog.at_level("WARNING", logger=LOGGER):
+        assert resumed.load_progress("job-x", plan=SERIAL_PLAN) is None
+    assert any("shard plan" in record.getMessage() for record in caplog.records)
+    # The next save starts a fresh journal headed by the new plan.
+    journal_of(resumed, "job-x", {"a/shard0": 10})
+    path = tmp_path / "job-x" / PROGRESS_FILE
+    assert len(record_spans(path.read_bytes())) == 2
+    assert CheckpointStore(tmp_path).load_progress(
+        "job-x", plan=SERIAL_PLAN
+    ) == {"a/shard0": 10}
+    assert CheckpointStore(tmp_path).load_progress("job-x", plan=four) is None
 
 
 def test_unsaved_records_are_dropped_on_load(tmp_path):
@@ -157,7 +193,7 @@ def test_torn_tail_keeps_prefix_and_is_truncated_before_append(
             "a": 1, "b": 2, "c": 30, "d": 4,
         }
     assert not caplog.records
-    assert len(record_spans(path.read_bytes())) == 4
+    assert len(record_spans(path.read_bytes())) == 5  # plan + a, b, c, d
 
 
 TRIPPED = []
@@ -221,10 +257,75 @@ def test_torn_journal_resumes_to_oracle_bytes(tmp_path, damage, caplog):
         _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
     assert any("re-run" in record.getMessage() for record in caplog.records)
     started = next(e for e in events if isinstance(e, JobStarted))
-    assert started.resumed and started.preloaded_stages == len(spans) - 1
+    # Every record but the plan and the damaged last one is preloaded.
+    assert started.resumed and started.preloaded_stages == len(spans) - 2
     assert resumed.state == "finished"
     assert resumed.report == expected
     assert EventReassembler().feed_all(events).report_bytes() == expected
+
+
+@pytest.mark.multiprocess
+def test_resume_under_another_worker_count_matches_oracle(tmp_path, caplog):
+    """A job journaled by a 4-worker service (four fault-sim shards) and
+    resumed by a 1-worker one (one shard) must not preload the old
+    ``shard0``: it covers only a quarter of the faults."""
+    expected = oracle_bytes("python")
+    # Crash right after the fourth fault-sim shard is journaled.
+    after_shards = LifecycleChaosPlan(
+        [LifecycleInjection(stage="fault_sim/shard", action="crash",
+                            occurrences=(3,))]
+    )
+    service = CampaignService(
+        num_workers=4, checkpoint_dir=tmp_path, lifecycle_chaos=after_shards
+    )
+    job_id, crashed = asyncio.run(drive(service, make_scenarios("python")))
+    assert crashed.state == "failed"
+    four = {"fault_shards": 4, "pattern_shards": 1}
+    journal = CheckpointStore(tmp_path).load_progress(job_id, plan=four)
+    assert sum("/fault_sim/shard" in key for key in journal) == 4
+
+    with caplog.at_level("WARNING", logger=LOGGER):
+        _, resumed, events, _ = run_service(
+            tmp_path, num_workers=1, resume_job=job_id
+        )
+    assert any("shard plan" in record.getMessage() for record in caplog.records)
+    started = next(e for e in events if isinstance(e, JobStarted))
+    assert started.resumed and started.preloaded_stages == 0
+    assert resumed.state == "finished"
+    assert resumed.report == expected
+    assert EventReassembler().feed_all(events).report_bytes() == expected
+
+
+def test_journal_without_stage_values_still_reports_resumed(tmp_path):
+    """A journal holding no stage values (only local stages finished
+    before the crash, say on a warm job) is still a resume point."""
+    job_id, crashed, _, _ = run_service(
+        tmp_path, make_scenarios("python"), crash_after=1
+    )
+    assert crashed.state == "failed"
+    path = tmp_path / job_id / PROGRESS_FILE
+    blob = path.read_bytes()
+    _, plan_length = record_spans(blob)[0]
+    path.write_bytes(blob[: HEADER_LEN + plan_length])
+
+    _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
+    started = next(e for e in events if isinstance(e, JobStarted))
+    assert started.resumed and started.preloaded_stages == 0
+    assert resumed.resumed
+    assert resumed.report == oracle_bytes("python")
+
+
+def test_failed_job_releases_its_unsaved_records(tmp_path):
+    """A job that dies between coarse saves must not keep its buffered
+    (pickled, possibly MB-sized) records alive in the service."""
+    service = CampaignService(
+        checkpoint_dir=tmp_path,
+        service_config=ServiceConfig(checkpoint_every=10_000),
+        lifecycle_chaos=LifecycleChaosPlan.cancel_after_stages(6, "crash"),
+    )
+    _, record = asyncio.run(drive(service, make_scenarios("python")))
+    assert record.state == "failed"
+    assert not service.checkpoints._pending
 
 
 def test_cancel_flushes_records_buffered_by_a_coarse_cadence(tmp_path):
@@ -243,7 +344,9 @@ def test_cancel_flushes_records_buffered_by_a_coarse_cadence(tmp_path):
 
     cancelled = asyncio.run(cancel_session())
     assert cancelled.state == "cancelled"
-    journal = CheckpointStore(tmp_path).load_progress(cancelled.job_id)
+    journal = CheckpointStore(tmp_path).load_progress(
+        cancelled.job_id, plan=SERIAL_PLAN
+    )
     assert journal and len(journal) >= 3
 
     async def resume_session():
