@@ -11,7 +11,10 @@ block sizes {64, 256, 1024, 4096} for both execution backends:
   compilation caches (shared kernel, level batches, fault-scan arrays) stay
   warm across repeats, exactly as they do across the shard tasks of a real
   campaign worker, and best-of-``REPEATS`` therefore reports the
-  steady-state worker throughput for both backends.
+  steady-state worker throughput for both backends.  A **cold** column
+  times the same campaign on a freshly built circuit -- fresh per-process
+  caches, so kernel compilation, cone plans and the scan compile are paid
+  inside the timed section -- next to the warm one.
 * **streamed pattern generation** --
   ``StumpsArchitecture.generate_packed_blocks`` drained for the same
   pattern budget (the PRPG/phase-shifter emulation feeding the random
@@ -27,7 +30,13 @@ so the trade-off is on the record, not hidden.
 
 Recorded in ``benchmarks/BENCH_backends.json``:
 
-* the per-(backend, block size) fault-sim matrix with per-row speedups,
+* the per-(backend, block size) fault-sim matrix with per-row warm and cold
+  speedups,
+* ``speedup_fault_sim_1024`` / ``cold_speedup_fault_sim_1024`` -- both
+  backends at block 1024, warm and cold, against the targets of >= 4x warm
+  and cold numpy no slower than cold python (recorded with
+  ``meets_1024_targets``, not asserted: ``scripts/verify.sh perf`` gates
+  these ratios against their committed values instead),
 * ``speedup_fault_sim`` -- the headline: the numpy backend at its best
   recorded block size vs the python backend at the library's default block
   size (64), the same comparison shape as the compiled-kernel PR's
@@ -77,6 +86,8 @@ REPEATS = scaled(3, 1)
 #: Acceptance bars.
 TARGET_FAULT_SIM_SPEEDUP = 3.0
 TARGET_PATTERN_GEN_SPEEDUP = 2.0
+TARGET_WARM_SPEEDUP_1024 = 4.0
+TARGET_COLD_SPEEDUP_1024 = 1.0
 
 
 def _build_workload(count: int):
@@ -105,6 +116,21 @@ def _run_fault_sim(circuit, patterns, block_size, backend, repeats=REPEATS):
     return min(seconds), coverage
 
 
+def _run_cold_fault_sim(recipe, patterns, block_size, backend):
+    """Best-of-``REPEATS`` cold campaigns, each on a freshly built circuit:
+    the timed section pays every compilation as well as the scan."""
+    seconds = []
+    for _ in range(REPEATS):
+        circuit = recipe.build().circuit
+        stimulus = circuit.stimulus_nets()
+        blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
+        fault_list = collapse_stuck_at(circuit).to_fault_list()
+        start = time.perf_counter()
+        FaultSimulator(circuit, backend=backend).simulate_blocks(fault_list, blocks)
+        seconds.append(time.perf_counter() - start)
+    return min(seconds)
+
+
 def _run_pattern_generation(circuit, block_size, backend):
     architecture = build_scan_chains(circuit, total_chains=14)
     seconds = []
@@ -125,17 +151,23 @@ def run() -> dict:
 
     fault_rows = []
     fault_seconds: dict[tuple[str, int], float] = {}
+    cold_seconds: dict[tuple[str, int], float] = {}
     coverages = set()
     for block_size in BLOCK_SIZES:
         for backend in ("python", "numpy"):
             seconds, coverage = _run_fault_sim(circuit, patterns, block_size, backend)
             fault_seconds[(backend, block_size)] = seconds
             coverages.add(round(coverage, 12))
+            cold_seconds[(backend, block_size)] = _run_cold_fault_sim(
+                recipe, patterns, block_size, backend
+            )
         fault_rows.append(
             {
                 "block_size": block_size,
                 "python_seconds": round(fault_seconds[("python", block_size)], 4),
                 "numpy_seconds": round(fault_seconds[("numpy", block_size)], 4),
+                "python_cold_seconds": round(cold_seconds[("python", block_size)], 4),
+                "numpy_cold_seconds": round(cold_seconds[("numpy", block_size)], 4),
                 "python_patterns_per_sec": round(
                     PATTERNS / fault_seconds[("python", block_size)], 1
                 ),
@@ -145,6 +177,11 @@ def run() -> dict:
                 "speedup": round(
                     fault_seconds[("python", block_size)]
                     / fault_seconds[("numpy", block_size)],
+                    2,
+                ),
+                "cold_speedup": round(
+                    cold_seconds[("python", block_size)]
+                    / cold_seconds[("numpy", block_size)],
                     2,
                 ),
             }
@@ -198,6 +235,9 @@ def run() -> dict:
         fault_seconds[("python", python_best_block)]
         / fault_seconds[("numpy", numpy_best_block)]
     )
+    row_1024 = next(
+        (row for row in fault_rows if row["block_size"] == 1024), fault_rows[-1]
+    )
     gen_best_block = min(BLOCK_SIZES, key=lambda block: gen_seconds[("numpy", block)])
     speedup_pattern_gen = (
         gen_seconds[("python", gen_best_block)]
@@ -228,9 +268,15 @@ def run() -> dict:
         "speedup_fault_sim_same_block": round(speedup_same_block, 2),
         "speedup_fault_sim_best_vs_best": round(speedup_best_vs_best, 2),
         "speedup_pattern_gen": round(speedup_pattern_gen, 2),
+        "speedup_fault_sim_1024": row_1024["speedup"],
+        "cold_speedup_fault_sim_1024": row_1024["cold_speedup"],
         "bit_identical_coverage": True,
         "target_fault_sim_speedup": TARGET_FAULT_SIM_SPEEDUP,
         "target_pattern_gen_speedup": TARGET_PATTERN_GEN_SPEEDUP,
+        "target_warm_speedup_1024": TARGET_WARM_SPEEDUP_1024,
+        "target_cold_speedup_1024": TARGET_COLD_SPEEDUP_1024,
+        "meets_1024_targets": row_1024["speedup"] >= TARGET_WARM_SPEEDUP_1024
+        and row_1024["cold_speedup"] >= TARGET_COLD_SPEEDUP_1024,
         "note": (
             "speedup_fault_sim = numpy backend at its best recorded block "
             "size vs python backend at the default block size 64 (the "
@@ -239,7 +285,8 @@ def run() -> dict:
             "long-session sample are recorded alongside so the full "
             "trade-off is visible.  Best-of-N with warm per-process "
             "compilation caches on both backends -- the steady state of a "
-            "campaign worker."
+            "campaign worker; the cold columns rebuild the circuit per run, "
+            "so compilation is timed too."
         ),
     }
     path = write_bench_json("backends", payload)
@@ -252,9 +299,21 @@ def run() -> dict:
         f"{TARGET_FAULT_SIM_SPEEDUP}x); long 20K session @1024: "
         f"{long_python / long_numpy:.2f}x; pattern gen: "
         f"{speedup_pattern_gen:.2f}x at block {gen_best_block} "
-        f"(target >= {TARGET_PATTERN_GEN_SPEEDUP}x) -> {path.name}"
+        f"(target >= {TARGET_PATTERN_GEN_SPEEDUP}x); block 1024: "
+        f"{row_1024['speedup']:.2f}x warm (target >= "
+        f"{TARGET_WARM_SPEEDUP_1024}x), {row_1024['cold_speedup']:.2f}x cold "
+        f"(target >= {TARGET_COLD_SPEEDUP_1024}x) -> {path.name}"
     )
     return payload
+
+
+def meets_targets(payload: dict) -> bool:
+    """The asserted acceptance bars (skipped in smoke mode)."""
+    return (
+        payload["speedup_fault_sim"] >= TARGET_FAULT_SIM_SPEEDUP
+        and payload["speedup_fault_sim_same_block"] >= 2.0
+        and payload["speedup_pattern_gen"] >= TARGET_PATTERN_GEN_SPEEDUP
+    )
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="NumPy not installed (repro[fast])")
@@ -262,17 +321,9 @@ def test_backend_speedups_recorded():
     """Regression guard: the numpy backend keeps its recorded speedups."""
     payload = run()
     assert payload["bit_identical_coverage"]
-    if smoke_mode():
-        return
-    assert payload["speedup_fault_sim"] >= TARGET_FAULT_SIM_SPEEDUP
-    assert payload["speedup_fault_sim_same_block"] >= 2.0
-    assert payload["speedup_pattern_gen"] >= TARGET_PATTERN_GEN_SPEEDUP
+    assert smoke_mode() or meets_targets(payload)
 
 
 if __name__ == "__main__":
     payload = run()
-    ok = smoke_mode() or (
-        payload["speedup_fault_sim"] >= TARGET_FAULT_SIM_SPEEDUP
-        and payload["speedup_pattern_gen"] >= TARGET_PATTERN_GEN_SPEEDUP
-    )
-    raise SystemExit(0 if ok else 1)
+    raise SystemExit(0 if smoke_mode() or meets_targets(payload) else 1)

@@ -9,8 +9,11 @@ Performance-regression benchmarks additionally persist their measurements as
 JSON next to this file through :func:`write_bench_json` (e.g.
 ``BENCH_fault_sim.json`` from ``bench_fault_sim.py``), so future PRs can track
 the throughput trajectory across the repository's history.  Every record is
-stamped with the interpreter version and the host's CPU counts, so historical
-numbers can be compared like for like.
+stamped with the git commit it measured, the interpreter version and the
+host's CPU counts, so historical numbers can be compared like for like.
+``BENCH_OUT_DIR`` redirects the records (the ``scripts/verify.sh perf`` tier
+writes fresh ones to a scratch directory and compares them with the
+checked-in records, see ``perf_gate.py``).
 
 **Smoke mode** (``BENCH_SMOKE=1``, the ``scripts/verify.sh bench-smoke``
 tier) runs every benchmark on a tiny workload so the scripts cannot silently
@@ -26,9 +29,10 @@ from __future__ import annotations
 import json
 import os
 import platform
+import subprocess
 import tracemalloc
 from pathlib import Path
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, Optional, Sequence, TypeVar
 
 try:
     import resource
@@ -92,24 +96,43 @@ def memory_peaks() -> dict[str, object]:
     }
 
 
+def git_sha() -> Optional[str]:
+    """The commit the benchmark measured, suffixed ``+dirty`` when ``src/``
+    has uncommitted changes (``None`` outside a git checkout)."""
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=BENCH_DIR, capture_output=True, text=True,
+            timeout=10,
+        ).stdout.strip()
+
+    try:
+        sha = git("rev-parse", "HEAD")
+        dirty = sha and git("status", "--porcelain", "--", "../src")
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return (sha + "+dirty" if dirty else sha) or None
+
+
 def write_bench_json(name: str, payload: Mapping[str, object]) -> Path:
     """Persist one benchmark's measurements as ``benchmarks/BENCH_<name>.json``.
 
-    The payload is stamped with the interpreter version, the host CPU counts
-    and the process memory peaks so historical numbers can be compared like
-    for like.  Under the bench-smoke tier the record lands in
-    ``benchmarks/.smoke/`` instead and is marked ``"smoke": true`` --
+    The payload is stamped with the git commit, the interpreter version, the
+    host CPU counts and the process memory peaks so historical numbers can
+    be compared like for like.  Under the bench-smoke tier the record lands
+    in ``benchmarks/.smoke/`` instead and is marked ``"smoke": true`` --
     tiny-workload numbers must never overwrite the checked-in regression
-    records.
+    records.  ``BENCH_OUT_DIR`` sends records elsewhere.
     """
     record = {
         "benchmark": name,
+        "git_sha": git_sha(),
         "python": platform.python_version(),
         **cpu_counts(),
         **memory_peaks(),
         **payload,
     }
-    directory = BENCH_DIR
+    directory = Path(os.environ.get("BENCH_OUT_DIR") or BENCH_DIR)
     if smoke_mode():
         record["smoke"] = True
         directory = BENCH_DIR / ".smoke"

@@ -56,6 +56,20 @@
 #                                 service/queue.py or the schedulers'
 #                                 CancelToken path.  The pooled lifecycle
 #                                 matrix runs in the full tier.
+#   scripts/verify.sh perf        the performance regression gate: re-runs
+#                                 benchmarks/bench_backends.py and
+#                                 bench_scan_memory.py at their recorded
+#                                 scale into a scratch directory, then
+#                                 benchmarks/perf_gate.py fails when any
+#                                 speedup ratio field falls more than 15%
+#                                 below the checked-in BENCH JSON taken at
+#                                 the same cpus_available (ratios measured
+#                                 within one process; absolute throughputs
+#                                 swing too much with host speed to gate;
+#                                 extra arguments name the records to gate).
+#                                 Takes minutes and ~2.5 GB of memory (the
+#                                 unbounded scale-7 scan in
+#                                 bench_scan_memory).
 #
 # Markers:
 #   slow          exhaustive LFSR period walks (widths 14-20)
@@ -104,8 +118,14 @@ case "$tier" in
   lifecycle)
     exec python -m pytest -x -q -m "lifecycle and not multiprocess" "$@"
     ;;
+  perf)
+    out="$(mktemp -d)"
+    BENCH_OUT_DIR="$out" python benchmarks/bench_backends.py
+    BENCH_OUT_DIR="$out" python benchmarks/bench_scan_memory.py
+    exec python benchmarks/perf_gate.py "$out" "$@"
+    ;;
   *)
-    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|service|chaos|lifecycle] [pytest args...]" >&2
+    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|service|chaos|lifecycle|perf] [pytest args...]" >&2
     exit 2
     ;;
 esac

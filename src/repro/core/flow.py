@@ -148,21 +148,28 @@ def insert_test_points(
             core.circuit, budget=config.observation_point_budget
         ).select()
     elif config.tpi_method == "fault_sim":
-        stumps = build_stumps(core, config)
-        patterns = stumps.generate_patterns(config.tpi_profile_patterns)
+        blocks = list(
+            build_stumps(core, config).generate_packed_blocks(
+                config.tpi_profile_patterns,
+                block_size=config.block_size,
+                backend=config.sim_backend,
+            )
+        )
         fault_list = fresh_fault_list(core.circuit, config)
         simulator = FaultSimulator(
             core.circuit,
             backend=config.sim_backend,
             memory_budget_mb=config.sim_memory_budget_mb,
         )
-        simulator.simulate(fault_list, patterns, block_size=config.block_size)
+        simulator.simulate_blocks(fault_list, blocks)
         tpi = FaultSimGuidedObservationTpi(
             core.circuit,
             budget=config.observation_point_budget,
             profile_patterns=min(config.tpi_profile_patterns, 128),
         )
-        plan = tpi.select(fault_list, patterns)
+        plan = tpi.select(
+            fault_list, expand_leading_patterns(blocks, tpi.profile_patterns)
+        )
     else:
         raise ValueError(f"unknown tpi_method {config.tpi_method!r}")
     if plan.nets:

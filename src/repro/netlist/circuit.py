@@ -11,13 +11,16 @@ combinational analyses (levelisation, fault simulation, ATPG) DFF outputs act
 as *pseudo primary inputs* and DFF data pins act as *pseudo primary outputs*,
 which is exactly the view a full-scan DFT flow takes.
 
-The class keeps derived structures (fanout map, levelisation, cones) cached and
-invalidates the caches on mutation, so the common read-heavy workloads (fault
-simulation sweeps) pay the analysis cost once.
+The class keeps derived structures (fanout map, levelisation, cones) cached, so
+the common read-heavy workloads (fault simulation sweeps) pay the analysis cost
+once.  Edits keep a valid fanout map up to date in place (DFT insertion
+queries fanout after every edit) and only drop the levelisation, which is
+rebuilt lazily.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -84,7 +87,11 @@ class Circuit:
         self._gates: dict[str, Gate] = {}
         self._primary_inputs: list[str] = []
         self._primary_outputs: list[str] = []
-        self._cache_valid = False
+        self._fanout_valid = False
+        self._order_valid = False
+        #: Gate name -> insertion rank, built on demand (and not pickled):
+        #: fanout lists keep gate insertion order, as a full rebuild does.
+        self._ranks: Optional[dict[str, int]] = None
         self._fanout: dict[str, list[str]] = {}
         self._levels: dict[str, int] = {}
         self._topo_order: list[str] = []
@@ -102,9 +109,8 @@ class Circuit:
         if name in self._gates:
             raise CircuitError(f"net {name!r} already exists")
         gate = Gate(name=name, gate_type=GateType.INPUT)
-        self._gates[name] = gate
+        self._insert(gate)
         self._primary_inputs.append(name)
-        self._invalidate()
         return gate
 
     def add_gate(
@@ -133,9 +139,22 @@ class Circuit:
         )
         if gate_type is GateType.DFF and clock_domain is None:
             gate.clock_domain = "clk"
-        self._gates[name] = gate
-        self._invalidate()
+        self._insert(gate)
         return gate
+
+    def _insert(self, gate: Gate) -> None:
+        """Register a new gate, appending it to its input nets' fanout."""
+        self._gates[gate.name] = gate
+        if self._ranks is not None:
+            self._ranks[gate.name] = len(self._ranks)
+        fanout = self._fanout
+        if self._fanout_valid and all(net in fanout for net in gate.inputs):
+            fanout[gate.name] = []
+            for net in gate.inputs:
+                fanout[net].append(gate.name)
+        else:
+            self._fanout_valid = False
+        self._invalidate()
 
     def add_output(self, net: str) -> None:
         """Declare an existing (or forward-referenced) net as a primary output."""
@@ -152,7 +171,17 @@ class Circuit:
         gate = self.gate(gate_name)
         if old_net not in gate.inputs:
             raise CircuitError(f"{gate_name!r} has no input net {old_net!r}")
+        moved = gate.inputs.count(old_net)
         gate.inputs = [new_net if n == old_net else n for n in gate.inputs]
+        fanout = self._fanout
+        if not (self._fanout_valid and new_net in fanout):
+            self._fanout_valid = False
+        elif old_net != new_net:
+            fanout[old_net] = [g for g in fanout[old_net] if g != gate_name]
+            if self._ranks is None:
+                self._ranks = {name: rank for rank, name in enumerate(self._gates)}
+            for _ in range(moved):
+                insort(fanout[new_net], gate_name, key=self._ranks.__getitem__)
         self._invalidate()
 
     def remove_gate(self, name: str) -> None:
@@ -160,14 +189,26 @@ class Circuit:
         if name not in self._gates:
             raise CircuitError(f"no such gate: {name!r}")
         gate = self._gates.pop(name)
+        self._ranks = None
         if gate.is_primary_input:
             self._primary_inputs.remove(name)
         self._primary_outputs = [po for po in self._primary_outputs if po != name]
+        fanout = self._fanout
+        if self._fanout_valid and not fanout[name]:
+            del fanout[name]
+            for net in set(gate.inputs):
+                fanout[net] = [g for g in fanout[net] if g != name]
+        else:
+            self._fanout_valid = False
         self._invalidate()
 
     def _invalidate(self) -> None:
-        self._cache_valid = False
+        """Drop the levelisation; each edit keeps the fanout map itself."""
+        self._order_valid = False
         self._revision += 1
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_ranks": None}
 
     @property
     def revision(self) -> int:
@@ -237,6 +278,11 @@ class Circuit:
     # Derived structure: fanout, levelisation, topological order
     # ------------------------------------------------------------------ #
     def _rebuild_caches(self) -> None:
+        """Rebuild every derived structure from scratch."""
+        self._rebuild_fanout()
+        self._rebuild_order()
+
+    def _rebuild_fanout(self) -> None:
         fanout: dict[str, list[str]] = {name: [] for name in self._gates}
         for gate in self._gates.values():
             for net in gate.inputs:
@@ -246,7 +292,9 @@ class Circuit:
                     )
                 fanout[net].append(gate.name)
         self._fanout = fanout
+        self._fanout_valid = True
 
+    def _rebuild_order(self) -> None:
         # Levelise the combinational view: PIs, constants and DFF outputs are
         # level 0; every other gate is 1 + max(level of inputs).  DFF *data*
         # pins terminate paths (pseudo primary outputs), so DFF gates take the
@@ -262,7 +310,7 @@ class Circuit:
 
         self._levels = levels
         self._topo_order = order
-        self._cache_valid = True
+        self._order_valid = True
 
     def _visit_iterative(
         self, root: str, levels: dict[str, int], order: list[str]
@@ -303,18 +351,23 @@ class Circuit:
                 if net not in levels:
                     stack.append((net, False))
 
+    def _ensure_fanout(self) -> None:
+        if not self._fanout_valid:
+            self._rebuild_fanout()
+
     def _ensure_caches(self) -> None:
-        if not self._cache_valid:
-            self._rebuild_caches()
+        self._ensure_fanout()
+        if not self._order_valid:
+            self._rebuild_order()
 
     def fanout(self, net: str) -> list[str]:
         """Gates whose input list contains ``net``."""
-        self._ensure_caches()
+        self._ensure_fanout()
         return list(self._fanout.get(net, []))
 
     def fanout_map(self) -> dict[str, list[str]]:
         """Full net -> fanout-gates map (cached; treat as read-only)."""
-        self._ensure_caches()
+        self._ensure_fanout()
         return self._fanout
 
     def level(self, net: str) -> int:
@@ -375,7 +428,7 @@ class Circuit:
         reaching its D pin is observable there in scan mode) but not expanded
         through its Q output.
         """
-        self._ensure_caches()
+        self._ensure_fanout()
         cone: set[str] = {net}
         frontier = [net]
         while frontier:
@@ -451,7 +504,7 @@ class Circuit:
         for gate in self._gates.values():
             if gate.is_primary_input:
                 continue
-            clone._gates[gate.name] = gate.copy()
+            clone._insert(gate.copy())
         for po in self._primary_outputs:
             clone._primary_outputs.append(po)
         clone._invalidate()

@@ -104,13 +104,6 @@ class ConePlan:
     frontier: tuple[int, ...]
     computed: tuple[int, ...]
 
-    @property
-    def num_slots(self) -> int:
-        """Slot rows the vectorised scan charges for this cone: one per
-        recomputed net plus one for the forced site value.  This is the unit
-        the memory-budget tiler sums when packing faults into tiles."""
-        return len(self.outs) + 1
-
 
 def _evaluate_lists(
     ops: Sequence[int],

@@ -14,39 +14,14 @@ gather -> bulk bitwise op -> scatter.  Python-loop iterations drop from
 ``num_gates`` to ``num_levels x num_opcodes``.
 
 Two execution structures are compiled from one backend-neutral
-:class:`~repro.simulation.kernel.CompiledKernel`:
-
-* :class:`NumpyKernel` -- the full forward pass (fault-free simulation) as
-  level batches, plus bit-plane stimulus loading.
-* :class:`FaultScanKernel` -- the PPSFP fault scan vectorised **across
-  faults**: every active fault's pre-compiled
-  :class:`~repro.simulation.kernel.ConePlan` is assigned a private run of
-  *slot rows* appended after the good-value rows, the per-fault cone
-  schedules are concatenated (statically, at compile time) into global
-  per-(level, opcode) index arrays tagged with fault indices, and one block
-  scan is: compute every fault's faulty site row in a few grouped
-  operations, select the faults whose site value differs, and re-simulate
-  *all* their cones together -- one gather/op/scatter per (level, opcode)
-  over the union of cone gates, frontier values read in place from the
-  good rows, detection masks reduced per fault with
-  ``np.bitwise_or.reduceat``.  This is what makes the backend fast where the
-  fault-simulation time actually goes: the per-fault scan, not the
-  fault-free pass.
-
-The scan's slot table grows with the total cone size of the live fault set
-times the block width -- gigabytes on SoC-sized cores at wide blocks --
-unless bounded: given a ``memory_budget_bytes`` (plumbed from
-``LogicBistConfig.sim_memory_budget_mb``), :class:`FaultScanKernel` tiles
-the live fault set into groups whose union-cone slot demand fits the
-budget and executes each block tile by tile against **one recycled slot
-arena** sized to the largest tile (re-indexed at compile/prune time, never
-per block).  Per-width workspaces are kept in a two-entry LRU
-(:func:`width_cache`), so the total footprint is bounded by roughly twice
-the budget.  Tiling only changes *when* slot rows are computed, never what:
-results stay bit-identical to the unbounded scan at any budget.
-
-Both structures are **bit-identical** to the python backend by construction
-(same compiled schedule, same masking discipline) and by test
+:class:`~repro.simulation.kernel.CompiledKernel`: :class:`NumpyKernel`, the
+full forward pass as level batches, and :class:`FaultScanKernel`, the PPSFP
+fault scan vectorised **across faults** -- every fault's cone plan gets a
+private run of *slot rows* after the good-value rows, and a block scan
+re-simulates all excited faults' cones together, one gather/op/scatter per
+(level, opcode), within an optional memory budget (see the class).  Both
+are **bit-identical** to the python backend by construction (same compiled
+schedule, same masking discipline) and by test
 (``tests/simulation/test_numpy_backend.py`` and the backend-parametrised
 kernel-equivalence fuzz suite).
 
@@ -58,7 +33,10 @@ message.
 
 from __future__ import annotations
 
+import operator
 import weakref
+from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Optional, Sequence
 
 from ..netlist.gates import (
@@ -302,24 +280,31 @@ class NumpyKernel:
     def __init__(self, kernel: CompiledKernel) -> None:
         self.kernel = kernel
         self.num_nets = kernel.num_nets
-        levels = kernel.net_levels
-        groups: dict[tuple[int, int, int], list[int]] = {}
-        for index, (op, out) in enumerate(zip(kernel.ops, kernel.outs)):
-            key = (levels[out], op, len(kernel.operands[index]))
-            groups.setdefault(key, []).append(index)
-        #: Ascending-level batches: (opcode, out index array, operand arrays).
-        self.batches: list[tuple[int, object, list]] = []
-        for key in sorted(groups):
-            indices = groups[key]
-            arity = key[2]
-            out_idx = np.array([kernel.outs[i] for i in indices], dtype=np.intp)
-            opnds = [
-                np.array(
-                    [kernel.operands[i][k] for i in indices], dtype=np.intp
-                )
-                for k in range(arity)
-            ]
-            self.batches.append((key[1], out_idx, opnds))
+        outs = np.array(kernel.outs, dtype=np.intp)
+        arity = np.fromiter(map(len, kernel.operands), np.intp, len(outs))
+        #: Per-net packed batch key of the driving gate and its operand ids
+        #: (flat, ``net_opnd_start``-indexed): what batching and site
+        #: lowering read.
+        self.net_keys = np.zeros(self.num_nets, dtype=np.int64)
+        self.net_keys[outs] = (
+            (np.array(kernel.net_levels, dtype=np.int64)[outs] << _KEY_LEVEL_SHIFT)
+            | (np.array(kernel.ops, dtype=np.int64) << _KEY_OP_SHIFT)
+            | arity
+        )
+        self.net_opnd_start = np.zeros(self.num_nets, dtype=np.intp)
+        self.net_opnd_start[outs] = _exclusive_cumsum(arity)
+        self.net_opnds = np.fromiter(chain.from_iterable(kernel.operands), np.intp)
+        #: Ascending-level batches: (opcode, out index array, operand arrays),
+        #: schedule order within a batch.
+        outs = outs[np.argsort(self.net_keys[outs], kind="stable")]
+        keys = self.net_keys[outs]
+        self.batches = []
+        for run in _runs(keys):
+            key, starts = int(keys[run.start]), self.net_opnd_start[outs[run]]
+            self.batches.append((
+                (key >> _KEY_OP_SHIFT) & _KEY_OP_MASK, outs[run],
+                _pin_columns(self.net_opnds, starts, key & _KEY_ARITY_MASK),
+            ))
         self._max_eval_batch = max(
             (len(batch[1]) for batch in self.batches), default=1
         )
@@ -327,7 +312,7 @@ class NumpyKernel:
         self._stimulus_rows = np.array(kernel.stimulus_ids, dtype=np.intp)
         #: Per-site scan compilations, shared by every FaultScanKernel built
         #: over this kernel (cone plans themselves live on the CompiledKernel).
-        self._site_compiles: dict[int, "_SiteCompile"] = {}
+        self.sites = _SiteStore(self)
         #: Compiled FaultScanKernels keyed by (fault order, observation nets);
         #: bounded FIFO so repeated campaigns over the same fault universe
         #: (flow random phase, ATPG top-up, campaign shard tasks in one
@@ -434,10 +419,9 @@ def scan_kernel_for(
     """Bounded-FIFO cache of compiled :class:`FaultScanKernel` instances.
 
     ``cache_key`` must capture everything the compilation depends on beyond
-    the kernel itself -- the canonical fault order and the observation-net
-    set.  Scan compilation costs about as much as simulating one pattern
-    block, so sharing it across engine instances (the flow's random phase
-    followed by top-up, or every shard task of a campaign worker) matters.
+    the kernel itself (fault order, observation nets, memory budget), so
+    engines over one fault universe -- the flow's random phase and top-up,
+    a campaign worker's shard tasks -- share one compilation.
     """
     cached = nk._scan_kernels.get(cache_key)
     if cached is None:
@@ -451,6 +435,7 @@ def scan_kernel_for(
 # --------------------------------------------------------------------------- #
 # Fault-vectorised PPSFP scan
 # --------------------------------------------------------------------------- #
+@dataclass(eq=False, slots=True)
 class ScanFault:
     """Backend-neutral description of one fault for the vectorised scan.
 
@@ -461,118 +446,167 @@ class ScanFault:
     be re-evaluated with the pin forced.
     """
 
-    __slots__ = (
-        "site_id",
-        "const_value",
-        "gate_type",
-        "operand_ids",
-        "pin",
-        "value",
-        "plan",
-        "observed_ids",
+    site_id: int
+    plan: ConePlan
+    observed_ids: tuple[int, ...]
+    const_value: Optional[int] = None
+    gate_type: Optional[GateType] = None
+    operand_ids: tuple[int, ...] = ()
+    pin: int = 0
+    value: int = 0
+
+
+#: Packed batch key ``(level, opcode, arity)`` as one int64 code
+#: ``level << 24 | opcode << 16 | arity``: sorting codes sorts the tuples.
+_KEY_OP_SHIFT = 16
+_KEY_LEVEL_SHIFT = 24
+_KEY_ARITY_MASK = 0xFFFF
+_KEY_OP_MASK = 0xFF
+
+
+def _ragged_arange(starts, counts):
+    """Concatenated runs ``arange(start, start + count)``, one per pair --
+    the ragged gather every tile assembly is built from."""
+    ends = np.cumsum(counts, dtype=np.intp)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total, dtype=np.intp) + np.repeat(starts - (ends - counts), counts)
+
+
+def _exclusive_cumsum(values):
+    """``[0, v0, v0 + v1, ...]`` without the grand total."""
+    return np.cumsum(values) - values
+
+
+def _runs(sorted_values) -> list:
+    """Slices of the runs of equal values in a sorted array."""
+    edges = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    edges = [0, *edges.tolist(), len(sorted_values)] if len(sorted_values) else []
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _pin_columns(flat, starts, arity: int) -> list:
+    """Per-pin operand arrays of same-arity gates whose ``arity`` operands
+    sit in ``flat`` from ``starts`` on."""
+    return list(flat[starts[:, None] + np.arange(arity)].T.copy())
+
+
+class _SiteStore:
+    """The per-site scan compile: every fault site lowered so far on one
+    kernel (once each, new sites in one vectorised batch per scan compile)
+    into flat int arrays that only ever grow, so indices stay valid.
+
+    Slot locals: computed net *j* of a plan -> ``j``, the site ->
+    ``num_slots - 1``; operands inside the cone (``opnd_local``) are slot
+    locals, frontier operands their good-row net id.  Cone gates sorted by
+    batch key (plan order kept within a key) form *segments*: site *i* owns
+    segments ``seg_start[i] + range(seg_count[i])``, segment *s* instances
+    ``inst_start[s] + range(counts[s])`` and operands ``opnd_start[s] +
+    range(counts[s] * arity)`` (instance-major)."""
+
+    _FIELDS = (
+        "num_slots", "seg_start", "seg_count", "seg_keys", "counts", "inst_start",
+        "opnd_start", "inst_out", "inst_opnd", "opnd_local", "codes", "code_local",
     )
 
-    def __init__(
-        self,
-        site_id: int,
-        plan: ConePlan,
-        observed_ids: tuple[int, ...],
-        const_value: Optional[int] = None,
-        gate_type: Optional[GateType] = None,
-        operand_ids: tuple[int, ...] = (),
-        pin: int = 0,
-        value: int = 0,
-    ) -> None:
-        self.site_id = site_id
-        self.const_value = const_value
-        self.gate_type = gate_type
-        self.operand_ids = operand_ids
-        self.pin = pin
-        self.value = value
-        self.plan = plan
-        self.observed_ids = observed_ids
+    def __init__(self, nk: "NumpyKernel") -> None:
+        self.nk = nk
+        #: Site net id -> store index.
+        self.index: dict[int, int] = {}
+        for name in self._FIELDS:
+            dtype = bool if name == "opnd_local" else np.int64
+            setattr(self, name, np.zeros(0, dtype=dtype))
+        #: Dense order-preserving rank of each segment's key (int16 sorts by
+        #: radix), over the distinct ``key_values``.
+        self.key_values, self.seg_rank = self.seg_keys, self.seg_keys
 
+    def indices(self, plans: Sequence[ConePlan]):
+        """Store indices of the plans' sites, lowering the new ones."""
+        index = self.index
+        new = {p.site_id: p for p in plans if p.site_id not in index}
+        if new:
+            self._lower(list(new.values()))
+        return np.fromiter((index[p.site_id] for p in plans), np.intp, len(plans))
 
-class _SiteCompile:
-    """One fault site's cone plan lowered to slot-local form.
+    def locals_of(self, sites, ids):
+        """Slot-local index of net ``ids[k]`` in the cone of store site
+        ``sites[k]`` (the site itself unless it is a computed net)."""
+        query = sites * self.nk.num_nets + ids
+        at = np.minimum(np.searchsorted(self.codes, query), len(self.codes) - 1)
+        return np.where(
+            self.codes[at] == query, self.code_local[at], self.num_slots[sites] - 1
+        )
 
-    Local encoding (plain Python lists, so per-fault-list assembly is pure
-    C-speed ``list.extend`` plus one ``np.array`` per batch key): computed
-    net *j* of the plan -> ``j``; the site row -> ``num_slots - 1``;
-    frontier nets -> ``-(net_id + 1)`` (negative, resolved to the global
-    good row at assembly time).  Shared by every fault at the site and by
-    every scan compiled over this kernel.
-    """
-
-    __slots__ = ("num_slots", "site_local", "slot_of", "keyed", "key_counts")
-
-    def __init__(self, kernel: CompiledKernel, plan: ConePlan) -> None:
-        slot_of = {out: j for j, out in enumerate(plan.outs)}
-        self.slot_of = slot_of
-        self.num_slots = plan.num_slots
-        self.site_local = len(plan.outs)
-        site_id = plan.site_id
-
-        def encode(nid: int) -> int:
-            if nid == site_id:
-                return self.site_local
-            local = slot_of.get(nid)
-            return local if local is not None else -(nid + 1)
-
-        levels = kernel.net_levels
-        keyed: dict[tuple[int, int, int], tuple[list[int], list[list[int]]]] = {}
-        for op, out, ins in zip(plan.ops, plan.outs, plan.operands):
-            key = (levels[out], op, len(ins))
-            entry = keyed.get(key)
-            if entry is None:
-                entry = ([], [[] for _ in range(len(ins))])
-                keyed[key] = entry
-            entry[0].append(slot_of[out])
-            for pin, nid in enumerate(ins):
-                entry[1][pin].append(encode(nid))
-        #: (level, opcode, arity) -> (out locals, per-pin operand locals).
-        self.keyed = keyed
-        #: (level, opcode, arity) -> instances this site contributes.
-        self.key_counts = {key: len(entry[0]) for key, entry in keyed.items()}
-
-    def observed_local(self, nid: int, site_id: int) -> int:
-        """Slot-local index of an observed net (site included)."""
-        return self.site_local if nid == site_id else self.slot_of[nid]
-
-
-def _resolve_local(local_arr, base_rep):
-    """Slot-local encodings (+ per-instance slot bases) -> global table rows."""
-    return np.where(local_arr >= 0, local_arr + base_rep, -local_arr - 1).astype(
-        np.intp
-    )
+    def _lower(self, plans: list) -> None:
+        nk = self.nk
+        first, m = len(self.num_slots), len(plans)
+        counts = np.fromiter((len(p.outs) for p in plans), np.intp, m)
+        site_ids = np.fromiter((p.site_id for p in plans), np.intp, m)
+        total = int(counts.sum())
+        outs = np.fromiter(chain.from_iterable(p.outs for p in plans), np.intp, total)
+        keys = nk.net_keys[outs]
+        arity = keys & _KEY_ARITY_MASK
+        flat = nk.net_opnds[_ragged_arange(nk.net_opnd_start[outs], arity)]
+        inst_site = np.repeat(np.arange(m), counts)
+        local = np.arange(total) - np.repeat(_exclusive_cumsum(counts), counts)
+        # The net-id -> local lookup of every new site at once: one sorted
+        # table of (store index, computed net) codes, searched per operand.
+        codes = (inst_site + first) * nk.num_nets + outs
+        order = np.argsort(codes, kind="stable")
+        codes = codes[order]
+        opnd_site = np.repeat(inst_site, arity)
+        query = (opnd_site + first) * nk.num_nets + flat
+        at = np.minimum(np.searchsorted(codes, query), total - 1)
+        computed = codes[at] == query
+        is_site = flat == site_ids[opnd_site]
+        opnd_value = np.where(
+            computed, local[order[at]], np.where(is_site, counts[opnd_site], flat)
+        )
+        # Keys fit in 40 bits; plan order is nearly key order, which the
+        # stable sort's run detection exploits.
+        perm = np.argsort((inst_site << 40) | keys, kind="stable")
+        site_sorted, keys = inst_site[perm], keys[perm]
+        seg_first = np.flatnonzero(
+            np.diff(site_sorted, prepend=-1) | np.diff(keys, prepend=-1)
+        )
+        seg_keys = keys[seg_first]
+        seg_counts = np.diff(np.append(seg_first, total))
+        site_segs = np.bincount(site_sorted[seg_first], minlength=m)
+        opnd_perm = _ragged_arange(_exclusive_cumsum(arity)[perm], arity[perm])
+        grown = {
+            "num_slots": counts + 1,
+            "seg_start": len(self.seg_keys) + _exclusive_cumsum(site_segs),
+            "seg_count": site_segs,
+            "seg_keys": seg_keys,
+            "counts": seg_counts,
+            "inst_start": len(self.inst_out) + _exclusive_cumsum(seg_counts),
+            "opnd_start": len(self.inst_opnd)
+            + _exclusive_cumsum(seg_counts * (seg_keys & _KEY_ARITY_MASK)),
+            "inst_out": local[perm],
+            "inst_opnd": opnd_value[opnd_perm],
+            "opnd_local": (computed | is_site)[opnd_perm],
+            # New codes exceed every stored one: the table stays sorted.
+            "codes": codes,
+            "code_local": local[order],
+        }
+        for name, values in grown.items():
+            setattr(self, name, np.concatenate((getattr(self, name), values)))
+        self.index.update(zip(site_ids.tolist(), range(first, first + m)))
+        keys, ranks = np.unique(self.seg_keys, return_inverse=True)
+        self.key_values = keys
+        self.seg_rank = ranks.astype(np.int16 if len(keys) < 2**15 else np.intp)
 
 
 class _ScanTile:
-    """One tile of the live fault set, compiled against the shared slot arena.
-
-    Every array is tile-local (``positions`` maps tile-local fault index ->
-    canonical position); slot rows are *absolute* table rows into the arena
-    region ``[num_nets, num_nets + arena_slots)``, assigned from the arena
-    base for every tile -- which is exactly what lets one arena-sized table
-    serve every tile in turn.
-    """
+    """One tile of the live fault set.  Arrays are tile-local (``positions``
+    maps tile-local fault index -> canonical position); slot rows are
+    absolute rows of the arena ``[num_nets, num_nets + arena_slots)``,
+    assigned from its base in every tile, so one table serves every tile."""
 
     __slots__ = (
-        "positions",
-        "site_ids",
-        "resimable",
-        "plan_lens",
-        "const0_local",
-        "const1_local",
-        "gate_batches",
-        "empty_observed_local",
-        "cone_batches",
-        "site_slot_of",
-        "obs_rows",
-        "obs_globals",
-        "obs_fault_local",
-        "obs_len_of",
-        "slots",
+        "positions", "site_ids", "resimable", "plan_lens", "const0_local",
+        "const1_local", "gate_batches", "empty_observed_local", "cone_batches",
+        "site_slot_of", "obs_rows", "obs_globals", "obs_fault_local",
+        "obs_len_of", "slots", "max_batch",
     )
 
 
@@ -582,44 +616,33 @@ class FaultScanKernel:
     Compile once per (kernel, fault sequence, observation set, memory
     budget); scan any active subset per block via the position list of the
     canonical order.  Detection rows are bit-identical to the python
-    backend's per-fault detection masks: the same compiled cone plans are
-    executed in the same level order with the same masking discipline, and
-    per-fault results never depend on other faults.
+    backend's per-fault detection masks: the same cone plans run in the
+    same level order with the same masking discipline, and per-fault
+    results never depend on other faults.
 
-    **Execution strategy.**  The live fault set is partitioned into
-    **tiles** whose compiled scan state fits ``memory_budget_bytes``; each
-    tile's cone schedules are concatenated into per-(level, opcode) index
-    arrays over a **recycled slot arena** -- one slot-row region, sized to
-    the largest tile, appended after the good rows and re-used by every
-    tile in turn.  A block scan walks the tiles: compute the tile's faulty
-    site rows in a few grouped operations, select the faults whose site
-    value differs, re-simulate their cones together (one gather/op/scatter
-    per (level, opcode) over the union of the tile's cone gates, frontier
-    values read in place from the good rows), reduce per-fault detection
-    masks with ``np.bitwise_or.reduceat``, and merge the tile's detections
-    back into canonical fault order.  Per-fault slot runs are private and
-    every batch touches only the selected faults' rows, so stale arena
-    contents from the previous tile (or block) are never read -- re-using
-    the arena cannot change a result bit.
+    **Execution.**  The live fault set is cut into **tiles** whose scan
+    state fits ``memory_budget_bytes`` (``sim_memory_budget_mb``), each
+    compiled into per-(level, opcode) index arrays over one **recycled slot
+    arena**.  A block scan walks the tiles: compute the faulty site rows,
+    re-simulate the cones of the faults whose site value differs together
+    (frontier values read in place from the good rows), reduce detection
+    masks per fault with ``np.bitwise_or.reduceat``.  Slot runs are private
+    and only selected faults' rows are touched, so stale arena contents are
+    never read: tiling never changes a result bit.  Unbudgeted there is
+    **one tile** and detection rows alias workspace buffers; with several
+    tiles they are per-fault copies.
 
-    With no budget (the default) there is exactly **one tile** containing
-    the whole live set -- the pre-tiling behaviour: per-block temporaries
-    live in per-width workspaces (gathers via ``np.take(..., out=...)``,
-    bulk ops in place), so steady-state scanning allocates nothing, and
-    detection rows alias workspace buffers.  With multiple tiles the
-    arena and the per-fault scratch arrays are *tile*-sized -- peak memory
-    is the configured budget instead of a function of fault-set size --
-    and detection rows are small per-fault copies (they must survive the
-    later tiles of the same scan).
+    **Compilation is array code.**  A tile is assembled from its faults'
+    segments in the kernel's :class:`_SiteStore` by ragged gathers
+    (``np.repeat`` of segment starts plus a ragged arange; slot bases are a
+    cumsum of per-fault slot counts) and one stable sort by batch key.
+    **Tiling is a prefix-max search** (:meth:`tile_cuts`).
 
-    **Fault dropping and pruning.**  :meth:`maybe_prune` re-tiles over the
-    survivors once enough faults have dropped; the pristine per-fault
-    compilations (``_pieces`` and the phase-A site records) are the
-    compile-once source of truth every re-tiling assembles from, so prunes
-    never recompile cone lowerings and late-campaign blocks stay
-    proportional to the surviving work.  Tiling is re-done lazily at the
-    first ``table_for``/``workspace`` call for a width that needs it (the
-    budget is width-dependent: wider blocks mean fewer faults per tile).
+    **Pruning.**  :meth:`maybe_prune` shrinks the live set once it has
+    halved.  Unbudgeted, the single tile is **compressed** by a boolean mask
+    over its fault ids, slots rebased by a new cumsum -- the tiler never
+    runs again, and the full tile is kept for a reused scan to restore.
+    Budgeted, the survivors are re-tiled at the next block.
     """
 
     def __init__(
@@ -629,106 +652,101 @@ class FaultScanKernel:
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
         self.nk = nk
-        kernel = nk.kernel
-        count = len(scan_faults)
-        self.num_faults = count
+        count = self.num_faults = len(scan_faults)
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
         self.memory_budget_bytes = memory_budget_bytes
-        self.site_ids = np.fromiter(
-            (f.site_id for f in scan_faults), dtype=np.intp, count=count
-        )
+        self.site_ids = np.fromiter((f.site_id for f in scan_faults), np.intp, count)
         self.plan_lens = np.fromiter(
-            (len(f.plan.ops) for f in scan_faults), dtype=np.int64, count=count
+            (len(f.plan.ops) for f in scan_faults), np.int64, count
         )
 
-        self.resimable = np.zeros(count, dtype=bool)
-        #: Per-fault phase-A site records: forced-constant value (-1 = gate
-        #: re-evaluation) and the owning gate's shape for input-branch
-        #: faults.  Together with ``_pieces`` these are the compile-once
-        #: pristine source every (re-)tiling assembles from.
-        self._const_val = np.full(count, -1, dtype=np.int8)
-        self._gate_spec: list = [None] * count
-        self._empty_observed = np.zeros(count, dtype=bool)
-        #: Per-fault (site compile, observed locals, observed globals), or
-        #: ``None`` for faults that never resimulate a cone.
-        self._pieces: list = [None] * count
+        # Phase-A site records: the forced constant (-1: gate re-evaluation),
+        # else the fault's (gate type, arity, pin, value) group and operands.
+        self._const_val = np.array(
+            [-1 if f.const_value is None else int(bool(f.const_value))
+             for f in scan_faults],
+            dtype=np.int8,
+        )
+        gate_mask = self._const_val < 0
+        gate_faults = [f for f in scan_faults if f.const_value is None]
+        specs: dict[tuple, int] = {}
+        self._gate_group = np.full(count, -1, dtype=np.intp)
+        self._gate_group[gate_mask] = [
+            specs.setdefault((f.gate_type, len(f.operand_ids), f.pin, f.value),
+                             len(specs))
+            for f in gate_faults
+        ]
+        self._gate_specs = list(specs)
+        self._gate_opnds = np.fromiter(
+            chain.from_iterable(f.operand_ids for f in gate_faults), np.intp
+        )
+        self._gate_opnd_start = np.zeros(count, dtype=np.intp)
+        self._gate_opnd_start[gate_mask] = _exclusive_cumsum(
+            np.fromiter((len(f.operand_ids) for f in gate_faults), np.intp)
+        )
 
-        site_compiles = nk._site_compiles
-        for index, fault in enumerate(scan_faults):
-            if fault.const_value is None:
-                self._gate_spec[index] = (
-                    fault.gate_type,
-                    len(fault.operand_ids),
-                    fault.pin,
-                    fault.value,
-                    fault.operand_ids,
-                )
-            else:
-                self._const_val[index] = 1 if fault.const_value else 0
-            if not fault.observed_ids:
-                continue
-            if not fault.plan.ops:
-                # The only observable net of an empty cone is the site itself,
-                # so the detection mask is exactly the site diff row.
-                self._empty_observed[index] = True
-                continue
-            site = fault.site_id
-            compiled = site_compiles.get(site)
-            if compiled is None:
-                compiled = _SiteCompile(kernel, fault.plan)
-                site_compiles[site] = compiled
-            self.resimable[index] = True
-            self._pieces[index] = (
-                compiled,
-                [compiled.observed_local(nid, site) for nid in fault.observed_ids],
-                list(fault.observed_ids),
-            )
+        # An empty cone's only observable net is the site itself, so its
+        # detection mask is exactly the site diff row.
+        observed = np.fromiter((bool(f.observed_ids) for f in scan_faults), bool, count)
+        self._empty_observed = observed & (self.plan_lens == 0)
+        self.resimable = resim = observed & (self.plan_lens > 0)
+        faults = [scan_faults[i] for i in np.flatnonzero(resim).tolist()]
+        self._store = nk.sites
+        sites = self._store.indices([f.plan for f in faults])
+        obs_counts = np.fromiter((len(f.observed_ids) for f in faults), np.intp)
+
+        def per_fault(values, fill=0):
+            out = np.full(count, fill, dtype=np.intp)
+            out[resim] = values
+            return out
+
+        #: Per-fault store site (-1: never resimulates a cone), slot and
+        #: observation demand, and observation run start.
+        self._fault_site = per_fault(sites, -1)
+        self.fault_slots = per_fault(self._store.num_slots[sites])
+        self.fault_obs = per_fault(obs_counts)
+        self._obs_start = per_fault(_exclusive_cumsum(obs_counts))
+        self._obs_global = np.fromiter(
+            chain.from_iterable(f.observed_ids for f in faults), np.intp
+        )
+        self._obs_local = self._store.locals_of(
+            np.repeat(sites, obs_counts), self._obs_global
+        )
 
         #: Per-width workspaces, LRU-bounded to the two most-recent widths
-        #: (a campaign's full-block width plus its partial tail): the
-        #: pre-bound cache held a full table per width *forever*, so a flow
-        #: touching widths {64, 256, 4096} tripled peak memory.  Cleared on
-        #: every re-tiling (buffer shapes follow the tile maxima).
+        #: (a campaign's full-block width plus its partial tail), sized by
+        #: :meth:`_set_maxima`.
         self._workspaces = width_cache()
-        #: High-water mark of total live workspace bytes (tables included)
-        #: across the kernel's lifetime -- what benches/tests assert the
-        #: budget against.
+        #: High-water mark of live workspace bytes (tables included) --
+        #: what benches/tests assert the budget against.
         self.peak_workspace_nbytes = 0
         #: True when a single fault's compiled state alone exceeded the
         #: budget, which clamps that tile over budget rather than failing.
         self.budget_clamped = False
         self._tiles: Optional[list[_ScanTile]] = None
+        self._full_tile: Optional[_ScanTile] = None
+        #: A prune left the single tile to compress before the next block.
+        self._stale = False
         self._tile_width = 0
-        self.total_slots = 0
-        self._max_batch = 1
-        self._max_obs = 0
-        self._max_tile_faults = 0
+        #: (arena slots, faults, observations, batch) the workspaces hold.
+        self._sized = (0, 0, 0, 1)
         self._restore_full()
 
     # ------------------------------------------------------------------ #
     # Live-set management (tiles follow lazily)
     # ------------------------------------------------------------------ #
-    def _invalidate_tiles(self) -> None:
-        self._tiles = None
-        self._workspaces.clear()
-
     def _restore_full(self) -> None:
-        """Make the whole canonical order live (re-tiled on next use)."""
+        """Make the whole canonical order live: the kept full tile of an
+        unbudgeted scan, else re-tiled on next use."""
         self._live_positions = np.arange(self.num_faults, dtype=np.intp)
         self._live_mask = np.ones(self.num_faults, dtype=bool)
         self._live_count = self.num_faults
-        self._invalidate_tiles()
-
-    def _select_live(self, positions) -> None:
-        """Shrink the live set to ``positions`` (re-tiled on next use)."""
-        live = np.unique(np.asarray(positions, dtype=np.intp))
-        self._live_positions = live
-        live_mask = np.zeros(self.num_faults, dtype=bool)
-        live_mask[live] = True
-        self._live_mask = live_mask
-        self._live_count = len(live)
-        self._invalidate_tiles()
+        self._stale = False
+        self._tiles = None
+        if self._full_tile is not None:
+            self._tiles = [self._full_tile]
+            self._set_maxima(self._tiles)
 
     def ensure_live(self, positions) -> None:
         """Restore the full live set if ``positions`` outgrew the pruned one
@@ -737,259 +755,238 @@ class FaultScanKernel:
             self._restore_full()
 
     def maybe_prune(self, positions) -> None:
-        """Shrink the compiled tiles once enough faults have dropped.
+        """Shrink the live set to ``positions`` once it has halved, so late
+        blocks stay proportional to the survivors: at the next block an
+        unbudgeted scan compresses its tile, a budgeted one re-tiles."""
+        if not positions or len(positions) >= self._live_count // 2:
+            return
+        live = np.unique(np.asarray(positions, dtype=np.intp))
+        self._live_positions = live
+        self._live_mask = np.zeros(self.num_faults, dtype=bool)
+        self._live_mask[live] = True
+        self._live_count = len(live)
+        if self.memory_budget_bytes is None and self._tiles:
+            self._stale = True
+        else:
+            self._tiles = None
 
-        Re-tiling costs about as much as scanning one block, so halving is
-        the trigger: late-campaign blocks then stay proportional to the
-        surviving faults instead of the original fault universe.
-        """
-        if positions and len(positions) < self._live_count // 2:
-            self._select_live(positions)
+    def _compressed(self, full: _ScanTile) -> _ScanTile:
+        """The single (unbudgeted) tile without its non-live faults: boolean
+        masks over fault ids select the survivors, a cumsum renumbers them,
+        and each slot row moves by its fault's new-minus-old slot base --
+        exactly the arrays a fresh assembly over the survivors produces."""
+        tile = _ScanTile()
+        keep = self._live_mask[full.positions]
+        new_local = np.cumsum(keep) - 1
+        slots = self.fault_slots[full.positions]
+        shift = _exclusive_cumsum(slots * keep) - _exclusive_cumsum(slots)
+        for name in ("positions", "site_ids", "resimable", "plan_lens", "obs_len_of"):
+            setattr(tile, name, getattr(full, name)[keep])
+        for name in ("const0_local", "const1_local", "empty_observed_local"):
+            local = getattr(full, name)
+            setattr(tile, name, new_local[local[keep[local]]])
+        site_slot = full.site_slot_of
+        tile.site_slot_of = np.where(site_slot >= 0, site_slot + shift, -1)[keep]
+        tile.gate_batches = [
+            (*spec, new_local[idx[sel]], [column[sel] for column in columns])
+            for *spec, idx, columns in full.gate_batches
+            for sel in (keep[idx],)
+            if sel.any()
+        ]
+        tile.cone_batches = []
+        for op, arity, fault_ids, out_rows, opnd_rows in full.cone_batches:
+            sel = keep[fault_ids]
+            if sel.any():
+                moved = shift[fault_ids[sel]]
+                tile.cone_batches.append((
+                    op, arity, new_local[fault_ids[sel]], out_rows[sel] + moved,
+                    [np.where(rows >= self.nk.num_nets, rows + moved, rows)
+                     for rows in (rows[sel] for rows in opnd_rows)],
+                ))
+        sel = keep[full.obs_fault_local]
+        obs_faults = full.obs_fault_local[sel]
+        tile.obs_rows = full.obs_rows[sel] + shift[obs_faults]
+        tile.obs_globals = full.obs_globals[sel]
+        tile.obs_fault_local = new_local[obs_faults]
+        tile.slots = int(slots[keep].sum())
+        tile.max_batch = max((len(b[3]) for b in tile.cone_batches), default=0)
+        return tile
 
     # ------------------------------------------------------------------ #
     # Tiling: partition the live set against the memory budget
     # ------------------------------------------------------------------ #
     def _ensure_tiles(self, num_words: int) -> None:
-        """(Re-)tile for ``num_words`` if the current tiling cannot serve it.
+        """Compress or (re-)tile if the current tiles cannot serve the width:
+        a budgeted tiling for width *W* serves every width <= *W* (narrower
+        blocks sit further under budget), an unbudgeted one every width."""
+        if self._stale:
+            self._stale = False
+            self._tiles = [self._compressed(self._tiles[0])]
+            self._set_maxima(self._tiles)
+        budgeted = self.memory_budget_bytes is not None
+        if self._tiles is None or (budgeted and num_words > self._tile_width):
+            self._build_tiles(num_words)
 
-        A tiling built for width *W* is valid for every width <= *W* (the
-        budget charge scales with the width, so narrower blocks only sit
-        further under budget); an unbudgeted tiling (one tile) is valid for
-        every width.
-        """
-        if self._tiles is not None and (
-            self.memory_budget_bytes is None or num_words <= self._tile_width
-        ):
-            return
-        self._build_tiles(num_words)
-
-    def _workspace_rows(self, slots: int, n: int, obs: int, batch: int) -> int:
+    def _workspace_rows(self, slots, n, obs, batch):
         """Total workspace rows for given tile maxima (the budget charge):
         the good+arena table, four n-row per-fault arrays (faulty /
         site_good / diff / det), two observation gathers and two batch
-        scratch buffers."""
+        scratch buffers.  Element-wise over arrays of candidate maxima."""
         return (self.nk.num_nets + slots) + 4 * n + 2 * obs + 2 * batch
 
     def _build_tiles(self, num_words: int) -> None:
-        """Partition the live positions into tiles fitting the byte budget.
-
-        Greedy one-pass split in canonical order with exact incremental
-        accounting: a fault joins the current tile unless the workspace the
-        *final* maxima would require (running per-tile stats joined with the
-        maxima of the tiles already closed) exceeds the budget, in which
-        case the tile is closed and a new one starts.  Unbudgeted scans
-        take the degenerate path: one tile, identical to pre-tiling
-        compilation.
-        """
+        """Cut the live positions into tiles and assemble each one; an
+        unbudgeted scan is the one-tile case of the same assembly."""
+        live = self._live_positions
         budget = self.memory_budget_bytes
-        bytes_row = num_words * 8
-        num_nets = self.nk.num_nets
-        pieces = self._pieces
-
-        tiles: list[_ScanTile] = []
-        gmax_slots = 0
-        gmax_n = 0
-        gmax_obs = 0
-        gmax_batch = 1
-        clamped = False
-
-        # Current-tile accumulators (python lists: assembly is list.extend
-        # plus one np.array per batch key, same as the original compile).
-        acc: dict = {}
-
-        def reset_acc() -> None:
-            acc.update(
-                positions=[],
-                key_out={},
-                key_opnds={},
-                key_parts={},
-                obs_locals=[],
-                obs_globals=[],
-                obs_bases=[],
-                obs_counts=[],
-                obs_ids=[],
-                obs_len=[],
-                gate_groups={},
-                const0=[],
-                const1=[],
-                empty_observed=[],
-                site_slot=[],
-                key_counts={},
-                max_batch=0,
-                obs_total=0,
-                cursor=0,
-            )
-
-        def finalize_tile() -> None:
-            nonlocal gmax_slots, gmax_n, gmax_obs, gmax_batch
-            tile = _ScanTile()
-            positions = np.array(acc["positions"], dtype=np.intp)
-            tile.positions = positions
-            tile.site_ids = self.site_ids[positions]
-            tile.resimable = self.resimable[positions]
-            tile.plan_lens = self.plan_lens[positions]
-            tile.const0_local = np.array(acc["const0"], dtype=np.intp)
-            tile.const1_local = np.array(acc["const1"], dtype=np.intp)
-            tile.empty_observed_local = np.array(
-                acc["empty_observed"], dtype=np.intp
-            )
-            tile.site_slot_of = np.array(acc["site_slot"], dtype=np.intp)
-            tile.obs_len_of = np.array(acc["obs_len"], dtype=np.intp)
-            tile.slots = acc["cursor"]
-            tile.gate_batches = []
-            for (gate_type, arity, pin, value), entry in acc[
-                "gate_groups"
-            ].items():
-                idx = np.array(entry[0], dtype=np.intp)
-                columns = [
-                    np.array(column, dtype=np.intp) for column in entry[1]
-                ]
-                tile.gate_batches.append(
-                    (gate_type, arity, pin, value, idx, columns)
-                )
-            tile.cone_batches = []
-            key_out = acc["key_out"]
-            key_opnds = acc["key_opnds"]
-            key_parts = acc["key_parts"]
-            for key in sorted(key_out):
-                _, op, arity = key
-                bases, counts, part_locals = key_parts[key]
-                counts_arr = np.array(counts, dtype=np.int64)
-                base_rep = np.repeat(np.array(bases, dtype=np.int64), counts_arr)
-                fault_ids = np.repeat(
-                    np.array(part_locals, dtype=np.intp), counts_arr
-                )
-                out_rows = (
-                    np.array(key_out[key], dtype=np.int64) + base_rep
-                ).astype(np.intp)
-                opnd_rows = [
-                    _resolve_local(np.array(column, dtype=np.int64), base_rep)
-                    for column in key_opnds[key]
-                ]
-                tile.cone_batches.append(
-                    (op, arity, fault_ids, out_rows, opnd_rows)
-                )
-            obs_counts = np.array(acc["obs_counts"], dtype=np.int64)
-            obs_base_rep = np.repeat(
-                np.array(acc["obs_bases"], dtype=np.int64), obs_counts
-            )
-            tile.obs_rows = _resolve_local(
-                np.array(acc["obs_locals"], dtype=np.int64), obs_base_rep
-            )
-            tile.obs_globals = np.array(acc["obs_globals"], dtype=np.intp)
-            tile.obs_fault_local = np.repeat(
-                np.array(acc["obs_ids"], dtype=np.intp), obs_counts
-            )
-            tiles.append(tile)
-            gmax_slots = max(gmax_slots, tile.slots)
-            gmax_n = max(gmax_n, len(positions))
-            gmax_obs = max(gmax_obs, acc["obs_total"])
-            gmax_batch = max(gmax_batch, acc["max_batch"])
-
-        reset_acc()
-        for position in self._live_positions:
-            position = int(position)
-            piece = pieces[position]
-            if piece is not None:
-                compiled = piece[0]
-                d_slots = compiled.num_slots
-                d_obs = len(piece[1])
-                prospective_batch = acc["max_batch"]
-                key_counts = acc["key_counts"]
-                for key, instances in compiled.key_counts.items():
-                    joined = key_counts.get(key, 0) + instances
-                    if joined > prospective_batch:
-                        prospective_batch = joined
-            else:
-                d_slots = 0
-                d_obs = 0
-                prospective_batch = acc["max_batch"]
-            if budget is not None and acc["positions"]:
-                candidate_rows = self._workspace_rows(
-                    max(gmax_slots, acc["cursor"] + d_slots),
-                    max(gmax_n, len(acc["positions"]) + 1),
-                    max(gmax_obs, acc["obs_total"] + d_obs),
-                    max(gmax_batch, prospective_batch, 1),
-                )
-                if candidate_rows * bytes_row > budget:
-                    finalize_tile()
-                    reset_acc()
-                    if piece is not None:
-                        prospective_batch = max(compiled.key_counts.values())
-            local = len(acc["positions"])
-            acc["positions"].append(position)
-            cv = self._const_val[position]
-            if cv == 0:
-                acc["const0"].append(local)
-            elif cv == 1:
-                acc["const1"].append(local)
-            else:
-                gate_type, arity, pin, value, operand_ids = self._gate_spec[
-                    position
-                ]
-                entry = acc["gate_groups"].get((gate_type, arity, pin, value))
-                if entry is None:
-                    entry = ([], [[] for _ in range(arity)])
-                    acc["gate_groups"][(gate_type, arity, pin, value)] = entry
-                entry[0].append(local)
-                for k, nid in enumerate(operand_ids):
-                    entry[1][k].append(nid)
-            if self._empty_observed[position]:
-                acc["empty_observed"].append(local)
-            if piece is None:
-                acc["site_slot"].append(-1)
-                acc["obs_len"].append(0)
-                continue
-            compiled, piece_obs_locals, piece_obs_globals = piece
-            base = num_nets + acc["cursor"]
-            acc["cursor"] += compiled.num_slots
-            acc["site_slot"].append(base + compiled.site_local)
-            key_out = acc["key_out"]
-            key_opnds = acc["key_opnds"]
-            key_parts = acc["key_parts"]
-            for key, (outs, opnds) in compiled.keyed.items():
-                out_list = key_out.get(key)
-                if out_list is None:
-                    key_out[key] = list(outs)
-                    key_opnds[key] = [list(column) for column in opnds]
-                    key_parts[key] = ([base], [len(outs)], [local])
-                else:
-                    out_list.extend(outs)
-                    opnd_lists = key_opnds[key]
-                    for pin, column in enumerate(opnds):
-                        opnd_lists[pin].extend(column)
-                    bases, counts, part_locals = key_parts[key]
-                    bases.append(base)
-                    counts.append(len(outs))
-                    part_locals.append(local)
-            key_counts = acc["key_counts"]
-            for key, instances in compiled.key_counts.items():
-                key_counts[key] = key_counts.get(key, 0) + instances
-            acc["max_batch"] = max(acc["max_batch"], prospective_batch)
-            acc["obs_locals"].extend(piece_obs_locals)
-            acc["obs_globals"].extend(piece_obs_globals)
-            acc["obs_bases"].append(base)
-            acc["obs_counts"].append(len(piece_obs_locals))
-            acc["obs_ids"].append(local)
-            acc["obs_len"].append(len(piece_obs_locals))
-            acc["obs_total"] += len(piece_obs_locals)
-        if acc["positions"]:
-            finalize_tile()
-
-        if budget is not None and tiles:
-            final_rows = self._workspace_rows(
-                gmax_slots, gmax_n, gmax_obs, gmax_batch
-            )
-            clamped = final_rows * bytes_row > budget
-
+        if budget is not None:
+            cuts = self.tile_cuts(num_words)
+        else:
+            cuts = [0, len(live)] if len(live) else [0]
+        tiles = [self._assemble_tile(live[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+        if budget is None and len(live) == self.num_faults:
+            self._full_tile = tiles[0] if tiles else None
         self._tiles = tiles
         self._tile_width = num_words
-        self.total_slots = gmax_slots
-        self._max_batch = max(gmax_batch, 1)
-        self._max_obs = gmax_obs
-        self._max_tile_faults = gmax_n
-        self.budget_clamped = clamped
+        self._set_maxima(tiles)
+        self.budget_clamped = bool(tiles) and budget is not None and (
+            self._workspace_rows(*self._sized) * num_words * 8 > budget
+        )
+
+    def _set_maxima(self, tiles: list) -> None:
+        """Size the arena and scratch buffers to the largest tile: on every
+        re-tiling under a budget (which bounds them); unbudgeted they only
+        grow, so prunes and restores keep their workspaces."""
+        maxima = (
+            max((t.slots for t in tiles), default=0),
+            max((len(t.positions) for t in tiles), default=0),
+            max((len(t.obs_rows) for t in tiles), default=0),
+            max([1] + [t.max_batch for t in tiles]),
+        )
+        if self.memory_budget_bytes is None:
+            if all(map(operator.le, maxima, self._sized)):
+                return
+            maxima = tuple(map(max, maxima, self._sized))
         self._workspaces.clear()
+        self._sized = maxima
+
+    def _demand(self, positions):
+        """``(rows, segments)`` of every (fault, batch key) pair of
+        ``positions``: the index into ``positions`` (ascending) and the
+        store segment holding the fault's instances of that key."""
+        sites = self._fault_site[positions]
+        rows = np.flatnonzero(sites >= 0)
+        counts = self._store.seg_count[sites[rows]]
+        return np.repeat(rows, counts), _ragged_arange(
+            self._store.seg_start[sites[rows]], counts
+        )
+
+    def tile_cuts(self, num_words: int) -> list[int]:
+        """Tile boundaries (indices into the live positions) under the budget.
+
+        The greedy canonical-order split -- a fault joins the tile unless
+        the workspace its joined maxima need exceeds the budget -- as a
+        prefix-max search: tile *[s, e]*'s slot and observation demand are
+        prefix-sum differences, its batch demand the row maximum of per-key
+        prefix sums; joined with the closed tiles' maxima the charge is
+        monotone in *e*, so each cut is one ``searchsorted`` (over a window
+        that doubles until it holds the cut)."""
+        live = self._live_positions
+        count = len(live)
+        limit = self.memory_budget_bytes // (num_words * 8)
+        slot_sums = np.concatenate(([0], np.cumsum(self.fault_slots[live])))
+        obs_sums = np.concatenate(([0], np.cumsum(self.fault_obs[live])))
+        rows, segs = self._demand(live)
+        keys = self._store.seg_rank[segs]
+        instances = self._store.counts[segs].astype(np.int32)
+        row_start = np.searchsorted(rows, np.arange(count + 1))
+        num_keys = max(len(self._store.key_values), 1)
+        closed = (0, 0, 0, 1)  # slot, fault, obs and batch maxima of closed tiles
+        cuts, start, window = [0], 0, 16
+        while start < count:
+            while True:
+                stop = min(count, start + window)
+                ends = np.arange(start + 1, stop + 1)
+                per_key = np.zeros((stop - start, num_keys), np.int32)
+                lo, hi = row_start[start], row_start[stop]
+                per_key[rows[lo:hi] - start, keys[lo:hi]] = instances[lo:hi]
+                tile = (slot_sums[ends] - slot_sums[start], ends - start,
+                        obs_sums[ends] - obs_sums[start],
+                        np.cumsum(per_key, axis=0).max(axis=1))
+                charge = self._workspace_rows(*map(np.maximum, closed, tile))
+                # A tile always takes its first fault; it ends before the
+                # first later one whose joined charge exceeds the budget.
+                last = int(np.searchsorted(charge[1:], limit, side="right"))
+                if last < stop - start - 1 or stop == count:
+                    break
+                window *= 2
+            closed = tuple(max(c, int(t[last])) for c, t in zip(closed, tile))
+            start += last + 1
+            cuts.append(start)
+            window = max(16, 2 * (last + 1))
+        return cuts
+
+    def _assemble_tile(self, positions) -> _ScanTile:
+        """Compile one tile over ``positions`` (canonical, ascending) from
+        the site store, with ragged gathers and one stable sort by key."""
+        store, n, tile = self._store, len(positions), _ScanTile()
+        tile.positions = positions
+        tile.site_ids = self.site_ids[positions]
+        tile.resimable = self.resimable[positions]
+        tile.plan_lens = self.plan_lens[positions]
+        const_val = self._const_val[positions]
+        tile.const0_local = np.flatnonzero(const_val == 0)
+        tile.const1_local = np.flatnonzero(const_val == 1)
+        tile.empty_observed_local = np.flatnonzero(self._empty_observed[positions])
+        groups = self._gate_group[positions]
+        gate_local = np.flatnonzero(groups >= 0)
+        gate_local = gate_local[np.argsort(groups[gate_local], kind="stable")]
+        tile.gate_batches = []
+        for run in _runs(groups[gate_local]):
+            idx = gate_local[run]
+            spec = self._gate_specs[groups[idx[0]]]
+            starts = self._gate_opnd_start[positions[idx]]
+            columns = _pin_columns(self._gate_opnds, starts, spec[1])
+            tile.gate_batches.append((*spec, idx, columns))
+
+        # Private slot runs: a cumsum of the slot counts (0 without a cone).
+        num_slots = self.fault_slots[positions]
+        slot_base = self.nk.num_nets + _exclusive_cumsum(num_slots)
+        tile.slots = int(num_slots.sum())
+        tile.site_slot_of = np.where(tile.resimable, slot_base + num_slots - 1, -1)
+        tile.obs_len_of = self.fault_obs[positions]
+        obs = _ragged_arange(self._obs_start[positions], tile.obs_len_of)
+        tile.obs_fault_local = np.repeat(np.arange(n), tile.obs_len_of)
+        tile.obs_rows = self._obs_local[obs] + slot_base[tile.obs_fault_local]
+        tile.obs_globals = self._obs_global[obs]
+
+        # Cone batches: every (fault, key) segment, stably sorted by key.
+        rows, segs = self._demand(positions)
+        order = np.argsort(store.seg_rank[segs], kind="stable")
+        rows, segs = rows[order], segs[order]
+        keys, counts = store.seg_keys[segs], store.counts[segs]
+        fault_ids = np.repeat(rows, counts)
+        out_rows = store.inst_out[_ragged_arange(store.inst_start[segs], counts)]
+        out_rows += slot_base[fault_ids]
+        opnd_counts = counts * (keys & _KEY_ARITY_MASK)
+        opnds = _ragged_arange(store.opnd_start[segs], opnd_counts)
+        opnd_rows = store.inst_opnd[opnds] + store.opnd_local[opnds] * np.repeat(
+            slot_base[rows], opnd_counts
+        )
+        inst_at = np.concatenate(([0], np.cumsum(counts)))
+        opnd_at = np.concatenate(([0], np.cumsum(opnd_counts)))
+        tile.cone_batches = []
+        for run in _runs(keys):
+            lo, hi = inst_at[run.start], inst_at[run.stop]
+            key = int(keys[run.start])
+            op, arity = (key >> _KEY_OP_SHIFT) & _KEY_OP_MASK, key & _KEY_ARITY_MASK
+            pins = opnd_rows[opnd_at[run.start] : opnd_at[run.stop]]
+            tile.cone_batches.append((
+                op, arity, fault_ids[lo:hi], out_rows[lo:hi],
+                list(pins.reshape(hi - lo, arity).T.copy()),
+            ))
+        tile.max_batch = max((len(b[2]) for b in tile.cone_batches), default=0)
+        return tile
 
     @property
     def num_tiles(self) -> int:
@@ -1008,16 +1005,16 @@ class FaultScanKernel:
         return ws
 
     def _make_workspace(self, num_words: int) -> dict:
-        n = self._max_tile_faults
+        slots, n, obs, batch = self._sized
         ws = {
-            "table": self.nk.make_table(num_words, extra_rows=self.total_slots),
+            "table": self.nk.make_table(num_words, extra_rows=slots),
             "faulty": np.empty((n, num_words), dtype=np.uint64),
             "site_good": np.empty((n, num_words), dtype=np.uint64),
             "diff": np.empty((n, num_words), dtype=np.uint64),
-            "buf_a": np.empty((self._max_batch, num_words), dtype=np.uint64),
-            "buf_b": np.empty((self._max_batch, num_words), dtype=np.uint64),
-            "obs_a": np.empty((self._max_obs, num_words), dtype=np.uint64),
-            "obs_b": np.empty((self._max_obs, num_words), dtype=np.uint64),
+            "buf_a": np.empty((batch, num_words), dtype=np.uint64),
+            "buf_b": np.empty((batch, num_words), dtype=np.uint64),
+            "obs_a": np.empty((obs, num_words), dtype=np.uint64),
+            "obs_b": np.empty((obs, num_words), dtype=np.uint64),
             "det": np.empty((n, num_words), dtype=np.uint64),
         }
         live_bytes = sum(

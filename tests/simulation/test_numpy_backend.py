@@ -450,6 +450,150 @@ class TestMemoryBudgetTiling:
             PackedSimulator(circuit, memory_budget_mb=-4)
 
 
+class TestScanCompile:
+    """The array-assembled scan compile: prune by compress, and the
+    vectorised budgeted tiler against a reference greedy."""
+
+    @staticmethod
+    def _scan(circuit, faults, budget_kb=None):
+        engine = FaultSimulator(
+            circuit,
+            backend="numpy",
+            memory_budget_mb=None if budget_kb is None else budget_kb / 1024.0,
+        )
+        return engine, engine._numpy_scan(tuple(faults))
+
+    @pytest.mark.parametrize("budget_kb", (None, 16))
+    @pytest.mark.parametrize("width", (64, 1024))
+    def test_pruned_kernel_matches_fresh_compile(self, width, budget_kb):
+        from repro.simulation.numpy_backend import plane_to_word
+
+        circuit = make_core(31)
+        faults = collapse_stuck_at(circuit).representatives
+        block = next(
+            iter_blocks(
+                random_patterns(circuit, width, 91),
+                block_size=width,
+                nets=circuit.stimulus_nets(),
+            )
+        )
+        engine, state = self._scan(circuit, faults, budget_kb)
+        engine._np_block_pass(state, block, list(range(len(faults))))
+        survivors = list(range(0, len(faults), 3))
+        state.scan.maybe_prune(survivors)
+        assert state.scan._live_count == len(survivors)
+        rows, _ = engine._np_block_pass(state, block, survivors)
+        pruned = {p: plane_to_word(row) for p, row in rows.items()}
+
+        fresh_engine, fresh_state = self._scan(
+            circuit, [faults[p] for p in survivors], budget_kb
+        )
+        rows, _ = fresh_engine._np_block_pass(
+            fresh_state, block, list(range(len(survivors)))
+        )
+        fresh = {survivors[i]: plane_to_word(row) for i, row in rows.items()}
+        assert pruned and pruned == fresh
+        if budget_kb is None:
+            # The compressed tile is array-for-array a fresh assembly.
+            scan = state.scan
+            (tile,) = scan._tiles
+            rebuilt = scan._assemble_tile(scan._live_positions)
+            for name in type(tile).__slots__:
+                self._assert_same(getattr(tile, name), getattr(rebuilt, name))
+
+    @classmethod
+    def _assert_same(cls, left, right):
+        if isinstance(left, (list, tuple)):
+            assert len(left) == len(right)
+            for a, b in zip(left, right):
+                cls._assert_same(a, b)
+        elif hasattr(left, "dtype"):
+            assert left.tolist() == right.tolist()
+        else:
+            assert left == right
+
+    def test_unbudgeted_prune_never_calls_the_tiler(self, monkeypatch):
+        from repro.simulation.numpy_backend import FaultScanKernel
+
+        calls = []
+        original = FaultScanKernel._build_tiles
+
+        def counting(self, num_words):
+            calls.append(num_words)
+            original(self, num_words)
+
+        monkeypatch.setattr(FaultScanKernel, "_build_tiles", counting)
+        circuit = make_core(32)
+        patterns = random_patterns(circuit, 640, 92)
+        fl_py = collapse_stuck_at(circuit).to_fault_list()
+        FaultSimulator(circuit).simulate(fl_py, patterns, block_size=64)
+        fl_np = collapse_stuck_at(circuit).to_fault_list()
+        engine = FaultSimulator(circuit, backend="numpy")
+        engine.simulate(fl_np, patterns, block_size=64)
+        assert_fault_lists_identical(fl_py, fl_np)
+        scan = engine._np_scan[1].scan
+        # Dropping pruned the live set (more than once), yet the tiler ran
+        # only for the first block.
+        assert scan._live_count < scan.num_faults // 4
+        assert calls == [1]
+
+    @staticmethod
+    def _reference_cuts(scan, num_words):
+        """The greedy split, fault by fault: join unless the tile's running
+        demand, joined with the closed tiles' maxima, exceeds the budget."""
+        live = scan._live_positions
+        rows, segs = scan._demand(live)
+        keyed = [{} for _ in live]
+        for row, key, count in zip(
+            rows.tolist(), scan._store.seg_keys[segs].tolist(),
+            scan._store.counts[segs].tolist(),
+        ):
+            keyed[row][key] = count
+        closed, tile, cuts = (0, 0, 0, 1), None, [0]
+        for i, position in enumerate(live.tolist()):
+            slots, obs = scan.fault_slots[position], scan.fault_obs[position]
+            if tile is not None:
+                joined = [tile[4].get(k, 0) + n for k, n in keyed[i].items()]
+                batch = max([tile[3], *joined])
+                grown = (tile[0] + slots, tile[1] + 1, tile[2] + obs, batch)
+                charge = scan._workspace_rows(*map(max, closed, grown))
+                if charge * num_words * 8 > scan.memory_budget_bytes:
+                    closed = tuple(map(max, closed, tile[:4]))
+                    cuts.append(i)
+                    tile = None
+            tile = tile or [0, 0, 0, 0, {}]
+            for key, count in keyed[i].items():
+                tile[4][key] = tile[4].get(key, 0) + count
+            tile[:4] = [tile[0] + slots, tile[1] + 1, tile[2] + obs,
+                        max([tile[3], *tile[4].values()])]
+        return cuts + [len(live)] if len(live) else cuts
+
+    @pytest.mark.parametrize("num_words", (1, 16))
+    def test_tile_cuts_match_reference_greedy(self, num_words):
+        circuit = make_core(33)
+        faults = collapse_stuck_at(circuit).representatives
+        _, state = self._scan(circuit, faults)
+        full = state.scan.workspace_nbytes(num_words)
+        counts = []
+        for fraction in (2.0, 0.6, 0.3, 0.15, 0.05, 0.0):
+            budget = max(1, int(full * fraction))
+            _, state = self._scan(circuit, faults, budget / 1024.0)
+            scan = state.scan
+            for live in (None, list(range(1, len(faults), 3))):
+                if live is not None:
+                    scan.maybe_prune(live)
+                cuts = scan.tile_cuts(num_words)
+                assert cuts == self._reference_cuts(scan, num_words)
+                scan.workspace(num_words)
+                assert [len(t.positions) for t in scan._tiles] == [
+                    hi - lo for lo, hi in zip(cuts, cuts[1:])
+                ]
+            counts.append(len(cuts) - 1)
+        # The ladder spans one tile, several, and the clamped one-per-fault.
+        assert counts[0] == 1 and counts[-1] == scan._live_count
+        assert counts == sorted(counts) and len(set(counts)) > 3
+
+
 class TestTransitionEquivalence:
     @pytest.mark.parametrize("block_size", (17, 64, 256))
     def test_derived_capture_pairs_bit_identical(self, block_size):
