@@ -83,6 +83,8 @@ BLOCK_SIZES = scaled((64, 256, 1024, 4096), (64, 256))
 #: Timed sections run this many times; the minimum is recorded (the
 #: standard noise rejection -- interference only ever adds time).
 REPEATS = scaled(3, 1)
+#: Cold campaigns per backend (each rebuilds the circuit, so noisier).
+COLD_REPEATS = scaled(5, 1)
 #: Acceptance bars.
 TARGET_FAULT_SIM_SPEEDUP = 3.0
 TARGET_PATTERN_GEN_SPEEDUP = 2.0
@@ -116,19 +118,21 @@ def _run_fault_sim(circuit, patterns, block_size, backend, repeats=REPEATS):
     return min(seconds), coverage
 
 
-def _run_cold_fault_sim(recipe, patterns, block_size, backend):
-    """Best-of-``REPEATS`` cold campaigns, each on a freshly built circuit:
-    the timed section pays every compilation as well as the scan."""
-    seconds = []
-    for _ in range(REPEATS):
-        circuit = recipe.build().circuit
-        stimulus = circuit.stimulus_nets()
-        blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        start = time.perf_counter()
-        FaultSimulator(circuit, backend=backend).simulate_blocks(fault_list, blocks)
-        seconds.append(time.perf_counter() - start)
-    return min(seconds)
+def _run_cold_fault_sims(recipe, patterns, block_size):
+    """Best-of-``COLD_REPEATS`` cold campaigns per backend, each on a freshly
+    built circuit (the timed section pays every compilation as well as the
+    scan), the backends alternating so host-speed drift hits both alike."""
+    seconds: dict[str, list[float]] = {"python": [], "numpy": []}
+    for _ in range(COLD_REPEATS):
+        for backend, times in seconds.items():
+            circuit = recipe.build().circuit
+            stimulus = circuit.stimulus_nets()
+            blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
+            fault_list = collapse_stuck_at(circuit).to_fault_list()
+            start = time.perf_counter()
+            FaultSimulator(circuit, backend=backend).simulate_blocks(fault_list, blocks)
+            times.append(time.perf_counter() - start)
+    return {backend: min(times) for backend, times in seconds.items()}
 
 
 def _run_pattern_generation(circuit, block_size, backend):
@@ -158,9 +162,9 @@ def run() -> dict:
             seconds, coverage = _run_fault_sim(circuit, patterns, block_size, backend)
             fault_seconds[(backend, block_size)] = seconds
             coverages.add(round(coverage, 12))
-            cold_seconds[(backend, block_size)] = _run_cold_fault_sim(
-                recipe, patterns, block_size, backend
-            )
+        cold = _run_cold_fault_sims(recipe, patterns, block_size)
+        for backend, seconds in cold.items():
+            cold_seconds[(backend, block_size)] = seconds
         fault_rows.append(
             {
                 "block_size": block_size,
