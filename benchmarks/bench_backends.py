@@ -82,8 +82,8 @@ GEN_PATTERNS = scaled(1024, 128)
 BLOCK_SIZES = scaled((64, 256, 1024, 4096), (64, 256))
 #: Timed sections run this many times; the minimum is recorded (the
 #: standard noise rejection -- interference only ever adds time).
-REPEATS = scaled(3, 1)
-#: Cold campaigns per backend (each rebuilds the circuit, so noisier).
+REPEATS = scaled(5, 1)
+#: Cold campaigns per backend (each rebuilds the circuit).
 COLD_REPEATS = scaled(5, 1)
 #: Acceptance bars.
 TARGET_FAULT_SIM_SPEEDUP = 3.0
@@ -103,36 +103,33 @@ def _build_workload(count: int):
     return recipe, circuit, patterns
 
 
-def _run_fault_sim(circuit, patterns, block_size, backend, repeats=REPEATS):
-    stimulus = circuit.stimulus_nets()
-    blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
-    seconds = []
-    coverage = None
-    for _ in range(repeats):
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        engine = FaultSimulator(circuit, backend=backend)
-        start = time.perf_counter()
-        engine.simulate_blocks(fault_list, blocks)
-        seconds.append(time.perf_counter() - start)
-        coverage = fault_list.coverage()
-    return min(seconds), coverage
-
-
-def _run_cold_fault_sims(recipe, patterns, block_size):
-    """Best-of-``COLD_REPEATS`` cold campaigns per backend, each on a freshly
-    built circuit (the timed section pays every compilation as well as the
-    scan), the backends alternating so host-speed drift hits both alike."""
+def _best_of(run, repeats: int) -> dict[str, float]:
+    """Best ``run(backend)`` time per backend over ``repeats`` rounds; the
+    backends alternate, so host-speed drift hits both alike."""
     seconds: dict[str, list[float]] = {"python": [], "numpy": []}
-    for _ in range(COLD_REPEATS):
+    for _ in range(repeats):
         for backend, times in seconds.items():
-            circuit = recipe.build().circuit
-            stimulus = circuit.stimulus_nets()
-            blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
-            fault_list = collapse_stuck_at(circuit).to_fault_list()
-            start = time.perf_counter()
-            FaultSimulator(circuit, backend=backend).simulate_blocks(fault_list, blocks)
-            times.append(time.perf_counter() - start)
+            times.append(run(backend))
     return {backend: min(times) for backend, times in seconds.items()}
+
+
+def _fault_sim(make_circuit, patterns, block_size, coverages: set):
+    """One timed campaign per call on ``make_circuit()`` -- the same circuit
+    (warm caches) or a freshly built one (every compilation timed too);
+    its coverage goes into ``coverages``."""
+
+    def run(backend: str) -> float:
+        target = make_circuit()
+        stimulus = target.stimulus_nets()
+        blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
+        fault_list = collapse_stuck_at(target).to_fault_list()
+        start = time.perf_counter()
+        FaultSimulator(target, backend=backend).simulate_blocks(fault_list, blocks)
+        seconds = time.perf_counter() - start
+        coverages.add(round(fault_list.coverage(), 12))
+        return seconds
+
+    return run
 
 
 def _run_pattern_generation(circuit, block_size, backend):
@@ -158,13 +155,13 @@ def run() -> dict:
     cold_seconds: dict[tuple[str, int], float] = {}
     coverages = set()
     for block_size in BLOCK_SIZES:
+        same, fresh = (lambda: circuit), (lambda: recipe.build().circuit)
+        warm = _best_of(_fault_sim(same, patterns, block_size, coverages), REPEATS)
+        cold = _fault_sim(fresh, patterns, block_size, coverages)
+        cold = _best_of(cold, COLD_REPEATS)
         for backend in ("python", "numpy"):
-            seconds, coverage = _run_fault_sim(circuit, patterns, block_size, backend)
-            fault_seconds[(backend, block_size)] = seconds
-            coverages.add(round(coverage, 12))
-        cold = _run_cold_fault_sims(recipe, patterns, block_size)
-        for backend, seconds in cold.items():
-            cold_seconds[(backend, block_size)] = seconds
+            fault_seconds[(backend, block_size)] = warm[backend]
+            cold_seconds[(backend, block_size)] = cold[backend]
         fault_rows.append(
             {
                 "block_size": block_size,
@@ -214,13 +211,12 @@ def run() -> dict:
 
     # Long-session sample: the paper's 20K-pattern budget at one mid width.
     _, _, long_patterns = _build_workload(LONG_PATTERNS)
-    long_python, long_cov_py = _run_fault_sim(
-        circuit, long_patterns, 1024, "python", repeats=2
+    long_coverages: set = set()
+    long_run = _best_of(
+        _fault_sim(lambda: circuit, long_patterns, 1024, long_coverages), 2
     )
-    long_numpy, long_cov_np = _run_fault_sim(
-        circuit, long_patterns, 1024, "numpy", repeats=2
-    )
-    assert round(long_cov_py, 12) == round(long_cov_np, 12)
+    long_python, long_numpy = long_run["python"], long_run["numpy"]
+    assert len(long_coverages) == 1
 
     numpy_best_block = min(
         BLOCK_SIZES, key=lambda block: fault_seconds[("numpy", block)]
