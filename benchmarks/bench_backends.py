@@ -30,8 +30,9 @@ so the trade-off is on the record, not hidden.
 
 Recorded in ``benchmarks/BENCH_backends.json``:
 
-* the per-(backend, block size) fault-sim matrix with per-row warm and cold
-  speedups,
+* the per-(backend, block size) fault-sim matrix: best-of times, and warm
+  and cold speedups that are the median ratio of back-to-back python/numpy
+  runs (so host-speed drift cancels out of them),
 * ``speedup_fault_sim_1024`` / ``cold_speedup_fault_sim_1024`` -- both
   backends at block 1024, warm and cold, against the targets of >= 4x warm
   and cold numpy no slower than cold python (recorded with
@@ -47,6 +48,10 @@ Recorded in ``benchmarks/BENCH_backends.json``:
 * ``speedup_pattern_gen`` -- streamed generation at its best block size
   (acceptance bar: >= 2x).
 
+``speedup_fault_sim`` and ``speedup_fault_sim_best_vs_best`` divide times
+taken in different rounds, minutes apart; ``scripts/verify.sh perf`` gates
+only the back-to-back ratios (see ``perf_gate.py``).
+
 Run as a script (writes the JSON):
 
     PYTHONPATH=src python benchmarks/bench_backends.py
@@ -59,6 +64,7 @@ or through pytest (skips without NumPy):
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import pytest
@@ -103,14 +109,17 @@ def _build_workload(count: int):
     return recipe, circuit, patterns
 
 
-def _best_of(run, repeats: int) -> dict[str, float]:
-    """Best ``run(backend)`` time per backend over ``repeats`` rounds; the
-    backends alternate, so host-speed drift hits both alike."""
+def _best_of(run, repeats: int) -> tuple[dict[str, float], float]:
+    """Best ``run(backend)`` time per backend over ``repeats`` rounds, and
+    the median of the rounds' python/numpy ratios.  The backends alternate
+    within a round, so each ratio compares runs made back to back and host
+    speed drift cancels out of it."""
     seconds: dict[str, list[float]] = {"python": [], "numpy": []}
     for _ in range(repeats):
         for backend, times in seconds.items():
             times.append(run(backend))
-    return {backend: min(times) for backend, times in seconds.items()}
+    ratios = [py / np_ for py, np_ in zip(seconds["python"], seconds["numpy"])]
+    return {b: min(times) for b, times in seconds.items()}, statistics.median(ratios)
 
 
 def _fault_sim(make_circuit, patterns, block_size, coverages: set):
@@ -132,18 +141,19 @@ def _fault_sim(make_circuit, patterns, block_size, coverages: set):
     return run
 
 
-def _run_pattern_generation(circuit, block_size, backend):
-    architecture = build_scan_chains(circuit, total_chains=14)
-    seconds = []
-    for _ in range(REPEATS):
+def _pattern_generation(architecture, block_size):
+    """One timed streamed generation of ``GEN_PATTERNS`` patterns per call."""
+
+    def run(backend: str) -> float:
         stumps = StumpsArchitecture(architecture, seed=9)
         start = time.perf_counter()
         for _block in stumps.generate_packed_blocks(
             GEN_PATTERNS, block_size=block_size, backend=backend
         ):
             pass
-        seconds.append(time.perf_counter() - start)
-    return min(seconds)
+        return time.perf_counter() - start
+
+    return run
 
 
 def run() -> dict:
@@ -156,9 +166,10 @@ def run() -> dict:
     coverages = set()
     for block_size in BLOCK_SIZES:
         same, fresh = (lambda: circuit), (lambda: recipe.build().circuit)
-        warm = _best_of(_fault_sim(same, patterns, block_size, coverages), REPEATS)
-        cold = _fault_sim(fresh, patterns, block_size, coverages)
-        cold = _best_of(cold, COLD_REPEATS)
+        run_warm = _fault_sim(same, patterns, block_size, coverages)
+        warm, speedup = _best_of(run_warm, REPEATS)
+        run_cold = _fault_sim(fresh, patterns, block_size, coverages)
+        cold, cold_speedup = _best_of(run_cold, COLD_REPEATS)
         for backend in ("python", "numpy"):
             fault_seconds[(backend, block_size)] = warm[backend]
             cold_seconds[(backend, block_size)] = cold[backend]
@@ -175,44 +186,32 @@ def run() -> dict:
                 "numpy_patterns_per_sec": round(
                     PATTERNS / fault_seconds[("numpy", block_size)], 1
                 ),
-                "speedup": round(
-                    fault_seconds[("python", block_size)]
-                    / fault_seconds[("numpy", block_size)],
-                    2,
-                ),
-                "cold_speedup": round(
-                    cold_seconds[("python", block_size)]
-                    / cold_seconds[("numpy", block_size)],
-                    2,
-                ),
+                "speedup": round(speedup, 2),
+                "cold_speedup": round(cold_speedup, 2),
             }
         )
     assert len(coverages) == 1, f"backends disagreed on coverage: {coverages}"
 
     gen_rows = []
     gen_seconds: dict[tuple[str, int], float] = {}
+    architecture = build_scan_chains(circuit, total_chains=14)
     for block_size in BLOCK_SIZES:
+        best, speedup = _best_of(_pattern_generation(architecture, block_size), REPEATS)
         for backend in ("python", "numpy"):
-            gen_seconds[(backend, block_size)] = _run_pattern_generation(
-                circuit, block_size, backend
-            )
+            gen_seconds[(backend, block_size)] = best[backend]
         gen_rows.append(
             {
                 "block_size": block_size,
-                "python_seconds": round(gen_seconds[("python", block_size)], 4),
-                "numpy_seconds": round(gen_seconds[("numpy", block_size)], 4),
-                "speedup": round(
-                    gen_seconds[("python", block_size)]
-                    / gen_seconds[("numpy", block_size)],
-                    2,
-                ),
+                "python_seconds": round(best["python"], 4),
+                "numpy_seconds": round(best["numpy"], 4),
+                "speedup": round(speedup, 2),
             }
         )
 
     # Long-session sample: the paper's 20K-pattern budget at one mid width.
     _, _, long_patterns = _build_workload(LONG_PATTERNS)
     long_coverages: set = set()
-    long_run = _best_of(
+    long_run, long_speedup = _best_of(
         _fault_sim(lambda: circuit, long_patterns, 1024, long_coverages), 2
     )
     long_python, long_numpy = long_run["python"], long_run["numpy"]
@@ -227,10 +226,8 @@ def run() -> dict:
     speedup_fault_sim = (
         fault_seconds[("python", 64)] / fault_seconds[("numpy", numpy_best_block)]
     )
-    speedup_same_block = (
-        fault_seconds[("python", numpy_best_block)]
-        / fault_seconds[("numpy", numpy_best_block)]
-    )
+    rows_by_block = {row["block_size"]: row for row in fault_rows}
+    speedup_same_block = rows_by_block[numpy_best_block]["speedup"]
     speedup_best_vs_best = (
         fault_seconds[("python", python_best_block)]
         / fault_seconds[("numpy", numpy_best_block)]
@@ -239,9 +236,8 @@ def run() -> dict:
         (row for row in fault_rows if row["block_size"] == 1024), fault_rows[-1]
     )
     gen_best_block = min(BLOCK_SIZES, key=lambda block: gen_seconds[("numpy", block)])
-    speedup_pattern_gen = (
-        gen_seconds[("python", gen_best_block)]
-        / gen_seconds[("numpy", gen_best_block)]
+    speedup_pattern_gen = next(
+        row["speedup"] for row in gen_rows if row["block_size"] == gen_best_block
     )
 
     payload = {
@@ -260,7 +256,7 @@ def run() -> dict:
             "block_size": 1024,
             "python_seconds": round(long_python, 4),
             "numpy_seconds": round(long_numpy, 4),
-            "speedup": round(long_python / long_numpy, 2),
+            "speedup": round(long_speedup, 2),
         },
         "numpy_best_block_size": numpy_best_block,
         "python_best_block_size": python_best_block,
@@ -297,7 +293,7 @@ def run() -> dict:
         f"python@default-64; same-block {speedup_same_block:.2f}x, "
         f"best-vs-best {speedup_best_vs_best:.2f}x, target >= "
         f"{TARGET_FAULT_SIM_SPEEDUP}x); long 20K session @1024: "
-        f"{long_python / long_numpy:.2f}x; pattern gen: "
+        f"{long_speedup:.2f}x; pattern gen: "
         f"{speedup_pattern_gen:.2f}x at block {gen_best_block} "
         f"(target >= {TARGET_PATTERN_GEN_SPEEDUP}x); block 1024: "
         f"{row_1024['speedup']:.2f}x warm (target >= "

@@ -22,12 +22,13 @@ BENCH_DIR = Path(__file__).parent
 #: Largest tolerated drop of a gated ratio, as a fraction of the committed value.
 TOLERANCE = 0.15
 
-#: Gated ratio fields (higher is better) of each benchmark record.
+#: Gated ratio fields (higher is better) of each benchmark record.  The
+#: ``backends`` ratios that divide times from different rounds minutes apart
+#: (``speedup_fault_sim``, ``speedup_fault_sim_best_vs_best``) drift with the
+#: host and are recorded only.
 GATED = {
     "backends": (
-        "speedup_fault_sim",
         "speedup_fault_sim_same_block",
-        "speedup_fault_sim_best_vs_best",
         "speedup_fault_sim_1024",
         "cold_speedup_fault_sim_1024",
         "speedup_pattern_gen",
