@@ -543,9 +543,6 @@ class _SiteStore:
         site_ids = np.fromiter((p.site_id for p in plans), np.intp, m)
         total = int(counts.sum())
         outs = np.fromiter(chain.from_iterable(p.outs for p in plans), np.intp, total)
-        keys = nk.net_keys[outs]
-        arity = keys & _KEY_ARITY_MASK
-        flat = nk.net_opnds[_ragged_arange(nk.net_opnd_start[outs], arity)]
         inst_site = np.repeat(np.arange(m), counts)
         local = np.arange(total) - np.repeat(_exclusive_cumsum(counts), counts)
         # The net-id -> local lookup of every new site at once: one sorted
@@ -553,25 +550,24 @@ class _SiteStore:
         codes = (inst_site + first) * nk.num_nets + outs
         order = np.argsort(codes, kind="stable")
         codes = codes[order]
-        opnd_site = np.repeat(inst_site, arity)
+        # Instances in key order per site.  Keys fit in 40 bits; plan order
+        # is nearly key order, which the stable sort's run detection exploits.
+        perm = np.argsort((inst_site << 40) | nk.net_keys[outs], kind="stable")
+        site_sorted, outs = inst_site[perm], outs[perm]
+        keys = nk.net_keys[outs]
+        arity = keys & _KEY_ARITY_MASK
+        flat = nk.net_opnds[_ragged_arange(nk.net_opnd_start[outs], arity)]
+        opnd_site = np.repeat(site_sorted, arity)
         query = (opnd_site + first) * nk.num_nets + flat
         at = np.minimum(np.searchsorted(codes, query), total - 1)
         computed = codes[at] == query
         is_site = flat == site_ids[opnd_site]
-        opnd_value = np.where(
-            computed, local[order[at]], np.where(is_site, counts[opnd_site], flat)
-        )
-        # Keys fit in 40 bits; plan order is nearly key order, which the
-        # stable sort's run detection exploits.
-        perm = np.argsort((inst_site << 40) | keys, kind="stable")
-        site_sorted, keys = inst_site[perm], keys[perm]
         seg_first = np.flatnonzero(
             np.diff(site_sorted, prepend=-1) | np.diff(keys, prepend=-1)
         )
         seg_keys = keys[seg_first]
         seg_counts = np.diff(np.append(seg_first, total))
         site_segs = np.bincount(site_sorted[seg_first], minlength=m)
-        opnd_perm = _ragged_arange(_exclusive_cumsum(arity)[perm], arity[perm])
         grown = {
             "num_slots": counts + 1,
             "seg_start": len(self.seg_keys) + _exclusive_cumsum(site_segs),
@@ -582,8 +578,10 @@ class _SiteStore:
             "opnd_start": len(self.inst_opnd)
             + _exclusive_cumsum(seg_counts * (seg_keys & _KEY_ARITY_MASK)),
             "inst_out": local[perm],
-            "inst_opnd": opnd_value[opnd_perm],
-            "opnd_local": (computed | is_site)[opnd_perm],
+            "inst_opnd": np.where(
+                computed, local[order[at]], np.where(is_site, counts[opnd_site], flat)
+            ),
+            "opnd_local": computed | is_site,
             # New codes exceed every stored one: the table stays sorted.
             "codes": codes,
             "code_local": local[order],
@@ -591,8 +589,8 @@ class _SiteStore:
         for name, values in grown.items():
             setattr(self, name, np.concatenate((getattr(self, name), values)))
         self.index.update(zip(site_ids.tolist(), range(first, first + m)))
-        keys, ranks = np.unique(self.seg_keys, return_inverse=True)
-        self.key_values = keys
+        self.key_values = keys = np.union1d(self.key_values, seg_keys)
+        ranks = np.searchsorted(keys, self.seg_keys)
         self.seg_rank = ranks.astype(np.int16 if len(keys) < 2**15 else np.intp)
 
 
