@@ -88,9 +88,9 @@ GEN_PATTERNS = scaled(1024, 128)
 BLOCK_SIZES = scaled((64, 256, 1024, 4096), (64, 256))
 #: Timed sections run this many times; the minimum is recorded (the
 #: standard noise rejection -- interference only ever adds time).
-REPEATS = scaled(5, 1)
+REPEATS = scaled(7, 1)
 #: Cold campaigns per backend (each rebuilds the circuit).
-COLD_REPEATS = scaled(5, 1)
+COLD_REPEATS = scaled(9, 1)
 #: Acceptance bars.
 TARGET_FAULT_SIM_SPEEDUP = 3.0
 TARGET_PATTERN_GEN_SPEEDUP = 2.0
