@@ -654,16 +654,17 @@ class FaultScanKernel:
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
         self.memory_budget_bytes = memory_budget_bytes
-        self.site_ids = np.fromiter((f.site_id for f in scan_faults), np.intp, count)
-        self.plan_lens = np.fromiter(
-            (len(f.plan.ops) for f in scan_faults), np.int64, count
-        )
+
+        def field(name, faults=scan_faults):
+            return map(operator.attrgetter(name), faults)
+
+        self.site_ids = np.fromiter(field("site_id"), np.intp, count)
+        self.plan_lens = np.fromiter(map(len, field("plan.ops")), np.int64, count)
 
         # Phase-A site records: the forced constant (-1: gate re-evaluation),
         # else the fault's (gate type, arity, pin, value) group and operands.
         self._const_val = np.array(
-            [-1 if f.const_value is None else int(bool(f.const_value))
-             for f in scan_faults],
+            [-1 if c is None else int(bool(c)) for c in field("const_value")],
             dtype=np.int8,
         )
         gate_mask = self._const_val < 0
@@ -676,23 +677,23 @@ class FaultScanKernel:
             for f in gate_faults
         ]
         self._gate_specs = list(specs)
-        self._gate_opnds = np.fromiter(
-            chain.from_iterable(f.operand_ids for f in gate_faults), np.intp
-        )
+        operands = list(field("operand_ids", gate_faults))
+        self._gate_opnds = np.fromiter(chain.from_iterable(operands), np.intp)
         self._gate_opnd_start = np.zeros(count, dtype=np.intp)
         self._gate_opnd_start[gate_mask] = _exclusive_cumsum(
-            np.fromiter((len(f.operand_ids) for f in gate_faults), np.intp)
+            np.fromiter(map(len, operands), np.intp, len(operands))
         )
 
         # An empty cone's only observable net is the site itself, so its
         # detection mask is exactly the site diff row.
-        observed = np.fromiter((bool(f.observed_ids) for f in scan_faults), bool, count)
+        observed = np.fromiter(map(bool, field("observed_ids")), bool, count)
         self._empty_observed = observed & (self.plan_lens == 0)
         self.resimable = resim = observed & (self.plan_lens > 0)
         faults = [scan_faults[i] for i in np.flatnonzero(resim).tolist()]
         self._store = nk.sites
-        sites = self._store.indices([f.plan for f in faults])
-        obs_counts = np.fromiter((len(f.observed_ids) for f in faults), np.intp)
+        sites = self._store.indices(list(field("plan", faults)))
+        observed_ids = list(field("observed_ids", faults))
+        obs_counts = np.fromiter(map(len, observed_ids), np.intp, len(faults))
 
         def per_fault(values, fill=0):
             out = np.full(count, fill, dtype=np.intp)
@@ -705,9 +706,7 @@ class FaultScanKernel:
         self.fault_slots = per_fault(self._store.num_slots[sites])
         self.fault_obs = per_fault(obs_counts)
         self._obs_start = per_fault(_exclusive_cumsum(obs_counts))
-        self._obs_global = np.fromiter(
-            chain.from_iterable(f.observed_ids for f in faults), np.intp
-        )
+        self._obs_global = np.fromiter(chain.from_iterable(observed_ids), np.intp)
         self._obs_local = self._store.locals_of(
             np.repeat(sites, obs_counts), self._obs_global
         )
