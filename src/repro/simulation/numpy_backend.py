@@ -294,6 +294,8 @@ class NumpyKernel:
         self.net_opnd_start = np.zeros(self.num_nets, dtype=np.intp)
         self.net_opnd_start[outs] = _exclusive_cumsum(arity)
         self.net_opnds = np.fromiter(chain.from_iterable(kernel.operands), np.intp)
+        #: The distinct batch keys, ascending.
+        self.key_values = np.unique(self.net_keys[outs])
         #: Ascending-level batches: (opcode, out index array, operand arrays),
         #: schedule order within a batch.
         outs = outs[np.argsort(self.net_keys[outs], kind="stable")]
@@ -504,20 +506,21 @@ class _SiteStore:
     range(counts[s] * arity)`` (instance-major)."""
 
     _FIELDS = (
-        "num_slots", "seg_start", "seg_count", "seg_keys", "counts", "inst_start",
-        "opnd_start", "inst_out", "inst_opnd", "opnd_local", "codes", "code_local",
+        "num_slots", "seg_start", "seg_count", "seg_keys", "seg_rank", "counts",
+        "inst_start", "opnd_start", "inst_out", "inst_opnd", "opnd_local", "codes",
+        "code_local",
     )
 
     def __init__(self, nk: "NumpyKernel") -> None:
         self.nk = nk
         #: Site net id -> store index.
         self.index: dict[int, int] = {}
+        #: ``seg_rank`` is each segment's key's rank among the kernel's
+        #: ``key_values`` (int16 where it fits: it sorts by radix).
+        rank = np.int16 if len(nk.key_values) < 2**15 else np.intp
         for name in self._FIELDS:
-            dtype = bool if name == "opnd_local" else np.int64
+            dtype = {"opnd_local": bool, "seg_rank": rank}.get(name, np.int64)
             setattr(self, name, np.zeros(0, dtype=dtype))
-        #: Dense order-preserving rank of each segment's key (int16 sorts by
-        #: radix), over the distinct ``key_values``.
-        self.key_values, self.seg_rank = self.seg_keys, self.seg_keys
 
     def indices(self, plans: Sequence[ConePlan]):
         """Store indices of the plans' sites, lowering the new ones."""
@@ -573,6 +576,7 @@ class _SiteStore:
             "seg_start": len(self.seg_keys) + _exclusive_cumsum(site_segs),
             "seg_count": site_segs,
             "seg_keys": seg_keys,
+            "seg_rank": np.searchsorted(nk.key_values, seg_keys),
             "counts": seg_counts,
             "inst_start": len(self.inst_out) + _exclusive_cumsum(seg_counts),
             "opnd_start": len(self.inst_opnd)
@@ -587,11 +591,9 @@ class _SiteStore:
             "code_local": local[order],
         }
         for name, values in grown.items():
-            setattr(self, name, np.concatenate((getattr(self, name), values)))
+            stored = getattr(self, name)
+            setattr(self, name, np.concatenate((stored, values.astype(stored.dtype))))
         self.index.update(zip(site_ids.tolist(), range(first, first + m)))
-        self.key_values = keys = np.union1d(self.key_values, seg_keys)
-        ranks = np.searchsorted(keys, self.seg_keys)
-        self.seg_rank = ranks.astype(np.int16 if len(keys) < 2**15 else np.intp)
 
 
 class _ScanTile:
@@ -897,7 +899,7 @@ class FaultScanKernel:
         keys = self._store.seg_rank[segs]
         instances = self._store.counts[segs].astype(np.int32)
         row_start = np.searchsorted(rows, np.arange(count + 1))
-        num_keys = max(len(self._store.key_values), 1)
+        num_keys = max(len(self.nk.key_values), 1)
         closed = (0, 0, 0, 1)  # slot, fault, obs and batch maxima of closed tiles
         cuts, start, window = [0], 0, 16
         while start < count:
