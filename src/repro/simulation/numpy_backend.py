@@ -14,14 +14,39 @@ gather -> bulk bitwise op -> scatter.  Python-loop iterations drop from
 ``num_gates`` to ``num_levels x num_opcodes``.
 
 Two execution structures are compiled from one backend-neutral
-:class:`~repro.simulation.kernel.CompiledKernel`: :class:`NumpyKernel`, the
-full forward pass as level batches, and :class:`FaultScanKernel`, the PPSFP
-fault scan vectorised **across faults** -- every fault's cone plan gets a
-private run of *slot rows* after the good-value rows, and a block scan
-re-simulates all excited faults' cones together, one gather/op/scatter per
-(level, opcode), within an optional memory budget (see the class).  Both
-are **bit-identical** to the python backend by construction (same compiled
-schedule, same masking discipline) and by test
+:class:`~repro.simulation.kernel.CompiledKernel`:
+
+* :class:`NumpyKernel` -- the full forward pass (fault-free simulation) as
+  level batches, plus bit-plane stimulus loading.
+* :class:`FaultScanKernel` -- the PPSFP fault scan vectorised **across
+  faults**: every active fault's pre-compiled
+  :class:`~repro.simulation.kernel.ConePlan` is assigned a private run of
+  *slot rows* appended after the good-value rows, the per-fault cone
+  schedules are concatenated (statically, at compile time) into global
+  per-(level, opcode) index arrays tagged with fault indices, and one block
+  scan is: compute every fault's faulty site row in a few grouped
+  operations, select the faults whose site value differs, and re-simulate
+  *all* their cones together -- one gather/op/scatter per (level, opcode)
+  over the union of cone gates, frontier values read in place from the
+  good rows, detection masks reduced per fault with
+  ``np.bitwise_or.reduceat``.  This is what makes the backend fast where the
+  fault-simulation time actually goes: the per-fault scan, not the
+  fault-free pass.
+
+The scan's slot table grows with the total cone size of the live fault set
+times the block width -- gigabytes on SoC-sized cores at wide blocks --
+unless bounded: given a ``memory_budget_bytes`` (plumbed from
+``LogicBistConfig.sim_memory_budget_mb``), :class:`FaultScanKernel` tiles
+the live fault set into groups whose union-cone slot demand fits the
+budget and executes each block tile by tile against **one recycled slot
+arena** sized to the largest tile (re-indexed at compile/prune time, never
+per block).  Per-width workspaces are kept in a two-entry LRU
+(:func:`width_cache`), so the total footprint is bounded by roughly twice
+the budget.  Tiling only changes *when* slot rows are computed, never what:
+results stay bit-identical to the unbounded scan at any budget.
+
+Both structures are **bit-identical** to the python backend by construction
+(same compiled schedule, same masking discipline) and by test
 (``tests/simulation/test_numpy_backend.py`` and the backend-parametrised
 kernel-equivalence fuzz suite).
 
@@ -597,10 +622,14 @@ class _SiteStore:
 
 
 class _ScanTile:
-    """One tile of the live fault set.  Arrays are tile-local (``positions``
-    maps tile-local fault index -> canonical position); slot rows are
-    absolute rows of the arena ``[num_nets, num_nets + arena_slots)``,
-    assigned from its base in every tile, so one table serves every tile."""
+    """One tile of the live fault set, compiled against the shared slot arena.
+
+    Every array is tile-local (``positions`` maps tile-local fault index ->
+    canonical position); slot rows are *absolute* table rows into the arena
+    region ``[num_nets, num_nets + arena_slots)``, assigned from the arena
+    base for every tile -- which is exactly what lets one arena-sized table
+    serve every tile in turn.
+    """
 
     __slots__ = (
         "positions", "site_ids", "resimable", "plan_lens", "const0_local",
@@ -616,33 +645,50 @@ class FaultScanKernel:
     Compile once per (kernel, fault sequence, observation set, memory
     budget); scan any active subset per block via the position list of the
     canonical order.  Detection rows are bit-identical to the python
-    backend's per-fault detection masks: the same cone plans run in the
-    same level order with the same masking discipline, and per-fault
-    results never depend on other faults.
+    backend's per-fault detection masks: the same compiled cone plans are
+    executed in the same level order with the same masking discipline, and
+    per-fault results never depend on other faults.
 
-    **Execution.**  The live fault set is cut into **tiles** whose scan
-    state fits ``memory_budget_bytes`` (``sim_memory_budget_mb``), each
-    compiled into per-(level, opcode) index arrays over one **recycled slot
-    arena**.  A block scan walks the tiles: compute the faulty site rows,
-    re-simulate the cones of the faults whose site value differs together
-    (frontier values read in place from the good rows), reduce detection
-    masks per fault with ``np.bitwise_or.reduceat``.  Slot runs are private
-    and only selected faults' rows are touched, so stale arena contents are
-    never read: tiling never changes a result bit.  Unbudgeted there is
-    **one tile** and detection rows alias workspace buffers; with several
-    tiles they are per-fault copies.
+    **Execution strategy.**  The live fault set is partitioned into
+    **tiles** whose compiled scan state fits ``memory_budget_bytes``; each
+    tile's cone schedules are concatenated into per-(level, opcode) index
+    arrays over a **recycled slot arena** -- one slot-row region, sized to
+    the largest tile, appended after the good rows and re-used by every
+    tile in turn.  A block scan walks the tiles: compute the tile's faulty
+    site rows in a few grouped operations, select the faults whose site
+    value differs, re-simulate their cones together (one gather/op/scatter
+    per (level, opcode) over the union of the tile's cone gates, frontier
+    values read in place from the good rows), reduce per-fault detection
+    masks with ``np.bitwise_or.reduceat``, and merge the tile's detections
+    back into canonical fault order.  Per-fault slot runs are private and
+    every batch touches only the selected faults' rows, so stale arena
+    contents from the previous tile (or block) are never read -- re-using
+    the arena cannot change a result bit.
 
-    **Compilation is array code.**  A tile is assembled from its faults'
-    segments in the kernel's :class:`_SiteStore` by ragged gathers
-    (``np.repeat`` of segment starts plus a ragged arange; slot bases are a
-    cumsum of per-fault slot counts) and one stable sort by batch key.
-    **Tiling is a prefix-max search** (:meth:`tile_cuts`).
+    With no budget (the default) there is exactly **one tile** containing
+    the whole live set: per-block temporaries live in per-width workspaces
+    (gathers via ``np.take(..., out=...)``, bulk ops in place), so
+    steady-state scanning allocates nothing, and detection rows alias
+    workspace buffers.  With multiple tiles the arena and the per-fault
+    scratch arrays are *tile*-sized -- peak memory is the configured budget
+    instead of a function of fault-set size -- and detection rows are small
+    per-fault copies (they must survive the later tiles of the same scan).
 
-    **Pruning.**  :meth:`maybe_prune` shrinks the live set once it has
-    halved.  Unbudgeted, the single tile is **compressed** by a boolean mask
-    over its fault ids, slots rebased by a new cumsum -- the tiler never
-    runs again, and the full tile is kept for a reused scan to restore.
-    Budgeted, the survivors are re-tiled at the next block.
+    **Compilation is array code.**  Every fault site is lowered once per
+    kernel into the flat segment arrays of :class:`_SiteStore`; a tile is
+    assembled from its faults' segments by ragged gathers (``np.repeat`` of
+    segment starts plus a ragged arange; slot bases are a cumsum of
+    per-fault slot counts) and one stable sort by batch key.  Unbudgeted is
+    the one-tile case of the same assembly.  Under a budget, **tiling is a
+    prefix-max search** (:meth:`tile_cuts`) with exactly the greedy
+    canonical-order cuts.
+
+    **Fault dropping and pruning.**  :meth:`maybe_prune` shrinks the live
+    set once it has halved; the survivors are re-assembled from the site
+    store (never re-lowered), so late-campaign blocks stay proportional to
+    the surviving work.  Tiling is re-done lazily at the first
+    ``table_for``/``workspace`` call for a width that needs it (the budget
+    is width-dependent: wider blocks mean fewer faults per tile).
     """
 
     def __init__(
@@ -724,9 +770,6 @@ class FaultScanKernel:
         #: budget, which clamps that tile over budget rather than failing.
         self.budget_clamped = False
         self._tiles: Optional[list[_ScanTile]] = None
-        self._full_tile: Optional[_ScanTile] = None
-        #: A prune left the single tile to compress before the next block.
-        self._stale = False
         self._tile_width = 0
         #: (arena slots, faults, observations, batch) the workspaces hold.
         self._sized = (0, 0, 0, 1)
@@ -736,16 +779,11 @@ class FaultScanKernel:
     # Live-set management (tiles follow lazily)
     # ------------------------------------------------------------------ #
     def _restore_full(self) -> None:
-        """Make the whole canonical order live: the kept full tile of an
-        unbudgeted scan, else re-tiled on next use."""
+        """Make the whole canonical order live (re-tiled on next use)."""
         self._live_positions = np.arange(self.num_faults, dtype=np.intp)
         self._live_mask = np.ones(self.num_faults, dtype=bool)
         self._live_count = self.num_faults
-        self._stale = False
         self._tiles = None
-        if self._full_tile is not None:
-            self._tiles = [self._full_tile]
-            self._set_maxima(self._tiles)
 
     def ensure_live(self, positions) -> None:
         """Restore the full live set if ``positions`` outgrew the pruned one
@@ -754,9 +792,9 @@ class FaultScanKernel:
             self._restore_full()
 
     def maybe_prune(self, positions) -> None:
-        """Shrink the live set to ``positions`` once it has halved, so late
-        blocks stay proportional to the survivors: at the next block an
-        unbudgeted scan compresses its tile, a budgeted one re-tiles."""
+        """Shrink the live set to ``positions`` once it has halved (tiles
+        follow at the next block), so late blocks stay proportional to the
+        survivors: re-assembly costs far less than one block scan."""
         if not positions or len(positions) >= self._live_count // 2:
             return
         live = np.unique(np.asarray(positions, dtype=np.intp))
@@ -764,64 +802,15 @@ class FaultScanKernel:
         self._live_mask = np.zeros(self.num_faults, dtype=bool)
         self._live_mask[live] = True
         self._live_count = len(live)
-        if self.memory_budget_bytes is None and self._tiles:
-            self._stale = True
-        else:
-            self._tiles = None
-
-    def _compressed(self, full: _ScanTile) -> _ScanTile:
-        """The single (unbudgeted) tile without its non-live faults: boolean
-        masks over fault ids select the survivors, a cumsum renumbers them,
-        and each slot row moves by its fault's new-minus-old slot base --
-        exactly the arrays a fresh assembly over the survivors produces."""
-        tile = _ScanTile()
-        keep = self._live_mask[full.positions]
-        new_local = np.cumsum(keep) - 1
-        slots = self.fault_slots[full.positions]
-        shift = _exclusive_cumsum(slots * keep) - _exclusive_cumsum(slots)
-        for name in ("positions", "site_ids", "resimable", "plan_lens", "obs_len_of"):
-            setattr(tile, name, getattr(full, name)[keep])
-        for name in ("const0_local", "const1_local", "empty_observed_local"):
-            local = getattr(full, name)
-            setattr(tile, name, new_local[local[keep[local]]])
-        site_slot = full.site_slot_of
-        tile.site_slot_of = np.where(site_slot >= 0, site_slot + shift, -1)[keep]
-        tile.gate_batches = [
-            (*spec, new_local[idx[sel]], [column[sel] for column in columns])
-            for *spec, idx, columns in full.gate_batches
-            for sel in (keep[idx],)
-            if sel.any()
-        ]
-        tile.cone_batches = []
-        for op, arity, fault_ids, out_rows, opnd_rows in full.cone_batches:
-            sel = keep[fault_ids]
-            if sel.any():
-                moved = shift[fault_ids[sel]]
-                tile.cone_batches.append((
-                    op, arity, new_local[fault_ids[sel]], out_rows[sel] + moved,
-                    [np.where(rows >= self.nk.num_nets, rows + moved, rows)
-                     for rows in (rows[sel] for rows in opnd_rows)],
-                ))
-        sel = keep[full.obs_fault_local]
-        obs_faults = full.obs_fault_local[sel]
-        tile.obs_rows = full.obs_rows[sel] + shift[obs_faults]
-        tile.obs_globals = full.obs_globals[sel]
-        tile.obs_fault_local = new_local[obs_faults]
-        tile.slots = int(slots[keep].sum())
-        tile.max_batch = max((len(b[3]) for b in tile.cone_batches), default=0)
-        return tile
+        self._tiles = None
 
     # ------------------------------------------------------------------ #
     # Tiling: partition the live set against the memory budget
     # ------------------------------------------------------------------ #
     def _ensure_tiles(self, num_words: int) -> None:
-        """Compress or (re-)tile if the current tiles cannot serve the width:
-        a budgeted tiling for width *W* serves every width <= *W* (narrower
-        blocks sit further under budget), an unbudgeted one every width."""
-        if self._stale:
-            self._stale = False
-            self._tiles = [self._compressed(self._tiles[0])]
-            self._set_maxima(self._tiles)
+        """(Re-)tile if the current tiles cannot serve the width: a budgeted
+        tiling for width *W* serves every width <= *W* (narrower blocks sit
+        further under budget), an unbudgeted one every width."""
         budgeted = self.memory_budget_bytes is not None
         if self._tiles is None or (budgeted and num_words > self._tile_width):
             self._build_tiles(num_words)
@@ -843,8 +832,6 @@ class FaultScanKernel:
         else:
             cuts = [0, len(live)] if len(live) else [0]
         tiles = [self._assemble_tile(live[lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
-        if budget is None and len(live) == self.num_faults:
-            self._full_tile = tiles[0] if tiles else None
         self._tiles = tiles
         self._tile_width = num_words
         self._set_maxima(tiles)
@@ -853,21 +840,14 @@ class FaultScanKernel:
         )
 
     def _set_maxima(self, tiles: list) -> None:
-        """Size the arena and scratch buffers to the largest tile: on every
-        re-tiling under a budget (which bounds them); unbudgeted they only
-        grow, so prunes and restores keep their workspaces."""
-        maxima = (
+        """Size the arena and scratch buffers to the largest tile."""
+        self._sized = (
             max((t.slots for t in tiles), default=0),
             max((len(t.positions) for t in tiles), default=0),
             max((len(t.obs_rows) for t in tiles), default=0),
             max([1] + [t.max_batch for t in tiles]),
         )
-        if self.memory_budget_bytes is None:
-            if all(map(operator.le, maxima, self._sized)):
-                return
-            maxima = tuple(map(max, maxima, self._sized))
         self._workspaces.clear()
-        self._sized = maxima
 
     def _demand(self, positions):
         """``(rows, segments)`` of every (fault, batch key) pair of
@@ -886,10 +866,12 @@ class FaultScanKernel:
         The greedy canonical-order split -- a fault joins the tile unless
         the workspace its joined maxima need exceeds the budget -- as a
         prefix-max search: tile *[s, e]*'s slot and observation demand are
-        prefix-sum differences, its batch demand the row maximum of per-key
-        prefix sums; joined with the closed tiles' maxima the charge is
-        monotone in *e*, so each cut is one ``searchsorted`` (over a window
-        that doubles until it holds the cut)."""
+        prefix-sum differences, its batch demand the running maximum, over
+        the tile's (fault, key) pairs in fault order, of each pair's
+        per-key running instance sum; joined with the closed tiles' maxima
+        the charge is monotone in *e*, so each cut is one ``searchsorted``
+        (over a window that doubles until it holds the cut).  Temporaries
+        are O(pairs in the window), never window x keys."""
         live = self._live_positions
         count = len(live)
         limit = self.memory_budget_bytes // (num_words * 8)
@@ -897,21 +879,31 @@ class FaultScanKernel:
         obs_sums = np.concatenate(([0], np.cumsum(self.fault_obs[live])))
         rows, segs = self._demand(live)
         keys = self._store.seg_rank[segs]
-        instances = self._store.counts[segs].astype(np.int32)
+        instances = self._store.counts[segs]
         row_start = np.searchsorted(rows, np.arange(count + 1))
-        num_keys = max(len(self.nk.key_values), 1)
         closed = (0, 0, 0, 1)  # slot, fault, obs and batch maxima of closed tiles
         cuts, start, window = [0], 0, 16
         while start < count:
             while True:
                 stop = min(count, start + window)
                 ends = np.arange(start + 1, stop + 1)
-                per_key = np.zeros((stop - start, num_keys), np.int32)
                 lo, hi = row_start[start], row_start[stop]
-                per_key[rows[lo:hi] - start, keys[lo:hi]] = instances[lo:hi]
+                # Per-key running sums: cumsum in (key, fault) order, restarted
+                # at every key, scattered back to fault order.
+                order = np.argsort(keys[lo:hi], kind="stable")
+                pair_keys, pair_counts = keys[lo:hi][order], instances[lo:hi][order]
+                sums = np.cumsum(pair_counts)
+                key_first = np.flatnonzero(np.diff(pair_keys, prepend=-1))
+                sums -= np.repeat(
+                    sums[key_first] - pair_counts[key_first],
+                    np.diff(np.append(key_first, hi - lo)),
+                )
+                running = np.zeros(hi - lo + 1, dtype=np.int64)
+                running[1:][order] = sums
+                np.maximum.accumulate(running, out=running)
                 tile = (slot_sums[ends] - slot_sums[start], ends - start,
                         obs_sums[ends] - obs_sums[start],
-                        np.cumsum(per_key, axis=0).max(axis=1))
+                        running[row_start[start + 1 : stop + 1] - lo])
                 charge = self._workspace_rows(*map(np.maximum, closed, tile))
                 # A tile always takes its first fault; it ends before the
                 # first later one whose joined charge exceeds the budget.

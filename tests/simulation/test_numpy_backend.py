@@ -451,7 +451,7 @@ class TestMemoryBudgetTiling:
 
 
 class TestScanCompile:
-    """The array-assembled scan compile: prune by compress, and the
+    """The array-assembled scan compile: prune by re-assembly, and the
     vectorised budgeted tiler against a reference greedy."""
 
     @staticmethod
@@ -493,36 +493,23 @@ class TestScanCompile:
         )
         fresh = {survivors[i]: plane_to_word(row) for i, row in rows.items()}
         assert pruned and pruned == fresh
-        if budget_kb is None:
-            # The compressed tile is array-for-array a fresh assembly.
-            scan = state.scan
-            (tile,) = scan._tiles
-            rebuilt = scan._assemble_tile(scan._live_positions)
-            for name in type(tile).__slots__:
-                self._assert_same(getattr(tile, name), getattr(rebuilt, name))
-
-    @classmethod
-    def _assert_same(cls, left, right):
-        if isinstance(left, (list, tuple)):
-            assert len(left) == len(right)
-            for a, b in zip(left, right):
-                cls._assert_same(a, b)
-        elif hasattr(left, "dtype"):
-            assert left.tolist() == right.tolist()
-        else:
-            assert left == right
 
     def test_unbudgeted_prune_never_calls_the_tiler(self, monkeypatch):
         from repro.simulation.numpy_backend import FaultScanKernel
 
-        calls = []
-        original = FaultScanKernel._build_tiles
+        calls = {"tile_cuts": 0, "_assemble_tile": 0}
 
-        def counting(self, num_words):
-            calls.append(num_words)
-            original(self, num_words)
+        def counting(name):
+            original = getattr(FaultScanKernel, name)
 
-        monkeypatch.setattr(FaultScanKernel, "_build_tiles", counting)
+            def wrapper(self, *args):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(FaultScanKernel, name, wrapper)
+
+        counting("tile_cuts")
+        counting("_assemble_tile")
         circuit = make_core(32)
         patterns = random_patterns(circuit, 640, 92)
         fl_py = collapse_stuck_at(circuit).to_fault_list()
@@ -532,10 +519,10 @@ class TestScanCompile:
         engine.simulate(fl_np, patterns, block_size=64)
         assert_fault_lists_identical(fl_py, fl_np)
         scan = engine._np_scan[1].scan
-        # Dropping pruned the live set (more than once), yet the tiler ran
-        # only for the first block.
+        # Dropping pruned the live set; the prune re-assembled the one tile
+        # without running the tiler.
         assert scan._live_count < scan.num_faults // 4
-        assert calls == [1]
+        assert calls["tile_cuts"] == 0 and calls["_assemble_tile"] >= 2
 
     @staticmethod
     def _reference_cuts(scan, num_words):
@@ -592,6 +579,31 @@ class TestScanCompile:
         # The ladder spans one tile, several, and the clamped one-per-fault.
         assert counts[0] == 1 and counts[-1] == scan._live_count
         assert counts == sorted(counts) and len(set(counts)) > 3
+
+    def test_tiler_memory_is_linear_in_fault_key_pairs(self):
+        # A dense (faults x batch keys) demand matrix would cost ~200 bytes
+        # per (fault, key) pair here; the tiler's temporaries are a fixed
+        # number of arrays over the pairs, whatever the number of keys.
+        import tracemalloc
+
+        from repro.cores import core_y_recipe
+
+        circuit = core_y_recipe(scale=1, seed=1).build().circuit
+        faults = collapse_stuck_at(circuit).representatives
+        _, state = self._scan(circuit, faults)
+        full = state.scan.workspace_nbytes(1)
+        for fraction in (2.0, 0.25):
+            _, state = self._scan(circuit, faults, full * fraction / 1024.0)
+            scan = state.scan
+            pairs = len(scan._demand(scan._live_positions)[0])
+            tracemalloc.start()
+            try:
+                cuts = scan.tile_cuts(1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (len(cuts) == 2) == (fraction > 1)
+            assert peak <= 128 * pairs
 
 
 class TestTransitionEquivalence:
