@@ -210,6 +210,14 @@ class Circuit:
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_ranks": None}
 
+    def __setstate__(self, state: dict) -> None:
+        # A pickle from before the split cache flags carries one
+        # ``_cache_valid`` flag instead: rebuild everything lazily.
+        state.pop("_cache_valid", None)
+        self.__dict__.update(
+            {"_fanout_valid": False, "_order_valid": False, "_ranks": None, **state}
+        )
+
     @property
     def revision(self) -> int:
         """Structural revision counter (see ``_revision``)."""

@@ -8,6 +8,8 @@ list order*: fault enumeration walks ``fanout_map()`` and that order fixes
 the canonical fault order.
 """
 
+import pickle
+
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import Circuit, GateType
@@ -124,3 +126,27 @@ def test_scan_wrapping_does_not_rebuild_the_fanout_map(monkeypatch):
     assert circuit.revision > revision
     monkeypatch.undo()
     assert _snapshot(circuit) == _fresh(circuit)
+
+
+def test_unpickles_a_circuit_with_the_single_cache_flag(monkeypatch):
+    # Stage journals hold pickled circuits, so a pickle whose state is the
+    # older format (one ``_cache_valid`` flag, no rank map) must still load.
+    circuit = _seed_circuit()
+    expected = _snapshot(circuit)
+    levels = {net: circuit.level(net) for net in ("g0", "g1")}
+
+    def old_state(self):
+        state = dict(self.__dict__)
+        for name in ("_fanout_valid", "_order_valid", "_ranks"):
+            del state[name]
+        return {**state, "_cache_valid": True}
+
+    monkeypatch.setattr(Circuit, "__getstate__", old_state)
+    blob = pickle.dumps(circuit)
+    monkeypatch.undo()
+    loaded = pickle.loads(blob)
+    assert "_cache_valid" not in vars(loaded)
+    assert _snapshot(loaded) == expected
+    assert {net: loaded.level(net) for net in levels} == levels
+    loaded.add_gate("g2", GateType.OR, ["g1", "a"])
+    assert _snapshot(loaded) == _fresh(loaded)
