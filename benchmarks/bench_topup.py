@@ -7,7 +7,7 @@ Measures the deterministic top-up phase (the paper's "# of Top-Up Patterns" /
   whole netlist through ``dict[str, Value5]`` on every decision, and every
   generated pattern is fault-simulated width-1 against the whole remaining
   population,
-* **compiled** -- kernel-indexed incremental PODEM plus block-batched
+* **compiled** -- kernel-indexed event-driven PODEM plus block-batched
   candidate screening (one PPSFP scan per ``block_size`` generated
   patterns).
 

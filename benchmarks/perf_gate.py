@@ -34,6 +34,7 @@ GATED = {
         "speedup_pattern_gen",
     ),
     "scan_memory": ("peak_reduction_tight_budget", "throughput_ratio_mid_budget"),
+    "topup": ("speedup_topup",),
 }
 
 

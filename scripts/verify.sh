@@ -57,9 +57,10 @@
 #                                 CancelToken path.  The pooled lifecycle
 #                                 matrix runs in the full tier.
 #   scripts/verify.sh perf        the performance regression gate: re-runs
-#                                 benchmarks/bench_backends.py and
-#                                 bench_scan_memory.py at their recorded
-#                                 scale into a scratch directory, then
+#                                 benchmarks/bench_backends.py,
+#                                 bench_scan_memory.py and bench_topup.py at
+#                                 their recorded scale into a scratch
+#                                 directory, then
 #                                 benchmarks/perf_gate.py fails when any
 #                                 speedup ratio field falls more than 15%
 #                                 below the checked-in BENCH JSON taken at
@@ -122,6 +123,7 @@ case "$tier" in
     out="$(mktemp -d)"
     BENCH_OUT_DIR="$out" python benchmarks/bench_backends.py
     BENCH_OUT_DIR="$out" python benchmarks/bench_scan_memory.py
+    BENCH_OUT_DIR="$out" python benchmarks/bench_topup.py
     exec python benchmarks/perf_gate.py "$out" "$@"
     ;;
   *)

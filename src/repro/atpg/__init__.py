@@ -10,7 +10,7 @@ Public API:
 * the static compaction helpers in :mod:`repro.atpg.compaction`,
 * the five-valued D-calculus values in :mod:`repro.atpg.dcalc`, the
   name-keyed reference implication engine in :mod:`repro.atpg.implication`
-  and its kernel-indexed incremental counterpart (the default) in
+  and its kernel-indexed event-driven counterpart (the default) in
   :mod:`repro.atpg.compiled`.
 """
 

@@ -8,19 +8,23 @@ lowers the same composite (good/faulty) three-valued implication onto the
 shared :class:`~repro.simulation.kernel.CompiledKernel`:
 
 * values live in two flat lists indexed by dense net ID (``None`` = X),
-* implication is **incremental**: assigning or retracting one stimulus net
-  re-evaluates only the net's fanout cone (the kernel's cached
-  :class:`~repro.simulation.kernel.ConePlan` schedule slice), not the whole
-  circuit -- for a feed-forward netlist a single in-order pass over the
-  changed cone reaches exactly the fixpoint the reference engine computes
-  from scratch,
+* implication is **event-driven**: assigning or retracting one stimulus
+  net evaluates the gates reading it and, in topological order, the readers
+  of every gate whose good or faulty value actually changed -- for a
+  feed-forward netlist this reaches exactly the fixpoint the reference
+  engine computes from scratch, while a change masked by a controlling
+  input stops at the net's direct readers,
+* gates are evaluated through a table of per-opcode three-valued
+  evaluators; an evaluator starts from a copy of the fault-free all-X
+  state and injects its fault with the same event-driven pass,
 * the D-frontier scan walks only the fault site's cone (a discrepancy can
   exist nowhere else), and the X-path check runs over interned ID adjacency
   arrays,
-* per-kernel derived analyses -- the ATPG fanout adjacency and the SCOAP
-  backtrace guidance -- are computed once per circuit revision and memoised
-  in ``CompiledKernel.analysis_cache``, so every fault targeted through
-  :func:`~repro.simulation.kernel.shared_kernel` reuses them.
+* per-kernel derived analyses -- the ATPG fanout adjacency, the all-X
+  state and the SCOAP backtrace guidance -- are computed once per circuit
+  revision and memoised in ``CompiledKernel.analysis_cache``, so every
+  fault targeted through :func:`~repro.simulation.kernel.shared_kernel`
+  reuses them.
 
 Equivalence contract: for any assignment sequence the flat arrays hold
 exactly the values the reference engine's ``implied_values`` would produce,
@@ -32,108 +36,58 @@ generated cube.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from ..netlist.circuit import Circuit
-from ..netlist.gates import (
-    OP_AND,
-    OP_AND2,
-    OP_BUF,
-    OP_CONST0,
-    OP_CONST1,
-    OP_MUX,
-    OP_NAND,
-    OP_NAND2,
-    OP_NOR,
-    OP_NOR2,
-    OP_NOT,
-    OP_OR,
-    OP_OR2,
-    OP_XNOR,
-    OP_XNOR2,
-    OP_XOR,
-    OP_XOR2,
-)
+from ..netlist.gates import CONTROLLING_VALUE, OPCODE_GATE_TYPES, GateType
 from ..faults.models import StuckAtFault
 from ..simulation.kernel import CompiledKernel, shared_kernel
-
-#: Opcode groups used by the 3-valued interpreter below.
-_AND_OPS = (OP_AND, OP_AND2)
-_NAND_OPS = (OP_NAND, OP_NAND2)
-_OR_OPS = (OP_OR, OP_OR2)
-_NOR_OPS = (OP_NOR, OP_NOR2)
-_XOR_OPS = (OP_XOR, OP_XOR2)
-_XNOR_OPS = (OP_XNOR, OP_XNOR2)
 
 #: Opcode -> controlling input value (AND/NAND: 0, OR/NOR: 1), as in
 #: :data:`repro.netlist.gates.CONTROLLING_VALUE` but keyed by opcode.
 OP_CONTROLLING_VALUE: dict[int, int] = {
-    OP_AND: 0,
-    OP_AND2: 0,
-    OP_NAND: 0,
-    OP_NAND2: 0,
-    OP_OR: 1,
-    OP_OR2: 1,
-    OP_NOR: 1,
-    OP_NOR2: 1,
+    op: CONTROLLING_VALUE[gate_type]
+    for op, gate_type in OPCODE_GATE_TYPES.items()
+    if gate_type in CONTROLLING_VALUE
 }
 
 #: Opcodes that complement the value on the way through (backtrace parity).
 INVERTING_OPS = frozenset(
-    (OP_NOT, OP_NAND, OP_NAND2, OP_NOR, OP_NOR2, OP_XNOR, OP_XNOR2)
+    op for op, gate_type in OPCODE_GATE_TYPES.items() if gate_type.is_inverting
 )
 
 
-def eval3_op(op: int, inputs: Sequence[Optional[int]]) -> Optional[int]:
-    """Scalar three-valued gate evaluation by opcode (``None`` = X).
+def _mux3(v: list) -> Optional[int]:
+    sel, a, b = v
+    if sel == 0:
+        return a
+    if sel == 1:
+        return b
+    return a if a is not None and a == b else None
 
-    Semantically identical to :func:`repro.atpg.implication._eval3`, but
-    dispatching on the compiled kernel's small-integer opcodes instead of
-    :class:`~repro.netlist.gates.GateType` members.
-    """
-    if op in _AND_OPS or op in _NAND_OPS:
-        if any(v == 0 for v in inputs):
-            out: Optional[int] = 0
-        elif all(v == 1 for v in inputs):
-            out = 1
-        else:
-            out = None
-        if op in _NAND_OPS and out is not None:
-            out = 1 - out
-        return out
-    if op in _OR_OPS or op in _NOR_OPS:
-        if any(v == 1 for v in inputs):
-            out = 1
-        elif all(v == 0 for v in inputs):
-            out = 0
-        else:
-            out = None
-        if op in _NOR_OPS and out is not None:
-            out = 1 - out
-        return out
-    if op in _XOR_OPS or op in _XNOR_OPS:
-        parity = 0
-        for v in inputs:
-            if v is None:
-                return None
-            parity ^= v
-        return parity if op in _XOR_OPS else 1 - parity
-    if op == OP_NOT:
-        return None if inputs[0] is None else 1 - inputs[0]
-    if op == OP_BUF:
-        return inputs[0]
-    if op == OP_MUX:
-        sel, a, b = inputs
-        if sel == 0:
-            return a
-        if sel == 1:
-            return b
-        if a is not None and a == b:
-            return a
-        return None
-    if op == OP_CONST0:
-        return 0
-    return 1  # OP_CONST1
+
+#: Gate type -> scalar three-valued evaluator over the gate's input values
+#: (``None`` = X), semantically identical to
+#: :func:`repro.atpg.implication._eval3`.
+_EVAL3_BY_TYPE = {
+    GateType.AND: lambda v: 0 if 0 in v else None if None in v else 1,
+    GateType.NAND: lambda v: 1 if 0 in v else None if None in v else 0,
+    GateType.OR: lambda v: 1 if 1 in v else None if None in v else 0,
+    GateType.NOR: lambda v: 0 if 1 in v else None if None in v else 1,
+    GateType.XOR: lambda v: None if None in v else sum(v) & 1,
+    GateType.XNOR: lambda v: None if None in v else 1 - (sum(v) & 1),
+    GateType.NOT: lambda v: None if v[0] is None else 1 - v[0],
+    GateType.BUF: lambda v: v[0],
+    GateType.MUX: _mux3,
+    GateType.CONST0: lambda v: 0,
+    GateType.CONST1: lambda v: 1,
+}
+#: The evaluators indexed by opcode (opcodes are dense small integers; the
+#: 2-input specialisations share their gate type's evaluator).
+_EVAL3 = tuple(
+    _EVAL3_BY_TYPE[OPCODE_GATE_TYPES[op]] for op in range(len(OPCODE_GATE_TYPES))
+)
 
 
 # --------------------------------------------------------------------------- #
@@ -152,6 +106,9 @@ class AtpgAdjacency:
         a net means reaching a pseudo primary output in the scan view.
     stimulus:
         Per net ID, 1 for stimulus nets (primary inputs and flop outputs).
+    observe_ids:
+        IDs of the circuit's default observation nets
+        (``Circuit.observation_nets()``).
     """
 
     def __init__(self, kernel: CompiledKernel) -> None:
@@ -175,6 +132,7 @@ class AtpgAdjacency:
         self.stimulus = bytearray(kernel.num_nets)
         for sid in kernel.stimulus_ids:
             self.stimulus[sid] = 1
+        self.observe_ids = tuple(net_id[name] for name in circuit.observation_nets())
 
 
 def atpg_adjacency(kernel: CompiledKernel) -> AtpgAdjacency:
@@ -207,17 +165,37 @@ def scoap_guidance(kernel: CompiledKernel) -> tuple[tuple[int, ...], tuple[int, 
     return cached
 
 
+def all_x_state(kernel: CompiledKernel) -> tuple[Optional[int], ...]:
+    """Fault-free three-valued net values with every stimulus net at X.
+
+    Every :class:`CompiledFaultedEvaluator` starts from this state: only
+    constants and what they alone decide are known.  It does not depend on
+    the fault, so it is computed once per kernel (one forward pass) and
+    cached via ``analysis_cache``; each evaluator copies it into its own
+    good and faulty lists and injects its fault with one event-driven pass.
+    """
+    cached = kernel.analysis_cache.get("atpg_all_x_state")
+    if cached is None:
+        values: list[Optional[int]] = [None] * kernel.num_nets
+        for op, out, ins in zip(kernel.ops, kernel.outs, kernel.operands):
+            values[out] = _EVAL3[op]([values[i] for i in ins])
+        cached = tuple(values)
+        kernel.analysis_cache["atpg_all_x_state"] = cached
+    return cached
+
+
 # --------------------------------------------------------------------------- #
 # The compiled composite evaluator
 # --------------------------------------------------------------------------- #
 class CompiledFaultedEvaluator:
-    """Incremental good/faulty implication for one stuck-at fault, in ID space.
+    """Event-driven good/faulty implication for one stuck-at fault, in ID space.
 
     The engine holds one persistent pair of value arrays.  ``assign`` /
-    ``retract`` update a stimulus net and re-evaluate only its fanout cone;
-    every query then reads the flat arrays directly.  All net identities are
-    kernel IDs; :class:`~repro.atpg.podem.PodemAtpg` translates back to
-    names only when it packages the final test cube.
+    ``retract`` update a stimulus net and re-evaluate only the gates its
+    change reaches (see :meth:`_propagate`); every query then reads the flat
+    arrays directly.  All net identities are kernel IDs;
+    :class:`~repro.atpg.podem.PodemAtpg` translates back to names only when
+    it packages the final test cube.
     """
 
     def __init__(
@@ -234,12 +212,11 @@ class CompiledFaultedEvaluator:
         self.adjacency = atpg_adjacency(kern)
         net_id = kern.net_id
 
-        observe = (
-            list(observe_nets)
-            if observe_nets is not None
-            else circuit.observation_nets()
+        self.observe_ids: tuple[int, ...] = (
+            self.adjacency.observe_ids
+            if observe_nets is None
+            else tuple(net_id[name] for name in observe_nets)
         )
-        self.observe_ids: tuple[int, ...] = tuple(net_id[name] for name in observe)
         self._observe_mask = bytearray(kern.num_nets)
         for oid in self.observe_ids:
             self._observe_mask[oid] = 1
@@ -264,70 +241,83 @@ class CompiledFaultedEvaluator:
         #: Net whose good value decides activation (= ``fault.faulted_net``).
         self.site_net_id: int = net_id[fault.faulted_net(circuit)]
 
-        # Frontier scan schedule: the fault site's cone (plus, for a
+        # The fault's region: the fault site's cone (plus, for a
         # combinational branch fault, the owning gate itself, which precedes
         # its cone in topological order).  Discrepancies cannot exist
-        # anywhere else, so this is the only region worth scanning.
-        if self._flop_pseudo:
-            cone_ops: tuple = ()
-            cone_outs: tuple = ()
-            cone_operands: tuple = ()
-        else:
-            origin = (
-                self._stem_site if self._stem_site is not None else self._branch_owner
-            )
-            plan = kern.cone_plan(origin)
-            cone_ops, cone_outs, cone_operands = plan.ops, plan.outs, plan.operands
-            if self._branch_owner is not None:
-                pos = kern.sched_pos[self._branch_owner]
-                cone_ops = (kern.ops[pos],) + cone_ops
-                cone_outs = (kern.outs[pos],) + cone_outs
-                cone_operands = (kern.operands[pos],) + cone_operands
-        self._frontier_schedule = tuple(zip(cone_ops, cone_outs, cone_operands))
+        # anywhere else, so the D-frontier scan walks only this region and
+        # implication evaluates the faulty circuit only inside it.
+        cone_outs: tuple[int, ...] = ()
+        if self._stem_site is not None:
+            cone_outs = kern.cone_plan(self._stem_site).outs
+        elif self._branch_owner is not None:
+            cone_outs = (self._branch_owner,) + kern.cone_plan(self._branch_owner).outs
+        self._frontier_schedule = tuple(
+            (out, kern.operands[kern.sched_pos[out]]) for out in cone_outs
+        )
+        self._in_cone = bytearray(kern.num_nets)
+        for out in cone_outs:
+            self._in_cone[out] = 1
 
-        self.good: list[Optional[int]] = [None] * kern.num_nets
-        self.faulty: list[Optional[int]] = [None] * kern.num_nets
-        self._imply_full()
+        base = all_x_state(kern)
+        self.good: list[Optional[int]] = list(base)
+        self.faulty: list[Optional[int]] = list(base)
+        if self._stem_site is not None:
+            self.faulty[self._stem_site] = fault.value
+            self._propagate(self.adjacency.comb_readers[self._stem_site])
+        elif self._branch_owner is not None:
+            self._propagate((self._branch_owner,))
 
     # ------------------------------------------------------------------ #
     # Implication
     # ------------------------------------------------------------------ #
-    def _eval_gate(self, op: int, out: int, ins: tuple[int, ...]) -> None:
-        """Re-evaluate one gate's good and faulty values in place."""
+    def _propagate(self, seeds: Sequence[int]) -> None:
+        """Event-driven re-implication starting at the gates ``seeds``.
+
+        ``seeds`` are gate output IDs.  Net IDs are topological positions,
+        so popping the smallest pending ID evaluates each gate once, after
+        every input that changed; a gate's readers are queued only when its
+        good or faulty value actually changed.  On a feed-forward netlist
+        this reaches the same fixpoint as re-evaluating the whole cone.
+        """
         good = self.good
         faulty = self.faulty
-        good_out = eval3_op(op, [good[i] for i in ins])
-        if out == self._stem_site:
-            faulty_out: Optional[int] = self.fault.value
-        elif out == self._branch_owner:
-            pin = self._branch_pin
-            faulty_ins = [
-                self.fault.value if index == pin else faulty[i]
-                for index, i in enumerate(ins)
-            ]
-            faulty_out = eval3_op(op, faulty_ins)
-        else:
-            faulty_out = eval3_op(op, [faulty[i] for i in ins])
-        good[out] = good_out
-        faulty[out] = faulty_out
-
-    def _imply_full(self) -> None:
-        """One full forward pass (engine construction / bulk reset)."""
+        kern = self.kernel
+        sched_pos = kern.sched_pos
+        ops = kern.ops
+        operands = kern.operands
+        readers = self.adjacency.comb_readers
+        evaluators = _EVAL3
         stem = self._stem_site
+        owner = self._branch_owner
+        pin = self._branch_pin
         fault_value = self.fault.value
-        for sid in self.kernel.stimulus_ids:
-            self.good[sid] = None
-            self.faulty[sid] = fault_value if sid == stem else None
-        for op, out, ins in zip(
-            self.kernel.ops, self.kernel.outs, self.kernel.operands
-        ):
-            self._eval_gate(op, out, ins)
-
-    def _propagate(self, changed_id: int) -> None:
-        """Re-evaluate the fanout cone of one changed stimulus net."""
-        plan = self.kernel.cone_plan(changed_id)
-        for op, out, ins in zip(plan.ops, plan.outs, plan.operands):
-            self._eval_gate(op, out, ins)
+        in_cone = self._in_cone
+        heap = list(seeds)
+        heapify(heap)
+        last = -1
+        while heap:
+            out = heappop(heap)
+            if out == last:  # a gate queued by several changed inputs
+                continue
+            last = out
+            pos = sched_pos[out]
+            ins = operands[pos]
+            evaluate = evaluators[ops[pos]]
+            good_out = evaluate([good[i] for i in ins])
+            if out == stem:
+                faulty_out = fault_value
+            elif in_cone[out]:
+                faulty_ins = [faulty[i] for i in ins]
+                if out == owner:
+                    faulty_ins[pin] = fault_value
+                faulty_out = evaluate(faulty_ins)
+            else:
+                faulty_out = good_out
+            if good_out != good[out] or faulty_out != faulty[out]:
+                good[out] = good_out
+                faulty[out] = faulty_out
+                for reader in readers[out]:
+                    heappush(heap, reader)
 
     def assign(self, net_id: int, value: int) -> None:
         """Set one stimulus net to 0/1 and incrementally re-implicate."""
@@ -335,7 +325,7 @@ class CompiledFaultedEvaluator:
         self.faulty[net_id] = (
             self.fault.value if net_id == self._stem_site else value
         )
-        self._propagate(net_id)
+        self._propagate(self.adjacency.comb_readers[net_id])
 
     def retract(self, net_id: int) -> None:
         """Return one stimulus net to X and incrementally re-implicate."""
@@ -343,7 +333,7 @@ class CompiledFaultedEvaluator:
         self.faulty[net_id] = (
             self.fault.value if net_id == self._stem_site else None
         )
-        self._propagate(net_id)
+        self._propagate(self.adjacency.comb_readers[net_id])
 
     # ------------------------------------------------------------------ #
     # PODEM queries
@@ -377,7 +367,7 @@ class CompiledFaultedEvaluator:
         faulty = self.faulty
         frontier: list[int] = []
         branch_owner = self._branch_owner
-        for op, out, ins in self._frontier_schedule:
+        for out, ins in self._frontier_schedule:
             if good[out] is not None and faulty[out] is not None:
                 continue
             advanced = False

@@ -13,7 +13,7 @@ on every decision:
 
 This is the *reference* engine: it re-implies the whole netlist through
 name-keyed dicts on every decision, and is preserved as the bit-exactness
-oracle and benchmark baseline of the kernel-indexed incremental engine in
+oracle and benchmark baseline of the kernel-indexed event-driven engine in
 :mod:`repro.atpg.compiled` (the default since the compiled ATPG refactor).
 """
 

@@ -19,9 +19,10 @@ The search is bounded by a backtrack limit; exceeding it marks the fault
 
 Two implication engines execute the same search:
 
-* ``engine="compiled"`` (the default) runs on the kernel-indexed incremental
-  engine of :mod:`repro.atpg.compiled` -- flat ID arrays, cone-local
-  re-implication, interned frontier/X-path checks.  Its decisions (and hence
+* ``engine="compiled"`` (the default) runs on the kernel-indexed
+  event-driven engine of :mod:`repro.atpg.compiled` -- flat ID arrays,
+  re-implication of only the gates whose inputs changed, interned
+  frontier/X-path checks.  Its decisions (and hence
   its cubes, backtrack counts and outcomes) are identical to the reference
   engine's by construction and by differential test.
 * ``engine="reference"`` runs on the original name-keyed
@@ -37,7 +38,7 @@ guidance tables are precomputed once per compiled kernel
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..faults.models import StuckAtFault
@@ -131,7 +132,6 @@ class PodemAtpg:
     engine: str = COMPILED_ENGINE
     #: Backtrace heuristic: "first_x" (oracle-identical) or "scoap" (guided).
     backtrace: str = BACKTRACE_FIRST_X
-    _objective_cache: dict = field(default_factory=dict, repr=False)
 
     def generate(self, fault: StuckAtFault) -> AtpgResult:
         """Attempt to generate a test cube for ``fault``."""
@@ -166,14 +166,15 @@ class PodemAtpg:
                 )
                 return AtpgResult(AtpgOutcome.SUCCESS, cube, backtracks, decisions)
 
-            objective = self._objective_ids(evaluator, fault)
+            # One activation / frontier evaluation per decision, shared by
+            # the objective and the dead-end checks.  (An unactivated fault
+            # yields no objective; is_test() is False past the check above.)
+            activated = evaluator.fault_activated()
+            frontier = evaluator.d_frontier() if activated is not False else []
+            objective = self._objective_ids(evaluator, fault, activated, frontier)
             dead_end = objective is None
             if not dead_end:
-                frontier = evaluator.d_frontier()
-                activated = evaluator.fault_activated()
-                if activated is False:
-                    dead_end = True
-                elif activated is True and not frontier and not evaluator.is_test():
+                if activated is True and not frontier:
                     # Fault activated but the discrepancy vanished entirely.
                     dead_end = True
                 elif frontier and not evaluator.x_path_exists(frontier):
@@ -211,17 +212,21 @@ class PodemAtpg:
                 return AtpgResult(AtpgOutcome.UNTESTABLE, None, backtracks, decisions)
 
     def _objective_ids(
-        self, evaluator: CompiledFaultedEvaluator, fault: StuckAtFault
+        self,
+        evaluator: CompiledFaultedEvaluator,
+        fault: StuckAtFault,
+        activated: Optional[bool],
+        frontier: list[int],
     ) -> Optional[tuple[int, int]]:
-        """Classical PODEM objective in ID space (mirrors the reference)."""
-        activated = evaluator.fault_activated()
+        """Classical PODEM objective in ID space (mirrors the reference).
+
+        ``activated`` and ``frontier`` are the evaluator's current
+        ``fault_activated()`` and ``d_frontier()``.
+        """
         if activated is None:
             # Drive the fault site to the complement of the stuck value.
             return evaluator.site_net_id, 1 - fault.value
-        if activated is False:
-            return None
-        frontier = evaluator.d_frontier()
-        if not frontier:
+        if activated is False or not frontier:
             return None
         # Advance the frontier gate closest to an observation net (deepest
         # level; ties resolve to the first in schedule order, exactly as the

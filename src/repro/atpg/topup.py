@@ -10,7 +10,7 @@ dropping) so that one deterministic pattern usually retires many faults.
 Two execution paths produce bit-identical results:
 
 * ``engine="compiled"`` (the default) runs PODEM on the kernel-indexed
-  incremental implication engine and **block-batches the candidate
+  event-driven implication engine and **block-batches the candidate
   screening**: generated patterns are buffered, incrementally packed into
   ``block_size``-wide words, and retired against the remaining fault
   population with *one* PPSFP scan per block (either simulation backend)

@@ -175,7 +175,7 @@ class LogicBistConfig:
     topup_compaction: bool = True
     #: Seed for top-up random fill.
     topup_seed: int = 2005
-    #: ATPG implication engine: ``"compiled"`` (kernel-indexed incremental
+    #: ATPG implication engine: ``"compiled"`` (kernel-indexed event-driven
     #: implication + block-batched candidate screening, the default) or
     #: ``"reference"`` (the name-keyed oracle walk, preserved for
     #: differential testing and benchmarking).  Both produce bit-identical

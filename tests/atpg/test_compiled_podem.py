@@ -27,8 +27,17 @@ from repro.atpg import (
     PodemAtpg,
     scoap_guidance,
 )
-from repro.faults import OUTPUT_PIN, FaultSimulator, StuckAtFault, collapse_stuck_at
-from repro.netlist import CircuitBuilder, parse_bench_text
+from repro.atpg import compiled
+from repro.atpg.compiled import all_x_state
+from repro.faults import (
+    OUTPUT_PIN,
+    FaultSimulator,
+    StuckAtFault,
+    collapse_stuck_at,
+    enumerate_stuck_at_faults,
+)
+from repro.netlist import CircuitBuilder, GateType, parse_bench_text
+from repro.netlist.gates import OPCODE_GATE_TYPES
 from repro.simulation.kernel import shared_kernel
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
@@ -80,6 +89,39 @@ def flop_branch_circuit():
     ff = builder.flop(shared, name="ff")
     y = builder.or_(ff, shared, name="y")
     builder.output(y)
+    return builder.build()
+
+
+def mixed_gate_circuit():
+    """MUX, XOR/XNOR and constant gates, with fanout branches into each."""
+    builder = CircuitBuilder(name="mixed")
+    a, s, c, d = (builder.input(name) for name in "ascd")
+    one = builder.const(1, name="one")
+    zero = builder.const(0, name="zero")
+    x = builder.xor(a, c, name="x")
+    m = builder.mux(s, x, d, name="m")
+    k = builder.and_(one, a, name="k")
+    z = builder.or_(zero, m, name="z")
+    xn = builder.xnor(x, s, d, name="xn")
+    mk = builder.mux(zero, k, s, name="mk")
+    ff = builder.flop(xn, name="ff")
+    y = builder.nand(ff, z, mk, name="y")
+    for net in (y, x, k):
+        builder.output(net)
+    return builder.build()
+
+
+def masked_cone_circuit():
+    """Input ``x`` read only by an AND (side input ``c``) and a NOR (side
+    input ``d``), each followed by a deep NOT/BUF/XOR/OR cone."""
+    builder = CircuitBuilder(name="masked")
+    x, c, d, y = (builder.input(name) for name in "xcdy")
+    net_a = builder.and_(x, c, name="ma")
+    net_b = builder.nor(x, d, name="mb")
+    for depth in range(4):
+        net_a = builder.buf(builder.not_(net_a), name=f"ba{depth}")
+        net_b = builder.buf(builder.not_(net_b), name=f"bb{depth}")
+    builder.output(builder.or_(builder.xor(net_a, net_b, name="xo"), y, name="o"))
     return builder.build()
 
 
@@ -137,6 +179,24 @@ class TestEvaluatorEquivalence:
         # The pseudo net appears in the diagnostic view, like the reference.
         compiled = CompiledFaultedEvaluator(circuit, fault)
         assert "ff.D" in compiled.values_by_name()
+
+    def test_mux_xor_constant_gates_every_fault(self):
+        circuit = mixed_gate_circuit()
+        faults = enumerate_stuck_at_faults(circuit)
+        assert any(not fault.is_stem for fault in faults)
+        for index, fault in enumerate(faults):
+            assert_engines_agree(circuit, fault, seed=index)
+
+    def test_combinational_branch_faults(self):
+        circuit = hard_core()
+        branch_faults = [
+            fault
+            for fault in enumerate_stuck_at_faults(circuit)
+            if not fault.is_stem and not circuit.gate(fault.gate).is_flop
+        ]
+        rng = random.Random(11)
+        for index, fault in enumerate(rng.sample(branch_faults, 25)):
+            assert_engines_agree(circuit, fault, seed=index)
 
     def test_custom_observe_nets(self):
         circuit = c17()
@@ -209,3 +269,87 @@ class TestAnalysisCache:
         second = CompiledFaultedEvaluator(circuit, fault_b)
         assert first.kernel is second.kernel
         assert first.adjacency is second.adjacency
+
+    def test_all_x_state_shared_between_evaluators(self):
+        circuit = mixed_gate_circuit()
+        first = CompiledFaultedEvaluator(circuit, StuckAtFault("x", OUTPUT_PIN, 0))
+        kernel = first.kernel
+        cached = kernel.analysis_cache["atpg_all_x_state"]
+        snapshot = list(cached)
+        # Constants (and what they alone decide) are known; the rest is X.
+        net_id = kernel.net_id
+        assert cached[net_id["one"]] == 1 and cached[net_id["zero"]] == 0
+        assert cached[net_id["k"]] is None and cached[net_id["x"]] is None
+        second = CompiledFaultedEvaluator(circuit, StuckAtFault("mk", 0, 1))
+        assert second.kernel is kernel
+        assert all_x_state(kernel) is cached
+        assert kernel.analysis_cache["atpg_all_x_state"] is cached
+        for evaluator in (first, second):
+            assert evaluator.good is not cached and evaluator.faulty is not cached
+            for name in ("a", "s", "c", "d", "ff"):
+                evaluator.assign(net_id[name], 1)
+            assert evaluator.good != snapshot
+        # The evaluators worked on copies: the shared state is untouched.
+        assert list(cached) == snapshot
+        assert kernel.analysis_cache["atpg_all_x_state"] is cached
+
+
+def count_evaluations(monkeypatch):
+    """Wrap the per-opcode evaluators; returns the live opcode -> calls map."""
+    calls = {}
+
+    def counting(op, evaluate):
+        def wrapper(values):
+            calls[op] = calls.get(op, 0) + 1
+            return evaluate(values)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        compiled,
+        "_EVAL3",
+        tuple(counting(op, evaluate) for op, evaluate in enumerate(compiled._EVAL3)),
+    )
+    return calls
+
+
+class TestEventDrivenImplication:
+    def evaluated_types(self, calls):
+        return {OPCODE_GATE_TYPES[op] for op in calls}
+
+    def test_masked_assignment_evaluates_only_direct_readers(self, monkeypatch):
+        circuit = masked_cone_circuit()
+        fault = StuckAtFault("y", OUTPUT_PIN, 0)
+        evaluator = CompiledFaultedEvaluator(circuit, fault)
+        net_id = evaluator.kernel.net_id
+        cone_gates = len(evaluator.kernel.cone_plan(net_id["x"]).outs)
+        evaluator.assign(net_id["c"], 0)
+        evaluator.assign(net_id["d"], 1)
+        calls = count_evaluations(monkeypatch)
+        evaluator.assign(net_id["x"], 1)
+        # Both readers of x are held by their controlling side inputs: each
+        # is evaluated once (good only -- neither is in the fault's cone)
+        # and nothing downstream of them is.
+        assert self.evaluated_types(calls) == {GateType.AND, GateType.NOR}
+        assert sum(calls.values()) == 2
+        assert cone_gates > 2
+        reference = FaultedEvaluator(circuit, fault)
+        assignment = {"c": 0, "d": 1, "x": 1}
+        assert reference.implied_values(assignment) == evaluator.values_by_name()
+
+    def test_unmasked_assignment_reaches_the_cone(self, monkeypatch):
+        circuit = masked_cone_circuit()
+        evaluator = CompiledFaultedEvaluator(circuit, StuckAtFault("y", OUTPUT_PIN, 0))
+        net_id = evaluator.kernel.net_id
+        evaluator.assign(net_id["c"], 1)
+        evaluator.assign(net_id["d"], 0)
+        calls = count_evaluations(monkeypatch)
+        evaluator.assign(net_id["x"], 1)
+        assert self.evaluated_types(calls) == {
+            GateType.AND,
+            GateType.NOR,
+            GateType.NOT,
+            GateType.BUF,
+            GateType.XOR,
+            GateType.OR,
+        }
