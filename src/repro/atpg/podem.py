@@ -22,9 +22,9 @@ Two implication engines execute the same search:
 * ``engine="compiled"`` (the default) runs on the kernel-indexed
   event-driven engine of :mod:`repro.atpg.compiled` -- flat ID arrays,
   re-implication of only the gates whose inputs changed, interned
-  frontier/X-path checks.  Its decisions (and hence
-  its cubes, backtrack counts and outcomes) are identical to the reference
-  engine's by construction and by differential test.
+  frontier/X-path checks.  Its decisions (and hence its cubes, backtrack
+  counts and outcomes) are identical to the reference engine's by
+  construction and by differential test.
 * ``engine="reference"`` runs on the original name-keyed
   :class:`~repro.atpg.implication.FaultedEvaluator`, preserved as the
   bit-exactness oracle and benchmark baseline.

@@ -101,12 +101,13 @@ def mixed_gate_circuit():
     x = builder.xor(a, c, name="x")
     m = builder.mux(s, x, d, name="m")
     k = builder.and_(one, a, name="k")
+    kz = builder.and_(zero, c, name="kz")
     z = builder.or_(zero, m, name="z")
     xn = builder.xnor(x, s, d, name="xn")
     mk = builder.mux(zero, k, s, name="mk")
     ff = builder.flop(xn, name="ff")
     y = builder.nand(ff, z, mk, name="y")
-    for net in (y, x, k):
+    for net in (y, x, k, kz):
         builder.output(net)
     return builder.build()
 
@@ -278,7 +279,7 @@ class TestAnalysisCache:
         snapshot = list(cached)
         # Constants (and what they alone decide) are known; the rest is X.
         net_id = kernel.net_id
-        assert cached[net_id["one"]] == 1 and cached[net_id["zero"]] == 0
+        assert cached[net_id["one"]] == 1 and cached[net_id["kz"]] == 0
         assert cached[net_id["k"]] is None and cached[net_id["x"]] is None
         second = CompiledFaultedEvaluator(circuit, StuckAtFault("mk", 0, 1))
         assert second.kernel is kernel
