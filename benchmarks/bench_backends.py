@@ -19,6 +19,13 @@ block sizes {64, 256, 1024, 4096} for both execution backends:
   ``StumpsArchitecture.generate_packed_blocks`` drained for the same
   pattern budget (the PRPG/phase-shifter emulation feeding the random
   phase).
+* **transition preparation** -- the launch/capture pair blocks of a
+  ``GEN_PATTERNS``-pattern at-speed measurement at block 1024 under Core
+  Y's staggered capture order, built two ways: the per-pattern dict path
+  (``generate_patterns`` -> ``derive_capture_patterns`` ->
+  ``build_pair_blocks``) and the packed path the pipeline's transition
+  preparation runs (``generate_packed_blocks`` on the numpy backend ->
+  ``derive_pair_blocks``).  The two are asserted dict-equal.
 
 Every fault-sim run's final coverage is asserted identical across backends
 and block sizes, so the benchmark doubles as an equivalence check at full
@@ -46,7 +53,12 @@ Recorded in ``benchmarks/BENCH_backends.json``:
   best block size,
 * ``speedup_fault_sim_best_vs_best`` -- each backend at its own best width,
 * ``speedup_pattern_gen`` -- streamed generation at its best block size
-  (acceptance bar: >= 2x).
+  (acceptance bar: >= 2x); the best of four medians, so biased high and
+  recorded only,
+* ``speedup_pattern_gen_1024`` -- streamed generation at the fixed block
+  1024, the median of back-to-back python/numpy ratios (gated),
+* ``speedup_transition_prep`` -- the dict path's time over the packed
+  path's, the median of back-to-back ratios (gated).
 
 ``speedup_fault_sim`` and ``speedup_fault_sim_best_vs_best`` divide times
 taken in different rounds, minutes apart; ``scripts/verify.sh perf`` gates
@@ -70,10 +82,15 @@ import time
 import pytest
 
 from repro.bist import StumpsArchitecture
+from repro.campaign.runner import build_pair_blocks
+from repro.core import LogicBistConfig
+from repro.core.flow import build_clock_tree
 from repro.cores import core_y_recipe
-from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults import FaultSimulator, collapse_stuck_at, derive_capture_patterns
+from repro.faults.transition_sim import derive_pair_blocks
 from repro.scan import build_scan_chains
 from repro.simulation import HAVE_NUMPY, iter_blocks
+from repro.timing.double_capture import CaptureWindowScheduler
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 
@@ -109,17 +126,20 @@ def _build_workload(count: int):
     return recipe, circuit, patterns
 
 
-def _best_of(run, repeats: int) -> tuple[dict[str, float], float]:
-    """Best ``run(backend)`` time per backend over ``repeats`` rounds, and
-    the median of the rounds' python/numpy ratios.  The backends alternate
+def _best_of(
+    run, repeats: int, variants: tuple[str, str] = ("python", "numpy")
+) -> tuple[dict[str, float], float]:
+    """Best ``run(variant)`` time per variant over ``repeats`` rounds, and
+    the median of the rounds' first/second ratios.  The variants alternate
     within a round, so each ratio compares runs made back to back and host
     speed drift cancels out of it."""
-    seconds: dict[str, list[float]] = {"python": [], "numpy": []}
+    seconds: dict[str, list[float]] = {variant: [] for variant in variants}
     for _ in range(repeats):
-        for backend, times in seconds.items():
-            times.append(run(backend))
-    ratios = [py / np_ for py, np_ in zip(seconds["python"], seconds["numpy"])]
-    return {b: min(times) for b, times in seconds.items()}, statistics.median(ratios)
+        for variant, times in seconds.items():
+            times.append(run(variant))
+    first, second = (seconds[variant] for variant in variants)
+    ratios = [a / b for a, b in zip(first, second)]
+    return {v: min(times) for v, times in seconds.items()}, statistics.median(ratios)
 
 
 def _fault_sim(make_circuit, patterns, block_size, coverages: set):
@@ -152,6 +172,32 @@ def _pattern_generation(architecture, block_size):
         ):
             pass
         return time.perf_counter() - start
+
+    return run
+
+
+def _transition_prep(circuit, architecture, pulse_order, results: list):
+    """One timed build of the transition pair blocks per call, by the dict
+    path or the packed path; the blocks go into ``results``."""
+
+    def run(path: str) -> float:
+        stumps = StumpsArchitecture(architecture, seed=9)
+        start = time.perf_counter()
+        if path == "dict":
+            launch = stumps.generate_patterns(GEN_PATTERNS)
+            capture = derive_capture_patterns(circuit, launch, pulse_order)
+            pair_blocks = build_pair_blocks(circuit, launch, capture, 1024)
+        else:
+            pair_blocks = derive_pair_blocks(
+                circuit,
+                stumps.generate_packed_blocks(
+                    GEN_PATTERNS, block_size=1024, backend="numpy"
+                ),
+                pulse_order,
+            )
+        seconds = time.perf_counter() - start
+        results.append(pair_blocks)
+        return seconds
 
     return run
 
@@ -239,6 +285,26 @@ def run() -> dict:
     speedup_pattern_gen = next(
         row["speedup"] for row in gen_rows if row["block_size"] == gen_best_block
     )
+    gen_row_1024 = next(
+        (row for row in gen_rows if row["block_size"] == 1024), gen_rows[-1]
+    )
+
+    # Transition preparation under Core Y's staggered capture order.
+    schedule = CaptureWindowScheduler(
+        build_clock_tree(
+            circuit,
+            LogicBistConfig(clock_frequencies_mhz=recipe.clock_frequencies_mhz),
+        )
+    ).schedule()
+    prep_results: list = []
+    prep_best, speedup_transition_prep = _best_of(
+        _transition_prep(circuit, architecture, schedule.pulse_order, prep_results),
+        REPEATS,
+        variants=("dict", "packed"),
+    )
+    assert all(blocks == prep_results[0] for blocks in prep_results), (
+        "packed transition preparation disagreed with the dict path"
+    )
 
     payload = {
         "core": recipe.name,
@@ -264,6 +330,15 @@ def run() -> dict:
         "speedup_fault_sim_same_block": round(speedup_same_block, 2),
         "speedup_fault_sim_best_vs_best": round(speedup_best_vs_best, 2),
         "speedup_pattern_gen": round(speedup_pattern_gen, 2),
+        "speedup_pattern_gen_1024": gen_row_1024["speedup"],
+        "transition_prep": {
+            "patterns": GEN_PATTERNS,
+            "block_size": 1024,
+            "pulse_groups": len(schedule.pulse_order),
+            "dict_seconds": round(prep_best["dict"], 4),
+            "packed_seconds": round(prep_best["packed"], 4),
+        },
+        "speedup_transition_prep": round(speedup_transition_prep, 2),
         "speedup_fault_sim_1024": row_1024["speedup"],
         "cold_speedup_fault_sim_1024": row_1024["cold_speedup"],
         "bit_identical_coverage": True,
@@ -282,7 +357,10 @@ def run() -> dict:
             "trade-off is visible.  Best-of-N with warm per-process "
             "compilation caches on both backends -- the steady state of a "
             "campaign worker; the cold columns rebuild the circuit per run, "
-            "so compilation is timed too."
+            "so compilation is timed too.  speedup_pattern_gen is the best "
+            "of four block sizes' medians (biased high, recorded only); "
+            "speedup_pattern_gen_1024 and speedup_transition_prep are "
+            "medians of back-to-back ratios at block 1024."
         ),
     }
     path = write_bench_json("backends", payload)
@@ -298,7 +376,9 @@ def run() -> dict:
         f"(target >= {TARGET_PATTERN_GEN_SPEEDUP}x); block 1024: "
         f"{row_1024['speedup']:.2f}x warm (target >= "
         f"{TARGET_WARM_SPEEDUP_1024}x), {row_1024['cold_speedup']:.2f}x cold "
-        f"(target >= {TARGET_COLD_SPEEDUP_1024}x) -> {path.name}"
+        f"(target >= {TARGET_COLD_SPEEDUP_1024}x); pattern gen @1024: "
+        f"{gen_row_1024['speedup']:.2f}x; transition prep dict/packed: "
+        f"{speedup_transition_prep:.2f}x -> {path.name}"
     )
     return payload
 

@@ -58,7 +58,7 @@ from ..core.flow import (
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
 from ..faults.models import StuckAtFault, TransitionFault
-from ..faults.transition_sim import TransitionSimShardState, derive_capture_patterns
+from ..faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..simulation.packed import PatternBlock
@@ -76,7 +76,6 @@ from .runner import (
     ShardPayload,
     TransitionShardTask,
     _unique_key,
-    build_pair_blocks,
     plan_shard_tasks,
     run_shard_task,
 )
@@ -807,11 +806,16 @@ class TrimTransitionInputStage:
 
 @dataclass(frozen=True)
 class TransitionPrepStage:
-    """Phase 6 preparation: launch patterns + derived capture states.
+    """Phase 6 preparation: packed launch blocks + derived capture blocks.
 
-    Deriving the capture states (launch + capture pulses through the
-    compiled kernel) is the serial half of the transition measurement; as a
-    pooled stage it overlaps everything else in the campaign.
+    The launch blocks stream straight from the reset PRPG
+    (``generate_packed_blocks`` on the scenario's backend, pattern for
+    pattern what ``generate_patterns`` loads) and each capture block is
+    derived from its launch block in place
+    (:func:`~repro.faults.transition_sim.derive_pair_blocks`), so no
+    per-pattern dict is built.  This is the serial half of the transition
+    measurement; as a pooled stage it overlaps everything else in the
+    campaign.
     """
 
     config: LogicBistConfig
@@ -821,9 +825,14 @@ class TransitionPrepStage:
         circuit = inputs.circuit
         stumps = inputs.stumps
         stumps.reset()
-        launch = stumps.generate_patterns(config.transition_patterns)
-        capture = derive_capture_patterns(
-            circuit, launch, inputs.capture_schedule.pulse_order
+        pair_blocks = derive_pair_blocks(
+            circuit,
+            stumps.generate_packed_blocks(
+                config.transition_patterns,
+                block_size=config.block_size,
+                backend=config.sim_backend,
+            ),
+            inputs.capture_schedule.pulse_order,
         )
         fault_list = FaultList.transition(circuit)
         faults = tuple(
@@ -831,7 +840,6 @@ class TransitionPrepStage:
             for fault in fault_list.undetected()
             if isinstance(fault, TransitionFault)
         )
-        pair_blocks = build_pair_blocks(circuit, launch, capture, config.block_size)
         state = TransitionSimShardState(
             circuit=circuit,
             observe_nets=tuple(circuit.observation_nets()),

@@ -346,9 +346,11 @@ def build_pair_blocks(
 ) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
     """Pack aligned launch/capture lists into (offset, launch, capture) triples.
 
-    The one assembly path for transition-fault fan-out, shared by
-    :func:`run_sharded_transition_sim` and the pipeline's
-    :class:`~repro.campaign.pipeline.TransitionPrepStage`.
+    The assembly path of :func:`run_sharded_transition_sim`, whose callers
+    hand in pattern lists.  The pipeline's
+    :class:`~repro.campaign.pipeline.TransitionPrepStage` builds the same
+    triples from packed blocks with
+    :func:`~repro.faults.transition_sim.derive_pair_blocks`.
     """
     stimulus_nets = circuit.stimulus_nets()
     launch_blocks = iter_blocks(

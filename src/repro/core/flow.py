@@ -45,10 +45,12 @@ from ..bist.stumps import StumpsArchitecture, StumpsDomainConfig
 from ..faults.collapse import collapse_stuck_at
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulator
-from ..faults.transition_sim import derive_capture_patterns
+from ..faults.transition_sim import capture_group_updates, derive_capture_block
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..netlist.gates import GateType
+from ..simulation.kernel import shared_kernel
+from ..simulation.packed import iter_blocks, unpack_words
 from ..timing.clocks import ClockTreeModel, make_clock_tree
 from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
 from ..timing.skew_analysis import ShiftPathAnalyzer, ShiftPathParameters, ShiftPathReport
@@ -220,17 +222,27 @@ def derive_signature_responses(
     exactly how they contribute launch transitions for delay faults.  Shared
     by the flow's signature phase and the campaign's per-domain signature
     shards, so the two can never derive different response streams.
+
+    The patterns are packed once, both pulse passes run on the packed blocks
+    (:func:`~repro.faults.transition_sim.derive_capture_block`) and the flop
+    words are unpacked once.
     """
     if schedule is None:
         schedule = CaptureWindowScheduler(build_clock_tree(circuit, config)).schedule()
-    pulse_order = schedule.pulse_order
-    after_launch = derive_capture_patterns(circuit, patterns, pulse_order)
-    after_capture = derive_capture_patterns(circuit, after_launch, pulse_order)
-    flop_names = set(circuit.flop_names())
-    return [
-        {name: captured.get(name, 0) for name in flop_names}
-        for captured in after_capture
-    ]
+    kernel = shared_kernel(circuit)
+    group_updates = capture_group_updates(circuit, kernel, schedule.pulse_order)
+    flop_names = circuit.flop_names()
+    responses: list[dict[str, int]] = []
+    for block in iter_blocks(
+        patterns, block_size=config.block_size, nets=kernel.stimulus_names
+    ):
+        after_launch = derive_capture_block(kernel, block, group_updates)
+        after_capture = derive_capture_block(kernel, after_launch, group_updates)
+        words = after_capture.assignments
+        responses.extend(
+            unpack_words({name: words[name] for name in flop_names}, block.num_patterns)
+        )
+    return responses
 
 
 def credit_chain_flush(core: BistReadyCore, fault_list: FaultList) -> int:

@@ -25,10 +25,10 @@ name-keyed dict is built per block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit
-from ..simulation.comb_sim import PackedSimulator
+from ..simulation.kernel import CompiledKernel, shared_kernel
 from ..simulation.numpy_backend import (
     NUMPY_BACKEND,
     PYTHON_BACKEND,
@@ -43,6 +43,73 @@ from .fault_sim import FaultSimulator, check_strict_patterns
 from .models import TransitionFault
 
 
+#: Per pulse group: the (flop Q net ID, flop D net ID) pairs the pulse updates.
+GroupUpdates = list[list[tuple[int, int]]]
+
+
+def capture_group_updates(
+    circuit: Circuit,
+    kernel: CompiledKernel,
+    pulse_order: Optional[Sequence[Sequence[str]]] = None,
+    hold_cells: Optional[Sequence[str]] = None,
+) -> GroupUpdates:
+    """Resolve a capture pulse order to the flop updates of each pulse group.
+
+    ``pulse_order`` and ``hold_cells`` mean what they mean for
+    :func:`derive_capture_patterns`; the result is what
+    :func:`derive_capture_block` applies.
+    """
+    if pulse_order is None:
+        pulse_order = [circuit.clock_domains()]
+    held = set(hold_cells or ())
+    net_id = kernel.net_id
+    group_updates: GroupUpdates = []
+    for group in pulse_order:
+        group_set = set(group)
+        group_updates.append(
+            [
+                (net_id[flop.name], net_id[flop.inputs[0]])
+                for flop in circuit.flops()
+                if flop.clock_domain in group_set and flop.name not in held
+            ]
+        )
+    return group_updates
+
+
+def derive_capture_block(
+    kernel: CompiledKernel,
+    launch_block: PatternBlock,
+    group_updates: GroupUpdates,
+) -> PatternBlock:
+    """The packed capture-cycle stimulus of one packed launch block.
+
+    The single home of the pulse and hold semantics: the launch words are
+    loaded into a fresh kernel table, then each pulse group evaluates the
+    combinational logic and moves its flops' D values onto their Q nets, so
+    a later group sees the already-updated state of an earlier group.  The
+    returned block holds every stimulus net (same primary inputs, captured
+    flop outputs), in stimulus order.
+    """
+    num = launch_block.num_patterns
+    mask = mask_for(num)
+    table = kernel.make_table()
+    kernel.set_stimulus(table, launch_block.assignments, mask)
+    for updates in group_updates:
+        kernel.evaluate(table, mask)
+        # Snapshot the captured D values before applying them, so chained
+        # flops within one pulse group capture the pre-pulse state.
+        captured = [(q_id, table[d_id]) for q_id, d_id in updates]
+        for q_id, word in captured:
+            table[q_id] = word
+    return PatternBlock(
+        {
+            net: table[nid]
+            for net, nid in zip(kernel.stimulus_names, kernel.stimulus_ids)
+        },
+        num,
+    )
+
+
 def derive_capture_patterns(
     circuit: Circuit,
     launch_patterns: Sequence[Mapping[str, int]],
@@ -51,6 +118,9 @@ def derive_capture_patterns(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[dict[str, int]]:
     """Compute the capture-cycle stimulus for each launch pattern.
+
+    Packs the launch list, runs :func:`derive_capture_block` per block and
+    unpacks the result.
 
     Parameters
     ----------
@@ -64,9 +134,11 @@ def derive_capture_patterns(
         e.g. ``[["clk1"], ["clk2"]]`` for the staggered two-domain capture of
         Fig. 2.  ``None`` pulses every domain simultaneously.
     hold_cells:
-        Flops that keep their scan-loaded value through the capture window.
-        Input wrapper cells operate in hold mode during self-test (the pad
-        value is unknown/external), so the flow passes them here.
+        Flops that keep their scan-loaded value through the capture window,
+        e.g. wrapper cells modelled in hold mode.  The flow and the campaign
+        pass none: their input wrapper cells capture the statically driven
+        pad value at the launch pulse like every other flop, which is how
+        they contribute launch transitions.
 
     Returns
     -------
@@ -77,45 +149,44 @@ def derive_capture_patterns(
         later group sees the already-updated state of an earlier group (this
         is where cross-domain logic differs from the simultaneous case).
     """
-    kernel = PackedSimulator(circuit).kernel
-    if pulse_order is None:
-        pulse_order = [circuit.clock_domains()]
-    held = set(hold_cells or ())
-    net_id = kernel.net_id
-    # Per pulse group: (flop Q net ID, flop D net ID) pairs updated by the pulse.
-    group_updates: list[list[tuple[int, int]]] = []
-    for group in pulse_order:
-        group_set = set(group)
-        group_updates.append(
-            [
-                (net_id[flop.name], net_id[flop.inputs[0]])
-                for flop in circuit.flops()
-                if flop.clock_domain in group_set and flop.name not in held
-            ]
-        )
+    kernel = shared_kernel(circuit)
+    group_updates = capture_group_updates(circuit, kernel, pulse_order, hold_cells)
     results: list[dict[str, int]] = []
-    stimulus_nets = circuit.stimulus_nets()
-    stimulus_ids = [net_id[net] for net in stimulus_nets]
-    table = kernel.make_table()
-    for block in iter_blocks(launch_patterns, block_size=block_size, nets=stimulus_nets):
-        num = block.num_patterns
-        mask = mask_for(num)
-        kernel.set_stimulus(table, block.assignments, mask)
-        for updates in group_updates:
-            kernel.evaluate(table, mask)
-            # Snapshot the captured D values before applying them, so chained
-            # flops within one pulse group capture the pre-pulse state.
-            captured = [(q_id, table[d_id]) for q_id, d_id in updates]
-            for q_id, word in captured:
-                table[q_id] = word
-        for index in range(num):
-            results.append(
-                {
-                    net: (table[nid] >> index) & 1
-                    for net, nid in zip(stimulus_nets, stimulus_ids)
-                }
-            )
+    for block in iter_blocks(
+        launch_patterns, block_size=block_size, nets=kernel.stimulus_names
+    ):
+        results.extend(derive_capture_block(kernel, block, group_updates).patterns())
     return results
+
+
+def derive_pair_blocks(
+    circuit: Circuit,
+    launch_blocks: Iterable[PatternBlock],
+    pulse_order: Optional[Sequence[Sequence[str]]] = None,
+    hold_cells: Optional[Sequence[str]] = None,
+) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
+    """Packed launch blocks -> ``(offset, launch, capture)`` pair triples.
+
+    Equal to packing a launch list and its :func:`derive_capture_patterns`
+    result block by block, without building a per-pattern dict: each launch
+    block is restricted to the stimulus nets (missing nets read 0, as when a
+    pattern list is packed) and its capture block is derived in place.
+    """
+    kernel = shared_kernel(circuit)
+    group_updates = capture_group_updates(circuit, kernel, pulse_order, hold_cells)
+    pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
+    cursor = 0
+    for block in launch_blocks:
+        words = block.assignments
+        launch = PatternBlock(
+            {net: words.get(net, 0) for net in kernel.stimulus_names},
+            block.num_patterns,
+        )
+        pair_blocks.append(
+            (cursor, launch, derive_capture_block(kernel, launch, group_updates))
+        )
+        cursor += block.num_patterns
+    return tuple(pair_blocks)
 
 
 @dataclass(frozen=True)
