@@ -230,7 +230,7 @@ def derive_signature_responses(
     if schedule is None:
         schedule = CaptureWindowScheduler(build_clock_tree(circuit, config)).schedule()
     kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(circuit, kernel, schedule.pulse_order)
+    group_updates = capture_group_updates(kernel, schedule.pulse_order)
     flop_names = circuit.flop_names()
     responses: list[dict[str, int]] = []
     for block in iter_blocks(

@@ -48,7 +48,6 @@ GroupUpdates = list[list[tuple[int, int]]]
 
 
 def capture_group_updates(
-    circuit: Circuit,
     kernel: CompiledKernel,
     pulse_order: Optional[Sequence[Sequence[str]]] = None,
     hold_cells: Optional[Sequence[str]] = None,
@@ -59,6 +58,7 @@ def capture_group_updates(
     :func:`derive_capture_patterns`; the result is what
     :func:`derive_capture_block` applies.
     """
+    circuit = kernel.circuit
     if pulse_order is None:
         pulse_order = [circuit.clock_domains()]
     held = set(hold_cells or ())
@@ -150,7 +150,7 @@ def derive_capture_patterns(
         is where cross-domain logic differs from the simultaneous case).
     """
     kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(circuit, kernel, pulse_order, hold_cells)
+    group_updates = capture_group_updates(kernel, pulse_order, hold_cells)
     results: list[dict[str, int]] = []
     for block in iter_blocks(
         launch_patterns, block_size=block_size, nets=kernel.stimulus_names
@@ -173,7 +173,7 @@ def derive_pair_blocks(
     pattern list is packed) and its capture block is derived in place.
     """
     kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(circuit, kernel, pulse_order, hold_cells)
+    group_updates = capture_group_updates(kernel, pulse_order, hold_cells)
     pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
     cursor = 0
     for block in launch_blocks:
