@@ -40,8 +40,9 @@ import time
 from repro.campaign import (
     FaultShardTask,
     ShardPayload,
-    execute_tasks,
     plan_shard_tasks,
+    release_scenario_engines,
+    run_shard_task,
     run_sharded_fault_sim,
     with_offsets,
 )
@@ -103,10 +104,11 @@ def _run_serial(circuit, blocks):
 def _run_sharded_sequential(circuit, blocks, num_shards):
     """Execute the shard plan one task at a time, timing each shard alone.
 
-    Each task runs under its own scenario key in a separate ``execute_tasks``
-    call, so every shard compiles its own engine -- exactly what a real pool
-    worker pays -- and its ``seconds`` is an honest single-CPU measurement
-    unpolluted by time-slicing against concurrent workers.
+    Each task runs alone through :func:`run_shard_task`, and its engine is
+    released after every repeat, so every shard compiles its own engine --
+    exactly what a real pool worker pays -- and its ``seconds`` is an honest
+    single-CPU measurement unpolluted by time-slicing against concurrent
+    workers.
     """
     fault_list = collapse_stuck_at(circuit).to_fault_list()
     faults = tuple(fault_list.undetected())
@@ -121,14 +123,12 @@ def _run_sharded_sequential(circuit, blocks, num_shards):
     start = time.perf_counter()
     shard_seconds = []
     for task in tasks:
-        # execute_tasks drops the cached engine after every call, so each
-        # repeat pays the full worker cost (kernel + cone-plan compilation).
-        per_repeat = [
-            execute_tasks(
-                [task], payloads={task.scenario_key: payload}, num_workers=1
-            )[0].seconds
-            for _ in range(REPEATS)
-        ]
+        per_repeat = []
+        for _ in range(REPEATS):
+            per_repeat.append(run_shard_task(task, payload).seconds)
+            # Drop the cached engine so each repeat pays the full worker
+            # cost (kernel + cone-plan compilation).
+            release_scenario_engines([task.scenario_key])
         shard_seconds.append(min(per_repeat))
     wall = time.perf_counter() - start
     return wall, shard_seconds

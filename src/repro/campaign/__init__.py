@@ -14,14 +14,17 @@ Public API:
   :class:`~repro.campaign.pipeline.TpiProfileStage`, ...) and the
   per-scenario graph builder
   :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
-* :mod:`repro.campaign.scheduler` -- the two executors of a stage graph:
+* :mod:`repro.campaign.scheduler` -- one completion loop that drains a
+  stage graph, run by two schedulers that differ only in their executor:
   the deterministic in-process
   :class:`~repro.campaign.scheduler.SerialScheduler` (the oracle; the
   serial :class:`~repro.core.flow.LogicBistFlow` walk) and the
-  :class:`~repro.campaign.scheduler.PooledScheduler` worker pool,
+  :class:`~repro.campaign.scheduler.PooledScheduler`, whose non-local
+  stages run on a resilient worker pool,
 * :func:`~repro.campaign.runner.run_sharded_fault_sim` /
   :func:`~repro.campaign.runner.run_sharded_transition_sim` -- sharded
-  drop-ins for the serial simulators (single-phase fan-out),
+  drop-ins for the serial simulators (single-phase fan-out): the
+  pipeline's own shard stages, drained by the same schedulers,
 * the shard planners in :mod:`repro.campaign.sharding` and the
   order-independent mergers in :mod:`repro.campaign.results`.
 
@@ -50,7 +53,6 @@ from .results import (
     CampaignResult,
     ScenarioResult,
     ShardOutcome,
-    SignatureOutcome,
     assemble_scenario_canonical,
     build_simulation_result,
     canonical_failure,
@@ -59,20 +61,18 @@ from .results import (
     sort_failures,
 )
 from .runner import (
-    CacheStats,
     CampaignRunner,
     CampaignScenario,
     EngineCache,
-    KeyedLruCache,
     FaultShardTask,
     ShardPayload,
-    SignatureShardTask,
     TransitionShardTask,
-    execute_tasks,
     plan_shard_tasks,
+    release_scenario_engines,
     run_shard_task,
     run_sharded_fault_sim,
     run_sharded_transition_sim,
+    unique_scenario_key,
     with_offsets,
 )
 from .scheduler import (
@@ -104,10 +104,9 @@ from .pipeline import (
     TpiProfileStage,
     TransitionOutcome,
     TransitionStage,
-    release_scenario_engines,
     scenario_stage_nodes,
-    unique_scenario_key,
 )
+from ..util.cache import KeyedLruCache
 from .sharding import (
     contiguous_shards,
     keyed_round_robin_shards,
@@ -130,23 +129,19 @@ __all__ = [
     "ScenarioResult",
     "SeededChaosPlan",
     "ShardOutcome",
-    "SignatureOutcome",
     "assemble_scenario_canonical",
     "build_simulation_result",
     "canonical_failure",
     "canonical_report_bytes",
     "merge_first_detections",
     "sort_failures",
-    "CacheStats",
     "CampaignRunner",
     "CampaignScenario",
     "EngineCache",
     "KeyedLruCache",
     "FaultShardTask",
     "ShardPayload",
-    "SignatureShardTask",
     "TransitionShardTask",
-    "execute_tasks",
     "plan_shard_tasks",
     "run_shard_task",
     "run_sharded_fault_sim",

@@ -75,7 +75,6 @@ from .runner import (
     FaultShardTask,
     ShardPayload,
     TransitionShardTask,
-    _unique_key,
     plan_shard_tasks,
     run_shard_task,
 )
@@ -97,27 +96,6 @@ PHASE_RANDOM = "random_patterns"
 PHASE_TOPUP = "topup_atpg"
 PHASE_AT_SPEED = "at_speed_analysis"
 PHASE_ORDER = (PHASE_SCAN, PHASE_TPI, PHASE_RANDOM, PHASE_TOPUP, PHASE_AT_SPEED)
-
-
-def unique_scenario_key(prefix: str) -> str:
-    """A campaign-unique scenario key (see ``runner._unique_key``)."""
-    return _unique_key(prefix)
-
-
-def release_scenario_engines(scenario_keys) -> None:
-    """Drop the per-process shard engines compiled under these scenario keys.
-
-    Scenario keys are invocation-unique, so once a graph execution finishes
-    its cached engines can never hit again -- callers that walk a graph with
-    the :class:`~repro.campaign.scheduler.SerialScheduler` (where the parent
-    process itself compiles the engines) should release them rather than
-    leave dead entries pinned in the LRU until eviction.  Harmless after a
-    pooled run (the workers held the engines and are gone with the pool).
-    """
-    from .runner import _ENGINE_CACHE
-
-    for scenario_key in scenario_keys:
-        _ENGINE_CACHE.discard_scenario(scenario_key)
 
 
 # --------------------------------------------------------------------- #
@@ -379,33 +357,16 @@ class FaultSimStage:
     pattern_shards: int = 1
 
     def run(self, bundle: ScenarioBundle) -> Expansion:
-        tasks = plan_shard_tasks(
+        shard_nodes = shard_stage_nodes(
             FaultShardTask,
             bundle.scenario_key,
-            bundle.core.circuit,
-            bundle.state.faults,
-            len(bundle.offset_blocks),
+            bundle.state,
+            bundle.offset_blocks,
             self.fault_shards,
             self.pattern_shards,
-        )
-        # Each shard node embeds its own payload *slice*: the shared state
-        # plus only the blocks of its pattern run, with the task's block
-        # indices rebased onto the slice.  The pooled scheduler pickles a
-        # stage's inputs/task per submission, so slicing keeps the total
-        # shipped bytes at fault_shards x session (independent of pattern
-        # shards) -- and fault_shards defaults to the worker count, which
-        # makes per-task shipping cost the once-per-worker cost of PR 2.
-        shard_nodes = tuple(
-            StageNode(
-                key=f"{self.prefix}/shard{task.shard_id}",
-                task=FaultSimShardStage(*slice_shard_payload(
-                    task, bundle.state, bundle.offset_blocks
-                )),
-                phase=PHASE_RANDOM,
-                scenario=self.scenario,
-                category=CATEGORY_SIM,
-            )
-            for task in tasks
+            prefix=self.prefix,
+            phase=PHASE_RANDOM,
+            scenario=self.scenario,
         )
         merge_key = f"{self.prefix}/merged"
         merge = StageNode(
@@ -418,6 +379,50 @@ class FaultSimStage:
             category=CATEGORY_CONTROL,
         )
         return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
+
+
+def shard_stage_nodes(
+    task_cls,
+    scenario_key: str,
+    state,
+    blocks: tuple,
+    fault_shards: int,
+    pattern_shards: int,
+    prefix: str,
+    phase: str = "",
+    scenario: str = "",
+) -> tuple[StageNode, ...]:
+    """One shard stage per cell of the shard grid (site-local keyed
+    round-robin faults x contiguous block runs) over ``state`` and ``blocks``.
+
+    Each shard node embeds its own payload *slice*: the shared state plus
+    only the blocks of its pattern run, with the task's block indices
+    rebased onto the slice.  The pooled scheduler pickles a stage's
+    inputs/task per submission, so slicing keeps the total shipped bytes at
+    fault_shards x session (independent of pattern shards).
+    """
+    stage_cls = (
+        FaultSimShardStage if task_cls is FaultShardTask else TransitionShardStage
+    )
+    tasks = plan_shard_tasks(
+        task_cls,
+        scenario_key,
+        state.circuit,
+        state.faults,
+        len(blocks),
+        fault_shards,
+        pattern_shards,
+    )
+    return tuple(
+        StageNode(
+            key=f"{prefix}/shard{task.shard_id}",
+            task=stage_cls(*slice_shard_payload(task, state, blocks)),
+            phase=phase,
+            scenario=scenario,
+            category=CATEGORY_SIM,
+        )
+        for task in tasks
+    )
 
 
 def slice_shard_payload(task, state, blocks):
@@ -529,10 +534,9 @@ class SignatureStage:
                     deps=(responses_key,),
                     phase=PHASE_RANDOM,
                     scenario=self.scenario,
-                    # "sim", not "prep": the pre-pipeline runner already
-                    # pooled the per-domain folds (SignatureShardTask), so
-                    # the Amdahl accounting must not credit them to the old
-                    # parent-serial bucket.
+                    # "sim", not "prep": the per-domain folds are shard
+                    # work, so the Amdahl accounting must not credit them
+                    # to the parent-serial bucket.
                     category=CATEGORY_SIM,
                 )
             )
@@ -584,8 +588,8 @@ class SignatureResponsesStage:
 class SignatureFoldStage:
     """Fold one clock domain's filtered response stream into its MISR.
 
-    Carries its own (already deep-copied) :class:`StumpsDomain`, exactly as
-    the PR-2 ``SignatureShardTask`` did.
+    Carries its own (already deep-copied) :class:`StumpsDomain`, so a
+    pooled fold ships one domain, not the whole bundle.
     """
 
     config: LogicBistConfig
@@ -870,29 +874,16 @@ class TransitionStage:
     pattern_shards: int = 1
 
     def run(self, prep: TransitionBundle) -> Expansion:
-        tasks = plan_shard_tasks(
+        shard_nodes = shard_stage_nodes(
             TransitionShardTask,
             prep.scenario_key,
-            prep.state.circuit,
-            prep.state.faults,
-            len(prep.pair_blocks),
+            prep.state,
+            prep.pair_blocks,
             self.fault_shards,
             self.pattern_shards,
-        )
-        # As with FaultSimStage: each shard embeds its sliced payload, so a
-        # pooled submission never re-pickles the merge-side fault list or
-        # another shard's block run.
-        shard_nodes = tuple(
-            StageNode(
-                key=f"{self.prefix}/shard{task.shard_id}",
-                task=TransitionShardStage(*slice_shard_payload(
-                    task, prep.state, prep.pair_blocks
-                )),
-                phase=PHASE_AT_SPEED,
-                scenario=self.scenario,
-                category=CATEGORY_SIM,
-            )
-            for task in tasks
+            prefix=self.prefix,
+            phase=PHASE_AT_SPEED,
+            scenario=self.scenario,
         )
         merge_key = f"{self.prefix}/merged"
         merge = StageNode(
@@ -1185,7 +1176,7 @@ def scenario_stage_nodes(
     ``"report"``) to the node keys whose values a finished
     :class:`~repro.campaign.scheduler.PipelineRun` holds.  Many scenarios'
     node lists concatenate into one multi-scenario DAG; ``scenario_key`` must
-    be campaign-unique (see :func:`unique_scenario_key`).
+    be campaign-unique (see :func:`~repro.campaign.runner.unique_scenario_key`).
 
     ``include_transition`` / ``include_skew`` default to the scenario
     config's own measurement requests (``measure_transition_coverage`` /

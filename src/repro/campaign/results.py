@@ -61,15 +61,6 @@ class ShardOutcome:
     seconds: float = 0.0
 
 
-@dataclass(frozen=True)
-class SignatureOutcome:
-    """Final MISR state of one clock domain, folded by a signature shard."""
-
-    scenario_key: str
-    domain: str
-    signature: int
-
-
 def merge_first_detections(
     outcomes: Iterable[ShardOutcome],
 ) -> dict[int, int]:

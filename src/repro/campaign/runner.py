@@ -31,10 +31,11 @@ compiled-kernel path (``tests/campaign`` asserts the equivalence across
 shard counts, block sizes, permuted shard assignments, worker counts and
 both execution backends).
 
-The flat shard-task entry points of PR 2 (:func:`run_sharded_fault_sim`,
-:func:`run_sharded_transition_sim`, :func:`execute_tasks`) remain for
-single-phase fan-out and benchmarking; the pipeline reuses their task
-records and worker-side execution verbatim.
+:func:`run_sharded_fault_sim` and :func:`run_sharded_transition_sim` are
+single-phase drop-ins for the serial simulators.  They build the pipeline's
+own shard stages (:func:`~repro.campaign.pipeline.shard_stage_nodes`) and
+drain them through the same schedulers, so there is one shard-task path
+and one worker pool.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from ..bist.stumps import StumpsDomain
 from ..core.config import LogicBistConfig
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
@@ -57,16 +57,15 @@ from ..faults.transition_sim import (
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks
-from ..util.cache import CacheStats, KeyedLruCache
+from ..util.cache import KeyedLruCache
 from .results import (
     CampaignResult,
     ScenarioResult,
     ShardOutcome,
-    SignatureOutcome,
     build_simulation_result,
     merge_first_detections,
 )
-from .scheduler import make_pool_context
+from .scheduler import make_scheduler
 from .sharding import fault_site_keys, plan_grid
 
 #: Blocks may be given bare or as (global pattern offset, block) pairs.
@@ -116,40 +115,13 @@ class TransitionShardTask:
     kind = "transition"
 
 
-@dataclass(frozen=True)
-class SignatureShardTask:
-    """One clock domain's MISR fold over its filtered response stream.
-
-    Self-contained (no payload lookup): there is exactly one task per
-    domain, so embedding the domain and its responses *is* the
-    once-per-worker form.
-    """
-
-    scenario_key: str
-    domain: str
-    stumps_domain: StumpsDomain
-    responses: tuple[dict[str, int], ...]
-    #: Execution backend for the fold ("python" or "numpy").
-    sim_backend: str = "python"
-
-
-ShardTask = Union[FaultShardTask, TransitionShardTask, SignatureShardTask]
-
-#: Per-process payload registry, seeded by the pool initializer (workers) or
-#: by ``execute_tasks`` itself (in-process path).
-_PAYLOADS: dict[str, ShardPayload] = {}
+ShardTask = Union[FaultShardTask, TransitionShardTask]
 
 #: Default capacity of the per-process compiled-engine LRU.  An engine holds
 #: a compiled kernel plus its lazily-built fanout-cone plans, which for a
 #: large core is tens of megabytes -- a long many-scenario campaign must not
 #: accumulate one per scenario forever.
 DEFAULT_ENGINE_CACHE_SIZE = 8
-
-
-# CacheStats / KeyedLruCache live in ``repro.util.cache`` (the numpy
-# backend's workspace cache needs them below the campaign layer in the
-# import graph); imported above and re-exported here so existing
-# ``campaign.runner`` imports keep resolving.
 
 
 class EngineCache(KeyedLruCache):
@@ -179,30 +151,36 @@ class EngineCache(KeyedLruCache):
 _ENGINE_CACHE = EngineCache()
 
 #: Monotonic nonce making every campaign invocation's scenario keys unique, so
-#: a cached engine or payload can never be confused across calls (two
-#: campaigns may reuse the same human-readable scenario name).
+#: a cached engine can never be confused across calls (two campaigns may
+#: reuse the same human-readable scenario name).
 _KEY_COUNTER = itertools.count()
 
 
-def _unique_key(prefix: str) -> str:
+def unique_scenario_key(prefix: str) -> str:
+    """A campaign-unique scenario key: ``prefix`` plus a per-process nonce."""
     return f"{prefix}@{os.getpid()}.{next(_KEY_COUNTER)}"
 
 
-def _seed_payloads(payloads: dict[str, ShardPayload]) -> None:
-    """Pool-worker initializer: receive every scenario's payload exactly once."""
-    _PAYLOADS.update(payloads)
+def release_scenario_engines(scenario_keys) -> None:
+    """Drop the per-process shard engines compiled under these scenario keys.
+
+    Scenario keys are invocation-unique, so once a graph execution finishes
+    its cached engines can never hit again -- callers that walk a graph with
+    the :class:`~repro.campaign.scheduler.SerialScheduler` (where the parent
+    process itself compiles the engines) should release them rather than
+    leave dead entries pinned in the LRU until eviction.  Harmless after a
+    pooled run (the workers held the engines and are gone with the pool).
+    """
+    for scenario_key in scenario_keys:
+        _ENGINE_CACHE.discard_scenario(scenario_key)
 
 
-def run_shard_task(
-    task: Union[FaultShardTask, TransitionShardTask], payload: ShardPayload
-) -> ShardOutcome:
+def run_shard_task(task: ShardTask, payload: ShardPayload) -> ShardOutcome:
     """Run one fault/transition shard scan against its payload.
 
-    The single worker-side execution path shared by the flat task runner
-    (:func:`execute_tasks`) and the pipeline's shard stages: builds (or
-    reuses, via the per-process :class:`EngineCache`) the compiled engine
-    for the task's scenario and scans the task's fault indices over its
-    block run.
+    The single execution path of every shard stage: builds (or reuses, via
+    the per-process :class:`EngineCache`) the compiled engine for the task's
+    scenario and scans the task's fault indices over its block run.
     """
     # The timer covers engine construction too: a worker's first task of a
     # scenario really pays kernel compilation, and the recorded per-shard
@@ -229,65 +207,9 @@ def run_shard_task(
     )
 
 
-def _execute_task(task: ShardTask):
-    """Run one shard task (in a worker process or in-process)."""
-    if isinstance(task, SignatureShardTask):
-        signature = task.stumps_domain.fold_responses(
-            task.responses, backend=task.sim_backend
-        )
-        return SignatureOutcome(task.scenario_key, task.domain, signature)
-    return run_shard_task(task, _PAYLOADS[task.scenario_key])
-
-
-def execute_tasks(
-    tasks: Sequence[ShardTask],
-    payloads: Optional[Mapping[str, ShardPayload]] = None,
-    num_workers: int = 1,
-    mp_context=None,
-) -> list:
-    """Run shard tasks, in-process (``num_workers <= 1``) or on a worker pool.
-
-    ``payloads`` maps scenario keys to the shared inputs the fault/transition
-    tasks index into (signature tasks are self-contained).  On the pool path
-    the payload dict is serialized once per worker via the pool initializer;
-    tasks themselves carry only index tuples.
-
-    Task outcomes are returned in task order, but nothing downstream depends
-    on it: the merge reductions are order-independent by construction.
-    """
-    tasks = list(tasks)
-    if not tasks:
-        return []
-    payloads = dict(payloads or {})
-    if num_workers <= 1:
-        _PAYLOADS.update(payloads)
-        try:
-            return [_execute_task(task) for task in tasks]
-        finally:
-            # Payloads and engines only exist to be shared between tasks of
-            # this call; scenario keys are unique per invocation, so entries
-            # would otherwise accumulate until the LRU evicts them.
-            for key in payloads:
-                _PAYLOADS.pop(key, None)
-                _ENGINE_CACHE.discard_scenario(key)
-    ctx = make_pool_context(mp_context)
-    with ctx.Pool(
-        processes=min(num_workers, len(tasks)),
-        initializer=_seed_payloads,
-        initargs=(payloads,),
-    ) as pool:
-        return pool.map(_execute_task, tasks, chunksize=1)
-
-
 # --------------------------------------------------------------------- #
 # Shard planning helpers
 # --------------------------------------------------------------------- #
-#: Backwards-compatible alias -- the site-key planner moved to
-#: :func:`repro.campaign.sharding.fault_site_keys` so the top-up PODEM
-#: fan-out (and future planners) can share it without importing the runner.
-_site_keys = fault_site_keys
-
-
 def plan_shard_tasks(
     task_cls,
     scenario_key: str,
@@ -380,6 +302,40 @@ def _boundaries(offset_blocks: Sequence[tuple[int, PatternBlock]]) -> list[int]:
 # --------------------------------------------------------------------- #
 # Drop-in sharded fault simulation (single-phase fan-out)
 # --------------------------------------------------------------------- #
+def _run_shards(
+    task_cls,
+    state: Union[FaultSimShardState, TransitionSimShardState],
+    blocks: tuple,
+    scenario_key: str,
+    num_workers: int,
+    fault_shards: Optional[int],
+    pattern_shards: int,
+    mp_context,
+) -> dict[int, int]:
+    """Drain one scenario's shard stages and min-merge their detections.
+
+    The nodes are the pipeline's own shard stages; they run on the serial
+    walk (``num_workers <= 1``) or the resilient worker pool.
+    """
+    from .pipeline import shard_stage_nodes
+
+    scenario_key = unique_scenario_key(scenario_key)
+    nodes = shard_stage_nodes(
+        task_cls,
+        scenario_key,
+        state,
+        blocks,
+        fault_shards if fault_shards is not None else max(1, num_workers),
+        pattern_shards,
+        prefix=scenario_key,
+    )
+    try:
+        run = make_scheduler(num_workers, mp_context=mp_context).run(nodes)
+    finally:
+        release_scenario_engines([scenario_key])
+    return merge_first_detections(run.value(node.key) for node in nodes)
+
+
 def run_sharded_fault_sim(
     circuit: Circuit,
     fault_list: FaultList,
@@ -408,13 +364,10 @@ def run_sharded_fault_sim(
     memory (carried in the shard states, so it survives pickling into the
     pool); results are budget-invariant.
     """
-    scenario_key = _unique_key(scenario_key)
     offset_blocks = with_offsets(blocks, pattern_offset)
     faults = tuple(
         fault for fault in fault_list.undetected() if isinstance(fault, StuckAtFault)
     )
-    if fault_shards is None:
-        fault_shards = max(1, num_workers)
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(
@@ -424,30 +377,23 @@ def run_sharded_fault_sim(
         sim_backend=sim_backend,
         sim_memory_budget_mb=sim_memory_budget_mb,
     )
-    tasks = plan_shard_tasks(
+    merged = _run_shards(
         FaultShardTask,
+        state,
+        tuple(offset_blocks),
         scenario_key,
-        circuit,
-        faults,
-        len(offset_blocks),
+        num_workers,
         fault_shards,
         pattern_shards,
+        mp_context,
     )
-    outcomes = execute_tasks(
-        tasks,
-        payloads={scenario_key: ShardPayload(state, tuple(offset_blocks))},
-        num_workers=num_workers,
-        mp_context=mp_context,
-    )
-    merged = merge_first_detections(outcomes)
-    result = build_simulation_result(
+    return build_simulation_result(
         fault_list,
         faults,
         merged,
         _boundaries(offset_blocks),
         pattern_offset=pattern_offset,
     )
-    return result
 
 
 def run_sharded_transition_sim(
@@ -469,15 +415,12 @@ def run_sharded_transition_sim(
     """Sharded drop-in for :meth:`TransitionFaultSimulator.simulate_pairs`."""
     if len(launch_patterns) != len(capture_patterns):
         raise ValueError("launch and capture pattern lists must have equal length")
-    scenario_key = _unique_key(scenario_key)
     pair_blocks = build_pair_blocks(
         circuit, launch_patterns, capture_patterns, block_size, pattern_offset
     )
     faults = tuple(
         fault for fault in fault_list.undetected() if isinstance(fault, TransitionFault)
     )
-    if fault_shards is None:
-        fault_shards = max(1, num_workers)
     state = TransitionSimShardState(
         circuit=circuit,
         observe_nets=tuple(
@@ -487,22 +430,16 @@ def run_sharded_transition_sim(
         sim_backend=sim_backend,
         sim_memory_budget_mb=sim_memory_budget_mb,
     )
-    tasks = plan_shard_tasks(
+    merged = _run_shards(
         TransitionShardTask,
+        state,
+        pair_blocks,
         scenario_key,
-        circuit,
-        faults,
-        len(pair_blocks),
+        num_workers,
         fault_shards,
         pattern_shards,
+        mp_context,
     )
-    outcomes = execute_tasks(
-        tasks,
-        payloads={scenario_key: ShardPayload(state, tuple(pair_blocks))},
-        num_workers=num_workers,
-        mp_context=mp_context,
-    )
-    merged = merge_first_detections(outcomes)
     boundaries = _boundaries([(offset, launch) for offset, launch, _ in pair_blocks])
     sim_result = build_simulation_result(
         fault_list, faults, merged, boundaries, pattern_offset=pattern_offset
@@ -616,9 +553,8 @@ class CampaignRunner:
         sharded through the same pool and byte-identical to the serial walk
         at any worker/shard count.
         """
-        from .pipeline import release_scenario_engines, scenario_stage_nodes
+        from .pipeline import scenario_stage_nodes
         from .results import FAILURES_KEY, canonical_failure, sort_failures
-        from .scheduler import PooledScheduler, SerialScheduler
 
         start = time.perf_counter()
         scenarios = list(scenarios)
@@ -638,7 +574,7 @@ class CampaignRunner:
         scenario_keys: list[str] = []
         report_keys: dict[str, str] = {}
         for index, scenario in enumerate(scenarios):
-            key = _unique_key(f"s{index}:{scenario.name}")
+            key = unique_scenario_key(f"s{index}:{scenario.name}")
             scenario_keys.append(key)
             scenario_nodes, artifact_keys = scenario_stage_nodes(
                 key,
@@ -665,18 +601,13 @@ class CampaignRunner:
                 (s.config.retry for s in scenarios if s.config.retry is not None),
                 None,
             )
-        if self.num_workers >= 2:
-            scheduler = PooledScheduler(
-                self.num_workers,
-                mp_context=self.mp_context,
-                retry_policy=retry_policy,
-                chaos=self.chaos,
-                degrade=self.degrade,
-            )
-        else:
-            scheduler = SerialScheduler(
-                retry_policy=retry_policy, chaos=self.chaos, degrade=self.degrade
-            )
+        scheduler = make_scheduler(
+            self.num_workers,
+            mp_context=self.mp_context,
+            retry_policy=retry_policy,
+            chaos=self.chaos,
+            degrade=self.degrade,
+        )
         try:
             pipeline_run = scheduler.run(nodes, cancel_token=cancel_token)
         finally:

@@ -1,20 +1,28 @@
-"""Stage-graph schedulers: one DAG, two execution strategies.
+"""Stage-graph scheduling: one completion loop, two executors.
 
 The campaign pipeline (:mod:`repro.campaign.pipeline`) describes a BIST
 scenario as a graph of :class:`StageNode` records -- typed, pickleable stage
-tasks with declared data dependencies.  This module executes such graphs:
+tasks with declared data dependencies.  Both schedulers execute such graphs
+with the same completion loop and differ only in the executor their
+non-local stages run on:
 
-* :class:`SerialScheduler` walks the graph in-process in deterministic
-  topological order.  It is the degenerate form of the pipeline: the serial
-  :class:`~repro.core.flow.LogicBistFlow` walk *is* this scheduler, which
-  keeps the serial flow the bit-exactness oracle of the pooled path with one
-  shared stage implementation.
-* :class:`PooledScheduler` drains the same graph through a resilient
-  ``multiprocessing`` worker pool.  Every ready non-local stage is submitted
+* :class:`SerialScheduler` runs every stage on the in-process executor,
+  which runs a stage the moment it is submitted.  The walk is deterministic
+  -- the serial :class:`~repro.core.flow.LogicBistFlow` *is* this scheduler
+  -- which keeps the serial flow the bit-exactness oracle of every pooled
+  run with one shared stage implementation.
+* :class:`PooledScheduler` submits non-local stages to a resilient
+  ``multiprocessing`` worker pool.  Every ready stage is submitted
   immediately, so stages of *different* scenarios overlap freely: scenario
   B's TPI profiling runs while scenario A's fault-sim shards are still in
   flight.  Local stages (planning, order-independent merges, report
-  assembly) run in the parent the moment their inputs land.
+  assembly) always run in the parent, on the in-process executor, the
+  moment their inputs land.
+
+The loop is linear in graph size: each node counts its missing
+dependencies and each artifact key lists the nodes waiting on it, so an
+arriving artifact readies exactly its dependents.  Ready nodes leave in the
+order of the serial walk's passes over the graph (:class:`_ReadyQueue`).
 
 A stage's ``run(*inputs)`` returns either its artifact value or, for local
 *expander* stages, an :class:`Expansion`: new nodes spliced into the graph
@@ -28,15 +36,14 @@ downstream is order-independent by construction, so the pooled schedule --
 whatever interleaving the pool produces -- yields byte-identical results to
 the serial walk (``tests/campaign`` asserts this end to end).
 
-Fault tolerance (both schedulers, same semantics so serial stays the
-oracle):
+Fault tolerance is decided in one place for both executors, so the serial
+walk stays the oracle of every chaos replay:
 
 * a :class:`~repro.core.config.RetryPolicy` grants each stage several
-  attempts with deterministic seeded backoff; the pooled scheduler
-  additionally enforces per-stage soft timeouts and a heartbeat health
-  check on its workers -- a dead or hung worker is detected, terminated,
-  respawned, and the in-flight stage resubmitted as a retry (never a
-  silent hang),
+  attempts with deterministic seeded backoff; the pool additionally
+  enforces per-stage soft timeouts and a heartbeat health check on its
+  workers -- a dead or hung worker is detected, terminated, respawned, and
+  the in-flight stage resubmitted as a retry (never a silent hang),
 * ``KeyboardInterrupt`` / ``SystemExit`` (any non-``Exception``
   ``BaseException``) abort the whole schedule immediately and are never
   retried,
@@ -379,20 +386,6 @@ class PipelineRun:
         )
 
 
-def make_pool_context(mp_context=None):
-    """The multiprocessing context campaign pools run on.
-
-    ``fork`` is the cheap option where available (Linux); elsewhere fall back
-    to the platform default.  Stage inputs and results always travel through
-    task pickles, so the choice only affects pool start-up cost.
-    """
-    if mp_context is not None:
-        return mp_context
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def run_stage(task, inputs: Sequence[object]) -> tuple[object, float]:
     """Execute one stage task (worker-process entry point).
 
@@ -418,8 +411,51 @@ def _fatal(error: BaseException) -> bool:
     return not isinstance(error, Exception)
 
 
+class _ReadyQueue:
+    """Ready nodes in the serial walk's order.
+
+    The walk makes passes over the graph in insertion order.  A pass visits
+    the nodes that existed when it began; a node that becomes ready ahead of
+    the cursor runs in the current pass, while one that becomes ready behind
+    it -- or was spliced in during the pass -- waits for the next pass.  Two
+    heaps keyed by insertion sequence hold the two passes.  One heap would
+    not do: it would run a node readied behind the cursor before the rest
+    of the current pass.
+    """
+
+    def __init__(self) -> None:
+        self._current: list = []
+        self._next: list = []
+        self._cursor = -1
+        #: Sequence numbers below this existed when the current pass began.
+        self._horizon = 0
+
+    def push(self, seq: int, node: StageNode) -> None:
+        if self._cursor < seq < self._horizon:
+            heapq.heappush(self._current, (seq, node))
+        else:
+            heapq.heappush(self._next, (seq, node))
+
+    def pop(self, horizon: int) -> Optional[StageNode]:
+        """The next ready node, or ``None``.  An exhausted pass starts the
+        next one over the ``horizon`` nodes added so far."""
+        if not self._current:
+            if not self._next:
+                return None
+            self._current, self._next = self._next, []
+            self._cursor, self._horizon = -1, horizon
+        self._cursor, node = heapq.heappop(self._current)
+        return node
+
+
 class _GraphState:
-    """Shared bookkeeping of both schedulers: pending nodes, store, aliases.
+    """Graph bookkeeping of the completion loop: store, aliases, readiness.
+
+    Every node counts its missing dependencies and every missing artifact
+    key lists the nodes waiting on it, so recording an artifact readies
+    exactly its dependents: scheduling is linear in nodes plus edges.  An
+    :class:`Expansion` moves the waiters of the expander's key onto the key
+    it aliases.
 
     ``preloaded`` resumes a half-finished schedule: preloaded artifact values
     land in the store up front and their nodes are *skipped* when added
@@ -427,10 +463,10 @@ class _GraphState:
     once, so a genuinely duplicated stage key still raises.
 
     ``poisoned`` tracks quarantine (degrade mode): the keys of permanently
-    failed stages plus every cancelled descendant.  A pending node whose
-    dependency chain touches a poisoned key is swept out of ``pending`` --
-    and poisoned itself, so the cut propagates through aliases and future
-    expansions -- while unrelated subgraphs keep executing.
+    failed stages plus every cancelled descendant, found by a breadth-first
+    walk over the waiters.  A node spliced in later that depends on a
+    poisoned key is cancelled on arrival, so the cut propagates through
+    aliases and future expansions while unrelated subgraphs keep executing.
     """
 
     def __init__(
@@ -438,53 +474,98 @@ class _GraphState:
         nodes: Sequence[StageNode],
         preloaded: Optional[Mapping[str, object]] = None,
     ) -> None:
-        self.pending: dict[str, StageNode] = {}
-        #: Keys handed to the pool and not yet finished -- an expansion must
-        #: not be able to silently shadow an in-flight node's artifact.
-        self.reserved: set[str] = set()
+        self.run = PipelineRun()
+        self.run.store.update(preloaded or {})
+        self._skip = set(preloaded or ())
+        self.ready = _ReadyQueue()
+        #: Nodes still missing a dependency, in insertion order.
+        self.blocked: dict[str, StageNode] = {}
+        self._missing: dict[str, int] = {}
+        #: Artifact key -> keys of the blocked nodes waiting for it.
+        self._waiters: dict[str, list[str]] = {}
+        #: Insertion sequence of every node ever added (the duplicate check).
+        self._seq: dict[str, int] = {}
         #: Permanently failed stage keys and their cancelled descendants.
         self.poisoned: set[str] = set()
-        self.run = PipelineRun()
-        self._skip = set(preloaded or ())
-        self.run.store.update(preloaded or {})
         for node in nodes:
             self.add(node)
 
-    def add(self, node: StageNode) -> None:
-        if node.key in self._skip:
-            # Satisfied from a checkpoint: value is already in the store.
-            self._skip.discard(node.key)
-            return
-        if (
-            node.key in self.pending
-            or node.key in self.reserved
-            or node.key in self.run.store
-            or node.key in self.run.aliases
-        ):
-            raise ValueError(f"duplicate stage key {node.key!r}")
-        self.pending[node.key] = node
+    @property
+    def added(self) -> int:
+        return len(self._seq)
 
-    def inputs_for(self, node: StageNode) -> Optional[list[object]]:
-        """Dep values in declaration order, or ``None`` while any is missing."""
-        values = []
-        store = self.run.store
+    def add(self, node: StageNode) -> None:
+        key = node.key
+        if key in self._skip:
+            # Satisfied from a checkpoint: value is already in the store.
+            self._skip.discard(key)
+            return
+        if key in self._seq or key in self.run.store:
+            raise ValueError(f"duplicate stage key {key!r}")
+        self._seq[key] = len(self._seq)
+        missing = 0
         for dep in node.deps:
-            resolved = self.run.resolve_key(dep)
-            if resolved not in store:
-                return None
-            values.append(store[resolved])
-        return values
+            target = self.run.resolve_key(dep)
+            if target in self.poisoned:
+                # Waiter entries already made are stale; readiness and the
+                # poison walk skip nodes that are no longer blocked.
+                self.poisoned.add(key)
+                self.run.cancelled.append(key)
+                self._poison(key)
+                return
+            if target not in self.run.store:
+                self._waiters.setdefault(target, []).append(key)
+                missing += 1
+        if missing:
+            self._missing[key] = missing
+            self.blocked[key] = node
+        else:
+            self.ready.push(self._seq[key], node)
+
+    def _land(self, waiters) -> None:
+        """One awaited artifact arrived for each of ``waiters``."""
+        for waiter in waiters:
+            if waiter in self.blocked:
+                self._missing[waiter] -= 1
+                if not self._missing[waiter]:
+                    self.ready.push(self._seq[waiter], self.blocked.pop(waiter))
+
+    def _poison(self, root: str) -> list[str]:
+        """Cancel every blocked node waiting, transitively, on poisoned
+        ``root``; returns the cancelled keys in insertion order."""
+        cancelled: list[str] = []
+        frontier = deque([root])
+        while frontier:
+            for waiter in self._waiters.pop(frontier.popleft(), ()):
+                if self.blocked.pop(waiter, None) is not None:
+                    self.poisoned.add(waiter)
+                    cancelled.append(waiter)
+                    frontier.append(waiter)
+        cancelled.sort(key=self._seq.__getitem__)
+        self.run.cancelled.extend(cancelled)
+        return cancelled
+
+    def inputs_for(self, node: StageNode) -> list[object]:
+        """Dep values in declaration order (``node`` must be ready)."""
+        store = self.run.store
+        return [store[self.run.resolve_key(dep)] for dep in node.deps]
 
     def finish(self, node: StageNode, value: object, seconds: float) -> None:
         if isinstance(value, Expansion):
             for child in value.nodes:
                 self.add(child)
             self.run.aliases[node.key] = value.result
-            if self.poisoned:
-                # Spliced-in children may depend on an already-poisoned key.
-                self.sweep_poisoned()
+            waiters = self._waiters.pop(node.key, [])
+            target = self.run.resolve_key(node.key)
+            if target in self.run.store:
+                self._land(waiters)
+            else:
+                self._waiters.setdefault(target, []).extend(waiters)
+                if target in self.poisoned:
+                    self._poison(target)
         else:
             self.run.store[node.key] = value
+            self._land(self._waiters.pop(node.key, ()))
         self.run.trace.append(
             StageTrace(
                 key=node.key,
@@ -499,14 +580,13 @@ class _GraphState:
     def fail(self, node: StageNode, error: BaseException, attempts: int) -> StageFailure:
         """Quarantine ``node``'s subgraph after its attempts ran out.
 
-        Poisons the stage key, sweeps every pending transitive dependant out
-        of the schedule, and records the :class:`StageFailure`.  Only the
-        descendants go: pending stages of *other* scenarios (or independent
-        branches of the same scenario) are untouched.
+        Poisons the stage key, cancels every blocked transitive dependant,
+        and records the :class:`StageFailure`.  Only the descendants go:
+        stages of *other* scenarios (or independent branches of the same
+        scenario) are untouched.
         """
         self.poisoned.add(node.key)
-        self.reserved.discard(node.key)
-        cancelled = self.sweep_poisoned()
+        cancelled = self._poison(node.key)
         failure = StageFailure(
             key=node.key,
             scenario=node.scenario,
@@ -519,23 +599,6 @@ class _GraphState:
         self.run.failures.append(failure)
         return failure
 
-    def sweep_poisoned(self) -> list[str]:
-        """Cancel pending nodes depending (transitively) on a poisoned key."""
-        cancelled: list[str] = []
-        changed = True
-        while changed:
-            changed = False
-            for key, node in list(self.pending.items()):
-                for dep in node.deps:
-                    if dep in self.poisoned or self.run.resolve_key(dep) in self.poisoned:
-                        del self.pending[key]
-                        self.poisoned.add(key)
-                        self.run.cancelled.append(key)
-                        cancelled.append(key)
-                        changed = True
-                        break
-        return cancelled
-
     def unsatisfied(self) -> str:
         missing = {
             key: [
@@ -543,95 +606,60 @@ class _GraphState:
                 for dep in node.deps
                 if self.run.resolve_key(dep) not in self.run.store
             ]
-            for key, node in self.pending.items()
+            for key, node in self.blocked.items()
         }
         return f"stage graph stalled; unsatisfied dependencies: {missing!r}"
 
 
-class _StagePolicy:
-    """Retry / chaos / degradation decisions for in-process stage execution.
+#: An executor's report of one finished attempt:
+#: ``(node, inputs, attempt, (value, seconds) or None, error or None)``.
+Outcome = tuple
 
-    One instance rides one schedule.  The serial scheduler routes *every*
-    stage through :meth:`execute`; the pooled scheduler routes its local
-    (parent-process) stages here and mirrors the same decision sequence --
-    same chaos lookups, same attempt numbering, same backoff delays -- in
-    its completion loop for pooled stages.  That mirroring is what keeps the
-    serial walk the byte-exact oracle of every chaos replay.
+
+class _InProcessExecutor:
+    """Runs each stage attempt in the parent the moment it is submitted.
+
+    Injected chaos degenerates to the error the pooled parent would
+    synthesize (:meth:`~repro.campaign.chaos.ChaosFault.apply_in_process`),
+    and a retry's backoff is a plain sleep before the rerun -- so a retried
+    stage reruns before any other stage starts.
     """
 
-    def __init__(self, policy: Optional[RetryPolicy], chaos, degrade: bool) -> None:
-        self.policy = policy or RetryPolicy()
-        self.chaos = chaos
-        self.degrade = degrade
+    def __init__(self, policy: RetryPolicy) -> None:
+        self.policy = policy
+        self._done: list[Outcome] = []
 
-    def execute(
-        self,
-        node: StageNode,
-        inputs: list,
-        observer: StageObserver,
-        state: _GraphState,
-    ) -> bool:
-        """Run ``node`` in-process to a terminal outcome.
+    @property
+    def busy(self) -> bool:
+        return bool(self._done)
 
-        Returns ``True`` when an artifact landed, ``False`` when the stage
-        permanently failed and was quarantined (degrade mode).  Fatal errors
-        -- and permanent failures with degradation off -- raise.
-        """
-        attempt = 0
-        observer.on_stage_start(node)
-        while True:
-            fault = self.chaos.fault_for(node.key, attempt) if self.chaos else None
-            stage_start = time.perf_counter()
-            try:
-                if fault is not None:
-                    fault.apply_in_process(self.policy)
-                value = node.task.run(*inputs)
-            except BaseException as error:
-                if _fatal(error):
-                    observer.on_stage_error(node, error)
-                    raise
-                attempt += 1
-                if self.policy.retryable(error) and attempt < self.policy.max_attempts:
-                    delay = self.policy.delay_for(node.key, attempt)
-                    state.run.retries.append(
-                        StageRetry(
-                            key=node.key,
-                            scenario=node.scenario,
-                            phase=node.phase,
-                            attempt=attempt,
-                            delay_s=delay,
-                            error_type=type(error).__name__,
-                            error=str(error),
-                        )
-                    )
-                    observer.on_stage_retry(node, error, attempt, delay)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                if not self.degrade:
-                    observer.on_stage_error(node, error)
-                    raise
-                failure = state.fail(node, error, attempt)
-                observer.on_stage_failed(node, error, failure)
-                return False
-            seconds = time.perf_counter() - stage_start
-            state.finish(node, value, seconds)
-            observer.on_stage_finish(node, value, seconds)
-            return True
+    def submit(self, node: StageNode, inputs, attempt: int, fault, delay: float) -> None:
+        if delay > 0:
+            time.sleep(delay)
+        start = time.perf_counter()
+        try:
+            if fault is not None:
+                fault.apply_in_process(self.policy)
+            value = node.task.run(*inputs)
+        except BaseException as error:
+            self._done.append((node, inputs, attempt, None, error))
+        else:
+            seconds = time.perf_counter() - start
+            self._done.append((node, inputs, attempt, (value, seconds), None))
+
+    def collect(self, timeout: float) -> list[Outcome]:
+        done, self._done = self._done, []
+        return done
+
+    def shutdown(self, force: bool = False) -> None:
+        pass
 
 
-class SerialScheduler:
-    """Deterministic in-process walk of a stage graph (the oracle schedule).
+class _StageScheduler:
+    """The completion loop both schedulers run; subclasses pick the executor.
 
-    Nodes execute in insertion order as their dependencies resolve; expander
-    nodes splice their children in place, so the walk is exactly the serial
-    flow's phase order when the graph is authored topologically.
-
-    ``retry_policy`` / ``chaos`` / ``degrade`` mirror the pooled scheduler's
-    resilience semantics exactly (in-process, a worker-death or hang fault
-    degenerates to the synthesized error the pooled parent would raise), so
-    the serial walk remains the byte-exactness oracle of every recovered or
-    degraded pooled run.
+    ``retry_policy`` / ``chaos`` / ``degrade`` configure the one retry,
+    fatal and degrade decision (``resolve`` in :meth:`_drain`).
     """
 
     def __init__(
@@ -644,6 +672,10 @@ class SerialScheduler:
         self.chaos = chaos
         self.degrade = degrade
 
+    def _executor(self, local: _InProcessExecutor):
+        """The executor non-local stages run on."""
+        raise NotImplementedError
+
     def run(
         self,
         nodes: Sequence[StageNode],
@@ -654,26 +686,102 @@ class SerialScheduler:
         state = _GraphState(nodes, preloaded=preloaded)
         observer = observer or StageObserver()
         observer.on_run_begin(state.run)
-        executor = _StagePolicy(self.retry_policy, self.chaos, self.degrade)
         start = time.perf_counter()
-        while state.pending:
-            progressed = False
-            for key in list(state.pending):
-                if cancel_token is not None:
-                    cancel_token.raise_if_cancelled(state.run)
-                node = state.pending.get(key)
-                if node is None:
-                    continue
-                inputs = state.inputs_for(node)
-                if inputs is None:
-                    continue
-                del state.pending[key]
-                executor.execute(node, inputs, observer, state)
-                progressed = True
-            if not progressed:
-                raise RuntimeError(state.unsatisfied())
+        local = _InProcessExecutor(self.retry_policy or RetryPolicy())
+        executor = self._executor(local)
+        try:
+            self._drain(state, local, executor, observer, cancel_token)
+        except BaseException:
+            executor.shutdown(force=True)
+            raise
+        executor.shutdown()
         state.run.seconds = time.perf_counter() - start
         return state.run
+
+    def _drain(self, state, local, executor, observer, cancel_token) -> None:
+        policy = local.policy
+
+        def submit(node: StageNode, inputs, attempt: int, delay: float = 0.0) -> None:
+            fault = self.chaos.fault_for(node.key, attempt) if self.chaos else None
+            target = local if node.local else executor
+            target.submit(node, inputs, attempt, fault, delay)
+
+        def resolve(outcome: Outcome) -> None:
+            """Record a finished attempt: land it, retry it, fail the
+            schedule, or quarantine its subgraph."""
+            node, inputs, attempt, result, error = outcome
+            if error is None:
+                value, seconds = result
+                state.finish(node, value, seconds)
+                observer.on_stage_finish(node, value, seconds)
+                return
+            if _fatal(error):
+                observer.on_stage_error(node, error)
+                raise error
+            attempt += 1
+            if policy.retryable(error) and attempt < policy.max_attempts:
+                delay = policy.delay_for(node.key, attempt)
+                state.run.retries.append(
+                    StageRetry(
+                        key=node.key,
+                        scenario=node.scenario,
+                        phase=node.phase,
+                        attempt=attempt,
+                        delay_s=delay,
+                        error_type=type(error).__name__,
+                        error=str(error),
+                    )
+                )
+                observer.on_stage_retry(node, error, attempt, delay)
+                submit(node, inputs, attempt, delay)
+                return
+            if not self.degrade:
+                observer.on_stage_error(node, error)
+                raise error
+            observer.on_stage_failed(node, error, state.fail(node, error, attempt))
+
+        while True:
+            # Start every ready stage.  In-process attempts (every stage of
+            # the serial walk, local stages of a pooled one) land before the
+            # next stage starts.
+            node = state.ready.pop(state.added)
+            while node is not None:
+                if cancel_token is not None:
+                    cancel_token.raise_if_cancelled(state.run)
+                observer.on_stage_start(node)
+                submit(node, state.inputs_for(node), 0)
+                while local.busy:
+                    for outcome in local.collect(0.0):
+                        resolve(outcome)
+                node = state.ready.pop(state.added)
+            if not executor.busy:
+                break
+            # Cooperative stop, checked on every wake-up of a pooled run
+            # (bounded by the policy heartbeat).
+            if cancel_token is not None:
+                cancel_token.raise_if_cancelled(state.run)
+            for outcome in executor.collect(policy.heartbeat_s):
+                resolve(outcome)
+        if state.blocked:
+            raise RuntimeError(state.unsatisfied())
+
+
+class SerialScheduler(_StageScheduler):
+    """Deterministic in-process walk of a stage graph (the oracle schedule).
+
+    Nodes execute in insertion order as their dependencies resolve; expander
+    nodes splice their children in place, so the walk is exactly the serial
+    flow's phase order when the graph is authored topologically.
+
+    Every stage runs on the in-process executor, under the same retry,
+    chaos and degrade decision as a pooled run (in-process, a worker-death
+    or hang fault degenerates to the synthesized error the pooled parent
+    would raise), so the serial walk remains the byte-exactness oracle of
+    every recovered or degraded pooled run.
+    """
+
+    def _executor(self, local: _InProcessExecutor) -> _InProcessExecutor:
+        return local
 
 
 # --------------------------------------------------------------------- #
@@ -756,31 +864,27 @@ class _WorkerHandle:
         )
         self.process.start()
         child_conn.close()
-        #: Stage key currently assigned (None = idle).
-        self.key: Optional[str] = None
-        self.attempt = 0
+        #: The attempt the worker is running, ``(node, inputs, attempt)``,
+        #: or ``None`` while it is idle.
+        self.assignment: Optional[tuple] = None
         #: Soft-timeout deadline of the assigned stage (monotonic seconds).
         self.deadline: Optional[float] = None
         #: The result channel returned garbage or EOF; replace the worker.
         self.broken = False
 
-    @property
-    def busy(self) -> bool:
-        return self.key is not None
-
     def alive(self) -> bool:
         return self.process.is_alive()
 
-    def assign(self, node: StageNode, attempt: int, inputs, fault, timeout_s) -> None:
-        self.key = node.key
-        self.attempt = attempt
+    def assign(self, node: StageNode, inputs, attempt: int, fault, timeout_s) -> None:
+        self.assignment = (node, inputs, attempt)
         self.deadline = None if timeout_s is None else time.monotonic() + timeout_s
         self.inbox.put((node.key, attempt, node.task, inputs, fault))
 
-    def release(self) -> None:
-        self.key = None
-        self.attempt = 0
-        self.deadline = None
+    def finish(self, result, error) -> Outcome:
+        """The outcome of the assigned attempt; the worker is idle again."""
+        node, inputs, attempt = self.assignment
+        self.assignment = self.deadline = None
+        return (node, inputs, attempt, result, error)
 
     def drain(self) -> list:
         """Already-delivered results (a worker may finish and *then* die)."""
@@ -810,30 +914,112 @@ class _WorkerHandle:
 class _ResilientPool:
     """A fixed-width worker pool that survives worker death.
 
-    Replaces ``multiprocessing.Pool`` for the pooled scheduler:
-    ``Pool.apply_async`` results are simply lost when a worker dies
-    (SIGKILL, ``os._exit``, OOM), leaving the completion loop hanging
+    The executor of :class:`PooledScheduler`.  ``multiprocessing.Pool``
+    would not do: ``Pool.apply_async`` results are simply lost when a worker
+    dies (SIGKILL, ``os._exit``, OOM), leaving the completion loop hanging
     forever.  Here the parent owns the assignment table -- one stage per
     worker, explicit -- so a worker that dies or hangs is detected by the
     heartbeat (``is_alive`` + per-stage deadlines), terminated, respawned,
-    and its stage resubmitted by the scheduler.
+    and its attempt reported as failed for the scheduler to retry.
+
+    Submitted attempts queue for an idle worker in order of the time they
+    become due, so a retry's backoff is a later due time and never blocks
+    the completion loop while other stages dispatch.
     """
 
-    def __init__(self, ctx, num_workers: int) -> None:
+    def __init__(self, ctx, num_workers: int, policy: RetryPolicy) -> None:
         self.ctx = ctx
+        self.policy = policy
         self._ids = itertools.count()
         self.handles: dict[int, _WorkerHandle] = {}
+        #: Attempts awaiting a worker, a heap of
+        #: (due time, tiebreak, node, inputs, attempt, fault).
+        self._queue: list = []
+        self._tiebreak = itertools.count()
         for _ in range(num_workers):
             self._spawn()
 
-    def _spawn(self) -> _WorkerHandle:
+    def _spawn(self) -> None:
         handle = _WorkerHandle(self.ctx, next(self._ids))
         self.handles[handle.worker_id] = handle
-        return handle
+
+    @property
+    def busy(self) -> bool:
+        return bool(self._queue) or any(
+            handle.assignment is not None for handle in self.handles.values()
+        )
+
+    def submit(self, node: StageNode, inputs, attempt: int, fault, delay: float) -> None:
+        due = time.monotonic() + delay
+        heapq.heappush(
+            self._queue, (due, next(self._tiebreak), node, inputs, attempt, fault)
+        )
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        now = time.monotonic()
+        while self._queue and self._queue[0][0] <= now:
+            handle = self.idle_worker()
+            if handle is None:
+                return
+            _, _, node, inputs, attempt, fault = heapq.heappop(self._queue)
+            handle.assign(node, inputs, attempt, fault, self.policy.stage_timeout_s)
+
+    def collect(self, timeout: float) -> list[Outcome]:
+        """Attempts that finished within ``timeout``, plus the synthesized
+        failures of workers found dead or past their stage deadline."""
+        self._dispatch()
+        outcomes: list[Outcome] = []
+        now = time.monotonic()
+        if self._queue and self._queue[0][0] > now:
+            timeout = min(timeout, self._queue[0][0] - now)
+        deadline = self.nearest_deadline()
+        if deadline is not None:
+            timeout = min(timeout, deadline - now)
+        for handle, message in self.poll(max(timeout, 0.005)):
+            if message is not None:
+                self._complete(handle, message, outcomes)
+        now = time.monotonic()
+        for handle in self.unhealthy(now):
+            if handle.worker_id not in self.handles:
+                continue  # already replaced this sweep
+            # A worker may have delivered its result just before dying (or
+            # just before its deadline): prefer the real result over a
+            # synthesized failure.
+            for message in handle.drain():
+                self._complete(handle, message, outcomes)
+            dead = handle.broken or not handle.alive()
+            timed_out = handle.deadline is not None and now >= handle.deadline
+            if not dead and not timed_out:
+                continue  # drained its completion; healthy again
+            if handle.assignment is not None:
+                if timed_out and not dead:
+                    error: Exception = StageTimeoutError(
+                        timeout_error_message(self.policy.stage_timeout_s)
+                    )
+                else:
+                    # A worker detected via its broken channel may not be
+                    # reaped yet (exitcode None); join briefly so the
+                    # synthesized message carries the real exit code -- the
+                    # serial oracle replays it.
+                    handle.process.join(timeout=1.0)
+                    exit_code = handle.process.exitcode
+                    error = WorkerCrashError(crash_error_message(exit_code))
+                outcomes.append(handle.finish(None, error))
+            self.replace(handle)
+        self._dispatch()
+        return outcomes
+
+    @staticmethod
+    def _complete(handle: _WorkerHandle, message: tuple, outcomes: list) -> None:
+        key, attempt, result, error = message
+        assigned = handle.assignment
+        if assigned is not None and (assigned[0].key, assigned[2]) == (key, attempt):
+            outcomes.append(handle.finish(result, error))
 
     def idle_worker(self) -> Optional[_WorkerHandle]:
         for handle in self.handles.values():
-            if not handle.busy and not handle.broken and handle.alive():
+            if handle.assignment is None and not handle.broken and handle.alive():
                 return handle
         return None
 
@@ -873,14 +1059,14 @@ class _ResilientPool:
                 results.append((handle, None))
         return results
 
-    def replace(self, handle: _WorkerHandle) -> _WorkerHandle:
+    def replace(self, handle: _WorkerHandle) -> None:
         """Terminate ``handle`` (it may already be dead) and spawn a fresh
         worker in its place."""
         handle.terminate()
         self.handles.pop(handle.worker_id, None)
         handle.process.join(timeout=2.0)
         handle.abandon()
-        return self._spawn()
+        self._spawn()
 
     def shutdown(self, force: bool = False) -> None:
         for handle in self.handles.values():
@@ -900,33 +1086,21 @@ class _ResilientPool:
         self.handles.clear()
 
 
-@dataclass
-class _InFlight:
-    """Parent-side record of a stage currently assigned to a worker."""
-
-    node: StageNode
-    inputs: list
-    #: 0-based index of the executing attempt.
-    attempt: int
-    worker_id: int
-
-
-class PooledScheduler:
+class PooledScheduler(_StageScheduler):
     """Drains a stage graph through a resilient ``multiprocessing`` pool.
 
     Every ready non-local node is submitted immediately (no phase barriers),
     so preparation stages of one scenario overlap fault-sim shards of
-    another; local nodes run in the parent as soon as their inputs land.
-    Results are keyed, never ordered, so completion-order nondeterminism
-    cannot leak into any artifact.
+    another; local nodes run in the parent on the in-process executor as
+    soon as their inputs land.  Results are keyed, never ordered, so
+    completion-order nondeterminism cannot leak into any artifact.
 
     The completion loop never blocks longer than the policy heartbeat: each
     wake-up collects finished results, then health-checks the pool -- a dead
     worker (``is_alive`` false) or a stage past its soft deadline gets its
     worker terminated and respawned and the stage resubmitted as a retry
     attempt under the same :class:`~repro.core.config.RetryPolicy` that
-    governs ordinary stage exceptions.  Retry backoff never blocks the loop:
-    delayed attempts sit in a wake-time heap while other stages dispatch.
+    governs ordinary stage exceptions.
     """
 
     def __init__(
@@ -942,204 +1116,34 @@ class PooledScheduler:
                 "PooledScheduler needs >= 2 workers; use SerialScheduler for "
                 "the in-process walk"
             )
+        super().__init__(retry_policy=retry_policy, chaos=chaos, degrade=degrade)
         self.num_workers = num_workers
         self.mp_context = mp_context
-        self.retry_policy = retry_policy
-        self.chaos = chaos
-        self.degrade = degrade
 
-    def run(
-        self,
-        nodes: Sequence[StageNode],
-        observer: Optional[StageObserver] = None,
-        preloaded: Optional[Mapping[str, object]] = None,
-        cancel_token: Optional[CancelToken] = None,
-    ) -> PipelineRun:
-        state = _GraphState(nodes, preloaded=preloaded)
-        observer = observer or StageObserver()
-        observer.on_run_begin(state.run)
-        policy = self.retry_policy or RetryPolicy()
-        local_executor = _StagePolicy(policy, self.chaos, self.degrade)
-        start = time.perf_counter()
-        ctx = make_pool_context(self.mp_context)
-        pool = _ResilientPool(ctx, self.num_workers)
-        #: Dispatchable (node, inputs, attempt) triples awaiting a worker.
-        ready: deque = deque()
-        #: Backoff heap: (wake time, tiebreak, node, inputs, attempt).
-        delayed: list = []
-        in_flight: dict[str, _InFlight] = {}
-        tiebreak = itertools.count()
+    def _executor(self, local: _InProcessExecutor) -> _ResilientPool:
+        # ``fork`` is the cheap start method where available (Linux); stage
+        # inputs and results always travel as pickles, so the choice only
+        # affects pool start-up cost.
+        ctx = self.mp_context or multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
+        return _ResilientPool(ctx, self.num_workers, local.policy)
 
-        def launch_ready() -> None:
-            progressed = True
-            while progressed:
-                progressed = False
-                for key in list(state.pending):
-                    node = state.pending.get(key)
-                    if node is None:
-                        continue
-                    inputs = state.inputs_for(node)
-                    if inputs is None:
-                        continue
-                    del state.pending[key]
-                    progressed = True
-                    state.reserved.add(key)
-                    if node.local:
-                        if local_executor.execute(node, inputs, observer, state):
-                            state.reserved.discard(key)
-                    else:
-                        ready.append((node, inputs, 0))
 
-        def resolve_failure(node: StageNode, inputs, attempt: int, error) -> None:
-            """Terminal or retry decision for a failed pooled attempt.
-
-            Mirrors :meth:`_StagePolicy.execute` exactly -- same attempt
-            numbering, same chaos schedule, same jittered delays -- except
-            the backoff is a heap entry instead of a sleep.
-            """
-            if _fatal(error):
-                observer.on_stage_error(node, error)
-                raise error
-            attempts_done = attempt + 1
-            if policy.retryable(error) and attempts_done < policy.max_attempts:
-                delay = policy.delay_for(node.key, attempts_done)
-                state.run.retries.append(
-                    StageRetry(
-                        key=node.key,
-                        scenario=node.scenario,
-                        phase=node.phase,
-                        attempt=attempts_done,
-                        delay_s=delay,
-                        error_type=type(error).__name__,
-                        error=str(error),
-                    )
-                )
-                observer.on_stage_retry(node, error, attempts_done, delay)
-                heapq.heappush(
-                    delayed,
-                    (time.monotonic() + delay, next(tiebreak), node, inputs, attempts_done),
-                )
-                return
-            if not self.degrade:
-                observer.on_stage_error(node, error)
-                raise error
-            failure = state.fail(node, error, attempts_done)
-            observer.on_stage_failed(node, error, failure)
-
-        def dispatch() -> None:
-            while ready:
-                handle = pool.idle_worker()
-                if handle is None:
-                    return
-                node, inputs, attempt = ready.popleft()
-                fault = self.chaos.fault_for(node.key, attempt) if self.chaos else None
-                if attempt == 0:
-                    observer.on_stage_start(node)
-                handle.assign(node, attempt, inputs, fault, policy.stage_timeout_s)
-                in_flight[node.key] = _InFlight(node, inputs, attempt, handle.worker_id)
-
-        def complete(handle: _WorkerHandle, message: tuple) -> None:
-            key, attempt, result, error = message
-            if handle.key == key:
-                handle.release()
-            entry = in_flight.get(key)
-            if (
-                entry is None
-                or entry.worker_id != handle.worker_id
-                or entry.attempt != attempt
-            ):
-                return  # stale: the stage was already recovered elsewhere
-            del in_flight[key]
-            if error is not None:
-                resolve_failure(entry.node, entry.inputs, entry.attempt, error)
-            else:
-                state.reserved.discard(key)
-                value, seconds = result
-                state.finish(entry.node, value, seconds)
-                observer.on_stage_finish(entry.node, value, seconds)
-
-        def lost(handle: _WorkerHandle, error: Exception) -> None:
-            """The worker owning a stage died or blew its deadline."""
-            key = handle.key
-            worker_id = handle.worker_id
-            pool.replace(handle)
-            if key is None:
-                return
-            entry = in_flight.get(key)
-            if entry is None or entry.worker_id != worker_id:
-                return
-            del in_flight[key]
-            resolve_failure(entry.node, entry.inputs, entry.attempt, error)
-
-        try:
-            if cancel_token is not None:
-                cancel_token.raise_if_cancelled(state.run)
-            launch_ready()
-            dispatch()
-            while in_flight or ready or delayed:
-                # Cooperative stop: checked once per completion-loop wake-up
-                # (bounded by the policy heartbeat), so a cancel abandons the
-                # outstanding pooled stages at the next boundary; the
-                # ``except`` below force-terminates the pool, leaving nothing
-                # behind for the next schedule.
-                if cancel_token is not None:
-                    cancel_token.raise_if_cancelled(state.run)
-                now = time.monotonic()
-                while delayed and delayed[0][0] <= now:
-                    _, _, node, inputs, attempt = heapq.heappop(delayed)
-                    ready.append((node, inputs, attempt))
-                dispatch()
-                if not (in_flight or ready or delayed):
-                    break
-                timeout = policy.heartbeat_s
-                if delayed:
-                    timeout = min(timeout, delayed[0][0] - now)
-                deadline = pool.nearest_deadline()
-                if deadline is not None:
-                    timeout = min(timeout, deadline - now)
-                for handle, message in pool.poll(max(timeout, 0.005)):
-                    if message is not None:
-                        complete(handle, message)
-                now = time.monotonic()
-                for handle in pool.unhealthy(now):
-                    if handle.worker_id not in pool.handles:
-                        continue  # already replaced this sweep
-                    # A worker may have delivered its result just before
-                    # dying (or just before its deadline): prefer the real
-                    # result over a synthesized failure.
-                    for message in handle.drain():
-                        complete(handle, message)
-                    dead = handle.broken or not handle.alive()
-                    timed_out = (
-                        handle.deadline is not None and now >= handle.deadline
-                    )
-                    if not dead and not timed_out:
-                        continue  # drained its completion; healthy again
-                    if handle.busy:
-                        if timed_out and not dead:
-                            error: Exception = StageTimeoutError(
-                                timeout_error_message(policy.stage_timeout_s)
-                            )
-                        else:
-                            # A worker detected via its broken channel may
-                            # not be reaped yet (exitcode None); join briefly
-                            # so the synthesized message carries the real
-                            # exit code -- the serial oracle replays it.
-                            handle.process.join(timeout=1.0)
-                            error = WorkerCrashError(
-                                crash_error_message(handle.process.exitcode)
-                            )
-                        lost(handle, error)
-                    else:
-                        pool.replace(handle)
-                launch_ready()
-                dispatch()
-            if state.pending:
-                raise RuntimeError(state.unsatisfied())
-        except BaseException:
-            pool.shutdown(force=True)
-            raise
-        else:
-            pool.shutdown()
-        state.run.seconds = time.perf_counter() - start
-        return state.run
+def make_scheduler(
+    num_workers: int,
+    mp_context=None,
+    retry_policy: Optional[RetryPolicy] = None,
+    chaos=None,
+    degrade: bool = False,
+) -> _StageScheduler:
+    """The serial walk for ``num_workers <= 1``, else a pool that wide."""
+    if num_workers >= 2:
+        return PooledScheduler(
+            num_workers,
+            mp_context=mp_context,
+            retry_policy=retry_policy,
+            chaos=chaos,
+            degrade=degrade,
+        )
+    return SerialScheduler(retry_policy=retry_policy, chaos=chaos, degrade=degrade)

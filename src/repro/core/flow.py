@@ -66,7 +66,7 @@ class PhaseTiming:
 
     Summed over the phase's pipeline stages: on the default serial walk this
     *is* the phase's wall-clock, exactly as before; on a pooled run
-    (``pipeline_workers``/``campaign_workers`` >= 2) it sums concurrent
+    (``pipeline_workers`` >= 2) it sums concurrent
     workers' compute, so the five entries can total more than
     ``LogicBistResult.cpu_time_seconds`` (which stays end-to-end wall).
     """
@@ -327,10 +327,9 @@ class LogicBistFlow:
     shard fan-out, per-domain MISR signature folds, top-up ATPG, optional
     transition measurement -- into stage nodes and executes them on the
     in-process :class:`~repro.campaign.scheduler.SerialScheduler` (the
-    bit-exactness oracle).  With ``pipeline_workers >= 2`` (or the PR-2
-    ``campaign_workers`` knob) the *same* graph drains through a
-    :class:`~repro.campaign.scheduler.PooledScheduler` worker pool instead:
-    one code path, two schedulers.
+    bit-exactness oracle).  With ``pipeline_workers >= 2`` the *same* graph
+    drains through a :class:`~repro.campaign.scheduler.PooledScheduler`
+    worker pool instead: one code path, two schedulers.
 
     Note: the signature folds operate on per-domain copies (as the campaign
     always did), so ``result.stumps`` no longer carries post-fold MISR state
@@ -350,19 +349,14 @@ class LogicBistFlow:
     # ------------------------------------------------------------------ #
     def run(self, circuit: Circuit, core_name: Optional[str] = None) -> LogicBistResult:
         """Run the complete flow on ``circuit`` and return the measurements."""
-        from ..campaign.pipeline import (
-            PHASE_AT_SPEED,
-            PHASE_ORDER,
-            release_scenario_engines,
-            scenario_stage_nodes,
-            unique_scenario_key,
-        )
-        from ..campaign.scheduler import PooledScheduler, SerialScheduler
+        from ..campaign.pipeline import PHASE_AT_SPEED, PHASE_ORDER, scenario_stage_nodes
+        from ..campaign.runner import release_scenario_engines, unique_scenario_key
+        from ..campaign.scheduler import make_scheduler
 
         config = self.config
         flow_start = time.perf_counter()
 
-        workers = max(config.pipeline_workers, config.campaign_workers)
+        workers = config.pipeline_workers
         if config.campaign_fault_shards is not None:
             fault_shards = config.campaign_fault_shards
         else:
@@ -382,13 +376,8 @@ class LogicBistFlow:
         # outcome here: a stage that exhausts config.retry's attempts
         # raises.  Retries themselves (and pooled timeout/crash recovery)
         # still apply.
-        scheduler = (
-            PooledScheduler(workers, retry_policy=config.retry)
-            if workers >= 2
-            else SerialScheduler(retry_policy=config.retry)
-        )
         try:
-            pipeline_run = scheduler.run(nodes)
+            pipeline_run = make_scheduler(workers, retry_policy=config.retry).run(nodes)
         finally:
             release_scenario_engines([scenario_key])
 

@@ -556,16 +556,6 @@ class TransitionFaultSimulator:
     # ------------------------------------------------------------------ #
     # Sharded-campaign primitives
     # ------------------------------------------------------------------ #
-    def shard_state(self, faults: Sequence[TransitionFault]) -> TransitionSimShardState:
-        """Pickleable shard state for campaign fan-out over ``faults``."""
-        return TransitionSimShardState(
-            circuit=self.circuit,
-            observe_nets=tuple(self.stuck_engine.observe_nets),
-            faults=tuple(faults),
-            sim_backend=self.backend,
-            sim_memory_budget_mb=self.stuck_engine.memory_budget_mb,
-        )
-
     def first_detections(
         self,
         faults: Sequence[TransitionFault],

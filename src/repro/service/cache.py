@@ -33,9 +33,9 @@ from __future__ import annotations
 import weakref
 from typing import Optional
 
-from ..campaign.runner import KeyedLruCache
 from ..core.config import LogicBistConfig
 from ..netlist.circuit import Circuit
+from ..util.cache import KeyedLruCache
 
 
 def config_fingerprint(config: LogicBistConfig) -> str:

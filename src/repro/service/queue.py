@@ -57,7 +57,6 @@ from typing import Iterable, Optional
 from ..campaign.pipeline import (
     RandomPhaseOutcome,
     TransitionOutcome,
-    release_scenario_engines,
     scenario_stage_nodes,
 )
 from ..campaign.results import (
@@ -68,13 +67,12 @@ from ..campaign.results import (
     sort_failures,
 )
 from ..campaign.chaos import ServiceCrashError
-from ..campaign.runner import CampaignScenario
+from ..campaign.runner import CampaignScenario, release_scenario_engines
 from ..campaign.scheduler import (
     CancelToken,
-    PooledScheduler,
     ScheduleCancelled,
-    SerialScheduler,
     StageObserver,
+    make_scheduler,
 )
 from ..core.config import ServiceConfig
 from ..netlist.library import CellLibrary
@@ -967,20 +965,13 @@ class CampaignService:
                 cancel_token=token,
                 lifecycle_chaos=self.lifecycle_chaos,
             )
-            if self.num_workers >= 2:
-                scheduler = PooledScheduler(
-                    self.num_workers,
-                    mp_context=self.mp_context,
-                    retry_policy=self.config.retry,
-                    chaos=self.chaos,
-                    degrade=self.config.degrade_scenarios,
-                )
-            else:
-                scheduler = SerialScheduler(
-                    retry_policy=self.config.retry,
-                    chaos=self.chaos,
-                    degrade=self.config.degrade_scenarios,
-                )
+            scheduler = make_scheduler(
+                self.num_workers,
+                mp_context=self.mp_context,
+                retry_policy=self.config.retry,
+                chaos=self.chaos,
+                degrade=self.config.degrade_scenarios,
+            )
             try:
                 run = scheduler.run(
                     nodes,

@@ -6,7 +6,6 @@ generic core of the worker-side ``EngineCache`` and the service tier's
 scan workspaces (a full bit-plane table per block width -- see
 ``FaultScanKernel``), which sits *below* the campaign layer in the import
 graph, so the class lives here in the dependency-free utility package.
-``repro.campaign.runner`` re-exports both names for compatibility.
 """
 
 from __future__ import annotations

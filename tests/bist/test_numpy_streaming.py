@@ -13,7 +13,7 @@ the BIST layer:
   directly.
 * **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
   reproduce the scalar unload emulation bit for bit, with and without a
-  space compactor, including through the campaign's signature shard task.
+  space compactor, including through the campaign's signature fold stage.
 """
 
 import random
@@ -23,7 +23,8 @@ import pytest
 from repro.bist import StumpsArchitecture
 from repro.bist.lfsr import FibonacciLfsr, GaloisLfsr, _LfsrBase
 from repro.bist.stumps import StumpsDomainConfig
-from repro.campaign.runner import SignatureShardTask, execute_tasks
+from repro.campaign.pipeline import SignatureFoldStage
+from repro.core import LogicBistConfig
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.scan import build_scan_chains
 
@@ -187,27 +188,19 @@ class TestVectorisedMisrFold:
             assert actual == expected, name
 
     def test_signature_shard_task_backend(self):
-        """The campaign's signature shard folds identically on both backends."""
+        """The campaign's signature fold stage folds identically on both backends."""
         import copy
 
         circuit, architecture = make_architecture(17)
         stumps = StumpsArchitecture(architecture, domain_configs(architecture))
-        responses = self._responses(circuit, 16, 5)
+        responses = tuple(self._responses(circuit, 16, 5))
         for name, domain in stumps.domains.items():
-            cells = domain.cells()
-            filtered = tuple(
-                {cell: response.get(cell, 0) for cell in cells}
-                for response in responses
-            )
-            tasks = [
-                SignatureShardTask(
-                    scenario_key=f"sig-{backend}",
-                    domain=name,
-                    stumps_domain=copy.deepcopy(domain),
-                    responses=filtered,
-                    sim_backend=backend,
-                )
+            folds = [
+                SignatureFoldStage(
+                    LogicBistConfig(sim_backend=backend),
+                    name,
+                    copy.deepcopy(domain),
+                ).run(responses)
                 for backend in ("python", "numpy")
             ]
-            outcomes = execute_tasks(tasks)
-            assert outcomes[0].signature == outcomes[1].signature
+            assert folds[0] == folds[1]

@@ -8,7 +8,7 @@ their floating-point values), per-pattern detection credits, and per-domain
 MISR signatures.  This suite fuzzes random circuits from
 :mod:`repro.cores.generator` across shard counts {1, 2, 4, 7} x block sizes
 {64, 256} and asserts exactly that, plus the multiprocessing pool path and
-the flow integration (``LogicBistConfig.campaign_workers``).
+the flow integration (``LogicBistConfig.pipeline_workers``).
 """
 
 import random
@@ -486,7 +486,7 @@ class TestFlowIntegration:
         )
         serial = LogicBistFlow(LogicBistConfig(**base)).run(circuit)
         sharded = LogicBistFlow(
-            LogicBistConfig(**base, campaign_workers=2, campaign_fault_shards=4)
+            LogicBistConfig(**base, pipeline_workers=2, campaign_fault_shards=4)
         ).run(circuit)
         assert sharded.fault_coverage_random == serial.fault_coverage_random
         assert sharded.coverage_curve == serial.coverage_curve

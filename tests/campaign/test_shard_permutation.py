@@ -16,11 +16,12 @@ from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
     contiguous_shards,
-    execute_tasks,
     keyed_round_robin_shards,
     merge_first_detections,
     plan_grid,
+    release_scenario_engines,
     round_robin_shards,
+    run_shard_task,
 )
 from repro.campaign import FaultShardTask, ShardPayload, plan_shard_tasks, with_offsets
 from repro.core import LogicBistConfig
@@ -133,11 +134,20 @@ class TestPermutedShardAssignment:
         blocks = list(iter_blocks(patterns, block_size=32, nets=nets))
         tasks, payloads = self._tasks(circuit, blocks, fault_shards=4, pattern_shards=2)
 
-        baseline = merge_first_detections(execute_tasks(tasks, payloads))
+        def run_tasks(ordered):
+            try:
+                return [
+                    run_shard_task(task, payloads[task.scenario_key])
+                    for task in ordered
+                ]
+            finally:
+                release_scenario_engines(payloads)
+
+        baseline = merge_first_detections(run_tasks(tasks))
         for seed in (1, 2, 3):
             shuffled = list(tasks)
             random.Random(seed).shuffle(shuffled)
-            merged = merge_first_detections(execute_tasks(shuffled, payloads))
+            merged = merge_first_detections(run_tasks(shuffled))
             assert merged == baseline
 
     def test_report_bytes_invariant_under_shard_and_worker_count(self):
