@@ -14,6 +14,7 @@ from repro.bist import StumpsArchitecture
 from repro.cores import comparator_core
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.scan import build_scan_chains
+from repro.simulation import iter_blocks
 from repro.tpi import FaultSimGuidedObservationTpi, ObservabilityGuidedTpi
 
 from conftest import print_rows, scaled
@@ -52,7 +53,7 @@ def test_ablation_tpi_policies(benchmark):
         observability_list = _coverage(circuit, patterns, observability_plan.nets)
         guided_plan = FaultSimGuidedObservationTpi(
             circuit, budget=BUDGET, profile_patterns=128
-        ).select(baseline_list, patterns)
+        ).select(baseline_list, iter_blocks(patterns, nets=circuit.stimulus_nets()))
         guided_list = _coverage(circuit, patterns, guided_plan.nets)
         return baseline_list, observability_plan, observability_list, guided_plan, guided_list
 

@@ -25,6 +25,7 @@ from repro.bist import StumpsArchitecture
 from repro.cores import comparator_core
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.scan import build_scan_chains
+from repro.simulation import iter_blocks
 from repro.tpi import FaultSimGuidedObservationTpi, ObservabilityGuidedTpi
 
 
@@ -75,7 +76,9 @@ def main() -> None:
           f"at {observability_plan.nets}")
 
     guided = FaultSimGuidedObservationTpi(circuit, budget=args.budget, profile_patterns=128)
-    guided_plan = guided.select(fault_list, patterns)
+    guided_plan = guided.select(
+        fault_list, iter_blocks(patterns, nets=circuit.stimulus_nets())
+    )
     cov_guided = coverage_with_points(circuit, patterns, guided_plan.nets)
     print(f"Coverage with fault-sim-guided points:    {cov_guided * 100:6.2f}%  "
           f"at {guided_plan.nets}")

@@ -114,21 +114,11 @@ class AtpgAdjacency:
     def __init__(self, kernel: CompiledKernel) -> None:
         circuit = kernel.circuit
         net_id = kernel.net_id
-        readers: list[list[int]] = [[] for _ in range(kernel.num_nets)]
         self.feeds_flop_d = bytearray(kernel.num_nets)
-        for gate in circuit:
-            if gate.is_flop:
-                if gate.inputs:
-                    self.feeds_flop_d[net_id[gate.inputs[0]]] = 1
-                continue
-            if gate.is_primary_input or gate.gate_type.is_source:
-                continue
-            out = net_id[gate.name]
-            for net in gate.inputs:
-                readers[net_id[net]].append(out)
-        self.comb_readers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(outs) for outs in readers
-        )
+        for gate in circuit.flops():
+            if gate.inputs:
+                self.feeds_flop_d[net_id[gate.inputs[0]]] = 1
+        self.comb_readers: tuple[tuple[int, ...], ...] = kernel.comb_readers
         self.stimulus = bytearray(kernel.num_nets)
         for sid in kernel.stimulus_ids:
             self.stimulus[sid] = 1

@@ -158,6 +158,8 @@ class LogicBistConfig:
     #: TPI method: "fault_sim" (the paper) or "observability" (baseline) or "none".
     tpi_method: str = "fault_sim"
     #: Patterns used for the preliminary fault simulation that guides TPI.
+    #: The fault-sim selector profiles fault effects over at most the first
+    #: 128 of them (``insert_test_points`` caps its ``profile_patterns``).
     tpi_profile_patterns: int = 256
 
     # ------------------------------------------------------------------ #

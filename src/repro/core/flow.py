@@ -50,7 +50,7 @@ from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..netlist.gates import GateType
 from ..simulation.kernel import shared_kernel
-from ..simulation.packed import iter_blocks, unpack_words
+from ..simulation.packed import iter_blocks, leading_blocks, unpack_words
 from ..timing.clocks import ClockTreeModel, make_clock_tree
 from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
 from ..timing.skew_analysis import ShiftPathAnalyzer, ShiftPathParameters, ShiftPathReport
@@ -169,9 +169,7 @@ def insert_test_points(
             budget=config.observation_point_budget,
             profile_patterns=min(config.tpi_profile_patterns, 128),
         )
-        plan = tpi.select(
-            fault_list, expand_leading_patterns(blocks, tpi.profile_patterns)
-        )
+        plan = tpi.select(fault_list, blocks)
     else:
         raise ValueError(f"unknown tpi_method {config.tpi_method!r}")
     if plan.nets:
@@ -199,13 +197,11 @@ def fresh_fault_list(circuit: Circuit, config: LogicBistConfig) -> FaultList:
 
 def expand_leading_patterns(blocks, count: int) -> list[dict]:
     """Expand the leading ``count`` patterns of a packed block stream."""
-    patterns: list[dict] = []
-    for block in blocks:
-        if len(patterns) >= count:
-            break
-        take = min(block.num_patterns, count - len(patterns))
-        patterns.extend(block.pattern(index) for index in range(take))
-    return patterns
+    return [
+        pattern
+        for block in leading_blocks(blocks, count)
+        for pattern in block.patterns()
+    ]
 
 
 def derive_signature_responses(

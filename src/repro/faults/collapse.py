@@ -28,38 +28,6 @@ from .fault_list import FaultList, enumerate_stuck_at_faults
 from .models import OUTPUT_PIN, StuckAtFault
 
 
-class _UnionFind:
-    """Minimal union-find over hashable items."""
-
-    def __init__(self) -> None:
-        self._parent: dict[object, object] = {}
-
-    def add(self, item: object) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-
-    def find(self, item: object) -> object:
-        self.add(item)
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        # Path compression.
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def union(self, a: object, b: object) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def classes(self) -> dict[object, list[object]]:
-        groups: dict[object, list[object]] = {}
-        for item in self._parent:
-            groups.setdefault(self.find(item), []).append(item)
-        return groups
-
-
 @dataclass
 class CollapsedFaults:
     """Result of equivalence collapsing.
@@ -92,29 +60,21 @@ class CollapsedFaults:
 
 
 def _input_output_equivalences(
-    gate_type: GateType, gate_name: str, num_inputs: int
-) -> list[tuple[StuckAtFault, StuckAtFault]]:
-    """Equivalence pairs (input-pin fault, output-stem fault) for one gate."""
-    pairs: list[tuple[StuckAtFault, StuckAtFault]] = []
+    gate_type: GateType, num_inputs: int
+) -> list[tuple[int, int, int]]:
+    """Equivalent (input pin, its stuck value, output stem's stuck value)
+    triples for one gate."""
     if gate_type in (GateType.AND, GateType.NAND):
         controlled = 0 if gate_type is GateType.AND else 1
-        for pin in range(num_inputs):
-            pairs.append(
-                (StuckAtFault(gate_name, pin, 0), StuckAtFault(gate_name, OUTPUT_PIN, controlled))
-            )
-    elif gate_type in (GateType.OR, GateType.NOR):
+        return [(pin, 0, controlled) for pin in range(num_inputs)]
+    if gate_type in (GateType.OR, GateType.NOR):
         controlled = 1 if gate_type is GateType.OR else 0
-        for pin in range(num_inputs):
-            pairs.append(
-                (StuckAtFault(gate_name, pin, 1), StuckAtFault(gate_name, OUTPUT_PIN, controlled))
-            )
-    elif gate_type is GateType.NOT:
-        pairs.append((StuckAtFault(gate_name, 0, 0), StuckAtFault(gate_name, OUTPUT_PIN, 1)))
-        pairs.append((StuckAtFault(gate_name, 0, 1), StuckAtFault(gate_name, OUTPUT_PIN, 0)))
-    elif gate_type in (GateType.BUF, GateType.DFF):
-        pairs.append((StuckAtFault(gate_name, 0, 0), StuckAtFault(gate_name, OUTPUT_PIN, 0)))
-        pairs.append((StuckAtFault(gate_name, 0, 1), StuckAtFault(gate_name, OUTPUT_PIN, 1)))
-    return pairs
+        return [(pin, 1, controlled) for pin in range(num_inputs)]
+    if gate_type is GateType.NOT:
+        return [(0, 0, 1), (0, 1, 0)]
+    if gate_type in (GateType.BUF, GateType.DFF):
+        return [(0, 0, 0), (0, 1, 1)]
+    return []
 
 
 def collapse_stuck_at(
@@ -136,43 +96,73 @@ def collapse_stuck_at(
     are applied (the textbook structural collapsing).  Dominance collapsing is
     deliberately not applied because dominance does not preserve detection
     credit under arbitrary pattern sets.
+
+    The union-find runs over positions in the (de-duplicated) universe, found
+    by ``(gate, pin, value)`` keys, so no fault object is built or hashed
+    until the result is assembled.  Classes are listed in the universe order
+    of their first member, members in universe order.
     """
     if faults is None:
         faults = enumerate_stuck_at_faults(circuit)
-    fault_set = set(faults)
-    uf = _UnionFind()
+    universe: list[StuckAtFault] = []
+    slot: dict[tuple[str, int, int], int] = {}
     for fault in faults:
-        uf.add(fault)
+        key = (fault.gate, fault.pin, fault.value)
+        if key not in slot:
+            slot[key] = len(universe)
+            universe.append(fault)
+    parent = list(range(len(universe)))
+
+    def find(item: int) -> int:
+        while parent[item] != item:
+            parent[item] = parent[parent[item]]
+            item = parent[item]
+        return item
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
 
     fanout = circuit.fanout_map()
+    lookup = slot.get
     for gate in circuit:
-        pairs = _input_output_equivalences(gate.gate_type, gate.name, len(gate.inputs))
-        for branch_fault, stem_equiv in pairs:
-            if stem_equiv not in fault_set:
+        name = gate.name
+        inputs = gate.inputs
+        for pin, branch_value, stem_value in _input_output_equivalences(
+            gate.gate_type, len(inputs)
+        ):
+            stem_equiv = lookup((name, OUTPUT_PIN, stem_value))
+            if stem_equiv is None:
                 continue
             # The equivalence links a fault on this gate's input pin to the
             # fault on this gate's *output* stem.
-            if branch_fault in fault_set:
-                uf.union(stem_equiv, branch_fault)
+            branch = lookup((name, pin, branch_value))
+            if branch is not None:
+                union(stem_equiv, branch)
             # On a fanout-free input net the branch fault is identical to the
             # driving stem fault, so the gate-local equivalence extends to it
             # even when the branch fault itself is not enumerated.
-            net = gate.inputs[branch_fault.pin]
+            net = inputs[pin]
             if len(fanout.get(net, ())) == 1:
-                driving_stem = StuckAtFault(net, OUTPUT_PIN, branch_fault.value)
-                if driving_stem in fault_set:
-                    uf.union(stem_equiv, driving_stem)
+                driving_stem = lookup((net, OUTPUT_PIN, branch_value))
+                if driving_stem is not None:
+                    union(stem_equiv, driving_stem)
         # Fanout-free nets: when branch faults *are* enumerated explicitly,
         # also merge them with the driving stem fault directly.
-        for pin, net in enumerate(gate.inputs):
+        for pin, net in enumerate(inputs):
             if len(fanout.get(net, ())) == 1:
                 for value in (0, 1):
-                    branch = StuckAtFault(gate.name, pin, value)
-                    stem = StuckAtFault(net, OUTPUT_PIN, value)
-                    if branch in fault_set and stem in fault_set:
-                        uf.union(stem, branch)
+                    branch = lookup((name, pin, value))
+                    if branch is None:
+                        continue
+                    stem = lookup((net, OUTPUT_PIN, value))
+                    if stem is not None:
+                        union(stem, branch)
 
-    classes_raw = uf.classes()
+    groups: dict[int, list[StuckAtFault]] = {}
+    for position, fault in enumerate(universe):
+        groups.setdefault(find(position), []).append(fault)
     # Choose a deterministic representative per class: prefer stem faults at
     # the lowest circuit level (closest to the inputs), ties broken by name.
     levels = circuit.levels()
@@ -183,10 +173,11 @@ def collapse_stuck_at(
     representative_of: dict[StuckAtFault, StuckAtFault] = {}
     classes: dict[StuckAtFault, list[StuckAtFault]] = {}
     representatives: list[StuckAtFault] = []
-    for members in classes_raw.values():
-        rep = min(members, key=representative_key)
+    for members in groups.values():
+        ordered = sorted(members, key=representative_key) if len(members) > 1 else members
+        rep = ordered[0]
         representatives.append(rep)
-        classes[rep] = sorted(members, key=representative_key)
+        classes[rep] = ordered
         for member in members:
             representative_of[member] = rep
     representatives.sort(key=representative_key)

@@ -243,6 +243,8 @@ class FaultSimulator:
             list(observe_nets) if observe_nets is not None else circuit.observation_nets()
         )
         self._observe_set = set(self.observe_nets)
+        # Net ID -> its positions in ``observe_nets`` (built on first use).
+        self._observe_positions: Optional[dict[int, list[int]]] = None
         # Cache of (ConePlan, observed IDs inside the plan), keyed by site ID.
         self._site_cache: dict[int, tuple[object, tuple[int, ...]]] = {}
         # Cache of fault -> pre-resolved site record, keyed by the fault itself.
@@ -264,6 +266,7 @@ class FaultSimulator:
         if net not in self._observe_set:
             self.observe_nets.append(net)
             self._observe_set.add(net)
+            self._observe_positions = None
             self._site_cache.clear()
             self._np_scan = None
 
@@ -312,19 +315,26 @@ class FaultSimulator:
         return site_id, evaluate_packed(gate_type, inputs, mask)
 
     def _site_plan(self, site_id: int) -> tuple[object, tuple[int, ...]]:
-        """Cone plan plus the observed net IDs it recomputes (or forces)."""
+        """Cone plan plus the observed net IDs it recomputes (or forces).
+
+        The observed IDs follow ``observe_nets`` order, duplicates included.
+        """
         cached = self._site_cache.get(site_id)
         if cached is None:
             plan = self.kernel.cone_plan(site_id)
-            computed = set(plan.computed)
-            computed.add(site_id)
-            net_id = self.kernel.net_id
-            observed_ids = tuple(
-                net_id[net]
-                for net in self.observe_nets
-                if net_id[net] in computed
-            )
-            cached = (plan, observed_ids)
+            index = self._observe_positions
+            if index is None:
+                index = self._observe_positions = {}
+                net_id = self.kernel.net_id
+                for position, net in enumerate(self.observe_nets):
+                    index.setdefault(net_id[net], []).append(position)
+            observed = [
+                (position, nid)
+                for nid in (*plan.computed, site_id)
+                for position in index.get(nid, ())
+            ]
+            observed.sort()
+            cached = (plan, tuple(nid for _, nid in observed))
             self._site_cache[site_id] = cached
         return cached
 
@@ -687,9 +697,8 @@ class FaultSimulator:
     def fault_effect_profile(
         self,
         faults: Iterable[StuckAtFault],
-        patterns: Sequence[Mapping[str, int]],
+        blocks: Iterable[PatternBlock],
         candidate_nets: Optional[Sequence[str]] = None,
-        block_size: int = DEFAULT_BLOCK_SIZE,
     ) -> dict[str, dict[StuckAtFault, int]]:
         """Where do the effects of (undetected) faults travel?
 
@@ -702,8 +711,14 @@ class FaultSimulator:
         ----------
         faults:
             Faults to profile (typically the random-resistant ones).
-        patterns:
-            Sample of patterns (typically a slice of the random-pattern set).
+        blocks:
+            Packed sample of patterns (typically the leading blocks of the
+            random-pattern session; see
+            :func:`~repro.simulation.packed.leading_blocks`).  A pattern list
+            is packed with :func:`~repro.simulation.packed.iter_blocks`
+            first.  The counts do not depend on the block width; the
+            insertion order of the returned mappings does (first block a net
+            or fault appears in, then fault order).
         candidate_nets:
             Nets eligible to become observation points; defaults to every
             combinational net that is not already observed.
@@ -728,9 +743,8 @@ class FaultSimulator:
         net_names = kernel.net_names
         profile: dict[str, dict[StuckAtFault, int]] = {}
         fault_seq = list(faults)
-        stimulus_nets = self.circuit.stimulus_nets()
         good = self._good
-        for block in iter_blocks(patterns, block_size=block_size, nets=stimulus_nets):
+        for block in blocks:
             num = block.num_patterns
             mask = mask_for(num)
             kernel.set_stimulus(good, block.assignments, mask)
@@ -740,7 +754,7 @@ class FaultSimulator:
                 site_id, faulty_word = self._faulty_site_value_ids(fault, good, mask)
                 if faulty_word == good[site_id]:
                     continue
-                plan, _ = self._site_plan(site_id)
+                plan = kernel.cone_plan(site_id)
                 scratch = kernel.resimulate_plan(plan, good, faulty_word, mask)
                 self.gate_evals += len(plan.ops)
                 # scratch holds the forced site word too, so the site and the

@@ -27,6 +27,7 @@ from .packed import (
     DEFAULT_BLOCK_SIZE,
     PatternBlock,
     iter_blocks,
+    leading_blocks,
     mask_for,
     pack_patterns,
     unpack_words,
@@ -50,6 +51,7 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "PatternBlock",
     "iter_blocks",
+    "leading_blocks",
     "mask_for",
     "pack_patterns",
     "unpack_words",

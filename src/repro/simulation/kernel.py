@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 from ..netlist.circuit import Circuit
@@ -220,6 +221,7 @@ class CompiledKernel:
         self.sched_pos: dict[int, int] = {out: i for i, out in enumerate(outs)}
 
         self._cone_plans: dict[int, ConePlan] = {}
+        self._comb_readers: tuple[tuple[int, ...], ...] | None = None
         #: Shared scratch table for cone resimulation (single-threaded reuse).
         self.scratch: list[int] = [0] * self.num_nets
         #: Per-kernel memo for derived circuit analyses (ATPG fanout
@@ -275,27 +277,53 @@ class CompiledKernel:
         """Full forward pass: evaluate every combinational gate, in place."""
         _evaluate_lists(self.ops, self.outs, self.operands, values, mask)
 
+    @property
+    def comb_readers(self) -> tuple[tuple[int, ...], ...]:
+        """Per net ID, the output IDs of the combinational gates reading it.
+
+        Built once per kernel (in circuit gate order, one entry per input pin)
+        and shared by the cone plans and the compiled ATPG.  Flops are not
+        readers: a cone stops at their data pins.
+        """
+        readers = self._comb_readers
+        if readers is None:
+            net_id = self.net_id
+            lists: list[list[int]] = [[] for _ in range(self.num_nets)]
+            for gate in self.circuit:
+                if gate.is_flop or gate.is_primary_input:
+                    continue
+                out = net_id[gate.name]
+                for net in gate.inputs:
+                    lists[net_id[net]].append(out)
+            readers = self._comb_readers = tuple(tuple(outs) for outs in lists)
+        return readers
+
     def cone_plan(self, site_id: int) -> ConePlan:
-        """Pre-compiled (cached) resimulation plan for the fanout cone of a net."""
+        """Pre-compiled (cached) resimulation plan for the fanout cone of a net.
+
+        The cone is a walk over :attr:`comb_readers` in ID space.  Net IDs are
+        topological positions and the schedule is in topological order, so
+        sorting the cone's output IDs sorts its schedule slice too.
+        """
         plan = self._cone_plans.get(site_id)
         if plan is None:
-            cone_names = self.circuit.fanout_cone(self.net_names[site_id])
-            member_ids = {self.net_id[name] for name in cone_names}
-            sched_pos = self.sched_pos
-            indices = sorted(
-                sched_pos[nid]
-                for nid in member_ids
-                if nid != site_id and nid in sched_pos
-            )
-            ops = tuple(self.ops[k] for k in indices)
-            outs = tuple(self.outs[k] for k in indices)
-            operands = tuple(self.operands[k] for k in indices)
-            written = set(outs)
-            written.add(site_id)
-            frontier = tuple(
-                sorted({i for ins in operands for i in ins if i not in written})
-            )
-            plan = ConePlan(site_id, ops, outs, operands, frontier, outs)
+            readers = self.comb_readers
+            members: set[int] = set()
+            stack = [site_id]
+            while stack:
+                for out in readers[stack.pop()]:
+                    if out not in members:
+                        members.add(out)
+                        stack.append(out)
+            members.discard(site_id)  # forced, never recomputed
+            outs = tuple(sorted(members))
+            indices = tuple(map(self.sched_pos.__getitem__, outs))
+            ops = tuple(map(self.ops.__getitem__, indices))
+            operands = tuple(map(self.operands.__getitem__, indices))
+            members.add(site_id)
+            frontier = set(chain.from_iterable(operands))
+            frontier -= members
+            plan = ConePlan(site_id, ops, outs, operands, tuple(sorted(frontier)), outs)
             self._cone_plans[site_id] = plan
         return plan
 

@@ -131,6 +131,28 @@ def iter_blocks(
         yield pack_patterns(patterns[start : start + block_size], nets=net_list)
 
 
+def leading_blocks(blocks: Iterable[PatternBlock], count: int) -> Iterator[PatternBlock]:
+    """The leading ``count`` patterns of a packed block stream, still packed.
+
+    Blocks are passed through whole while they fit; the block that crosses
+    ``count`` is cut to its leading patterns (words masked).  No block past
+    the ``count``-th pattern is drawn from ``blocks``.
+    """
+    remaining = count
+    stream = iter(blocks)
+    while remaining > 0:
+        block = next(stream, None)
+        if block is None:
+            return
+        if block.num_patterns > remaining:
+            mask = mask_for(remaining)
+            block = PatternBlock(
+                {net: word & mask for net, word in block.assignments.items()}, remaining
+            )
+        remaining -= block.num_patterns
+        yield block
+
+
 def unpack_words(words: Mapping[str, int], num_patterns: int) -> list[dict[str, int]]:
     """Expand packed per-net words into a list of per-pattern dicts."""
     return PatternBlock(dict(words), num_patterns).patterns()

@@ -14,7 +14,17 @@ The algorithm implemented here:
    a net that frequently carries the effect of an undetected fault is a spot
    where an observation point would convert that fault into a detected one,
 3. greedily pick nets maximising the number of newly covered faults
-   (weighted set cover) until the test-point budget is exhausted,
+   (weighted set cover) until the test-point budget is exhausted.  A net's
+   key is (uncovered faults it exposes at least ``min_effect_count`` times,
+   their effect-count sum), ties broken by name.  The greedy is *lazy*
+   (CELF; Leskovec et al., KDD 2007): a heap holds every net's key from its
+   last evaluation, and only the top is re-evaluated, until its fresh key is
+   the one already on the heap.  This is exact, not an approximation of the
+   full rescan: covering faults can only lower a key (the count falls, or it
+   stays and then the sum stays too), so a stale key bounds its net's fresh
+   one, and a top whose key is fresh beats every other net's fresh key.
+   The picks, their order and each pick's covered faults are those of a
+   rescan of every net per round,
 4. physically realise each observation point as a dedicated scan cell whose
    D input taps the chosen net -- the cell joins a scan chain and its content
    is compacted into the MISR like any other response bit, so it costs area
@@ -23,14 +33,16 @@ The algorithm implemented here:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType
 from ..netlist.library import CellLibrary
+from ..simulation.packed import PatternBlock, leading_blocks
 
 
 @dataclass
@@ -80,7 +92,7 @@ class FaultSimGuidedObservationTpi:
     def select(
         self,
         fault_list: FaultList,
-        patterns: Sequence[Mapping[str, int]],
+        blocks: Iterable[PatternBlock],
         observe_nets: Optional[Sequence[str]] = None,
     ) -> ObservationPointPlan:
         """Choose observation points for the currently-undetected faults.
@@ -91,9 +103,10 @@ class FaultSimGuidedObservationTpi:
             Fault list *after* the preliminary random-pattern fault simulation;
             only its undetected faults drive the selection (the fault list is
             not modified).
-        patterns:
-            Random patterns; the first :attr:`profile_patterns` of them are
-            used for effect profiling.
+        blocks:
+            Packed random patterns; the first :attr:`profile_patterns` of them
+            are used for effect profiling.  Pack a pattern list with
+            :func:`~repro.simulation.packed.iter_blocks` first.
         observe_nets:
             Current observation nets (defaults to the circuit's own).
         """
@@ -103,45 +116,59 @@ class FaultSimGuidedObservationTpi:
         if not resistant or self.budget <= 0:
             return plan
 
-        sample = list(patterns[: self.profile_patterns])
-        profile = simulator.fault_effect_profile(resistant, sample)
+        profile = simulator.fault_effect_profile(
+            resistant, leading_blocks(blocks, self.profile_patterns)
+        )
+        return self.plan_from_profile(resistant, profile)
 
+    def plan_from_profile(
+        self,
+        resistant: Sequence[object],
+        profile: Mapping[str, Mapping[object, int]],
+    ) -> ObservationPointPlan:
+        """The greedy set cover of :meth:`select` over a fault-effect profile.
+
+        ``profile`` maps candidate net -> {fault: effect count}, as
+        :meth:`~repro.faults.fault_sim.FaultSimulator.fault_effect_profile`
+        returns it; each pick's covered faults keep the order of its entry.
+        """
+        plan = ObservationPointPlan(resistant_fault_count=len(resistant))
         # Greedy weighted set cover: each round pick the net covering the most
         # not-yet-covered faults; ties broken towards nets with higher total
         # effect counts (more frequently sensitised), then by name for
-        # determinism.
+        # determinism.  Lazy (CELF): the heap holds each net's key from when
+        # it was last evaluated; only the top is re-evaluated, and it is taken
+        # once its fresh key is still the one on the heap.
+        threshold = self.min_effect_count
+        eligible: dict[str, list[tuple[object, int]]] = {}
+        heap: list[tuple[int, int, str]] = []
+        for net, per_fault in profile.items():
+            entries = [(fault, count) for fault, count in per_fault.items() if count >= threshold]
+            if entries:
+                eligible[net] = entries
+                heap.append((-len(entries), -sum(count for _, count in entries), net))
+        heapq.heapify(heap)
         uncovered: set[object] = set(resistant)
-        candidates: dict[str, dict[object, int]] = {
-            net: dict(per_fault) for net, per_fault in profile.items()
-        }
-        while len(plan.nets) < self.budget and uncovered and candidates:
-            best_net = None
-            best_key: tuple[int, int, str] | None = None
-            for net, per_fault in candidates.items():
-                eligible = {
-                    fault: count
-                    for fault, count in per_fault.items()
-                    if fault in uncovered and count >= self.min_effect_count
-                }
-                if not eligible:
-                    continue
-                key = (len(eligible), sum(eligible.values()), net)
-                if best_key is None or (key[0], key[1]) > (best_key[0], best_key[1]) or (
-                    (key[0], key[1]) == (best_key[0], best_key[1]) and net < best_key[2]
-                ):
-                    best_key = key
-                    best_net = net
-            if best_net is None:
-                break
-            newly_covered = [
-                fault
-                for fault, count in candidates[best_net].items()
-                if fault in uncovered and count >= self.min_effect_count
-            ]
-            plan.nets.append(best_net)
-            plan.covered_faults[best_net] = newly_covered
+        while heap and len(plan.nets) < self.budget and uncovered:
+            stale = heap[0]
+            net = stale[2]
+            newly_covered = []
+            effect_sum = 0
+            for fault, count in eligible[net]:
+                if fault in uncovered:
+                    newly_covered.append(fault)
+                    effect_sum += count
+            if not newly_covered:
+                heapq.heappop(heap)
+                continue
+            fresh = (-len(newly_covered), -effect_sum, net)
+            if fresh != stale:
+                heapq.heapreplace(heap, fresh)
+                continue
+            heapq.heappop(heap)
+            plan.nets.append(net)
+            plan.covered_faults[net] = newly_covered
             uncovered.difference_update(newly_covered)
-            del candidates[best_net]
         return plan
 
 

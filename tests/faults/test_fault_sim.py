@@ -16,7 +16,7 @@ from repro.faults import (
     patterns_to_reach,
 )
 from repro.netlist import CircuitBuilder, parse_bench_text
-from repro.simulation import PackedSimulator
+from repro.simulation import PackedSimulator, iter_blocks
 
 C17_TEXT = """
 INPUT(G1)
@@ -220,7 +220,9 @@ class TestObservationPoints:
         sim = FaultSimulator(circuit)
         patterns = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 0, "b": 0}]
         assert not any(sim.detects(p, fault) for p in patterns)
-        profile = sim.fault_effect_profile([fault], patterns)
+        profile = sim.fault_effect_profile(
+            [fault], iter_blocks(patterns, nets=circuit.stimulus_nets())
+        )
         # The effect reaches 'inner' itself but never 'y'.
         assert "inner" in profile
         assert fault in profile["inner"]
@@ -231,7 +233,9 @@ class TestObservationPoints:
         sim = FaultSimulator(circuit)
         faults = [StuckAtFault("G11", OUTPUT_PIN, 0), StuckAtFault("G11", OUTPUT_PIN, 1)]
         patterns = exhaustive_patterns(C17_INPUTS)[:10]
-        profile = sim.fault_effect_profile(faults, patterns)
+        profile = sim.fault_effect_profile(
+            faults, iter_blocks(patterns, nets=circuit.stimulus_nets())
+        )
         for per_fault in profile.values():
             for count in per_fault.values():
                 assert 1 <= count <= len(patterns)

@@ -11,6 +11,7 @@ from repro.simulation import (
     PatternBlock,
     XPropagationSimulator,
     iter_blocks,
+    leading_blocks,
     mask_for,
     pack_patterns,
 )
@@ -73,6 +74,25 @@ class TestPackedHelpers:
         assert [b.num_patterns for b in blocks] == [4, 4, 2]
         with pytest.raises(ValueError):
             list(iter_blocks(patterns, block_size=0))
+
+    def test_leading_blocks_cut_and_stop(self):
+        patterns = [{"a": i & 1, "b": 1} for i in range(10)]
+        drawn = []
+
+        def stream():
+            for block in iter_blocks(patterns, block_size=4):
+                drawn.append(block)
+                yield block
+
+        blocks = list(leading_blocks(stream(), 6))
+        assert [b.num_patterns for b in blocks] == [4, 2]
+        assert blocks[1].assignments == {"a": 0b10, "b": 0b11}
+        assert [p for b in blocks for p in b.patterns()] == patterns[:6]
+        # A count that ends on a block boundary draws no further block.
+        drawn.clear()
+        assert [b.num_patterns for b in leading_blocks(stream(), 8)] == [4, 4]
+        assert len(drawn) == 2
+        assert list(leading_blocks(stream(), 0)) == []
 
     def test_pattern_block_bounds(self):
         block = pack_patterns([{"a": 1}])

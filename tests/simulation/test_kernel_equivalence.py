@@ -194,7 +194,9 @@ class TestFaultSimulatorEquivalence:
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         undetected = fault_list.undetected()[:64]
         profile = simulator.fault_effect_profile(
-            undetected, patterns, candidate_nets=simulator.observe_nets
+            undetected,
+            iter_blocks(patterns, nets=circuit.stimulus_nets()),
+            candidate_nets=simulator.observe_nets,
         )
         reference = ReferenceFaultSimulator(circuit)
         for net, counts in profile.items():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
 from repro.netlist import CellLibrary, CircuitBuilder, validate_circuit
-from repro.simulation import PackedSimulator
+from repro.simulation import PackedSimulator, iter_blocks
 from repro.tpi import (
     ControlPointInserter,
     FaultSimGuidedObservationTpi,
@@ -44,6 +44,11 @@ def random_patterns(circuit, count, seed=0):
     ]
 
 
+def packed(circuit, patterns):
+    """``patterns`` as the packed blocks ``select`` profiles."""
+    return iter_blocks(patterns, nets=circuit.stimulus_nets())
+
+
 class TestFaultSimGuidedTpi:
     def test_selection_improves_coverage(self):
         circuit = blocked_observability_circuit()
@@ -58,7 +63,7 @@ class TestFaultSimGuidedTpi:
 
         # Phase 2: pick observation points from the undetected faults.
         tpi = FaultSimGuidedObservationTpi(circuit, budget=4, profile_patterns=64)
-        plan = tpi.select(baseline_list, patterns)
+        plan = tpi.select(baseline_list, packed(circuit, patterns))
         assert 0 < len(plan.nets) <= 4
         assert plan.resistant_fault_count == len(baseline_list.undetected())
         assert plan.total_covered > 0
@@ -74,13 +79,17 @@ class TestFaultSimGuidedTpi:
     def test_zero_budget_returns_empty_plan(self):
         circuit = blocked_observability_circuit()
         fl = collapse_stuck_at(circuit).to_fault_list()
-        plan = FaultSimGuidedObservationTpi(circuit, budget=0).select(fl, random_patterns(circuit, 8))
+        plan = FaultSimGuidedObservationTpi(circuit, budget=0).select(
+            fl, packed(circuit, random_patterns(circuit, 8))
+        )
         assert plan.nets == []
 
     def test_fully_covered_list_needs_no_points(self):
         circuit = blocked_observability_circuit()
         fl = FaultList()  # empty -> nothing undetected
-        plan = FaultSimGuidedObservationTpi(circuit, budget=8).select(fl, random_patterns(circuit, 8))
+        plan = FaultSimGuidedObservationTpi(circuit, budget=8).select(
+            fl, packed(circuit, random_patterns(circuit, 8))
+        )
         assert plan.nets == []
         assert plan.resistant_fault_count == 0
 
@@ -90,7 +99,7 @@ class TestFaultSimGuidedTpi:
         fl = collapsed.to_fault_list()
         patterns = random_patterns(circuit, 96, seed=3)
         FaultSimulator(circuit).simulate(fl, patterns)
-        plan = FaultSimGuidedObservationTpi(circuit, budget=6).select(fl, patterns)
+        plan = FaultSimGuidedObservationTpi(circuit, budget=6).select(fl, packed(circuit, patterns))
         seen = set()
         for faults in plan.covered_faults.values():
             for fault in faults:
@@ -103,7 +112,7 @@ class TestFaultSimGuidedTpi:
         fl = collapsed.to_fault_list()
         patterns = random_patterns(circuit, 64, seed=3)
         FaultSimulator(circuit).simulate(fl, patterns)
-        plan = FaultSimGuidedObservationTpi(circuit, budget=3).select(fl, patterns)
+        plan = FaultSimGuidedObservationTpi(circuit, budget=3).select(fl, packed(circuit, patterns))
         library = CellLibrary()
         assert plan.area_overhead(library) == pytest.approx(
             len(plan.nets) * library.scan_cell_area()
