@@ -98,9 +98,9 @@ def collapse_stuck_at(
     credit under arbitrary pattern sets.
 
     The union-find runs over positions in the (de-duplicated) universe, found
-    by ``(gate, pin, value)`` keys, so no fault object is built or hashed
-    until the result is assembled.  Classes are listed in the universe order
-    of their first member, members in universe order.
+    by ``(gate, pin, value)`` keys; fault objects are hashed only when the
+    result mappings are assembled.  Classes are listed in the universe order
+    of their first member.
     """
     if faults is None:
         faults = enumerate_stuck_at_faults(circuit)
