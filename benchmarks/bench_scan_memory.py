@@ -83,7 +83,7 @@ def _run_budget(circuit, blocks, budget_mb):
     engine.simulate_blocks(fault_list, blocks)
     seconds = time.perf_counter() - start
     traced_peak = tracemalloc.get_traced_memory()[1]
-    scan = engine._np_scan[1].scan
+    scan = engine._np_scan[1]
     return {
         "budget_mb": budget_mb,
         "seconds": round(seconds, 4),

@@ -52,7 +52,7 @@ def run_engine(circuit, blocks, patterns, budget_mb):
     start = time.perf_counter()
     engine.simulate_blocks(fault_list, blocks)
     seconds = time.perf_counter() - start
-    scan = engine._np_scan[1].scan
+    scan = engine._np_scan[1]
     label = "unbounded" if budget_mb is None else f"{budget_mb:g} MB budget"
     return fault_list, {
         "label": label,

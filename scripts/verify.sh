@@ -28,6 +28,15 @@
 #                                 fan-out, skew sweep or timing/ layer.
 #                                 (These tests also run in the fast tier;
 #                                 this tier just isolates them.)
+#   scripts/verify.sh faults      serial fault-layer subset: tests/faults,
+#                                 tests/simulation and tests/tpi with
+#                                 multiprocess pools deselected -- the quick
+#                                 check after touching the stuck-at fault
+#                                 table, fault lists, collapsing, the fault
+#                                 simulators, the numpy scan compile or
+#                                 test-point insertion.  (These tests also
+#                                 run in the fast tier; this tier just
+#                                 isolates them.)
 #   scripts/verify.sh service     serial campaign-service subset: the
 #                                 service-marked tests (asyncio job queue,
 #                                 crash-injection checkpoint/resume, event
@@ -110,6 +119,10 @@ case "$tier" in
   transition)
     exec python -m pytest -x -q -m "transition and not multiprocess" "$@"
     ;;
+  faults)
+    exec python -m pytest -x -q -m "not multiprocess" tests/faults \
+      tests/simulation tests/tpi "$@"
+    ;;
   service)
     exec python -m pytest -x -q -m "service and not multiprocess" "$@"
     ;;
@@ -127,7 +140,7 @@ case "$tier" in
     exec python benchmarks/perf_gate.py "$out" "$@"
     ;;
   *)
-    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|service|chaos|lifecycle|perf] [pytest args...]" >&2
+    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|faults|service|chaos|lifecycle|perf] [pytest args...]" >&2
     exit 2
     ;;
 esac

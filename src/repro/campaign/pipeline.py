@@ -77,6 +77,7 @@ from .runner import (
     TransitionShardTask,
     plan_shard_tasks,
     run_shard_task,
+    undetected_of_kind,
 )
 from .scheduler import (
     CATEGORY_CONTROL,
@@ -126,6 +127,9 @@ class ScenarioBundle:
     capture_schedule: CaptureSchedule
     fault_list: FaultList
     state: FaultSimShardState
+    #: Fault-list position of each fault of ``state.faults`` (what the
+    #: merge marks).
+    positions: tuple[int, ...]
     offset_blocks: tuple[tuple[int, PatternBlock], ...]
     boundaries: tuple[int, ...]
 
@@ -187,6 +191,8 @@ class TransitionBundle:
     state: TransitionSimShardState
     pair_blocks: tuple[tuple[int, PatternBlock, PatternBlock], ...]
     fault_list: FaultList
+    #: Fault-list position of each fault of ``state.faults``.
+    positions: tuple[int, ...]
     boundaries: tuple[int, ...]
 
 
@@ -313,11 +319,7 @@ class BuildStumpsStage:
                 backend=config.sim_backend,
             )
         )
-        faults = tuple(
-            fault
-            for fault in fault_list.undetected()
-            if isinstance(fault, StuckAtFault)
-        )
+        positions, faults = undetected_of_kind(fault_list, StuckAtFault)
         state = FaultSimShardState(
             circuit=core.circuit,
             observe_nets=tuple(core.circuit.observation_nets()),
@@ -333,6 +335,7 @@ class BuildStumpsStage:
             capture_schedule=capture_schedule,
             fault_list=fault_list,
             state=state,
+            positions=positions,
             offset_blocks=offset_blocks,
             boundaries=tuple(
                 offset + block.num_patterns for offset, block in offset_blocks
@@ -459,7 +462,7 @@ class MergeDetectionsStage:
         merged = merge_first_detections(outcomes)
         result = build_simulation_result(
             bundle.fault_list,
-            bundle.state.faults,
+            bundle.positions,
             merged,
             list(bundle.boundaries),
         )
@@ -839,11 +842,7 @@ class TransitionPrepStage:
             inputs.capture_schedule.pulse_order,
         )
         fault_list = FaultList.transition(circuit)
-        faults = tuple(
-            fault
-            for fault in fault_list.undetected()
-            if isinstance(fault, TransitionFault)
-        )
+        positions, faults = undetected_of_kind(fault_list, TransitionFault)
         state = TransitionSimShardState(
             circuit=circuit,
             observe_nets=tuple(circuit.observation_nets()),
@@ -856,6 +855,7 @@ class TransitionPrepStage:
             state=state,
             pair_blocks=pair_blocks,
             fault_list=fault_list,
+            positions=positions,
             boundaries=tuple(
                 offset + launch_block.num_patterns
                 for offset, launch_block, _ in pair_blocks
@@ -921,21 +921,16 @@ class TransitionMergeStage:
     def run(self, prep: TransitionBundle, *outcomes) -> TransitionOutcome:
         merged = merge_first_detections(outcomes)
         result = build_simulation_result(
-            prep.fault_list, prep.state.faults, merged, list(prep.boundaries)
+            prep.fault_list, prep.positions, merged, list(prep.boundaries)
         )
         fault_list = prep.fault_list
-        first_detections = {
-            str(fault): fault_list.record(fault).first_detection
-            for fault in fault_list.detected()
-            if fault_list.record(fault).first_detection is not None
-        }
         return TransitionOutcome(
             coverage=fault_list.coverage(),
             total_faults=len(fault_list),
-            detected=sum(1 for _ in fault_list.detected()),
+            detected=fault_list.detected_count(),
             patterns_simulated=result.patterns_simulated,
             coverage_curve=list(result.coverage_curve),
-            first_detections=first_detections,
+            first_detections=fault_list.first_detection_labels(),
             num_shards=len(outcomes),
             gate_evals=sum(outcome.gate_evals for outcome in outcomes),
             seconds=sum(outcome.seconds for outcome in outcomes),
@@ -1108,11 +1103,7 @@ class ReportStage:
         # stage credited its own pickled copy, so the outcome's list -- not
         # the bundle's -- is authoritative whenever top-up ran.
         fault_list = topup.fault_list if topup is not None else bundle.fault_list
-        first_detections = {
-            str(fault): fault_list.record(fault).first_detection
-            for fault in fault_list.detected()
-            if fault_list.record(fault).first_detection is not None
-        }
+        first_detections = fault_list.first_detection_labels()
         result = ScenarioResult(
             name=self.name,
             core_name=self.core_name,

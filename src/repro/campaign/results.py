@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 from ..core.config import canonical_stage_key
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulationResult
-from ..faults.models import FaultStatus
 from .scheduler import StageFailure
 
 
@@ -76,7 +75,7 @@ def merge_first_detections(
 
 def build_simulation_result(
     fault_list: FaultList,
-    faults: Sequence[object],
+    positions: Sequence[int],
     merged: Mapping[int, int],
     block_boundaries: Sequence[int],
     pattern_offset: int = 0,
@@ -89,8 +88,9 @@ def build_simulation_result(
         The campaign's fault list; detected faults are marked in place with
         their merged global first-detection index (exactly once each, as the
         serial engine does under fault dropping).
-    faults:
-        Canonical fault ordering the merged indices refer to.
+    positions:
+        Fault-list position of each fault of the canonical ordering the
+        merged indices refer to.
     merged:
         Fault index -> global first-detection pattern index.
     block_boundaries:
@@ -103,46 +103,21 @@ def build_simulation_result(
     """
     total_patterns = block_boundaries[-1] if block_boundaries else 0
     detections_per_pattern = [0] * total_patterns
-    # Mark in canonical fault order so FaultList record contents (and any
-    # iteration-order-dependent consumer) match the serial engine.
-    ordered = sorted(merged.items())
-    for fault_index, pattern_index in ordered:
-        fault_list.mark_detected(faults[fault_index], pattern_index)
-        relative = pattern_index - pattern_offset
-        detections_per_pattern[relative] += 1
+    # Mark in canonical fault order, as the serial engine does.
+    for fault_index, pattern_index in sorted(merged.items()):
+        fault_list.mark_detected_at(positions[fault_index], pattern_index)
+        detections_per_pattern[pattern_index - pattern_offset] += 1
 
     result = FaultSimulationResult(fault_list, total_patterns)
     result.detections_per_pattern = detections_per_pattern
-    cumulative = 0
-    for boundary in block_boundaries:
-        cumulative = boundary
-        # coverage() recounts the fault list, which at this point already
-        # holds *all* merged detections -- but the serial curve sample after
-        # block k only counts detections at pattern indices < boundary.
-        # Count those explicitly against the same denominator.
-        detected = sum(
-            1
-            for record_fault in fault_list.faults()
-            if _detected_before(fault_list, record_fault, pattern_offset + boundary)
-        )
-        total = len(fault_list)
-        coverage = 1.0 if total == 0 else detected / total
-        result.coverage_curve.append((pattern_offset + cumulative, coverage))
+    # The serial curve sample after block k counts the detections at pattern
+    # indices below its boundary, plus every credit from outside the campaign
+    # (the chain-flush test, index -1, or an earlier phase): exactly what
+    # ``coverage_curve`` counts, against the same denominator.
+    result.coverage_curve = fault_list.coverage_curve(
+        pattern_offset + boundary for boundary in block_boundaries
+    )
     return result
-
-
-def _detected_before(fault_list: FaultList, fault: object, boundary: int) -> bool:
-    """Did the serial engine see this fault as detected before ``boundary``?
-
-    Faults credited outside the campaign (e.g. the chain-flush test, index
-    -1, or an earlier phase) count at every boundary, exactly as they would
-    in the serial curve.
-    """
-    record = fault_list.record(fault)
-    if record.status is not FaultStatus.DETECTED:
-        return False
-    first = record.first_detection
-    return first is None or first < boundary
 
 
 # --------------------------------------------------------------------- #

@@ -190,18 +190,16 @@ def run_shard_task(task: ShardTask, payload: ShardPayload) -> ShardOutcome:
     # The stuck-at engine counts its own gate evaluations; the transition
     # engine delegates them to its embedded stuck-at observability engine.
     counter = engine if task.kind == "stuck" else engine.stuck_engine
-    faults = [payload.state.faults[index] for index in task.fault_indices]
+    indices = task.fault_indices
+    faults = [payload.state.faults[index] for index in indices]
     blocks = [payload.blocks[index] for index in task.block_indices]
     evals_before = counter.gate_evals
     found = engine.first_detections(faults, blocks)
     seconds = time.perf_counter() - start
-    index_of = {payload.state.faults[index]: index for index in task.fault_indices}
     return ShardOutcome(
         scenario_key=task.scenario_key,
         shard_id=task.shard_id,
-        first_detections={
-            index_of[fault]: pattern for fault, pattern in found.items()
-        },
+        first_detections={indices[k]: pattern for k, pattern in found.items()},
         gate_evals=counter.gate_evals - evals_before,
         seconds=seconds,
     )
@@ -289,6 +287,18 @@ def build_pair_blocks(
     return tuple(pair_blocks)
 
 
+def undetected_of_kind(fault_list: FaultList, kind: type) -> tuple[tuple, tuple]:
+    """``(positions, faults)`` of the list's undetected faults of ``kind``:
+    a shard state's canonical order and where the merge marks it."""
+    positions = fault_list.undetected_positions()
+    pairs = [
+        (position, fault)
+        for position, fault in zip(positions, fault_list.faults_at(positions))
+        if isinstance(fault, kind)
+    ]
+    return tuple(p for p, _ in pairs), tuple(f for _, f in pairs)
+
+
 def _boundaries(offset_blocks: Sequence[tuple[int, PatternBlock]]) -> list[int]:
     """Cumulative pattern counts after each block (serial curve sample points)."""
     boundaries: list[int] = []
@@ -365,9 +375,7 @@ def run_sharded_fault_sim(
     pool); results are budget-invariant.
     """
     offset_blocks = with_offsets(blocks, pattern_offset)
-    faults = tuple(
-        fault for fault in fault_list.undetected() if isinstance(fault, StuckAtFault)
-    )
+    positions, faults = undetected_of_kind(fault_list, StuckAtFault)
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(
@@ -389,7 +397,7 @@ def run_sharded_fault_sim(
     )
     return build_simulation_result(
         fault_list,
-        faults,
+        positions,
         merged,
         _boundaries(offset_blocks),
         pattern_offset=pattern_offset,
@@ -418,9 +426,7 @@ def run_sharded_transition_sim(
     pair_blocks = build_pair_blocks(
         circuit, launch_patterns, capture_patterns, block_size, pattern_offset
     )
-    faults = tuple(
-        fault for fault in fault_list.undetected() if isinstance(fault, TransitionFault)
-    )
+    positions, faults = undetected_of_kind(fault_list, TransitionFault)
     state = TransitionSimShardState(
         circuit=circuit,
         observe_nets=tuple(
@@ -442,7 +448,7 @@ def run_sharded_transition_sim(
     )
     boundaries = _boundaries([(offset, launch) for offset, launch, _ in pair_blocks])
     sim_result = build_simulation_result(
-        fault_list, faults, merged, boundaries, pattern_offset=pattern_offset
+        fault_list, positions, merged, boundaries, pattern_offset=pattern_offset
     )
     return TransitionSimulationResult(
         fault_list,

@@ -43,8 +43,9 @@ from typing import Optional
 from ..atpg.topup import TopUpResult
 from ..bist.stumps import StumpsArchitecture, StumpsDomainConfig
 from ..faults.collapse import collapse_stuck_at
-from ..faults.fault_list import FaultList
+from ..faults.fault_list import GATE_TYPES, FaultList, stuck_at_table
 from ..faults.fault_sim import FaultSimulator
+from ..faults.models import OUTPUT_PIN
 from ..faults.transition_sim import capture_group_updates, derive_capture_block
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
@@ -182,17 +183,16 @@ def insert_test_points(
 def fresh_fault_list(circuit: Circuit, config: LogicBistConfig) -> FaultList:
     """The flow's collapsed stuck-at fault universe under ``config``."""
     collapsed = collapse_stuck_at(circuit)
-    faults = collapsed.representatives
+    table = collapsed.table
+    ids = collapsed.representative_ids
     if config.exclude_pad_faults:
-        faults = [
-            fault
-            for fault in faults
-            if not (
-                fault.is_stem
-                and circuit.gate(fault.gate).gate_type is GateType.INPUT
-            )
+        pad = GATE_TYPES.index(GateType.INPUT)
+        ids = [
+            fid
+            for fid in ids
+            if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
         ]
-    return FaultList(faults)
+    return FaultList.from_table(table, ids)
 
 
 def expand_leading_patterns(blocks, count: int) -> list[dict]:
@@ -250,11 +250,14 @@ def credit_chain_flush(core: BistReadyCore, fault_list: FaultList) -> int:
     of scan cells are detected by that test.  Commercial flows count this
     coverage, and so does the paper's tool.
     """
-    flop_names = set(core.circuit.flop_names())
+    table = stuck_at_table(core.circuit)
+    net_id = table.kernel.net_id
+    flops = {net_id[name] for name in core.circuit.flop_names()}
+    positions = fault_list.undetected_positions()
     credited = 0
-    for fault in list(fault_list.undetected()):
-        if fault.is_stem and fault.gate in flop_names:
-            fault_list.mark_detected(fault, pattern_index=-1)
+    for position, fid in zip(positions, fault_list.table_ids(table, positions)):
+        if table.pin[fid] == OUTPUT_PIN and table.gate[fid] in flops:
+            fault_list.mark_detected_at(position, pattern_index=-1)
             credited += 1
     return credited
 

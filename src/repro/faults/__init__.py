@@ -3,6 +3,8 @@
 Public API:
 
 * :class:`~repro.faults.models.StuckAtFault` / :class:`~repro.faults.models.TransitionFault`,
+* :class:`~repro.faults.fault_list.StuckAtTable` -- the canonical stuck-at
+  fault table of a compiled kernel (:func:`~repro.faults.fault_list.stuck_at_table`),
 * :class:`~repro.faults.fault_list.FaultList` and the fault enumeration helpers,
 * :func:`~repro.faults.collapse.collapse_stuck_at` -- structural equivalence collapsing,
 * :class:`~repro.faults.fault_sim.FaultSimulator` -- PPSFP stuck-at simulation
@@ -17,15 +19,21 @@ construction, good values live in flat ``list[int]`` tables, fanout cones are
 pre-compiled into per-site ID schedules, and pattern blocks of any width
 (64 / 256 / 1024 patterns per word) stream through
 :meth:`~repro.faults.fault_sim.FaultSimulator.simulate_blocks` without
-per-pattern dicts.  The name-keyed entry points remain as thin adapters.
+per-pattern dicts.  Faults are integers too: a stuck-at fault is its row in
+the kernel's stuck-at table, which collapsing, both simulators' scans, the
+numpy scan compile, shard merges and TPI's coverage sets all index; fault
+lists keep statuses in arrays by position.  Fault objects and the name-keyed
+entry points remain as thin adapters at the API edge.
 """
 
 from .models import OUTPUT_PIN, Fault, FaultStatus, StuckAtFault, TransitionFault
 from .fault_list import (
     FaultList,
     FaultRecord,
+    StuckAtTable,
     enumerate_stuck_at_faults,
     enumerate_transition_faults,
+    stuck_at_table,
 )
 from .collapse import CollapsedFaults, collapse_stuck_at
 from .fault_sim import (
@@ -58,6 +66,8 @@ __all__ = [
     "TransitionFault",
     "FaultList",
     "FaultRecord",
+    "StuckAtTable",
+    "stuck_at_table",
     "enumerate_stuck_at_faults",
     "enumerate_transition_faults",
     "CollapsedFaults",

@@ -45,8 +45,9 @@ from ..simulation.kernel import StrictStimulusError
 from ..simulation.numpy_backend import (
     NUMPY_BACKEND,
     PYTHON_BACKEND,
+    FaultArrays,
     FaultScanKernel,
-    ScanFault,
+    np,
     numpy_kernel_for,
     plane_to_word,
     resolve_backend,
@@ -55,12 +56,9 @@ from ..simulation.numpy_backend import (
     words_for,
 )
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks, mask_for
-from .fault_list import FaultList
+from ..util.cache import KeyedLruCache
+from .fault_list import SITE_CONST, FaultList, stuck_at_table
 from .models import StuckAtFault
-
-#: Fault-site kinds pre-resolved into ID space (see ``_fault_spec``).
-_SITE_CONST = 0  # output stem or flop D-pin branch: forced constant word
-_SITE_GATE = 1  # combinational input-branch: re-evaluate the owning gate
 
 
 def check_strict_patterns(
@@ -154,60 +152,49 @@ class FaultSimulationResult:
         return self.fault_list.coverage()
 
 
-class _NumpyFaultScan:
-    """Compiled fault-vectorised scan state for one canonical fault order.
+class _SitePlans:
+    """Cone plan plus observed net IDs per fault site, for one (kernel,
+    observation set): resolved once per site and shared by every engine on
+    that kernel (see :func:`site_plans`).
 
-    Thin faults-layer shim over
-    :class:`~repro.simulation.numpy_backend.FaultScanKernel`: it translates
-    the engine's pre-resolved site records and cone plans into backend
-    :class:`~repro.simulation.numpy_backend.ScanFault` descriptions (one per
-    fault, positionally -- duplicate faults are legal) and owns the per-width
-    bit-plane tables the scans run over.
+    The observed IDs follow the observation order, duplicates included.
     """
 
-    def __init__(self, engine: "FaultSimulator", faults: tuple) -> None:
-        self.faults = faults
-        self.np_kernel = numpy_kernel_for(engine.kernel)
+    def __init__(self, kernel, observe_nets: Sequence[str]) -> None:
+        self.kernel = kernel
+        # Net ID -> its positions in the observation order.
+        self._positions: dict[int, list[int]] = {}
+        net_id = kernel.net_id
+        for position, net in enumerate(observe_nets):
+            self._positions.setdefault(net_id[net], []).append(position)
+        self._plans: dict[int, tuple[object, tuple[int, ...]]] = {}
 
-        def build() -> FaultScanKernel:
-            scan_faults = []
-            for fault in faults:
-                spec = engine._fault_spec(fault)
-                plan, observed_ids = engine._site_plan(spec[1])
-                if spec[0] == _SITE_CONST:
-                    scan_faults.append(
-                        ScanFault(spec[1], plan, observed_ids, const_value=spec[2])
-                    )
-                else:
-                    _, site_id, value, gate_type, input_ids, pin = spec
-                    scan_faults.append(
-                        ScanFault(
-                            site_id,
-                            plan,
-                            observed_ids,
-                            gate_type=gate_type,
-                            operand_ids=input_ids,
-                            pin=pin,
-                            value=value,
-                        )
-                    )
-            return FaultScanKernel(
-                self.np_kernel,
-                scan_faults,
-                memory_budget_bytes=engine._memory_budget_bytes,
-            )
+    def __call__(self, site_id: int) -> tuple[object, tuple[int, ...]]:
+        cached = self._plans.get(site_id)
+        if cached is None:
+            plan = self.kernel.cone_plan(site_id)
+            index = self._positions
+            observed = [
+                (position, nid)
+                for nid in (*plan.computed, site_id)
+                for position in index.get(nid, ())
+            ]
+            observed.sort()
+            cached = self._plans[site_id] = (plan, tuple(nid for _, nid in observed))
+        return cached
 
-        # The budget is part of the cache key: a cached scan compiled for
-        # one budget must not serve an engine configured with another.
-        self.scan = scan_kernel_for(
-            self.np_kernel,
-            (faults, tuple(engine.observe_nets), engine._memory_budget_bytes),
-            build,
-        )
 
-    def table_for(self, num_words: int):
-        """The scan's good-rows + fault-slot-rows table for one width."""
-        return self.scan.table_for(num_words)
+#: Observation sets whose site plans one kernel keeps.
+_SITE_PLAN_SETS = 4
+
+
+def site_plans(kernel, observe_nets: Sequence[str]) -> _SitePlans:
+    """The shared site-plan resolver of ``kernel`` for one observation set."""
+    cache = kernel.analysis_cache.get("site_plans")
+    if cache is None:
+        cache = kernel.analysis_cache["site_plans"] = KeyedLruCache(_SITE_PLAN_SETS)
+    key = tuple(observe_nets)
+    return cache.get_or_build(key, lambda: _SitePlans(kernel, key))
 
 
 class FaultSimulator:
@@ -218,7 +205,8 @@ class FaultSimulator:
     (the fault-vectorised bit-plane scan of
     :mod:`repro.simulation.numpy_backend`).  Detection masks, statuses,
     first-detection indices and coverage curves are bit-identical across
-    backends; only throughput differs.
+    backends; only throughput differs.  Internally faults are rows of the
+    kernel's :class:`~repro.faults.fault_list.StuckAtTable` (``table``).
     """
 
     def __init__(
@@ -239,20 +227,17 @@ class FaultSimulator:
             circuit, backend=backend, memory_budget_mb=memory_budget_mb
         )
         self.kernel = self.simulator.kernel
+        #: The kernel's canonical stuck-at table (fault IDs are its rows).
+        self.table = stuck_at_table(self.kernel)
         self.observe_nets = (
             list(observe_nets) if observe_nets is not None else circuit.observation_nets()
         )
         self._observe_set = set(self.observe_nets)
-        # Net ID -> its positions in ``observe_nets`` (built on first use).
-        self._observe_positions: Optional[dict[int, list[int]]] = None
-        # Cache of (ConePlan, observed IDs inside the plan), keyed by site ID.
-        self._site_cache: dict[int, tuple[object, tuple[int, ...]]] = {}
-        # Cache of fault -> pre-resolved site record, keyed by the fault itself.
-        self._fault_specs: dict[StuckAtFault, tuple] = {}
+        self._site_plan = site_plans(self.kernel, self.observe_nets)
         # Reusable good-value table (one slot per interned net).
         self._good = self.kernel.make_table()
-        # Most-recently compiled numpy scan state: (fault tuple, scan).
-        self._np_scan: Optional[tuple[tuple, _NumpyFaultScan]] = None
+        # Most-recently compiled numpy scan: (fault-ID bytes, scan).
+        self._np_scan: Optional[tuple[bytes, FaultScanKernel]] = None
         #: Aggregate count of gate (re-)evaluations, for throughput reporting.
         self.gate_evals = 0
 
@@ -266,83 +251,29 @@ class FaultSimulator:
         if net not in self._observe_set:
             self.observe_nets.append(net)
             self._observe_set.add(net)
-            self._observe_positions = None
-            self._site_cache.clear()
+            self._site_plan = site_plans(self.kernel, self.observe_nets)
             self._np_scan = None
 
     # ------------------------------------------------------------------ #
-    # Fault injection helpers (ID space)
+    # Fault injection (ID space)
     # ------------------------------------------------------------------ #
-    def _fault_spec(self, fault: StuckAtFault) -> tuple:
-        """Pre-resolved site record: how to compute (site ID, faulty word)."""
-        spec = self._fault_specs.get(fault)
-        if spec is None:
-            net_id = self.kernel.net_id
-            if fault.is_stem:
-                spec = (_SITE_CONST, net_id[fault.gate], fault.value)
-            else:
-                gate = self.circuit.gate(fault.gate)
-                if gate.is_flop:
-                    # A branch fault on a flop's D pin is observed at the D net
-                    # itself in the scan view; represent it as a constant
-                    # override on the D net (see the pre-kernel engine).
-                    spec = (_SITE_CONST, net_id[gate.inputs[fault.pin]], fault.value)
-                else:
-                    spec = (
-                        _SITE_GATE,
-                        net_id[fault.gate],
-                        fault.value,
-                        gate.gate_type,
-                        tuple(net_id[n] for n in gate.inputs),
-                        fault.pin,
-                    )
-            self._fault_specs[fault] = spec
-        return spec
-
-    def _faulty_site_value_ids(
-        self, fault: StuckAtFault, good: Sequence[int], mask: int
+    def _faulty_site_value(
+        self, spec: tuple, good: Sequence[int], mask: int
     ) -> tuple[int, int]:
-        """Return (site net ID, packed faulty word) for ``fault``."""
-        spec = self._fault_spec(fault)
-        if spec[0] == _SITE_CONST:
-            return spec[1], (mask if spec[2] else 0)
-        _, site_id, value, gate_type, input_ids, pin = spec
+        """Return (site net ID, packed faulty word) of one table spec."""
+        kind, site_id, value, gate_type, input_ids, pin = spec
         forced = mask if value else 0
+        if kind == SITE_CONST:
+            return site_id, forced
         inputs = [
             forced if index == pin else good[nid]
             for index, nid in enumerate(input_ids)
         ]
         return site_id, evaluate_packed(gate_type, inputs, mask)
 
-    def _site_plan(self, site_id: int) -> tuple[object, tuple[int, ...]]:
-        """Cone plan plus the observed net IDs it recomputes (or forces).
-
-        The observed IDs follow ``observe_nets`` order, duplicates included.
-        """
-        cached = self._site_cache.get(site_id)
-        if cached is None:
-            plan = self.kernel.cone_plan(site_id)
-            index = self._observe_positions
-            if index is None:
-                index = self._observe_positions = {}
-                net_id = self.kernel.net_id
-                for position, net in enumerate(self.observe_nets):
-                    index.setdefault(net_id[net], []).append(position)
-            observed = [
-                (position, nid)
-                for nid in (*plan.computed, site_id)
-                for position in index.get(nid, ())
-            ]
-            observed.sort()
-            cached = (plan, tuple(nid for _, nid in observed))
-            self._site_cache[site_id] = cached
-        return cached
-
-    def _detection_ids(
-        self, fault: StuckAtFault, good: list[int], mask: int
-    ) -> int:
-        """Detection mask computed entirely in ID space (the hot path)."""
-        site_id, faulty_word = self._faulty_site_value_ids(fault, good, mask)
+    def _detection(self, spec: tuple, good: list[int], mask: int) -> int:
+        """Detection mask of one table spec (the python backend's hot path)."""
+        site_id, faulty_word = self._faulty_site_value(spec, good, mask)
         if faulty_word == good[site_id]:
             return 0
         plan, observed_ids = self._site_plan(site_id)
@@ -362,7 +293,13 @@ class FaultSimulator:
         self, fault: StuckAtFault, good_values: list[int], num_patterns: int
     ) -> int:
         """Detection mask against an integer-indexed good-value table."""
-        return self._detection_ids(fault, good_values, mask_for(num_patterns))
+        return self.detection_mask_at(
+            self.table.id_of(fault), good_values, mask_for(num_patterns)
+        )
+
+    def detection_mask_at(self, fault_id: int, good_values: list[int], mask: int) -> int:
+        """Detection mask of one fault ID against a good-value table."""
+        return self._detection(self.table.spec(fault_id), good_values, mask)
 
     def detection_mask(
         self,
@@ -379,9 +316,8 @@ class FaultSimulator:
         a circuit net missing from the mapping raises ``KeyError`` (fail
         fast, never a silent all-zero default).
         """
-        mask = mask_for(num_patterns)
         table = self._table_from_mapping(good_values)
-        return self._detection_ids(fault, table, mask)
+        return self.detection_mask_ids(fault, table, num_patterns)
 
     def _table_from_mapping(self, good_values: Mapping[str, int]) -> list[int]:
         return [good_values[name] for name in self.kernel.net_names]
@@ -391,45 +327,81 @@ class FaultSimulator:
     # ------------------------------------------------------------------ #
     def _scan_block(
         self,
-        active: list[StuckAtFault],
+        active: list[tuple[int, tuple]],
         good: list[int],
         mask: int,
         drop_detected: bool = True,
-    ) -> tuple[list[tuple[StuckAtFault, int]], list[StuckAtFault]]:
-        """One PPSFP pass of all ``active`` faults over a simulated block.
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, tuple]]]:
+        """One PPSFP pass of all ``active`` ``(tag, table spec)`` pairs over a
+        simulated block.
 
         Returns ``(detections, still_active)`` where each detection is
-        ``(fault, first detecting bit within the block)``.  This is the one
+        ``(tag, first detecting bit within the block)``.  This is the one
         place the per-block detection logic lives: the serial campaign
         (:meth:`simulate_blocks`) and the sharded scan
         (:meth:`first_detections`) both run through it, so the serial oracle
         and the shard primitive cannot drift apart.
         """
-        detections: list[tuple[StuckAtFault, int]] = []
-        still_active: list[StuckAtFault] = []
-        for fault in active:
-            detection = self._detection_ids(fault, good, mask)
+        detections: list[tuple[int, int]] = []
+        still_active: list[tuple[int, tuple]] = []
+        detect = self._detection
+        for entry in active:
+            detection = detect(entry[1], good, mask)
             if detection:
                 first_bit = (detection & -detection).bit_length() - 1
-                detections.append((fault, first_bit))
+                detections.append((entry[0], first_bit))
                 if not drop_detected:
-                    still_active.append(fault)
+                    still_active.append(entry)
             else:
-                still_active.append(fault)
+                still_active.append(entry)
         return detections, still_active
 
-    def _numpy_scan(self, faults: tuple) -> _NumpyFaultScan:
-        """Compiled vectorised scan for a canonical fault order (1-deep cache).
+    def _numpy_scan(self, ids: Sequence[int]) -> FaultScanKernel:
+        """Compiled vectorised scan for a canonical fault-ID order.
 
-        The per-site cone lowerings are cached on the shared numpy kernel, so
-        recompiling for a different fault order (the ATPG top-up after the
-        random phase) only pays the cheap per-fault assembly.
+        Cached 1-deep here and by (order, observation set, budget) on the
+        shared numpy kernel (:func:`scan_kernel_for`), so the engines of one
+        fault universe share a compilation.  The compile reads the stuck-at
+        table's columns for ``ids`` (one row per fault, positionally --
+        duplicate faults are legal) plus the shared plan of every distinct
+        site, so recompiling for a different fault order (the ATPG top-up
+        after the random phase) only pays the array assembly.
         """
+        ids = np.asarray(ids, dtype=np.intp)
+        key = ids.tobytes()
         cached = self._np_scan
-        if cached is not None and cached[0] == faults:
+        if cached is not None and cached[0] == key:
             return cached[1]
-        scan = _NumpyFaultScan(self, faults)
-        self._np_scan = (faults, scan)
+        nk = numpy_kernel_for(self.kernel)
+
+        def build() -> FaultScanKernel:
+            columns = self.table.arrays()
+            site_ids = columns["site"][ids]
+            sites, site_index = np.unique(site_ids, return_inverse=True)
+            faults = FaultArrays(
+                site_ids=site_ids,
+                site_index=site_index,
+                const_value=np.where(
+                    columns["kind"][ids] == SITE_CONST, columns["value"][ids], -1
+                ),
+                gate_ids=columns["gate"][ids],
+                gate_types=columns["gate_type"][ids],
+                pins=columns["pin"][ids],
+                values=columns["value"][ids],
+            )
+            return FaultScanKernel(
+                nk,
+                faults,
+                [self._site_plan(site) for site in sites.tolist()],
+                memory_budget_bytes=self._memory_budget_bytes,
+            )
+
+        # The budget is part of the cache key: a cached scan compiled for
+        # one budget must not serve an engine configured with another.
+        scan = scan_kernel_for(
+            nk, (key, tuple(self.observe_nets), self._memory_budget_bytes), build
+        )
+        self._np_scan = (key, scan)
         return scan
 
     def simulate(
@@ -490,15 +462,34 @@ class FaultSimulator:
         ``StumpsArchitecture.generate_packed_blocks`` without any per-pattern
         dict ever being built.  Scan cells / stimulus nets missing from a
         block's assignments default to the all-zero word, exactly as in the
-        pattern-list path.
+        pattern-list path.  Faults are tracked as (list position, table ID)
+        pairs; detections mark the list by position.
         """
-        if self.backend == NUMPY_BACKEND:
-            return self._simulate_blocks_numpy(
-                fault_list, blocks, drop_detected, pattern_offset
-            )
+        positions = fault_list.undetected_positions()
+        ids = fault_list.table_ids(self.table, positions)
         result = FaultSimulationResult(fault_list, 0)
-        active = list(fault_list.undetected())
         simulated = 0
+        if self.backend == NUMPY_BACKEND:
+            scan_blocks = self._numpy_blocks(ids, blocks, drop_detected)
+        else:
+            scan_blocks = self._python_blocks(ids, blocks, drop_detected)
+        for num, detections in scan_blocks:
+            result.detections_per_pattern.extend([0] * num)
+            for index, first_bit in detections:
+                fault_list.mark_detected_at(
+                    positions[index], pattern_offset + simulated + first_bit
+                )
+                result.detections_per_pattern[simulated + first_bit] += 1
+            simulated += num
+            result.coverage_curve.append((pattern_offset + simulated, fault_list.coverage()))
+        result.patterns_simulated = simulated
+        return result
+
+    def _python_blocks(self, ids: Sequence[int], blocks, drop_detected: bool = True):
+        """Per block: ``(patterns, [(index into ids, first bit)])``, the
+        python backend's PPSFP with dropping."""
+        spec = self.table.spec
+        active = [(index, spec(fid)) for index, fid in enumerate(ids)]
         kernel = self.kernel
         good = self._good
         for block in blocks:
@@ -507,36 +498,25 @@ class FaultSimulator:
             kernel.set_stimulus(good, block.assignments, mask)
             kernel.evaluate(good, mask)
             self.gate_evals += kernel.num_gates
-            result.detections_per_pattern.extend([0] * num)
             detections, active = self._scan_block(active, good, mask, drop_detected)
-            for fault, first_bit in detections:
-                fault_list.mark_detected(fault, pattern_offset + simulated + first_bit)
-                result.detections_per_pattern[simulated + first_bit] += 1
-            simulated += num
-            result.coverage_curve.append((pattern_offset + simulated, fault_list.coverage()))
-        result.patterns_simulated = simulated
-        return result
+            yield num, detections
 
     def _np_block_pass(
-        self, scan_state: _NumpyFaultScan, block: PatternBlock, active: list[int]
+        self, scan: FaultScanKernel, block: PatternBlock, active: list[int]
     ) -> tuple[dict, int]:
         """One numpy-backend block: load, forward-evaluate, scan the actives.
 
         The single home of the per-block numpy execution, shared by the
-        serial campaign (:meth:`_simulate_blocks_numpy`) and the shard
-        primitive (:meth:`_first_detections_numpy`) exactly like
-        :meth:`_scan_block` is for the python backend -- so oracle and shard
-        primitive cannot drift apart.  Returns ``(detection rows by
-        canonical position, block pattern count)``.  The fault-free pass
-        always runs (the python backend does too, and its gate-evaluation
-        accounting must match); the fault scan is skipped when nothing is
-        active.
+        campaign loop and the shard primitive through
+        :meth:`_numpy_blocks`.  Returns ``(detection rows by canonical
+        position, block pattern count)``.  The fault-free pass always runs
+        (the python backend does too, and its gate-evaluation accounting must
+        match); the fault scan is skipped when nothing is active.
         """
         num = block.num_patterns
         mask = mask_for(num)
         num_words = words_for(num)
-        scan = scan_state.scan
-        np_kernel = scan_state.np_kernel
+        np_kernel = scan.nk
         table = scan.table_for(num_words)
         mask_plane = np_kernel.mask_plane(mask, num_words)
         np_kernel.set_stimulus(table, block.assignments, mask, num_words)
@@ -548,31 +528,19 @@ class FaultSimulator:
         self.gate_evals += resim_evals
         return rows, num
 
-    def _simulate_blocks_numpy(
-        self,
-        fault_list: FaultList,
-        blocks: Iterable[PatternBlock],
-        drop_detected: bool,
-        pattern_offset: int,
-    ) -> FaultSimulationResult:
-        """The ``"numpy"`` backend form of :meth:`simulate_blocks`.
-
-        Identical bookkeeping, but every block runs through
-        :meth:`_np_block_pass` (level-batched bit-plane forward simulation
-        plus the fault-vectorised union-cone scan) instead of per-fault
-        bigint cone resimulation.  The active set is tracked as positions
-        into the compiled canonical fault order.
-        """
-        result = FaultSimulationResult(fault_list, 0)
-        faults = tuple(fault_list.undetected())
-        scan_state = self._numpy_scan(faults)
-        scan = scan_state.scan
-        active = list(range(len(faults)))
-        scan.ensure_live(active)
-        simulated = 0
+    def _numpy_blocks(self, ids: Sequence[int], blocks, drop_detected: bool = True):
+        """The ``"numpy"`` backend form of :meth:`_python_blocks`: level-
+        batched bit-plane forward simulation plus the fault-vectorised
+        union-cone scan, over the active positions of one compiled order
+        (compiled at the first block)."""
+        scan = None
+        active = list(range(len(ids)))
         for block in blocks:
-            rows, num = self._np_block_pass(scan_state, block, active)
-            result.detections_per_pattern.extend([0] * num)
+            if scan is None:
+                scan = self._numpy_scan(ids)
+                scan.ensure_live(active)
+            rows, num = self._np_block_pass(scan, block, active)
+            detections: list[tuple[int, int]] = []
             still_active: list[int] = []
             for position in active:
                 row = rows.get(position)
@@ -580,21 +548,12 @@ class FaultSimulator:
                     still_active.append(position)
                     continue
                 word = plane_to_word(row)
-                first_bit = (word & -word).bit_length() - 1
-                fault_list.mark_detected(
-                    faults[position], pattern_offset + simulated + first_bit
-                )
-                result.detections_per_pattern[simulated + first_bit] += 1
+                detections.append((position, (word & -word).bit_length() - 1))
                 if not drop_detected:
                     still_active.append(position)
             active = still_active
             scan.maybe_prune(active)
-            simulated += num
-            result.coverage_curve.append(
-                (pattern_offset + simulated, fault_list.coverage())
-            )
-        result.patterns_simulated = simulated
-        return result
+            yield num, detections
 
     # ------------------------------------------------------------------ #
     # Sharded-campaign primitives
@@ -619,64 +578,34 @@ class FaultSimulator:
         self,
         faults: Sequence[StuckAtFault],
         blocks: Iterable[tuple[int, PatternBlock]],
-    ) -> dict[StuckAtFault, int]:
+    ) -> dict[int, int]:
         """First-detection scan: the shard primitive of the campaign runner.
 
         ``blocks`` is a stream of ``(global pattern offset, PatternBlock)``
         pairs.  For every fault the *global index of the first detecting
-        pattern* within the stream is returned (faults never detected are
-        absent).  Detection of one fault never depends on any other fault --
-        fault dropping is a pure optimisation here -- so partitioning faults
-        and/or pattern blocks across shards and min-merging the returned
-        indices reproduces the serial result bit for bit.
+        pattern* within the stream is returned, keyed by the fault's index
+        in ``faults`` (faults never detected are absent).  Detection of one
+        fault never depends on any other fault -- fault dropping is a pure
+        optimisation here -- so partitioning faults and/or pattern blocks
+        across shards and min-merging the returned indices reproduces the
+        serial result bit for bit.
         """
-        if self.backend == NUMPY_BACKEND:
-            return self._first_detections_numpy(faults, blocks)
-        detections: dict[StuckAtFault, int] = {}
-        active = list(faults)
-        kernel = self.kernel
-        good = self._good
-        for offset, block in blocks:
-            if not active:
-                break
-            num = block.num_patterns
-            mask = mask_for(num)
-            kernel.set_stimulus(good, block.assignments, mask)
-            kernel.evaluate(good, mask)
-            self.gate_evals += kernel.num_gates
-            found, active = self._scan_block(active, good, mask)
-            for fault, first_bit in found:
-                detections[fault] = offset + first_bit
-        return detections
+        ids = self.table.ids_of(faults)
+        scan = self._numpy_blocks if self.backend == NUMPY_BACKEND else self._python_blocks
+        detections: dict[int, int] = {}
+        remaining = len(ids)
+        offsets = []
 
-    def _first_detections_numpy(
-        self,
-        faults: Sequence[StuckAtFault],
-        blocks: Iterable[tuple[int, PatternBlock]],
-    ) -> dict[StuckAtFault, int]:
-        """The ``"numpy"`` backend form of :meth:`first_detections`."""
-        detections: dict[StuckAtFault, int] = {}
-        fault_order = tuple(faults)
-        scan_state = self._numpy_scan(fault_order)
-        scan = scan_state.scan
-        active = list(range(len(fault_order)))
-        scan.ensure_live(active)
-        for offset, block in blocks:
-            if not active:
-                break
-            rows, _num = self._np_block_pass(scan_state, block, active)
-            still_active: list[int] = []
-            for position in active:
-                row = rows.get(position)
-                if row is None:
-                    still_active.append(position)
-                    continue
-                word = plane_to_word(row)
-                detections[fault_order[position]] = (
-                    offset + (word & -word).bit_length() - 1
-                )
-            active = still_active
-            scan.maybe_prune(active)
+        def stream():
+            for offset, block in blocks:
+                if len(detections) == remaining:
+                    return
+                offsets.append(offset)
+                yield block
+
+        for _num, found in scan(ids, stream()):
+            for index, first_bit in found:
+                detections[index] = offsets[-1] + first_bit
         return detections
 
     def detects(self, pattern: Mapping[str, int], fault: StuckAtFault) -> bool:
@@ -689,7 +618,7 @@ class FaultSimulator:
         }
         kernel.set_stimulus(good, stimulus, 1)
         kernel.evaluate(good, 1)
-        return bool(self._detection_ids(fault, good, 1))
+        return bool(self.detection_mask_at(self.table.id_of(fault), good, 1))
 
     # ------------------------------------------------------------------ #
     # Fault-effect profiling (drives the paper's test-point insertion)
@@ -729,6 +658,26 @@ class FaultSimulator:
             Mapping candidate net -> {fault: number of patterns whose effect
             reaches the net}.  Nets never reached by any fault are omitted.
         """
+        fault_seq = list(faults)
+        profile = self.fault_effect_profile_ids(
+            self.table.ids_of(fault_seq), blocks, candidate_nets
+        )
+        keyed: dict[str, dict[StuckAtFault, int]] = {}
+        for net, bucket in profile.items():
+            counts = keyed[net] = {}
+            for index, count in bucket.items():
+                fault = fault_seq[index]
+                counts[fault] = counts.get(fault, 0) + count
+        return keyed
+
+    def fault_effect_profile_ids(
+        self,
+        ids: Sequence[int],
+        blocks: Iterable[PatternBlock],
+        candidate_nets: Optional[Sequence[str]] = None,
+    ) -> dict[str, dict[int, int]]:
+        """:meth:`fault_effect_profile` over fault IDs, keyed by the index
+        into ``ids`` (same counts, same insertion order)."""
         if candidate_nets is None:
             candidate_nets = [
                 gate.name
@@ -741,8 +690,8 @@ class FaultSimulator:
         for net in candidate_nets:
             is_candidate[net_id[net]] = 1
         net_names = kernel.net_names
-        profile: dict[str, dict[StuckAtFault, int]] = {}
-        fault_seq = list(faults)
+        profile: dict[str, dict[int, int]] = {}
+        fault_specs = [self.table.spec(fid) for fid in ids]
         good = self._good
         for block in blocks:
             num = block.num_patterns
@@ -750,8 +699,8 @@ class FaultSimulator:
             kernel.set_stimulus(good, block.assignments, mask)
             kernel.evaluate(good, mask)
             self.gate_evals += kernel.num_gates
-            for fault in fault_seq:
-                site_id, faulty_word = self._faulty_site_value_ids(fault, good, mask)
+            for index, spec in enumerate(fault_specs):
+                site_id, faulty_word = self._faulty_site_value(spec, good, mask)
                 if faulty_word == good[site_id]:
                     continue
                 plan = kernel.cone_plan(site_id)
@@ -765,5 +714,5 @@ class FaultSimulator:
                     diff = (scratch[nid] ^ good[nid]) & mask
                     if diff:
                         bucket = profile.setdefault(net_names[nid], {})
-                        bucket[fault] = bucket.get(fault, 0) + diff.bit_count()
+                        bucket[index] = bucket.get(index, 0) + diff.bit_count()
         return profile

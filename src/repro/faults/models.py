@@ -27,6 +27,11 @@ from ..netlist.circuit import Circuit
 OUTPUT_PIN = -1
 
 
+def site_label(gate: str, pin: int) -> str:
+    """The location part of a fault's ``str()``: ``gate`` or ``gate.inN``."""
+    return gate if pin == OUTPUT_PIN else f"{gate}.in{pin}"
+
+
 class FaultStatus(enum.Enum):
     """Lifecycle status of a fault during a test-generation / BIST campaign."""
 
@@ -77,8 +82,7 @@ class StuckAtFault:
         return circuit.gate(self.gate).inputs[self.pin]
 
     def __str__(self) -> str:
-        location = f"{self.gate}" if self.is_stem else f"{self.gate}.in{self.pin}"
-        return f"{location} s-a-{self.value}"
+        return f"{site_label(self.gate, self.pin)} s-a-{self.value}"
 
 
 @dataclass(frozen=True, order=True)
@@ -128,9 +132,8 @@ class TransitionFault:
         return circuit.gate(self.gate).inputs[self.pin]
 
     def __str__(self) -> str:
-        location = f"{self.gate}" if self.is_stem else f"{self.gate}.in{self.pin}"
         kind = "STR" if self.slow_to_rise else "STF"
-        return f"{location} {kind}"
+        return f"{site_label(self.gate, self.pin)} {kind}"
 
 
 Fault = StuckAtFault | TransitionFault

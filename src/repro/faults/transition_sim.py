@@ -16,10 +16,10 @@ order (so the staggered multi-domain capture of Fig. 2 is modelled faithfully)
 and reuses the stuck-at PPSFP engine for the observability part.
 
 Like the stuck-at engine, the simulator runs on the compiled integer-indexed
-kernel: launch/capture good values are flat ``list[int]`` tables, fault sites
-are pre-resolved to net IDs, and observability checks go through
-:meth:`~repro.faults.fault_sim.FaultSimulator.detection_mask_ids` so no
-name-keyed dict is built per block.
+kernel: launch/capture good values are flat ``list[int]`` tables, and each
+fault is resolved once per scan to its faulted net ID and the stuck-at table
+row of its equivalent stuck-at fault, whose detection the stuck-at engine
+computes in ID space -- no name-keyed dict or fault object per block.
 """
 
 from __future__ import annotations
@@ -238,29 +238,16 @@ class _NumpyPairScan:
     Activation is vectorised across faults (one gather of the launch and
     capture site rows plus a select on the slow-to-rise mask); observability
     reuses the stuck-at engine's fault-vectorised scan over the equivalent
-    stuck-at faults, compiled positionally so duplicate equivalents are
+    stuck-at fault IDs, compiled positionally so duplicate equivalents are
     harmless.
     """
 
-    def __init__(self, simulator: "TransitionFaultSimulator", faults: tuple) -> None:
-        stuck = simulator.stuck_engine
-        self.faults = faults
-        self.stuck_scan = stuck._numpy_scan(
-            tuple(fault.equivalent_stuck_at() for fault in faults)
-        )
-        self.np_kernel = self.stuck_scan.np_kernel
-        net_id = stuck.kernel.net_id
-        circuit = simulator.circuit
-        self.site_ids = _np.fromiter(
-            (net_id[fault.faulted_net(circuit)] for fault in faults),
-            dtype=_np.intp,
-            count=len(faults),
-        )
-        self.slow_to_rise = _np.fromiter(
-            (fault.slow_to_rise for fault in faults),
-            dtype=bool,
-            count=len(faults),
-        )
+    def __init__(self, simulator: "TransitionFaultSimulator", order: tuple) -> None:
+        stuck_ids, site_ids, slow_to_rise = order
+        self.stuck_scan = simulator.stuck_engine._numpy_scan(stuck_ids)
+        self.np_kernel = self.stuck_scan.nk
+        self.site_ids = _np.array(site_ids, dtype=_np.intp)
+        self.slow_to_rise = _np.array(slow_to_rise, dtype=bool)
         # Per-width launch tables, bounded to the two most-recent widths so
         # a session mixing block sizes never holds every width it touched.
         self._launch_tables = width_cache()
@@ -286,7 +273,9 @@ class TransitionFaultSimulator:
     ``backend`` mirrors :class:`~repro.faults.fault_sim.FaultSimulator`:
     ``"python"`` (default oracle) or ``"numpy"`` (vectorised activation plus
     the fault-vectorised stuck-at observability scan); detection results are
-    bit-identical across backends.
+    bit-identical across backends.  A transition fault is resolved once per
+    scan to its faulted net ID, its direction and the stuck-at table ID of
+    its equivalent stuck-at fault.
     """
 
     def __init__(
@@ -303,7 +292,7 @@ class TransitionFaultSimulator:
         )
         self.backend = self.stuck_engine.backend
         self.simulator = self.stuck_engine.simulator
-        # Most-recently compiled numpy pair-scan state: (fault tuple, scan).
+        # Most-recently compiled numpy pair-scan state: (order, scan).
         self._np_pair_scan: Optional[tuple[tuple, _NumpyPairScan]] = None
 
     def add_observation_net(self, net: str) -> None:
@@ -311,12 +300,27 @@ class TransitionFaultSimulator:
         self.stuck_engine.add_observation_net(net)
         self._np_pair_scan = None
 
-    def _numpy_pair_scan(self, faults: tuple) -> _NumpyPairScan:
+    def _resolve(self, faults: Iterable[TransitionFault]) -> tuple:
+        """``(equivalent stuck-at IDs, faulted net IDs, slow-to-rise flags)``."""
+        table = self.stuck_engine.table
+        net_id = self.stuck_engine.kernel.net_id
+        stuck_ids, site_ids, rises = [], [], []
+        for fault in faults:
+            gid = net_id[fault.gate]
+            fid = table.find(gid, fault.pin, fault.initial_value)
+            if fid is None:
+                fid = table.id_of(fault.equivalent_stuck_at())
+            stuck_ids.append(fid)
+            site_ids.append(table.faulted_net(fid))
+            rises.append(fault.slow_to_rise)
+        return tuple(stuck_ids), tuple(site_ids), tuple(rises)
+
+    def _numpy_pair_scan(self, order: tuple) -> _NumpyPairScan:
         cached = self._np_pair_scan
-        if cached is not None and cached[0] == faults:
+        if cached is not None and cached[0] == order:
             return cached[1]
-        scan = _NumpyPairScan(self, faults)
-        self._np_pair_scan = (faults, scan)
+        scan = _NumpyPairScan(self, order)
+        self._np_pair_scan = (order, scan)
         return scan
 
     def _np_pair_pass(
@@ -327,11 +331,10 @@ class TransitionFaultSimulator:
     ):
         """Load and forward-evaluate one launch/capture block pair.
 
-        The single home of the numpy pair-block setup, shared by the serial
-        pair simulation and the shard primitive (mirroring the python
-        backend's `_scan_pair_block` discipline).  The capture values land in
-        the stuck scan's table (good rows + cone slots), the launch values in
-        a plain net-rows table.
+        The single home of the numpy pair-block setup (see
+        :meth:`_numpy_pairs`).  The capture values land in the stuck scan's
+        table (good rows + cone slots), the launch values in a plain
+        net-rows table.
         """
         num = launch_block.num_patterns
         mask = mask_for(num)
@@ -346,98 +349,91 @@ class TransitionFaultSimulator:
         np_kernel.evaluate(launch_table, mask_plane)
         return launch_table, capture_table, mask_plane, num_words
 
-    def _scan_pair_block_numpy(
-        self,
-        scan: _NumpyPairScan,
-        active: list[int],
-        launch_table,
-        capture_table,
-        mask_plane,
-        num_words: int,
-        drop_detected: bool = True,
-    ) -> tuple[list[tuple[int, int]], list[int]]:
-        """Positional ``"numpy"`` form of :meth:`_scan_pair_block`.
-
-        ``capture_table`` is the stuck scan state's table (capture-cycle good
-        rows followed by the cone slot rows); activation rows are computed
-        for the whole canonical order, faults with a live transition feed the
-        vectorised stuck-at observability scan, and the per-fault detection
-        masks (activation AND observation) are bit-identical to the python
-        pair scan.
-        """
-        activation = scan.activation_planes(launch_table, capture_table, mask_plane)
-        activated = activation.any(axis=1)
-        candidates = [position for position in active if activated[position]]
-        if candidates:
-            rows, resim_evals = scan.stuck_scan.scan.scan_positions(
-                capture_table, mask_plane, num_words, candidates
+    def _numpy_pairs(self, order: tuple, pairs, drop_detected: bool = True):
+        """Per (launch, capture) block pair: ``(patterns, [(index into the
+        order, first bit)])``.  Activation rows are computed for the whole
+        canonical order, faults with a live transition feed the vectorised
+        stuck-at observability scan, and the per-fault detection masks
+        (activation AND observation) are bit-identical to
+        :meth:`_python_pairs`."""
+        scan = None
+        active = list(range(len(order[0])))
+        for launch_block, capture_block in pairs:
+            if scan is None:
+                scan = self._numpy_pair_scan(order)
+                scan.stuck_scan.ensure_live(active)
+            launch_table, capture_table, mask_plane, num_words = self._np_pair_pass(
+                scan, launch_block, capture_block
             )
-            self.stuck_engine.gate_evals += resim_evals
-        else:
-            rows = {}
-        detections: list[tuple[int, int]] = []
-        still_active: list[int] = []
-        for position in active:
-            if not activated[position]:
-                still_active.append(position)
-                continue
-            row = rows.get(position)
-            detection = (
-                plane_to_word(activation[position] & row) if row is not None else 0
-            )
-            if detection:
-                first_bit = (detection & -detection).bit_length() - 1
-                detections.append((position, first_bit))
-                if not drop_detected:
+            activation = scan.activation_planes(launch_table, capture_table, mask_plane)
+            activated = activation.any(axis=1)
+            candidates = [position for position in active if activated[position]]
+            if candidates:
+                rows, resim_evals = scan.stuck_scan.scan_positions(
+                    capture_table, mask_plane, num_words, candidates
+                )
+                self.stuck_engine.gate_evals += resim_evals
+            else:
+                rows = {}
+            detections: list[tuple[int, int]] = []
+            still_active: list[int] = []
+            for position in active:
+                row = rows.get(position) if activated[position] else None
+                detection = (
+                    plane_to_word(activation[position] & row) if row is not None else 0
+                )
+                if detection:
+                    detections.append((position, (detection & -detection).bit_length() - 1))
+                    if not drop_detected:
+                        still_active.append(position)
+                else:
                     still_active.append(position)
-            else:
-                still_active.append(position)
-        return detections, still_active
+            active = still_active
+            yield launch_block.num_patterns, detections
 
-    def _scan_pair_block(
-        self,
-        active: list[TransitionFault],
-        site_ids: Mapping[TransitionFault, int],
-        good_launch: list[int],
-        good_capture: list[int],
-        num: int,
-        drop_detected: bool = True,
-    ) -> tuple[list[tuple[TransitionFault, int]], list[TransitionFault]]:
-        """One launch/capture pass of all ``active`` faults over a block pair.
-
-        Returns ``(detections, still_active)`` with detections as
-        ``(fault, first detecting bit within the block)``.  Single home of
-        the activation/observation logic, shared by the serial pair
-        simulation (:meth:`simulate_pairs`) and the sharded scan
-        (:meth:`first_detections`) so oracle and shard primitive cannot
-        drift apart.
-        """
-        mask = mask_for(num)
-        detections: list[tuple[TransitionFault, int]] = []
-        still_active: list[TransitionFault] = []
-        for fault in active:
-            site_id = site_ids[fault]
-            launch_value = good_launch[site_id]
-            capture_value = good_capture[site_id]
-            if fault.slow_to_rise:
-                activation = (~launch_value & capture_value) & mask
-            else:
-                activation = (launch_value & ~capture_value) & mask
-            if not activation:
-                still_active.append(fault)
-                continue
-            observation = self.stuck_engine.detection_mask_ids(
-                fault.equivalent_stuck_at(), good_capture, num
-            )
-            detection = activation & observation
-            if detection:
-                first_bit = (detection & -detection).bit_length() - 1
-                detections.append((fault, first_bit))
-                if not drop_detected:
-                    still_active.append(fault)
-            else:
-                still_active.append(fault)
-        return detections, still_active
+    def _python_pairs(self, order: tuple, pairs, drop_detected: bool = True):
+        """The python backend form of :meth:`_numpy_pairs`: per active fault,
+        the activation word at its site AND the stuck-at engine's detection
+        mask of its equivalent stuck-at fault."""
+        stuck = self.stuck_engine
+        spec = stuck.table.spec
+        active = [
+            (index, site_id, rise, spec(fid))
+            for index, (fid, site_id, rise) in enumerate(zip(*order))
+        ]
+        kernel = self.simulator.kernel
+        good_launch = kernel.make_table()
+        good_capture = kernel.make_table()
+        for launch_block, capture_block in pairs:
+            num = launch_block.num_patterns
+            mask = mask_for(num)
+            kernel.set_stimulus(good_launch, launch_block.assignments, mask)
+            kernel.evaluate(good_launch, mask)
+            kernel.set_stimulus(good_capture, capture_block.assignments, mask)
+            kernel.evaluate(good_capture, mask)
+            detections: list[tuple[int, int]] = []
+            still_active = []
+            for entry in active:
+                index, site_id, rise, spec = entry
+                launch_value = good_launch[site_id]
+                capture_value = good_capture[site_id]
+                if rise:
+                    activation = (~launch_value & capture_value) & mask
+                else:
+                    activation = (launch_value & ~capture_value) & mask
+                detection = (
+                    activation & stuck._detection(spec, good_capture, mask)
+                    if activation
+                    else 0
+                )
+                if detection:
+                    detections.append((index, (detection & -detection).bit_length() - 1))
+                    if not drop_detected:
+                        still_active.append(entry)
+                else:
+                    still_active.append(entry)
+            active = still_active
+            yield num, detections
 
     def simulate_pairs(
         self,
@@ -468,58 +464,24 @@ class TransitionFaultSimulator:
                 self.circuit, capture_patterns, require_complete=True, label="capture pattern"
             )
         result = TransitionSimulationResult(fault_list, len(launch_patterns))
-        active = [f for f in fault_list.undetected() if isinstance(f, TransitionFault)]
-        simulated = 0
+        undetected = fault_list.undetected_positions()
+        faults = fault_list.faults_at(undetected)
+        positions = [
+            p for p, fault in zip(undetected, faults) if isinstance(fault, TransitionFault)
+        ]
+        order = self._resolve(f for f in faults if isinstance(f, TransitionFault))
         stimulus_nets = self.circuit.stimulus_nets()
-        launch_blocks = iter_blocks(launch_patterns, block_size=block_size, nets=stimulus_nets)
-        capture_blocks = iter_blocks(capture_patterns, block_size=block_size, nets=stimulus_nets)
-        if self.backend == NUMPY_BACKEND:
-            faults = tuple(active)
-            scan = self._numpy_pair_scan(faults)
-            positions = list(range(len(faults)))
-            scan.stuck_scan.scan.ensure_live(positions)
-            for launch_block, capture_block in zip(launch_blocks, capture_blocks):
-                num = launch_block.num_patterns
-                launch_table, capture_table, mask_plane, num_words = (
-                    self._np_pair_pass(scan, launch_block, capture_block)
+        pairs = zip(
+            iter_blocks(launch_patterns, block_size=block_size, nets=stimulus_nets),
+            iter_blocks(capture_patterns, block_size=block_size, nets=stimulus_nets),
+        )
+        scan = self._numpy_pairs if self.backend == NUMPY_BACKEND else self._python_pairs
+        simulated = 0
+        for num, detections in scan(order, pairs, drop_detected):
+            for index, first_bit in detections:
+                fault_list.mark_detected_at(
+                    positions[index], pattern_offset + simulated + first_bit
                 )
-                detections_np, positions = self._scan_pair_block_numpy(
-                    scan,
-                    positions,
-                    launch_table,
-                    capture_table,
-                    mask_plane,
-                    num_words,
-                    drop_detected,
-                )
-                for position, first_bit in detections_np:
-                    fault_list.mark_detected(
-                        faults[position], pattern_offset + simulated + first_bit
-                    )
-                simulated += num
-                result.coverage_curve.append(
-                    (pattern_offset + simulated, fault_list.coverage())
-                )
-            return result
-        kernel = self.simulator.kernel
-        net_id = kernel.net_id
-        site_ids = {
-            fault: net_id[fault.faulted_net(self.circuit)] for fault in active
-        }
-        good_launch = kernel.make_table()
-        good_capture = kernel.make_table()
-        for launch_block, capture_block in zip(launch_blocks, capture_blocks):
-            num = launch_block.num_patterns
-            mask = mask_for(num)
-            kernel.set_stimulus(good_launch, launch_block.assignments, mask)
-            kernel.evaluate(good_launch, mask)
-            kernel.set_stimulus(good_capture, capture_block.assignments, mask)
-            kernel.evaluate(good_capture, mask)
-            detections, active = self._scan_pair_block(
-                active, site_ids, good_launch, good_capture, num, drop_detected
-            )
-            for fault, first_bit in detections:
-                fault_list.mark_detected(fault, pattern_offset + simulated + first_bit)
             simulated += num
             result.coverage_curve.append((pattern_offset + simulated, fault_list.coverage()))
         return result
@@ -559,58 +521,32 @@ class TransitionFaultSimulator:
     def first_detections(
         self,
         faults: Sequence[TransitionFault],
-        pair_blocks: Sequence[tuple[int, PatternBlock, PatternBlock]],
-    ) -> dict[TransitionFault, int]:
+        pair_blocks: Iterable[tuple[int, PatternBlock, PatternBlock]],
+    ) -> dict[int, int]:
         """First-detection scan over packed launch/capture block pairs.
 
         ``pair_blocks`` is a stream of ``(global pair offset, launch block,
-        capture block)`` triples.  Per-fault results are independent of every
-        other fault, so fault/pattern sharding plus min-merge reproduces the
-        serial pair simulation bit for bit (the shard primitive of the
-        campaign runner).
+        capture block)`` triples; results are keyed by the fault's index in
+        ``faults``.  Per-fault results are independent of every other fault,
+        so fault/pattern sharding plus min-merge reproduces the serial pair
+        simulation bit for bit (the shard primitive of the campaign runner).
         """
-        detections: dict[TransitionFault, int] = {}
-        if self.backend == NUMPY_BACKEND:
-            fault_order = tuple(faults)
-            scan = self._numpy_pair_scan(fault_order)
-            positions = list(range(len(fault_order)))
-            scan.stuck_scan.scan.ensure_live(positions)
+        order = self._resolve(faults)
+        scan = self._numpy_pairs if self.backend == NUMPY_BACKEND else self._python_pairs
+        detections: dict[int, int] = {}
+        remaining = len(order[0])
+        offsets = []
+
+        def stream():
             for offset, launch_block, capture_block in pair_blocks:
-                if not positions:
-                    break
+                if len(detections) == remaining:
+                    return
                 if launch_block.num_patterns != capture_block.num_patterns:
                     raise ValueError("launch and capture blocks must pair up 1:1")
-                launch_table, capture_table, mask_plane, num_words = (
-                    self._np_pair_pass(scan, launch_block, capture_block)
-                )
-                found_np, positions = self._scan_pair_block_numpy(
-                    scan, positions, launch_table, capture_table, mask_plane, num_words
-                )
-                for position, first_bit in found_np:
-                    detections[fault_order[position]] = offset + first_bit
-            return detections
-        active = list(faults)
-        kernel = self.simulator.kernel
-        net_id = kernel.net_id
-        site_ids = {
-            fault: net_id[fault.faulted_net(self.circuit)] for fault in active
-        }
-        good_launch = kernel.make_table()
-        good_capture = kernel.make_table()
-        for offset, launch_block, capture_block in pair_blocks:
-            if not active:
-                break
-            if launch_block.num_patterns != capture_block.num_patterns:
-                raise ValueError("launch and capture blocks must pair up 1:1")
-            num = launch_block.num_patterns
-            mask = mask_for(num)
-            kernel.set_stimulus(good_launch, launch_block.assignments, mask)
-            kernel.evaluate(good_launch, mask)
-            kernel.set_stimulus(good_capture, capture_block.assignments, mask)
-            kernel.evaluate(good_capture, mask)
-            found, active = self._scan_pair_block(
-                active, site_ids, good_launch, good_capture, num
-            )
-            for fault, first_bit in found:
-                detections[fault] = offset + first_bit
+                offsets.append(offset)
+                yield launch_block, capture_block
+
+        for _num, found in scan(order, stream()):
+            for index, first_bit in found:
+                detections[index] = offsets[-1] + first_bit
         return detections

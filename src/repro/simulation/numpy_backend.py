@@ -31,7 +31,10 @@ Two execution structures are compiled from one backend-neutral
   good rows, detection masks reduced per fault with
   ``np.bitwise_or.reduceat``.  This is what makes the backend fast where the
   fault-simulation time actually goes: the per-fault scan, not the
-  fault-free pass.
+  fault-free pass.  The faults arrive as :class:`FaultArrays` -- parallel
+  columns of the faults layer's stuck-at table -- plus one resolved (cone
+  plan, observed nets) entry per distinct site, so the compile does no
+  per-fault Python work.
 
 The scan's slot table grows with the total cone size of the live fault set
 times the block width -- gigabytes on SoC-sized cores at wide blocks --
@@ -58,11 +61,9 @@ message.
 
 from __future__ import annotations
 
-import operator
 import weakref
-from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from ..netlist.gates import (
     GateType,
@@ -462,26 +463,29 @@ def scan_kernel_for(
 # --------------------------------------------------------------------------- #
 # Fault-vectorised PPSFP scan
 # --------------------------------------------------------------------------- #
-@dataclass(eq=False, slots=True)
-class ScanFault:
-    """Backend-neutral description of one fault for the vectorised scan.
+class FaultArrays(NamedTuple):
+    """A canonical fault order for the vectorised scan, as parallel arrays.
 
-    Built by the faults layer from its pre-resolved site records; this module
-    only needs the execution-relevant facts.  ``const_value`` is the forced
-    site value for output-stem / flop-D-branch faults; gate input-branch
-    faults instead carry the owning gate's shape so the faulty site value can
-    be re-evaluated with the pin forced.
+    Built by the faults layer from its stuck-at table; this module only needs
+    the execution-relevant columns.  ``const_value`` is the forced site value
+    of an output-stem / flop-D-branch fault and -1 for a gate input-branch
+    fault, whose faulty site value is its owning gate (``gate_ids``,
+    ``gate_types`` as positions in ``GateType`` declaration order, operands
+    from the kernel) re-evaluated with ``pins`` forced to ``values``.  ``site_index`` maps each fault to its
+    site's entry in the distinct-site plan list the scan is compiled with.
     """
 
-    site_id: int
-    plan: ConePlan
-    observed_ids: tuple[int, ...]
-    const_value: Optional[int] = None
-    gate_type: Optional[GateType] = None
-    operand_ids: tuple[int, ...] = ()
-    pin: int = 0
-    value: int = 0
+    site_ids: object
+    site_index: object
+    const_value: object
+    gate_ids: object
+    gate_types: object
+    pins: object
+    values: object
 
+
+#: ``FaultArrays.gate_types`` codes -> gate types.
+_GATE_TYPES = tuple(GateType)
 
 #: Packed batch key ``(level, opcode, arity)`` as one int64 code
 #: ``level << 24 | opcode << 16 | arity``: sorting codes sorts the tuples.
@@ -694,70 +698,74 @@ class FaultScanKernel:
     def __init__(
         self,
         nk: NumpyKernel,
-        scan_faults: Sequence[ScanFault],
+        faults: FaultArrays,
+        site_plans: Sequence[tuple[ConePlan, tuple[int, ...]]],
         memory_budget_bytes: Optional[int] = None,
     ) -> None:
+        """``site_plans`` holds ``(cone plan, observed net IDs)`` per distinct
+        site (``faults.site_index`` indexes it)."""
         self.nk = nk
-        count = self.num_faults = len(scan_faults)
+        count = self.num_faults = len(faults.site_ids)
         if memory_budget_bytes is not None and memory_budget_bytes <= 0:
             raise ValueError("memory_budget_bytes must be positive")
         self.memory_budget_bytes = memory_budget_bytes
-
-        def field(name, faults=scan_faults):
-            return map(operator.attrgetter(name), faults)
-
-        self.site_ids = np.fromiter(field("site_id"), np.intp, count)
-        self.plan_lens = np.fromiter(map(len, field("plan.ops")), np.int64, count)
+        self.site_ids = np.asarray(faults.site_ids, dtype=np.intp)
+        site_index = np.asarray(faults.site_index, dtype=np.intp)
+        sites = len(site_plans)
+        plan_lens = np.fromiter((len(p.ops) for p, _ in site_plans), np.int64, sites)
+        obs_counts = np.fromiter((len(o) for _, o in site_plans), np.intp, sites)
+        self.plan_lens = plan_lens[site_index]
 
         # Phase-A site records: the forced constant (-1: gate re-evaluation),
-        # else the fault's (gate type, arity, pin, value) group and operands.
-        self._const_val = np.array(
-            [-1 if c is None else int(bool(c)) for c in field("const_value")],
-            dtype=np.int8,
-        )
+        # else the fault's (gate type, arity, pin, value) group; operands are
+        # read through the kernel's per-net operand CSR at tile assembly.
+        self._const_val = np.asarray(faults.const_value, dtype=np.int8)
         gate_mask = self._const_val < 0
-        gate_faults = [f for f in scan_faults if f.const_value is None]
-        specs: dict[tuple, int] = {}
-        self._gate_group = np.full(count, -1, dtype=np.intp)
-        self._gate_group[gate_mask] = [
-            specs.setdefault((f.gate_type, len(f.operand_ids), f.pin, f.value),
-                             len(specs))
-            for f in gate_faults
-        ]
-        self._gate_specs = list(specs)
-        operands = list(field("operand_ids", gate_faults))
-        self._gate_opnds = np.fromiter(chain.from_iterable(operands), np.intp)
-        self._gate_opnd_start = np.zeros(count, dtype=np.intp)
-        self._gate_opnd_start[gate_mask] = _exclusive_cumsum(
-            np.fromiter(map(len, operands), np.intp, len(operands))
+        self._gate_ids = np.asarray(faults.gate_ids, dtype=np.intp)
+        gates = self._gate_ids[gate_mask]
+        shape = (
+            (np.asarray(faults.gate_types)[gate_mask] << 40)
+            | ((nk.net_keys[gates] & _KEY_ARITY_MASK) << 20)
+            | (np.asarray(faults.pins)[gate_mask] << 1)
+            | np.asarray(faults.values)[gate_mask]
         )
+        codes, groups = np.unique(shape, return_inverse=True)
+        self._gate_group = np.full(count, -1, dtype=np.intp)
+        self._gate_group[gate_mask] = groups
+        self._gate_specs = [
+            (_GATE_TYPES[code >> 40], (code >> 20) & 0xFFFFF, (code >> 1) & 0x7FFFF, code & 1)
+            for code in codes.tolist()
+        ]
 
         # An empty cone's only observable net is the site itself, so its
-        # detection mask is exactly the site diff row.
-        observed = np.fromiter(map(bool, field("observed_ids")), bool, count)
-        self._empty_observed = observed & (self.plan_lens == 0)
-        self.resimable = resim = observed & (self.plan_lens > 0)
-        faults = [scan_faults[i] for i in np.flatnonzero(resim).tolist()]
+        # detection mask is exactly the site diff row.  Everything per site
+        # is resolved once per distinct site, then gathered per fault.
+        observed = obs_counts > 0
+        self._empty_observed = (observed & (plan_lens == 0))[site_index]
+        resim_sites = np.flatnonzero(observed & (plan_lens > 0))
+        self.resimable = resim = (observed & (plan_lens > 0))[site_index]
         self._store = nk.sites
-        sites = self._store.indices(list(field("plan", faults)))
-        observed_ids = list(field("observed_ids", faults))
-        obs_counts = np.fromiter(map(len, observed_ids), np.intp, len(faults))
+        stored = self._store.indices([site_plans[i][0] for i in resim_sites.tolist()])
+        site_obs = obs_counts[resim_sites]
+        self._obs_global = np.fromiter(
+            chain.from_iterable(site_plans[i][1] for i in resim_sites.tolist()), np.intp
+        )
+        self._obs_local = self._store.locals_of(
+            np.repeat(stored, site_obs), self._obs_global
+        )
 
         def per_fault(values, fill=0):
-            out = np.full(count, fill, dtype=np.intp)
-            out[resim] = values
-            return out
+            by_site = np.full(sites, fill, dtype=np.intp)
+            by_site[resim_sites] = values
+            return np.where(resim, by_site[site_index], fill)
 
         #: Per-fault store site (-1: never resimulates a cone), slot and
-        #: observation demand, and observation run start.
-        self._fault_site = per_fault(sites, -1)
-        self.fault_slots = per_fault(self._store.num_slots[sites])
-        self.fault_obs = per_fault(obs_counts)
-        self._obs_start = per_fault(_exclusive_cumsum(obs_counts))
-        self._obs_global = np.fromiter(chain.from_iterable(observed_ids), np.intp)
-        self._obs_local = self._store.locals_of(
-            np.repeat(sites, obs_counts), self._obs_global
-        )
+        #: observation demand, and observation run start (faults at one
+        #: site share its run).
+        self._fault_site = per_fault(stored, -1)
+        self.fault_slots = per_fault(self._store.num_slots[stored])
+        self.fault_obs = per_fault(site_obs)
+        self._obs_start = per_fault(_exclusive_cumsum(site_obs))
 
         #: Per-width workspaces, LRU-bounded to the two most-recent widths
         #: (a campaign's full-block width plus its partial tail), sized by
@@ -936,8 +944,8 @@ class FaultScanKernel:
         for run in _runs(groups[gate_local]):
             idx = gate_local[run]
             spec = self._gate_specs[groups[idx[0]]]
-            starts = self._gate_opnd_start[positions[idx]]
-            columns = _pin_columns(self._gate_opnds, starts, spec[1])
+            starts = self.nk.net_opnd_start[self._gate_ids[positions[idx]]]
+            columns = _pin_columns(self.nk.net_opnds, starts, spec[1])
             tile.gate_batches.append((*spec, idx, columns))
 
         # Private slot runs: a cumsum of the slot counts (0 without a cone).

@@ -111,15 +111,22 @@ class FaultSimGuidedObservationTpi:
             Current observation nets (defaults to the circuit's own).
         """
         simulator = FaultSimulator(self.circuit, observe_nets)
-        resistant = fault_list.undetected()
-        plan = ObservationPointPlan(resistant_fault_count=len(resistant))
+        resistant = fault_list.undetected_positions()
         if not resistant or self.budget <= 0:
-            return plan
+            return ObservationPointPlan(resistant_fault_count=len(resistant))
 
-        profile = simulator.fault_effect_profile(
-            resistant, leading_blocks(blocks, self.profile_patterns)
+        # Profile and cover in ID space: faults are indices into
+        # ``resistant``, turned back into fault objects only for the plan.
+        profile = simulator.fault_effect_profile_ids(
+            fault_list.table_ids(simulator.table, resistant),
+            leading_blocks(blocks, self.profile_patterns),
         )
-        return self.plan_from_profile(resistant, profile)
+        plan = self.plan_from_profile(range(len(resistant)), profile)
+        plan.covered_faults = {
+            net: fault_list.faults_at(resistant[index] for index in covered)
+            for net, covered in plan.covered_faults.items()
+        }
+        return plan
 
     def plan_from_profile(
         self,

@@ -279,7 +279,7 @@ class TestWidthLruWorkspaces:
             # Detection statuses and first-detection indices are
             # block-size-invariant, so one python run oracles every width.
             assert_fault_lists_identical(fl_py, fl_np)
-            scan = vec._np_scan[1].scan
+            scan = vec._np_scan[1]
             assert len(scan._workspaces) <= 2
         # Drive three widths through the workspace cache directly (pruning
         # legitimately clears it mid-campaign, so the simulate loop above
@@ -339,7 +339,7 @@ class TestMemoryBudgetTiling:
         result_un = unbounded.simulate_blocks(fl_un, blocks, drop_detected=False)
         assert result_un.coverage_curve == result_py.coverage_curve
         assert_fault_lists_identical(fl_py, fl_un)
-        scan_un = unbounded._np_scan[1].scan
+        scan_un = unbounded._np_scan[1]
         assert scan_un.num_tiles == 1
         full = scan_un.workspace_nbytes(1)
 
@@ -354,7 +354,7 @@ class TestMemoryBudgetTiling:
         assert result_cl.coverage_curve == result_py.coverage_curve
         assert result_cl.detections_per_pattern == result_py.detections_per_pattern
         assert_fault_lists_identical(fl_py, fl_cl)
-        scan_cl = clamped._np_scan[1].scan
+        scan_cl = clamped._np_scan[1]
         assert scan_cl.budget_clamped
         assert scan_cl.num_tiles > 2
         floor = scan_cl.workspace_nbytes(1)
@@ -381,7 +381,7 @@ class TestMemoryBudgetTiling:
             assert result_np.coverage_curve == result_py.coverage_curve
             assert result_np.detections_per_pattern == result_py.detections_per_pattern
             assert_fault_lists_identical(fl_py, fl_np)
-            scan = vec._np_scan[1].scan
+            scan = vec._np_scan[1]
             # Any budget at or above the floor is feasible: never clamped,
             # and the measured workspace really fits under it.
             assert not scan.budget_clamped
@@ -414,7 +414,7 @@ class TestMemoryBudgetTiling:
             # Statuses and first detections are block-size-invariant, so the
             # one python run oracles every width.
             assert_fault_lists_identical(fl_py, fl_np)
-            scan = vec._np_scan[1].scan
+            scan = vec._np_scan[1]
             if not scan.budget_clamped:
                 width = max(1, (min(block_size, 256) + 63) // 64)
                 assert scan.workspace_nbytes(width) <= scan.memory_budget_bytes
@@ -461,7 +461,7 @@ class TestScanCompile:
             backend="numpy",
             memory_budget_mb=None if budget_kb is None else budget_kb / 1024.0,
         )
-        return engine, engine._numpy_scan(tuple(faults))
+        return engine, engine._numpy_scan(engine.table.ids_of(faults))
 
     @pytest.mark.parametrize("budget_kb", (None, 16))
     @pytest.mark.parametrize("width", (64, 1024))
@@ -480,8 +480,8 @@ class TestScanCompile:
         engine, state = self._scan(circuit, faults, budget_kb)
         engine._np_block_pass(state, block, list(range(len(faults))))
         survivors = list(range(0, len(faults), 3))
-        state.scan.maybe_prune(survivors)
-        assert state.scan._live_count == len(survivors)
+        state.maybe_prune(survivors)
+        assert state._live_count == len(survivors)
         rows, _ = engine._np_block_pass(state, block, survivors)
         pruned = {p: plane_to_word(row) for p, row in rows.items()}
 
@@ -518,7 +518,7 @@ class TestScanCompile:
         engine = FaultSimulator(circuit, backend="numpy")
         engine.simulate(fl_np, patterns, block_size=64)
         assert_fault_lists_identical(fl_py, fl_np)
-        scan = engine._np_scan[1].scan
+        scan = engine._np_scan[1]
         # Dropping pruned the live set; the prune re-assembled the one tile
         # without running the tiler.
         assert scan._live_count < scan.num_faults // 4
@@ -560,12 +560,12 @@ class TestScanCompile:
         circuit = make_core(33)
         faults = collapse_stuck_at(circuit).representatives
         _, state = self._scan(circuit, faults)
-        full = state.scan.workspace_nbytes(num_words)
+        full = state.workspace_nbytes(num_words)
         counts = []
         for fraction in (2.0, 0.6, 0.3, 0.15, 0.05, 0.0):
             budget = max(1, int(full * fraction))
             _, state = self._scan(circuit, faults, budget / 1024.0)
-            scan = state.scan
+            scan = state
             for live in (None, list(range(1, len(faults), 3))):
                 if live is not None:
                     scan.maybe_prune(live)
@@ -591,10 +591,10 @@ class TestScanCompile:
         circuit = core_y_recipe(scale=1, seed=1).build().circuit
         faults = collapse_stuck_at(circuit).representatives
         _, state = self._scan(circuit, faults)
-        full = state.scan.workspace_nbytes(1)
+        full = state.workspace_nbytes(1)
         for fraction in (2.0, 0.25):
             _, state = self._scan(circuit, faults, full * fraction / 1024.0)
-            scan = state.scan
+            scan = state
             pairs = len(scan._demand(scan._live_positions)[0])
             tracemalloc.start()
             try:
