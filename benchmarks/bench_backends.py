@@ -90,6 +90,7 @@ from repro.faults import FaultSimulator, collapse_stuck_at, derive_capture_patte
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.scan import build_scan_chains
 from repro.simulation import HAVE_NUMPY, iter_blocks
+from repro.simulation.kernel import KERNEL_CACHE
 from repro.timing.double_capture import CaptureWindowScheduler
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
@@ -142,13 +143,17 @@ def _best_of(
     return {v: min(times) for v, times in seconds.items()}, statistics.median(ratios)
 
 
-def _fault_sim(make_circuit, patterns, block_size, coverages: set):
+def _fault_sim(make_circuit, patterns, block_size, coverages: set, cold=False):
     """One timed campaign per call on ``make_circuit()`` -- the same circuit
-    (warm caches) or a freshly built one (every compilation timed too);
-    its coverage goes into ``coverages``."""
+    (warm caches) or, for a cold run, a freshly built one after the
+    process's compiled kernels are dropped (every compilation timed too:
+    kernels are cached by circuit content, so a fresh build alone would
+    hit); its coverage goes into ``coverages``."""
 
     def run(backend: str) -> float:
         target = make_circuit()
+        if cold:
+            KERNEL_CACHE.clear()
         stimulus = target.stimulus_nets()
         blocks = list(iter_blocks(patterns, block_size=block_size, nets=stimulus))
         fault_list = collapse_stuck_at(target).to_fault_list()
@@ -214,7 +219,7 @@ def run() -> dict:
         same, fresh = (lambda: circuit), (lambda: recipe.build().circuit)
         run_warm = _fault_sim(same, patterns, block_size, coverages)
         warm, speedup = _best_of(run_warm, REPEATS)
-        run_cold = _fault_sim(fresh, patterns, block_size, coverages)
+        run_cold = _fault_sim(fresh, patterns, block_size, coverages, cold=True)
         cold, cold_speedup = _best_of(run_cold, COLD_REPEATS)
         for backend in ("python", "numpy"):
             fault_seconds[(backend, block_size)] = warm[backend]

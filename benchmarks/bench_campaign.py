@@ -41,7 +41,6 @@ from repro.campaign import (
     FaultShardTask,
     ShardPayload,
     plan_shard_tasks,
-    release_scenario_engines,
     run_shard_task,
     run_sharded_fault_sim,
     with_offsets,
@@ -49,6 +48,7 @@ from repro.campaign import (
 from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.simulation import iter_blocks
+from repro.simulation.kernel import KERNEL_CACHE
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 
@@ -104,11 +104,11 @@ def _run_serial(circuit, blocks):
 def _run_sharded_sequential(circuit, blocks, num_shards):
     """Execute the shard plan one task at a time, timing each shard alone.
 
-    Each task runs alone through :func:`run_shard_task`, and its engine is
-    released after every repeat, so every shard compiles its own engine --
-    exactly what a real pool worker pays -- and its ``seconds`` is an honest
-    single-CPU measurement unpolluted by time-slicing against concurrent
-    workers.
+    Each task runs alone through :func:`run_shard_task`, and the process's
+    compiled kernels are dropped before every repeat, so every shard
+    compiles its own kernel -- exactly what a real pool worker pays -- and
+    its ``seconds`` is an honest single-CPU measurement unpolluted by
+    time-slicing against concurrent workers.
     """
     fault_list = collapse_stuck_at(circuit).to_fault_list()
     faults = tuple(fault_list.undetected())
@@ -125,10 +125,10 @@ def _run_sharded_sequential(circuit, blocks, num_shards):
     for task in tasks:
         per_repeat = []
         for _ in range(REPEATS):
-            per_repeat.append(run_shard_task(task, payload).seconds)
-            # Drop the cached engine so each repeat pays the full worker
+            # Drop the compiled kernels so each repeat pays the full worker
             # cost (kernel + cone-plan compilation).
-            release_scenario_engines([task.scenario_key])
+            KERNEL_CACHE.clear()
+            per_repeat.append(run_shard_task(task, payload).seconds)
         shard_seconds.append(min(per_repeat))
     wall = time.perf_counter() - start
     return wall, shard_seconds

@@ -77,8 +77,12 @@
 #                                 within one process; absolute throughputs
 #                                 swing too much with host speed to gate;
 #                                 extra arguments name the records to gate).
-#                                 Takes minutes and ~2.5 GB of memory (the
-#                                 unbounded scale-7 scan in
+#                                 Every bench and the gate run even when an
+#                                 earlier one fails (a bench exits 1 when it
+#                                 misses its own bar); each exit status is
+#                                 printed and the tier exits 1 if any step
+#                                 failed.  Takes minutes and ~2.5 GB of
+#                                 memory (the unbounded scale-7 scan in
 #                                 bench_scan_memory).
 #
 # Markers:
@@ -134,10 +138,18 @@ case "$tier" in
     ;;
   perf)
     out="$(mktemp -d)"
-    BENCH_OUT_DIR="$out" python benchmarks/bench_backends.py
-    BENCH_OUT_DIR="$out" python benchmarks/bench_scan_memory.py
-    BENCH_OUT_DIR="$out" python benchmarks/bench_topup.py
-    exec python benchmarks/perf_gate.py "$out" "$@"
+    failed=0
+    for bench in bench_backends bench_scan_memory bench_topup; do
+      status=0
+      BENCH_OUT_DIR="$out" python "benchmarks/$bench.py" || status=$?
+      echo "perf: $bench exit $status"
+      [ "$status" -eq 0 ] || failed=1
+    done
+    status=0
+    python benchmarks/perf_gate.py "$out" "$@" || status=$?
+    echo "perf: perf_gate exit $status"
+    [ "$status" -eq 0 ] || failed=1
+    exit "$failed"
     ;;
   *)
     echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|faults|service|chaos|lifecycle|perf] [pytest args...]" >&2

@@ -22,7 +22,7 @@ shared :class:`~repro.simulation.kernel.CompiledKernel`:
   arrays,
 * per-kernel derived analyses -- the ATPG fanout adjacency, the all-X
   state and the SCOAP backtrace guidance -- are computed once per circuit
-  revision and memoised in ``CompiledKernel.analysis_cache``, so every
+  digest and memoised in ``CompiledKernel.analysis_cache``, so every
   fault targeted through :func:`~repro.simulation.kernel.shared_kernel`
   reuses them.
 
@@ -126,7 +126,7 @@ class AtpgAdjacency:
 
 
 def atpg_adjacency(kernel: CompiledKernel) -> AtpgAdjacency:
-    """The kernel's cached :class:`AtpgAdjacency` (computed once per revision)."""
+    """The kernel's cached :class:`AtpgAdjacency` (computed once per digest)."""
     adjacency = kernel.analysis_cache.get("atpg_adjacency")
     if adjacency is None:
         adjacency = AtpgAdjacency(kernel)
@@ -141,7 +141,7 @@ def scoap_guidance(kernel: CompiledKernel) -> tuple[tuple[int, ...], tuple[int, 
     mode: when several gate inputs are still X, descend into the one whose
     required value is cheapest to justify.  Computed once per kernel (one
     forward SCOAP pass) and cached via ``analysis_cache``, so the cost is
-    shared by every fault targeted against the same circuit revision.
+    shared by every fault targeted against the same circuit content.
     """
     cached = kernel.analysis_cache.get("scoap_guidance")
     if cached is None:

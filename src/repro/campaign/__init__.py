@@ -63,16 +63,13 @@ from .results import (
 from .runner import (
     CampaignRunner,
     CampaignScenario,
-    EngineCache,
     FaultShardTask,
     ShardPayload,
     TransitionShardTask,
     plan_shard_tasks,
-    release_scenario_engines,
     run_shard_task,
     run_sharded_fault_sim,
     run_sharded_transition_sim,
-    unique_scenario_key,
     with_offsets,
 )
 from .scheduler import (
@@ -137,7 +134,6 @@ __all__ = [
     "sort_failures",
     "CampaignRunner",
     "CampaignScenario",
-    "EngineCache",
     "KeyedLruCache",
     "FaultShardTask",
     "ShardPayload",
@@ -173,9 +169,7 @@ __all__ = [
     "TpiProfileStage",
     "TransitionOutcome",
     "TransitionStage",
-    "release_scenario_engines",
     "scenario_stage_nodes",
-    "unique_scenario_key",
     "contiguous_shards",
     "keyed_round_robin_shards",
     "plan_grid",

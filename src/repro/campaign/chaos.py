@@ -5,10 +5,10 @@ fault schedule that eventually succeeds must yield report bytes identical
 to the clean serial run.  That only works if the fault schedule itself is
 deterministic -- the same stage attempt draws the same fault in the serial
 oracle, in every pooled schedule, and on every rerun.  So chaos plans here
-key off the **canonical stage key** (per-run ``@pid.counter`` nonces
-stripped, see :func:`repro.core.config.canonical_stage_key`) and the
-0-based **attempt index**, and decide faults with seeded hashes -- never
-global RNG state, never wall-clock.
+key off the **stage key** (deterministic: ``s<i>:<name>/...`` in the runner,
+``<job>/s<i>:<name>/...`` in the service) and the 0-based **attempt
+index**, and decide faults with seeded hashes -- never global RNG state,
+never wall-clock.
 
 Fault kinds (:class:`ChaosFault`):
 
@@ -60,7 +60,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..core.config import RetryPolicy, canonical_stage_key
+from ..core.config import RetryPolicy
 from .scheduler import (
     StageTimeoutError,
     WorkerCrashError,
@@ -137,10 +137,10 @@ class ChaosPlan:
 class Injection:
     """One explicit injection rule.
 
-    ``stage`` matches any stage whose canonical key ends with it (a full
-    canonical key also matches itself); ``attempts`` lists the 0-based
-    attempt indices to fault, or ``()`` for *every* attempt -- that is how
-    a permanent failure is spelled.
+    ``stage`` matches any stage whose key ends with it (a full key also
+    matches itself); ``attempts`` lists the 0-based attempt indices to
+    fault, or ``()`` for *every* attempt -- that is how a permanent failure
+    is spelled.
     """
 
     stage: str
@@ -172,9 +172,8 @@ class ExplicitChaosPlan(ChaosPlan):
         return cls([Injection(stage=stage, kind=kind, **kwargs)])
 
     def fault_for(self, stage_key: str, attempt: int) -> Optional[ChaosFault]:
-        key = canonical_stage_key(stage_key)
         for injection in self.injections:
-            if not key.endswith(injection.stage):
+            if not stage_key.endswith(injection.stage):
                 continue
             if injection.attempts and attempt not in injection.attempts:
                 continue
@@ -186,7 +185,7 @@ class ExplicitChaosPlan(ChaosPlan):
 class SeededChaosPlan(ChaosPlan):
     """Randomized-but-reproducible injection: hash-seeded per stage attempt.
 
-    Each ``(canonical stage key, attempt)`` pair draws independently from a
+    Each ``(stage key, attempt)`` pair draws independently from a
     sha256 stream keyed by ``seed`` -- with probability ``rate`` it gets a
     fault, whose kind is drawn uniformly from ``kinds``.  Attempt indices at
     or above ``transient_attempts`` never fault, so any plan with
@@ -203,7 +202,7 @@ class SeededChaosPlan(ChaosPlan):
     #: Attempts ``0 .. transient_attempts-1`` may fault; later attempts are
     #: always clean.
     transient_attempts: int = 1
-    #: Restrict injection to stages whose canonical key contains this.
+    #: Restrict injection to stages whose key contains this.
     match: str = ""
     sleep_s: float = 60.0
     exit_code: int = 1
@@ -218,11 +217,10 @@ class SeededChaosPlan(ChaosPlan):
     def fault_for(self, stage_key: str, attempt: int) -> Optional[ChaosFault]:
         if attempt >= self.transient_attempts:
             return None
-        key = canonical_stage_key(stage_key)
-        if self.match and self.match not in key:
+        if self.match and self.match not in stage_key:
             return None
         digest = hashlib.sha256(
-            f"{self.seed}:{key}:{attempt}".encode("utf-8")
+            f"{self.seed}:{stage_key}:{attempt}".encode("utf-8")
         ).digest()
         draw = int.from_bytes(digest[:8], "big") / 2.0**64
         if draw >= self.rate:
@@ -230,7 +228,7 @@ class SeededChaosPlan(ChaosPlan):
         kind = self.kinds[int.from_bytes(digest[8:12], "big") % len(self.kinds)]
         return ChaosFault(
             kind=kind,
-            message=f"chaos[{kind}] at {key} attempt {attempt}",
+            message=f"chaos[{kind}] at {stage_key} attempt {attempt}",
             sleep_s=self.sleep_s,
             exit_code=self.exit_code,
         )
@@ -262,7 +260,7 @@ LIFECYCLE_EVENTS = ("start", "finish")
 class LifecycleInjection:
     """One service-tier injection rule.
 
-    ``stage`` substring-matches canonical stage keys (``""`` matches every
+    ``stage`` substring-matches stage keys (``""`` matches every
     stage) -- substring rather than the suffix match of :class:`Injection`
     so a rule can target one *scenario* of one job (service stage keys are
     ``<job_id>/s<i>:<scenario>/<stage>``, so ``stage=":poison/"`` hits
@@ -307,7 +305,7 @@ class LifecycleChaosPlan:
     def __init__(self, injections: Sequence[LifecycleInjection]) -> None:
         self.injections = tuple(injections)
         self._seen = [0] * len(self.injections)
-        #: ``(canonical stage key, event, action)`` per fired injection.
+        #: ``(stage key, event, action)`` per fired injection.
         self.fired: list[tuple[str, str, str]] = []
 
     @classmethod
@@ -339,12 +337,11 @@ class LifecycleChaosPlan:
 
     def action_for(self, stage_key: str, event: str) -> Optional[str]:
         """The action to apply at ``event`` of ``stage_key``, or ``None``."""
-        key = canonical_stage_key(stage_key)
         action = None
         for index, injection in enumerate(self.injections):
             if injection.on != event:
                 continue
-            if injection.stage and injection.stage not in key:
+            if injection.stage and injection.stage not in stage_key:
                 continue
             occurrence = self._seen[index]
             self._seen[index] += 1
@@ -352,7 +349,7 @@ class LifecycleChaosPlan:
                 continue
             if action is None:
                 action = injection.action
-                self.fired.append((key, event, action))
+                self.fired.append((stage_key, event, action))
         return action
 
 
@@ -365,13 +362,11 @@ class RecordingChaosPlan(ChaosPlan):
 
     def __init__(self, plan: ChaosPlan) -> None:
         self.plan = plan
-        #: ``(canonical stage key, attempt, kind)`` per injected fault.
+        #: ``(stage key, attempt, kind)`` per injected fault.
         self.injected: list[tuple[str, int, str]] = []
 
     def fault_for(self, stage_key: str, attempt: int) -> Optional[ChaosFault]:
         fault = self.plan.fault_for(stage_key, attempt)
         if fault is not None:
-            self.injected.append(
-                (canonical_stage_key(stage_key), attempt, fault.kind)
-            )
+            self.injected.append((stage_key, attempt, fault.kind))
         return fault

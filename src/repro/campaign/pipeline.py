@@ -1167,7 +1167,7 @@ def scenario_stage_nodes(
     ``"report"``) to the node keys whose values a finished
     :class:`~repro.campaign.scheduler.PipelineRun` holds.  Many scenarios'
     node lists concatenate into one multi-scenario DAG; ``scenario_key`` must
-    be campaign-unique (see :func:`~repro.campaign.runner.unique_scenario_key`).
+    be unique within the DAG.
 
     ``include_transition`` / ``include_skew`` default to the scenario
     config's own measurement requests (``measure_transition_coverage`` /

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..core.config import canonical_stage_key
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulationResult
 from .scheduler import StageFailure
@@ -132,19 +131,16 @@ FAILURES_KEY = "failures"
 def canonical_failure(failure: StageFailure, scenario_key: str) -> dict:
     """The byte-deterministic report record of one permanent stage failure.
 
-    The stage key is made relative to its scenario graph root (and stripped
-    of any per-run nonce), so the same logical failure -- "``tpi`` of
-    scenario X raised ``ValueError`` after 3 attempts" -- serialises
-    identically whatever worker count, run or tier produced it.  The swept
-    descendant keys stay *out* of the record: the cancelled set depends on
-    shard geometry (fan-out width follows the worker count), which would
-    break byte-identity across worker counts for no informational gain --
-    descendants are implied by "everything downstream of this stage".
+    The stage key is made relative to its scenario graph root, so the same
+    logical failure -- "``tpi`` of scenario X raised ``ValueError`` after 3
+    attempts" -- serialises identically whatever worker count, run or tier
+    produced it.  The swept descendant keys stay *out* of the record: the
+    cancelled set depends on shard geometry (fan-out width follows the
+    worker count), which would break byte-identity across worker counts for
+    no informational gain -- descendants are implied by "everything
+    downstream of this stage".
     """
-    stage = canonical_stage_key(failure.key)
-    prefix = canonical_stage_key(scenario_key) + "/"
-    if stage.startswith(prefix):
-        stage = stage[len(prefix):]
+    stage = failure.key.removeprefix(scenario_key + "/")
     return {
         "stage": stage,
         "phase": failure.phase,

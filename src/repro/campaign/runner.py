@@ -40,8 +40,6 @@ and one worker pool.
 
 from __future__ import annotations
 
-import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -57,7 +55,6 @@ from ..faults.transition_sim import (
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks
-from ..util.cache import KeyedLruCache
 from .results import (
     CampaignResult,
     ScenarioResult,
@@ -99,7 +96,7 @@ class FaultShardTask:
     fault_indices: tuple[int, ...]
     block_indices: tuple[int, ...]
 
-    #: Engine kind the worker builds/caches for this task.
+    #: Engine kind the task scans with.
     kind = "stuck"
 
 
@@ -117,76 +114,20 @@ class TransitionShardTask:
 
 ShardTask = Union[FaultShardTask, TransitionShardTask]
 
-#: Default capacity of the per-process compiled-engine LRU.  An engine holds
-#: a compiled kernel plus its lazily-built fanout-cone plans, which for a
-#: large core is tens of megabytes -- a long many-scenario campaign must not
-#: accumulate one per scenario forever.
-DEFAULT_ENGINE_CACHE_SIZE = 8
-
-
-class EngineCache(KeyedLruCache):
-    """Small per-process LRU of compiled shard engines.
-
-    Keyed by ``(scenario key, engine kind)``.  Fork/spawn children start
-    empty; tasks of the same scenario landing on the same worker recompile
-    nothing, while scenarios beyond ``maxsize`` evict least-recently-used
-    engines instead of growing without bound across a long campaign
-    (eviction only ever costs a recompile -- results are unaffected).
-    """
-
-    def __init__(self, maxsize: int = DEFAULT_ENGINE_CACHE_SIZE) -> None:
-        super().__init__(maxsize)
-
-    def get_or_build(self, scenario_key: str, kind: str, state) -> object:
-        """The cached engine for ``(scenario_key, kind)``, building on miss."""
-        return super().get_or_build((scenario_key, kind), state.build_simulator)
-
-    def discard_scenario(self, scenario_key: str) -> None:
-        """Drop every engine kind cached for ``scenario_key``."""
-        for kind in ("stuck", "transition"):
-            self.discard((scenario_key, kind))
-
-
-#: Per-process engine LRU (see :class:`EngineCache`).
-_ENGINE_CACHE = EngineCache()
-
-#: Monotonic nonce making every campaign invocation's scenario keys unique, so
-#: a cached engine can never be confused across calls (two campaigns may
-#: reuse the same human-readable scenario name).
-_KEY_COUNTER = itertools.count()
-
-
-def unique_scenario_key(prefix: str) -> str:
-    """A campaign-unique scenario key: ``prefix`` plus a per-process nonce."""
-    return f"{prefix}@{os.getpid()}.{next(_KEY_COUNTER)}"
-
-
-def release_scenario_engines(scenario_keys) -> None:
-    """Drop the per-process shard engines compiled under these scenario keys.
-
-    Scenario keys are invocation-unique, so once a graph execution finishes
-    its cached engines can never hit again -- callers that walk a graph with
-    the :class:`~repro.campaign.scheduler.SerialScheduler` (where the parent
-    process itself compiles the engines) should release them rather than
-    leave dead entries pinned in the LRU until eviction.  Harmless after a
-    pooled run (the workers held the engines and are gone with the pool).
-    """
-    for scenario_key in scenario_keys:
-        _ENGINE_CACHE.discard_scenario(scenario_key)
-
 
 def run_shard_task(task: ShardTask, payload: ShardPayload) -> ShardOutcome:
     """Run one fault/transition shard scan against its payload.
 
-    The single execution path of every shard stage: builds (or reuses, via
-    the per-process :class:`EngineCache`) the compiled engine for the task's
-    scenario and scans the task's fault indices over its block run.
+    The single execution path of every shard stage: builds an engine for
+    the task's shard state (on the process's shared kernel for that circuit,
+    so its cone plans, site plans and fault table are reused) and scans the
+    task's fault indices over its block run.
     """
     # The timer covers engine construction too: a worker's first task of a
-    # scenario really pays kernel compilation, and the recorded per-shard
+    # circuit really pays kernel compilation, and the recorded per-shard
     # seconds must reflect that full cost.
     start = time.perf_counter()
-    engine = _ENGINE_CACHE.get_or_build(task.scenario_key, task.kind, payload.state)
+    engine = payload.state.build_simulator()
     # The stuck-at engine counts its own gate evaluations; the transition
     # engine delegates them to its embedded stuck-at observability engine.
     counter = engine if task.kind == "stuck" else engine.stuck_engine
@@ -329,7 +270,6 @@ def _run_shards(
     """
     from .pipeline import shard_stage_nodes
 
-    scenario_key = unique_scenario_key(scenario_key)
     nodes = shard_stage_nodes(
         task_cls,
         scenario_key,
@@ -339,10 +279,7 @@ def _run_shards(
         pattern_shards,
         prefix=scenario_key,
     )
-    try:
-        run = make_scheduler(num_workers, mp_context=mp_context).run(nodes)
-    finally:
-        release_scenario_engines([scenario_key])
+    run = make_scheduler(num_workers, mp_context=mp_context).run(nodes)
     return merge_first_detections(run.value(node.key) for node in nodes)
 
 
@@ -580,7 +517,7 @@ class CampaignRunner:
         scenario_keys: list[str] = []
         report_keys: dict[str, str] = {}
         for index, scenario in enumerate(scenarios):
-            key = unique_scenario_key(f"s{index}:{scenario.name}")
+            key = f"s{index}:{scenario.name}"
             scenario_keys.append(key)
             scenario_nodes, artifact_keys = scenario_stage_nodes(
                 key,
@@ -614,10 +551,7 @@ class CampaignRunner:
             chaos=self.chaos,
             degrade=self.degrade,
         )
-        try:
-            pipeline_run = scheduler.run(nodes, cancel_token=cancel_token)
-        finally:
-            release_scenario_engines(scenario_keys)
+        pipeline_run = scheduler.run(nodes, cancel_token=cancel_token)
         # Keep the trace (the Amdahl/benchmark diagnostics), drop the
         # artifact store: it holds every scenario's packed session.
         self.last_run = pipeline_run.trace_only()

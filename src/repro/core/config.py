@@ -3,31 +3,12 @@
 from __future__ import annotations
 
 import random
-import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..scan.insertion import ScanInsertionConfig
 from ..simulation.packed import DEFAULT_BLOCK_SIZE
-
-#: The per-invocation nonce :func:`repro.campaign.runner.unique_scenario_key`
-#: embeds in campaign stage keys (``@<pid>.<counter>``).  Resilience
-#: machinery that must be deterministic *across* runs -- retry jitter, chaos
-#: injection plans, canonical failure records -- strips it first.
-_STAGE_KEY_NONCE = re.compile(r"@\d+\.\d+")
-
-
-def canonical_stage_key(key: str) -> str:
-    """``key`` with any per-run ``@<pid>.<n>`` nonce removed.
-
-    Service-tier stage keys (``<job>/s0:name/tpi``) are already canonical;
-    runner/flow keys (``s0:name@1234.7/tpi``) are not.  Both map to a stable
-    form here, so seeded jitter and chaos plans hit the same stages whichever
-    tier built the graph.
-    """
-    return _STAGE_KEY_NONCE.sub("", key)
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -36,7 +17,7 @@ class RetryPolicy:
     The default policy (``max_attempts=1``, no timeout) reproduces the
     pre-resilience behavior exactly: one attempt, any stage exception is
     terminal.  Everything here is deterministic by construction -- backoff
-    jitter is seeded per *canonical* stage key and attempt number, so the
+    jitter is seeded per stage key and attempt number, so the
     serial oracle and every pooled schedule replay identical retry
     sequences (:func:`delay_for` never consults global RNG state).
 
@@ -102,7 +83,7 @@ class RetryPolicy:
         """Backoff before retry number ``attempt`` (1-based) of ``stage_key``.
 
         Exponential in ``attempt``, capped, with deterministic jitter from a
-        private RNG seeded by ``(seed, canonical stage key, attempt)`` --
+        private RNG seeded by ``(seed, stage key, attempt)`` --
         identical for the same stage whichever scheduler (or run) asks.
         """
         if self.backoff_base_s <= 0:
@@ -112,9 +93,7 @@ class RetryPolicy:
             self.backoff_max_s,
         )
         if self.jitter_fraction > 0:
-            rng = random.Random(
-                f"{self.seed}:{canonical_stage_key(stage_key)}:{attempt}"
-            )
+            rng = random.Random(f"{self.seed}:{stage_key}:{attempt}")
             delay *= 1.0 + self.jitter_fraction * (2.0 * rng.random() - 1.0)
         return delay
 
@@ -333,9 +312,8 @@ class ServiceConfig:
     event_chunk: int = 32
     #: Capacity of the service-tier prepared-scenario cache
     #: (:class:`~repro.service.cache.ScenarioPrepCache`): distinct
-    #: (circuit revision, config) pairs whose scan-inserted + TPI-profiled
-    #: cores -- and therefore their shared compiled kernels and
-    #: ``analysis_cache`` entries -- stay warm across jobs.
+    #: (circuit digest, config) pairs whose scan-inserted + TPI-profiled
+    #: cores stay warm across jobs.
     kernel_cache_size: int = 8
     #: Completed/failed jobs whose in-memory records (event logs, results)
     #: the service retains for late subscribers before discarding the

@@ -349,7 +349,6 @@ class LogicBistFlow:
     def run(self, circuit: Circuit, core_name: Optional[str] = None) -> LogicBistResult:
         """Run the complete flow on ``circuit`` and return the measurements."""
         from ..campaign.pipeline import PHASE_AT_SPEED, PHASE_ORDER, scenario_stage_nodes
-        from ..campaign.runner import release_scenario_engines, unique_scenario_key
         from ..campaign.scheduler import make_scheduler
 
         config = self.config
@@ -360,7 +359,7 @@ class LogicBistFlow:
             fault_shards = config.campaign_fault_shards
         else:
             fault_shards = workers if workers >= 2 else 1
-        scenario_key = unique_scenario_key(f"flow:{core_name or circuit.name}")
+        scenario_key = f"flow:{core_name or circuit.name}"
         nodes, keys = scenario_stage_nodes(
             scenario_key,
             circuit,
@@ -375,10 +374,7 @@ class LogicBistFlow:
         # outcome here: a stage that exhausts config.retry's attempts
         # raises.  Retries themselves (and pooled timeout/crash recovery)
         # still apply.
-        try:
-            pipeline_run = make_scheduler(workers, retry_policy=config.retry).run(nodes)
-        finally:
-            release_scenario_engines([scenario_key])
+        pipeline_run = make_scheduler(workers, retry_policy=config.retry).run(nodes)
 
         tpi: "TpiOutcome" = pipeline_run.value(keys["tpi"])
         bundle = pipeline_run.value(keys["bundle"])

@@ -20,6 +20,7 @@ rebuilt lazily.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -95,11 +96,9 @@ class Circuit:
         self._fanout: dict[str, list[str]] = {}
         self._levels: dict[str, int] = {}
         self._topo_order: list[str] = []
-        #: Monotonic structural revision; bumped on every mutation.  Compiled
-        #: artifacts (e.g. the shared simulation kernels) key their caches on
-        #: ``(circuit, revision)`` so a mutated circuit is never served a
-        #: stale compilation.
-        self._revision = 0
+        #: Content digest (see :attr:`digest`); ``None`` until asked for and
+        #: after every mutation.
+        self._digest: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # Construction / mutation
@@ -203,9 +202,10 @@ class Circuit:
         self._invalidate()
 
     def _invalidate(self) -> None:
-        """Drop the levelisation; each edit keeps the fanout map itself."""
+        """Drop the levelisation and the digest; each edit keeps the fanout
+        map itself."""
         self._order_valid = False
-        self._revision += 1
+        self._digest = None
 
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_ranks": None}
@@ -215,13 +215,42 @@ class Circuit:
         # ``_cache_valid`` flag instead: rebuild everything lazily.
         state.pop("_cache_valid", None)
         self.__dict__.update(
-            {"_fanout_valid": False, "_order_valid": False, "_ranks": None, **state}
+            {
+                "_fanout_valid": False,
+                "_order_valid": False,
+                "_ranks": None,
+                "_digest": None,
+                **state,
+            }
         )
 
     @property
-    def revision(self) -> int:
-        """Structural revision counter (see ``_revision``)."""
-        return self._revision
+    def digest(self) -> str:
+        """sha256 (hex) of the circuit's content: the one key under which
+        compiled artifacts of "the same circuit" are cached.
+
+        It covers the name, the primary-input and primary-output orders and
+        every gate in insertion order (name, type, inputs, clock domain and
+        sorted attributes) -- everything a compiled kernel's net IDs and
+        schedule derive from.  Two independently built identical circuits,
+        and a pickled copy, share it; any mutation resets it.  It is built
+        from ``repr`` of strings and enum names only, so it does not depend
+        on ``PYTHONHASHSEED``.
+        """
+        if self._digest is None:
+            content = [self.name, self._primary_inputs, self._primary_outputs]
+            for gate in self._gates.values():
+                content.append(
+                    (
+                        gate.name,
+                        gate.gate_type.name,
+                        gate.inputs,
+                        gate.clock_domain,
+                        sorted(gate.attributes.items()),
+                    )
+                )
+            self._digest = hashlib.sha256(repr(content).encode()).hexdigest()
+        return self._digest
 
     # ------------------------------------------------------------------ #
     # Queries

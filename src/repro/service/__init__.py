@@ -16,8 +16,8 @@ turns them into infrastructure:
   service restarts, preloads them and re-runs only the unfinished and the
   local stages, byte-identical by test,
 * :mod:`repro.service.cache` -- the service-tier prepared-scenario LRU that
-  keeps compiled kernels and their ``analysis_cache`` warm across jobs
-  sharing a ``Circuit.revision``.
+  skips scan insertion and TPI profiling for jobs whose circuit content
+  (``Circuit.digest``) and config were prepared before.
 
 Everything here is observability and durability *around* the campaign; the
 report bytes a service job produces are identical to an in-process

@@ -1,37 +1,31 @@
 """Service-tier cross-request cache of prepared scenarios.
 
-The per-process caches below the campaign layer (``shared_kernel`` keyed by
-circuit identity + ``Circuit.revision``; the worker-side
-:class:`~repro.campaign.runner.EngineCache` LRU) already stop recompiles
-*within* one campaign.  What they cannot do is help the *next* request:
-scan insertion copies the submitted circuit, so two jobs over the same core
-prepare -- and compile -- two structurally identical circuits from scratch.
+The per-process kernel cache below the campaign layer (``shared_kernel``,
+keyed by :attr:`Circuit.digest <repro.netlist.circuit.Circuit.digest>`)
+already stops recompiles of the same circuit content.  What it cannot save
+is the *preparation* itself: every job scan-inserts the submitted circuit
+and TPI-profiles it afresh.
 
 :class:`ScenarioPrepCache` closes that gap at the service tier.  It caches
 the *preparation artifacts* of a scenario -- the scan-inserted
 ``BistReadyCore`` and the TPI-profiled
 :class:`~repro.campaign.pipeline.TpiOutcome` -- keyed by the submitted
-circuit's identity, its ``Circuit.revision`` and a conservative config
-fingerprint.  A hit preloads those artifacts into the next job's stage
-graph, which means the *same prepared circuit object* flows into the
-random/top-up/at-speed phases; ``shared_kernel`` then hits by identity, so
-the compiled kernel **and** every memoised ``analysis_cache`` entry
-(ATPG adjacency, SCOAP guidance) are reused across requests.  Pinning the
-outcome in the LRU is what keeps the kernel's weak cache entry alive
-between jobs.
+circuit's digest and a conservative config fingerprint, so an equal circuit
+resubmitted as another object hits too.  A hit preloads those artifacts
+into the next job's stage graph, so the prepared circuit flows into the
+random/top-up/at-speed phases and ``shared_kernel`` serves its compiled
+kernel **and** every memoised ``analysis_cache`` entry (ATPG adjacency,
+SCOAP guidance) while the kernel is still in its LRU.
 
 Correctness story: preparation is deterministic, preloading it skips stages
 that would have produced equal artifacts, and the prepared objects are not
 mutated by later phases (pooled stages work on pickled copies; the serial
 report path reads, never writes, the prepared core) -- so cache hits and
-evictions change no report byte, which ``tests/campaign/test_engine_cache.py``
+evictions change no report byte, which ``tests/campaign/test_kernel_cache.py``
 pins down with a maxsize-1 thrashing run.
 """
 
 from __future__ import annotations
-
-import weakref
-from typing import Optional
 
 from ..core.config import LogicBistConfig
 from ..netlist.circuit import Circuit
@@ -49,52 +43,16 @@ def config_fingerprint(config: LogicBistConfig) -> str:
     return repr(config)
 
 
-class ScenarioPrepCache(KeyedLruCache):
-    """LRU of prepared scenarios keyed by (circuit identity, revision, config).
+def _key(circuit: Circuit, config: LogicBistConfig) -> tuple[str, str]:
+    return (circuit.digest, config_fingerprint(config))
 
-    ``Circuit.revision`` is a *per-object* mutation counter, not a global
-    content hash, so the key alone cannot distinguish two different circuits
-    that happen to share a revision number: every entry additionally holds a
-    weak reference to the submitted circuit and :meth:`lookup` validates
-    object identity before serving it.  A dead or mismatched referent reads
-    as a miss (and is dropped), so ``id()`` reuse can never alias entries.
-    """
+
+class ScenarioPrepCache(KeyedLruCache):
+    """LRU of prepared scenarios keyed by (circuit digest, config
+    fingerprint)."""
 
     def __init__(self, maxsize: int = 8) -> None:
         super().__init__(maxsize)
-
-    @staticmethod
-    def _key(circuit: Circuit, config: LogicBistConfig) -> tuple:
-        return (id(circuit), circuit.revision, config_fingerprint(config))
-
-    def lookup(self, circuit: Circuit, config: LogicBistConfig) -> Optional[dict]:
-        """The cached preparation artifacts, or ``None`` (counted hit/miss)."""
-        key = self._key(circuit, config)
-        entry = self._entries.get(key)
-        if entry is not None:
-            ref, artifacts = entry
-            if ref() is circuit:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return artifacts
-            # Stale: the original circuit died and id() was reused.
-            del self._entries[key]
-        self.stats.misses += 1
-        return None
-
-    def insert(self, circuit: Circuit, config: LogicBistConfig, artifacts: dict) -> None:
-        """Pin ``artifacts`` (``{"core": ..., "tpi": ...}``) for reuse.
-
-        Not counted as hit or miss -- the preceding :meth:`lookup` already
-        recorded the miss this insert repairs.  Inserting over a live entry
-        refreshes its LRU position and artifacts.
-        """
-        key = self._key(circuit, config)
-        self._entries[key] = (weakref.ref(circuit), artifacts)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
 
     def preloads(
         self,
@@ -108,7 +66,7 @@ class ScenarioPrepCache(KeyedLruCache):
         :func:`~repro.campaign.pipeline.scenario_stage_nodes`) to the cached
         artifacts, ready to pass as the scheduler's ``preloaded`` mapping.
         """
-        artifacts = self.lookup(circuit, config)
+        artifacts = self.lookup(_key(circuit, config))
         if artifacts is None:
             return {}
         return {
@@ -136,4 +94,4 @@ class ScenarioPrepCache(KeyedLruCache):
             }
         except KeyError:
             return
-        self.insert(circuit, config, artifacts)
+        self.insert(_key(circuit, config), artifacts)

@@ -22,9 +22,8 @@ a fresh schedule, and re-executes the rest, local stages included -- the
 resumed report bytes are identical to an uninterrupted run
 (``tests/service/test_checkpoint_resume.py``).
 
-Scenario keys are **deterministic** here (``<job_id>/s<i>:<name>``), unlike
-the invocation-unique keys of the one-shot runner: a resumed schedule must
-address the same artifacts the crashed one checkpointed.
+Scenario keys are **deterministic** (``<job_id>/s<i>:<name>``): a resumed
+schedule must address the same artifacts the crashed one checkpointed.
 
 Job lifecycle (PR 10): every job moves through the state machine
 ``queued -> running -> finished | partial | failed | cancelled | timeout |
@@ -67,7 +66,7 @@ from ..campaign.results import (
     sort_failures,
 )
 from ..campaign.chaos import ServiceCrashError
-from ..campaign.runner import CampaignScenario, release_scenario_engines
+from ..campaign.runner import CampaignScenario
 from ..campaign.scheduler import (
     CancelToken,
     ScheduleCancelled,
@@ -76,6 +75,7 @@ from ..campaign.scheduler import (
 )
 from ..core.config import ServiceConfig
 from ..netlist.library import CellLibrary
+from ..simulation.kernel import KERNEL_CACHE
 from .cache import ScenarioPrepCache
 from .checkpoint import CheckpointStore
 from .events import (
@@ -785,11 +785,11 @@ class CampaignService:
     def status(self) -> dict:
         """Service-level observability snapshot (the "status endpoint").
 
-        Counters and cache statistics are monotone; ``engine_cache`` reports
-        the parent process's shard-engine LRU (pool workers hold their own).
+        Counters and cache statistics are monotone; ``kernel_cache`` reports
+        the hits, misses, evictions and entries of this process's compiled
+        kernel LRU (:func:`~repro.simulation.kernel.shared_kernel`; pool
+        workers hold their own).
         """
-        from ..campaign.runner import _ENGINE_CACHE
-
         return {
             "queued": self._queue.qsize() if self._queue is not None else 0,
             "stopping": self._stopping,
@@ -801,9 +801,9 @@ class CampaignService:
                 **self.prep_cache.stats.as_dict(),
                 "entries": len(self.prep_cache),
             },
-            "engine_cache": {
-                **_ENGINE_CACHE.stats.as_dict(),
-                "entries": len(_ENGINE_CACHE),
+            "kernel_cache": {
+                **KERNEL_CACHE.stats.as_dict(),
+                "entries": len(KERNEL_CACHE),
             },
         }
 
@@ -972,15 +972,12 @@ class CampaignService:
                 chaos=self.chaos,
                 degrade=self.config.degrade_scenarios,
             )
-            try:
-                run = scheduler.run(
-                    nodes,
-                    observer=observer,
-                    preloaded=preloads,
-                    cancel_token=token,
-                )
-            finally:
-                release_scenario_engines(scenario_keys)
+            run = scheduler.run(
+                nodes,
+                observer=observer,
+                preloaded=preloads,
+                cancel_token=token,
+            )
 
             failures: dict[str, list[dict]] = {}
             for failure in run.failures:

@@ -33,10 +33,11 @@ disagree about circuit structure.
 
 Kernels are expensive to build (interning plus, lazily, one fanout-cone plan
 per fault site), and the flow plus ATPG top-up routinely simulate the same
-circuit back to back.  :func:`shared_kernel` therefore keeps a per-process
-cache keyed by ``(circuit identity, structural revision)`` -- the in-process
-mirror of the campaign runner's per-worker engine cache -- so cone plans are
-compiled at most once per circuit revision per process.
+circuit back to back.  :func:`shared_kernel` therefore keeps a bounded
+per-process LRU keyed by :attr:`Circuit.digest
+<repro.netlist.circuit.Circuit.digest>`, so cone plans are compiled at most
+once per circuit content per process, whichever object (a pickled copy, a
+re-run's fresh scan insertion) carries that content.
 
 The kernel knows nothing about net names beyond the interning tables; the
 name-keyed public API lives in the adapter layer
@@ -45,7 +46,6 @@ name-keyed public API lives in the adapter layer
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -71,6 +71,7 @@ from ..netlist.gates import (
     OP_XOR2,
     gate_opcode,
 )
+from ..util.cache import KeyedLruCache
 
 
 class StrictStimulusError(ValueError):
@@ -225,11 +226,11 @@ class CompiledKernel:
         #: Shared scratch table for cone resimulation (single-threaded reuse).
         self.scratch: list[int] = [0] * self.num_nets
         #: Per-kernel memo for derived circuit analyses (ATPG fanout
-        #: adjacency, SCOAP backtrace guidance, ...).  Entries are keyed by
-        #: analysis name and computed lazily by their consumers; because
-        #: :func:`shared_kernel` hands every engine of a circuit revision the
-        #: same kernel object, an analysis is computed at most once per
-        #: revision per process, exactly like the cone plans.
+        #: adjacency, SCOAP backtrace guidance, the numpy lowering, ...).
+        #: Entries are keyed by analysis name and computed lazily by their
+        #: consumers; because :func:`shared_kernel` hands every engine of a
+        #: circuit digest the same kernel object, an analysis is computed at
+        #: most once per digest per process, exactly like the cone plans.
         self.analysis_cache: dict[str, object] = {}
 
     # ------------------------------------------------------------------ #
@@ -347,34 +348,34 @@ class CompiledKernel:
 # --------------------------------------------------------------------------- #
 # Per-process shared-kernel cache
 # --------------------------------------------------------------------------- #
-#: Circuit -> (structural revision at compile time, compiled kernel).  The
-#: weak keys let circuits (and with them their kernels and cone plans) be
-#: garbage-collected normally; a mutated circuit misses on the revision and
-#: is recompiled.
-_SHARED_KERNELS: "weakref.WeakKeyDictionary[Circuit, tuple[int, CompiledKernel]]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Compiled kernels one process keeps (a kernel plus its cone plans and
+#: analyses is tens of megabytes on a large core).
+KERNEL_CACHE_SIZE = 8
+
+#: Circuit digest -> compiled kernel, least recently used evicted first.
+KERNEL_CACHE = KeyedLruCache(KERNEL_CACHE_SIZE)
 
 
 def shared_kernel(circuit: Circuit) -> CompiledKernel:
     """The per-process compiled kernel for ``circuit`` (compile-once cache).
 
-    Keyed by circuit identity *and* structural revision: simulating the same
-    circuit from several engine instances (the flow's random phase followed
-    by ATPG top-up, or repeated campaign scenarios in one worker) shares one
-    kernel -- and therefore one set of lazily compiled fanout-cone plans --
-    while any netlist mutation (test-point insertion, scan stitching)
-    transparently forces a fresh compile.
+    Keyed by :attr:`Circuit.digest <repro.netlist.circuit.Circuit.digest>`:
+    simulating the same circuit content from several engine instances (the
+    flow's random phase followed by ATPG top-up, repeated runs, campaign
+    stages on unpickled copies) shares one kernel -- and therefore one set
+    of lazily compiled fanout-cone plans and analyses -- while any netlist
+    mutation (test-point insertion, scan stitching) changes the digest and
+    forces a fresh compile.
 
     Sharing is safe because the kernel itself is immutable apart from three
     single-threaded caches: the cone-plan dict and the analysis cache (both
     append-only) and the scratch table, whose contract already requires
     callers to consume results before the next kernel call.
     """
-    cached = _SHARED_KERNELS.get(circuit)
-    revision = circuit.revision
-    if cached is not None and cached[0] == revision:
-        return cached[1]
-    kernel = CompiledKernel(circuit)
-    _SHARED_KERNELS[circuit] = (revision, kernel)
+    kernel = KERNEL_CACHE.get_or_build(circuit.digest, lambda: CompiledKernel(circuit))
+    # The kernel's circuit may since have been edited in place (TPI adds
+    # observation flops to the circuit it profiled), and some analyses read
+    # ``kernel.circuit`` lazily: rebind it to the caller's, which has the
+    # key's digest.
+    kernel.circuit = circuit
     return kernel

@@ -61,7 +61,6 @@ message.
 
 from __future__ import annotations
 
-import weakref
 from itertools import chain
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -405,20 +404,13 @@ class NumpyKernel:
             )
 
 
-#: CompiledKernel -> its lazily built NumpyKernel (weak keys: lives and dies
-#: with the shared kernel cache in :mod:`repro.simulation.kernel`).
-_NUMPY_KERNELS: "weakref.WeakKeyDictionary[CompiledKernel, NumpyKernel]" = (
-    weakref.WeakKeyDictionary() if HAVE_NUMPY else None  # type: ignore[assignment]
-)
-
-
 def numpy_kernel_for(kernel: CompiledKernel) -> NumpyKernel:
-    """The (cached) level-batched form of a compiled kernel."""
+    """The level-batched form of a compiled kernel, built once and kept in
+    its ``analysis_cache`` (so it lives and dies with the kernel)."""
     resolve_backend(NUMPY_BACKEND)
-    cached = _NUMPY_KERNELS.get(kernel)
+    cached = kernel.analysis_cache.get("numpy")
     if cached is None:
-        cached = NumpyKernel(kernel)
-        _NUMPY_KERNELS[kernel] = cached
+        cached = kernel.analysis_cache["numpy"] = NumpyKernel(kernel)
     return cached
 
 

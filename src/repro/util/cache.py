@@ -1,11 +1,12 @@
-"""The counted LRU shared by every engine/kernel/workspace cache.
+"""The counted LRU shared by every kernel/workspace/prep cache.
 
-:class:`KeyedLruCache` started life in :mod:`repro.campaign.runner` as the
-generic core of the worker-side ``EngineCache`` and the service tier's
-``ScenarioPrepCache``.  It now also bounds the numpy backend's per-width
-scan workspaces (a full bit-plane table per block width -- see
-``FaultScanKernel``), which sits *below* the campaign layer in the import
-graph, so the class lives here in the dependency-free utility package.
+:class:`KeyedLruCache` is the generic core of the per-process compiled
+kernel cache (:func:`repro.simulation.kernel.shared_kernel`, keyed by circuit
+digest), the per-kernel site-plan and per-width workspace caches below it,
+and the service tier's ``ScenarioPrepCache`` (keyed by circuit digest and
+config fingerprint).  The simulation layer sits *below* the campaign layer
+in the import graph, so the class lives here in the dependency-free utility
+package.
 """
 
 from __future__ import annotations
@@ -38,14 +39,14 @@ _MISSING = object()
 
 
 class KeyedLruCache:
-    """A small counted LRU: the generic core of every engine/kernel cache.
+    """A small counted LRU: the generic core of every kernel/prep cache.
 
-    ``get_or_build(key, build)`` returns the cached value for ``key`` (a
-    hit, moved to most-recently-used) or calls ``build()`` and inserts the
-    result (a miss); insertion beyond ``maxsize`` evicts least-recently-used
-    entries.  Hits, misses and evictions are counted in :attr:`stats` --
-    the observability the service tier surfaces -- and subclasses may hook
-    :meth:`on_evict` to release resources an entry pinned.
+    :meth:`lookup` returns the cached value for a key (a hit, moved to
+    most-recently-used) or a default (a miss); :meth:`insert` adds a value,
+    evicting least-recently-used entries beyond ``maxsize``;
+    :meth:`get_or_build` is the two together.  Hits, misses and evictions
+    are counted in :attr:`stats` -- the observability the service tier
+    surfaces.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -55,28 +56,33 @@ class KeyedLruCache:
         self._entries: "OrderedDict[object, object]" = OrderedDict()
         self.stats = CacheStats()
 
-    def get_or_build(self, key, build):
-        """The cached value for ``key``, calling ``build()`` on a miss."""
+    def lookup(self, key, default=None):
+        """The cached value for ``key`` (counted hit), else ``default``
+        (counted miss)."""
         value = self._entries.get(key, _MISSING)
-        if value is not _MISSING:
-            self.stats.hits += 1
-            self._entries.move_to_end(key)
-            return value
-        self.stats.misses += 1
-        value = build()
-        self._entries[key] = value
-        while len(self._entries) > self.maxsize:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self.on_evict(evicted_key, evicted)
+        if value is _MISSING:
+            self.stats.misses += 1
+            return default
+        self.stats.hits += 1
+        self._entries.move_to_end(key)
         return value
 
-    def on_evict(self, key, value) -> None:
-        """Called for each LRU eviction (override to release resources)."""
+    def insert(self, key, value) -> None:
+        """Cache ``value`` under ``key`` as most recently used (not counted
+        as hit or miss: the preceding :meth:`lookup` counted the miss)."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.maxsize:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
-    def discard(self, key) -> bool:
-        """Drop ``key`` if cached (no eviction counted; returns presence)."""
-        return self._entries.pop(key, _MISSING) is not _MISSING
+    def get_or_build(self, key, build):
+        """The cached value for ``key``, calling ``build()`` on a miss."""
+        value = self.lookup(key, _MISSING)
+        if value is _MISSING:
+            value = build()
+            self.insert(key, value)
+        return value
 
     def keys(self) -> list:
         """Cached keys, least- to most-recently used (test/diagnostic hook)."""

@@ -40,7 +40,7 @@ from repro.campaign import (
     StageObserver,
 )
 from repro.core import LogicBistConfig
-from repro.core.config import RetryPolicy, canonical_stage_key
+from repro.core.config import RetryPolicy
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
 pytestmark = pytest.mark.chaos
@@ -127,13 +127,11 @@ def run_chaotic(num_workers, chaos, *, sim_backend="python", policy=FAST_RETRY,
 # RetryPolicy semantics
 # --------------------------------------------------------------------- #
 class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_nonce_invariant(self):
+    def test_backoff_is_deterministic(self):
         policy = RetryPolicy(max_attempts=5, seed=3)
-        a = policy.delay_for("s0:alpha@123.4/fault_sim", 2)
-        b = policy.delay_for("s0:alpha@999.7/fault_sim", 2)
-        assert a == b  # per-run nonce stripped before seeding jitter
-        assert a == policy.delay_for("s0:alpha@123.4/fault_sim", 2)
-        assert policy.delay_for("s0:alpha/other", 2) != a or True  # keyed
+        a = policy.delay_for("s0:alpha/fault_sim", 2)
+        assert a == policy.delay_for("s0:alpha/fault_sim", 2)
+        assert a == RetryPolicy(max_attempts=5, seed=3).delay_for("s0:alpha/fault_sim", 2)
 
     def test_backoff_grows_and_caps(self):
         policy = RetryPolicy(
@@ -163,10 +161,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_base_s=-1.0)
 
-    def test_canonical_stage_key_strips_nonce(self):
-        assert canonical_stage_key("s0:a@123.45/x") == "s0:a/x"
-        assert canonical_stage_key("job-1/s0:a/x") == "job-1/s0:a/x"
-
 
 # --------------------------------------------------------------------- #
 # Chaos plan determinism
@@ -181,13 +175,6 @@ class TestChaosPlans:
         ]
         assert any(draws) and not all(draws)
 
-    def test_seeded_plan_ignores_run_nonce(self):
-        plan = SeededChaosPlan(seed=5, rate=0.5)
-        for i in range(20):
-            a = plan.fault_for(f"s0:x@11.{i}/stage{i}", 0)
-            b = plan.fault_for(f"s0:x@97.{i + 3}/stage{i}", 0)
-            assert (a is None) == (b is None)
-
     def test_seeded_plan_transient_attempts_guarantee_success(self):
         plan = SeededChaosPlan(seed=5, rate=1.0, transient_attempts=2)
         assert plan.fault_for("k", 0) is not None
@@ -196,10 +183,10 @@ class TestChaosPlans:
 
     def test_explicit_plan_matches_suffix_and_attempts(self):
         plan = ExplicitChaosPlan([Injection(stage="beta/core", attempts=(0, 2))])
-        assert plan.fault_for("s1:beta@1.2/core", 0) is not None
-        assert plan.fault_for("s1:beta@1.2/core", 1) is None
-        assert plan.fault_for("s1:beta@1.2/core", 2) is not None
-        assert plan.fault_for("s0:alpha@1.2/core", 0) is None
+        assert plan.fault_for("s1:beta/core", 0) is not None
+        assert plan.fault_for("s1:beta/core", 1) is None
+        assert plan.fault_for("s1:beta/core", 2) is not None
+        assert plan.fault_for("s0:alpha/core", 0) is None
 
     def test_permanent_injection_faults_every_attempt(self):
         plan = ExplicitChaosPlan([Injection(stage="x", attempts=())])
@@ -325,7 +312,7 @@ class TestWorkerCrashRecovery:
         pooled_runner, pooled = run_chaotic(2, plan)
         serial_runner, serial = run_chaotic(1, plan)
         assert serial.report_bytes() == pooled.report_bytes() == clean_bytes()
-        key = lambda r: (canonical_stage_key(r.key), r.attempt, r.error_type, r.error)
+        key = lambda r: (r.key, r.attempt, r.error_type, r.error)
         assert sorted(map(key, serial_runner.last_run.retries)) == sorted(
             map(key, pooled_runner.last_run.retries)
         )

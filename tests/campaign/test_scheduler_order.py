@@ -23,9 +23,7 @@ from repro.campaign import (
     SerialScheduler,
     StageNode,
     StageObserver,
-    release_scenario_engines,
     scenario_stage_nodes,
-    unique_scenario_key,
 )
 from repro.core import LogicBistConfig
 
@@ -148,15 +146,10 @@ def campaign_graph(key, fault_shards):
 @pytest.mark.parametrize("fault_shards", (1, 3))
 @pytest.mark.parametrize("build", (flow_graph, campaign_graph))
 def test_pipeline_start_order_matches_reference(build, fault_shards):
-    key = unique_scenario_key("order")
-    engine_keys = [key, f"{key}/s0", f"{key}/s1"]
-    try:
-        expected, _, _ = reference_walk(build(key, fault_shards))
-        release_scenario_engines(engine_keys)
-        recorder = StartRecorder()
-        SerialScheduler().run(build(key, fault_shards), observer=recorder)
-    finally:
-        release_scenario_engines(engine_keys)
+    key = "order"
+    expected, _, _ = reference_walk(build(key, fault_shards))
+    recorder = StartRecorder()
+    SerialScheduler().run(build(key, fault_shards), observer=recorder)
     assert recorder.started == expected
     assert any("/shard" in stage for stage in expected)
 

@@ -19,7 +19,6 @@ from repro.campaign import (
     keyed_round_robin_shards,
     merge_first_detections,
     plan_grid,
-    release_scenario_engines,
     round_robin_shards,
     run_shard_task,
 )
@@ -135,13 +134,10 @@ class TestPermutedShardAssignment:
         tasks, payloads = self._tasks(circuit, blocks, fault_shards=4, pattern_shards=2)
 
         def run_tasks(ordered):
-            try:
-                return [
-                    run_shard_task(task, payloads[task.scenario_key])
-                    for task in ordered
-                ]
-            finally:
-                release_scenario_engines(payloads)
+            return [
+                run_shard_task(task, payloads[task.scenario_key])
+                for task in ordered
+            ]
 
         baseline = merge_first_detections(run_tasks(tasks))
         for seed in (1, 2, 3):
