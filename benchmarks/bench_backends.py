@@ -22,10 +22,11 @@ block sizes {64, 256, 1024, 4096} for both execution backends:
 * **transition preparation** -- the launch/capture pair blocks of a
   ``GEN_PATTERNS``-pattern at-speed measurement at block 1024 under Core
   Y's staggered capture order, built two ways: the per-pattern dict path
-  (``generate_patterns`` -> ``derive_capture_patterns`` ->
-  ``build_pair_blocks``) and the packed path the pipeline's transition
-  preparation runs (``generate_packed_blocks`` on the numpy backend ->
-  ``derive_pair_blocks``).  The two are asserted dict-equal.
+  (``generate_patterns`` -> ``derive_capture_patterns`` -> two
+  ``iter_blocks`` packs zipped into triples) and the packed path the
+  pipeline's transition preparation runs (``generate_packed_blocks`` on
+  the numpy backend -> ``derive_pair_blocks``).  The two are asserted
+  dict-equal.
 
 Every fault-sim run's final coverage is asserted identical across backends
 and block sizes, so the benchmark doubles as an equivalence check at full
@@ -82,7 +83,6 @@ import time
 import pytest
 
 from repro.bist import StumpsArchitecture
-from repro.campaign.runner import build_pair_blocks
 from repro.core import LogicBistConfig
 from repro.core.flow import build_clock_tree
 from repro.cores import core_y_recipe
@@ -191,7 +191,14 @@ def _transition_prep(circuit, architecture, pulse_order, results: list):
         if path == "dict":
             launch = stumps.generate_patterns(GEN_PATTERNS)
             capture = derive_capture_patterns(circuit, launch, pulse_order)
-            pair_blocks = build_pair_blocks(circuit, launch, capture, 1024)
+            nets = circuit.stimulus_nets()
+            pair_blocks = tuple(
+                zip(
+                    range(0, GEN_PATTERNS, 1024),
+                    iter_blocks(launch, block_size=1024, nets=nets),
+                    iter_blocks(capture, block_size=1024, nets=nets),
+                )
+            )
         else:
             pair_blocks = derive_pair_blocks(
                 circuit,

@@ -4,14 +4,17 @@ Measures PPSFP stuck-at fault simulation on the scaled Core Y stand-in three
 ways:
 
 * **serial** -- :meth:`FaultSimulator.simulate_blocks`, the oracle path,
-* **sharded, sequential** -- the 4-fault-shard campaign plan executed one
-  task at a time in-process, recording each shard's own compute seconds;
+* **sharded, sequential** -- the 4-fault-shard campaign plan's shard
+  stages (:class:`~repro.campaign.pipeline.ShardScanStage`) run one at a
+  time in-process, recording each shard's own compute seconds;
   ``serial / max(shard)`` is the *projected* 4-worker speedup, i.e. the
   speedup the shard plan delivers when every shard really gets its own CPU
   (it folds in the duplicated fault-free simulation and per-task overhead,
   but no multiprocessing dispatch cost),
-* **sharded, 4-worker pool** -- :func:`run_sharded_fault_sim` on a real
-  ``multiprocessing`` pool, recording the end-to-end wall clock.
+* **sharded, 4-worker pool** -- the same shard stages drained through a
+  real 4-worker pool (``make_scheduler(4)``), min-merged and materialised
+  as a scenario's fault-sim fan-out does, recording the end-to-end wall
+  clock.
 
 Both numbers land in ``benchmarks/BENCH_campaign.json`` next to the host's
 CPU count, because they answer different questions: the wall speedup is what
@@ -36,17 +39,19 @@ from __future__ import annotations
 import os
 import random
 import time
+from itertools import accumulate
 
 from repro.campaign import (
-    FaultShardTask,
-    ShardPayload,
-    plan_shard_tasks,
-    run_shard_task,
-    run_sharded_fault_sim,
-    with_offsets,
+    build_simulation_result,
+    merge_first_detections,
+    shard_stage_nodes,
 )
+from repro.campaign.pipeline import undetected_of_kind
+from repro.campaign.scheduler import make_scheduler
 from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults.fault_sim import FaultSimShardState
+from repro.faults.models import StuckAtFault
 from repro.simulation import iter_blocks
 from repro.simulation.kernel import KERNEL_CACHE
 
@@ -101,51 +106,57 @@ def _run_serial(circuit, blocks):
     return min(seconds), fault_list
 
 
-def _run_sharded_sequential(circuit, blocks, num_shards):
-    """Execute the shard plan one task at a time, timing each shard alone.
+def _shard_nodes(circuit, fault_list, blocks, num_shards):
+    """The production shard stages (site-local keyed round-robin fault
+    shards, one pattern shard) over ``fault_list``'s undetected faults, so
+    the benchmark measures exactly the plan the pool runs."""
+    positions, faults = undetected_of_kind(fault_list, StuckAtFault)
+    state = FaultSimShardState(
+        circuit=circuit,
+        observe_nets=tuple(circuit.observation_nets()),
+        faults=faults,
+    )
+    entries = tuple(zip(range(0, PATTERNS, BLOCK_SIZE), blocks))
+    nodes = shard_stage_nodes("bench", state, entries, num_shards, 1, prefix="bench")
+    return positions, nodes
 
-    Each task runs alone through :func:`run_shard_task`, and the process's
-    compiled kernels are dropped before every repeat, so every shard
-    compiles its own kernel -- exactly what a real pool worker pays -- and
-    its ``seconds`` is an honest single-CPU measurement unpolluted by
-    time-slicing against concurrent workers.
+
+def _run_sharded_sequential(circuit, blocks, num_shards):
+    """Execute the shard plan one stage at a time, timing each shard alone.
+
+    Each :class:`~repro.campaign.pipeline.ShardScanStage` runs alone, and
+    the process's compiled kernels are dropped before every repeat, so
+    every shard compiles its own kernel -- exactly what a real pool worker
+    pays -- and its ``seconds`` is an honest single-CPU measurement
+    unpolluted by time-slicing against concurrent workers.
     """
     fault_list = collapse_stuck_at(circuit).to_fault_list()
-    faults = tuple(fault_list.undetected())
-    state = FaultSimulator(circuit).shard_state(faults)
-    offset_blocks = with_offsets(blocks, 0)
-    # The production planning path (site-local keyed round-robin), so the
-    # benchmark measures exactly the plan the pool runs.
-    tasks = plan_shard_tasks(
-        FaultShardTask, "bench", circuit, faults, len(offset_blocks), num_shards, 1
-    )
-    payload = ShardPayload(state, tuple(offset_blocks))
+    _, nodes = _shard_nodes(circuit, fault_list, blocks, num_shards)
     start = time.perf_counter()
     shard_seconds = []
-    for task in tasks:
+    for node in nodes:
         per_repeat = []
         for _ in range(REPEATS):
             # Drop the compiled kernels so each repeat pays the full worker
             # cost (kernel + cone-plan compilation).
             KERNEL_CACHE.clear()
-            per_repeat.append(run_shard_task(task, payload).seconds)
+            per_repeat.append(node.task.run().seconds)
         shard_seconds.append(min(per_repeat))
     wall = time.perf_counter() - start
     return wall, shard_seconds
 
 
 def _run_sharded_pool(circuit, blocks, num_workers):
+    """Plan, pool-drain and merge the shard stages, timed end to end."""
+    boundaries = list(accumulate(block.num_patterns for block in blocks))
     seconds = []
     for _ in range(REPEATS):
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         start = time.perf_counter()
-        run_sharded_fault_sim(
-            circuit,
-            fault_list,
-            blocks,
-            num_workers=num_workers,
-            fault_shards=num_workers,
-        )
+        positions, nodes = _shard_nodes(circuit, fault_list, blocks, num_workers)
+        run = make_scheduler(num_workers).run(nodes)
+        merged = merge_first_detections(run.value(node.key) for node in nodes)
+        build_simulation_result(fault_list, positions, merged, boundaries)
         seconds.append(time.perf_counter() - start)
     return min(seconds), fault_list
 

@@ -13,9 +13,10 @@ cache behavior) changes.
 This walkthrough scales the Core Y stand-in up, runs the same random-pattern
 fault simulation with and without a budget, and prints what the budget
 bought: measured peak scan-workspace bytes, patterns/sec, and the OS-level
-peak RSS.  It then re-runs the budgeted scan through the sharded campaign
-path (`run_sharded_fault_sim`), whose shard states carry the budget to every
-worker, and checks all three runs agree bit for bit.
+peak RSS.  It then re-runs the budgeted scan through the campaign
+pipeline's shard stages (`shard_stage_nodes`, drained by a worker pool and
+min-merged as a scenario's fault-sim fan-out is), whose shard states carry
+the budget to every worker, and checks all three runs agree bit for bit.
 
 Run with::
 
@@ -32,9 +33,17 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX hosts
     resource = None
 
-from repro.campaign import run_sharded_fault_sim
+from repro.campaign import (
+    build_simulation_result,
+    merge_first_detections,
+    shard_stage_nodes,
+)
+from repro.campaign.pipeline import undetected_of_kind
+from repro.campaign.scheduler import make_scheduler
 from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults.fault_sim import FaultSimShardState
+from repro.faults.models import StuckAtFault
 from repro.simulation import HAVE_NUMPY, iter_blocks
 
 
@@ -127,14 +136,26 @@ def main() -> None:
     )
     campaign_list = collapse_stuck_at(circuit).to_fault_list()
     start = time.perf_counter()
-    run_sharded_fault_sim(
-        circuit,
-        campaign_list,
-        blocks,
-        num_workers=args.workers,
-        fault_shards=args.shards,
+    positions, faults = undetected_of_kind(campaign_list, StuckAtFault)
+    state = FaultSimShardState(
+        circuit=circuit,
+        observe_nets=tuple(circuit.observation_nets()),
+        faults=faults,
         sim_backend="numpy",
         sim_memory_budget_mb=args.budget_mb,
+    )
+    offsets = range(0, args.patterns, args.block_size)
+    nodes = shard_stage_nodes(
+        "large-core", state, tuple(zip(offsets, blocks)), args.shards, 1,
+        prefix="large-core",
+    )
+    run = make_scheduler(args.workers).run(nodes)
+    merged = merge_first_detections(run.value(node.key) for node in nodes)
+    build_simulation_result(
+        campaign_list,
+        positions,
+        merged,
+        [offset + block.num_patterns for offset, block in zip(offsets, blocks)],
     )
     seconds = time.perf_counter() - start
     print(

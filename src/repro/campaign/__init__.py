@@ -1,32 +1,31 @@
-"""Sharded multi-process fault-simulation campaigns (S11).
+"""Sharded multi-process fault-simulation campaigns.
 
 Public API:
 
 * :class:`~repro.campaign.runner.CampaignRunner` /
   :class:`~repro.campaign.runner.CampaignScenario` -- fan many
   (core, :class:`~repro.core.config.LogicBistConfig`) scenario pairs out
-  over one ``multiprocessing`` worker pool.  Since PR 4 the runner drives
-  the **stage-graph pipeline**: preparation (scan insertion, TPI profiling,
-  STUMPS/session assembly, signature-response derivation) is pooled work
-  alongside the fault-sim shards, not parent-process serial code,
+  over one worker pool.  The runner drives the **stage-graph pipeline**:
+  preparation (scan insertion, TPI profiling, STUMPS/session assembly,
+  signature-response derivation) is pooled work alongside the fault-sim
+  shards, not parent-process serial code,
 * :mod:`repro.campaign.pipeline` -- the typed stage tasks
   (:class:`~repro.campaign.pipeline.PrepareCoreStage`,
   :class:`~repro.campaign.pipeline.TpiProfileStage`, ...) and the
   per-scenario graph builder
   :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
+* :class:`~repro.campaign.pipeline.ShardScanStage` -- the one shard of a
+  stuck-at or transition fault simulation, built per grid cell by
+  :func:`~repro.campaign.pipeline.shard_stage_nodes` from the shard
+  planners in :mod:`repro.campaign.sharding` and min-merged by
+  :func:`~repro.campaign.results.merge_first_detections`,
 * :mod:`repro.campaign.scheduler` -- one completion loop that drains a
   stage graph, run by two schedulers that differ only in their executor:
   the deterministic in-process
   :class:`~repro.campaign.scheduler.SerialScheduler` (the oracle; the
   serial :class:`~repro.core.flow.LogicBistFlow` walk) and the
   :class:`~repro.campaign.scheduler.PooledScheduler`, whose non-local
-  stages run on a resilient worker pool,
-* :func:`~repro.campaign.runner.run_sharded_fault_sim` /
-  :func:`~repro.campaign.runner.run_sharded_transition_sim` -- sharded
-  drop-ins for the serial simulators (single-phase fan-out): the
-  pipeline's own shard stages, drained by the same schedulers,
-* the shard planners in :mod:`repro.campaign.sharding` and the
-  order-independent mergers in :mod:`repro.campaign.results`.
+  stages run on a resilient worker pool.
 
 The serial compiled-kernel path remains the default and the bit-exactness
 oracle: merged campaign results (detection records, coverage curves, MISR
@@ -60,18 +59,7 @@ from .results import (
     merge_first_detections,
     sort_failures,
 )
-from .runner import (
-    CampaignRunner,
-    CampaignScenario,
-    FaultShardTask,
-    ShardPayload,
-    TransitionShardTask,
-    plan_shard_tasks,
-    run_shard_task,
-    run_sharded_fault_sim,
-    run_sharded_transition_sim,
-    with_offsets,
-)
+from .runner import CampaignRunner, CampaignScenario
 from .scheduler import (
     CancelToken,
     Expansion,
@@ -93,6 +81,7 @@ from .pipeline import (
     PrepareCoreStage,
     ReportStage,
     ScenarioBundle,
+    ShardScanStage,
     SignatureStage,
     SkewOutcome,
     SkewSweepStage,
@@ -102,6 +91,7 @@ from .pipeline import (
     TransitionOutcome,
     TransitionStage,
     scenario_stage_nodes,
+    shard_stage_nodes,
 )
 from ..util.cache import KeyedLruCache
 from .sharding import (
@@ -135,14 +125,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignScenario",
     "KeyedLruCache",
-    "FaultShardTask",
-    "ShardPayload",
-    "TransitionShardTask",
-    "plan_shard_tasks",
-    "run_shard_task",
-    "run_sharded_fault_sim",
-    "run_sharded_transition_sim",
-    "with_offsets",
     "CancelToken",
     "Expansion",
     "PipelineRun",
@@ -161,6 +143,7 @@ __all__ = [
     "PrepareCoreStage",
     "ReportStage",
     "ScenarioBundle",
+    "ShardScanStage",
     "SignatureStage",
     "SkewOutcome",
     "SkewSweepStage",
@@ -170,6 +153,7 @@ __all__ = [
     "TransitionOutcome",
     "TransitionStage",
     "scenario_stage_nodes",
+    "shard_stage_nodes",
     "contiguous_shards",
     "keyed_round_robin_shards",
     "plan_grid",

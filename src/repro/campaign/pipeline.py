@@ -27,17 +27,24 @@ Two properties carry the whole design:
   which removes the serial-preparation Amdahl cap of the pre-pipeline
   campaign runner.
 
+Every shard of either fault model is one :class:`ShardScanStage`, built by
+:func:`shard_stage_nodes`: a shard state (stuck-at or transition), the
+shard's fault indices and its own contiguous run of ``(global offset, ...)``
+blocks.  It is the only shard-execution path; sharded simulation outside a
+scenario drains the same nodes through
+:func:`~repro.campaign.scheduler.make_scheduler`.
+
 Stage tasks ship their scenario's ``LogicBistConfig`` and read everything
-else from their inputs; ``sim_backend`` / ``block_size`` ride each stage's
-payload exactly as they rode the PR-2 shard payloads.
+else from their inputs; ``sim_backend`` and the memory budget ride inside
+the shard states, so they survive pickling into pool workers.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
+import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
@@ -70,14 +77,11 @@ from ..timing.skew_analysis import (
     run_skew_trials,
 )
 from ..tpi.observation_points import ObservationPointPlan
-from .results import ScenarioResult, merge_first_detections, build_simulation_result
-from .runner import (
-    FaultShardTask,
-    ShardPayload,
-    TransitionShardTask,
-    plan_shard_tasks,
-    run_shard_task,
-    undetected_of_kind,
+from .results import (
+    ScenarioResult,
+    ShardOutcome,
+    build_simulation_result,
+    merge_first_detections,
 )
 from .scheduler import (
     CATEGORY_CONTROL,
@@ -86,7 +90,12 @@ from .scheduler import (
     Expansion,
     StageNode,
 )
-from .sharding import contiguous_shards, fault_site_keys, keyed_round_robin_shards
+from .sharding import (
+    contiguous_shards,
+    fault_site_keys,
+    keyed_round_robin_shards,
+    plan_grid,
+)
 
 #: Flow phase names the stage graph accounts its time to -- exactly the
 #: five :class:`~repro.core.flow.PhaseTiming` buckets the flow has always
@@ -260,6 +269,18 @@ class SkewOutcome:
         }
 
 
+def undetected_of_kind(fault_list: FaultList, kind: type) -> tuple[tuple, tuple]:
+    """``(positions, faults)`` of the list's undetected faults of ``kind``:
+    a shard state's canonical order and where the merge marks it."""
+    positions = fault_list.undetected_positions()
+    pairs = [
+        (position, fault)
+        for position, fault in zip(positions, fault_list.faults_at(positions))
+        if isinstance(fault, kind)
+    ]
+    return tuple(p for p, _ in pairs), tuple(f for _, f in pairs)
+
+
 # --------------------------------------------------------------------- #
 # Stage tasks
 # --------------------------------------------------------------------- #
@@ -349,7 +370,7 @@ class FaultSimStage:
 
     A local expander: once the bundle exists, the PR-2 shard planner
     (site-local keyed round-robin faults x contiguous block runs) decides the
-    grid, and the expansion splices one :class:`FaultSimShardStage` per cell
+    grid, and the expansion splices one :class:`ShardScanStage` per cell
     plus a :class:`MergeDetectionsStage` reducer into the graph.
     """
 
@@ -361,7 +382,6 @@ class FaultSimStage:
 
     def run(self, bundle: ScenarioBundle) -> Expansion:
         shard_nodes = shard_stage_nodes(
-            FaultShardTask,
             bundle.scenario_key,
             bundle.state,
             bundle.offset_blocks,
@@ -385,9 +405,8 @@ class FaultSimStage:
 
 
 def shard_stage_nodes(
-    task_cls,
     scenario_key: str,
-    state,
+    state: Union[FaultSimShardState, TransitionSimShardState],
     blocks: tuple,
     fault_shards: int,
     pattern_shards: int,
@@ -395,63 +414,84 @@ def shard_stage_nodes(
     phase: str = "",
     scenario: str = "",
 ) -> tuple[StageNode, ...]:
-    """One shard stage per cell of the shard grid (site-local keyed
-    round-robin faults x contiguous block runs) over ``state`` and ``blocks``.
+    """One :class:`ShardScanStage` per cell of the shard grid (site-local
+    keyed round-robin faults x contiguous block runs) over ``state`` and
+    ``blocks``, keyed ``<prefix>/shard<i>``.
 
-    Each shard node embeds its own payload *slice*: the shared state plus
-    only the blocks of its pattern run, with the task's block indices
-    rebased onto the slice.  The pooled scheduler pickles a stage's
-    inputs/task per submission, so slicing keeps the total shipped bytes at
-    fault_shards x session (independent of pattern shards).
+    Each stage embeds only the blocks of its own pattern run.  The pooled
+    scheduler pickles a stage per submission, so this keeps the total
+    shipped bytes at fault_shards x session (independent of pattern
+    shards).
     """
-    stage_cls = (
-        FaultSimShardStage if task_cls is FaultShardTask else TransitionShardStage
-    )
-    tasks = plan_shard_tasks(
-        task_cls,
-        scenario_key,
-        state.circuit,
-        state.faults,
+    grid = plan_grid(
+        len(state.faults),
         len(blocks),
         fault_shards,
         pattern_shards,
+        fault_keys=fault_site_keys(state.circuit, state.faults),
     )
     return tuple(
         StageNode(
-            key=f"{prefix}/shard{task.shard_id}",
-            task=stage_cls(*slice_shard_payload(task, state, blocks)),
+            key=f"{prefix}/shard{shard_id}",
+            task=ShardScanStage(
+                scenario_key=scenario_key,
+                shard_id=shard_id,
+                state=state,
+                fault_indices=fault_group,
+                blocks=tuple(blocks[index] for index in block_group),
+            ),
             phase=phase,
             scenario=scenario,
             category=CATEGORY_SIM,
         )
-        for task in tasks
+        for shard_id, (fault_group, block_group) in enumerate(grid)
     )
-
-
-def slice_shard_payload(task, state, blocks):
-    """Rebase a shard task onto a payload holding only its own block run.
-
-    Block entries are self-describing -- ``(global offset, ...)`` tuples --
-    so slicing never changes the global pattern indices a shard reports, and
-    the fault axis keeps the full canonical ordering (outcome fault indices
-    must stay campaign-global for the min-merge).
-    """
-    sliced = tuple(blocks[index] for index in task.block_indices)
-    rebased = dataclasses.replace(
-        task, block_indices=tuple(range(len(sliced)))
-    )
-    return rebased, ShardPayload(state, sliced)
 
 
 @dataclass(frozen=True)
-class FaultSimShardStage:
-    """One stuck-at shard scan (executes the PR-2 shard task verbatim)."""
+class ShardScanStage:
+    """One fault-simulation shard: ``fault_indices`` of ``state.faults``
+    scanned over ``blocks``.
 
-    task: FaultShardTask
-    payload: ShardPayload
+    ``blocks`` is the shard's own contiguous run of the session, each entry
+    self-describing -- ``(global offset, PatternBlock)`` pairs under a
+    stuck-at state, ``(global offset, launch, capture)`` triples under a
+    transition state -- so the shard reports campaign-global pattern
+    indices, and its fault indices stay campaign-global for the min-merge.
+    """
 
-    def run(self):
-        return run_shard_task(self.task, self.payload)
+    scenario_key: str
+    shard_id: int
+    state: Union[FaultSimShardState, TransitionSimShardState]
+    fault_indices: tuple[int, ...]
+    blocks: tuple
+
+    def run(self) -> ShardOutcome:
+        # The timer covers engine construction too: a worker's first shard
+        # of a circuit really pays kernel compilation, and the recorded
+        # per-shard seconds must reflect that full cost.
+        start = time.perf_counter()
+        engine = self.state.build_simulator()
+        # The stuck-at engine counts its own gate evaluations; the
+        # transition engine delegates them to its embedded stuck-at
+        # observability engine.
+        counter = (
+            engine
+            if isinstance(self.state, FaultSimShardState)
+            else engine.stuck_engine
+        )
+        indices = self.fault_indices
+        faults = [self.state.faults[index] for index in indices]
+        evals_before = counter.gate_evals
+        found = engine.first_detections(faults, self.blocks)
+        seconds = time.perf_counter() - start
+        return ShardOutcome(
+            scenario_key=self.scenario_key,
+            shard_id=self.shard_id,
+            first_detections={indices[k]: pattern for k, pattern in found.items()},
+            gate_evals=counter.gate_evals - evals_before,
+            seconds=seconds,
+        )
 
 
 @dataclass(frozen=True)
@@ -875,7 +915,6 @@ class TransitionStage:
 
     def run(self, prep: TransitionBundle) -> Expansion:
         shard_nodes = shard_stage_nodes(
-            TransitionShardTask,
             prep.scenario_key,
             prep.state,
             prep.pair_blocks,
@@ -896,17 +935,6 @@ class TransitionStage:
             category=CATEGORY_CONTROL,
         )
         return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
-
-
-@dataclass(frozen=True)
-class TransitionShardStage:
-    """One transition shard over aligned (launch, capture) block pairs."""
-
-    task: TransitionShardTask
-    payload: ShardPayload
-
-    def run(self):
-        return run_shard_task(self.task, self.payload)
 
 
 @dataclass(frozen=True)

@@ -77,7 +77,6 @@ def build_simulation_result(
     positions: Sequence[int],
     merged: Mapping[int, int],
     block_boundaries: Sequence[int],
-    pattern_offset: int = 0,
 ) -> FaultSimulationResult:
     """Materialise the serial-equivalent result from merged detections.
 
@@ -96,16 +95,13 @@ def build_simulation_result(
         Cumulative pattern counts after each serial block (e.g. ``[256, 512]``
         for two 256-pattern blocks); these are the serial coverage-curve
         sample points.
-    pattern_offset:
-        Global index of the first pattern of the campaign (mirrors the
-        serial ``simulate(..., pattern_offset=...)`` parameter).
     """
     total_patterns = block_boundaries[-1] if block_boundaries else 0
     detections_per_pattern = [0] * total_patterns
     # Mark in canonical fault order, as the serial engine does.
     for fault_index, pattern_index in sorted(merged.items()):
         fault_list.mark_detected_at(positions[fault_index], pattern_index)
-        detections_per_pattern[pattern_index - pattern_offset] += 1
+        detections_per_pattern[pattern_index] += 1
 
     result = FaultSimulationResult(fault_list, total_patterns)
     result.detections_per_pattern = detections_per_pattern
@@ -113,9 +109,7 @@ def build_simulation_result(
     # indices below its boundary, plus every credit from outside the campaign
     # (the chain-flush test, index -1, or an earlier phase): exactly what
     # ``coverage_curve`` counts, against the same denominator.
-    result.coverage_curve = fault_list.coverage_curve(
-        pattern_offset + boundary for boundary in block_boundaries
-    )
+    result.coverage_curve = fault_list.coverage_curve(block_boundaries)
     return result
 
 

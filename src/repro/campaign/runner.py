@@ -1,402 +1,41 @@
-"""Sharded multi-process fault-simulation campaign runner.
+"""Multi-scenario campaign runner: many (core, config) pairs, one pool.
 
-The runner fans a fault-simulation campaign out across ``multiprocessing``
-workers along the axes planned by :mod:`repro.campaign.sharding`:
+:class:`CampaignRunner` turns each :class:`CampaignScenario` into its stage
+subgraph (:func:`~repro.campaign.pipeline.scenario_stage_nodes`: scan prep
+-> TPI -> STUMPS/session -> fault-sim fan-out -> signature fan-out ->
+report), concatenates the subgraphs into one DAG and drains it through one
+scheduler, so scenario B's TPI profiling -- itself a full fault simulation
+under ``tpi_method="fault_sim"`` -- runs while scenario A's shards are still
+in flight.  With ``num_workers <= 1`` the same DAG executes on the
+in-process :class:`~repro.campaign.scheduler.SerialScheduler`, the
+deterministic fallback and the bit-exactness oracle; otherwise on the
+resilient :class:`~repro.campaign.scheduler.PooledScheduler`.
 
-* **fault shards** of the collapsed fault list (site-local keyed round-robin:
-  faults sharing a fault site stay in one shard, so every site's fanout-cone
-  plan is compiled by exactly one worker),
-* **pattern shards** of the packed STUMPS block stream (contiguous runs),
-* **signature shards**, one per clock domain (each domain's MISR only reads
-  its own chains, so domains fold independently),
-* and, at the top level, many **(core, LogicBistConfig) scenario pairs**
-  whose stages all drain through one worker pool.
-
-Since the stage-graph pipeline (:mod:`repro.campaign.pipeline`), scenario
-*preparation* is pooled work too: :class:`CampaignRunner` builds one
-multi-scenario stage DAG (scan prep -> TPI -> STUMPS/session -> fault-sim
-fan-out -> signature fan-out -> report) and drains it through one
-:class:`~repro.campaign.scheduler.PooledScheduler`, so scenario B's TPI
-profiling -- itself a full fault simulation under ``tpi_method="fault_sim"``
--- runs while scenario A's shards are still in flight.  With
-``num_workers <= 1`` the same DAG executes on the in-process
-:class:`~repro.campaign.scheduler.SerialScheduler`, the deterministic
-fallback and the bit-exactness oracle.
-
-Results come back as per-fault first-detection indices and are min-merged by
-:mod:`repro.campaign.results` -- a reduction that is independent of shard
-order and worker count, which is what makes the merged coverage curves,
-detection records and MISR signatures **bit-identical** to the serial
-compiled-kernel path (``tests/campaign`` asserts the equivalence across
-shard counts, block sizes, permuted shard assignments, worker counts and
-both execution backends).
-
-:func:`run_sharded_fault_sim` and :func:`run_sharded_transition_sim` are
-single-phase drop-ins for the serial simulators.  They build the pipeline's
-own shard stages (:func:`~repro.campaign.pipeline.shard_stage_nodes`) and
-drain them through the same schedulers, so there is one shard-task path
-and one worker pool.
+The fan-out axes are planned by :mod:`repro.campaign.sharding` (site-local
+fault shards, contiguous pattern shards, one signature shard per clock
+domain) and executed by the pipeline's
+:class:`~repro.campaign.pipeline.ShardScanStage`.  Shard results come back
+as per-fault first-detection indices and are min-merged by
+:mod:`repro.campaign.results` -- a reduction independent of shard order and
+worker count, which is what makes the canonical report bytes
+**bit-identical** to the serial compiled-kernel path (``tests/campaign``
+asserts it across shard counts, block sizes, permuted shard assignments,
+worker counts and both execution backends).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional
 
 from ..core.config import LogicBistConfig
-from ..faults.fault_list import FaultList
-from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
-from ..faults.models import StuckAtFault, TransitionFault
-from ..faults.transition_sim import (
-    TransitionSimShardState,
-    TransitionSimulationResult,
-)
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks
-from .results import (
-    CampaignResult,
-    ScenarioResult,
-    ShardOutcome,
-    build_simulation_result,
-    merge_first_detections,
-)
+from .results import CampaignResult, ScenarioResult
 from .scheduler import make_scheduler
-from .sharding import fault_site_keys, plan_grid
-
-#: Blocks may be given bare or as (global pattern offset, block) pairs.
-OffsetBlocks = Sequence[Union[PatternBlock, tuple[int, PatternBlock]]]
 
 
-# --------------------------------------------------------------------- #
-# Shard payloads and task records (everything here must pickle cleanly)
-# --------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ShardPayload:
-    """One scenario's shared shard inputs.
-
-    ``state`` is the pickleable compiled-kernel shard state (circuit,
-    observation nets, canonical fault ordering); ``blocks`` is the full
-    ordered stream the tasks index into -- ``(offset, PatternBlock)`` pairs
-    for stuck-at campaigns, ``(offset, launch, capture)`` triples for
-    transition campaigns.
-    """
-
-    state: Union[FaultSimShardState, TransitionSimShardState]
-    blocks: tuple
-
-
-@dataclass(frozen=True)
-class FaultShardTask:
-    """One stuck-at shard: fault indices scanned over a block-index run."""
-
-    scenario_key: str
-    shard_id: int
-    fault_indices: tuple[int, ...]
-    block_indices: tuple[int, ...]
-
-    #: Engine kind the task scans with.
-    kind = "stuck"
-
-
-@dataclass(frozen=True)
-class TransitionShardTask:
-    """One transition shard over aligned (launch, capture) block pairs."""
-
-    scenario_key: str
-    shard_id: int
-    fault_indices: tuple[int, ...]
-    block_indices: tuple[int, ...]
-
-    kind = "transition"
-
-
-ShardTask = Union[FaultShardTask, TransitionShardTask]
-
-
-def run_shard_task(task: ShardTask, payload: ShardPayload) -> ShardOutcome:
-    """Run one fault/transition shard scan against its payload.
-
-    The single execution path of every shard stage: builds an engine for
-    the task's shard state (on the process's shared kernel for that circuit,
-    so its cone plans, site plans and fault table are reused) and scans the
-    task's fault indices over its block run.
-    """
-    # The timer covers engine construction too: a worker's first task of a
-    # circuit really pays kernel compilation, and the recorded per-shard
-    # seconds must reflect that full cost.
-    start = time.perf_counter()
-    engine = payload.state.build_simulator()
-    # The stuck-at engine counts its own gate evaluations; the transition
-    # engine delegates them to its embedded stuck-at observability engine.
-    counter = engine if task.kind == "stuck" else engine.stuck_engine
-    indices = task.fault_indices
-    faults = [payload.state.faults[index] for index in indices]
-    blocks = [payload.blocks[index] for index in task.block_indices]
-    evals_before = counter.gate_evals
-    found = engine.first_detections(faults, blocks)
-    seconds = time.perf_counter() - start
-    return ShardOutcome(
-        scenario_key=task.scenario_key,
-        shard_id=task.shard_id,
-        first_detections={indices[k]: pattern for k, pattern in found.items()},
-        gate_evals=counter.gate_evals - evals_before,
-        seconds=seconds,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Shard planning helpers
-# --------------------------------------------------------------------- #
-def plan_shard_tasks(
-    task_cls,
-    scenario_key: str,
-    circuit: Circuit,
-    faults: Sequence[object],
-    num_blocks: int,
-    fault_shards: int,
-    pattern_shards: int,
-) -> list[ShardTask]:
-    """The one task-construction path shared by every campaign entry point."""
-    return [
-        task_cls(
-            scenario_key=scenario_key,
-            shard_id=shard_id,
-            fault_indices=fault_group,
-            block_indices=block_group,
-        )
-        for shard_id, (fault_group, block_group) in enumerate(
-            plan_grid(
-                len(faults),
-                num_blocks,
-                fault_shards,
-                pattern_shards,
-                fault_keys=fault_site_keys(circuit, faults),
-            )
-        )
-    ]
-
-
-def with_offsets(
-    blocks: OffsetBlocks, pattern_offset: int
-) -> list[tuple[int, PatternBlock]]:
-    """Normalise a block stream to contiguous (global offset, block) pairs."""
-    result: list[tuple[int, PatternBlock]] = []
-    cursor = pattern_offset
-    for entry in blocks:
-        if isinstance(entry, tuple):
-            offset, block = entry
-            if offset != cursor:
-                raise ValueError(
-                    f"non-contiguous block stream: expected offset {cursor}, got {offset}"
-                )
-        else:
-            block = entry
-        result.append((cursor, block))
-        cursor += block.num_patterns
-    return result
-
-
-def build_pair_blocks(
-    circuit: Circuit,
-    launch_patterns: Sequence[Mapping[str, int]],
-    capture_patterns: Sequence[Mapping[str, int]],
-    block_size: int,
-    pattern_offset: int = 0,
-) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
-    """Pack aligned launch/capture lists into (offset, launch, capture) triples.
-
-    The assembly path of :func:`run_sharded_transition_sim`, whose callers
-    hand in pattern lists.  The pipeline's
-    :class:`~repro.campaign.pipeline.TransitionPrepStage` builds the same
-    triples from packed blocks with
-    :func:`~repro.faults.transition_sim.derive_pair_blocks`.
-    """
-    stimulus_nets = circuit.stimulus_nets()
-    launch_blocks = iter_blocks(
-        launch_patterns, block_size=block_size, nets=stimulus_nets
-    )
-    capture_blocks = iter_blocks(
-        capture_patterns, block_size=block_size, nets=stimulus_nets
-    )
-    pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
-    cursor = pattern_offset
-    for launch_block, capture_block in zip(launch_blocks, capture_blocks):
-        pair_blocks.append((cursor, launch_block, capture_block))
-        cursor += launch_block.num_patterns
-    return tuple(pair_blocks)
-
-
-def undetected_of_kind(fault_list: FaultList, kind: type) -> tuple[tuple, tuple]:
-    """``(positions, faults)`` of the list's undetected faults of ``kind``:
-    a shard state's canonical order and where the merge marks it."""
-    positions = fault_list.undetected_positions()
-    pairs = [
-        (position, fault)
-        for position, fault in zip(positions, fault_list.faults_at(positions))
-        if isinstance(fault, kind)
-    ]
-    return tuple(p for p, _ in pairs), tuple(f for _, f in pairs)
-
-
-def _boundaries(offset_blocks: Sequence[tuple[int, PatternBlock]]) -> list[int]:
-    """Cumulative pattern counts after each block (serial curve sample points)."""
-    boundaries: list[int] = []
-    cumulative = 0
-    for _, block in offset_blocks:
-        cumulative += block.num_patterns
-        boundaries.append(cumulative)
-    return boundaries
-
-
-# --------------------------------------------------------------------- #
-# Drop-in sharded fault simulation (single-phase fan-out)
-# --------------------------------------------------------------------- #
-def _run_shards(
-    task_cls,
-    state: Union[FaultSimShardState, TransitionSimShardState],
-    blocks: tuple,
-    scenario_key: str,
-    num_workers: int,
-    fault_shards: Optional[int],
-    pattern_shards: int,
-    mp_context,
-) -> dict[int, int]:
-    """Drain one scenario's shard stages and min-merge their detections.
-
-    The nodes are the pipeline's own shard stages; they run on the serial
-    walk (``num_workers <= 1``) or the resilient worker pool.
-    """
-    from .pipeline import shard_stage_nodes
-
-    nodes = shard_stage_nodes(
-        task_cls,
-        scenario_key,
-        state,
-        blocks,
-        fault_shards if fault_shards is not None else max(1, num_workers),
-        pattern_shards,
-        prefix=scenario_key,
-    )
-    run = make_scheduler(num_workers, mp_context=mp_context).run(nodes)
-    return merge_first_detections(run.value(node.key) for node in nodes)
-
-
-def run_sharded_fault_sim(
-    circuit: Circuit,
-    fault_list: FaultList,
-    blocks: OffsetBlocks,
-    observe_nets: Optional[Sequence[str]] = None,
-    num_workers: int = 1,
-    fault_shards: Optional[int] = None,
-    pattern_shards: int = 1,
-    pattern_offset: int = 0,
-    mp_context=None,
-    scenario_key: str = "fault-sim",
-    sim_backend: str = "python",
-    sim_memory_budget_mb: Optional[float] = None,
-) -> FaultSimulationResult:
-    """Sharded drop-in for :meth:`FaultSimulator.simulate_blocks`.
-
-    Shards the undetected stuck-at faults of ``fault_list`` (site-local
-    round-robin) and optionally the pattern blocks (contiguous runs) across
-    ``num_workers`` processes, then min-merges the per-shard first
-    detections.  The returned :class:`FaultSimulationResult` -- statuses,
-    first-detection indices, coverage curve, per-pattern detection credits
-    -- is bit-identical to the serial engine's (fault dropping enabled).
-    ``sim_backend`` selects the execution backend every shard worker
-    compiles ("python" or "numpy"); merged results are backend-invariant.
-    ``sim_memory_budget_mb`` bounds each worker's peak numpy fault-scan
-    memory (carried in the shard states, so it survives pickling into the
-    pool); results are budget-invariant.
-    """
-    offset_blocks = with_offsets(blocks, pattern_offset)
-    positions, faults = undetected_of_kind(fault_list, StuckAtFault)
-    state = FaultSimShardState(
-        circuit=circuit,
-        observe_nets=tuple(
-            observe_nets if observe_nets is not None else circuit.observation_nets()
-        ),
-        faults=faults,
-        sim_backend=sim_backend,
-        sim_memory_budget_mb=sim_memory_budget_mb,
-    )
-    merged = _run_shards(
-        FaultShardTask,
-        state,
-        tuple(offset_blocks),
-        scenario_key,
-        num_workers,
-        fault_shards,
-        pattern_shards,
-        mp_context,
-    )
-    return build_simulation_result(
-        fault_list,
-        positions,
-        merged,
-        _boundaries(offset_blocks),
-        pattern_offset=pattern_offset,
-    )
-
-
-def run_sharded_transition_sim(
-    circuit: Circuit,
-    fault_list: FaultList,
-    launch_patterns: Sequence[Mapping[str, int]],
-    capture_patterns: Sequence[Mapping[str, int]],
-    observe_nets: Optional[Sequence[str]] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    num_workers: int = 1,
-    fault_shards: Optional[int] = None,
-    pattern_shards: int = 1,
-    pattern_offset: int = 0,
-    mp_context=None,
-    scenario_key: str = "transition-sim",
-    sim_backend: str = "python",
-    sim_memory_budget_mb: Optional[float] = None,
-) -> TransitionSimulationResult:
-    """Sharded drop-in for :meth:`TransitionFaultSimulator.simulate_pairs`."""
-    if len(launch_patterns) != len(capture_patterns):
-        raise ValueError("launch and capture pattern lists must have equal length")
-    pair_blocks = build_pair_blocks(
-        circuit, launch_patterns, capture_patterns, block_size, pattern_offset
-    )
-    positions, faults = undetected_of_kind(fault_list, TransitionFault)
-    state = TransitionSimShardState(
-        circuit=circuit,
-        observe_nets=tuple(
-            observe_nets if observe_nets is not None else circuit.observation_nets()
-        ),
-        faults=faults,
-        sim_backend=sim_backend,
-        sim_memory_budget_mb=sim_memory_budget_mb,
-    )
-    merged = _run_shards(
-        TransitionShardTask,
-        state,
-        pair_blocks,
-        scenario_key,
-        num_workers,
-        fault_shards,
-        pattern_shards,
-        mp_context,
-    )
-    boundaries = _boundaries([(offset, launch) for offset, launch, _ in pair_blocks])
-    sim_result = build_simulation_result(
-        fault_list, positions, merged, boundaries, pattern_offset=pattern_offset
-    )
-    return TransitionSimulationResult(
-        fault_list,
-        pairs_simulated=len(launch_patterns),
-        coverage_curve=sim_result.coverage_curve,
-    )
-
-
-# --------------------------------------------------------------------- #
-# Multi-scenario campaigns
-# --------------------------------------------------------------------- #
 @dataclass
 class CampaignScenario:
     """One (core, config) pair of a campaign.

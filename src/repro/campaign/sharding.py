@@ -15,15 +15,18 @@ A campaign splits work along two orthogonal axes:
 
 Both partitions are pure functions of ``(item count, shard count)`` -- no
 RNG, no dependence on worker identity -- which is what makes merged campaign
-results independent of shard order and worker count.  The planner returns
-plain tuples of indices; the runner materialises the actual
-:class:`~repro.campaign.runner.FaultShardTask` objects from them.
+results independent of shard order and worker count.  The planners return
+plain tuples of indices.
 
-In the stage-graph pipeline these planners are the **fan-out rule** of
+These planners are the **fan-out rule** of
 :class:`~repro.campaign.pipeline.FaultSimStage` /
 :class:`~repro.campaign.pipeline.TransitionStage`: once a scenario's fault
-list and block stream exist, the stage expands into exactly the grid planned
-here -- one shard node per cell plus an order-independent merge node.
+list and block stream exist,
+:func:`~repro.campaign.pipeline.shard_stage_nodes` turns each cell of the
+grid planned here into one
+:class:`~repro.campaign.pipeline.ShardScanStage` (that cell's fault indices
+and its own block run), and the expansion adds an order-independent merge
+node.
 
 Shard planning is memory-budget-oblivious by design: a
 ``sim_memory_budget_mb`` ceiling travels inside the shard *states*

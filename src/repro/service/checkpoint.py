@@ -37,8 +37,10 @@ incident response, and a corrupt record degrades to "no lifecycle info"
 
 Specs, reports and lifecycle records are written atomically (temp file +
 ``os.replace``).  Specs are sha256-framed, so a torn or corrupt spec is
-*detected* on load, logged, and recovery skips that job; unframed legacy
-specs still load.
+*detected* on load, logged, and recovery skips that job.  An unframed spec
+(older code pickled specs bare) is treated the same way: logged, read as
+``None`` without being unpickled, and its job skipped at recovery -- as an
+unframed ``progress.pkl`` is ignored.
 """
 
 from __future__ import annotations
@@ -85,22 +87,28 @@ def _frame(payload: bytes) -> bytes:
 
 
 def _load_pickle(path: Path):
-    """Load a checksum-framed (or legacy unframed) pickle; corruption reads
-    as ``None``, logged."""
+    """Load a checksum-framed pickle; an unframed, corrupt or unreadable
+    file reads as ``None``, logged."""
     if not path.exists():
         return None
     payload = path.read_bytes()
-    if payload.startswith(CHECKSUM_MAGIC):
-        header_end = len(CHECKSUM_MAGIC) + _DIGEST_LEN
-        digest = payload[len(CHECKSUM_MAGIC) : header_end]
-        payload = payload[header_end + 1 :]
-        if _sha256(payload) != digest:
-            logger.warning(
-                "checkpoint %s: checksum mismatch (corrupt or truncated); "
-                "ignoring it",
-                path,
-            )
-            return None
+    if not payload.startswith(CHECKSUM_MAGIC):
+        logger.warning(
+            "checkpoint %s: unframed blob, not a framed checkpoint; "
+            "ignoring it",
+            path,
+        )
+        return None
+    header_end = len(CHECKSUM_MAGIC) + _DIGEST_LEN
+    digest = payload[len(CHECKSUM_MAGIC) : header_end]
+    payload = payload[header_end + 1 :]
+    if _sha256(payload) != digest:
+        logger.warning(
+            "checkpoint %s: checksum mismatch (corrupt or truncated); "
+            "ignoring it",
+            path,
+        )
+        return None
     try:
         return pickle.loads(payload)
     except Exception as error:

@@ -9,6 +9,11 @@ MISR signatures.  This suite fuzzes random circuits from
 :mod:`repro.cores.generator` across shard counts {1, 2, 4, 7} x block sizes
 {64, 256} and asserts exactly that, plus the multiprocessing pool path and
 the flow integration (``LogicBistConfig.pipeline_workers``).
+
+Hand-made block streams go through :func:`shard_graph`, which drains the
+production shard stages exactly as a scenario's fault-sim fan-out does;
+:meth:`FaultSimulator.simulate_blocks` and
+:meth:`TransitionFaultSimulator.simulate_pairs` are the references.
 """
 
 import random
@@ -19,9 +24,12 @@ from repro.bist import StumpsArchitecture
 from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
-    run_sharded_fault_sim,
-    run_sharded_transition_sim,
+    build_simulation_result,
+    merge_first_detections,
+    shard_stage_nodes,
 )
+from repro.campaign.pipeline import undetected_of_kind
+from repro.campaign.scheduler import make_scheduler
 from repro.core import LogicBistConfig, LogicBistFlow
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import (
@@ -31,6 +39,9 @@ from repro.faults import (
     collapse_stuck_at,
     derive_capture_patterns,
 )
+from repro.faults.fault_sim import FaultSimShardState
+from repro.faults.models import StuckAtFault, TransitionFault
+from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 
@@ -64,13 +75,52 @@ def random_patterns(circuit, count: int, seed: int):
 
 
 def serial_reference(circuit, patterns, block_size):
-    """The serial oracle: fault list + result from the plain kernel engine."""
+    """The serial oracle: fault list + result from the plain kernel engine,
+    and the session as ``(offset, block)`` entries."""
     fault_list = collapse_stuck_at(circuit).to_fault_list()
     blocks = list(
         iter_blocks(patterns, block_size=block_size, nets=circuit.stimulus_nets())
     )
     result = FaultSimulator(circuit).simulate_blocks(fault_list, blocks)
-    return fault_list, result, blocks
+    entries = tuple(zip(range(0, len(patterns), block_size), blocks))
+    return fault_list, result, entries
+
+
+def shard_graph(
+    circuit,
+    fault_list,
+    entries,
+    fault_shards,
+    pattern_shards=1,
+    num_workers=1,
+    sim_backend="python",
+    sim_memory_budget_mb=None,
+):
+    """Sharded simulation of ``fault_list`` over hand-made ``entries``:
+    ``(offset, block)`` pairs for stuck-at faults, ``(offset, launch,
+    capture)`` triples for transition faults.  The shard stages drain
+    through the schedulers and merge as in ``FaultSimStage`` /
+    ``MergeDetectionsStage``."""
+    kind, state_cls = (
+        (TransitionFault, TransitionSimShardState)
+        if len(entries[0]) == 3
+        else (StuckAtFault, FaultSimShardState)
+    )
+    positions, faults = undetected_of_kind(fault_list, kind)
+    state = state_cls(
+        circuit,
+        tuple(circuit.observation_nets()),
+        faults,
+        sim_backend,
+        sim_memory_budget_mb,
+    )
+    nodes = shard_stage_nodes(
+        "eq", state, entries, fault_shards, pattern_shards, prefix="eq"
+    )
+    run = make_scheduler(num_workers).run(nodes)
+    merged = merge_first_detections(run.value(node.key) for node in nodes)
+    boundaries = [entry[0] + entry[1].num_patterns for entry in entries]
+    return build_simulation_result(fault_list, positions, merged, boundaries)
 
 
 def assert_fault_lists_identical(reference: FaultList, candidate: FaultList):
@@ -92,9 +142,7 @@ class TestShardedFaultSimEquivalence:
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, block_size)
 
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit, fault_list, blocks, fault_shards=fault_shards
-        )
+        result = shard_graph(circuit, fault_list, blocks, fault_shards)
         assert result.patterns_simulated == ref_result.patterns_simulated
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
@@ -110,12 +158,8 @@ class TestShardedFaultSimEquivalence:
         for fault_shards in SHARD_COUNTS:
             for pattern_shards in (1, 2):
                 fault_list = collapse_stuck_at(circuit).to_fault_list()
-                result = run_sharded_fault_sim(
-                    circuit,
-                    fault_list,
-                    blocks,
-                    fault_shards=fault_shards,
-                    pattern_shards=pattern_shards,
+                result = shard_graph(
+                    circuit, fault_list, blocks, fault_shards, pattern_shards
                 )
                 assert result.coverage_curve == ref_result.coverage_curve, (
                     f"curve drift at shards={fault_shards}x{pattern_shards}"
@@ -128,27 +172,7 @@ class TestShardedFaultSimEquivalence:
         patterns = random_patterns(circuit, 128, 9)
         ref_list, _, blocks = serial_reference(circuit, patterns, 32)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        run_sharded_fault_sim(
-            circuit, fault_list, blocks, fault_shards=1, pattern_shards=4
-        )
-        assert_fault_lists_identical(ref_list, fault_list)
-
-    def test_pattern_offset_respected(self):
-        circuit = make_core(5)
-        patterns = random_patterns(circuit, 96, 17)
-        blocks = list(
-            iter_blocks(patterns, block_size=64, nets=circuit.stimulus_nets())
-        )
-        ref_list = collapse_stuck_at(circuit).to_fault_list()
-        ref_result = FaultSimulator(circuit).simulate_blocks(
-            ref_list, blocks, pattern_offset=1000
-        )
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit, fault_list, blocks, fault_shards=3, pattern_offset=1000
-        )
-        assert result.coverage_curve == ref_result.coverage_curve
-        assert result.detections_per_pattern == ref_result.detections_per_pattern
+        shard_graph(circuit, fault_list, blocks, fault_shards=1, pattern_shards=4)
         assert_fault_lists_identical(ref_list, fault_list)
 
 
@@ -168,13 +192,8 @@ class TestNumpyBackendCampaign:
         patterns = random_patterns(circuit, 3 * block_size + 29, 5)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, block_size)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit,
-            fault_list,
-            blocks,
-            fault_shards=fault_shards,
-            pattern_shards=2,
-            sim_backend="numpy",
+        result = shard_graph(
+            circuit, fault_list, blocks, fault_shards, 2, sim_backend="numpy"
         )
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
@@ -189,12 +208,10 @@ class TestNumpyBackendCampaign:
             ref_list, launch, capture, block_size=64
         )
         fault_list = FaultList.transition(circuit)
-        run_sharded_transition_sim(
+        shard_graph(
             circuit,
             fault_list,
-            launch,
-            capture,
-            block_size=64,
+            derive_pair_blocks(circuit, iter_blocks(launch, block_size=64)),
             fault_shards=3,
             sim_backend="numpy",
         )
@@ -209,12 +226,12 @@ class TestNumpyBackendCampaign:
         patterns = random_patterns(circuit, 221, 5)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = shard_graph(
             circuit,
             fault_list,
             blocks,
-            fault_shards=fault_shards,
-            pattern_shards=2,
+            fault_shards,
+            2,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
         )
@@ -231,12 +248,10 @@ class TestNumpyBackendCampaign:
             ref_list, launch, capture, block_size=64
         )
         fault_list = FaultList.transition(circuit)
-        run_sharded_transition_sim(
+        shard_graph(
             circuit,
             fault_list,
-            launch,
-            capture,
-            block_size=64,
+            derive_pair_blocks(circuit, iter_blocks(launch, block_size=64)),
             fault_shards=3,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
@@ -246,7 +261,8 @@ class TestNumpyBackendCampaign:
     def test_campaign_runner_report_bytes_budget_invariant(self):
         """Full multi-scenario campaign through the stage-graph pipeline:
         the canonical report bytes cannot depend on the memory budget (the
-        shard bundles carry it, the tiled scans honor it)."""
+        shard states carry it, the tiled scans honor it) -- budgeted numpy
+        at 4 shards equals the unsharded, unbudgeted python oracle."""
         import dataclasses
 
         circuit = make_core(23)
@@ -256,16 +272,17 @@ class TestNumpyBackendCampaign:
             observation_point_budget=0,
             random_patterns=96,
             signature_patterns=8,
-            sim_backend="numpy",
         )
-        budgeted = dataclasses.replace(config, sim_memory_budget_mb=0.05)
-        plain_run = CampaignRunner(num_workers=1, fault_shards=4).run(
+        budgeted = dataclasses.replace(
+            config, sim_backend="numpy", sim_memory_budget_mb=0.05
+        )
+        oracle_run = CampaignRunner(num_workers=1, fault_shards=1).run(
             [CampaignScenario("core", circuit, config)]
         )
         budget_run = CampaignRunner(num_workers=1, fault_shards=4).run(
             [CampaignScenario("core", circuit, budgeted)]
         )
-        assert plain_run.report_bytes() == budget_run.report_bytes()
+        assert oracle_run.report_bytes() == budget_run.report_bytes()
 
     def test_campaign_runner_report_bytes_backend_invariant(self):
         """Full multi-scenario campaign: canonical bytes match across
@@ -281,7 +298,7 @@ class TestNumpyBackendCampaign:
             signature_patterns=8,
         )
         numpy_config = dataclasses.replace(config, sim_backend="numpy")
-        python_run = CampaignRunner(num_workers=1, fault_shards=4).run(
+        python_run = CampaignRunner(num_workers=1, fault_shards=1).run(
             [CampaignScenario("core", circuit, config)]
         )
         numpy_run = CampaignRunner(num_workers=1, fault_shards=4).run(
@@ -298,14 +315,7 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit,
-            fault_list,
-            blocks,
-            num_workers=2,
-            fault_shards=4,
-            pattern_shards=2,
-        )
+        result = shard_graph(circuit, fault_list, blocks, 4, 2, num_workers=2)
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
         assert_fault_lists_identical(ref_list, fault_list)
@@ -317,14 +327,8 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
-            circuit,
-            fault_list,
-            blocks,
-            num_workers=2,
-            fault_shards=4,
-            pattern_shards=2,
-            sim_backend="numpy",
+        result = shard_graph(
+            circuit, fault_list, blocks, 4, 2, num_workers=2, sim_backend="numpy"
         )
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
@@ -339,13 +343,13 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = run_sharded_fault_sim(
+        result = shard_graph(
             circuit,
             fault_list,
             blocks,
+            4,
+            2,
             num_workers=num_workers,
-            fault_shards=4,
-            pattern_shards=2,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
         )
@@ -456,16 +460,14 @@ class TestShardedTransitionSim:
         )
 
         fault_list = FaultList.transition(circuit)
-        result = run_sharded_transition_sim(
+        result = shard_graph(
             circuit,
             fault_list,
-            launch,
-            capture,
-            block_size=32,
-            fault_shards=fault_shards,
+            derive_pair_blocks(circuit, iter_blocks(launch, block_size=32)),
+            fault_shards,
             pattern_shards=2,
         )
-        assert result.pairs_simulated == ref_result.pairs_simulated
+        assert result.patterns_simulated == ref_result.pairs_simulated
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.coverage == ref_result.coverage
         assert_fault_lists_identical(ref_list, fault_list)

@@ -15,28 +15,29 @@ import pytest
 from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
+    ShardScanStage,
     contiguous_shards,
     keyed_round_robin_shards,
     merge_first_detections,
     plan_grid,
     round_robin_shards,
-    run_shard_task,
+    shard_stage_nodes,
 )
-from repro.campaign import FaultShardTask, ShardPayload, plan_shard_tasks, with_offsets
 from repro.core import LogicBistConfig
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
+from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from repro.simulation import iter_blocks
 
 
-def make_core(seed: int):
+def make_core(seed: int, pipeline_stages: int = 1):
     config = SyntheticCoreConfig(
         name=f"perm_core_{seed}",
         clock_domains=("clk1", "clk2"),
         num_inputs=8,
         num_outputs=5,
         register_width=6,
-        pipeline_stages=1,
+        pipeline_stages=pipeline_stages,
         adder_slices=1,
         adder_width=4,
         comparator_widths=(6,),
@@ -108,42 +109,82 @@ class TestShardPlanners:
             contiguous_shards(5, -1)
 
 
-class TestPermutedShardAssignment:
-    def _tasks(self, circuit, blocks, fault_shards, pattern_shards):
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        faults = tuple(fault_list.undetected())
-        state = FaultSimulator(circuit).shard_state(faults)
-        offset_blocks = with_offsets(blocks, 0)
-        tasks = plan_shard_tasks(
-            FaultShardTask,
-            "perm",
-            circuit,
-            faults,
-            len(offset_blocks),
-            fault_shards,
-            pattern_shards,
-        )
-        return tasks, {"perm": ShardPayload(state, tuple(offset_blocks))}
+def random_blocks(circuit, count, seed):
+    rng = random.Random(seed)
+    nets = circuit.stimulus_nets()
+    patterns = [{n: rng.randint(0, 1) for n in nets} for _ in range(count)]
+    return list(iter_blocks(patterns, block_size=32, nets=nets))
 
+
+def stuck_session(circuit, count, seed):
+    """A stuck-at shard state and its ``(offset, block)`` session."""
+    faults = tuple(collapse_stuck_at(circuit).to_fault_list().undetected())
+    blocks = random_blocks(circuit, count, seed)
+    entries = tuple(zip(range(0, count, 32), blocks))
+    return FaultSimulator(circuit).shard_state(faults), entries
+
+
+def transition_session(circuit, count, seed):
+    """A transition shard state and its ``(offset, launch, capture)`` session."""
+    state = TransitionSimShardState(
+        circuit=circuit,
+        observe_nets=tuple(circuit.observation_nets()),
+        faults=tuple(FaultList.transition(circuit).undetected()),
+    )
+    return state, derive_pair_blocks(circuit, random_blocks(circuit, count, seed))
+
+
+class TestShardStages:
+    @pytest.mark.parametrize("pattern_shards", (1, 2, 3))
+    @pytest.mark.parametrize("fault_shards", (1, 3))
+    @pytest.mark.parametrize("session", (stuck_session, transition_session))
+    def test_each_stage_carries_only_its_own_block_run(
+        self, session, fault_shards, pattern_shards
+    ):
+        # Two pipeline stages: launch-on-capture transitions then reach
+        # logic every transition shard has to resimulate.
+        circuit = make_core(45, pipeline_stages=2)
+        state, entries = session(circuit, 200, 8)
+        prefix = "s0:grid/random"
+        nodes = shard_stage_nodes(
+            "grid", state, entries, fault_shards, pattern_shards, prefix=prefix
+        )
+        assert len(nodes) == fault_shards * pattern_shards
+        assert [node.key for node in nodes] == [
+            f"{prefix}/shard{i}" for i in range(len(nodes))
+        ]
+        offsets = [entry[0] for entry in entries]
+        for node in nodes:
+            stage = node.task
+            assert isinstance(stage, ShardScanStage)
+            # One contiguous run of the session, the very entries (and so
+            # the global offsets) of the stream it was cut from.
+            start = offsets.index(stage.blocks[0][0])
+            run = entries[start : start + len(stage.blocks)]
+            assert all(got is want for got, want in zip(stage.blocks, run))
+            assert len(run) == len(stage.blocks)
+            assert stage.run().gate_evals > 0
+        shipped = sum(len(node.task.blocks) for node in nodes)
+        assert shipped == fault_shards * len(entries)
+
+
+class TestPermutedShardAssignment:
     def test_merge_is_independent_of_task_order(self):
         circuit = make_core(41)
-        rng = random.Random(6)
-        nets = circuit.stimulus_nets()
-        patterns = [{n: rng.randint(0, 1) for n in nets} for _ in range(140)]
-        blocks = list(iter_blocks(patterns, block_size=32, nets=nets))
-        tasks, payloads = self._tasks(circuit, blocks, fault_shards=4, pattern_shards=2)
+        state, entries = stuck_session(circuit, 140, 6)
+        nodes = shard_stage_nodes(
+            "perm", state, entries, fault_shards=4, pattern_shards=2, prefix="perm"
+        )
+        stages = [node.task for node in nodes]
 
-        def run_tasks(ordered):
-            return [
-                run_shard_task(task, payloads[task.scenario_key])
-                for task in ordered
-            ]
+        def run_stages(ordered):
+            return [stage.run() for stage in ordered]
 
-        baseline = merge_first_detections(run_tasks(tasks))
+        baseline = merge_first_detections(run_stages(stages))
         for seed in (1, 2, 3):
-            shuffled = list(tasks)
+            shuffled = list(stages)
             random.Random(seed).shuffle(shuffled)
-            merged = merge_first_detections(run_tasks(shuffled))
+            merged = merge_first_detections(run_stages(shuffled))
             assert merged == baseline
 
     def test_report_bytes_invariant_under_shard_and_worker_count(self):

@@ -356,7 +356,7 @@ TestFaultListMachine.settings = settings(max_examples=40, stateful_step_count=25
 @settings(max_examples=60, deadline=None)
 @given(
     credits=st.lists(st.one_of(st.none(), st.just(-1), st.integers(0, 300)), max_size=40),
-    campaign=st.dictionaries(st.integers(0, 39), st.integers(100, 399), max_size=40),
+    campaign=st.dictionaries(st.integers(0, 39), st.integers(0, 299), max_size=40),
     boundaries=st.lists(st.integers(1, 300), min_size=1, max_size=6, unique=True),
 )
 def test_merge_curve_equals_per_boundary_recount(credits, campaign, boundaries):
@@ -374,14 +374,10 @@ def test_merge_curve_equals_per_boundary_recount(credits, campaign, boundaries):
     merged = {
         i: pattern
         for i, pattern in campaign.items()
-        if i < len(positions) and pattern < 100 + boundaries[-1]
+        if i < len(positions) and pattern < boundaries[-1]
     }
-    result = build_simulation_result(
-        fault_list, positions, merged, boundaries, pattern_offset=100
-    )
+    result = build_simulation_result(fault_list, positions, merged, boundaries)
     for index, pattern in sorted(merged.items()):
         reference.mark_detected(fault_list.faults()[positions[index]], pattern)
     assert_same_records(reference, fault_list)
-    assert result.coverage_curve == recount_curve(
-        reference, [100 + boundary for boundary in boundaries]
-    )
+    assert result.coverage_curve == recount_curve(reference, boundaries)

@@ -4,8 +4,9 @@ The transition preparation builds its ``(offset, launch, capture)`` pair
 blocks straight from ``generate_packed_blocks`` and derives each capture
 block in place (:func:`~repro.faults.transition_sim.derive_pair_blocks`).
 The reference is the per-pattern dict path it replaced:
-``generate_patterns`` -> :func:`derive_capture_patterns` ->
-:func:`~repro.campaign.runner.build_pair_blocks`.  Both must produce
+``generate_patterns`` -> :func:`derive_capture_patterns` -> two
+:func:`~repro.simulation.packed.iter_blocks` packs over the stimulus nets,
+zipped into ``(offset, launch, capture)`` triples.  Both must produce
 dict-equal triples and leave every PRPG in the same state, across block
 sizes (with a tail block), both backends, a staggered multi-domain pulse
 order, held cells and a STUMPS whose space expander forces the python
@@ -16,13 +17,13 @@ import pytest
 
 from repro.bist import StumpsArchitecture, StumpsDomainConfig
 from repro.campaign.pipeline import TransitionInput, TransitionPrepStage
-from repro.campaign.runner import build_pair_blocks
 from repro.core import LogicBistConfig
 from repro.core.flow import build_clock_tree
 from repro.faults import derive_capture_patterns
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
 from repro.scan import build_scan_chains
+from repro.simulation import iter_blocks
 from repro.timing.double_capture import CaptureWindowScheduler
 
 pytestmark = pytest.mark.transition
@@ -75,7 +76,14 @@ def prpg_states(stumps):
 def dict_path(circuit, stumps, count, block_size, pulse_order, hold_cells=None):
     launch = stumps.generate_patterns(count)
     capture = derive_capture_patterns(circuit, launch, pulse_order, hold_cells)
-    return build_pair_blocks(circuit, launch, capture, block_size)
+    nets = circuit.stimulus_nets()
+    return tuple(
+        zip(
+            range(0, count, block_size),
+            iter_blocks(launch, block_size=block_size, nets=nets),
+            iter_blocks(capture, block_size=block_size, nets=nets),
+        )
+    )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -34,7 +34,12 @@ from repro.service import (
     ScenarioFailed,
     StageRetrying,
 )
-from repro.service.checkpoint import CHECKSUM_MAGIC, PROGRESS_FILE, SPEC_FILE
+from repro.service.checkpoint import (
+    CHECKSUM_MAGIC,
+    PROGRESS_FILE,
+    REPORT_FILE,
+    SPEC_FILE,
+)
 
 pytestmark = [pytest.mark.service, pytest.mark.chaos]
 
@@ -225,11 +230,35 @@ def test_checksum_frame_round_trip(tmp_path):
     assert store.load_spec("job-x") == payload
 
 
-def test_legacy_unframed_spec_still_loads(tmp_path):
-    store = CheckpointStore(tmp_path)
-    (tmp_path / "job-x").mkdir()
-    (tmp_path / "job-x" / SPEC_FILE).write_bytes(pickle.dumps({"legacy": True}))
-    assert store.load_spec("job-x") == {"legacy": True}
+def test_unframed_spec_reads_as_none_and_job_is_skipped(tmp_path, caplog):
+    """A bare pickled spec (no checksum frame) is never unpickled: it reads
+    as ``None``, logged, and a service started over the directory comes up
+    without running that job."""
+
+    async def submit_without_draining():
+        service = CampaignService(checkpoint_dir=tmp_path)
+        service._queue = asyncio.Queue()  # started enough to accept submits
+        service._loop = asyncio.get_running_loop()
+        return await service.submit(make_scenarios())
+
+    job_id = asyncio.run(submit_without_draining())
+    path = tmp_path / job_id / SPEC_FILE
+    framed = path.read_bytes()
+    path.write_bytes(framed[framed.index(b"\n", len(CHECKSUM_MAGIC)) + 1 :])
+    with caplog.at_level("WARNING", logger="repro.service.checkpoint"):
+        assert CheckpointStore(tmp_path).load_spec(job_id) is None
+    assert any("unframed" in record.getMessage() for record in caplog.records)
+
+    async def recover():
+        service = CampaignService(checkpoint_dir=tmp_path)
+        recovered = await service.start()
+        await service.stop()
+        return recovered, service.status()
+
+    recovered, status = asyncio.run(recover())
+    assert recovered == []
+    assert job_id not in status["jobs"]
+    assert not (tmp_path / job_id / REPORT_FILE).exists()
 
 
 @pytest.mark.parametrize(
