@@ -19,8 +19,8 @@ from repro.faults import (
     FaultSimulator,
     TransitionFaultSimulator,
     collapse_stuck_at,
-    derive_capture_patterns,
 )
+from repro.oracle import derive_capture_patterns, simulate_with_derived_capture
 from repro.timing import CaptureWindowScheduler, make_clock_tree
 
 from conftest import print_rows, scaled
@@ -55,8 +55,9 @@ def test_ablation_double_vs_single_capture_transition_coverage(benchmark):
         # domains in the scheduled order (launch), then observing one
         # functional period later.
         double_list = FaultList.transition(circuit)
-        TransitionFaultSimulator(circuit).simulate_with_derived_capture(
-            double_list, launch_patterns, pulse_order=schedule.pulse_order
+        simulate_with_derived_capture(
+            TransitionFaultSimulator(circuit), double_list, launch_patterns,
+            pulse_order=schedule.pulse_order,
         )
         # Single capture: launch state and "capture" state are identical -- no
         # transitions are ever launched, so activation never happens.

@@ -89,26 +89,3 @@ def test_ablation_tpi_policies(benchmark):
     benchmark.extra_info["coverage_no_tp"] = baseline_list.coverage()
     benchmark.extra_info["coverage_scoap"] = observability_list.coverage()
     benchmark.extra_info["coverage_fault_sim"] = guided_list.coverage()
-
-
-def test_ablation_control_points_cost_delay(benchmark):
-    """The paper avoids control points because they add functional-path delay."""
-    from repro.tpi import ControlPointInserter
-
-    circuit = comparator_core(width=12, easy_outputs=4)
-
-    def select():
-        return ControlPointInserter(circuit, budget=BUDGET).select()
-
-    plan = benchmark.pedantic(select, rounds=1, iterations=1)
-    print_rows(
-        "Ablation A1b: control-point delay penalty (why the paper avoids them)",
-        [
-            {
-                "control_points": len(plan.points),
-                "total_series_delay_ns": f"{plan.total_delay_penalty_ns:.3f}",
-                "observation_point_delay_ns": "0.000",
-            }
-        ],
-    )
-    assert plan.total_delay_penalty_ns > 0.0

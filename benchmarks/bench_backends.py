@@ -86,8 +86,9 @@ from repro.bist import StumpsArchitecture
 from repro.core import LogicBistConfig
 from repro.core.flow import build_clock_tree
 from repro.cores import core_y_recipe
-from repro.faults import FaultSimulator, collapse_stuck_at, derive_capture_patterns
+from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.faults.transition_sim import derive_pair_blocks
+from repro.oracle import derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import HAVE_NUMPY, iter_blocks
 from repro.simulation.kernel import KERNEL_CACHE

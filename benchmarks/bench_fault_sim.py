@@ -4,7 +4,7 @@ Measures PPSFP stuck-at fault-simulation throughput (patterns/sec and
 gate-evals/sec) on the largest generated benchmark core (the scaled Core Y
 stand-in) for:
 
-* the **reference** engine (:mod:`repro.simulation.reference`), which
+* the **reference** engine (:mod:`repro.oracle.reference`), which
   preserves the pre-kernel name-keyed ``dict[str, int]`` implementation, at
   the seed's default 64-pattern blocks and at 256,
 * the **compiled kernel** engine (:class:`repro.faults.FaultSimulator`) at
@@ -36,7 +36,7 @@ from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
-from repro.simulation.reference import ReferenceFaultSimulator
+from repro.oracle import ReferenceFaultSimulator
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 

@@ -8,20 +8,20 @@ Public API:
   the logic BIST flow (Table 1's "# of Top-Up Patterns" / "Fault Coverage 2"),
   with block-batched candidate screening on the compiled engine,
 * the static compaction helpers in :mod:`repro.atpg.compaction`,
-* the five-valued D-calculus values in :mod:`repro.atpg.dcalc`, the
-  name-keyed reference implication engine in :mod:`repro.atpg.implication`
-  and its kernel-indexed event-driven counterpart (the default) in
+* the five-valued D-calculus values in :mod:`repro.atpg.dcalc` and the
+  kernel-indexed event-driven implication engine in
   :mod:`repro.atpg.compiled`.
+
+The name-keyed PODEM search, its implication engine and the
+one-pattern-at-a-time top-up walk these replaced are oracles in
+:mod:`repro.oracle`.
 """
 
 from .dcalc import D, D_BAR, ONE, X, ZERO, Value5, from_symbol, value5
-from .implication import FaultedEvaluator
 from .compiled import CompiledFaultedEvaluator, atpg_adjacency, scoap_guidance
 from .podem import (
     BACKTRACE_FIRST_X,
     BACKTRACE_SCOAP,
-    COMPILED_ENGINE,
-    REFERENCE_ENGINE,
     AtpgOutcome,
     AtpgResult,
     PodemAtpg,
@@ -39,7 +39,6 @@ __all__ = [
     "D_BAR",
     "from_symbol",
     "value5",
-    "FaultedEvaluator",
     "CompiledFaultedEvaluator",
     "atpg_adjacency",
     "scoap_guidance",
@@ -47,8 +46,6 @@ __all__ = [
     "AtpgResult",
     "PodemAtpg",
     "TestCube",
-    "COMPILED_ENGINE",
-    "REFERENCE_ENGINE",
     "BACKTRACE_FIRST_X",
     "BACKTRACE_SCOAP",
     "merge_compatible_cubes",

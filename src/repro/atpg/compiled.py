@@ -1,7 +1,7 @@
 """Kernel-indexed 5-valued implication engine for PODEM.
 
 This is the ATPG counterpart of the compiled simulation kernel: the
-reference :class:`~repro.atpg.implication.FaultedEvaluator` rebuilds a full
+reference :class:`~repro.oracle.implication.FaultedEvaluator` rebuilds a full
 ``dict[str, Value5]`` on every PODEM decision, which made ATPG the last hot
 path still running on name-keyed dicts.  :class:`CompiledFaultedEvaluator`
 lowers the same composite (good/faulty) three-valued implication onto the
@@ -69,7 +69,7 @@ def _mux3(v: list) -> Optional[int]:
 
 #: Gate type -> scalar three-valued evaluator over the gate's input values
 #: (``None`` = X), semantically identical to
-#: :func:`repro.atpg.implication._eval3`.
+#: :func:`repro.oracle.implication._eval3`.
 _EVAL3_BY_TYPE = {
     GateType.AND: lambda v: 0 if 0 in v else None if None in v else 1,
     GateType.NAND: lambda v: 1 if 0 in v else None if None in v else 0,

@@ -17,17 +17,13 @@ classical PODEM algorithm on the full-scan combinational view:
 The search is bounded by a backtrack limit; exceeding it marks the fault
 *aborted*, while exhausting the decision tree proves the fault *untestable*.
 
-Two implication engines execute the same search:
-
-* ``engine="compiled"`` (the default) runs on the kernel-indexed
-  event-driven engine of :mod:`repro.atpg.compiled` -- flat ID arrays,
-  re-implication of only the gates whose inputs changed, interned
-  frontier/X-path checks.  Its decisions (and hence its cubes, backtrack
-  counts and outcomes) are identical to the reference engine's by
-  construction and by differential test.
-* ``engine="reference"`` runs on the original name-keyed
-  :class:`~repro.atpg.implication.FaultedEvaluator`, preserved as the
-  bit-exactness oracle and benchmark baseline.
+Implication runs on the kernel-indexed event-driven engine of
+:mod:`repro.atpg.compiled` -- flat ID arrays, re-implication of only the
+gates whose inputs changed, interned frontier/X-path checks.  The name-keyed
+search it replaced is kept as an oracle,
+:func:`repro.oracle.podem.generate_reference`: with the default
+``"first_x"`` backtrace, the cubes, backtrack and decision counts and
+outcomes of both are identical fault for fault (by differential test).
 
 ``backtrace="scoap"`` additionally switches the backtrace heuristic from
 "first X input" to SCOAP-guided easiest-to-justify input selection; the
@@ -43,19 +39,13 @@ from typing import Optional, Sequence
 
 from ..faults.models import StuckAtFault
 from ..netlist.circuit import Circuit
-from ..netlist.gates import CONTROLLING_VALUE, GateType, OP_CONST0, OP_CONST1
-from .implication import FaultedEvaluator
+from ..netlist.gates import OP_CONST0, OP_CONST1
 from .compiled import (
     INVERTING_OPS,
     OP_CONTROLLING_VALUE,
     CompiledFaultedEvaluator,
     scoap_guidance,
 )
-from .dcalc import Value5
-
-#: Supported implication engines.
-COMPILED_ENGINE = "compiled"
-REFERENCE_ENGINE = "reference"
 
 #: Supported backtrace heuristics ("first_x" is the classical deterministic
 #: choice and the oracle-identical default; "scoap" is guided).
@@ -127,24 +117,11 @@ class PodemAtpg:
     circuit: Circuit
     observe_nets: Optional[Sequence[str]] = None
     backtrack_limit: int = 200
-    #: Implication engine: "compiled" (kernel-indexed, default) or
-    #: "reference" (name-keyed oracle).
-    engine: str = COMPILED_ENGINE
     #: Backtrace heuristic: "first_x" (oracle-identical) or "scoap" (guided).
     backtrace: str = BACKTRACE_FIRST_X
 
     def generate(self, fault: StuckAtFault) -> AtpgResult:
         """Attempt to generate a test cube for ``fault``."""
-        if self.engine == REFERENCE_ENGINE:
-            return self._generate_reference(fault)
-        if self.engine != COMPILED_ENGINE:
-            raise ValueError(f"unknown ATPG engine {self.engine!r}")
-        return self._generate_compiled(fault)
-
-    # ------------------------------------------------------------------ #
-    # Compiled (kernel-indexed) search
-    # ------------------------------------------------------------------ #
-    def _generate_compiled(self, fault: StuckAtFault) -> AtpgResult:
         if self.backtrace not in (BACKTRACE_FIRST_X, BACKTRACE_SCOAP):
             raise ValueError(f"unknown backtrace heuristic {self.backtrace!r}")
         evaluator = CompiledFaultedEvaluator(self.circuit, fault, self.observe_nets)
@@ -218,7 +195,7 @@ class PodemAtpg:
         activated: Optional[bool],
         frontier: list[int],
     ) -> Optional[tuple[int, int]]:
-        """Classical PODEM objective in ID space (mirrors the reference).
+        """Classical PODEM objective in ID space (mirrors the oracle search).
 
         ``activated`` and ``frontier`` are the evaluator's current
         ``fault_activated()`` and ``d_frontier()``.
@@ -230,7 +207,7 @@ class PodemAtpg:
             return None
         # Advance the frontier gate closest to an observation net (deepest
         # level; ties resolve to the first in schedule order, exactly as the
-        # reference engine's ``max`` does).
+        # oracle search's ``max`` does).
         levels = evaluator.kernel.net_levels
         gate_id = frontier[0]
         best_level = levels[gate_id]
@@ -298,137 +275,5 @@ class PodemAtpg:
                 return None, value
             net = chosen
         if evaluator.good[net] is not None:
-            return None, value
-        return net, value
-
-    # ------------------------------------------------------------------ #
-    # Reference (name-keyed) search -- the preserved oracle
-    # ------------------------------------------------------------------ #
-    def _generate_reference(self, fault: StuckAtFault) -> AtpgResult:
-        evaluator = FaultedEvaluator(self.circuit, fault, self.observe_nets)
-        assignment: dict[str, int] = {}
-        # Decision stack entries: (net, value, already_flipped).
-        stack: list[tuple[str, int, bool]] = []
-        backtracks = 0
-        decisions = 0
-
-        values = evaluator.implied_values(assignment)
-        while True:
-            if evaluator.is_test(values):
-                return AtpgResult(AtpgOutcome.SUCCESS, TestCube(dict(assignment), fault),
-                                  backtracks, decisions)
-
-            objective = self._objective(evaluator, values, fault)
-            dead_end = objective is None
-            if not dead_end:
-                frontier = evaluator.d_frontier(values)
-                activated = evaluator.fault_activated(values)
-                if activated is False:
-                    dead_end = True
-                elif activated is True and not frontier and not evaluator.is_test(values):
-                    # Fault activated but the discrepancy vanished entirely.
-                    dead_end = True
-                elif frontier and not evaluator.x_path_exists(values, frontier):
-                    dead_end = True
-
-            if not dead_end:
-                target_net, target_value = self._backtrace(evaluator, values, *objective)
-                if target_net is None:
-                    dead_end = True
-                else:
-                    assignment[target_net] = target_value
-                    stack.append((target_net, target_value, False))
-                    decisions += 1
-                    values = evaluator.implied_values(assignment)
-                    continue
-
-            # Dead end: backtrack.
-            flipped = False
-            while stack:
-                net, value, already_flipped = stack.pop()
-                del assignment[net]
-                if not already_flipped:
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return AtpgResult(AtpgOutcome.ABORTED, None, backtracks, decisions)
-                    assignment[net] = 1 - value
-                    stack.append((net, 1 - value, True))
-                    values = evaluator.implied_values(assignment)
-                    flipped = True
-                    break
-            if not flipped:
-                return AtpgResult(AtpgOutcome.UNTESTABLE, None, backtracks, decisions)
-
-    # ------------------------------------------------------------------ #
-    # Objective selection
-    # ------------------------------------------------------------------ #
-    def _objective(
-        self,
-        evaluator: FaultedEvaluator,
-        values: dict[str, Value5],
-        fault: StuckAtFault,
-    ) -> Optional[tuple[str, int]]:
-        """Classical PODEM objective: activate the fault, then advance the D-frontier."""
-        activated = evaluator.fault_activated(values)
-        if activated is None:
-            # Drive the fault site to the complement of the stuck value.
-            return fault.faulted_net(self.circuit), 1 - fault.value
-        if activated is False:
-            return None
-        frontier = evaluator.d_frontier(values)
-        if not frontier:
-            return None
-        # Advance the frontier gate closest to an observation net (approximated
-        # by the deepest level, which tends to be nearest the outputs).
-        levels = self.circuit.levels()
-        gate_name = max(frontier, key=lambda name: levels.get(name, 0))
-        gate = self.circuit.gate(gate_name)
-        control = CONTROLLING_VALUE.get(gate.gate_type)
-        non_controlling = 1 - control if control is not None else 1
-        for net in gate.inputs:
-            value = values[net]
-            if value.good is None or value.faulty is None:
-                return net, non_controlling
-        return None
-
-    # ------------------------------------------------------------------ #
-    # Backtrace
-    # ------------------------------------------------------------------ #
-    def _backtrace(
-        self,
-        evaluator: FaultedEvaluator,
-        values: dict[str, Value5],
-        objective_net: str,
-        objective_value: int,
-    ) -> tuple[Optional[str], int]:
-        """Trace the objective back to an unassigned stimulus net.
-
-        Follows X-valued nets from the objective toward the inputs, inverting
-        the target value through inverting gate types, and picking the easiest
-        input heuristically (the first X input, which in a levelised netlist is
-        a stable deterministic choice).
-        """
-        stimulus = set(evaluator.stimulus_nets)
-        net, value = objective_net, objective_value
-        guard = 0
-        max_steps = len(self.circuit) + 10
-        while net not in stimulus:
-            guard += 1
-            if guard > max_steps:
-                return None, value
-            gate = self.circuit.gate(net)
-            if gate.gate_type.is_source:
-                return None, value
-            if gate.gate_type in (GateType.NOT, GateType.NAND, GateType.NOR, GateType.XNOR):
-                value = 1 - value
-            x_inputs = [
-                n
-                for n in gate.inputs
-                if values[n].good is None or values[n].faulty is None
-            ]
-            if not x_inputs:
-                return None, value
-            net = x_inputs[0]
-        if values[net].good is not None:
             return None, value
         return net, value

@@ -7,23 +7,17 @@ resulting cubes are compacted, X bits are random-filled, and every new pattern
 is fault-simulated against the whole remaining fault population (with
 dropping) so that one deterministic pattern usually retires many faults.
 
-Two execution paths produce bit-identical results:
-
-* ``engine="compiled"`` (the default) runs PODEM on the kernel-indexed
-  event-driven implication engine and **block-batches the candidate
-  screening**: generated patterns are buffered, incrementally packed into
-  ``block_size``-wide words, and retired against the remaining fault
-  population with *one* PPSFP scan per block (either simulation backend)
-  instead of one width-1 scan of the whole population per pattern -- which
-  is where most of the top-up wall time used to go.  Whether a pending
-  target is already covered by a buffered (not yet flushed) pattern is
-  answered by a single cone resimulation of that fault over the packed
-  buffer, so the skip decisions -- and with them the PODEM invocations, the
-  random-fill RNG stream and every pattern byte -- exactly match the serial
-  walk.
-* ``engine="reference"`` preserves the original name-keyed
-  one-pattern-at-a-time walk as the bit-exactness oracle and benchmark
-  baseline.
+The candidate screening is **block-batched**: generated patterns are
+buffered, incrementally packed into ``block_size``-wide words, and retired
+against the remaining fault population with *one* PPSFP scan per block
+(either simulation backend) instead of one width-1 scan of the whole
+population per pattern -- which is where most of the top-up wall time used
+to go.  Whether a pending target is already covered by a buffered (not yet
+flushed) pattern is answered by a single cone resimulation of that fault
+over the packed buffer, so the skip decisions -- and with them the PODEM
+invocations, the random-fill RNG stream and every pattern byte -- exactly
+match the one-pattern-at-a-time walk, which is kept as an oracle in
+:mod:`repro.oracle.topup`.
 
 The top-up patterns are applied through the input selector of the BIST
 architecture (Fig. 1) -- in silicon they would be scanned in through the
@@ -48,8 +42,6 @@ from .compaction import merge_compatible_cubes
 from .podem import (
     BACKTRACE_FIRST_X,
     BACKTRACE_SCOAP,
-    COMPILED_ENGINE,
-    REFERENCE_ENGINE,
     AtpgOutcome,
     AtpgResult,
     PodemAtpg,
@@ -191,10 +183,7 @@ class TopUpAtpg:
     seed: int = 2005
     #: Upper bound on targeted faults (None = all undetected faults).
     max_faults: Optional[int] = None
-    #: Execution engine: "compiled" (kernel-indexed PODEM + block-batched
-    #: screening, the default) or "reference" (the name-keyed oracle walk).
-    engine: str = COMPILED_ENGINE
-    #: PODEM backtrace heuristic (compiled engine only; see PodemAtpg).
+    #: PODEM backtrace heuristic (see PodemAtpg).
     backtrace: str = BACKTRACE_FIRST_X
     #: Screening block width: generated patterns buffered per PPSFP scan.
     block_size: int = DEFAULT_BLOCK_SIZE
@@ -203,8 +192,6 @@ class TopUpAtpg:
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.engine not in (COMPILED_ENGINE, REFERENCE_ENGINE):
-            raise ValueError(f"unknown ATPG engine {self.engine!r}")
         if self.backtrace not in (BACKTRACE_FIRST_X, BACKTRACE_SCOAP):
             raise ValueError(f"unknown backtrace heuristic {self.backtrace!r}")
         self._rng = random.Random(self.seed)
@@ -241,14 +228,12 @@ class TopUpAtpg:
         """The PODEM generator this driver's runs use.
 
         Public because the campaign's :class:`PodemShardStage` workers must
-        generate with exactly the engine and heuristic the merge replay
-        assumes.
+        generate with exactly the heuristic the merge replay assumes.
         """
         return PodemAtpg(
             self.circuit,
             self.observe_nets,
             self.backtrack_limit,
-            engine=self.engine,
             backtrace=self.backtrace,
         )
 
@@ -262,8 +247,6 @@ class TopUpAtpg:
         patterns are marked detected, proven-redundant faults are marked
         untestable, and aborted faults are marked aborted.
         """
-        if self.engine == REFERENCE_ENGINE:
-            return self._run_reference(fault_list)
         targets, skipped = self.plan_targets(fault_list)
         return self._run_batched(fault_list, targets, skipped, self.podem().generate)
 
@@ -277,8 +260,6 @@ class TopUpAtpg:
         list -- so both the reported pattern count and the final coverage
         describe exactly the pattern set that would be scanned into silicon.
         """
-        if self.engine == REFERENCE_ENGINE:
-            return self._run_with_compaction_reference(fault_list)
         targets, skipped = self.plan_targets(fault_list)
         return self._run_with_compaction_batched(
             fault_list, targets, skipped, self.podem().generate
@@ -314,7 +295,7 @@ class TopUpAtpg:
         return self._run_batched(fault_list, targets, skipped, generate)
 
     # ------------------------------------------------------------------ #
-    # Compiled paths (block-batched screening)
+    # Block-batched screening
     # ------------------------------------------------------------------ #
     def _run_batched(
         self,
@@ -426,113 +407,6 @@ class TopUpAtpg:
             block_size=self.block_size,
             drop_detected=True,
             pattern_offset=TOPUP_PATTERN_BASE,
-        )
-        for fault in untestable:
-            fault_list.mark_untestable(fault)
-        for fault in aborted:
-            fault_list.mark_aborted(fault)
-        result.patterns = patterns
-        result.coverage_after = fault_list.coverage()
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Reference paths (the preserved name-keyed oracle walk)
-    # ------------------------------------------------------------------ #
-    def _run_reference(self, fault_list: FaultList) -> TopUpResult:
-        atpg = PodemAtpg(
-            self.circuit,
-            self.observe_nets,
-            self.backtrack_limit,
-            engine=REFERENCE_ENGINE,
-        )
-        simulator = FaultSimulator(self.circuit, self.observe_nets)
-        targets, skipped = self.plan_targets(fault_list)
-        result = TopUpResult(
-            patterns=[],
-            cubes=[],
-            coverage_before=fault_list.coverage(),
-            skipped_targets=skipped,
-        )
-
-        stimulus_nets = self.circuit.stimulus_nets()
-        for fault in targets:
-            # The fault may have been covered by a pattern generated for an
-            # earlier fault in this very loop.
-            if fault not in set(fault_list.undetected()):
-                continue
-            result.attempted_faults += 1
-            attempt = atpg.generate(fault)
-            result.backtracks += attempt.backtracks
-            if attempt.outcome is AtpgOutcome.UNTESTABLE:
-                fault_list.mark_untestable(fault)
-                result.untestable_faults += 1
-                continue
-            if attempt.outcome is AtpgOutcome.ABORTED:
-                fault_list.mark_aborted(fault)
-                result.aborted_faults += 1
-                continue
-            result.successful_faults += 1
-            result.cubes.append(attempt.cube)
-            pattern = attempt.cube.fill_random(self._rng, stimulus_nets)
-            pattern_index = TOPUP_PATTERN_BASE + len(result.patterns)
-            simulator.simulate(
-                fault_list, [pattern], drop_detected=True, pattern_offset=pattern_index
-            )
-            result.patterns.append(pattern)
-
-        result.coverage_after = fault_list.coverage()
-        return result
-
-    def _run_with_compaction_reference(self, fault_list: FaultList) -> TopUpResult:
-        atpg = PodemAtpg(
-            self.circuit,
-            self.observe_nets,
-            self.backtrack_limit,
-            engine=REFERENCE_ENGINE,
-        )
-        targets, skipped = self.plan_targets(fault_list)
-        result = TopUpResult(
-            patterns=[],
-            cubes=[],
-            coverage_before=fault_list.coverage(),
-            skipped_targets=skipped,
-        )
-
-        # Scratch list used only to skip faults already covered by a cube
-        # generated earlier in this loop.
-        scratch = FaultList(targets)
-        scratch_sim = FaultSimulator(self.circuit, self.observe_nets)
-        stimulus_nets = self.circuit.stimulus_nets()
-        cubes: list[TestCube] = []
-        untestable: list[StuckAtFault] = []
-        aborted: list[StuckAtFault] = []
-        for fault in targets:
-            if fault not in set(scratch.undetected()):
-                continue
-            result.attempted_faults += 1
-            attempt = atpg.generate(fault)
-            result.backtracks += attempt.backtracks
-            if attempt.outcome is AtpgOutcome.UNTESTABLE:
-                untestable.append(fault)
-                result.untestable_faults += 1
-                continue
-            if attempt.outcome is AtpgOutcome.ABORTED:
-                aborted.append(fault)
-                result.aborted_faults += 1
-                continue
-            result.successful_faults += 1
-            cubes.append(attempt.cube)
-            filled = attempt.cube.fill_random(self._rng, stimulus_nets)
-            scratch_sim.simulate(scratch, [filled], drop_detected=True)
-
-        result.cubes = cubes
-        merged = merge_compatible_cubes(cubes)
-        patterns = [cube.fill_random(self._rng, stimulus_nets) for cube in merged]
-
-        # Apply the final (compacted) pattern set to the real fault list.
-        simulator = FaultSimulator(self.circuit, self.observe_nets)
-        simulator.simulate(
-            fault_list, patterns, drop_detected=True, pattern_offset=TOPUP_PATTERN_BASE
         )
         for fault in untestable:
             fault_list.mark_untestable(fault)

@@ -1,4 +1,4 @@
-"""BIST components (S8): PRPG, phase shifter, MISR, STUMPS, controller, Boundary-Scan.
+"""BIST components (S8): PRPG, phase shifter, MISR, STUMPS, input selector.
 
 Public API:
 
@@ -8,10 +8,13 @@ Public API:
 * :class:`~repro.bist.space.SpaceExpander` / :class:`~repro.bist.space.SpaceCompactor`,
 * :class:`~repro.bist.misr.Misr` and the signature helpers,
 * :class:`~repro.bist.stumps.StumpsArchitecture` / :class:`~repro.bist.stumps.StumpsDomain`,
-* :class:`~repro.bist.controller.BistController`,
 * :class:`~repro.bist.input_selector.InputSelector`,
-* :class:`~repro.bist.boundary_scan.TapController`,
 * the primitive-polynomial table in :mod:`repro.bist.polynomials`.
+
+The BIST controller and the Boundary-Scan TAP are not modelled: the flow
+charges them a fixed area estimate.  The scalar sequential simulator that
+checks a STUMPS session cycle by cycle is an oracle in
+:mod:`repro.oracle.sequential`.
 """
 
 from .polynomials import (
@@ -33,9 +36,7 @@ from .misr import (
     signatures_differ,
 )
 from .stumps import StumpsArchitecture, StumpsDomain, StumpsDomainConfig
-from .controller import BistController, BistState, ControllerOutputs
 from .input_selector import InputSelector, InputSource
-from .boundary_scan import DataRegister, TapController, TapState
 
 __all__ = [
     "PRIMITIVE_POLYNOMIALS",
@@ -61,11 +62,6 @@ __all__ = [
     "StumpsArchitecture",
     "StumpsDomain",
     "StumpsDomainConfig",
-    "BistController",
-    "BistState",
-    "ControllerOutputs",
     "InputSelector",
     "InputSource",
-    "TapController",
-    "TapState",
 ]

@@ -676,14 +676,13 @@ def build_topup_atpg(circuit: Circuit, config: LogicBistConfig) -> TopUpAtpg:
 
     The single construction path shared by the serial top-up stage, the
     pooled merge replay and the PODEM shard workers, so every stage agrees
-    on the engine, backtrace heuristic, screening width and RNG seed.
+    on the backtrace heuristic, screening width and RNG seed.
     """
     return TopUpAtpg(
         circuit,
         backtrack_limit=config.topup_backtrack_limit,
         seed=config.topup_seed,
         max_faults=config.topup_max_faults,
-        engine=config.atpg_engine,
         backtrace=config.atpg_backtrace,
         block_size=(
             config.topup_block_size

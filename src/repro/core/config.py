@@ -156,14 +156,9 @@ class LogicBistConfig:
     topup_compaction: bool = True
     #: Seed for top-up random fill.
     topup_seed: int = 2005
-    #: ATPG implication engine: ``"compiled"`` (kernel-indexed event-driven
-    #: implication + block-batched candidate screening, the default) or
-    #: ``"reference"`` (the name-keyed oracle walk, preserved for
-    #: differential testing and benchmarking).  Both produce bit-identical
-    #: cubes, patterns and fault dispositions.
-    atpg_engine: str = "compiled"
     #: PODEM backtrace heuristic: ``"first_x"`` (classical deterministic
-    #: first-X-input descent, identical to the reference engine) or
+    #: first-X-input descent, identical to the name-keyed oracle search
+    #: :func:`repro.oracle.podem.generate_reference`) or
     #: ``"scoap"`` (SCOAP-guided easiest-to-justify descent; guidance tables
     #: are computed once per compiled kernel and shared across faults).
     atpg_backtrace: str = "first_x"
@@ -314,7 +309,7 @@ class ServiceConfig:
     #: (:class:`~repro.service.cache.ScenarioPrepCache`): distinct
     #: (circuit digest, config) pairs whose scan-inserted + TPI-profiled
     #: cores stay warm across jobs.
-    kernel_cache_size: int = 8
+    prep_cache_size: int = 8
     #: Completed/failed jobs whose in-memory records (event logs, results)
     #: the service retains for late subscribers before discarding the
     #: oldest (checkpointed reports on disk are never discarded).
@@ -348,8 +343,8 @@ class ServiceConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.event_chunk < 1:
             raise ValueError("event_chunk must be >= 1")
-        if self.kernel_cache_size < 1:
-            raise ValueError("kernel_cache_size must be >= 1")
+        if self.prep_cache_size < 1:
+            raise ValueError("prep_cache_size must be >= 1")
         if self.retain_jobs < 0:
             raise ValueError("retain_jobs must be >= 0")
         if self.max_queue_depth < 0:

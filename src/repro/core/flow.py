@@ -18,10 +18,12 @@ insertion + sign-off flow would run them:
 4. **Top-up ATPG phase** -- PODEM targets the remaining faults, cubes are
    compacted and random-filled, and the patterns are applied through the
    input selector, giving "# of Top-Up Patterns" and "Fault Coverage 2".
-   Since the compiled ATPG engine this phase runs kernel-indexed PODEM with
-   block-batched candidate screening (``atpg_engine``/``atpg_backtrace``/
-   ``topup_block_size`` in :class:`~repro.core.config.LogicBistConfig`),
-   and under a pooled scheduler the
+   This phase runs kernel-indexed PODEM with block-batched candidate
+   screening (``atpg_backtrace``/``topup_block_size`` in
+   :class:`~repro.core.config.LogicBistConfig`); the name-keyed PODEM
+   search and one-pattern-at-a-time walk it must match are oracles in
+   :mod:`repro.oracle`, called only by tests and benchmarks.  Under a
+   pooled scheduler the
    :class:`~repro.campaign.pipeline.TopUpStage` expansion fans PODEM
    targets out across site-local worker shards -- results byte-identical
    to the serial walk either way.

@@ -46,7 +46,6 @@ from .transition_sim import (
     TransitionFaultSimulator,
     TransitionSimShardState,
     TransitionSimulationResult,
-    derive_capture_patterns,
 )
 from .statistics import (
     CoveragePoint,
@@ -79,7 +78,6 @@ __all__ = [
     "TransitionFaultSimulator",
     "TransitionSimShardState",
     "TransitionSimulationResult",
-    "derive_capture_patterns",
     "CoveragePoint",
     "coverage_curve_from_samples",
     "coverage_plateau_slope",

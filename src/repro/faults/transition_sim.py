@@ -54,9 +54,14 @@ def capture_group_updates(
 ) -> GroupUpdates:
     """Resolve a capture pulse order to the flop updates of each pulse group.
 
-    ``pulse_order`` and ``hold_cells`` mean what they mean for
-    :func:`derive_capture_patterns`; the result is what
-    :func:`derive_capture_block` applies.
+    ``pulse_order`` lists the ordered groups of clock domains receiving their
+    *first* capture pulse, e.g. ``[["clk1"], ["clk2"]]`` for the staggered
+    two-domain capture of Fig. 2; ``None`` pulses every domain
+    simultaneously.  ``hold_cells`` are flops that keep their scan-loaded
+    value through the capture window (wrapper cells modelled in hold mode);
+    the flow and the campaign pass none, so their input wrapper cells
+    capture the statically driven pad value at the launch pulse like every
+    other flop.  The result is what :func:`derive_capture_block` applies.
     """
     circuit = kernel.circuit
     if pulse_order is None:
@@ -110,55 +115,6 @@ def derive_capture_block(
     )
 
 
-def derive_capture_patterns(
-    circuit: Circuit,
-    launch_patterns: Sequence[Mapping[str, int]],
-    pulse_order: Optional[Sequence[Sequence[str]]] = None,
-    hold_cells: Optional[Sequence[str]] = None,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> list[dict[str, int]]:
-    """Compute the capture-cycle stimulus for each launch pattern.
-
-    Packs the launch list, runs :func:`derive_capture_block` per block and
-    unpacks the result.
-
-    Parameters
-    ----------
-    circuit:
-        The (BIST-ready) netlist.
-    launch_patterns:
-        Per-pattern stimulus: primary inputs and flop outputs (the scan-loaded
-        state), exactly what the shift window establishes.
-    pulse_order:
-        Ordered groups of clock domains receiving their *first* capture pulse,
-        e.g. ``[["clk1"], ["clk2"]]`` for the staggered two-domain capture of
-        Fig. 2.  ``None`` pulses every domain simultaneously.
-    hold_cells:
-        Flops that keep their scan-loaded value through the capture window,
-        e.g. wrapper cells modelled in hold mode.  The flow and the campaign
-        pass none: their input wrapper cells capture the statically driven
-        pad value at the launch pulse like every other flop, which is how
-        they contribute launch transitions.
-
-    Returns
-    -------
-    list
-        One stimulus dict per launch pattern describing the circuit state
-        after the launch pulse(s): same primary inputs, flop outputs replaced
-        by the captured values, applied domain group by domain group so that a
-        later group sees the already-updated state of an earlier group (this
-        is where cross-domain logic differs from the simultaneous case).
-    """
-    kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(kernel, pulse_order, hold_cells)
-    results: list[dict[str, int]] = []
-    for block in iter_blocks(
-        launch_patterns, block_size=block_size, nets=kernel.stimulus_names
-    ):
-        results.extend(derive_capture_block(kernel, block, group_updates).patterns())
-    return results
-
-
 def derive_pair_blocks(
     circuit: Circuit,
     launch_blocks: Iterable[PatternBlock],
@@ -167,8 +123,9 @@ def derive_pair_blocks(
 ) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
     """Packed launch blocks -> ``(offset, launch, capture)`` pair triples.
 
-    Equal to packing a launch list and its :func:`derive_capture_patterns`
-    result block by block, without building a per-pattern dict: each launch
+    Equal to packing a launch list and its capture list (as derived by the
+    per-pattern oracle :func:`repro.oracle.transition.derive_capture_patterns`)
+    block by block, without building a per-pattern dict: each launch
     block is restricted to the stimulus nets (missing nets read 0, as when a
     pattern list is packed) and its capture block is derived in place.
     """
@@ -485,35 +442,6 @@ class TransitionFaultSimulator:
             simulated += num
             result.coverage_curve.append((pattern_offset + simulated, fault_list.coverage()))
         return result
-
-    def simulate_with_derived_capture(
-        self,
-        fault_list: FaultList,
-        launch_patterns: Sequence[Mapping[str, int]],
-        pulse_order: Optional[Sequence[Sequence[str]]] = None,
-        hold_cells: Optional[Sequence[str]] = None,
-        strict: bool = False,
-        **kwargs: object,
-    ) -> TransitionSimulationResult:
-        """Convenience: derive the capture patterns from the launch patterns, then simulate.
-
-        ``strict`` is checked *before* deriving the capture patterns: a
-        misspelled or missing launch net would otherwise flow through
-        :func:`derive_capture_patterns` as a silent 0 and corrupt every
-        derived capture state.  Derived capture patterns are complete over
-        the stimulus nets by construction, so one validation pass over the
-        launch list suffices.
-        """
-        if strict:
-            check_strict_patterns(
-                self.circuit, launch_patterns, require_complete=True, label="launch pattern"
-            )
-        capture_patterns = derive_capture_patterns(
-            self.circuit, launch_patterns, pulse_order, hold_cells
-        )
-        return self.simulate_pairs(
-            fault_list, launch_patterns, capture_patterns, **kwargs
-        )
 
     # ------------------------------------------------------------------ #
     # Sharded-campaign primitives

@@ -14,7 +14,8 @@ on every decision:
 This is the *reference* engine: it re-implies the whole netlist through
 name-keyed dicts on every decision, and is preserved as the bit-exactness
 oracle and benchmark baseline of the kernel-indexed event-driven engine in
-:mod:`repro.atpg.compiled` (the default since the compiled ATPG refactor).
+:mod:`repro.atpg.compiled`, the one :class:`~repro.atpg.podem.PodemAtpg`
+runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType
 from ..faults.models import StuckAtFault
-from .dcalc import Value5, value5 as _value5
+from ..atpg.dcalc import Value5, value5 as _value5
 
 
 def _eval3(gate_type: GateType, inputs: Sequence[Optional[int]]) -> Optional[int]:

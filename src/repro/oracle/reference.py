@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType, evaluate_packed
-from .packed import DEFAULT_BLOCK_SIZE, iter_blocks, mask_for
+from ..simulation.packed import DEFAULT_BLOCK_SIZE, iter_blocks, mask_for
 
 
 class ReferencePackedSimulator:

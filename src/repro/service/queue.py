@@ -416,7 +416,7 @@ class CampaignService:
         self.checkpoints = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
         )
-        self.prep_cache = ScenarioPrepCache(self.config.kernel_cache_size)
+        self.prep_cache = ScenarioPrepCache(self.config.prep_cache_size)
         self._jobs: dict[str, JobRecord] = {}
         self._totals = JobCounters()
         self._queue: Optional[asyncio.Queue] = None

@@ -10,17 +10,13 @@ Public API:
   kernel and the fault-simulation workhorse),
 * :class:`~repro.simulation.comb_sim.XPropagationSimulator` -- three-valued
   (0/1/X) simulation for X-source analysis and ATPG,
-* :class:`~repro.simulation.reference.ReferencePackedSimulator` /
-  :class:`~repro.simulation.reference.ReferenceFaultSimulator` -- the
-  preserved pre-kernel dict-based path, used as the bit-exactness oracle and
-  benchmark baseline,
-* :class:`~repro.simulation.sequential.SequentialSimulator` -- cycle-accurate
-  scalar simulation with per-clock-domain pulses and scan shifting,
-* :class:`~repro.simulation.event_sim.EventDrivenSimulator` and
-  :func:`~repro.simulation.event_sim.arrival_times` -- delay-annotated timing,
 * :class:`~repro.simulation.waveform.Waveform` -- timing diagrams,
 * the pattern-packing helpers in :mod:`repro.simulation.packed` (the block
   width is a free parameter: 64 / 256 / 1024-bit words all work).
+
+The models the kernel is tested against -- the pre-kernel name-keyed
+simulators and the scalar cycle-accurate sequential simulator -- are oracles
+in :mod:`repro.oracle`.
 """
 
 from .packed import (
@@ -42,9 +38,6 @@ from .numpy_backend import (
     resolve_backend,
 )
 from .comb_sim import PackedSimulator, XPropagationSimulator
-from .reference import ReferenceFaultSimulator, ReferencePackedSimulator
-from .sequential import SequentialSimulator
-from .event_sim import EventDrivenSimulator, arrival_times, earliest_arrival_times, gate_delay
 from .waveform import SignalTrace, Waveform
 
 __all__ = [
@@ -67,13 +60,6 @@ __all__ = [
     "resolve_backend",
     "PackedSimulator",
     "XPropagationSimulator",
-    "ReferencePackedSimulator",
-    "ReferenceFaultSimulator",
-    "SequentialSimulator",
-    "EventDrivenSimulator",
-    "arrival_times",
-    "earliest_arrival_times",
-    "gate_delay",
     "SignalTrace",
     "Waveform",
 ]

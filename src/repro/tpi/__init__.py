@@ -7,9 +7,11 @@ Public API:
 * :func:`~repro.tpi.observation_points.apply_observation_points` /
   :func:`~repro.tpi.observation_points.observation_point_flops`,
 * :class:`~repro.tpi.observability_tpi.ObservabilityGuidedTpi` -- the
-  SCOAP/COP baseline selector (ablation A1),
-* :class:`~repro.tpi.control_points.ControlPointInserter` -- control points,
-  implemented only to quantify the delay penalty the paper avoids.
+  SCOAP/COP baseline selector (ablation A1).
+
+The paper inserts observation points only, so no control-point inserter is
+provided.  The fault simulators TPI profiles with are checked against the
+name-keyed oracle simulators of :mod:`repro.oracle.reference`.
 """
 
 from .observation_points import (
@@ -19,7 +21,6 @@ from .observation_points import (
     observation_point_flops,
 )
 from .observability_tpi import ObservabilityGuidedTpi
-from .control_points import ControlPointInserter, ControlPointPlan
 
 __all__ = [
     "FaultSimGuidedObservationTpi",
@@ -27,6 +28,4 @@ __all__ = [
     "apply_observation_points",
     "observation_point_flops",
     "ObservabilityGuidedTpi",
-    "ControlPointInserter",
-    "ControlPointPlan",
 ]

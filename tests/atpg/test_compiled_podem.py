@@ -1,16 +1,16 @@
 """Differential tests: compiled kernel-indexed ATPG vs the name-keyed oracle.
 
-The compiled engine (:mod:`repro.atpg.compiled`) is the default; the
-reference :class:`~repro.atpg.implication.FaultedEvaluator` and the
-reference PODEM walk are preserved as the bit-exactness oracle.  These tests
-pin the equivalence at both levels:
+The compiled engine (:mod:`repro.atpg.compiled`) is the one ``PodemAtpg``
+runs; the name-keyed :class:`~repro.oracle.implication.FaultedEvaluator` and
+:func:`~repro.oracle.podem.generate_reference` search are its bit-exactness
+oracle.  These tests pin the equivalence at both levels:
 
 * evaluator level -- after any interleaving of assignments and retractions
   the incremental engine's flat arrays hold exactly the values a full
   reference re-implication produces, and every PODEM predicate (test check,
   activation, D-frontier, X-path) agrees,
-* search level -- ``PodemAtpg`` produces identical outcomes, cubes,
-  backtrack and decision counts under both engines, fault for fault.
+* search level -- ``PodemAtpg`` and the oracle search produce identical
+  outcomes, cubes, backtrack and decision counts, fault for fault.
 
 Plus the compiled-only features: per-kernel analysis caching via
 ``shared_kernel`` and the SCOAP-guided backtrace mode.
@@ -23,7 +23,6 @@ import pytest
 from repro.atpg import (
     AtpgOutcome,
     CompiledFaultedEvaluator,
-    FaultedEvaluator,
     PodemAtpg,
     scoap_guidance,
 )
@@ -38,6 +37,7 @@ from repro.faults import (
 )
 from repro.netlist import CircuitBuilder, GateType, parse_bench_text
 from repro.netlist.gates import OPCODE_GATE_TYPES
+from repro.oracle import FaultedEvaluator, generate_reference
 from repro.simulation.kernel import shared_kernel
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
@@ -215,21 +215,15 @@ class TestPodemEquivalence:
     def test_identical_results_fault_for_fault(self, circuit_factory):
         circuit = circuit_factory()
         faults = collapse_stuck_at(circuit).representatives
-        reference = PodemAtpg(circuit, backtrack_limit=60, engine="reference")
-        compiled = PodemAtpg(circuit, backtrack_limit=60, engine="compiled")
+        compiled = PodemAtpg(circuit, backtrack_limit=60)
         for fault in faults:
-            expected = reference.generate(fault)
+            expected = generate_reference(circuit, fault, backtrack_limit=60)
             actual = compiled.generate(fault)
             assert expected.outcome is actual.outcome, str(fault)
             assert expected.backtracks == actual.backtracks, str(fault)
             assert expected.decisions == actual.decisions, str(fault)
             if expected.outcome is AtpgOutcome.SUCCESS:
                 assert expected.cube.assignments == actual.cube.assignments, str(fault)
-
-    def test_unknown_engine_rejected(self):
-        atpg = PodemAtpg(c17(), engine="bogus")
-        with pytest.raises(ValueError, match="unknown ATPG engine"):
-            atpg.generate(StuckAtFault("G10", OUTPUT_PIN, 0))
 
 
 class TestScoapBacktrace:

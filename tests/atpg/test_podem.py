@@ -9,7 +9,6 @@ from repro.atpg import (
     AtpgOutcome,
     D,
     D_BAR,
-    FaultedEvaluator,
     ONE,
     PodemAtpg,
     Value5,
@@ -25,6 +24,7 @@ from repro.faults import (
     collapse_stuck_at,
 )
 from repro.netlist import CircuitBuilder, parse_bench_text
+from repro.oracle import FaultedEvaluator
 
 C17_TEXT = """
 INPUT(G1)

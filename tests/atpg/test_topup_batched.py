@@ -13,6 +13,13 @@ import pytest
 from repro.atpg import TOPUP_PATTERN_BASE, PodemAtpg, TopUpAtpg
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
+from repro.oracle import run_topup_reference, run_topup_with_compaction_reference
+
+#: The oracle walk of each ``TopUpAtpg`` entry point.
+REFERENCE_WALKS = {
+    "run": run_topup_reference,
+    "run_with_compaction": run_topup_with_compaction_reference,
+}
 
 
 def hard_core(seed=77):
@@ -76,16 +83,14 @@ class TestBatchedScreeningEquivalence:
         circuit = hard_core()
         reference_list = run_random_phase(circuit)
         compiled_list = run_random_phase(circuit)
-        reference = getattr(
-            TopUpAtpg(circuit, backtrack_limit=200, seed=11, engine="reference"),
-            method,
-        )(reference_list)
+        reference = REFERENCE_WALKS[method](
+            circuit, reference_list, backtrack_limit=200, seed=11
+        )
         compiled = getattr(
             TopUpAtpg(
                 circuit,
                 backtrack_limit=200,
                 seed=11,
-                engine="compiled",
                 block_size=block_size,
             ),
             method,
@@ -138,9 +143,14 @@ class TestMaxFaultsAccounting:
             [f for f in fault_list.undetected() if isinstance(f, StuckAtFault)]
         )
         cap = max(1, undetected // 3)
-        result = TopUpAtpg(
-            circuit, backtrack_limit=200, seed=19, max_faults=cap, engine=engine
-        ).run(fault_list)
+        if engine == "compiled":
+            result = TopUpAtpg(
+                circuit, backtrack_limit=200, seed=19, max_faults=cap
+            ).run(fault_list)
+        else:
+            result = run_topup_reference(
+                circuit, fault_list, backtrack_limit=200, seed=19, max_faults=cap
+            )
         assert result.skipped_targets == undetected - cap
         assert result.attempted_faults <= cap
 

@@ -1,20 +1,11 @@
-"""Tests for the STUMPS assembly, BIST controller, input selector and Boundary-Scan TAP."""
+"""Tests for the STUMPS assembly and the input selector."""
 
 import pytest
 
-from repro.bist import (
-    BistController,
-    BistState,
-    InputSelector,
-    InputSource,
-    StumpsArchitecture,
-    StumpsDomainConfig,
-    TapController,
-    TapState,
-)
+from repro.bist import InputSelector, InputSource, StumpsArchitecture, StumpsDomainConfig
 from repro.netlist import CircuitBuilder
+from repro.oracle import SequentialSimulator
 from repro.scan import build_scan_chains
-from repro.simulation import SequentialSimulator
 
 
 def two_domain_core(flops_a=6, flops_b=4):
@@ -144,52 +135,6 @@ class TestStumpsArchitecture:
         assert faulty["clkB"] != golden["clkB"]
 
 
-class TestBistController:
-    def test_window_sequencing(self):
-        controller = BistController(total_patterns=3)
-        controller.start()
-        states = []
-        while not controller.finished:
-            states.append(controller.advance())
-        assert states.count(BistState.CAPTURE) == 3
-        assert states[-1] is BistState.DONE
-        assert controller.patterns_done == 3
-
-    def test_outputs_per_state(self):
-        controller = BistController(total_patterns=1)
-        controller.start()
-        controller.advance()  # INIT -> SHIFT
-        outputs = controller.outputs()
-        assert outputs.scan_enable == 1 and outputs.shift_clocks_active
-        controller.advance()  # SHIFT -> CAPTURE
-        outputs = controller.outputs()
-        assert outputs.scan_enable == 0 and outputs.capture_window_active
-        controller.run_to_completion()
-        assert controller.outputs().finish == 1
-
-    def test_signature_comparison(self):
-        golden = {"clkA": 0x12, "clkB": 0x34}
-        controller = BistController(total_patterns=1, golden_signatures=golden)
-        controller.start()
-        controller.record_signatures({"clkA": 0x12, "clkB": 0x34})
-        controller.run_to_completion()
-        assert controller.passed is True
-
-        controller = BistController(total_patterns=1, golden_signatures=golden)
-        controller.start()
-        controller.record_signatures({"clkA": 0x12, "clkB": 0xFF})
-        controller.run_to_completion()
-        assert controller.passed is False
-
-    def test_start_guards(self):
-        controller = BistController(total_patterns=1)
-        with pytest.raises(RuntimeError):
-            controller.advance()
-        controller.start()
-        with pytest.raises(RuntimeError):
-            controller.start()
-
-
 class TestInputSelector:
     def make(self):
         circuit = two_domain_core()
@@ -215,45 +160,3 @@ class TestInputSelector:
     def test_next_patterns_batch(self):
         _, selector = self.make()
         assert len(selector.next_patterns(5)) == 5
-
-
-class TestTapController:
-    def test_reset_reaches_test_logic_reset(self):
-        tap = TapController()
-        tap.clock(0)
-        tap.reset()
-        assert tap.state is TapState.TEST_LOGIC_RESET
-
-    def test_idcode_readout(self):
-        tap = TapController(idcode=0xDEADBEEF)
-        tap.reset()
-        value = tap.read_register("idcode")
-        assert value == 0xDEADBEEF
-
-    def test_write_and_read_seed_register(self):
-        tap = TapController()
-        tap.reset()
-        tap.write_register("lbist_seed", 0x1234_5678_9ABC)
-        assert tap.read_register("lbist_seed") == 0x1234_5678_9ABC
-
-    def test_signature_backdoor_then_scan_out(self):
-        tap = TapController()
-        tap.reset()
-        tap.set_register_value("lbist_signature", 0xCAFE)
-        assert tap.read_register("lbist_signature") == 0xCAFE
-
-    def test_unknown_instruction_rejected(self):
-        tap = TapController()
-        with pytest.raises(KeyError):
-            tap.load_instruction("MAGIC")
-        with pytest.raises(KeyError):
-            tap.write_register("nonexistent", 1)
-
-    def test_bypass_default_after_unknown_code(self):
-        tap = TapController()
-        tap.reset()
-        tap.load_instruction("BYPASS")
-        assert tap.current_instruction == "BYPASS"
-        # Bypass register is a single bit: shifting 2 bits returns the first in.
-        out = tap.shift_data(0b11, 2)
-        assert out in (0b10, 0b11, 0b01)

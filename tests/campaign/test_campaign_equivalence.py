@@ -37,27 +37,34 @@ from repro.faults import (
     FaultSimulator,
     TransitionFaultSimulator,
     collapse_stuck_at,
-    derive_capture_patterns,
 )
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.models import StuckAtFault, TransitionFault
 from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
+from repro.oracle import derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 
 SHARD_COUNTS = (1, 2, 4, 7)
 BLOCK_SIZES = (64, 256)
+#: Transition coverage the serial oracle must reach before a transition
+#: differential compares anything: on 1-stage cores launch-on-capture
+#: detects ~5%, so equal fault lists would be mostly equal "undetected"s.
+MIN_TRANSITION_COVERAGE = 0.15
 
 
-def make_core(seed: int, domains: int = 2):
-    """A randomized small multi-domain core (fresh structure per seed)."""
+def make_core(seed: int, domains: int = 2, pipeline_stages: int = 1):
+    """A randomized small multi-domain core (fresh structure per seed).
+
+    Transition tests pass ``pipeline_stages=3``: register-to-register paths
+    are what launch-on-capture pairs exercise."""
     config = SyntheticCoreConfig(
         name=f"campaign_core_{seed}",
         clock_domains=tuple(f"clk{i + 1}" for i in range(domains)),
         num_inputs=8,
         num_outputs=5,
         register_width=6,
-        pipeline_stages=1,
+        pipeline_stages=pipeline_stages,
         adder_slices=1,
         adder_width=4,
         comparator_widths=(6,),
@@ -200,13 +207,14 @@ class TestNumpyBackendCampaign:
         assert_fault_lists_identical(ref_list, fault_list)
 
     def test_sharded_transition_numpy_matches_python(self):
-        circuit = make_core(19)
+        circuit = make_core(19, pipeline_stages=3)
         launch = random_patterns(circuit, 96, 23)
         capture = derive_capture_patterns(circuit, launch)
         ref_list = FaultList.transition(circuit)
         TransitionFaultSimulator(circuit).simulate_pairs(
             ref_list, launch, capture, block_size=64
         )
+        assert ref_list.coverage() >= MIN_TRANSITION_COVERAGE
         fault_list = FaultList.transition(circuit)
         shard_graph(
             circuit,
@@ -240,13 +248,14 @@ class TestNumpyBackendCampaign:
         assert_fault_lists_identical(ref_list, fault_list)
 
     def test_sharded_transition_budget_matches_python(self):
-        circuit = make_core(19)
+        circuit = make_core(19, pipeline_stages=3)
         launch = random_patterns(circuit, 96, 23)
         capture = derive_capture_patterns(circuit, launch)
         ref_list = FaultList.transition(circuit)
         TransitionFaultSimulator(circuit).simulate_pairs(
             ref_list, launch, capture, block_size=64
         )
+        assert ref_list.coverage() >= MIN_TRANSITION_COVERAGE
         fault_list = FaultList.transition(circuit)
         shard_graph(
             circuit,
@@ -450,7 +459,7 @@ class TestSignatureSharding:
 class TestShardedTransitionSim:
     @pytest.mark.parametrize("fault_shards", (1, 3, 7))
     def test_transition_sharding_bit_identical(self, fault_shards):
-        circuit = make_core(17)
+        circuit = make_core(17, pipeline_stages=3)
         launch = random_patterns(circuit, 72, 23)
         capture = derive_capture_patterns(circuit, launch)
 
@@ -458,6 +467,7 @@ class TestShardedTransitionSim:
         ref_result = TransitionFaultSimulator(circuit).simulate_pairs(
             ref_list, launch, capture, block_size=32
         )
+        assert ref_list.coverage() >= MIN_TRANSITION_COVERAGE
 
         fault_list = FaultList.transition(circuit)
         result = shard_graph(

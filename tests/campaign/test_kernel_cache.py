@@ -367,7 +367,7 @@ class TestServiceTierKernelCache:
         oracle_b = CampaignRunner(num_workers=1).run(scenarios_b).report_bytes()
 
         service, records, _ = self._run_jobs(
-            {"service_config": ServiceConfig(kernel_cache_size=1)},
+            {"service_config": ServiceConfig(prep_cache_size=1)},
             [scenarios_a, scenarios_b, scenarios_a, scenarios_b],
         )
         assert service.prep_cache.stats.evictions > 0

@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.faults.fault_list import GATE_TYPES, FaultRecord
 from repro.simulation import iter_blocks
-from repro.simulation.reference import ReferenceFaultSimulator
+from repro.oracle import ReferenceFaultSimulator
 
 from test_collapse_differential import reference_collapse
 

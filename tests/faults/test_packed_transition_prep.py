@@ -19,9 +19,9 @@ from repro.bist import StumpsArchitecture, StumpsDomainConfig
 from repro.campaign.pipeline import TransitionInput, TransitionPrepStage
 from repro.core import LogicBistConfig
 from repro.core.flow import build_clock_tree
-from repro.faults import derive_capture_patterns
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
+from repro.oracle import derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 from repro.timing.double_capture import CaptureWindowScheduler

@@ -8,10 +8,14 @@ from repro.faults import (
     FaultList,
     TransitionFault,
     TransitionFaultSimulator,
-    derive_capture_patterns,
 )
 from repro.netlist import CircuitBuilder
-from repro.simulation import SequentialSimulator, StrictStimulusError
+from repro.oracle import (
+    SequentialSimulator,
+    derive_capture_patterns,
+    simulate_with_derived_capture,
+)
+from repro.simulation import StrictStimulusError
 
 
 def shift_register_circuit():
@@ -114,7 +118,7 @@ class TestTransitionDetection:
             {"d": rng.randint(0, 1), "ff0": rng.randint(0, 1), "ff1": rng.randint(0, 1)}
             for _ in range(32)
         ]
-        result = sim.simulate_with_derived_capture(fault_list, launch)
+        result = simulate_with_derived_capture(sim, fault_list, launch)
         assert 0.0 < result.coverage <= 1.0
         assert result.coverage_curve[-1][0] == 32
 
@@ -131,9 +135,9 @@ class TestTransitionDetection:
         fault_list = FaultList.transition(circuit)
         launch = [{"d": 1, "ff0_typo": 1, "ff1": 0}]
         with pytest.raises(StrictStimulusError, match="launch pattern 0"):
-            sim.simulate_with_derived_capture(fault_list, launch, strict=True)
+            simulate_with_derived_capture(sim, fault_list, launch, strict=True)
         # Non-strict keeps the historical (silently zero-filled) behaviour.
-        result = sim.simulate_with_derived_capture(fault_list, launch)
+        result = simulate_with_derived_capture(sim, fault_list, launch)
         assert result.pairs_simulated == 1
 
     def test_strict_rejects_missing_launch_net(self):
@@ -141,7 +145,7 @@ class TestTransitionDetection:
         sim = TransitionFaultSimulator(circuit)
         launch = [{"d": 1, "ff0": 0}]  # ff1 missing -> would read 0
         with pytest.raises(StrictStimulusError, match="missing stimulus nets"):
-            sim.simulate_with_derived_capture(FaultList.transition(circuit), launch, strict=True)
+            simulate_with_derived_capture(sim, FaultList.transition(circuit), launch, strict=True)
 
     def test_strict_rejects_misspelled_capture_net(self):
         circuit = shift_register_circuit()
@@ -160,12 +164,12 @@ class TestTransitionDetection:
         sim = TransitionFaultSimulator(circuit)
         fault_list = FaultList.transition(circuit)
         launch = [{"d": 1, "ff0": 0, "ff1": 0}, {"d": 0, "ff0": 1, "ff1": 1}]
-        strict_result = sim.simulate_with_derived_capture(
-            fault_list, launch, strict=True
+        strict_result = simulate_with_derived_capture(
+            sim, fault_list, launch, strict=True
         )
         relaxed_list = FaultList.transition(circuit)
-        relaxed_result = TransitionFaultSimulator(circuit).simulate_with_derived_capture(
-            relaxed_list, launch
+        relaxed_result = simulate_with_derived_capture(
+            TransitionFaultSimulator(circuit), relaxed_list, launch
         )
         assert strict_result.coverage == relaxed_result.coverage
         assert strict_result.coverage_curve == relaxed_result.coverage_curve
@@ -181,6 +185,6 @@ class TestTransitionDetection:
                 {"d": rng.randint(0, 1), "ffa": rng.randint(0, 1), "ffb": rng.randint(0, 1)}
                 for _ in range(num_pairs)
             ]
-            return sim.simulate_with_derived_capture(fl, launch).coverage
+            return simulate_with_derived_capture(sim, fl, launch).coverage
 
         assert run(64) >= run(2)

@@ -19,7 +19,11 @@ from repro.faults import (
     collapse_stuck_at,
 )
 from repro.scan import build_scan_chains
-from repro.simulation import SequentialSimulator
+from repro.oracle import (
+    SequentialSimulator,
+    derive_capture_patterns,
+    simulate_with_derived_capture,
+)
 from repro.timing import CaptureWindowScheduler, make_clock_tree
 from repro.tpi import FaultSimGuidedObservationTpi, ObservabilityGuidedTpi
 
@@ -105,8 +109,8 @@ class TestAtSpeedIntegration:
         launch_patterns = stumps.generate_patterns(64)
         fault_list = FaultList.transition(circuit)
         simulator = TransitionFaultSimulator(circuit)
-        result = simulator.simulate_with_derived_capture(
-            fault_list, launch_patterns, pulse_order=schedule.pulse_order
+        result = simulate_with_derived_capture(
+            simulator, fault_list, launch_patterns, pulse_order=schedule.pulse_order
         )
         assert 0.0 < result.coverage <= 1.0
 
@@ -117,8 +121,6 @@ class TestAtSpeedIntegration:
         architecture = build_scan_chains(circuit, total_chains=2)
         stumps = StumpsArchitecture(architecture, seed=9)
         patterns = stumps.generate_patterns(32)
-        from repro.faults import derive_capture_patterns
-
         a_first = derive_capture_patterns(circuit, patterns, [["clkA"], ["clkB"]])
         b_first = derive_capture_patterns(circuit, patterns, [["clkB"], ["clkA"]])
         assert a_first != b_first

@@ -1,16 +1,8 @@
-"""Tests for waveform traces, event-driven simulation and arrival-time analysis."""
+"""Tests for waveform traces."""
 
 import pytest
 
-from repro.netlist import CellLibrary, CircuitBuilder, GateType
-from repro.simulation import (
-    EventDrivenSimulator,
-    SignalTrace,
-    Waveform,
-    arrival_times,
-    earliest_arrival_times,
-    gate_delay,
-)
+from repro.simulation import SignalTrace, Waveform
 
 
 class TestSignalTrace:
@@ -70,93 +62,3 @@ class TestWaveform:
         text = wave.to_value_change_dump()
         assert "$var wire 1" in text
         assert "clk" in text
-
-
-def inverter_chain(length=3):
-    builder = CircuitBuilder(name="chain")
-    start = builder.input("in0")
-    net = start
-    names = []
-    for i in range(length):
-        net = builder.not_(net, name=f"inv{i}")
-        names.append(net)
-    builder.output(net)
-    return builder.build(), names
-
-
-class TestArrivalTimes:
-    def test_monotone_along_chain(self):
-        circuit, names = inverter_chain(4)
-        times = arrival_times(circuit)
-        previous = times["in0"]
-        for name in names:
-            assert times[name] > previous
-            previous = times[name]
-
-    def test_launch_time_offsets_shift_arrivals(self):
-        circuit, names = inverter_chain(2)
-        base = arrival_times(circuit)
-        shifted = arrival_times(circuit, launch_times={"in0": 3.0})
-        assert shifted[names[-1]] == pytest.approx(base[names[-1]] + 3.0)
-
-    def test_earliest_vs_latest_on_unbalanced_paths(self):
-        builder = CircuitBuilder(name="unbalanced")
-        a = builder.input("a")
-        b = builder.input("b")
-        slow = builder.not_(a)
-        slow = builder.not_(slow)
-        slow = builder.not_(slow)
-        out = builder.and_(slow, b, name="out")
-        builder.output(out)
-        circuit = builder.build()
-        latest = arrival_times(circuit)
-        earliest = earliest_arrival_times(circuit)
-        assert latest["out"] > earliest["out"]
-
-    def test_gate_delay_uses_fanout(self):
-        builder = CircuitBuilder(name="fan")
-        a = builder.input("a")
-        stem = builder.buf(a, name="stem")
-        for i in range(6):
-            builder.output(builder.not_(stem, name=f"leaf{i}"))
-        circuit = builder.build()
-        library = CellLibrary()
-        assert gate_delay(circuit, library, "stem") > library.delay_ns(GateType.BUF, 1, 1)
-
-
-class TestEventDrivenSimulator:
-    def test_chain_propagation_delay(self):
-        circuit, names = inverter_chain(3)
-        sim = EventDrivenSimulator(circuit)
-        sim.initialise({"in0": 0, "inv0": 1, "inv1": 0, "inv2": 1})
-        wave = sim.run({"in0": [(10.0, 1)]})
-        # Output eventually flips to 0 after the input rise.
-        final = wave.signal("inv2")
-        assert final.transitions()
-        assert final.transitions()[-1][2] == 0
-        assert final.transitions()[-1][0] > 10.0
-
-    def test_unknown_net_rejected(self):
-        circuit, _ = inverter_chain(1)
-        sim = EventDrivenSimulator(circuit)
-        with pytest.raises(KeyError):
-            sim.run({"nope": [(0.0, 1)]})
-
-    def test_glitch_visible_on_reconvergent_path(self):
-        # y = AND(a, NOT(a)) should stay 0 statically but can glitch when 'a'
-        # rises because the inverter path is slower.
-        builder = CircuitBuilder(name="glitch")
-        a = builder.input("a")
-        inv = builder.not_(a, name="inv")
-        inv2 = builder.not_(inv, name="inv2")
-        inv3 = builder.not_(inv2, name="inv3")
-        y = builder.and_(a, inv3, name="y")
-        builder.output(y)
-        circuit = builder.build()
-        sim = EventDrivenSimulator(circuit)
-        sim.initialise({"a": 0, "inv": 1, "inv2": 0, "inv3": 1, "y": 0})
-        wave = sim.run({"a": [(5.0, 1)]})
-        y_trace = wave.signal("y")
-        # The glitch: y rises briefly then falls back to 0.
-        assert y_trace.rising_edges()
-        assert y_trace.value_at(100.0) == 0

@@ -2,7 +2,7 @@
 
 The compiled integer-indexed kernel (:mod:`repro.simulation.kernel`) replaced
 the original name-keyed dict path on every hot simulation loop.  That original
-path is preserved verbatim in :mod:`repro.simulation.reference`; this suite
+path is preserved verbatim in :mod:`repro.oracle.reference`; this suite
 generates randomized circuits via :mod:`repro.cores.generator` and asserts the
 two paths are **bit-identical** -- full value tables, cone resimulation
 results, fault detection masks, first-detection indices and coverage curves --
@@ -18,13 +18,8 @@ import pytest
 
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultSimulator, collapse_stuck_at
-from repro.simulation import (
-    PackedSimulator,
-    ReferenceFaultSimulator,
-    ReferencePackedSimulator,
-    StrictStimulusError,
-    iter_blocks,
-)
+from repro.oracle import ReferenceFaultSimulator, ReferencePackedSimulator
+from repro.simulation import PackedSimulator, StrictStimulusError, iter_blocks
 
 BLOCK_SIZES = (1, 17, 64, 256, 1024)
 

@@ -22,8 +22,8 @@ from repro.faults import (
     FaultSimulator,
     TransitionFaultSimulator,
     collapse_stuck_at,
-    derive_capture_patterns,
 )
+from repro.oracle import derive_capture_patterns, simulate_with_derived_capture
 from repro.simulation import (
     HAVE_NUMPY,
     PackedSimulator,
@@ -426,8 +426,8 @@ class TestMemoryBudgetTiling:
         circuit = make_core(23)
         launch = random_patterns(circuit, 96, 79)
         fl_py = FaultList.transition(circuit)
-        result_py = TransitionFaultSimulator(circuit).simulate_with_derived_capture(
-            fl_py, launch, block_size=64
+        result_py = simulate_with_derived_capture(
+            TransitionFaultSimulator(circuit), fl_py, launch, block_size=64
         )
         vec = TransitionFaultSimulator(
             circuit, backend="numpy", memory_budget_mb=0.02
@@ -435,8 +435,8 @@ class TestMemoryBudgetTiling:
         assert vec.stuck_engine.memory_budget_mb == 0.02
         for block_size in (64, 17, 256):
             fl_np = FaultList.transition(circuit)
-            result_np = vec.simulate_with_derived_capture(
-                fl_np, launch, block_size=block_size
+            result_np = simulate_with_derived_capture(
+                vec, fl_np, launch, block_size=block_size
             )
             assert_fault_lists_identical(fl_py, fl_np)
             if block_size == 64:
@@ -612,13 +612,14 @@ class TestTransitionEquivalence:
         circuit = make_core(8)
         launch = random_patterns(circuit, 96, 21)
         fl_py = FaultList.transition(circuit)
-        result_py = TransitionFaultSimulator(circuit).simulate_with_derived_capture(
-            fl_py, launch, block_size=block_size
+        result_py = simulate_with_derived_capture(
+            TransitionFaultSimulator(circuit), fl_py, launch, block_size=block_size
         )
         fl_np = FaultList.transition(circuit)
-        result_np = TransitionFaultSimulator(
-            circuit, backend="numpy"
-        ).simulate_with_derived_capture(fl_np, launch, block_size=block_size)
+        result_np = simulate_with_derived_capture(
+            TransitionFaultSimulator(circuit, backend="numpy"),
+            fl_np, launch, block_size=block_size,
+        )
         assert result_np.coverage_curve == result_py.coverage_curve
         assert_fault_lists_identical(fl_py, fl_np)
 

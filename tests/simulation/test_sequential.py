@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netlist import CircuitBuilder
-from repro.simulation import SequentialSimulator
+from repro.oracle import SequentialSimulator
 
 
 def two_domain_pipeline():

@@ -8,7 +8,6 @@ from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
 from repro.netlist import CellLibrary, CircuitBuilder, validate_circuit
 from repro.simulation import PackedSimulator, iter_blocks
 from repro.tpi import (
-    ControlPointInserter,
     FaultSimGuidedObservationTpi,
     ObservabilityGuidedTpi,
     apply_observation_points,
@@ -176,47 +175,3 @@ class TestObservabilityBaseline:
         full = ObservabilityGuidedTpi(circuit, budget=3).select()
         excluded = ObservabilityGuidedTpi(circuit, budget=3).select(exclude=full.nets)
         assert not set(full.nets) & set(excluded.nets)
-
-
-class TestControlPoints:
-    def test_selection_targets_skewed_nets(self):
-        circuit = blocked_observability_circuit()
-        plan = ControlPointInserter(circuit, budget=4).select()
-        assert len(plan.points) == 4
-        assert plan.total_delay_penalty_ns > 0
-        # The comparator output is heavily skewed toward 0 -> forced to 1.
-        forced = dict(plan.points)
-        skewed_candidates = [net for net, value in plan.points if value == 1]
-        assert skewed_candidates
-
-    def test_apply_rewires_fanout_and_keeps_netlist_valid(self):
-        circuit = blocked_observability_circuit()
-        inserter = ControlPointInserter(circuit, budget=2)
-        plan = inserter.select()
-        inserted = inserter.apply(plan)
-        assert len(inserted) == 2
-        report = validate_circuit(circuit)
-        assert report.ok, [str(i) for i in report.errors]
-
-    def test_functional_mode_preserved_when_enable_low(self):
-        circuit = blocked_observability_circuit()
-        reference = circuit.copy("ref")
-        inserter = ControlPointInserter(circuit, budget=3)
-        plan = inserter.select()
-        inserter.apply(plan)
-        patterns = random_patterns(reference, 12, seed=4)
-        ref_rows = PackedSimulator(reference).run_outputs(patterns, reference.primary_outputs)
-        test_patterns = [dict(p, cp_test_enable=0) for p in patterns]
-        new_rows = PackedSimulator(circuit).run_outputs(test_patterns, reference.primary_outputs)
-        assert ref_rows == new_rows
-
-    def test_enable_high_forces_values(self):
-        circuit = blocked_observability_circuit()
-        inserter = ControlPointInserter(circuit, budget=1)
-        plan = inserter.select()
-        inserted = inserter.apply(plan)
-        net, value = plan.points[0]
-        pattern = {n: 0 for n in circuit.stimulus_nets()}
-        pattern["cp_test_enable"] = 1
-        row = PackedSimulator(circuit).run([pattern])[0]
-        assert row[inserted[0]] == value
