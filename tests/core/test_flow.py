@@ -185,6 +185,23 @@ class TestConfigurationVariants:
         with pytest.raises(ValueError, match="sim_memory_budget_mb"):
             small_config(sim_memory_budget_mb=-16)
 
+    def test_config_pickled_with_atpg_engine_still_loads(self):
+        """A spec or journal pickled while ``LogicBistConfig`` still had the
+        ``atpg_engine`` field loads as the same config: equality and the prep
+        cache's ``repr`` fingerprint see declared fields only."""
+        import pickle
+
+        from repro.service.cache import config_fingerprint
+
+        config = small_config(random_patterns=96)
+        old = pickle.loads(pickle.dumps(config))
+        old.__dict__["atpg_engine"] = "compiled"
+        loaded = pickle.loads(pickle.dumps(old))
+        assert loaded == config
+        assert config_fingerprint(loaded) == config_fingerprint(config)
+        with pytest.raises(TypeError, match="atpg_engine"):
+            small_config(atpg_engine="compiled")
+
     def test_memory_budget_warns_on_python_backend(self):
         """The budget only bounds the numpy scan; asking the bigint
         interpreter to honor it is a config smell, not an error."""

@@ -120,6 +120,20 @@ def test_lifecycle_injection_validation():
         LifecycleInjection(action="explode")
 
 
+def test_service_config_prep_cache_size_validation():
+    assert ServiceConfig(prep_cache_size=1).prep_cache_size == 1
+    with pytest.raises(ValueError, match="prep_cache_size must be >= 1"):
+        ServiceConfig(prep_cache_size=0)
+
+
+def test_service_config_has_one_prep_cache_knob():
+    """The prep cache is sized by ``prep_cache_size`` alone; the old
+    ``kernel_cache_size`` name is not kept as an alias."""
+    with pytest.raises(TypeError, match="kernel_cache_size"):
+        ServiceConfig(kernel_cache_size=4)
+    assert not hasattr(ServiceConfig(), "kernel_cache_size")
+
+
 def test_lifecycle_plan_targets_one_scenario():
     plan = LifecycleChaosPlan(
         [LifecycleInjection(stage=":poison/", on="finish", action="crash",

@@ -5,10 +5,13 @@ The oracles are what the production engines are tested against, so a
 production module that reached one would be checked against itself.  The
 walk reads every module with :mod:`ast` (nothing is imported) and resolves
 relative imports against the module's own package, so ``from ..oracle
-import x`` is caught as surely as ``import repro.oracle``.
+import x`` is caught as surely as ``import repro.oracle``.  The
+selector that once picked the oracle through the config stays deleted.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -99,3 +102,23 @@ def test_walk_ignores_lookalikes():
     source = "from ..atpg import oracle_free\nimport repro.oracles_elsewhere\n"
     names = imported_modules(source, "repro.atpg.topup", is_package=False)
     assert not any(reaches_oracle(name) for name in names)
+
+
+
+@pytest.mark.parametrize(
+    "module, owner, name",
+    [
+        ("repro.core.config", "LogicBistConfig", "atpg_engine"),
+        ("repro.atpg.podem", "PodemAtpg", "engine"),
+        ("repro.atpg.topup", "TopUpAtpg", "engine"),
+        ("repro.atpg", None, "COMPILED_ENGINE"),
+        ("repro.atpg", None, "REFERENCE_ENGINE"),
+    ],
+)
+def test_engine_selector_is_gone(module, owner, name):
+    """The oracle is reached by calling it, never through a production knob."""
+    target = importlib.import_module(module)
+    if owner is not None:
+        target = getattr(target, owner)
+        assert name not in {field.name for field in dataclasses.fields(target)}
+    assert not hasattr(target, name)
