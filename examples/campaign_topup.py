@@ -13,10 +13,12 @@ becomes pooled work:
   exactly once -- the same partitioning the fault-sim shards use),
 * each worker speculatively generates its targets' cubes on the
   kernel-indexed incremental implication engine,
-* a deterministic merge replays the serial skip/fill/screen/compact walk
-  with **block-batched screening** (one PPSFP scan per ``block_size``
-  generated patterns), so the report is byte-identical to the serial walk
-  at any worker count -- verified at the end of this script.
+* a deterministic merge replays the serial skip/fill/screen walk with
+  **block-batched screening** (one PPSFP scan per
+  ``LogicBistConfig.block_size`` generated patterns) and compacts the
+  cubes -- the flow's one top-up path, so the report is byte-identical to
+  the serial walk at any worker count -- verified at the end of this
+  script.
 
 The scenario report then carries both coverage figures plus the full top-up
 accounting (patterns, attempted/successful/untestable/aborted targets, and

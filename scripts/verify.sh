@@ -29,14 +29,16 @@
 #                                 (These tests also run in the fast tier;
 #                                 this tier just isolates them.)
 #   scripts/verify.sh faults      serial fault-layer subset: tests/faults,
-#                                 tests/simulation and tests/tpi with
-#                                 multiprocess pools deselected -- the quick
-#                                 check after touching the stuck-at fault
-#                                 table, fault lists, collapsing, the fault
-#                                 simulators, the numpy scan compile or
-#                                 test-point insertion.  (These tests also
-#                                 run in the fast tier; this tier just
-#                                 isolates them.)
+#                                 tests/simulation, tests/tpi, tests/atpg
+#                                 and tests/testability with multiprocess
+#                                 pools deselected -- the quick check after
+#                                 touching the stuck-at fault table, fault
+#                                 lists, collapsing, the fault simulators,
+#                                 the numpy scan compile, test-point
+#                                 insertion, SCOAP or the top-up screen
+#                                 (which sits on the fault simulator).
+#                                 (These tests also run in the fast tier;
+#                                 this tier just isolates them.)
 #   scripts/verify.sh service     serial campaign-service subset: the
 #                                 service-marked tests (asyncio job queue,
 #                                 crash-injection checkpoint/resume, event
@@ -125,7 +127,7 @@ case "$tier" in
     ;;
   faults)
     exec python -m pytest -x -q -m "not multiprocess" tests/faults \
-      tests/simulation tests/tpi "$@"
+      tests/simulation tests/tpi tests/atpg tests/testability "$@"
     ;;
   service)
     exec python -m pytest -x -q -m "service and not multiprocess" "$@"

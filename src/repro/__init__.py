@@ -6,7 +6,7 @@ The package is organised as one subpackage per subsystem (see DESIGN.md):
 * :mod:`repro.simulation` -- logic / timing simulation,
 * :mod:`repro.faults` -- fault models and fault simulation,
 * :mod:`repro.atpg` -- deterministic test generation (top-up patterns),
-* :mod:`repro.testability` -- SCOAP / COP testability analysis,
+* :mod:`repro.testability` -- SCOAP testability analysis,
 * :mod:`repro.tpi` -- test point insertion,
 * :mod:`repro.scan` -- scan insertion, X-blocking, chain architecture,
 * :mod:`repro.bist` -- PRPG, phase shifter, MISR, STUMPS, controller,

@@ -7,7 +7,7 @@ Public API:
 * :class:`~repro.atpg.topup.TopUpAtpg` -- the top-up pattern campaign used by
   the logic BIST flow (Table 1's "# of Top-Up Patterns" / "Fault Coverage 2"),
   with block-batched candidate screening on the compiled engine,
-* the static compaction helpers in :mod:`repro.atpg.compaction`,
+* static cube merging in :mod:`repro.atpg.compaction`,
 * the five-valued D-calculus values in :mod:`repro.atpg.dcalc` and the
   kernel-indexed event-driven implication engine in
   :mod:`repro.atpg.compiled`.
@@ -18,16 +18,9 @@ one-pattern-at-a-time top-up walk these replaced are oracles in
 """
 
 from .dcalc import D, D_BAR, ONE, X, ZERO, Value5, from_symbol, value5
-from .compiled import CompiledFaultedEvaluator, atpg_adjacency, scoap_guidance
-from .podem import (
-    BACKTRACE_FIRST_X,
-    BACKTRACE_SCOAP,
-    AtpgOutcome,
-    AtpgResult,
-    PodemAtpg,
-    TestCube,
-)
-from .compaction import merge_compatible_cubes, reverse_order_compaction
+from .compiled import CompiledFaultedEvaluator, atpg_adjacency
+from .podem import AtpgOutcome, AtpgResult, PodemAtpg, TestCube
+from .compaction import merge_compatible_cubes
 from .topup import TOPUP_PATTERN_BASE, TopUpAtpg, TopUpResult
 
 __all__ = [
@@ -41,15 +34,11 @@ __all__ = [
     "value5",
     "CompiledFaultedEvaluator",
     "atpg_adjacency",
-    "scoap_guidance",
     "AtpgOutcome",
     "AtpgResult",
     "PodemAtpg",
     "TestCube",
-    "BACKTRACE_FIRST_X",
-    "BACKTRACE_SCOAP",
     "merge_compatible_cubes",
-    "reverse_order_compaction",
     "TOPUP_PATTERN_BASE",
     "TopUpAtpg",
     "TopUpResult",

@@ -2,23 +2,16 @@
 
 The top-up pattern counts reported in Table 1 (135 patterns for Core X, 528
 for Core Y) are post-compaction numbers: a naive one-pattern-per-fault ATPG
-run produces far more cubes, which a compaction pass then merges.  Two
-classical static techniques are provided:
-
-* *cube merging* -- two test cubes that never assign a net to opposite values
-  can be merged into one pattern that detects both target faults,
-* *reverse-order fault simulation* -- simulate the final pattern set in
-  reverse order with fault dropping and discard patterns that no longer
-  detect any new fault.
+run produces far more cubes, which a compaction pass then merges.  The
+flow's one technique is *cube merging*: two test cubes that never assign a
+net to opposite values can be merged into one pattern that detects both
+target faults.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..faults.fault_list import FaultList
-from ..faults.fault_sim import FaultSimulator
-from ..netlist.circuit import Circuit
 from .podem import TestCube
 
 
@@ -39,46 +32,3 @@ def merge_compatible_cubes(cubes: Sequence[TestCube]) -> list[TestCube]:
         else:
             merged.append(TestCube(dict(cube.assignments), cube.fault))
     return merged
-
-
-def reverse_order_compaction(
-    circuit: Circuit,
-    patterns: Sequence[dict[str, int]],
-    fault_list: FaultList,
-    observe_nets: Optional[Sequence[str]] = None,
-    sim_backend: str = "python",
-) -> list[dict[str, int]]:
-    """Drop patterns that detect no fault not already detected by later patterns.
-
-    Parameters
-    ----------
-    circuit:
-        The netlist.
-    patterns:
-        Fully-specified patterns, in generation order.
-    fault_list:
-        The faults the pattern set is meant to cover; a *fresh copy* of the
-        detection state is used, the argument is not mutated.
-    observe_nets:
-        Observation nets (defaults to the circuit's observation nets plus any
-        the caller added, e.g. observation test points).
-    sim_backend:
-        Execution backend for the per-pattern scans ("python" or "numpy";
-        the kept pattern set is backend-invariant).
-
-    Returns
-    -------
-    list
-        The retained patterns, in their original relative order.
-    """
-    simulator = FaultSimulator(circuit, observe_nets, backend=sim_backend)
-    remaining = FaultList(fault_list.faults())
-    keep: list[tuple[int, dict[str, int]]] = []
-    for index in range(len(patterns) - 1, -1, -1):
-        pattern = patterns[index]
-        before = remaining.detected_count()
-        simulator.simulate(remaining, [pattern], drop_detected=True)
-        if remaining.detected_count() > before:
-            keep.append((index, pattern))
-    keep.sort(key=lambda item: item[0])
-    return [pattern for _, pattern in keep]

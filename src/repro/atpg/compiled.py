@@ -20,11 +20,10 @@ shared :class:`~repro.simulation.kernel.CompiledKernel`:
 * the D-frontier scan walks only the fault site's cone (a discrepancy can
   exist nowhere else), and the X-path check runs over interned ID adjacency
   arrays,
-* per-kernel derived analyses -- the ATPG fanout adjacency, the all-X
-  state and the SCOAP backtrace guidance -- are computed once per circuit
-  digest and memoised in ``CompiledKernel.analysis_cache``, so every
-  fault targeted through :func:`~repro.simulation.kernel.shared_kernel`
-  reuses them.
+* per-kernel derived analyses -- the ATPG fanout adjacency and the all-X
+  state -- are computed once per circuit digest and memoised in
+  ``CompiledKernel.analysis_cache``, so every fault targeted through
+  :func:`~repro.simulation.kernel.shared_kernel` reuses them.
 
 Equivalence contract: for any assignment sequence the flat arrays hold
 exactly the values the reference engine's ``implied_values`` would produce,
@@ -132,27 +131,6 @@ def atpg_adjacency(kernel: CompiledKernel) -> AtpgAdjacency:
         adjacency = AtpgAdjacency(kernel)
         kernel.analysis_cache["atpg_adjacency"] = adjacency
     return adjacency
-
-
-def scoap_guidance(kernel: CompiledKernel) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """SCOAP controllability arrays ``(cc0, cc1)`` indexed by net ID.
-
-    Backtrace guidance for :class:`~repro.atpg.podem.PodemAtpg`'s ``"scoap"``
-    mode: when several gate inputs are still X, descend into the one whose
-    required value is cheapest to justify.  Computed once per kernel (one
-    forward SCOAP pass) and cached via ``analysis_cache``, so the cost is
-    shared by every fault targeted against the same circuit content.
-    """
-    cached = kernel.analysis_cache.get("scoap_guidance")
-    if cached is None:
-        from ..testability.scoap import compute_scoap
-
-        measures = compute_scoap(kernel.circuit)
-        cc0 = tuple(measures[name].cc0 for name in kernel.net_names)
-        cc1 = tuple(measures[name].cc1 for name in kernel.net_names)
-        cached = (cc0, cc1)
-        kernel.analysis_cache["scoap_guidance"] = cached
-    return cached
 
 
 def all_x_state(kernel: CompiledKernel) -> tuple[Optional[int], ...]:

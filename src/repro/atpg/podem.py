@@ -21,14 +21,9 @@ Implication runs on the kernel-indexed event-driven engine of
 :mod:`repro.atpg.compiled` -- flat ID arrays, re-implication of only the
 gates whose inputs changed, interned frontier/X-path checks.  The name-keyed
 search it replaced is kept as an oracle,
-:func:`repro.oracle.podem.generate_reference`: with the default
-``"first_x"`` backtrace, the cubes, backtrack and decision counts and
-outcomes of both are identical fault for fault (by differential test).
-
-``backtrace="scoap"`` additionally switches the backtrace heuristic from
-"first X input" to SCOAP-guided easiest-to-justify input selection; the
-guidance tables are precomputed once per compiled kernel
-(:func:`repro.atpg.compiled.scoap_guidance`) and shared across faults.
+:func:`repro.oracle.podem.generate_reference`: the cubes, backtrack and
+decision counts and outcomes of both are identical fault for fault (by
+differential test).  The backtrace always descends into the first X input.
 """
 
 from __future__ import annotations
@@ -40,17 +35,7 @@ from typing import Optional, Sequence
 from ..faults.models import StuckAtFault
 from ..netlist.circuit import Circuit
 from ..netlist.gates import OP_CONST0, OP_CONST1
-from .compiled import (
-    INVERTING_OPS,
-    OP_CONTROLLING_VALUE,
-    CompiledFaultedEvaluator,
-    scoap_guidance,
-)
-
-#: Supported backtrace heuristics ("first_x" is the classical deterministic
-#: choice and the oracle-identical default; "scoap" is guided).
-BACKTRACE_FIRST_X = "first_x"
-BACKTRACE_SCOAP = "scoap"
+from .compiled import INVERTING_OPS, OP_CONTROLLING_VALUE, CompiledFaultedEvaluator
 
 
 class AtpgOutcome(enum.Enum):
@@ -117,18 +102,11 @@ class PodemAtpg:
     circuit: Circuit
     observe_nets: Optional[Sequence[str]] = None
     backtrack_limit: int = 200
-    #: Backtrace heuristic: "first_x" (oracle-identical) or "scoap" (guided).
-    backtrace: str = BACKTRACE_FIRST_X
 
     def generate(self, fault: StuckAtFault) -> AtpgResult:
         """Attempt to generate a test cube for ``fault``."""
-        if self.backtrace not in (BACKTRACE_FIRST_X, BACKTRACE_SCOAP):
-            raise ValueError(f"unknown backtrace heuristic {self.backtrace!r}")
         evaluator = CompiledFaultedEvaluator(self.circuit, fault, self.observe_nets)
         kernel = evaluator.kernel
-        guidance = (
-            scoap_guidance(kernel) if self.backtrace == BACKTRACE_SCOAP else None
-        )
         assignment: dict[int, int] = {}
         # Decision stack entries: (net ID, value, already_flipped).
         stack: list[tuple[int, int, bool]] = []
@@ -158,9 +136,7 @@ class PodemAtpg:
                     dead_end = True
 
             if not dead_end:
-                target_net, target_value = self._backtrace_ids(
-                    evaluator, guidance, *objective
-                )
+                target_net, target_value = self._backtrace_ids(evaluator, *objective)
                 if target_net is None:
                     dead_end = True
                 else:
@@ -228,16 +204,11 @@ class PodemAtpg:
     def _backtrace_ids(
         self,
         evaluator: CompiledFaultedEvaluator,
-        guidance: Optional[tuple[tuple[int, ...], tuple[int, ...]]],
         objective_net: int,
         objective_value: int,
     ) -> tuple[Optional[int], int]:
-        """Trace the objective back to an unassigned stimulus net (ID space).
-
-        ``guidance`` is ``None`` for the classical first-X-input descent or
-        the per-kernel ``(cc0, cc1)`` SCOAP arrays for guided descent (pick
-        the X input whose required value is cheapest to justify).
-        """
+        """Trace the objective back to an unassigned stimulus net (ID space),
+        descending into the first X input of each gate."""
         kernel = evaluator.kernel
         stimulus = evaluator.adjacency.stimulus
         sched_pos = kernel.sched_pos
@@ -257,20 +228,10 @@ class PodemAtpg:
             if op in INVERTING_OPS:
                 value = 1 - value
             chosen: Optional[int] = None
-            if guidance is None:
-                for nid in kernel.operands[pos]:
-                    if evaluator.is_x(nid):
-                        chosen = nid
-                        break
-            else:
-                cc = guidance[value]
-                best_cost: Optional[int] = None
-                for nid in kernel.operands[pos]:
-                    if evaluator.is_x(nid) and (
-                        best_cost is None or cc[nid] < best_cost
-                    ):
-                        chosen = nid
-                        best_cost = cc[nid]
+            for nid in kernel.operands[pos]:
+                if evaluator.is_x(nid):
+                    chosen = nid
+                    break
             if chosen is None:
                 return None, value
             net = chosen

@@ -39,14 +39,7 @@ from ..faults.models import FaultStatus, StuckAtFault
 from ..netlist.circuit import Circuit
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, mask_for
 from .compaction import merge_compatible_cubes
-from .podem import (
-    BACKTRACE_FIRST_X,
-    BACKTRACE_SCOAP,
-    AtpgOutcome,
-    AtpgResult,
-    PodemAtpg,
-    TestCube,
-)
+from .podem import AtpgOutcome, AtpgResult, PodemAtpg, TestCube
 
 logger = logging.getLogger(__name__)
 
@@ -105,17 +98,6 @@ class _ScreenBuffer:
         self._words: dict[str, int] = {}
         self._table = simulator.kernel.make_table()
         self._dirty = False
-        #: Patterns already flushed (the buffer's base offset within the
-        #: top-up phase).
-        self.flushed = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def emitted(self) -> int:
-        """Total patterns seen (flushed + buffered)."""
-        return self.flushed + self._count
 
     def append(self, pattern: Mapping[str, int]) -> None:
         """Buffer one fully-specified pattern (flush separately when full).
@@ -148,12 +130,11 @@ class _ScreenBuffer:
             self._dirty = False
         return bool(self.simulator.detection_mask_ids(fault, self._table, num))
 
-    def flush(self, fault_list: FaultList, pattern_offset_base: Optional[int]) -> None:
+    def flush(self, fault_list: FaultList) -> None:
         """Retire the buffered patterns with one PPSFP scan (with dropping).
 
-        ``pattern_offset_base`` is the global index of the *phase's* first
-        pattern (detections are credited at ``base + position``); ``None``
-        runs the scan purely for its dropping side effect (scratch lists).
+        Only the dropping counts: ``fault_list`` is the scratch list of
+        targets, so detection indices are not kept.
         """
         if not self._count:
             return
@@ -161,13 +142,7 @@ class _ScreenBuffer:
             {net: self._words.get(net, 0) for net in self.stimulus_nets},
             self._count,
         )
-        self.simulator.simulate_blocks(
-            fault_list,
-            [block],
-            drop_detected=True,
-            pattern_offset=(pattern_offset_base or 0) + self.flushed,
-        )
-        self.flushed += self._count
+        self.simulator.simulate_blocks(fault_list, [block], drop_detected=True)
         self._count = 0
         self._words = {}
         self._dirty = False
@@ -183,8 +158,6 @@ class TopUpAtpg:
     seed: int = 2005
     #: Upper bound on targeted faults (None = all undetected faults).
     max_faults: Optional[int] = None
-    #: PODEM backtrace heuristic (see PodemAtpg).
-    backtrace: str = BACKTRACE_FIRST_X
     #: Screening block width: generated patterns buffered per PPSFP scan.
     block_size: int = DEFAULT_BLOCK_SIZE
     #: Simulation backend for the screening scans ("python" or "numpy").
@@ -192,8 +165,6 @@ class TopUpAtpg:
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.backtrace not in (BACKTRACE_FIRST_X, BACKTRACE_SCOAP):
-            raise ValueError(f"unknown backtrace heuristic {self.backtrace!r}")
         self._rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #
@@ -228,30 +199,15 @@ class TopUpAtpg:
         """The PODEM generator this driver's runs use.
 
         Public because the campaign's :class:`PodemShardStage` workers must
-        generate with exactly the heuristic the merge replay assumes.
+        generate with exactly the backtrack limit the merge replay assumes.
         """
-        return PodemAtpg(
-            self.circuit,
-            self.observe_nets,
-            self.backtrack_limit,
-            backtrace=self.backtrace,
-        )
+        return PodemAtpg(self.circuit, self.observe_nets, self.backtrack_limit)
 
     # ------------------------------------------------------------------ #
     # Public entry points
     # ------------------------------------------------------------------ #
-    def run(self, fault_list: FaultList) -> TopUpResult:
-        """Generate top-up patterns for the undetected faults in ``fault_list``.
-
-        The fault list is updated in place: faults covered by the generated
-        patterns are marked detected, proven-redundant faults are marked
-        untestable, and aborted faults are marked aborted.
-        """
-        targets, skipped = self.plan_targets(fault_list)
-        return self._run_batched(fault_list, targets, skipped, self.podem().generate)
-
     def run_with_compaction(self, fault_list: FaultList) -> TopUpResult:
-        """Like :meth:`run`, but merge compatible cubes into the final pattern set.
+        """Generate compacted top-up patterns for the undetected faults.
 
         The generation loop is incremental (faults already covered by earlier
         cubes are skipped, so PODEM is only invoked for faults that still
@@ -259,17 +215,17 @@ class TopUpAtpg:
         and the *merged* patterns are fault-simulated against the real fault
         list -- so both the reported pattern count and the final coverage
         describe exactly the pattern set that would be scanned into silicon.
+        The fault list is updated in place: faults the merged patterns cover
+        are marked detected, proven-redundant targets untestable and
+        aborted targets aborted.
         """
         targets, skipped = self.plan_targets(fault_list)
-        return self._run_with_compaction_batched(
-            fault_list, targets, skipped, self.podem().generate
-        )
+        return self._run(fault_list, targets, skipped, self.podem().generate)
 
     def run_prepared(
         self,
         fault_list: FaultList,
         prepared: Mapping[StuckAtFault, AtpgResult],
-        compaction: bool = True,
     ) -> TopUpResult:
         """Replay a top-up campaign from pre-generated PODEM attempts.
 
@@ -287,65 +243,12 @@ class TopUpAtpg:
                 f"run_prepared is missing attempts for {len(missing)} targets "
                 f"(first: {missing[0]})"
             )
-        generate = prepared.__getitem__
-        if compaction:
-            return self._run_with_compaction_batched(
-                fault_list, targets, skipped, generate
-            )
-        return self._run_batched(fault_list, targets, skipped, generate)
+        return self._run(fault_list, targets, skipped, prepared.__getitem__)
 
     # ------------------------------------------------------------------ #
     # Block-batched screening
     # ------------------------------------------------------------------ #
-    def _run_batched(
-        self,
-        fault_list: FaultList,
-        targets: Sequence[StuckAtFault],
-        skipped: int,
-        generate: Callable[[StuckAtFault], AtpgResult],
-    ) -> TopUpResult:
-        simulator = FaultSimulator(
-            self.circuit, self.observe_nets, backend=self.sim_backend
-        )
-        result = TopUpResult(
-            patterns=[],
-            cubes=[],
-            coverage_before=fault_list.coverage(),
-            skipped_targets=skipped,
-        )
-        stimulus_nets = self.circuit.stimulus_nets()
-        screen = _ScreenBuffer(simulator, stimulus_nets, self.block_size)
-        for fault in targets:
-            # The fault may have been covered by a pattern generated for an
-            # earlier fault in this very loop -- either one already flushed
-            # into the fault list or one still sitting in the buffer.
-            if fault_list.record(fault).status is FaultStatus.DETECTED:
-                continue
-            if screen.detects(fault):
-                continue
-            result.attempted_faults += 1
-            attempt = generate(fault)
-            result.backtracks += attempt.backtracks
-            if attempt.outcome is AtpgOutcome.UNTESTABLE:
-                fault_list.mark_untestable(fault)
-                result.untestable_faults += 1
-                continue
-            if attempt.outcome is AtpgOutcome.ABORTED:
-                fault_list.mark_aborted(fault)
-                result.aborted_faults += 1
-                continue
-            result.successful_faults += 1
-            result.cubes.append(attempt.cube)
-            pattern = attempt.cube.fill_random(self._rng, stimulus_nets)
-            screen.append(pattern)
-            result.patterns.append(pattern)
-            if screen.full:
-                screen.flush(fault_list, TOPUP_PATTERN_BASE)
-        screen.flush(fault_list, TOPUP_PATTERN_BASE)
-        result.coverage_after = fault_list.coverage()
-        return result
-
-    def _run_with_compaction_batched(
+    def _run(
         self,
         fault_list: FaultList,
         targets: Sequence[StuckAtFault],
@@ -390,7 +293,7 @@ class TopUpAtpg:
             filled = attempt.cube.fill_random(self._rng, stimulus_nets)
             screen.append(filled)
             if screen.full:
-                screen.flush(scratch, None)
+                screen.flush(scratch)
 
         result.cubes = cubes
         merged = merge_compatible_cubes(cubes)

@@ -676,19 +676,14 @@ def build_topup_atpg(circuit: Circuit, config: LogicBistConfig) -> TopUpAtpg:
 
     The single construction path shared by the serial top-up stage, the
     pooled merge replay and the PODEM shard workers, so every stage agrees
-    on the backtrace heuristic, screening width and RNG seed.
+    on the backtrack limit, screening width and RNG seed.
     """
     return TopUpAtpg(
         circuit,
         backtrack_limit=config.topup_backtrack_limit,
         seed=config.topup_seed,
         max_faults=config.topup_max_faults,
-        backtrace=config.atpg_backtrace,
-        block_size=(
-            config.topup_block_size
-            if config.topup_block_size is not None
-            else config.block_size
-        ),
+        block_size=config.block_size,
         sim_backend=config.sim_backend,
     )
 
@@ -782,11 +777,9 @@ class TopUpSerialStage:
     def run(self, inputs: TopUpInput) -> TopUpOutcome:
         config = self.config
         fault_list = inputs.fault_list
-        topup = build_topup_atpg(inputs.core.circuit, config)
-        if config.topup_compaction:
-            result = topup.run_with_compaction(fault_list)
-        else:
-            result = topup.run(fault_list)
+        result = build_topup_atpg(inputs.core.circuit, config).run_with_compaction(
+            fault_list
+        )
         # The top-up patterns reach the core through the input selector.
         _apply_input_selector(inputs.core, config, result)
         return TopUpOutcome(result=result, fault_list=fault_list)
@@ -830,9 +823,7 @@ class TopUpMergeStage:
         for shard in shard_results:
             for index, attempt in shard:
                 prepared[targets[index]] = attempt
-        result = topup.run_prepared(
-            fault_list, prepared, compaction=config.topup_compaction
-        )
+        result = topup.run_prepared(fault_list, prepared)
         _apply_input_selector(inputs.core, config, result)
         return TopUpOutcome(result=result, fault_list=fault_list)
 

@@ -8,7 +8,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from ..scan.insertion import ScanInsertionConfig
-from ..simulation.packed import DEFAULT_BLOCK_SIZE
+from ..simulation.packed import BACKENDS, DEFAULT_BLOCK_SIZE
+
+#: Every recognised ``tpi_method``: the paper's fault-simulation-guided
+#: selection, the observability-calculation baseline, or no test points.
+TPI_METHODS = ("fault_sim", "observability", "none")
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -134,7 +139,8 @@ class LogicBistConfig:
     # ------------------------------------------------------------------ #
     #: Observation-point budget (the paper inserts 1 K observe-only points).
     observation_point_budget: int = 16
-    #: TPI method: "fault_sim" (the paper) or "observability" (baseline) or "none".
+    #: TPI method, one of :data:`TPI_METHODS`: "fault_sim" (the paper),
+    #: "observability" (baseline) or "none".
     tpi_method: str = "fault_sim"
     #: Patterns used for the preliminary fault simulation that guides TPI.
     #: The fault-sim selector profiles fault effects over at most the first
@@ -152,19 +158,8 @@ class LogicBistConfig:
     topup_max_faults: Optional[int] = None
     #: PODEM backtrack limit for top-up ATPG.
     topup_backtrack_limit: int = 100
-    #: Merge compatible top-up cubes before scan-in (static compaction).
-    topup_compaction: bool = True
     #: Seed for top-up random fill.
     topup_seed: int = 2005
-    #: PODEM backtrace heuristic: ``"first_x"`` (classical deterministic
-    #: first-X-input descent, identical to the name-keyed oracle search
-    #: :func:`repro.oracle.podem.generate_reference`) or
-    #: ``"scoap"`` (SCOAP-guided easiest-to-justify descent; guidance tables
-    #: are computed once per compiled kernel and shared across faults).
-    atpg_backtrace: str = "first_x"
-    #: Screening block width for top-up candidate patterns (patterns
-    #: buffered per PPSFP retirement scan).  ``None`` follows ``block_size``.
-    topup_block_size: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Clocking
@@ -235,22 +230,8 @@ class LogicBistConfig:
     sim_memory_budget_mb: Optional[float] = None
 
     # ------------------------------------------------------------------ #
-    # Sharded campaign execution
+    # Campaign scenarios
     # ------------------------------------------------------------------ #
-    #: Fault shards of the flow's fault-simulation fan-outs (None = one
-    #: shard per pipeline worker, or one shard on the serial walk).
-    campaign_fault_shards: Optional[int] = None
-    #: The flow's one worker knob: processes draining its *stage graph*
-    #: (scan prep, TPI profiling, STUMPS/session assembly, fault-sim
-    #: shards, signature derivation + folds, top-up, transition
-    #: measurement).  0 or 1 walks the graph serially in-process (the
-    #: default and the bit-exactness oracle); >= 2 drains the same graph
-    #: through a :class:`~repro.campaign.scheduler.PooledScheduler` pool, so
-    #: preparation and shard scans alike become pooled work.  Results are
-    #: bit-identical to the serial walk by construction (and by test).
-    #: :class:`~repro.campaign.runner.CampaignRunner` manages its own pool
-    #: and ignores this field.
-    pipeline_workers: int = 0
     #: Run the deterministic ATPG top-up phase inside campaign scenarios
     #: (:class:`~repro.campaign.runner.CampaignRunner`): PODEM target shards
     #: fan out through the campaign pool (site-local keyed round-robin) and
@@ -271,6 +252,14 @@ class LogicBistConfig:
     retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
+        if self.tpi_method not in TPI_METHODS:
+            raise ValueError(
+                f"unknown tpi_method {self.tpi_method!r}: expected one of {TPI_METHODS}"
+            )
+        if self.sim_backend not in BACKENDS:
+            raise ValueError(
+                f"unknown sim_backend {self.sim_backend!r}: expected one of {BACKENDS}"
+            )
         if self.sim_memory_budget_mb is not None:
             if self.sim_memory_budget_mb <= 0:
                 raise ValueError(

@@ -18,12 +18,11 @@ insertion + sign-off flow would run them:
 4. **Top-up ATPG phase** -- PODEM targets the remaining faults, cubes are
    compacted and random-filled, and the patterns are applied through the
    input selector, giving "# of Top-Up Patterns" and "Fault Coverage 2".
-   This phase runs kernel-indexed PODEM with block-batched candidate
-   screening (``atpg_backtrace``/``topup_block_size`` in
-   :class:`~repro.core.config.LogicBistConfig`); the name-keyed PODEM
+   This phase runs kernel-indexed PODEM with first-X backtrace and
+   candidate screening in ``block_size``-wide blocks; the name-keyed PODEM
    search and one-pattern-at-a-time walk it must match are oracles in
    :mod:`repro.oracle`, called only by tests and benchmarks.  Under a
-   pooled scheduler the
+   pooled scheduler (``LogicBistFlow(num_workers >= 2)``) the
    :class:`~repro.campaign.pipeline.TopUpStage` expansion fans PODEM
    targets out across site-local worker shards -- results byte-identical
    to the serial walk either way.
@@ -69,7 +68,7 @@ class PhaseTiming:
 
     Summed over the phase's pipeline stages: on the default serial walk this
     *is* the phase's wall-clock, exactly as before; on a pooled run
-    (``pipeline_workers`` >= 2) it sums concurrent
+    (``LogicBistFlow(num_workers >= 2)``) it sums concurrent
     workers' compute, so the five entries can total more than
     ``LogicBistResult.cpu_time_seconds`` (which stays end-to-end wall).
     """
@@ -152,7 +151,7 @@ def insert_test_points(
         plan = ObservabilityGuidedTpi(
             core.circuit, budget=config.observation_point_budget
         ).select()
-    elif config.tpi_method == "fault_sim":
+    else:
         blocks = list(
             build_stumps(core, config).generate_packed_blocks(
                 config.tpi_profile_patterns,
@@ -173,8 +172,6 @@ def insert_test_points(
             profile_patterns=min(config.tpi_profile_patterns, 128),
         )
         plan = tpi.select(fault_list, blocks)
-    else:
-        raise ValueError(f"unknown tpi_method {config.tpi_method!r}")
     if plan.nets:
         finalize_with_observation_points(core, plan, config)
     else:
@@ -266,7 +263,12 @@ def credit_chain_flush(core: BistReadyCore, fault_list: FaultList) -> int:
 
 @dataclass
 class LogicBistResult:
-    """Everything the flow measured -- the superset of a Table 1 column."""
+    """Everything the flow measured -- the superset of a Table 1 column.
+
+    Every measurement here is the same whatever ``num_workers`` and
+    ``fault_shards`` the :class:`LogicBistFlow` ran with; only the seconds
+    in ``phase_timings`` and ``cpu_time_seconds`` differ.
+    """
 
     core_name: str
     config: LogicBistConfig
@@ -322,15 +324,19 @@ class LogicBistResult:
 class LogicBistFlow:
     """Configuration-driven implementation of the paper's logic BIST scheme.
 
-    Since PR 4 the flow *is* the degenerate serial walk of the campaign
+    The flow *is* the degenerate serial walk of the campaign
     stage graph (:mod:`repro.campaign.pipeline`): ``run`` wires the
     scenario's phases -- scan prep, TPI, STUMPS/session assembly, fault-sim
     shard fan-out, per-domain MISR signature folds, top-up ATPG, optional
     transition measurement -- into stage nodes and executes them on the
     in-process :class:`~repro.campaign.scheduler.SerialScheduler` (the
-    bit-exactness oracle).  With ``pipeline_workers >= 2`` the *same* graph
+    bit-exactness oracle).  With ``num_workers >= 2`` the *same* graph
     drains through a :class:`~repro.campaign.scheduler.PooledScheduler`
-    worker pool instead: one code path, two schedulers.
+    worker pool instead: one code path, two schedulers.  ``num_workers``
+    and ``fault_shards`` mean what they mean on
+    :class:`~repro.campaign.runner.CampaignRunner`: processes draining the
+    graph, and fault shards per fault-simulation and top-up fan-out (default
+    one per worker).  Neither changes a reported number.
 
     Note: the signature folds operate on per-domain copies (as the campaign
     always did), so ``result.stumps`` no longer carries post-fold MISR state
@@ -341,8 +347,15 @@ class LogicBistFlow:
     is scheduler-invariant, register state was never part of the contract.
     """
 
-    def __init__(self, config: Optional[LogicBistConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[LogicBistConfig] = None,
+        num_workers: int = 1,
+        fault_shards: Optional[int] = None,
+    ) -> None:
         self.config = config or LogicBistConfig()
+        self.num_workers = num_workers
+        self.fault_shards = fault_shards if fault_shards is not None else max(1, num_workers)
         self.library = CellLibrary()
 
     # ------------------------------------------------------------------ #
@@ -356,11 +369,6 @@ class LogicBistFlow:
         config = self.config
         flow_start = time.perf_counter()
 
-        workers = config.pipeline_workers
-        if config.campaign_fault_shards is not None:
-            fault_shards = config.campaign_fault_shards
-        else:
-            fault_shards = workers if workers >= 2 else 1
         scenario_key = f"flow:{core_name or circuit.name}"
         nodes, keys = scenario_stage_nodes(
             scenario_key,
@@ -368,7 +376,7 @@ class LogicBistFlow:
             config,
             library=self.library,
             scenario_name=core_name or circuit.name,
-            fault_shards=fault_shards,
+            fault_shards=self.fault_shards,
             include_topup=True,
             include_transition=config.measure_transition_coverage,
         )
@@ -376,7 +384,9 @@ class LogicBistFlow:
         # outcome here: a stage that exhausts config.retry's attempts
         # raises.  Retries themselves (and pooled timeout/crash recovery)
         # still apply.
-        pipeline_run = make_scheduler(workers, retry_policy=config.retry).run(nodes)
+        pipeline_run = make_scheduler(
+            self.num_workers, retry_policy=config.retry
+        ).run(nodes)
 
         tpi: "TpiOutcome" = pipeline_run.value(keys["tpi"])
         bundle = pipeline_run.value(keys["bundle"])

@@ -40,8 +40,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gates import evaluate_packed
-from ..simulation.comb_sim import PackedSimulator
-from ..simulation.kernel import StrictStimulusError
+from ..simulation.kernel import StrictStimulusError, shared_kernel
 from ..simulation.numpy_backend import (
     NUMPY_BACKEND,
     PYTHON_BACKEND,
@@ -223,10 +222,7 @@ class FaultSimulator:
         #: per-block workspaces -- see ``FaultScanKernel``.
         self.memory_budget_mb = memory_budget_mb
         self._memory_budget_bytes = resolve_memory_budget_mb(memory_budget_mb)
-        self.simulator = PackedSimulator(
-            circuit, backend=backend, memory_budget_mb=memory_budget_mb
-        )
-        self.kernel = self.simulator.kernel
+        self.kernel = shared_kernel(circuit)
         #: The kernel's canonical stuck-at table (fault IDs are its rows).
         self.table = stuck_at_table(self.kernel)
         self.observe_nets = (
@@ -558,22 +554,6 @@ class FaultSimulator:
     # ------------------------------------------------------------------ #
     # Sharded-campaign primitives
     # ------------------------------------------------------------------ #
-    def shard_state(self, faults: Sequence[StuckAtFault]) -> FaultSimShardState:
-        """Pickleable shard state for campaign fan-out over ``faults``.
-
-        The returned record carries everything a worker process needs to
-        rebuild this simulator bit for bit (circuit, observation nets,
-        execution backend) plus the canonical fault ordering that shard
-        tasks index into.
-        """
-        return FaultSimShardState(
-            circuit=self.circuit,
-            observe_nets=tuple(self.observe_nets),
-            faults=tuple(faults),
-            sim_backend=self.backend,
-            sim_memory_budget_mb=self.memory_budget_mb,
-        )
-
     def first_detections(
         self,
         faults: Sequence[StuckAtFault],

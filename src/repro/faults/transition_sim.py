@@ -248,7 +248,6 @@ class TransitionFaultSimulator:
             memory_budget_mb=memory_budget_mb,
         )
         self.backend = self.stuck_engine.backend
-        self.simulator = self.stuck_engine.simulator
         # Most-recently compiled numpy pair-scan state: (order, scan).
         self._np_pair_scan: Optional[tuple[tuple, _NumpyPairScan]] = None
 
@@ -358,7 +357,7 @@ class TransitionFaultSimulator:
             (index, site_id, rise, spec(fid))
             for index, (fid, site_id, rise) in enumerate(zip(*order))
         ]
-        kernel = self.simulator.kernel
+        kernel = stuck.kernel
         good_launch = kernel.make_table()
         good_capture = kernel.make_table()
         for launch_block, capture_block in pairs:

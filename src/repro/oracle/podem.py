@@ -5,8 +5,8 @@ backtrace, implication, X-path pruning, backtrack on the latest unflipped
 decision -- run on the name-keyed
 :class:`~repro.oracle.implication.FaultedEvaluator`, which re-implies the
 whole netlist through dicts on every decision.  Its cubes, backtrack counts,
-decision counts and outcomes are what ``PodemAtpg`` (with the default
-``"first_x"`` backtrace) must reproduce fault for fault.
+decision counts and outcomes are what ``PodemAtpg`` must reproduce fault
+for fault.
 """
 
 from __future__ import annotations

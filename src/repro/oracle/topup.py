@@ -1,9 +1,9 @@
 """The one-pattern-at-a-time top-up walk: the oracle of :class:`~repro.atpg.topup.TopUpAtpg`.
 
-Both walks target the undetected faults in :meth:`TopUpAtpg.plan_targets
+The walk targets the undetected faults in :meth:`TopUpAtpg.plan_targets
 <repro.atpg.topup.TopUpAtpg.plan_targets>` order with the name-keyed PODEM
-search (:func:`repro.oracle.podem.generate_reference`), random-fill each cube
-from ``random.Random(seed)`` and retire every new pattern with its own
+search (:func:`repro.oracle.podem.generate_reference`), random-fills each cube
+from ``random.Random(seed)`` and retires every new pattern with its own
 width-1 fault-simulation scan.  A fresh :class:`TopUpAtpg` with the same
 arguments must return the same :class:`~repro.atpg.topup.TopUpResult` and
 leave the fault list in the same state, at any screening block width.
@@ -22,55 +22,6 @@ from ..faults.fault_sim import FaultSimulator
 from ..faults.models import StuckAtFault
 from ..netlist.circuit import Circuit
 from .podem import generate_reference
-
-
-def run_topup_reference(
-    circuit: Circuit,
-    fault_list: FaultList,
-    observe_nets: Optional[Sequence[str]] = None,
-    backtrack_limit: int = 200,
-    seed: int = 2005,
-    max_faults: Optional[int] = None,
-) -> TopUpResult:
-    """The oracle of :meth:`TopUpAtpg.run <repro.atpg.topup.TopUpAtpg.run>`."""
-    rng = random.Random(seed)
-    simulator = FaultSimulator(circuit, observe_nets)
-    targets, skipped = TopUpAtpg(circuit, max_faults=max_faults).plan_targets(fault_list)
-    result = TopUpResult(
-        patterns=[],
-        cubes=[],
-        coverage_before=fault_list.coverage(),
-        skipped_targets=skipped,
-    )
-
-    stimulus_nets = circuit.stimulus_nets()
-    for fault in targets:
-        # The fault may have been covered by a pattern generated for an
-        # earlier fault in this very loop.
-        if fault not in set(fault_list.undetected()):
-            continue
-        result.attempted_faults += 1
-        attempt = generate_reference(circuit, fault, observe_nets, backtrack_limit)
-        result.backtracks += attempt.backtracks
-        if attempt.outcome is AtpgOutcome.UNTESTABLE:
-            fault_list.mark_untestable(fault)
-            result.untestable_faults += 1
-            continue
-        if attempt.outcome is AtpgOutcome.ABORTED:
-            fault_list.mark_aborted(fault)
-            result.aborted_faults += 1
-            continue
-        result.successful_faults += 1
-        result.cubes.append(attempt.cube)
-        pattern = attempt.cube.fill_random(rng, stimulus_nets)
-        pattern_index = TOPUP_PATTERN_BASE + len(result.patterns)
-        simulator.simulate(
-            fault_list, [pattern], drop_detected=True, pattern_offset=pattern_index
-        )
-        result.patterns.append(pattern)
-
-    result.coverage_after = fault_list.coverage()
-    return result
 
 
 def run_topup_with_compaction_reference(

@@ -86,6 +86,7 @@ from ..netlist.gates import (
 )
 from ..util.cache import KeyedLruCache
 from .kernel import CompiledKernel, ConePlan
+from .packed import BACKENDS, NUMPY_BACKEND, PYTHON_BACKEND
 
 try:  # pragma: no cover - exercised implicitly by every numpy test
     import numpy as np
@@ -94,14 +95,6 @@ try:  # pragma: no cover - exercised implicitly by every numpy test
 except ImportError:  # pragma: no cover - the dependency-free fast tier
     np = None
     HAVE_NUMPY = False
-
-
-#: The default backend: the bigint interpreter, always available, the oracle.
-PYTHON_BACKEND = "python"
-#: The opt-in vectorised backend provided by this module.
-NUMPY_BACKEND = "numpy"
-#: Every recognised ``sim_backend`` value.
-BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
 
 
 class SimBackendError(RuntimeError):

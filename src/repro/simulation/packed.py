@@ -27,6 +27,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 #: Default number of patterns per packed block.
 DEFAULT_BLOCK_SIZE = 64
 
+#: The default backend: the bigint interpreter, always available, the oracle.
+PYTHON_BACKEND = "python"
+#: The opt-in vectorised backend (:mod:`repro.simulation.numpy_backend`).
+NUMPY_BACKEND = "numpy"
+#: Every recognised ``sim_backend`` value.
+BACKENDS = (PYTHON_BACKEND, NUMPY_BACKEND)
+
 
 def mask_for(num_patterns: int) -> int:
     """Bit mask with ``num_patterns`` low bits set."""

@@ -1,36 +1,16 @@
-"""Testability analysis (S5): SCOAP and COP measures.
+"""Testability analysis (S5): SCOAP measures.
 
-Public API:
-
-* :func:`~repro.testability.scoap.compute_scoap` and
-  :func:`~repro.testability.scoap.hardest_to_observe`,
-* :func:`~repro.testability.cop.compute_cop`,
-  :func:`~repro.testability.cop.detection_probability`,
-  :func:`~repro.testability.cop.expected_coverage` and
-  :func:`~repro.testability.cop.random_resistant_nets`.
+Public API: :func:`~repro.testability.scoap.compute_scoap` and
+:func:`~repro.testability.scoap.hardest_to_observe`.  They rank the
+candidates of the observability-calculation TPI baseline
+(:class:`~repro.tpi.observability_tpi.ObservabilityGuidedTpi`).
 """
 
 from .scoap import INFINITE, ScoapMeasures, compute_scoap, hardest_to_observe
-from .cop import (
-    CopMeasures,
-    compute_cop,
-    detection_probability,
-    expected_coverage,
-    observabilities,
-    random_resistant_nets,
-    signal_probabilities,
-)
 
 __all__ = [
     "INFINITE",
     "ScoapMeasures",
     "compute_scoap",
     "hardest_to_observe",
-    "CopMeasures",
-    "compute_cop",
-    "detection_probability",
-    "expected_coverage",
-    "observabilities",
-    "random_resistant_nets",
-    "signal_probabilities",
 ]

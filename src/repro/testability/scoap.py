@@ -154,16 +154,17 @@ def hardest_to_observe(
 
     This is the classical observability-calculation heuristic for observation
     test-point placement -- the baseline the paper's fault-simulation-guided
-    method is compared against.
+    method is compared against.  Primary inputs, flops and constant sources
+    are never candidates; ties break by net name.
     """
     measures = compute_scoap(circuit)
     exclude = exclude or set()
-    candidates = [
-        (name, m.co)
-        for name, m in measures.items()
-        if name not in exclude
-        and not circuit.gate(name).is_primary_input
-        and not circuit.gate(name).is_flop
-    ]
+    candidates = []
+    for name, m in measures.items():
+        gate = circuit.gate(name)
+        if gate.is_primary_input or gate.is_flop or gate.gate_type.is_source:
+            continue
+        if name not in exclude:
+            candidates.append((name, m.co))
     candidates.sort(key=lambda item: (-item[1], item[0]))
     return [name for name, _ in candidates[:count]]

@@ -7,7 +7,7 @@ Public API:
 * :func:`~repro.tpi.observation_points.apply_observation_points` /
   :func:`~repro.tpi.observation_points.observation_point_flops`,
 * :class:`~repro.tpi.observability_tpi.ObservabilityGuidedTpi` -- the
-  SCOAP/COP baseline selector (ablation A1).
+  SCOAP observability baseline selector (ablation A1).
 
 The paper inserts observation points only, so no control-point inserter is
 provided.  The fault simulators TPI profiles with are checked against the

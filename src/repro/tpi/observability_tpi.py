@@ -1,10 +1,10 @@
 """Observability-calculation-based observation-point insertion (baseline).
 
 This is the method the paper contrasts itself against: pick test-point
-locations from static testability measures (SCOAP observability or COP
-propagation probability) *without* running fault simulation.  It is cheaper to
-compute but blind to which faults the random patterns actually miss, which is
-exactly what the ablation benchmark (A1) measures.
+locations from static SCOAP observability *without* running fault
+simulation.  It is cheaper to compute but blind to which faults the random
+patterns actually miss, which is exactly what the ablation benchmark (A1)
+measures.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..netlist.circuit import Circuit
-from ..testability.cop import compute_cop
-from ..testability.scoap import compute_scoap
+from ..testability.scoap import hardest_to_observe
 from .observation_points import ObservationPointPlan
 
 
@@ -27,42 +26,17 @@ class ObservabilityGuidedTpi:
     circuit:
         The netlist.
     budget:
-        Maximum number of observation points.
-    method:
-        ``"scoap"`` ranks candidates by highest SCOAP CO (hardest to observe);
-        ``"cop"`` ranks by lowest COP observability.
+        Maximum number of observation points; candidates are ranked by
+        highest SCOAP CO (hardest to observe,
+        :func:`~repro.testability.scoap.hardest_to_observe`).
     """
 
     circuit: Circuit
     budget: int = 32
-    method: str = "scoap"
 
     def select(self, exclude: Optional[Sequence[str]] = None) -> ObservationPointPlan:
         """Choose the ``budget`` hardest-to-observe combinational nets."""
-        if self.method not in ("scoap", "cop"):
-            raise ValueError("method must be 'scoap' or 'cop'")
-        excluded = set(exclude or ())
         plan = ObservationPointPlan()
-        candidates: list[tuple[float, str]] = []
-        if self.method == "scoap":
-            measures = compute_scoap(self.circuit)
-            for name, m in measures.items():
-                gate = self.circuit.gate(name)
-                if gate.is_primary_input or gate.is_flop or gate.gate_type.is_source:
-                    continue
-                if name in excluded:
-                    continue
-                candidates.append((-float(m.co), name))
-        else:
-            cop = compute_cop(self.circuit)
-            for name, m in cop.items():
-                gate = self.circuit.gate(name)
-                if gate.is_primary_input or gate.is_flop or gate.gate_type.is_source:
-                    continue
-                if name in excluded:
-                    continue
-                candidates.append((float(m.observability), name))
-        candidates.sort()
-        plan.nets = [name for _, name in candidates[: self.budget]]
+        plan.nets = hardest_to_observe(self.circuit, self.budget, set(exclude or ()))
         plan.covered_faults = {}
         return plan

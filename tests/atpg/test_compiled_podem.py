@@ -12,8 +12,8 @@ oracle.  These tests pin the equivalence at both levels:
 * search level -- ``PodemAtpg`` and the oracle search produce identical
   outcomes, cubes, backtrack and decision counts, fault for fault.
 
-Plus the compiled-only features: per-kernel analysis caching via
-``shared_kernel`` and the SCOAP-guided backtrace mode.
+Plus the compiled-only feature: per-kernel analysis caching via
+``shared_kernel``.
 """
 
 import random
@@ -24,13 +24,12 @@ from repro.atpg import (
     AtpgOutcome,
     CompiledFaultedEvaluator,
     PodemAtpg,
-    scoap_guidance,
+    atpg_adjacency,
 )
 from repro.atpg import compiled
 from repro.atpg.compiled import all_x_state
 from repro.faults import (
     OUTPUT_PIN,
-    FaultSimulator,
     StuckAtFault,
     collapse_stuck_at,
     enumerate_stuck_at_faults,
@@ -226,35 +225,6 @@ class TestPodemEquivalence:
                 assert expected.cube.assignments == actual.cube.assignments, str(fault)
 
 
-class TestScoapBacktrace:
-    def test_guided_cubes_detect_their_faults(self):
-        circuit = hard_core(81)
-        faults = collapse_stuck_at(circuit).representatives
-        atpg = PodemAtpg(circuit, backtrack_limit=200, backtrace="scoap")
-        checker = FaultSimulator(circuit)
-        rng = random.Random(1)
-        successes = 0
-        for fault in rng.sample(faults, 30):
-            result = atpg.generate(fault)
-            if result.outcome is AtpgOutcome.SUCCESS:
-                successes += 1
-                pattern = result.cube.fill_random(rng, circuit.stimulus_nets())
-                assert checker.detects(pattern, fault), str(fault)
-        assert successes > 0
-
-    def test_guidance_cached_per_kernel(self):
-        circuit = c17()
-        kernel = shared_kernel(circuit)
-        first = scoap_guidance(kernel)
-        assert scoap_guidance(kernel) is first
-        assert "scoap_guidance" in kernel.analysis_cache
-        # A structural mutation recompiles the kernel and refreshes guidance.
-        circuit.add_output("G16")
-        refreshed = shared_kernel(circuit)
-        assert refreshed is not kernel
-        assert scoap_guidance(refreshed) is not first
-
-
 class TestAnalysisCache:
     def test_adjacency_shared_between_evaluators(self):
         circuit = c17()
@@ -264,6 +234,18 @@ class TestAnalysisCache:
         second = CompiledFaultedEvaluator(circuit, fault_b)
         assert first.kernel is second.kernel
         assert first.adjacency is second.adjacency
+
+    def test_adjacency_cached_per_kernel(self):
+        circuit = c17()
+        kernel = shared_kernel(circuit)
+        first = atpg_adjacency(kernel)
+        assert atpg_adjacency(kernel) is first
+        assert kernel.analysis_cache["atpg_adjacency"] is first
+        # A structural mutation recompiles the kernel and refreshes the analysis.
+        circuit.add_output("G16")
+        refreshed = shared_kernel(circuit)
+        assert refreshed is not kernel
+        assert atpg_adjacency(refreshed) is not first
 
     def test_all_x_state_shared_between_evaluators(self):
         circuit = mixed_gate_circuit()

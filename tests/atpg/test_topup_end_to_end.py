@@ -71,10 +71,13 @@ class TestTopUpLiftsCoverage:
         circuit = hard_fault_core(78)
         fault_list = run_random_phase(circuit, count=128, seed=5)
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=13)
-        result = topup.run(fault_list)
+        result = topup.run_with_compaction(fault_list)
+        assert result.cubes
         simulator = FaultSimulator(circuit)
-        for cube, pattern in zip(result.cubes, result.patterns[: len(result.cubes)]):
-            # run() appends one filled pattern per successful cube, in order.
+        rng = random.Random(13)
+        stimulus = circuit.stimulus_nets()
+        for cube in result.cubes:
+            pattern = cube.fill_random(rng, stimulus)
             assert simulator.detects(pattern, cube.fault), str(cube.fault)
 
     def test_remaining_faults_all_dispositioned(self):
@@ -112,20 +115,18 @@ class TestCompactedPatternCountInvariants:
 
     def test_compaction_preserves_final_coverage(self):
         circuit = hard_fault_core(81)
-
-        def run(compacted):
-            fault_list = run_random_phase(circuit, count=96, seed=21)
-            topup = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
-            result = (
-                topup.run_with_compaction(fault_list)
-                if compacted
-                else topup.run(fault_list)
-            )
-            return result, fault_list.coverage()
-
-        plain, coverage_plain = run(False)
-        merged, coverage_merged = run(True)
-        assert merged.pattern_count <= plain.pattern_count
+        fault_list = run_random_phase(circuit, count=96, seed=21)
+        topup = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
+        merged = topup.run_with_compaction(fault_list)
+        coverage_merged = fault_list.coverage()
+        # The uncompacted set: one random-filled pattern per cube.
+        plain_list = run_random_phase(circuit, count=96, seed=21)
+        rng = random.Random(23)
+        stimulus = circuit.stimulus_nets()
+        plain = [cube.fill_random(rng, stimulus) for cube in merged.cubes]
+        FaultSimulator(circuit).simulate(plain_list, plain)
+        coverage_plain = plain_list.coverage()
+        assert merged.pattern_count <= len(plain)
         # Merged patterns are supersets of their cubes, so they can only
         # detect more; tiny differences come from different random fill.
         assert coverage_merged >= coverage_plain - 0.02

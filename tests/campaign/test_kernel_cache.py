@@ -119,9 +119,9 @@ class TestSharedKernelCache:
     def test_hit_never_reads_a_circuit_edited_since(self):
         """Flow A's TPI edits the scan-inserted circuit its kernels were
         compiled on; flow B (no TPI) scan-inserts an equal circuit and gets
-        that kernel from the cache.  B's SCOAP guidance, ATPG adjacency and
-        capture derivation read ``kernel.circuit`` lazily, so they must see
-        B's circuit, not A's edited one."""
+        that kernel from the cache.  B's ATPG adjacency and capture
+        derivation read ``kernel.circuit`` lazily, so they must see B's
+        circuit, not A's edited one."""
         raw = make_core(63)
         flow_a = LogicBistConfig(
             total_scan_chains=4,
@@ -137,7 +137,6 @@ class TestSharedKernelCache:
             total_scan_chains=4,
             tpi_method="none",
             observation_point_budget=0,
-            atpg_backtrace="scoap",
             random_patterns=64,
             signature_patterns=8,
             measure_transition_coverage=True,

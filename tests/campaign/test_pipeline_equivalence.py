@@ -150,7 +150,7 @@ class TestPipelinedReportBytesAcrossWorkers:
         assert numpy_run.report_bytes() == python_run.report_bytes()
 
     def test_flow_pipeline_workers_bit_identical_to_serial(self):
-        """The pooled flow graph (pipeline_workers) reproduces the serial flow."""
+        """The pooled flow graph (num_workers) reproduces the serial flow."""
         circuit = make_core(44)
         base = dict(
             total_scan_chains=4,
@@ -164,9 +164,7 @@ class TestPipelinedReportBytesAcrossWorkers:
             topup_backtrack_limit=60,
         )
         serial = LogicBistFlow(LogicBistConfig(**base)).run(circuit)
-        pooled = LogicBistFlow(
-            LogicBistConfig(**base, pipeline_workers=2)
-        ).run(circuit)
+        pooled = LogicBistFlow(LogicBistConfig(**base), num_workers=2).run(circuit)
         assert pooled.fault_coverage_random == serial.fault_coverage_random
         assert pooled.coverage_curve == serial.coverage_curve
         assert pooled.signatures == serial.signatures

@@ -25,7 +25,8 @@ from repro.campaign import (
 )
 from repro.core import LogicBistConfig
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
+from repro.faults import FaultList, collapse_stuck_at
+from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from repro.simulation import iter_blocks
 
@@ -118,10 +119,13 @@ def random_blocks(circuit, count, seed):
 
 def stuck_session(circuit, count, seed):
     """A stuck-at shard state and its ``(offset, block)`` session."""
-    faults = tuple(collapse_stuck_at(circuit).to_fault_list().undetected())
+    state = FaultSimShardState(
+        circuit=circuit,
+        observe_nets=tuple(circuit.observation_nets()),
+        faults=tuple(collapse_stuck_at(circuit).to_fault_list().undetected()),
+    )
     blocks = random_blocks(circuit, count, seed)
-    entries = tuple(zip(range(0, count, 32), blocks))
-    return FaultSimulator(circuit).shard_state(faults), entries
+    return state, tuple(zip(range(0, count, 32), blocks))
 
 
 def transition_session(circuit, count, seed):

@@ -246,9 +246,7 @@ class TestTransitionReportBytesAcrossWorkers:
         circuit = make_core(74)
         base = at_speed_config(topup_backtrack_limit=60)
         serial = LogicBistFlow(base).run(circuit)
-        pooled = LogicBistFlow(
-            dataclasses.replace(base, pipeline_workers=2)
-        ).run(circuit)
+        pooled = LogicBistFlow(base, num_workers=2).run(circuit)
         assert pooled.transition_coverage == serial.transition_coverage
         assert (
             pooled.transition.first_detections

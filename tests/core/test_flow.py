@@ -175,9 +175,13 @@ class TestConfigurationVariants:
         assert result.test_point_count > 0
 
     def test_unknown_tpi_method_rejected(self):
-        circuit = comparator_core(width=6, easy_outputs=2)
-        with pytest.raises(ValueError):
-            LogicBistFlow(small_config(tpi_method="magic")).run(circuit)
+        """A misspelt method fails at construction, not in a retried stage."""
+        with pytest.raises(ValueError, match="tpi_method 'fualt_sim'"):
+            small_config(tpi_method="fualt_sim")
+
+    def test_unknown_sim_backend_rejected(self):
+        with pytest.raises(ValueError, match="sim_backend 'cuda'"):
+            small_config(sim_backend="cuda")
 
     def test_memory_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="sim_memory_budget_mb"):
@@ -186,21 +190,30 @@ class TestConfigurationVariants:
             small_config(sim_memory_budget_mb=-16)
 
     def test_config_pickled_with_atpg_engine_still_loads(self):
-        """A spec or journal pickled while ``LogicBistConfig`` still had the
-        ``atpg_engine`` field loads as the same config: equality and the prep
+        """A spec or journal pickled while ``LogicBistConfig`` still had a
+        deleted field loads as the same config: equality and the prep
         cache's ``repr`` fingerprint see declared fields only."""
         import pickle
 
         from repro.service.cache import config_fingerprint
 
+        deleted = {
+            "atpg_engine": "compiled",
+            "atpg_backtrace": "first_x",
+            "topup_compaction": True,
+            "topup_block_size": None,
+            "pipeline_workers": 0,
+            "campaign_fault_shards": None,
+        }
         config = small_config(random_patterns=96)
-        old = pickle.loads(pickle.dumps(config))
-        old.__dict__["atpg_engine"] = "compiled"
-        loaded = pickle.loads(pickle.dumps(old))
-        assert loaded == config
-        assert config_fingerprint(loaded) == config_fingerprint(config)
-        with pytest.raises(TypeError, match="atpg_engine"):
-            small_config(atpg_engine="compiled")
+        for name, value in deleted.items():
+            old = pickle.loads(pickle.dumps(config))
+            old.__dict__[name] = value
+            loaded = pickle.loads(pickle.dumps(old))
+            assert loaded == config, name
+            assert config_fingerprint(loaded) == config_fingerprint(config), name
+            with pytest.raises(TypeError, match=name):
+                small_config(**{name: value})
 
     def test_memory_budget_warns_on_python_backend(self):
         """The budget only bounds the numpy scan; asking the bigint

@@ -15,8 +15,10 @@ from repro.faults import (
     coverage_plateau_slope,
     patterns_to_reach,
 )
+from repro.faults.transition_sim import TransitionFaultSimulator
 from repro.netlist import CircuitBuilder, parse_bench_text
 from repro.simulation import PackedSimulator, iter_blocks
+from repro.simulation.kernel import shared_kernel
 
 C17_TEXT = """
 INPUT(G1)
@@ -83,6 +85,11 @@ class TestDetectionBasics:
         # All-zero inputs: G10=G11=1, G16=1, G19=1, G22=0, G23=0.
         assert sim.detects(pattern, StuckAtFault("G22", OUTPUT_PIN, 1))
         assert not sim.detects(pattern, StuckAtFault("G22", OUTPUT_PIN, 0))
+        # The simulator compiles through the shared kernel cache alone; no
+        # good-value simulator is built alongside it.
+        assert sim.kernel is shared_kernel(circuit)
+        assert not hasattr(sim, "simulator")
+        assert not hasattr(TransitionFaultSimulator(circuit), "simulator")
 
     def test_undetectable_without_activation(self):
         circuit = c17()

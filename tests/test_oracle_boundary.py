@@ -6,7 +6,8 @@ production module that reached one would be checked against itself.  The
 walk reads every module with :mod:`ast` (nothing is imported) and resolves
 relative imports against the module's own package, so ``from ..oracle
 import x`` is caught as surely as ``import repro.oracle``.  The
-selector that once picked the oracle through the config stays deleted.
+selector that once picked the oracle through the config stays deleted, and
+so do the knobs that picked a second top-up, backtrace or TPI ranking path.
 """
 
 import ast
@@ -113,12 +114,32 @@ def test_walk_ignores_lookalikes():
         ("repro.atpg.topup", "TopUpAtpg", "engine"),
         ("repro.atpg", None, "COMPILED_ENGINE"),
         ("repro.atpg", None, "REFERENCE_ENGINE"),
+        ("repro.core.config", "LogicBistConfig", "atpg_backtrace"),
+        ("repro.core.config", "LogicBistConfig", "topup_compaction"),
+        ("repro.core.config", "LogicBistConfig", "topup_block_size"),
+        ("repro.core.config", "LogicBistConfig", "pipeline_workers"),
+        ("repro.core.config", "LogicBistConfig", "campaign_fault_shards"),
+        ("repro.atpg.podem", "PodemAtpg", "backtrace"),
+        ("repro.atpg.topup", "TopUpAtpg", "backtrace"),
+        ("repro.atpg.topup", "TopUpAtpg", "run"),
+        ("repro.atpg.topup", "TopUpAtpg", "_run_batched"),
+        ("repro.atpg", None, "BACKTRACE_FIRST_X"),
+        ("repro.atpg", None, "BACKTRACE_SCOAP"),
+        ("repro.atpg", None, "reverse_order_compaction"),
+        ("repro.atpg.compiled", None, "scoap_guidance"),
+        ("repro.oracle", None, "run_topup_reference"),
+        ("repro.tpi.observability_tpi", "ObservabilityGuidedTpi", "method"),
+        ("repro.testability", None, "cop"),
+        ("repro.testability", None, "compute_cop"),
+        ("repro.faults.fault_sim", "FaultSimulator", "shard_state"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
-    """The oracle is reached by calling it, never through a production knob."""
+    """The oracle is reached by calling it, never through a production knob,
+    and no knob or method is left whose only job was to pick a second path."""
     target = importlib.import_module(module)
     if owner is not None:
         target = getattr(target, owner)
-        assert name not in {field.name for field in dataclasses.fields(target)}
+        if dataclasses.is_dataclass(target):
+            assert name not in {field.name for field in dataclasses.fields(target)}
     assert not hasattr(target, name)

@@ -156,19 +156,13 @@ class TestApplyObservationPoints:
 
 
 class TestObservabilityBaseline:
-    def test_scoap_and_cop_methods(self):
+    def test_scoap_ranking(self):
         circuit = blocked_observability_circuit()
-        for method in ("scoap", "cop"):
-            plan = ObservabilityGuidedTpi(circuit, budget=5, method=method).select()
-            assert len(plan.nets) == 5
-            for net in plan.nets:
-                gate = circuit.gate(net)
-                assert not gate.is_primary_input and not gate.is_flop
-
-    def test_invalid_method_rejected(self):
-        circuit = blocked_observability_circuit()
-        with pytest.raises(ValueError):
-            ObservabilityGuidedTpi(circuit, method="magic").select()
+        plan = ObservabilityGuidedTpi(circuit, budget=5).select()
+        assert len(plan.nets) == 5
+        for net in plan.nets:
+            gate = circuit.gate(net)
+            assert not gate.is_primary_input and not gate.is_flop
 
     def test_exclude_list_respected(self):
         circuit = blocked_observability_circuit()
