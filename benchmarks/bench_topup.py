@@ -4,7 +4,7 @@ Measures the deterministic top-up phase (the paper's "# of Top-Up Patterns" /
 "Fault Coverage 2" row) on the BIST-ready scaled Core Y stand-in two ways:
 
 * **reference** -- the name-keyed oracle walk
-  (:func:`repro.oracle.topup.run_topup_with_compaction_reference`): PODEM
+  (:func:`repro.oracle.topup.run_topup_reference`): PODEM
   re-implies the whole netlist through ``dict[str, Value5]`` on every
   decision, and every generated pattern is fault-simulated width-1 against
   the whole remaining population,
@@ -45,7 +45,7 @@ from repro.core import LogicBistConfig, LogicBistFlow, prepare_scan_core
 from repro.core.flow import credit_chain_flush, fresh_fault_list
 from repro.cores import core_x_recipe, core_y_recipe
 from repro.faults import FaultSimulator
-from repro.oracle import run_topup_with_compaction_reference
+from repro.oracle import run_topup_reference
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 
@@ -99,7 +99,7 @@ def _fault_snapshot(fault_list):
 
 
 def _reference_walk(circuit, fault_list):
-    return run_topup_with_compaction_reference(
+    return run_topup_reference(
         circuit,
         fault_list,
         backtrack_limit=BACKTRACK_LIMIT,
@@ -115,7 +115,7 @@ def _compiled_walk(circuit, fault_list):
         seed=9,
         max_faults=MAX_FAULTS,
         block_size=BLOCK_SIZE,
-    ).run_with_compaction(fault_list)
+    ).run(fault_list)
 
 
 def _run_topup(core, config, walk):

@@ -54,6 +54,7 @@ class TopUpResult:
     """Outcome of a top-up ATPG campaign."""
 
     patterns: list[dict[str, int]]
+    #: PODEM cubes in generation order (before merging), repair cubes last.
     cubes: list[TestCube]
     attempted_faults: int = 0
     successful_faults: int = 0
@@ -206,7 +207,7 @@ class TopUpAtpg:
     # ------------------------------------------------------------------ #
     # Public entry points
     # ------------------------------------------------------------------ #
-    def run_with_compaction(self, fault_list: FaultList) -> TopUpResult:
+    def run(self, fault_list: FaultList) -> TopUpResult:
         """Generate compacted top-up patterns for the undetected faults.
 
         The generation loop is incremental (faults already covered by earlier
@@ -215,9 +216,11 @@ class TopUpAtpg:
         and the *merged* patterns are fault-simulated against the real fault
         list -- so both the reported pattern count and the final coverage
         describe exactly the pattern set that would be scanned into silicon.
-        The fault list is updated in place: faults the merged patterns cover
-        are marked detected, proven-redundant targets untestable and
-        aborted targets aborted.
+        A skipped target the merged patterns miss (its cover was an earlier
+        cube's random fill, which merging redraws) is targeted again, and
+        those cubes are merged and applied after the others.  The fault list
+        is updated in place: every target ends detected, untestable (proven
+        redundant) or aborted.
         """
         targets, skipped = self.plan_targets(fault_list)
         return self._run(fault_list, targets, skipped, self.podem().generate)
@@ -270,47 +273,41 @@ class TopUpAtpg:
         stimulus_nets = self.circuit.stimulus_nets()
         screen = _ScreenBuffer(scratch_sim, stimulus_nets, self.block_size)
         cubes: list[TestCube] = []
+        screened: list[StuckAtFault] = []
         untestable: list[StuckAtFault] = []
         aborted: list[StuckAtFault] = []
         for fault in targets:
-            if scratch.record(fault).status is FaultStatus.DETECTED:
+            covered = scratch.record(fault).status is FaultStatus.DETECTED
+            if covered or screen.detects(fault):
+                screened.append(fault)
                 continue
-            if screen.detects(fault):
+            cube = self._attempt(fault, generate, result, untestable, aborted)
+            if cube is None:
                 continue
-            result.attempted_faults += 1
-            attempt = generate(fault)
-            result.backtracks += attempt.backtracks
-            if attempt.outcome is AtpgOutcome.UNTESTABLE:
-                untestable.append(fault)
-                result.untestable_faults += 1
-                continue
-            if attempt.outcome is AtpgOutcome.ABORTED:
-                aborted.append(fault)
-                result.aborted_faults += 1
-                continue
-            result.successful_faults += 1
-            cubes.append(attempt.cube)
-            filled = attempt.cube.fill_random(self._rng, stimulus_nets)
+            cubes.append(cube)
+            filled = cube.fill_random(self._rng, stimulus_nets)
             screen.append(filled)
             if screen.full:
                 screen.flush(scratch)
-
-        result.cubes = cubes
-        merged = merge_compatible_cubes(cubes)
-        patterns = [cube.fill_random(self._rng, stimulus_nets) for cube in merged]
 
         # Apply the final (compacted) pattern set to the real fault list in
         # block_size-wide packed words (detections are block-size invariant).
         simulator = FaultSimulator(
             self.circuit, self.observe_nets, backend=self.sim_backend
         )
-        simulator.simulate(
-            fault_list,
-            patterns,
-            block_size=self.block_size,
-            drop_detected=True,
-            pattern_offset=TOPUP_PATTERN_BASE,
-        )
+        patterns = self._apply(simulator, fault_list, cubes, stimulus_nets, [])
+        # A screened target was covered by an earlier cube's *first* fill,
+        # but the merged cubes are filled afresh and may miss it: target the
+        # ones they miss.  A merged pattern contains each of its cubes, so it
+        # always detects their own faults and one repair pass suffices.
+        repairs: list[TestCube] = []
+        for fault in screened:
+            if fault_list.record(fault).status is FaultStatus.UNDETECTED:
+                cube = self._attempt(fault, generate, result, untestable, aborted)
+                if cube is not None:
+                    repairs.append(cube)
+        patterns = self._apply(simulator, fault_list, repairs, stimulus_nets, patterns)
+        result.cubes = cubes + repairs
         for fault in untestable:
             fault_list.mark_untestable(fault)
         for fault in aborted:
@@ -318,3 +315,54 @@ class TopUpAtpg:
         result.patterns = patterns
         result.coverage_after = fault_list.coverage()
         return result
+
+    @staticmethod
+    def _attempt(
+        fault: StuckAtFault,
+        generate: Callable[[StuckAtFault], AtpgResult],
+        result: TopUpResult,
+        untestable: list[StuckAtFault],
+        aborted: list[StuckAtFault],
+    ) -> Optional[TestCube]:
+        """One PODEM attempt, counted in ``result``; its cube on success."""
+        result.attempted_faults += 1
+        attempt = generate(fault)
+        result.backtracks += attempt.backtracks
+        if attempt.outcome is AtpgOutcome.UNTESTABLE:
+            untestable.append(fault)
+            result.untestable_faults += 1
+            return None
+        if attempt.outcome is AtpgOutcome.ABORTED:
+            aborted.append(fault)
+            result.aborted_faults += 1
+            return None
+        result.successful_faults += 1
+        return attempt.cube
+
+    def _apply(
+        self,
+        simulator: FaultSimulator,
+        fault_list: FaultList,
+        cubes: Sequence[TestCube],
+        stimulus_nets: Sequence[str],
+        patterns: list[dict[str, int]],
+    ) -> list[dict[str, int]]:
+        """Merge and random-fill ``cubes``, then retire the new patterns.
+
+        The new patterns follow ``patterns`` in the top-up index range; the
+        extended list is returned.
+        """
+        if not cubes:
+            return patterns
+        new = [
+            cube.fill_random(self._rng, stimulus_nets)
+            for cube in merge_compatible_cubes(cubes)
+        ]
+        simulator.simulate(
+            fault_list,
+            new,
+            block_size=self.block_size,
+            drop_detected=True,
+            pattern_offset=TOPUP_PATTERN_BASE + len(patterns),
+        )
+        return patterns + new

@@ -777,9 +777,7 @@ class TopUpSerialStage:
     def run(self, inputs: TopUpInput) -> TopUpOutcome:
         config = self.config
         fault_list = inputs.fault_list
-        result = build_topup_atpg(inputs.core.circuit, config).run_with_compaction(
-            fault_list
-        )
+        result = build_topup_atpg(inputs.core.circuit, config).run(fault_list)
         # The top-up patterns reach the core through the input selector.
         _apply_input_selector(inputs.core, config, result)
         return TopUpOutcome(result=result, fault_list=fault_list)

@@ -21,11 +21,11 @@ insertion + sign-off flow would run them:
    This phase runs kernel-indexed PODEM with first-X backtrace and
    candidate screening in ``block_size``-wide blocks; the name-keyed PODEM
    search and one-pattern-at-a-time walk it must match are oracles in
-   :mod:`repro.oracle`, called only by tests and benchmarks.  Under a
-   pooled scheduler (``LogicBistFlow(num_workers >= 2)``) the
-   :class:`~repro.campaign.pipeline.TopUpStage` expansion fans PODEM
-   targets out across site-local worker shards -- results byte-identical
-   to the serial walk either way.
+   :mod:`repro.oracle`, called only by tests and benchmarks.  A pooled
+   :class:`~repro.campaign.runner.CampaignRunner` runs the same
+   :class:`~repro.campaign.pipeline.TopUpStage`, fanning PODEM targets out
+   across site-local worker shards -- results byte-identical to the flow's
+   serial walk.
 5. **At-speed timing assembly** -- the clock-gating block and the
    double-capture scheduler produce the Fig. 2 capture schedule; optionally a
    launch-on-capture transition-fault simulation quantifies the at-speed test
@@ -66,11 +66,8 @@ from .config import LogicBistConfig
 class PhaseTiming:
     """Compute seconds of one flow phase (the paper reports CPU time).
 
-    Summed over the phase's pipeline stages: on the default serial walk this
-    *is* the phase's wall-clock, exactly as before; on a pooled run
-    (``LogicBistFlow(num_workers >= 2)``) it sums concurrent
-    workers' compute, so the five entries can total more than
-    ``LogicBistResult.cpu_time_seconds`` (which stays end-to-end wall).
+    Summed over the phase's pipeline stages, which the flow runs one after
+    another, so this is the phase's wall-clock.
     """
 
     name: str
@@ -263,12 +260,7 @@ def credit_chain_flush(core: BistReadyCore, fault_list: FaultList) -> int:
 
 @dataclass
 class LogicBistResult:
-    """Everything the flow measured -- the superset of a Table 1 column.
-
-    Every measurement here is the same whatever ``num_workers`` and
-    ``fault_shards`` the :class:`LogicBistFlow` ran with; only the seconds
-    in ``phase_timings`` and ``cpu_time_seconds`` differ.
-    """
+    """Everything the flow measured -- the superset of a Table 1 column."""
 
     core_name: str
     config: LogicBistConfig
@@ -330,32 +322,19 @@ class LogicBistFlow:
     shard fan-out, per-domain MISR signature folds, top-up ATPG, optional
     transition measurement -- into stage nodes and executes them on the
     in-process :class:`~repro.campaign.scheduler.SerialScheduler` (the
-    bit-exactness oracle).  With ``num_workers >= 2`` the *same* graph
-    drains through a :class:`~repro.campaign.scheduler.PooledScheduler`
-    worker pool instead: one code path, two schedulers.  ``num_workers``
-    and ``fault_shards`` mean what they mean on
-    :class:`~repro.campaign.runner.CampaignRunner`: processes draining the
-    graph, and fault shards per fault-simulation and top-up fan-out (default
-    one per worker).  Neither changes a reported number.
+    bit-exactness oracle) with one fault shard.  A pooled run of the same
+    graph is a :class:`~repro.campaign.runner.CampaignRunner` with
+    ``num_workers >= 2``; it reports the same numbers.
 
     Note: the signature folds operate on per-domain copies (as the campaign
     always did), so ``result.stumps`` no longer carries post-fold MISR state
     -- read signatures from ``result.signatures``, the values are identical.
-    More generally ``result.stumps`` PRPG/MISR *register state* after ``run``
-    is scheduler-dependent (a pooled transition stage advances a worker's
-    copy, the serial walk the caller's object); every reported measurement
-    is scheduler-invariant, register state was never part of the contract.
+    PRPG/MISR *register state* in ``result.stumps`` was never part of the
+    contract either.
     """
 
-    def __init__(
-        self,
-        config: Optional[LogicBistConfig] = None,
-        num_workers: int = 1,
-        fault_shards: Optional[int] = None,
-    ) -> None:
+    def __init__(self, config: Optional[LogicBistConfig] = None) -> None:
         self.config = config or LogicBistConfig()
-        self.num_workers = num_workers
-        self.fault_shards = fault_shards if fault_shards is not None else max(1, num_workers)
         self.library = CellLibrary()
 
     # ------------------------------------------------------------------ #
@@ -364,7 +343,7 @@ class LogicBistFlow:
     def run(self, circuit: Circuit, core_name: Optional[str] = None) -> LogicBistResult:
         """Run the complete flow on ``circuit`` and return the measurements."""
         from ..campaign.pipeline import PHASE_AT_SPEED, PHASE_ORDER, scenario_stage_nodes
-        from ..campaign.scheduler import make_scheduler
+        from ..campaign.scheduler import SerialScheduler
 
         config = self.config
         flow_start = time.perf_counter()
@@ -376,17 +355,13 @@ class LogicBistFlow:
             config,
             library=self.library,
             scenario_name=core_name or circuit.name,
-            fault_shards=self.fault_shards,
             include_topup=True,
             include_transition=config.measure_transition_coverage,
         )
         # The flow needs every artifact below, so there is no degraded
         # outcome here: a stage that exhausts config.retry's attempts
-        # raises.  Retries themselves (and pooled timeout/crash recovery)
-        # still apply.
-        pipeline_run = make_scheduler(
-            self.num_workers, retry_policy=config.retry
-        ).run(nodes)
+        # raises.  Retries themselves still apply.
+        pipeline_run = SerialScheduler(retry_policy=config.retry).run(nodes)
 
         tpi: "TpiOutcome" = pipeline_run.value(keys["tpi"])
         bundle = pipeline_run.value(keys["bundle"])
@@ -410,9 +385,7 @@ class LogicBistFlow:
 
         core = bundle.core
         stumps = bundle.stumps
-        # Post-top-up detection state: with a pooled scheduler the top-up
-        # stage credited its own pickled copy, so the outcome's list -- not
-        # the bundle's -- is authoritative either way.
+        # Post-top-up detection state, as the campaign report reads it.
         fault_list = topup_outcome.fault_list
 
         phase_seconds = pipeline_run.seconds_by_phase()

@@ -28,7 +28,7 @@ benchmarks call it directly.  Each oracle checks one production path:
   search.  :meth:`PodemAtpg.generate <repro.atpg.podem.PodemAtpg.generate>`
   must return the same cube, outcome, backtracks and decisions per fault
   (``tests/atpg/test_compiled_podem.py``, ``benchmarks/bench_topup.py``).
-* :func:`~repro.oracle.topup.run_topup_with_compaction_reference` -- the
+* :func:`~repro.oracle.topup.run_topup_reference` -- the
   one-pattern-at-a-time top-up walk.  :class:`~repro.atpg.topup.TopUpAtpg`'s
   block-batched screening must give the same result and fault dispositions
   at any block width (``tests/atpg/test_topup_batched.py``,
@@ -53,7 +53,7 @@ from .implication import FaultedEvaluator
 from .podem import generate_reference
 from .reference import ReferenceFaultSimulator, ReferencePackedSimulator
 from .sequential import SequentialSimulator
-from .topup import run_topup_with_compaction_reference
+from .topup import run_topup_reference
 from .transition import derive_capture_patterns, simulate_with_derived_capture
 
 __all__ = [
@@ -62,7 +62,7 @@ __all__ = [
     "ReferenceFaultSimulator",
     "ReferencePackedSimulator",
     "SequentialSimulator",
-    "run_topup_with_compaction_reference",
+    "run_topup_reference",
     "derive_capture_patterns",
     "simulate_with_derived_capture",
 ]

@@ -3,8 +3,10 @@
 The walk targets the undetected faults in :meth:`TopUpAtpg.plan_targets
 <repro.atpg.topup.TopUpAtpg.plan_targets>` order with the name-keyed PODEM
 search (:func:`repro.oracle.podem.generate_reference`), random-fills each cube
-from ``random.Random(seed)`` and retires every new pattern with its own
-width-1 fault-simulation scan.  A fresh :class:`TopUpAtpg` with the same
+from ``random.Random(seed)`` and screens every new pattern with its own
+width-1 fault-simulation scan.  The cubes are then merged, filled afresh and
+applied to the fault list, and the screened faults those patterns miss are
+targeted again the same way.  A fresh :class:`TopUpAtpg` with the same
 arguments must return the same :class:`~repro.atpg.topup.TopUpResult` and
 leave the fault list in the same state, at any screening block width.
 """
@@ -24,7 +26,7 @@ from ..netlist.circuit import Circuit
 from .podem import generate_reference
 
 
-def run_topup_with_compaction_reference(
+def run_topup_reference(
     circuit: Circuit,
     fault_list: FaultList,
     observe_nets: Optional[Sequence[str]] = None,
@@ -32,8 +34,8 @@ def run_topup_with_compaction_reference(
     seed: int = 2005,
     max_faults: Optional[int] = None,
 ) -> TopUpResult:
-    """The oracle of :meth:`TopUpAtpg.run_with_compaction
-    <repro.atpg.topup.TopUpAtpg.run_with_compaction>`."""
+    """The oracle of :meth:`TopUpAtpg.run
+    <repro.atpg.topup.TopUpAtpg.run>`."""
     rng = random.Random(seed)
     targets, skipped = TopUpAtpg(circuit, max_faults=max_faults).plan_targets(fault_list)
     result = TopUpResult(
@@ -49,36 +51,59 @@ def run_topup_with_compaction_reference(
     scratch_sim = FaultSimulator(circuit, observe_nets)
     stimulus_nets = circuit.stimulus_nets()
     cubes: list[TestCube] = []
+    screened: list[StuckAtFault] = []
     untestable: list[StuckAtFault] = []
     aborted: list[StuckAtFault] = []
-    for fault in targets:
-        if fault not in set(scratch.undetected()):
-            continue
+
+    def attempt(fault: StuckAtFault) -> Optional[TestCube]:
         result.attempted_faults += 1
-        attempt = generate_reference(circuit, fault, observe_nets, backtrack_limit)
-        result.backtracks += attempt.backtracks
-        if attempt.outcome is AtpgOutcome.UNTESTABLE:
+        outcome = generate_reference(circuit, fault, observe_nets, backtrack_limit)
+        result.backtracks += outcome.backtracks
+        if outcome.outcome is AtpgOutcome.UNTESTABLE:
             untestable.append(fault)
             result.untestable_faults += 1
-            continue
-        if attempt.outcome is AtpgOutcome.ABORTED:
+            return None
+        if outcome.outcome is AtpgOutcome.ABORTED:
             aborted.append(fault)
             result.aborted_faults += 1
-            continue
+            return None
         result.successful_faults += 1
-        cubes.append(attempt.cube)
-        filled = attempt.cube.fill_random(rng, stimulus_nets)
-        scratch_sim.simulate(scratch, [filled], drop_detected=True)
+        return outcome.cube
 
-    result.cubes = cubes
-    merged = merge_compatible_cubes(cubes)
-    patterns = [cube.fill_random(rng, stimulus_nets) for cube in merged]
+    for fault in targets:
+        if fault not in set(scratch.undetected()):
+            screened.append(fault)
+            continue
+        cube = attempt(fault)
+        if cube is None:
+            continue
+        cubes.append(cube)
+        filled = cube.fill_random(rng, stimulus_nets)
+        scratch_sim.simulate(scratch, [filled], drop_detected=True)
 
     # Apply the final (compacted) pattern set to the real fault list.
     simulator = FaultSimulator(circuit, observe_nets)
+    patterns = [cube.fill_random(rng, stimulus_nets) for cube in merge_compatible_cubes(cubes)]
     simulator.simulate(
         fault_list, patterns, drop_detected=True, pattern_offset=TOPUP_PATTERN_BASE
     )
+
+    # The merged cubes are filled afresh, so they can miss a screened target:
+    # target those and apply their (compacted) patterns after the others.
+    undetected = set(fault_list.undetected())
+    missed = [fault for fault in screened if fault in undetected]
+    repairs = [cube for cube in map(attempt, missed) if cube is not None]
+    repair_patterns = [
+        cube.fill_random(rng, stimulus_nets) for cube in merge_compatible_cubes(repairs)
+    ]
+    simulator.simulate(
+        fault_list,
+        repair_patterns,
+        drop_detected=True,
+        pattern_offset=TOPUP_PATTERN_BASE + len(patterns),
+    )
+    patterns += repair_patterns
+    result.cubes = cubes + repairs
     for fault in untestable:
         fault_list.mark_untestable(fault)
     for fault in aborted:

@@ -13,7 +13,7 @@ import pytest
 from repro.atpg import TOPUP_PATTERN_BASE, PodemAtpg, TopUpAtpg
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.oracle import run_topup_with_compaction_reference
+from repro.oracle import run_topup_reference
 
 
 def hard_core(seed=77):
@@ -76,12 +76,12 @@ class TestBatchedScreeningEquivalence:
         circuit = hard_core()
         reference_list = run_random_phase(circuit)
         compiled_list = run_random_phase(circuit)
-        reference = run_topup_with_compaction_reference(
+        reference = run_topup_reference(
             circuit, reference_list, backtrack_limit=200, seed=11
         )
         compiled = TopUpAtpg(
             circuit, backtrack_limit=200, seed=11, block_size=block_size
-        ).run_with_compaction(compiled_list)
+        ).run(compiled_list)
         assert result_facts(reference) == result_facts(compiled)
         assert snapshot(reference_list) == snapshot(compiled_list)
 
@@ -92,10 +92,10 @@ class TestBatchedScreeningEquivalence:
         numpy_list = run_random_phase(circuit)
         python_result = TopUpAtpg(
             circuit, backtrack_limit=200, seed=11, sim_backend="python"
-        ).run_with_compaction(python_list)
+        ).run(python_list)
         numpy_result = TopUpAtpg(
             circuit, backtrack_limit=200, seed=11, sim_backend="numpy"
-        ).run_with_compaction(numpy_list)
+        ).run(numpy_list)
         assert result_facts(python_result) == result_facts(numpy_result)
         assert snapshot(python_list) == snapshot(numpy_list)
 
@@ -110,9 +110,7 @@ class TestPatternIndexRanges:
         ]
         assert random_indices and max(random_indices) < TOPUP_PATTERN_BASE
         before = set(map(str, fault_list.detected()))
-        TopUpAtpg(circuit, backtrack_limit=200, seed=17).run_with_compaction(
-            fault_list
-        )
+        TopUpAtpg(circuit, backtrack_limit=200, seed=17).run(fault_list)
         for fault in fault_list.detected():
             index = fault_list.record(fault).first_detection
             if str(fault) in before:
@@ -133,9 +131,9 @@ class TestMaxFaultsAccounting:
         if engine == "compiled":
             result = TopUpAtpg(
                 circuit, backtrack_limit=200, seed=19, max_faults=cap
-            ).run_with_compaction(fault_list)
+            ).run(fault_list)
         else:
-            result = run_topup_with_compaction_reference(
+            result = run_topup_reference(
                 circuit, fault_list, backtrack_limit=200, seed=19, max_faults=cap
             )
         assert result.skipped_targets == undetected - cap
@@ -144,9 +142,7 @@ class TestMaxFaultsAccounting:
     def test_uncapped_run_records_zero_skipped(self):
         circuit = hard_core(80)
         fault_list = run_random_phase(circuit, count=96, seed=9)
-        result = TopUpAtpg(circuit, backtrack_limit=200, seed=19).run_with_compaction(
-            fault_list
-        )
+        result = TopUpAtpg(circuit, backtrack_limit=200, seed=19).run(fault_list)
         assert result.skipped_targets == 0
 
 
@@ -157,9 +153,7 @@ class TestPreparedReplay:
         lazy_list = run_random_phase(circuit, count=96, seed=21)
         replay_list = run_random_phase(circuit, count=96, seed=21)
 
-        lazy = TopUpAtpg(circuit, backtrack_limit=200, seed=23).run_with_compaction(
-            lazy_list
-        )
+        lazy = TopUpAtpg(circuit, backtrack_limit=200, seed=23).run(lazy_list)
 
         topup_replay = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
         targets, _ = topup_replay.plan_targets(replay_list)
@@ -182,7 +176,5 @@ class TestDispositionsPreserved:
     def test_no_fault_left_merely_undetected(self):
         circuit = hard_core(82)
         fault_list = run_random_phase(circuit, count=96, seed=25)
-        TopUpAtpg(circuit, backtrack_limit=200, seed=27).run_with_compaction(
-            fault_list
-        )
+        TopUpAtpg(circuit, backtrack_limit=200, seed=27).run(fault_list)
         assert fault_list.with_status(FaultStatus.UNDETECTED) == []

@@ -13,7 +13,6 @@ from repro.faults import (
     OUTPUT_PIN,
     FaultList,
     FaultSimulator,
-    FaultStatus,
     StuckAtFault,
     collapse_stuck_at,
 )
@@ -110,7 +109,7 @@ class TestTopUpAtpg:
         assert coverage_random < 1.0  # the comparator resists random patterns
 
         topup = TopUpAtpg(circuit, backtrack_limit=500, seed=9)
-        result = topup.run_with_compaction(fault_list)
+        result = topup.run(fault_list)
         assert result.coverage_before == pytest.approx(coverage_random)
         assert result.coverage_after > coverage_random
         assert result.pattern_count >= 1
@@ -126,12 +125,20 @@ class TestTopUpAtpg:
             {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(64)
         ]
         FaultSimulator(circuit).simulate(fault_list, patterns)
-        merged = TopUpAtpg(circuit, backtrack_limit=500, seed=9).run_with_compaction(
-            fault_list
-        )
+        merged = TopUpAtpg(circuit, backtrack_limit=500, seed=9).run(fault_list)
+        cov_merged = fault_list.coverage()
+        # The uncompacted set: one random-filled pattern per cube.
+        plain_list = collapse_stuck_at(circuit).to_fault_list()
+        FaultSimulator(circuit).simulate(plain_list, patterns)
+        fill = random.Random(9)
+        stimulus = circuit.stimulus_nets()
+        plain = [cube.fill_random(fill, stimulus) for cube in merged.cubes]
+        FaultSimulator(circuit).simulate(plain_list, plain)
+        cov_plain = plain_list.coverage()
         # Cube merging can only reduce the pattern count relative to the
         # number of successful cubes it starts from.
         assert merged.pattern_count <= merged.successful_faults
+        assert cov_merged == pytest.approx(cov_plain, abs=0.02)
 
     def test_untestable_faults_marked(self):
         builder = CircuitBuilder(name="redundant")
@@ -141,7 +148,7 @@ class TestTopUpAtpg:
         builder.output(y)
         circuit = builder.build()
         fault_list = FaultList([StuckAtFault("y", OUTPUT_PIN, 1)])
-        result = TopUpAtpg(circuit).run_with_compaction(fault_list)
+        result = TopUpAtpg(circuit).run(fault_list)
         assert result.untestable_faults == 1
         assert fault_list.untestable_count() == 1
         assert fault_list.coverage(exclude_untestable=True) == 1.0
@@ -150,17 +157,14 @@ class TestTopUpAtpg:
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         topup = TopUpAtpg(circuit, max_faults=3)
-        result = topup.run_with_compaction(fault_list)
+        result = topup.run(fault_list)
         assert result.attempted_faults <= 3
 
     def test_detected_faults_not_retargeted(self):
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = TopUpAtpg(circuit, seed=1).run_with_compaction(fault_list)
+        result = TopUpAtpg(circuit, seed=1).run(fault_list)
         # One pattern typically detects several faults, so the number of ATPG
         # attempts must be well below the fault count.
         assert result.attempted_faults < len(fault_list)
-        # Every targeted fault's cube survives into a merged pattern.
-        assert result.successful_faults == result.attempted_faults
-        for cube in result.cubes:
-            assert fault_list.record(cube.fault).status is FaultStatus.DETECTED
+        assert fault_list.coverage() == pytest.approx(1.0)

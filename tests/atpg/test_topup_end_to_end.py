@@ -59,7 +59,7 @@ class TestTopUpLiftsCoverage:
         assert coverage_random < 0.99  # the core really is hard for random
 
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=11)
-        result = topup.run_with_compaction(fault_list)
+        result = topup.run(fault_list)
         assert result.coverage_before == pytest.approx(coverage_random)
         assert result.coverage_after > coverage_random
         assert result.coverage_after == pytest.approx(fault_list.coverage())
@@ -71,7 +71,7 @@ class TestTopUpLiftsCoverage:
         circuit = hard_fault_core(78)
         fault_list = run_random_phase(circuit, count=128, seed=5)
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=13)
-        result = topup.run_with_compaction(fault_list)
+        result = topup.run(fault_list)
         assert result.cubes
         simulator = FaultSimulator(circuit)
         rng = random.Random(13)
@@ -85,7 +85,7 @@ class TestTopUpLiftsCoverage:
         detected, proven untestable, or explicitly aborted."""
         circuit = hard_fault_core(79)
         fault_list = run_random_phase(circuit, count=96, seed=7)
-        TopUpAtpg(circuit, backtrack_limit=200, seed=17).run_with_compaction(fault_list)
+        TopUpAtpg(circuit, backtrack_limit=200, seed=17).run(fault_list)
         assert fault_list.with_status(FaultStatus.UNDETECTED) == []
 
 
@@ -95,7 +95,7 @@ class TestCompactedPatternCountInvariants:
         fault_list = run_random_phase(circuit, count=96, seed=9)
         undetected_before = len(fault_list.undetected())
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=19)
-        result = topup.run_with_compaction(fault_list)
+        result = topup.run(fault_list)
 
         # Attempts decompose exactly into the three outcomes.
         assert result.attempted_faults == (
@@ -117,7 +117,7 @@ class TestCompactedPatternCountInvariants:
         circuit = hard_fault_core(81)
         fault_list = run_random_phase(circuit, count=96, seed=21)
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=23)
-        merged = topup.run_with_compaction(fault_list)
+        merged = topup.run(fault_list)
         coverage_merged = fault_list.coverage()
         # The uncompacted set: one random-filled pattern per cube.
         plain_list = run_random_phase(circuit, count=96, seed=21)
@@ -134,9 +134,7 @@ class TestCompactedPatternCountInvariants:
     def test_patterns_fully_specified_over_stimulus(self):
         circuit = hard_fault_core(82)
         fault_list = run_random_phase(circuit, count=96, seed=25)
-        result = TopUpAtpg(circuit, backtrack_limit=200, seed=27).run_with_compaction(
-            fault_list
-        )
+        result = TopUpAtpg(circuit, backtrack_limit=200, seed=27).run(fault_list)
         stimulus = set(circuit.stimulus_nets())
         for pattern in result.patterns:
             assert set(pattern) == stimulus

@@ -8,7 +8,7 @@ their floating-point values), per-pattern detection credits, and per-domain
 MISR signatures.  This suite fuzzes random circuits from
 :mod:`repro.cores.generator` across shard counts {1, 2, 4, 7} x block sizes
 {64, 256} and asserts exactly that, plus the multiprocessing pool path and
-the flow integration (``LogicBistFlow(num_workers=...)``).
+the flow integration (a pooled campaign run against the serial flow).
 
 Hand-made block streams go through :func:`shard_graph`, which drains the
 production shard stages exactly as a scenario's fault-sim fan-out does;
@@ -486,25 +486,26 @@ class TestShardedTransitionSim:
 @pytest.mark.multiprocess
 class TestFlowIntegration:
     def test_flow_campaign_workers_bit_identical_to_serial(self):
-        """The flow's sharded random phase reproduces the serial flow exactly."""
+        """A pooled, sharded campaign run reproduces the serial flow exactly."""
         circuit = make_core(2005)
-        base = dict(
+        config = LogicBistConfig(
             total_scan_chains=4,
             observation_point_budget=4,
             tpi_profile_patterns=48,
             random_patterns=128,
             signature_patterns=12,
             topup_backtrack_limit=60,
+            campaign_topup=True,
         )
-        serial = LogicBistFlow(LogicBistConfig(**base)).run(circuit)
-        sharded = LogicBistFlow(
-            LogicBistConfig(**base), num_workers=2, fault_shards=4
-        ).run(circuit)
-        assert sharded.fault_coverage_random == serial.fault_coverage_random
+        serial = LogicBistFlow(config).run(circuit)
+        sharded = CampaignRunner(num_workers=2, fault_shards=4).run(
+            [CampaignScenario("flow", circuit, config)]
+        )["flow"]
+        assert sharded.coverage_random == serial.fault_coverage_random
         assert sharded.coverage_curve == serial.coverage_curve
-        assert sharded.signatures == serial.signatures
-        assert sharded.fault_coverage_final == serial.fault_coverage_final
-        assert sharded.top_up_pattern_count == serial.top_up_pattern_count
+        assert sharded.signatures == dict(sorted(serial.signatures.items()))
+        assert sharded.coverage == serial.fault_coverage_final
+        assert sharded.topup_pattern_count == serial.top_up_pattern_count
         ref_list = serial.fault_list
         got_list = sharded.fault_list
         for fault in ref_list.faults():

@@ -150,9 +150,9 @@ class TestPipelinedReportBytesAcrossWorkers:
         assert numpy_run.report_bytes() == python_run.report_bytes()
 
     def test_flow_pipeline_workers_bit_identical_to_serial(self):
-        """The pooled flow graph (num_workers) reproduces the serial flow."""
+        """A pooled campaign run of the flow's graph reproduces the serial flow."""
         circuit = make_core(44)
-        base = dict(
+        config = LogicBistConfig(
             total_scan_chains=4,
             tpi_method="fault_sim",
             observation_point_budget=4,
@@ -162,16 +162,20 @@ class TestPipelinedReportBytesAcrossWorkers:
             measure_transition_coverage=True,
             transition_patterns=48,
             topup_backtrack_limit=60,
+            campaign_topup=True,
         )
-        serial = LogicBistFlow(LogicBistConfig(**base)).run(circuit)
-        pooled = LogicBistFlow(LogicBistConfig(**base), num_workers=2).run(circuit)
-        assert pooled.fault_coverage_random == serial.fault_coverage_random
+        serial = LogicBistFlow(config).run(circuit)
+        pooled = CampaignRunner(num_workers=2).run(
+            [CampaignScenario("flow", circuit, config)]
+        )["flow"]
+        assert serial.test_point_count > 0  # TPI really fired
+        assert pooled.total_faults == serial.total_faults
+        assert pooled.coverage_random == serial.fault_coverage_random
         assert pooled.coverage_curve == serial.coverage_curve
-        assert pooled.signatures == serial.signatures
-        assert pooled.fault_coverage_final == serial.fault_coverage_final
-        assert pooled.top_up_pattern_count == serial.top_up_pattern_count
+        assert pooled.signatures == dict(sorted(serial.signatures.items()))
+        assert pooled.coverage == serial.fault_coverage_final
+        assert pooled.topup_pattern_count == serial.top_up_pattern_count
         assert pooled.transition_coverage == serial.transition_coverage
-        assert pooled.test_point_count == serial.test_point_count
         for fault in serial.fault_list.faults():
             assert (
                 pooled.fault_list.record(fault).first_detection

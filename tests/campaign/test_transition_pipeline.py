@@ -241,18 +241,18 @@ class TestTransitionReportBytesAcrossWorkers:
         )
         assert numpy_run.report_bytes() == python_run.report_bytes()
 
-    def test_pooled_flow_at_speed_results_match_serial(self):
-        """The pooled flow graph reproduces transition + skew bit-for-bit."""
+    def test_pooled_campaign_at_speed_results_match_serial_flow(self):
+        """A pooled campaign run reproduces the flow's transition + skew."""
         circuit = make_core(74)
-        base = at_speed_config(topup_backtrack_limit=60)
-        serial = LogicBistFlow(base).run(circuit)
-        pooled = LogicBistFlow(base, num_workers=2).run(circuit)
+        config = at_speed_config(topup_backtrack_limit=60, campaign_topup=True)
+        serial = LogicBistFlow(config).run(circuit)
+        pooled = CampaignRunner(num_workers=2).run(
+            [CampaignScenario("flow", circuit, config)]
+        )["flow"]
         assert pooled.transition_coverage == serial.transition_coverage
         assert (
-            pooled.transition.first_detections
+            pooled.transition_first_detections
             == serial.transition.first_detections
         )
-        assert pooled.transition.coverage_curve == serial.transition.coverage_curve
-        assert (
-            pooled.skew_sweep.canonical_dict() == serial.skew_sweep.canonical_dict()
-        )
+        assert pooled.transition_coverage_curve == serial.transition.coverage_curve
+        assert pooled.skew == serial.skew_sweep.canonical_dict()

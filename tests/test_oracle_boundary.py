@@ -121,13 +121,11 @@ def test_walk_ignores_lookalikes():
         ("repro.core.config", "LogicBistConfig", "campaign_fault_shards"),
         ("repro.atpg.podem", "PodemAtpg", "backtrace"),
         ("repro.atpg.topup", "TopUpAtpg", "backtrace"),
-        ("repro.atpg.topup", "TopUpAtpg", "run"),
         ("repro.atpg.topup", "TopUpAtpg", "_run_batched"),
         ("repro.atpg", None, "BACKTRACE_FIRST_X"),
         ("repro.atpg", None, "BACKTRACE_SCOAP"),
         ("repro.atpg", None, "reverse_order_compaction"),
         ("repro.atpg.compiled", None, "scoap_guidance"),
-        ("repro.oracle", None, "run_topup_reference"),
         ("repro.tpi.observability_tpi", "ObservabilityGuidedTpi", "method"),
         ("repro.testability", None, "cop"),
         ("repro.testability", None, "compute_cop"),
