@@ -86,6 +86,15 @@
 #                                 failed.  Takes minutes and ~2.5 GB of
 #                                 memory (the unbounded scale-7 scan in
 #                                 bench_scan_memory).
+#   scripts/verify.sh reach       the dead-code gate (~2 minutes): runs
+#                                 scripts/reachability.py (every example and
+#                                 the three perfbench workloads under a
+#                                 profile hook) and fails when the count of
+#                                 src/repro lines no user path enters,
+#                                 outside repro/oracle/, rises above
+#                                 REACH_BAR below.  The bar only moves down:
+#                                 lower it when a change deletes unreached
+#                                 code.
 #
 # Markers:
 #   slow          exhaustive LFSR period walks (widths 14-20)
@@ -104,6 +113,9 @@
 #   scripts/verify.sh fast tests/campaign -k pipeline
 set -e
 cd "$(dirname "$0")/.."
+
+# Unreached src/repro lines outside repro/oracle/ that the reach tier allows.
+REACH_BAR=1138
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 tier="${1:-fast}"
@@ -153,8 +165,20 @@ case "$tier" in
     [ "$status" -eq 0 ] || failed=1
     exit "$failed"
     ;;
+  reach)
+    status=0
+    out="$(python scripts/reachability.py)" || status=$?
+    echo "$out"
+    [ "$status" -eq 0 ] || exit 1
+    count="$(echo "$out" | sed -n 's|^unreached lines outside repro/oracle/: ||p')"
+    if [ -z "$count" ] || [ "$count" -gt "$REACH_BAR" ]; then
+      echo "reach: ${count:-no count} unreached lines outside repro/oracle/, bar $REACH_BAR" >&2
+      exit 1
+    fi
+    echo "reach: $count unreached lines outside repro/oracle/ (bar $REACH_BAR)"
+    ;;
   *)
-    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|faults|service|chaos|lifecycle|perf] [pytest args...]" >&2
+    echo "usage: scripts/verify.sh [fast|full|bench-smoke|transition|faults|service|chaos|lifecycle|perf|reach] [pytest args...]" >&2
     exit 2
     ;;
 esac

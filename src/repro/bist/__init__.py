@@ -2,8 +2,7 @@
 
 Public API:
 
-* :class:`~repro.bist.lfsr.FibonacciLfsr` / :class:`~repro.bist.lfsr.GaloisLfsr`
-  / :class:`~repro.bist.lfsr.Prpg`,
+* :class:`~repro.bist.lfsr.FibonacciLfsr` / :class:`~repro.bist.lfsr.Prpg`,
 * :class:`~repro.bist.phase_shifter.PhaseShifter`,
 * :class:`~repro.bist.space.SpaceExpander` / :class:`~repro.bist.space.SpaceCompactor`,
 * :class:`~repro.bist.misr.Misr` and the signature helpers,
@@ -26,7 +25,7 @@ from .polynomials import (
     polynomial_to_mask,
     primitive_polynomial,
 )
-from .lfsr import FibonacciLfsr, GaloisLfsr, Prpg, weighted_bits
+from .lfsr import FibonacciLfsr, Prpg
 from .phase_shifter import PhaseShifter, identity_phase_shifter
 from .space import SpaceCompactor, SpaceExpander, identity_compactor
 from .misr import (
@@ -47,9 +46,7 @@ __all__ = [
     "polynomial_to_mask",
     "primitive_polynomial",
     "FibonacciLfsr",
-    "GaloisLfsr",
     "Prpg",
-    "weighted_bits",
     "PhaseShifter",
     "identity_phase_shifter",
     "SpaceCompactor",

@@ -1,12 +1,7 @@
 """Linear feedback shift registers: the PRPGs of the STUMPS architecture.
 
-Both canonical forms are implemented:
-
-* :class:`FibonacciLfsr` -- external-XOR form, the textbook STUMPS PRPG,
-* :class:`GaloisLfsr` -- internal-XOR form, one XOR level per stage (faster
-  silicon, identical sequence up to a state mapping).
-
-Both walk the full ``2**length - 1`` non-zero state space when built from a
+:class:`FibonacciLfsr` is the external-XOR form, the textbook STUMPS PRPG.
+It walks the full ``2**length - 1`` non-zero state space when built from a
 primitive polynomial (:mod:`repro.bist.polynomials`).  The PRPG drives one bit
 per scan chain per shift cycle, after the phase shifter decorrelates adjacent
 chains (:mod:`repro.bist.phase_shifter`).
@@ -14,7 +9,7 @@ chains (:mod:`repro.bist.phase_shifter`).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .polynomials import (
     polynomial_degree,
@@ -24,7 +19,11 @@ from .polynomials import (
 
 
 class _LfsrBase:
-    """State storage and iteration helpers shared by both LFSR forms."""
+    """State storage and iteration helpers of an LFSR.
+
+    Its :meth:`drain_output_word` steps one clock at a time: the reference
+    the chunked :meth:`FibonacciLfsr.drain_output_word` is tested against.
+    """
 
     def __init__(
         self,
@@ -173,30 +172,6 @@ class FibonacciLfsr(_LfsrBase):
         return stream & ((1 << count) - 1)
 
 
-class GaloisLfsr(_LfsrBase):
-    """Internal-XOR (Galois) LFSR (one-level feedback, the usual hardware choice)."""
-
-    def __init__(
-        self,
-        length: int,
-        polynomial: Optional[tuple[int, ...]] = None,
-        seed: int = 1,
-    ) -> None:
-        super().__init__(length, polynomial, seed)
-        taps = 0
-        for exponent in polynomial_taps(self.polynomial):
-            if exponent > 0:
-                taps |= 1 << (exponent - 1)
-        self._tap_mask = taps
-
-    def step(self) -> int:
-        output = self.state & 1
-        self.state >>= 1
-        if output:
-            self.state ^= self._tap_mask | (1 << (self.length - 1))
-        return output
-
-
 class Prpg:
     """Pseudo-random pattern generator: an LFSR exposing its parallel state.
 
@@ -211,10 +186,8 @@ class Prpg:
         length: int,
         polynomial: Optional[tuple[int, ...]] = None,
         seed: int = 1,
-        galois: bool = False,
     ) -> None:
-        lfsr_class = GaloisLfsr if galois else FibonacciLfsr
-        self.lfsr = lfsr_class(length, polynomial, seed)
+        self.lfsr = FibonacciLfsr(length, polynomial, seed)
 
     @property
     def length(self) -> int:
@@ -249,17 +222,3 @@ class Prpg:
         """Parallel state bits for ``cycles`` consecutive shift cycles."""
         return [self.next_state_bits() for _ in range(cycles)]
 
-
-def weighted_bits(bits: Sequence[int], weight_taps: int = 1) -> int:
-    """AND ``weight_taps`` adjacent bits together (weighted-random utility).
-
-    Classic weighted-random BIST biases the 1-probability of selected inputs
-    by ANDing several PRPG outputs; the helper is used by the weighted-pattern
-    ablation experiments.
-    """
-    if weight_taps < 1:
-        raise ValueError("weight_taps must be >= 1")
-    value = 1
-    for index in range(weight_taps):
-        value &= bits[index % len(bits)]
-    return value

@@ -35,7 +35,7 @@ from ..simulation.numpy_backend import (
     resolve_backend,
 )
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock
-from .lfsr import FibonacciLfsr, Prpg
+from .lfsr import Prpg
 from .misr import Misr
 from .phase_shifter import PhaseShifter, identity_phase_shifter
 from .space import SpaceCompactor, SpaceExpander, identity_compactor
@@ -58,7 +58,6 @@ class StumpsDomainConfig:
     compactor_outputs: Optional[int] = None
     #: Optional space expander input width (None = drive chains from the PS directly).
     expander_inputs: Optional[int] = None
-    galois: bool = False
 
 
 class StumpsDomain:
@@ -72,9 +71,7 @@ class StumpsDomain:
         self.chain_count = len(self.chains)
         self.max_chain_length = max(chain.length for chain in self.chains)
 
-        self.prpg = Prpg(
-            config.prpg_length, seed=config.prpg_seed, galois=config.galois
-        )
+        self.prpg = Prpg(config.prpg_length, seed=config.prpg_seed)
         if config.use_phase_shifter:
             self.phase_shifter = PhaseShifter(
                 prpg_length=config.prpg_length,
@@ -150,13 +147,11 @@ class StumpsDomain:
 
         With ``backend="numpy"`` the whole window is generated on ndarray
         bit planes instead: the PRPG output stream is drained in chunked
-        bigint form, the phase-shifter XORs become array slices (Fibonacci;
-        for a Galois PRPG the tap parities are vectorised popcounts over the
-        state sequence), and the per-cell scatter becomes one fancy-indexed
-        gather plus ``np.packbits``.  The returned words -- and the PRPG
-        state afterwards -- are bit-identical to the python backend; rarely
-        vectorisable structures (a configured space expander, an over-wide
-        Galois PRPG) transparently fall back to the python loop.
+        bigint form, the phase-shifter XORs become array slices, and the
+        per-cell scatter becomes one fancy-indexed gather plus
+        ``np.packbits``.  The returned words -- and the PRPG state
+        afterwards -- are bit-identical to the python backend; a configured
+        space expander runs the python loop.
         """
         cycles = shift_cycles if shift_cycles is not None else self.max_chain_length
         if (
@@ -165,9 +160,7 @@ class StumpsDomain:
             and num_patterns > 0
             and cycles > 0
         ):
-            planes = self._generate_packed_load_numpy(num_patterns, cycles)
-            if planes is not None:
-                return planes
+            return self._generate_packed_load_numpy(num_patterns, cycles)
         words: dict[str, int] = {
             cell: 0 for chain in self.chains for cell in chain.cells
         }
@@ -231,62 +224,40 @@ class StumpsDomain:
 
     def _channel_bit_matrix(self, total_cycles: int):
         """Phase-shifter output bits for ``total_cycles`` consecutive shift
-        cycles as a ``(total_cycles, chain_count)`` uint8 matrix -- or
-        ``None`` when this PRPG shape has no vectorised form.
+        cycles as a ``(total_cycles, chain_count)`` uint8 matrix; the PRPG
+        advances by exactly ``total_cycles`` steps.
 
-        On success the PRPG has advanced by exactly ``total_cycles`` steps;
-        a ``None`` return leaves it untouched (the caller's python fallback
-        performs the stepping itself).
+        Stage i after n steps is output-stream bit n + i, so draining the
+        stream once turns every phase-shifter tap XOR into a slice XOR over
+        the unpacked stream bits.
         """
         lfsr = self.prpg.lfsr
         length = lfsr.length
-        if isinstance(lfsr, FibonacciLfsr):
-            # Stage i after n steps is output-stream bit n + i, so draining
-            # the stream once turns every phase-shifter tap XOR into a slice
-            # XOR over the unpacked stream bits.
-            drained = lfsr.drain_output_word(total_cycles)
-            stream_word = drained | (lfsr.state << total_cycles)
-            stream = _np.unpackbits(
-                _np.frombuffer(
-                    stream_word.to_bytes((total_cycles + length + 7) // 8, "little"),
-                    dtype=_np.uint8,
-                ),
-                bitorder="little",
-            )[: total_cycles + length]
-            channels = _np.empty(
-                (total_cycles, self.chain_count), dtype=_np.uint8
-            )
-            # Channel c at 0-based cycle g reads the state after g + 1 steps:
-            # XOR of stream[g + 1 + tap] over its taps.
-            for channel, taps in enumerate(self.phase_shifter.channel_taps):
-                first = taps[0] + 1
-                acc = stream[first : first + total_cycles].copy()
-                for tap in taps[1:]:
-                    acc ^= stream[tap + 1 : tap + 1 + total_cycles]
-                channels[:, channel] = acc
-            return channels
-        if length > 64 or not hasattr(_np, "bitwise_count"):
-            return None
-        # Galois form: stages are not stream windows, so collect the state
-        # sequence and vectorise the per-channel tap parities instead.
-        prpg = self.prpg
-        states = _np.fromiter(
-            (prpg.next_state_int() for _ in range(total_cycles)),
-            dtype=_np.uint64,
-            count=total_cycles,
-        )
-        tap_masks = _np.array(self.phase_shifter._tap_masks, dtype=_np.uint64)
-        return (
-            _np.bitwise_count(states[:, None] & tap_masks[None, :]) & 1
-        ).astype(_np.uint8)
+        drained = lfsr.drain_output_word(total_cycles)
+        stream_word = drained | (lfsr.state << total_cycles)
+        stream = _np.unpackbits(
+            _np.frombuffer(
+                stream_word.to_bytes((total_cycles + length + 7) // 8, "little"),
+                dtype=_np.uint8,
+            ),
+            bitorder="little",
+        )[: total_cycles + length]
+        channels = _np.empty((total_cycles, self.chain_count), dtype=_np.uint8)
+        # Channel c at 0-based cycle g reads the state after g + 1 steps:
+        # XOR of stream[g + 1 + tap] over its taps.
+        for channel, taps in enumerate(self.phase_shifter.channel_taps):
+            first = taps[0] + 1
+            acc = stream[first : first + total_cycles].copy()
+            for tap in taps[1:]:
+                acc ^= stream[tap + 1 : tap + 1 + total_cycles]
+            channels[:, channel] = acc
+        return channels
 
     def _generate_packed_load_numpy(
         self, num_patterns: int, cycles: int
-    ) -> Optional[dict[str, int]]:
+    ) -> dict[str, int]:
         """ndarray bit-plane form of :meth:`generate_packed_load`."""
         channels = self._channel_bit_matrix(num_patterns * cycles)
-        if channels is None:
-            return None
         names, source_cycles, chain_indices, zero_cells = self._cell_map(cycles)
         words = {cell: 0 for cell in zero_cells}
         if names:

@@ -18,19 +18,19 @@ space*: good values live in a flat ``list[int]`` indexed by interned net ID,
 fault sites are pre-resolved to ``(site ID, opcode, operand IDs)`` records,
 and every fanout cone is lowered once into a per-site
 :class:`~repro.simulation.kernel.ConePlan` (sorted schedule slices plus the
-frontier nets read from the fault-free base).  The name-keyed entry points
-(:meth:`FaultSimulator.detection_mask`, :meth:`FaultSimulator.simulate` with
-pattern dicts) are thin adapters over the ID path, so ATPG, TPI and the tests
-keep their original API.  :meth:`FaultSimulator.simulate_blocks` consumes
-pre-packed :class:`~repro.simulation.packed.PatternBlock` streams (e.g. from
+frontier nets read from the fault-free base).
+:meth:`FaultSimulator.simulate` packs a list of pattern dicts into blocks;
+:meth:`FaultSimulator.simulate_blocks` consumes pre-packed
+:class:`~repro.simulation.packed.PatternBlock` streams (e.g. from
 ``StumpsArchitecture.generate_packed_blocks``) without ever materialising
 per-pattern dicts.
 
-The same engine exposes :meth:`FaultSimulator.fault_effect_profile`, which the
-paper's fault-simulation-guided test-point insertion uses: instead of asking
-"did the effect reach an observation net?" it records *which internal nets*
-the effect of each undetected fault reaches, so that observation points can be
-placed where they convert the most undetected faults into detected ones.
+The same engine exposes :meth:`FaultSimulator.fault_effect_profile_ids`,
+which the paper's fault-simulation-guided test-point insertion uses: instead
+of asking "did the effect reach an observation net?" it records *which
+internal nets* the effect of each undetected fault reaches, so that
+observation points can be placed where they convert the most undetected
+faults into detected ones.
 """
 
 from __future__ import annotations
@@ -282,9 +282,6 @@ class FaultSimulator:
             detection |= scratch[nid] ^ good[nid]
         return detection & mask
 
-    # ------------------------------------------------------------------ #
-    # Name-keyed adapters (public API unchanged from the pre-kernel engine)
-    # ------------------------------------------------------------------ #
     def detection_mask_ids(
         self, fault: StuckAtFault, good_values: list[int], num_patterns: int
     ) -> int:
@@ -296,27 +293,6 @@ class FaultSimulator:
     def detection_mask_at(self, fault_id: int, good_values: list[int], mask: int) -> int:
         """Detection mask of one fault ID against a good-value table."""
         return self._detection(self.table.spec(fault_id), good_values, mask)
-
-    def detection_mask(
-        self,
-        fault: StuckAtFault,
-        good_values: Mapping[str, int],
-        num_patterns: int,
-    ) -> int:
-        """Packed mask of patterns (within the block) that detect ``fault``.
-
-        ``good_values`` is a name-keyed fault-free block result (what
-        :meth:`PackedSimulator.simulate_block` returns); it is interned into
-        the ID table once per call, so prefer :meth:`detection_mask_ids` in
-        loops over many faults.  Keys that are not circuit nets are ignored;
-        a circuit net missing from the mapping raises ``KeyError`` (fail
-        fast, never a silent all-zero default).
-        """
-        table = self._table_from_mapping(good_values)
-        return self.detection_mask_ids(fault, table, num_patterns)
-
-    def _table_from_mapping(self, good_values: Mapping[str, int]) -> list[int]:
-        return [good_values[name] for name in self.kernel.net_names]
 
     # ------------------------------------------------------------------ #
     # Campaign-level simulation
@@ -588,27 +564,15 @@ class FaultSimulator:
                 detections[index] = offsets[-1] + first_bit
         return detections
 
-    def detects(self, pattern: Mapping[str, int], fault: StuckAtFault) -> bool:
-        """True when the single ``pattern`` detects ``fault`` (used to verify ATPG)."""
-        kernel = self.kernel
-        good = self._good
-        stimulus = {
-            net: (1 if pattern.get(net, 0) else 0)
-            for net in self.circuit.stimulus_nets()
-        }
-        kernel.set_stimulus(good, stimulus, 1)
-        kernel.evaluate(good, 1)
-        return bool(self.detection_mask_at(self.table.id_of(fault), good, 1))
-
     # ------------------------------------------------------------------ #
     # Fault-effect profiling (drives the paper's test-point insertion)
     # ------------------------------------------------------------------ #
-    def fault_effect_profile(
+    def fault_effect_profile_ids(
         self,
-        faults: Iterable[StuckAtFault],
+        ids: Sequence[int],
         blocks: Iterable[PatternBlock],
         candidate_nets: Optional[Sequence[str]] = None,
-    ) -> dict[str, dict[StuckAtFault, int]]:
+    ) -> dict[str, dict[int, int]]:
         """Where do the effects of (undetected) faults travel?
 
         For every candidate net, count per fault in how many of the given
@@ -618,8 +582,9 @@ class FaultSimulator:
 
         Parameters
         ----------
-        faults:
-            Faults to profile (typically the random-resistant ones).
+        ids:
+            Stuck-at table IDs of the faults to profile (typically the
+            random-resistant ones).
         blocks:
             Packed sample of patterns (typically the leading blocks of the
             random-pattern session; see
@@ -635,29 +600,10 @@ class FaultSimulator:
         Returns
         -------
         dict
-            Mapping candidate net -> {fault: number of patterns whose effect
-            reaches the net}.  Nets never reached by any fault are omitted.
+            Mapping candidate net -> {index into ``ids``: number of patterns
+            whose effect reaches the net}.  Nets never reached by any fault
+            are omitted.
         """
-        fault_seq = list(faults)
-        profile = self.fault_effect_profile_ids(
-            self.table.ids_of(fault_seq), blocks, candidate_nets
-        )
-        keyed: dict[str, dict[StuckAtFault, int]] = {}
-        for net, bucket in profile.items():
-            counts = keyed[net] = {}
-            for index, count in bucket.items():
-                fault = fault_seq[index]
-                counts[fault] = counts.get(fault, 0) + count
-        return keyed
-
-    def fault_effect_profile_ids(
-        self,
-        ids: Sequence[int],
-        blocks: Iterable[PatternBlock],
-        candidate_nets: Optional[Sequence[str]] = None,
-    ) -> dict[str, dict[int, int]]:
-        """:meth:`fault_effect_profile` over fault IDs, keyed by the index
-        into ``ids`` (same counts, same insertion order)."""
         if candidate_nets is None:
             candidate_nets = [
                 gate.name

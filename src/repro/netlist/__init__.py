@@ -2,7 +2,8 @@
 
 Public API:
 
-* :class:`~repro.netlist.gates.GateType` and the packed-value evaluation helpers,
+* :class:`~repro.netlist.gates.GateType` and packed two-valued evaluation
+  (:func:`~repro.netlist.gates.evaluate_packed`),
 * :class:`~repro.netlist.circuit.Circuit` / :class:`~repro.netlist.circuit.Gate`,
 * :class:`~repro.netlist.builder.CircuitBuilder` for programmatic construction,
 * :mod:`~repro.netlist.bench_format` for ISCAS-style ``.bench`` I/O,
@@ -17,10 +18,7 @@ from .gates import (
     CONTROLLING_VALUE,
     GateEvaluationError,
     GateType,
-    PackedValue3,
     evaluate_packed,
-    evaluate_packed3,
-    evaluate_scalar,
     parse_gate_type,
 )
 from .library import CellLibrary, CellSpec, DEFAULT_CELL_SPECS, RETIMING_FF_AREA
@@ -41,10 +39,7 @@ __all__ = [
     "chain_of_inverters",
     "GateType",
     "GateEvaluationError",
-    "PackedValue3",
     "evaluate_packed",
-    "evaluate_packed3",
-    "evaluate_scalar",
     "parse_gate_type",
     "CONTROLLING_VALUE",
     "CONTROLLED_OUTPUT",

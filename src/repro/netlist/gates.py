@@ -2,27 +2,16 @@
 
 The whole reproduction works on a flat, technology-independent gate-level
 netlist.  This module defines the set of supported gate types together with
-their evaluation semantics in three forms:
-
-* scalar two-valued evaluation (``evaluate_scalar``) used by tests and small
-  utilities,
-* packed two-valued evaluation (``evaluate_packed``) where every operand is an
-  arbitrary-precision Python integer holding one bit per test pattern -- this
-  is the workhorse of the logic and fault simulators,
-* packed three-valued (0/1/X) evaluation (``evaluate_packed3``) used for
-  X-source analysis, unknown propagation and ATPG value justification.
-
-The three-valued encoding follows the classical *dual-rail* scheme: a value is
-a pair ``(ones, zeros)`` of bit masks.  Bit *i* of ``ones`` is set when
-pattern *i* is known to be 1, bit *i* of ``zeros`` is set when it is known to
-be 0, and a bit set in neither mask is an unknown (X).  A bit must never be
-set in both masks.
+their two-valued evaluation semantics: packed evaluation
+(``evaluate_packed``), where every operand is an arbitrary-precision Python
+integer holding one bit per test pattern (a mask of 1 evaluates one scalar
+pattern), and the small-integer opcodes the compiled simulation kernel
+interprets.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -109,25 +98,6 @@ def _require_inputs(gate_type: GateType, values: Sequence[int], minimum: int) ->
         )
 
 
-def evaluate_scalar(gate_type: GateType, values: Sequence[int]) -> int:
-    """Evaluate a gate on scalar two-valued inputs.
-
-    Parameters
-    ----------
-    gate_type:
-        The primitive to evaluate.  ``DFF`` and ``INPUT`` are not combinational
-        and cannot be evaluated here.
-    values:
-        Input values, each 0 or 1, in pin order.
-
-    Returns
-    -------
-    int
-        The gate output, 0 or 1.
-    """
-    return evaluate_packed(gate_type, values, mask=1) & 1
-
-
 def evaluate_packed(gate_type: GateType, values: Sequence[int], mask: int) -> int:
     """Evaluate a gate on packed two-valued inputs.
 
@@ -169,116 +139,6 @@ def evaluate_packed(gate_type: GateType, values: Sequence[int], mask: int) -> in
         return 0
     if gate_type is GateType.CONST1:
         return mask
-    raise GateEvaluationError(f"cannot combinationally evaluate gate type {gate_type.name}")
-
-
-@dataclass(frozen=True)
-class PackedValue3:
-    """Dual-rail packed three-valued (0/1/X) value.
-
-    ``ones`` marks patterns known to be 1, ``zeros`` marks patterns known to
-    be 0, and patterns in neither mask are X.  Invariant: ``ones & zeros == 0``.
-    """
-
-    ones: int
-    zeros: int
-
-    def __post_init__(self) -> None:
-        if self.ones & self.zeros:
-            raise ValueError("a packed 3-valued value cannot be both 0 and 1 in the same pattern")
-
-    @property
-    def x_mask(self) -> int:
-        """Bit mask of patterns whose value is unknown, given implicit width.
-
-        Note this needs a width mask to interpret; the simulators always AND
-        with their own pattern mask.
-        """
-        return ~(self.ones | self.zeros)
-
-    @staticmethod
-    def constant(value: int, mask: int) -> "PackedValue3":
-        """All-patterns constant 0 or 1."""
-        if value not in (0, 1):
-            raise ValueError("constant must be 0 or 1")
-        return PackedValue3(mask if value else 0, 0 if value else mask)
-
-    @staticmethod
-    def all_x() -> "PackedValue3":
-        """All-patterns unknown."""
-        return PackedValue3(0, 0)
-
-    @staticmethod
-    def from_packed(ones: int, mask: int) -> "PackedValue3":
-        """Lift a fully-known packed two-valued word into the dual-rail form."""
-        return PackedValue3(ones & mask, ~ones & mask)
-
-
-def evaluate_packed3(
-    gate_type: GateType, values: Sequence[PackedValue3], mask: int
-) -> PackedValue3:
-    """Evaluate a gate on packed three-valued (0/1/X) inputs.
-
-    The evaluation follows standard pessimistic three-valued semantics: an
-    output bit is known only when the inputs force it regardless of how the
-    X bits would resolve.
-    """
-    if gate_type is GateType.AND or gate_type is GateType.NAND:
-        _require_inputs(gate_type, values, 1)
-        ones = mask
-        zeros = 0
-        for v in values:
-            ones &= v.ones
-            zeros |= v.zeros
-        ones &= mask
-        zeros &= mask
-        if gate_type is GateType.NAND:
-            ones, zeros = zeros, ones
-        return PackedValue3(ones, zeros)
-    if gate_type is GateType.OR or gate_type is GateType.NOR:
-        _require_inputs(gate_type, values, 1)
-        ones = 0
-        zeros = mask
-        for v in values:
-            ones |= v.ones
-            zeros &= v.zeros
-        ones &= mask
-        zeros &= mask
-        if gate_type is GateType.NOR:
-            ones, zeros = zeros, ones
-        return PackedValue3(ones, zeros)
-    if gate_type is GateType.XOR or gate_type is GateType.XNOR:
-        _require_inputs(gate_type, values, 1)
-        known = mask
-        parity = 0
-        for v in values:
-            known &= v.ones | v.zeros
-            parity ^= v.ones
-        parity &= known
-        ones = parity
-        zeros = known & ~parity
-        if gate_type is GateType.XNOR:
-            ones, zeros = zeros, ones
-        return PackedValue3(ones & mask, zeros & mask)
-    if gate_type is GateType.NOT:
-        _require_inputs(gate_type, values, 1)
-        return PackedValue3(values[0].zeros & mask, values[0].ones & mask)
-    if gate_type is GateType.BUF:
-        _require_inputs(gate_type, values, 1)
-        return PackedValue3(values[0].ones & mask, values[0].zeros & mask)
-    if gate_type is GateType.MUX:
-        if len(values) != 3:
-            raise GateEvaluationError(f"MUX requires exactly 3 inputs, got {len(values)}")
-        sel, a, b = values
-        # Output known-1 when: sel known-0 and a known-1, or sel known-1 and b
-        # known-1, or both a and b known-1 (sel irrelevant).  Symmetric for 0.
-        ones = (sel.zeros & a.ones) | (sel.ones & b.ones) | (a.ones & b.ones)
-        zeros = (sel.zeros & a.zeros) | (sel.ones & b.zeros) | (a.zeros & b.zeros)
-        return PackedValue3(ones & mask, zeros & mask)
-    if gate_type is GateType.CONST0:
-        return PackedValue3(0, mask)
-    if gate_type is GateType.CONST1:
-        return PackedValue3(mask, 0)
     raise GateEvaluationError(f"cannot combinationally evaluate gate type {gate_type.name}")
 
 

@@ -1,10 +1,9 @@
 """Reference name-keyed simulators: the pre-kernel oracle path.
 
 These classes preserve, verbatim in behaviour, the original string-keyed
-implementation of :class:`~repro.simulation.comb_sim.PackedSimulator` and the
-pattern-parallel single-fault-propagation engine from before the compiled
-integer-indexed kernel (:mod:`repro.simulation.kernel`) replaced them on the
-hot path.  They exist for two reasons:
+pattern-parallel good-value simulator and single-fault-propagation engine
+from before the compiled integer-indexed kernel
+(:mod:`repro.simulation.kernel`) replaced them.  They exist for two reasons:
 
 * the randomized equivalence suite (``tests/simulation/test_kernel_equivalence.py``)
   asserts the compiled kernel's results are bit-identical to this path across

@@ -15,8 +15,9 @@ scalar, cycle-accurate sequential simulator:
   clock pulses — exactly the abstraction the double-capture scheduler emits.
 
 For bulk work (thousands of random patterns) the BIST engine bypasses this
-class and uses the pattern-parallel :class:`~repro.simulation.comb_sim.PackedSimulator`
-directly; this simulator is the reference model the fast path is tested against.
+class and runs the pattern-parallel compiled kernel
+(:class:`~repro.simulation.kernel.CompiledKernel`) directly; this simulator is
+the reference model the fast path is tested against.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit
-from ..netlist.gates import evaluate_scalar
+from ..netlist.gates import evaluate_packed
 
 
 class SequentialSimulator:
@@ -78,7 +79,7 @@ class SequentialSimulator:
             values[pi] = int(pi_values.get(pi, 0)) & 1
         values.update(self.state)
         for name, gate_type, inputs in self._schedule:
-            values[name] = evaluate_scalar(gate_type, [values[n] for n in inputs])
+            values[name] = evaluate_packed(gate_type, [values[n] for n in inputs], 1)
         return values
 
     def outputs(self, pi_values: Optional[Mapping[str, int]] = None) -> dict[str, int]:

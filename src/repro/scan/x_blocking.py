@@ -11,7 +11,7 @@ This module provides:
 * :func:`identify_x_sources` -- find nets explicitly annotated as X sources
   plus, optionally, primary inputs that are not wrapped by scan cells,
 * :func:`x_contaminated_observation_nets` -- which observation nets (MISR
-  inputs) an X can actually reach, via three-valued simulation,
+  inputs) an X can reach, via a structural fanout walk,
 * :func:`block_x_sources` -- insert blocking gates (AND with a constant-0 in
   test mode, i.e. a forced known value) in front of every X source so the
   signature stays deterministic.
@@ -24,7 +24,6 @@ from typing import Iterable, Optional, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType
-from ..simulation.comb_sim import XPropagationSimulator
 
 
 @dataclass
@@ -74,41 +73,32 @@ def x_contaminated_observation_nets(
     circuit: Circuit,
     x_sources: Sequence[str],
     observe_nets: Optional[Sequence[str]] = None,
-    structural: bool = True,
 ) -> list[str]:
     """Observation nets an X from ``x_sources`` can reach.
 
-    With ``structural=True`` (the default) the check is conservative: any
-    observation net in the structural fanout cone of an X source is reported,
-    because a corrupted MISR signature is unrecoverable and DFT sign-off
-    therefore over-approximates X reachability.  ``structural=False`` uses the
-    cheaper two-corner three-valued simulation heuristic instead (useful to
-    estimate how often the X would actually show up).
+    The check is conservative: any observation net in the structural fanout
+    cone of an X source is reported, because a corrupted MISR signature is
+    unrecoverable and DFT sign-off therefore over-approximates X
+    reachability.
     """
     if not x_sources:
         return []
     observe = list(observe_nets) if observe_nets is not None else circuit.observation_nets()
-    if structural:
-        # BFS through the combinational fanout, stopping at X-blocking gates
-        # (which force a known value) and at flop boundaries.
-        reachable = set(x_sources)
-        frontier = list(x_sources)
-        while frontier:
-            current = frontier.pop()
-            for successor in circuit.fanout(current):
-                if successor in reachable:
-                    continue
-                gate = circuit.gate(successor)
-                if gate.attributes.get("x_blocking"):
-                    continue
-                reachable.add(successor)
-                if not gate.is_flop:
-                    frontier.append(successor)
-    else:
-        simulator = XPropagationSimulator(circuit)
-        reachable = simulator.x_reachable_nets(list(x_sources))
-        # A stimulus net that *is* an X source contaminates itself if observed.
-        reachable.update(set(x_sources))
+    # BFS through the combinational fanout, stopping at X-blocking gates
+    # (which force a known value) and at flop boundaries.
+    reachable = set(x_sources)
+    frontier = list(x_sources)
+    while frontier:
+        current = frontier.pop()
+        for successor in circuit.fanout(current):
+            if successor in reachable:
+                continue
+            gate = circuit.gate(successor)
+            if gate.attributes.get("x_blocking"):
+                continue
+            reachable.add(successor)
+            if not gate.is_flop:
+                frontier.append(successor)
     return [net for net in observe if net in reachable]
 
 

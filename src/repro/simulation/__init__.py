@@ -4,12 +4,9 @@ Public API:
 
 * :class:`~repro.simulation.kernel.CompiledKernel` -- the compiled
   integer-indexed simulation kernel: interned net IDs, flat opcode schedule,
-  per-site cone plans; everything below builds on it,
-* :class:`~repro.simulation.comb_sim.PackedSimulator` -- two-valued
-  pattern-parallel combinational simulation (the name-keyed adapter over the
-  kernel and the fault-simulation workhorse),
-* :class:`~repro.simulation.comb_sim.XPropagationSimulator` -- three-valued
-  (0/1/X) simulation for X-source analysis and ATPG,
+  per-site cone plans: two-valued, pattern-parallel combinational
+  simulation in net-ID space, the one engine every simulator builds on
+  (:mod:`repro.simulation.numpy_backend` lowers it to uint64 bit planes),
 * :class:`~repro.simulation.waveform.Waveform` -- timing diagrams,
 * the pattern-packing helpers in :mod:`repro.simulation.packed` (the block
   width is a free parameter: 64 / 256 / 1024-bit words all work).
@@ -37,7 +34,6 @@ from .numpy_backend import (
     SimBackendError,
     resolve_backend,
 )
-from .comb_sim import PackedSimulator, XPropagationSimulator
 from .waveform import SignalTrace, Waveform
 
 __all__ = [
@@ -58,8 +54,6 @@ __all__ = [
     "PYTHON_BACKEND",
     "SimBackendError",
     "resolve_backend",
-    "PackedSimulator",
-    "XPropagationSimulator",
     "SignalTrace",
     "Waveform",
 ]

@@ -1,9 +1,10 @@
 """Compiled integer-indexed simulation kernel.
 
-This module is the hot core underneath :class:`~repro.simulation.comb_sim.PackedSimulator`
-and the fault simulators.  At construction time every net of the circuit is
-*interned* to a dense integer ID (its position in the topological order) and
-the combinational schedule is lowered into three flat parallel lists:
+This module is the one combinational simulation engine: the fault
+simulators, the flow's response capture and the ATPG all run on it.  At
+construction time every net of the circuit is *interned* to a dense integer
+ID (its position in the topological order) and the combinational schedule is
+lowered into three flat parallel lists:
 
 * ``ops``      -- small-integer opcode per gate (:mod:`repro.netlist.gates`),
 * ``outs``     -- output net ID per gate,
@@ -39,9 +40,8 @@ per-process LRU keyed by :attr:`Circuit.digest
 once per circuit content per process, whichever object (a pickled copy, a
 re-run's fresh scan insertion) carries that content.
 
-The kernel knows nothing about net names beyond the interning tables; the
-name-keyed public API lives in the adapter layer
-(:class:`~repro.simulation.comb_sim.PackedSimulator`).
+The kernel knows nothing about net names beyond the interning tables and
+:meth:`CompiledKernel.set_stimulus`, which loads name-keyed stimulus words.
 """
 
 from __future__ import annotations

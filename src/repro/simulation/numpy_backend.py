@@ -155,14 +155,6 @@ def plane_to_word(row) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def table_to_words(table, values: list[int], count: int) -> None:
-    """Write the leading ``count`` bit-plane rows into a bigint value table."""
-    buffer = table[:count].tobytes()
-    stride = table.shape[1] * 8
-    for i in range(count):
-        values[i] = int.from_bytes(buffer[i * stride : (i + 1) * stride], "little")
-
-
 # --------------------------------------------------------------------------- #
 # Batched opcode execution
 # --------------------------------------------------------------------------- #

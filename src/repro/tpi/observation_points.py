@@ -10,7 +10,7 @@ The algorithm implemented here:
 1. fault-simulate a sample of the random patterns and keep the faults that
    remain undetected (the random-pattern-resistant population),
 2. for those faults, profile *where their effects travel*
-   (:meth:`repro.faults.fault_sim.FaultSimulator.fault_effect_profile`):
+   (:meth:`repro.faults.fault_sim.FaultSimulator.fault_effect_profile_ids`):
    a net that frequently carries the effect of an undetected fault is a spot
    where an observation point would convert that fault into a detected one,
 3. greedily pick nets maximising the number of newly covered faults
@@ -136,8 +136,9 @@ class FaultSimGuidedObservationTpi:
         """The greedy set cover of :meth:`select` over a fault-effect profile.
 
         ``profile`` maps candidate net -> {fault: effect count}, as
-        :meth:`~repro.faults.fault_sim.FaultSimulator.fault_effect_profile`
-        returns it; each pick's covered faults keep the order of its entry.
+        :meth:`~repro.faults.fault_sim.FaultSimulator.fault_effect_profile_ids`
+        returns it (faults as indices into ``resistant``); each pick's
+        covered faults keep the order of its entry.
         """
         plan = ObservationPointPlan(resistant_fault_count=len(resistant))
         # Greedy weighted set cover: each round pick the net covering the most

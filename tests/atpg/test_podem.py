@@ -19,12 +19,11 @@ from repro.atpg import (
 from repro.faults import (
     OUTPUT_PIN,
     FaultList,
-    FaultSimulator,
     StuckAtFault,
     collapse_stuck_at,
 )
 from repro.netlist import CircuitBuilder, parse_bench_text
-from repro.oracle import FaultedEvaluator
+from repro.oracle import FaultedEvaluator, ReferenceFaultSimulator
 
 C17_TEXT = """
 INPUT(G1)
@@ -123,7 +122,7 @@ class TestPodem:
         circuit = c17()
         collapsed = collapse_stuck_at(circuit)
         atpg = PodemAtpg(circuit)
-        checker = FaultSimulator(circuit)
+        checker = ReferenceFaultSimulator(circuit)
         import random
 
         rng = random.Random(0)
@@ -131,7 +130,8 @@ class TestPodem:
             result = atpg.generate(fault)
             assert result.outcome is AtpgOutcome.SUCCESS, f"failed for {fault}"
             pattern = result.cube.fill_random(rng, circuit.stimulus_nets())
-            assert checker.detects(pattern, fault), f"cube does not detect {fault}"
+            good = checker.simulator.simulate_block(pattern, 1)
+            assert checker.detection_mask(fault, good, 1), f"cube does not detect {fault}"
 
     def test_untestable_fault_identified(self):
         # y = OR(a, NOT(a)) is constant 1: y s-a-1 is untestable.
@@ -213,4 +213,6 @@ class TestPodem:
         assert result.outcome in (AtpgOutcome.SUCCESS, AtpgOutcome.UNTESTABLE)
         if result.outcome is AtpgOutcome.SUCCESS:
             pattern = result.cube.fill_random(rng, circuit.stimulus_nets())
-            assert FaultSimulator(circuit).detects(pattern, fault)
+            checker = ReferenceFaultSimulator(circuit)
+            good = checker.simulator.simulate_block(pattern, 1)
+            assert checker.detection_mask(fault, good, 1)

@@ -17,6 +17,7 @@ from repro.atpg import TopUpAtpg, merge_compatible_cubes
 from repro.core import LogicBistConfig, LogicBistFlow
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultSimulator, FaultStatus, collapse_stuck_at
+from repro.oracle import ReferenceFaultSimulator
 
 
 def hard_fault_core(seed: int = 77):
@@ -73,12 +74,13 @@ class TestTopUpLiftsCoverage:
         topup = TopUpAtpg(circuit, backtrack_limit=200, seed=13)
         result = topup.run(fault_list)
         assert result.cubes
-        simulator = FaultSimulator(circuit)
+        checker = ReferenceFaultSimulator(circuit)
         rng = random.Random(13)
         stimulus = circuit.stimulus_nets()
         for cube in result.cubes:
             pattern = cube.fill_random(rng, stimulus)
-            assert simulator.detects(pattern, cube.fault), str(cube.fault)
+            good = checker.simulator.simulate_block(pattern, 1)
+            assert checker.detection_mask(cube.fault, good, 1), str(cube.fault)
 
     def test_remaining_faults_all_dispositioned(self):
         """After top-up no fault is left merely 'undetected': every one is

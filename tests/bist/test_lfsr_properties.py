@@ -3,15 +3,12 @@
 Three families of properties:
 
 * **Maximal length** -- every tabulated primitive polynomial of width <= 20
-  yields an LFSR (both Fibonacci and Galois forms) that walks the full
-  ``2**width - 1`` non-zero state space, and passes the number-theoretic
+  yields a Fibonacci LFSR that walks the full ``2**width - 1`` non-zero state
+  space, and passes the number-theoretic
   :func:`repro.bist.polynomials.is_primitive` check.  The exhaustive walks for
   the larger widths are marked ``slow``.
-* **Galois-vs-Fibonacci consistency** -- with the same polynomial, the
-  Fibonacci serial output satisfies the polynomial's linear recurrence, the
-  Galois serial output satisfies the *reciprocal* recurrence, and the Galois
-  stream is a cyclic rotation of the time-reversed Fibonacci stream (the two
-  forms generate the same m-sequence up to direction and phase).
+* **Linear recurrence** -- with the same polynomial, the Fibonacci serial
+  output satisfies the polynomial's linear recurrence.
 * **Streamed generation** -- ``StumpsArchitecture.generate_packed_blocks``
   reproduces ``generate_patterns`` exactly, pattern for pattern, for every
   block size, and the MISRs are unaffected (linearity sanity checks included).
@@ -21,7 +18,6 @@ import pytest
 
 from repro.bist import (
     FibonacciLfsr,
-    GaloisLfsr,
     Misr,
     StumpsArchitecture,
     StumpsDomainConfig,
@@ -43,21 +39,15 @@ def _serial_stream(lfsr, cycles):
     return [lfsr.step() for _ in range(cycles)]
 
 
-def _rotations(stream):
-    return {tuple(stream[i:] + stream[:i]) for i in range(len(stream))}
-
-
 class TestMaximalLength:
     @pytest.mark.parametrize("width", FAST_WIDTHS)
     def test_period_is_maximal_fast(self, width):
         assert FibonacciLfsr(width, seed=1).period() == (1 << width) - 1
-        assert GaloisLfsr(width, seed=1).period() == (1 << width) - 1
 
     @pytest.mark.slow
     @pytest.mark.parametrize("width", SLOW_WIDTHS)
     def test_period_is_maximal_slow(self, width):
         assert FibonacciLfsr(width, seed=1).period() == (1 << width) - 1
-        assert GaloisLfsr(width, seed=1).period() == (1 << width) - 1
 
     @pytest.mark.parametrize("width", tuple(range(2, 21)))
     def test_tabulated_polynomial_is_primitive(self, width):
@@ -66,7 +56,7 @@ class TestMaximalLength:
     @pytest.mark.parametrize("width", FAST_WIDTHS)
     def test_nonzero_states_all_distinct(self, width):
         """A maximal LFSR visits every non-zero state exactly once per period."""
-        lfsr = GaloisLfsr(width, seed=1)
+        lfsr = FibonacciLfsr(width, seed=1)
         states = set()
         for _ in range((1 << width) - 1):
             lfsr.step()
@@ -75,7 +65,7 @@ class TestMaximalLength:
         assert 0 not in states
 
 
-class TestGaloisFibonacciConsistency:
+class TestFibonacciRecurrence:
     @pytest.mark.parametrize("width", tuple(range(2, 13)))
     def test_fibonacci_stream_satisfies_polynomial_recurrence(self, width):
         polynomial = primitive_polynomial(width)
@@ -86,25 +76,6 @@ class TestGaloisFibonacciConsistency:
             for exponent in taps:
                 expected ^= stream[t + exponent]
             assert stream[t + width] == expected
-
-    @pytest.mark.parametrize("width", tuple(range(2, 13)))
-    def test_galois_stream_satisfies_reciprocal_recurrence(self, width):
-        polynomial = primitive_polynomial(width)
-        # Reciprocal polynomial: exponent e -> width - e.
-        taps = [width - e for e in polynomial_taps(polynomial) if e > 0]
-        stream = _serial_stream(GaloisLfsr(width, seed=1), 3 * (1 << width))
-        for t in range(len(stream) - width):
-            expected = stream[t]
-            for exponent in taps:
-                expected ^= stream[t + exponent]
-            assert stream[t + width] == expected
-
-    @pytest.mark.parametrize("width", tuple(range(2, 11)))
-    def test_galois_is_rotation_of_reversed_fibonacci(self, width):
-        period = (1 << width) - 1
-        fibonacci = _serial_stream(FibonacciLfsr(width, seed=1), period)
-        galois = _serial_stream(GaloisLfsr(width, seed=1), period)
-        assert tuple(galois) in _rotations(fibonacci[::-1])
 
 
 class TestMisrProperties:

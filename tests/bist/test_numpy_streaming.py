@@ -7,8 +7,8 @@ the BIST layer:
   ``StumpsArchitecture.generate_packed_blocks(backend="numpy")`` must produce
   byte-identical packed blocks to the bigint path for widths {64, 256, 1024},
   walk the PRPGs through the identical state sequence (so python- and
-  numpy-generated sessions can be interleaved), and cover both LFSR forms,
-  the identity phase shifter and partial trailing blocks.  The underlying
+  numpy-generated sessions can be interleaved), and cover the identity
+  phase shifter and partial trailing blocks.  The underlying
   chunked ``FibonacciLfsr.drain_output_word`` is checked against stepping
   directly.
 * **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.bist import StumpsArchitecture
-from repro.bist.lfsr import FibonacciLfsr, GaloisLfsr, _LfsrBase
+from repro.bist.lfsr import FibonacciLfsr, _LfsrBase
 from repro.bist.stumps import StumpsDomainConfig
 from repro.campaign.pipeline import SignatureFoldStage
 from repro.core import LogicBistConfig
@@ -76,25 +76,13 @@ class TestLfsrDrain:
         assert word == reference
         assert chunked.state == stepped.state
 
-    def test_galois_drain_is_generic_stepping(self):
-        a = GaloisLfsr(14, seed=77)
-        b = GaloisLfsr(14, seed=77)
-        word = a.drain_output_word(100)
-        assert word == _LfsrBase.drain_output_word(b, 100)
-        assert a.state == b.state
-
 
 class TestStreamedBlocks:
     @pytest.mark.parametrize("width", WIDTHS)
-    @pytest.mark.parametrize("galois", (False, True))
-    def test_blocks_byte_identical_and_prpg_state_continues(self, width, galois):
+    def test_blocks_byte_identical_and_prpg_state_continues(self, width):
         _, architecture = make_architecture(9)
-        reference = StumpsArchitecture(
-            architecture, domain_configs(architecture, galois=galois)
-        )
-        vectorised = StumpsArchitecture(
-            architecture, domain_configs(architecture, galois=galois)
-        )
+        reference = StumpsArchitecture(architecture, domain_configs(architecture))
+        vectorised = StumpsArchitecture(architecture, domain_configs(architecture))
         count = 2 * width + 17  # forces a partial trailing block
         ref_blocks = list(reference.generate_packed_blocks(count, block_size=width))
         vec_blocks = list(

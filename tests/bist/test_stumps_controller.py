@@ -100,6 +100,29 @@ class TestStumpsArchitecture:
         assert stumps.domains["clkA"].misr.length == 2  # max(2, 1 compactor output)
         assert stumps.domains["clkB"].prpg.length == 19
 
+    def test_config_pickled_with_galois_still_loads(self):
+        """A journaled bundle pickled while ``StumpsDomainConfig`` still had
+        ``galois`` loads as the same config and streams the same patterns."""
+        import pickle
+
+        circuit = two_domain_core()
+        arch = build_scan_chains(circuit, chains_per_domain={"clkA": 2, "clkB": 1})
+        configs = [
+            StumpsDomainConfig(domain="clkA", prpg_seed=3),
+            StumpsDomainConfig(domain="clkB", prpg_seed=4, compactor_outputs=1),
+        ]
+        old = pickle.loads(pickle.dumps(StumpsArchitecture(arch, configs)))
+        for domain in old.domains.values():
+            domain.config.__dict__["galois"] = False
+        loaded = pickle.loads(pickle.dumps(old))
+        assert [loaded.domains[c.domain].config for c in configs] == configs
+        fresh = StumpsArchitecture(arch, configs)
+        assert loaded.generate_patterns(40) == fresh.generate_patterns(40)
+        for name, domain in fresh.domains.items():
+            assert loaded.domains[name].prpg.state == domain.prpg.state
+        with pytest.raises(TypeError, match="galois"):
+            StumpsDomainConfig(domain="clkA", galois=False)
+
     def test_empty_domain_rejected(self):
         circuit = two_domain_core()
         arch = build_scan_chains(circuit)

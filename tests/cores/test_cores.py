@@ -15,7 +15,7 @@ from repro.cores import (
     tiny_recipe,
 )
 from repro.netlist import validate_circuit
-from repro.simulation import PackedSimulator
+from repro.oracle import ReferencePackedSimulator
 
 
 def random_resistant_nets(circuit, threshold, count=4096, seed=1):
@@ -23,7 +23,7 @@ def random_resistant_nets(circuit, threshold, count=4096, seed=1):
     ``count`` uniformly random patterns (sampled by simulation)."""
     rng = random.Random(seed)
     words = {net: rng.getrandbits(count) for net in circuit.stimulus_nets()}
-    values = PackedSimulator(circuit).simulate_block(words, count)
+    values = ReferencePackedSimulator(circuit).simulate_block(words, count)
     resistant = []
     for name, word in values.items():
         gate = circuit.gate(name)
@@ -100,7 +100,7 @@ class TestSyntheticCoreGenerator:
     def test_core_is_simulatable(self):
         core = generate_synthetic_core(SyntheticCoreConfig(seed=3))
         circuit = core.circuit
-        sim = PackedSimulator(circuit)
+        sim = ReferencePackedSimulator(circuit)
         values = sim.simulate_block({net: 0 for net in circuit.stimulus_nets()}, 1)
         assert set(circuit.primary_outputs) <= set(values)
 

@@ -16,8 +16,9 @@ from repro.faults import (
     patterns_to_reach,
 )
 from repro.faults.transition_sim import TransitionFaultSimulator
-from repro.netlist import CircuitBuilder, parse_bench_text
-from repro.simulation import PackedSimulator, iter_blocks
+from repro.netlist import CircuitBuilder, evaluate_packed, parse_bench_text
+from repro.oracle import ReferencePackedSimulator
+from repro.simulation import iter_blocks
 from repro.simulation.kernel import shared_kernel
 
 C17_TEXT = """
@@ -47,9 +48,18 @@ def exhaustive_patterns(inputs):
     return [dict(zip(inputs, bits)) for bits in itertools.product((0, 1), repeat=len(inputs))]
 
 
+def detects(sim, pattern, fault):
+    """True when the single ``pattern`` detects ``fault`` on ``sim``'s ID path."""
+    kernel = sim.kernel
+    good = kernel.make_table()
+    kernel.set_stimulus(good, pattern, 1)
+    kernel.evaluate(good, 1)
+    return bool(sim.detection_mask_at(sim.table.id_of(fault), good, 1))
+
+
 def brute_force_detects(circuit, pattern, fault):
     """Reference detection check: simulate the faulty circuit gate by gate."""
-    sim = PackedSimulator(circuit)
+    sim = ReferencePackedSimulator(circuit)
     good = sim.simulate_block({k: v for k, v in pattern.items()}, 1)
     # Build faulty values by overriding the site and resimulating the full circuit.
     if fault.is_stem:
@@ -57,8 +67,6 @@ def brute_force_detects(circuit, pattern, fault):
         faulty_value = fault.value
     else:
         gate = circuit.gate(fault.gate)
-        from repro.netlist import evaluate_scalar
-
         inputs = []
         for pin, net in enumerate(gate.inputs):
             inputs.append(fault.value if pin == fault.pin else good[net])
@@ -67,7 +75,7 @@ def brute_force_detects(circuit, pattern, fault):
             override_net = gate.inputs[fault.pin]
             faulty_value = fault.value
         else:
-            faulty_value = evaluate_scalar(gate.gate_type, inputs)
+            faulty_value = evaluate_packed(gate.gate_type, inputs, 1)
     cone = circuit.fanout_cone(override_net)
     faulty = sim.resimulate_cone(good, {override_net: faulty_value}, cone, 1)
     for net in circuit.observation_nets():
@@ -83,8 +91,8 @@ class TestDetectionBasics:
         # G22 s-a-0: need G22=1 in the good circuit -> e.g. G1=0 makes G10=1... find via truth.
         pattern = {"G1": 0, "G2": 0, "G3": 0, "G6": 0, "G7": 0}
         # All-zero inputs: G10=G11=1, G16=1, G19=1, G22=0, G23=0.
-        assert sim.detects(pattern, StuckAtFault("G22", OUTPUT_PIN, 1))
-        assert not sim.detects(pattern, StuckAtFault("G22", OUTPUT_PIN, 0))
+        assert detects(sim, pattern, StuckAtFault("G22", OUTPUT_PIN, 1))
+        assert not detects(sim, pattern, StuckAtFault("G22", OUTPUT_PIN, 0))
         # The simulator compiles through the shared kernel cache alone; no
         # good-value simulator is built alongside it.
         assert sim.kernel is shared_kernel(circuit)
@@ -96,9 +104,9 @@ class TestDetectionBasics:
         sim = FaultSimulator(circuit)
         # A fault whose good value equals the stuck value in this pattern is not detected.
         pattern = {"G1": 1, "G2": 1, "G3": 1, "G6": 1, "G7": 1}
-        values = PackedSimulator(circuit).simulate_block(pattern, 1)
+        values = ReferencePackedSimulator(circuit).simulate_block(pattern, 1)
         fault_value = values["G10"] & 1
-        assert not sim.detects(pattern, StuckAtFault("G10", OUTPUT_PIN, fault_value))
+        assert not detects(sim, pattern, StuckAtFault("G10", OUTPUT_PIN, fault_value))
 
     def test_branch_fault_differs_from_stem(self):
         # G16 drives G22 and G23.  The branch fault G22.in1 s-a-1 only affects
@@ -109,9 +117,9 @@ class TestDetectionBasics:
         branch = StuckAtFault("G23", 0, 1)
         detected_stem, detected_branch = set(), set()
         for index, pattern in enumerate(exhaustive_patterns(C17_INPUTS)):
-            if sim.detects(pattern, stem):
+            if detects(sim, pattern, stem):
                 detected_stem.add(index)
-            if sim.detects(pattern, branch):
+            if detects(sim, pattern, branch):
                 detected_branch.add(index)
         assert detected_branch  # the branch fault is testable
         assert detected_branch != detected_stem
@@ -124,7 +132,7 @@ class TestDetectionBasics:
         faults = FaultList.stuck_at(circuit).faults()
         fault = data.draw(st.sampled_from(faults))
         pattern = {net: (pattern_bits >> i) & 1 for i, net in enumerate(C17_INPUTS)}
-        assert sim.detects(pattern, fault) == brute_force_detects(circuit, pattern, fault)
+        assert detects(sim, pattern, fault) == brute_force_detects(circuit, pattern, fault)
 
 
 class TestCampaignSimulation:
@@ -202,11 +210,11 @@ class TestObservationPoints:
         patterns = [{"a": 0}, {"a": 1}]
 
         sim_without = FaultSimulator(circuit)
-        assert not any(sim_without.detects(p, fault) for p in patterns)
+        assert not any(detects(sim_without, p, fault) for p in patterns)
 
         sim_with = FaultSimulator(circuit)
         sim_with.add_observation_net("inv")
-        assert any(sim_with.detects(p, fault) for p in patterns)
+        assert any(detects(sim_with, p, fault) for p in patterns)
 
     def test_add_observation_net_validates(self):
         circuit = c17()
@@ -226,13 +234,13 @@ class TestObservationPoints:
         fault = StuckAtFault("inner", OUTPUT_PIN, 0)
         sim = FaultSimulator(circuit)
         patterns = [{"a": 1, "b": 0}, {"a": 0, "b": 1}, {"a": 0, "b": 0}]
-        assert not any(sim.detects(p, fault) for p in patterns)
-        profile = sim.fault_effect_profile(
-            [fault], iter_blocks(patterns, nets=circuit.stimulus_nets())
+        assert not any(detects(sim, p, fault) for p in patterns)
+        profile = sim.fault_effect_profile_ids(
+            sim.table.ids_of([fault]), iter_blocks(patterns, nets=circuit.stimulus_nets())
         )
         # The effect reaches 'inner' itself but never 'y'.
         assert "inner" in profile
-        assert fault in profile["inner"]
+        assert 0 in profile["inner"]
         assert "y" not in profile
 
     def test_profile_counts_bounded_by_pattern_count(self):
@@ -240,8 +248,8 @@ class TestObservationPoints:
         sim = FaultSimulator(circuit)
         faults = [StuckAtFault("G11", OUTPUT_PIN, 0), StuckAtFault("G11", OUTPUT_PIN, 1)]
         patterns = exhaustive_patterns(C17_INPUTS)[:10]
-        profile = sim.fault_effect_profile(
-            faults, iter_blocks(patterns, nets=circuit.stimulus_nets())
+        profile = sim.fault_effect_profile_ids(
+            sim.table.ids_of(faults), iter_blocks(patterns, nets=circuit.stimulus_nets())
         )
         for per_fault in profile.values():
             for count in per_fault.values():

@@ -246,7 +246,7 @@ class TestValidation:
 
 class TestBuilderStructures:
     def test_tree_reduction_semantics(self):
-        from repro.simulation import PackedSimulator  # deferred import; sim tested later
+        from repro.oracle import ReferencePackedSimulator
 
         builder = CircuitBuilder(name="trees")
         nets = builder.inputs(5, prefix="i")
@@ -255,12 +255,12 @@ class TestBuilderStructures:
         builder.output(out_and)
         builder.output(out_xor)
         circuit = builder.build()
-        sim = PackedSimulator(circuit)
+        sim = ReferencePackedSimulator(circuit)
         import itertools
 
         patterns = [dict(zip(nets, bits)) for bits in itertools.product((0, 1), repeat=5)]
-        results = sim.run(patterns)
-        for pattern, row in zip(patterns, results):
+        for pattern in patterns:
+            row = sim.simulate_block(pattern, 1)
             bits = [pattern[n] for n in nets]
             assert row[out_and] == (0 if all(bits) else 1)
             assert row[out_xor] == (sum(bits) % 2)

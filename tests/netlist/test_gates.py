@@ -1,4 +1,5 @@
-"""Unit tests for gate primitives and packed evaluation."""
+"""Unit tests for gate primitives and packed evaluation (a mask of 1 is one
+scalar pattern)."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,10 +7,7 @@ from hypothesis import given, strategies as st
 from repro.netlist.gates import (
     GateEvaluationError,
     GateType,
-    PackedValue3,
     evaluate_packed,
-    evaluate_packed3,
-    evaluate_scalar,
     parse_gate_type,
 )
 
@@ -38,35 +36,35 @@ class TestScalarEvaluation:
         ],
     )
     def test_two_input_truth_tables(self, gate_type, inputs, expected):
-        assert evaluate_scalar(gate_type, inputs) == expected
+        assert evaluate_packed(gate_type, inputs, 1) == expected
 
     @pytest.mark.parametrize(
         "sel, a, b, expected", [(0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 0, 0)]
     )
     def test_mux(self, sel, a, b, expected):
-        assert evaluate_scalar(GateType.MUX, (sel, a, b)) == expected
+        assert evaluate_packed(GateType.MUX, (sel, a, b), 1) == expected
 
     def test_constants(self):
-        assert evaluate_scalar(GateType.CONST0, ()) == 0
-        assert evaluate_scalar(GateType.CONST1, ()) == 1
+        assert evaluate_packed(GateType.CONST0, (), 1) == 0
+        assert evaluate_packed(GateType.CONST1, (), 1) == 1
 
     def test_wide_and(self):
-        assert evaluate_scalar(GateType.AND, (1,) * 7) == 1
-        assert evaluate_scalar(GateType.AND, (1, 1, 0, 1)) == 0
+        assert evaluate_packed(GateType.AND, (1,) * 7, 1) == 1
+        assert evaluate_packed(GateType.AND, (1, 1, 0, 1), 1) == 0
 
     def test_wide_xor_is_parity(self):
-        assert evaluate_scalar(GateType.XOR, (1, 1, 1)) == 1
-        assert evaluate_scalar(GateType.XOR, (1, 1, 1, 1)) == 0
+        assert evaluate_packed(GateType.XOR, (1, 1, 1), 1) == 1
+        assert evaluate_packed(GateType.XOR, (1, 1, 1, 1), 1) == 0
 
     def test_dff_not_combinational(self):
         with pytest.raises(GateEvaluationError):
-            evaluate_scalar(GateType.DFF, (1,))
+            evaluate_packed(GateType.DFF, (1,), 1)
 
     def test_missing_inputs_rejected(self):
         with pytest.raises(GateEvaluationError):
-            evaluate_scalar(GateType.AND, ())
+            evaluate_packed(GateType.AND, (), 1)
         with pytest.raises(GateEvaluationError):
-            evaluate_scalar(GateType.MUX, (1, 0))
+            evaluate_packed(GateType.MUX, (1, 0), 1)
 
 
 class TestPackedEvaluation:
@@ -78,7 +76,7 @@ class TestPackedEvaluation:
                           GateType.XOR, GateType.XNOR):
             packed = evaluate_packed(gate_type, (a, b), mask)
             for bit in range(8):
-                scalar = evaluate_scalar(gate_type, ((a >> bit) & 1, (b >> bit) & 1))
+                scalar = evaluate_packed(gate_type, ((a >> bit) & 1, (b >> bit) & 1), 1)
                 assert (packed >> bit) & 1 == scalar
 
     def test_packed_not_respects_mask(self):
@@ -105,74 +103,6 @@ class TestPackedEvaluation:
             GateType.OR, [~v & mask for v in values], mask
         )
         assert nand == or_of_nots
-
-
-class TestPackedValue3:
-    def test_constant_and_x(self):
-        mask = 0b111
-        one = PackedValue3.constant(1, mask)
-        zero = PackedValue3.constant(0, mask)
-        assert one.ones == mask and one.zeros == 0
-        assert zero.zeros == mask and zero.ones == 0
-        x = PackedValue3.all_x()
-        assert x.ones == 0 and x.zeros == 0
-
-    def test_conflicting_rails_rejected(self):
-        with pytest.raises(ValueError):
-            PackedValue3(0b1, 0b1)
-
-    def test_and_with_x(self):
-        mask = 0b1
-        x = PackedValue3.all_x()
-        zero = PackedValue3.constant(0, mask)
-        one = PackedValue3.constant(1, mask)
-        # 0 AND X = 0 (known), 1 AND X = X
-        out0 = evaluate_packed3(GateType.AND, (zero, x), mask)
-        assert out0.zeros == mask and out0.ones == 0
-        out1 = evaluate_packed3(GateType.AND, (one, x), mask)
-        assert out1.zeros == 0 and out1.ones == 0
-
-    def test_or_with_x(self):
-        mask = 0b1
-        x = PackedValue3.all_x()
-        one = PackedValue3.constant(1, mask)
-        out = evaluate_packed3(GateType.OR, (one, x), mask)
-        assert out.ones == mask
-
-    def test_xor_with_x_is_unknown(self):
-        mask = 0b1
-        x = PackedValue3.all_x()
-        one = PackedValue3.constant(1, mask)
-        out = evaluate_packed3(GateType.XOR, (one, x), mask)
-        assert out.ones == 0 and out.zeros == 0
-
-    def test_mux_select_known_data_x(self):
-        mask = 0b1
-        x = PackedValue3.all_x()
-        one = PackedValue3.constant(1, mask)
-        zero = PackedValue3.constant(0, mask)
-        # sel=0 chooses input a regardless of b being X.
-        out = evaluate_packed3(GateType.MUX, (zero, one, x), mask)
-        assert out.ones == mask
-        # sel=X but both data equal -> known.
-        out2 = evaluate_packed3(GateType.MUX, (x, one, one), mask)
-        assert out2.ones == mask
-
-    @given(
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-        st.integers(min_value=0, max_value=(1 << 16) - 1),
-    )
-    def test_fully_known_inputs_match_two_valued(self, a, b):
-        mask = (1 << 16) - 1
-        va = PackedValue3.from_packed(a, mask)
-        vb = PackedValue3.from_packed(b, mask)
-        for gate_type in (GateType.AND, GateType.OR, GateType.XOR, GateType.NAND,
-                          GateType.NOR, GateType.XNOR):
-            out3 = evaluate_packed3(gate_type, (va, vb), mask)
-            out2 = evaluate_packed(gate_type, (a, b), mask)
-            assert out3.ones == out2
-            assert out3.zeros == (~out2 & mask)
-            assert out3.ones & out3.zeros == 0
 
 
 class TestParseGateType:

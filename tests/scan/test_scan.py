@@ -19,7 +19,6 @@ from repro.scan import (
     wrap_primary_outputs,
     x_contaminated_observation_nets,
 )
-from repro.simulation import PackedSimulator
 
 
 def multi_domain_core(flops_per_domain=(6, 4), with_x_source=False):
@@ -127,9 +126,6 @@ class TestChainArchitecture:
 class TestWrappersAndXBlocking:
     def test_wrap_inputs_rewires_consumers(self):
         circuit = multi_domain_core()
-        original_outputs = PackedSimulator(circuit).run_outputs(
-            [{net: 1 for net in circuit.primary_inputs}], circuit.primary_outputs
-        )
         created = wrap_primary_inputs(circuit)
         assert created
         assert validate_circuit(circuit).ok

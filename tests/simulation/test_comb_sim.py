@@ -1,4 +1,4 @@
-"""Tests for the packed two-valued and three-valued combinational simulators."""
+"""Tests for pattern packing and two-valued simulation on the compiled kernel."""
 
 import itertools
 
@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import CircuitBuilder, GateType, parse_bench_text
+from repro.oracle import ReferencePackedSimulator
 from repro.simulation import (
-    PackedSimulator,
     PatternBlock,
-    XPropagationSimulator,
     iter_blocks,
     leading_blocks,
     mask_for,
     pack_patterns,
+    shared_kernel,
 )
+from test_kernel_equivalence import block_values
 
 C17_TEXT = """
 INPUT(G1)
@@ -46,6 +47,15 @@ def c17_reference(g1, g2, g3, g6, g7):
     g22 = 1 - (g10 & g16)
     g23 = 1 - (g16 & g19)
     return g22, g23
+
+
+def run(circuit, patterns, block_size=64):
+    """Per-pattern values of every net, block by block on the kernel."""
+    rows = []
+    for block in iter_blocks(patterns, block_size=block_size):
+        values = block_values(circuit, block.assignments, block.num_patterns)
+        rows.extend(PatternBlock(values, block.num_patterns).patterns())
+    return rows
 
 
 class TestPackedHelpers:
@@ -102,22 +112,15 @@ class TestPackedHelpers:
             block.value_of("a", 5)
 
 
-class TestPackedSimulator:
+class TestKernelSimulation:
     def test_c17_exhaustive(self):
         circuit = c17()
-        sim = PackedSimulator(circuit)
         inputs = ["G1", "G2", "G3", "G6", "G7"]
         patterns = [dict(zip(inputs, bits)) for bits in itertools.product((0, 1), repeat=5)]
-        results = sim.run(patterns)
+        results = run(circuit, patterns)
         for pattern, row in zip(patterns, results):
             expected = c17_reference(*(pattern[i] for i in inputs))
             assert (row["G22"], row["G23"]) == expected
-
-    def test_run_outputs_defaults_to_observation_nets(self):
-        circuit = c17()
-        sim = PackedSimulator(circuit)
-        rows = sim.run_outputs([{"G1": 1, "G2": 1, "G3": 1, "G6": 1, "G7": 1}])
-        assert set(rows[0]) == {"G22", "G23"}
 
     def test_flop_outputs_are_stimulus(self):
         builder = CircuitBuilder(name="seq")
@@ -126,92 +129,50 @@ class TestPackedSimulator:
         builder.circuit.add_gate("n1", GateType.AND, [a, ff])
         builder.output("n1")
         circuit = builder.build()
-        sim = PackedSimulator(circuit)
-        values = sim.simulate_block({"a": 0b11, "ff": 0b10}, 2)
+        values = block_values(circuit, {"a": 0b11, "ff": 0b10}, 2)
         assert values["n1"] == 0b10
 
     def test_missing_stimulus_defaults_to_zero(self):
         circuit = c17()
-        sim = PackedSimulator(circuit)
-        values = sim.simulate_block({}, 4)
+        values = block_values(circuit, {}, 4)
         # With all inputs 0, NAND gates produce 1 at the first level.
         assert values["G10"] == 0b1111
 
-    def test_resimulate_cone_matches_full_resim(self):
+    def test_cone_plan_resimulation_matches_full_resim(self):
         circuit = c17()
-        sim = PackedSimulator(circuit)
+        kernel = shared_kernel(circuit)
         stim = {"G1": 0b1010, "G2": 0b0110, "G3": 0b1111, "G6": 0b0011, "G7": 0b0101}
-        base = sim.simulate_block(stim, 4)
+        base = block_values(circuit, stim, 4)
         # Force G11 to the complement (a stuck-at fault effect) and compare a
-        # cone resimulation against a full simulation with the fault injected.
-        cone = circuit.fanout_cone("G11")
-        faulty_cone = sim.resimulate_cone(base, {"G11": ~base["G11"] & 0b1111}, cone, 4)
+        # cone resimulation against the reference's full-cone resimulation.
+        faulty_word = ~base["G11"] & 0b1111
+        site = kernel.net_id["G11"]
+        plan = kernel.cone_plan(site)
+        good = [base[name] for name in kernel.net_names]
+        scratch = kernel.resimulate_plan(plan, good, faulty_word, 0b1111)
+        faulty_cone = {kernel.net_names[nid]: scratch[nid] for nid in (*plan.computed, site)}
         assert faulty_cone["G16"] != base["G16"] or faulty_cone["G19"] != base["G19"]
         for net in ("G16", "G19", "G22", "G23"):
             assert net in faulty_cone
+        expected = ReferencePackedSimulator(circuit).resimulate_cone(
+            base, {"G11": faulty_word}, circuit.fanout_cone("G11"), 4
+        )
+        assert faulty_cone == expected
 
     def test_block_size_does_not_change_results(self):
         circuit = c17()
-        sim = PackedSimulator(circuit)
         inputs = ["G1", "G2", "G3", "G6", "G7"]
         patterns = [dict(zip(inputs, bits)) for bits in itertools.product((0, 1), repeat=5)]
-        small = sim.run(patterns, block_size=3)
-        large = sim.run(patterns, block_size=64)
+        small = run(circuit, patterns, block_size=3)
+        large = run(circuit, patterns, block_size=64)
         assert small == large
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(*(st.integers(0, 1) for _ in range(5))), min_size=1, max_size=40))
     def test_c17_property_random_patterns(self, rows):
         circuit = c17()
-        sim = PackedSimulator(circuit)
         inputs = ["G1", "G2", "G3", "G6", "G7"]
         patterns = [dict(zip(inputs, bits)) for bits in rows]
-        results = sim.run(patterns)
+        results = run(circuit, patterns)
         for pattern, row in zip(patterns, results):
             assert (row["G22"], row["G23"]) == c17_reference(*(pattern[i] for i in inputs))
-
-
-class TestXPropagationSimulator:
-    def test_known_inputs_match_two_valued(self):
-        circuit = c17()
-        xsim = XPropagationSimulator(circuit)
-        values = xsim.simulate_single(
-            {"G1": 1, "G2": 0, "G3": 1, "G6": 1, "G7": 0}, default_x=False
-        )
-        expected = c17_reference(1, 0, 1, 1, 0)
-        assert (values["G22"], values["G23"]) == expected
-
-    def test_x_propagates_through_sensitised_path(self):
-        builder = CircuitBuilder(name="xprop")
-        a = builder.input("a")
-        b = builder.input("b")
-        y = builder.and_(a, b, name="y")
-        builder.output(y)
-        xsim = XPropagationSimulator(builder.build())
-        # b = X, a = 1 -> output unknown.
-        assert xsim.simulate_single({"a": 1, "b": None})["y"] is None
-        # b = X, a = 0 -> output known 0 (controlling value blocks the X).
-        assert xsim.simulate_single({"a": 0, "b": None})["y"] == 0
-
-    def test_missing_stimulus_defaults_to_x(self):
-        circuit = c17()
-        xsim = XPropagationSimulator(circuit)
-        values = xsim.simulate_single({"G1": 0})
-        assert values["G10"] == 1  # controlled by G1=0 through the NAND
-        assert values["G23"] is None
-
-    def test_x_reachable_nets(self):
-        builder = CircuitBuilder(name="xreach")
-        a = builder.input("a")
-        x_source = builder.input("x_src")
-        safe = builder.not_(a, name="safe")
-        tainted = builder.xor(x_source, a, name="tainted")
-        downstream = builder.or_(tainted, safe, name="downstream")
-        builder.output(downstream)
-        xsim = XPropagationSimulator(builder.build())
-        reachable = xsim.x_reachable_nets(["x_src"])
-        assert "tainted" in reachable
-        assert "safe" not in reachable
-        # The OR can be blocked when 'safe'=1 but not when 'safe'=0, so the
-        # union-of-two-corners heuristic must flag it.
-        assert "downstream" in reachable

@@ -19,7 +19,8 @@ import pytest
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.oracle import ReferenceFaultSimulator, ReferencePackedSimulator
-from repro.simulation import PackedSimulator, StrictStimulusError, iter_blocks
+from repro.simulation import StrictStimulusError, iter_blocks, mask_for, shared_kernel
+from repro.simulation.numpy_backend import numpy_kernel_for, plane_to_word, words_for
 
 BLOCK_SIZES = (1, 17, 64, 256, 1024)
 
@@ -53,6 +54,24 @@ def random_patterns(circuit, count: int, seed: int):
     return [{net: rng.randint(0, 1) for net in nets} for _ in range(count)]
 
 
+def block_values(circuit, stimulus, num_patterns, backend="python", strict=False):
+    """Every net's packed word for one block, on ``backend``'s compiled kernel."""
+    kernel = shared_kernel(circuit)
+    mask = mask_for(num_patterns)
+    if backend == "numpy":
+        nk = numpy_kernel_for(kernel)
+        num_words = words_for(num_patterns)
+        table = nk.make_table(num_words)
+        nk.set_stimulus(table, stimulus, mask, num_words, strict=strict)
+        nk.evaluate(table, nk.mask_plane(mask, num_words))
+        values = [plane_to_word(row) for row in table]
+    else:
+        values = kernel.make_table()
+        kernel.set_stimulus(values, stimulus, mask, strict=strict)
+        kernel.evaluate(values, mask)
+    return dict(zip(kernel.net_names, values))
+
+
 class TestSimulateBlockEquivalence:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -60,45 +79,47 @@ class TestSimulateBlockEquivalence:
     def test_value_tables_bit_identical(self, seed, block_size, backend):
         circuit = make_core(seed)
         reference = ReferencePackedSimulator(circuit)
-        compiled = PackedSimulator(circuit, backend=backend)
         patterns = random_patterns(circuit, 2 * block_size + 7, seed + 100)
         nets = circuit.stimulus_nets()
         for block in iter_blocks(patterns, block_size=block_size, nets=nets):
             expected = reference.simulate_block(block.assignments, block.num_patterns)
-            actual = compiled.simulate_block(block.assignments, block.num_patterns)
+            actual = block_values(
+                circuit, block.assignments, block.num_patterns, backend
+            )
             assert actual == expected
 
     def test_wide_words_actually_exercised(self):
         """1024 patterns in one block: every word is a real 1024-bit bigint."""
         circuit = make_core(9)
         reference = ReferencePackedSimulator(circuit)
-        compiled = PackedSimulator(circuit)
         patterns = random_patterns(circuit, 1024, 99)
         nets = circuit.stimulus_nets()
         (block,) = list(iter_blocks(patterns, block_size=1024, nets=nets))
         assert block.num_patterns == 1024
         expected = reference.simulate_block(block.assignments, 1024)
-        actual = compiled.simulate_block(block.assignments, 1024)
+        actual = block_values(circuit, block.assignments, 1024)
         assert actual == expected
 
     def test_missing_stimulus_defaults_to_zero(self):
         """Compatibility: the non-strict path still zero-fills, like the seed."""
         circuit = make_core(4)
-        compiled = PackedSimulator(circuit)
         reference = ReferencePackedSimulator(circuit)
-        assert compiled.simulate_block({}, 4) == reference.simulate_block({}, 4)
+        assert block_values(circuit, {}, 4) == reference.simulate_block({}, 4)
 
 
 class TestResimulateConeEquivalence:
     @pytest.mark.parametrize("seed", [1, 2])
     def test_cone_values_bit_identical(self, seed):
+        """``cone_plan`` + ``resimulate_plan`` (the fault simulators' loop)
+        against the reference's name-keyed cone resimulation."""
         circuit = make_core(seed)
         reference = ReferencePackedSimulator(circuit)
-        compiled = PackedSimulator(circuit)
+        kernel = shared_kernel(circuit)
         patterns = random_patterns(circuit, 24, seed + 7)
         nets = circuit.stimulus_nets()
         (block,) = list(iter_blocks(patterns, block_size=64, nets=nets))
         base = reference.simulate_block(block.assignments, block.num_patterns)
+        good = [base[name] for name in kernel.net_names]
         rng = random.Random(seed)
         sites = rng.sample(
             [g.name for g in circuit.combinational_gates()], 12
@@ -110,7 +131,13 @@ class TestResimulateConeEquivalence:
             expected = reference.resimulate_cone(
                 base, overrides, cone, block.num_patterns
             )
-            actual = compiled.resimulate_cone(base, overrides, cone, block.num_patterns)
+            site_id = kernel.net_id[site]
+            plan = kernel.cone_plan(site_id)
+            scratch = kernel.resimulate_plan(plan, good, overrides[site], mask)
+            actual = {
+                kernel.net_names[nid]: scratch[nid]
+                for nid in (*plan.computed, site_id)
+            }
             assert actual == expected, f"cone mismatch at site {site!r}"
 
 
@@ -166,8 +193,8 @@ class TestFaultSimulatorEquivalence:
             else:
                 assert snapshot == baseline, f"divergence at block_size={block_size}"
 
-    def test_detection_mask_name_keyed_adapter(self):
-        """The public name-keyed detection_mask agrees with the reference engine."""
+    def test_detection_mask_ids_matches_reference(self):
+        """The ID-space detection mask agrees with the reference engine."""
         circuit = make_core(3)
         patterns = random_patterns(circuit, 48, 77)
         nets = circuit.stimulus_nets()
@@ -175,10 +202,11 @@ class TestFaultSimulatorEquivalence:
         reference = ReferenceFaultSimulator(circuit)
         simulator = FaultSimulator(circuit)
         good = reference.simulator.simulate_block(block.assignments, block.num_patterns)
+        table = [good[name] for name in simulator.kernel.net_names]
         faults = collapse_stuck_at(circuit).representatives
         for fault in faults[:200]:
             expected = reference.detection_mask(fault, good, block.num_patterns)
-            actual = simulator.detection_mask(fault, good, block.num_patterns)
+            actual = simulator.detection_mask_ids(fault, table, block.num_patterns)
             assert actual == expected, str(fault)
 
     def test_fault_effect_profile_matches_reference_detection(self):
@@ -188,14 +216,15 @@ class TestFaultSimulatorEquivalence:
         simulator = FaultSimulator(circuit)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         undetected = fault_list.undetected()[:64]
-        profile = simulator.fault_effect_profile(
-            undetected,
+        profile = simulator.fault_effect_profile_ids(
+            simulator.table.ids_of(undetected),
             iter_blocks(patterns, nets=circuit.stimulus_nets()),
             candidate_nets=simulator.observe_nets,
         )
         reference = ReferenceFaultSimulator(circuit)
         for net, counts in profile.items():
-            for fault, count in counts.items():
+            for index, count in counts.items():
+                fault = undetected[index]
                 assert count > 0
                 # The reference engine must see the same effect somewhere: the
                 # fault is detectable by at least one of the profiled patterns.
@@ -276,14 +305,15 @@ class TestRandomizedDifferentialFuzz:
         """Full fault-free value tables agree on fuzzed structures."""
         circuit = self.fuzz_core(10 + seed)
         reference = ReferencePackedSimulator(circuit)
-        compiled = PackedSimulator(circuit, backend=backend)
         rng = random.Random(500 + seed)
         block_size = rng.choice((1, 17, 64, 256))
         patterns = random_patterns(circuit, block_size + rng.randint(1, 30), seed)
         nets = circuit.stimulus_nets()
         for block in iter_blocks(patterns, block_size=block_size, nets=nets):
             expected = reference.simulate_block(block.assignments, block.num_patterns)
-            actual = compiled.simulate_block(block.assignments, block.num_patterns)
+            actual = block_values(
+                circuit, block.assignments, block.num_patterns, backend
+            )
             assert actual == expected
 
     @pytest.mark.parametrize("seed", range(3))
@@ -296,33 +326,32 @@ class TestRandomizedDifferentialFuzz:
         reference = ReferenceFaultSimulator(circuit)
         simulator = FaultSimulator(circuit)
         good = reference.simulator.simulate_block(block.assignments, block.num_patterns)
+        table = [good[name] for name in simulator.kernel.net_names]
         for fault in collapse_stuck_at(circuit).representatives:
             expected = reference.detection_mask(fault, good, block.num_patterns)
-            actual = simulator.detection_mask(fault, good, block.num_patterns)
+            actual = simulator.detection_mask_ids(fault, table, block.num_patterns)
             assert actual == expected, str(fault)
 
 
 class TestStrictStimulusMode:
     def test_strict_raises_on_missing_stimulus_net(self):
         circuit = make_core(6)
-        simulator = PackedSimulator(circuit)
         stimulus = {net: 1 for net in circuit.stimulus_nets()}
         removed = next(iter(stimulus))
         del stimulus[removed]
         with pytest.raises(StrictStimulusError, match="missing"):
-            simulator.simulate_block(stimulus, 1, strict=True)
+            block_values(circuit, stimulus, 1, strict=True)
 
     def test_strict_raises_on_misspelled_net(self):
         """Regression for the latent bug: a typo used to silently read as 0."""
         circuit = make_core(6)
-        simulator = PackedSimulator(circuit)
         stimulus = {net: 1 for net in circuit.stimulus_nets()}
         first = next(iter(stimulus))
         stimulus[first + "_typo"] = stimulus.pop(first)
         with pytest.raises(StrictStimulusError):
-            simulator.simulate_block(stimulus, 1, strict=True)
+            block_values(circuit, stimulus, 1, strict=True)
         # Non-strict keeps the historical behaviour: typo ignored, net reads 0.
-        values = simulator.simulate_block(stimulus, 1)
+        values = block_values(circuit, stimulus, 1)
         assert values[first] == 0
 
     def test_strict_fault_simulation_rejects_misspelled_pattern(self):
@@ -336,7 +365,6 @@ class TestStrictStimulusMode:
 
     def test_complete_stimulus_passes_strict(self):
         circuit = make_core(6)
-        simulator = PackedSimulator(circuit)
         stimulus = {net: 1 for net in circuit.stimulus_nets()}
-        values = simulator.simulate_block(stimulus, 1, strict=True)
+        values = block_values(circuit, stimulus, 1, strict=True)
         assert all(values[net] == 1 for net in circuit.stimulus_nets())

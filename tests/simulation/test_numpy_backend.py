@@ -26,12 +26,14 @@ from repro.faults import (
 from repro.oracle import derive_capture_patterns, simulate_with_derived_capture
 from repro.simulation import (
     HAVE_NUMPY,
-    PackedSimulator,
     SimBackendError,
     StrictStimulusError,
     iter_blocks,
+    resolve_backend,
     shared_kernel,
 )
+from repro.simulation.numpy_backend import numpy_kernel_for
+from test_kernel_equivalence import block_values
 
 pytestmark = pytest.mark.numpy
 
@@ -75,7 +77,7 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         circuit = make_core(1)
         with pytest.raises(SimBackendError, match="unknown sim backend"):
-            PackedSimulator(circuit, backend="cuda")
+            resolve_backend("cuda")
         with pytest.raises(SimBackendError, match="unknown sim backend"):
             FaultSimulator(circuit, backend="jax")
 
@@ -101,22 +103,23 @@ class TestValueTableEquivalence:
     @pytest.mark.parametrize("block_size", BLOCK_SIZES)
     def test_simulate_block_bit_identical(self, block_size):
         circuit = make_core(2)
-        py = PackedSimulator(circuit)
-        vec = PackedSimulator(circuit, backend="numpy")
         patterns = random_patterns(circuit, 2 * block_size + 7, 100)
         nets = circuit.stimulus_nets()
         for block in iter_blocks(patterns, block_size=block_size, nets=nets):
-            expected = py.simulate_block(block.assignments, block.num_patterns)
-            actual = vec.simulate_block(block.assignments, block.num_patterns)
+            expected = block_values(circuit, block.assignments, block.num_patterns)
+            actual = block_values(
+                circuit, block.assignments, block.num_patterns, "numpy"
+            )
             assert actual == expected
 
     def test_shared_kernel_across_backends(self):
         """Both backends compile from one shared kernel per circuit."""
         circuit = make_core(2)
-        py = PackedSimulator(circuit)
-        vec = PackedSimulator(circuit, backend="numpy")
+        py = FaultSimulator(circuit)
+        vec = FaultSimulator(circuit, backend="numpy")
         assert py.kernel is vec.kernel
         assert py.kernel is shared_kernel(circuit)
+        assert numpy_kernel_for(py.kernel).kernel is py.kernel
 
     def test_single_input_variadic_gates(self):
         """Regression: 1-input AND/OR/XOR families (legal per gate_opcode and
@@ -137,10 +140,8 @@ class TestValueTableEquivalence:
         circuit.add_gate("out", GateType.AND, ["nor1", "xnor1"])
         circuit.add_output("out")
         stimulus = {"a": 0b1010, "b": 0b0110}
-        expected = PackedSimulator(circuit).simulate_block(stimulus, 4)
-        actual = PackedSimulator(circuit, backend="numpy").simulate_block(
-            stimulus, 4
-        )
+        expected = block_values(circuit, stimulus, 4)
+        actual = block_values(circuit, stimulus, 4, "numpy")
         assert actual == expected
         fl_py = collapse_stuck_at(circuit).to_fault_list()
         fl_np = collapse_stuck_at(circuit).to_fault_list()
@@ -151,15 +152,14 @@ class TestValueTableEquivalence:
 
     def test_strict_stimulus_mode(self):
         circuit = make_core(3)
-        vec = PackedSimulator(circuit, backend="numpy")
         stimulus = {net: 1 for net in circuit.stimulus_nets()}
-        complete = vec.simulate_block(stimulus, 1, strict=True)
+        complete = block_values(circuit, stimulus, 1, "numpy", strict=True)
         assert all(complete[net] == 1 for net in circuit.stimulus_nets())
         broken = dict(stimulus)
         first = next(iter(broken))
         broken[first + "_typo"] = broken.pop(first)
         with pytest.raises(StrictStimulusError):
-            vec.simulate_block(broken, 1, strict=True)
+            block_values(circuit, broken, 1, "numpy", strict=True)
 
 
 class TestFaultSimEquivalence:
@@ -290,19 +290,20 @@ class TestWidthLruWorkspaces:
         assert len(scan._workspaces) == 2
         assert scan._workspaces.stats.evictions > before
 
-    def test_packed_simulator_tables_bounded(self):
+    def test_eval_buffers_bounded(self):
         circuit = make_core(12)
-        py = PackedSimulator(circuit)
-        vec = PackedSimulator(circuit, backend="numpy")
+        nk = numpy_kernel_for(shared_kernel(circuit))
         patterns = random_patterns(circuit, 600, 43)
         nets = circuit.stimulus_nets()
         for block_size in (64, 256, 1024, 64):
             for block in iter_blocks(patterns, block_size=block_size, nets=nets):
-                expected = py.simulate_block(block.assignments, block.num_patterns)
-                actual = vec.simulate_block(block.assignments, block.num_patterns)
+                expected = block_values(circuit, block.assignments, block.num_patterns)
+                actual = block_values(
+                    circuit, block.assignments, block.num_patterns, "numpy"
+                )
                 assert actual == expected
-            assert len(vec._np_tables) <= 2
-        assert vec._np_tables.stats.evictions > 0
+            assert len(nk._eval_buffers) <= 2
+        assert nk._eval_buffers.stats.evictions > 0
 
 
 class TestMemoryBudgetTiling:
@@ -447,7 +448,7 @@ class TestMemoryBudgetTiling:
         with pytest.raises(ValueError, match="sim_memory_budget_mb"):
             FaultSimulator(circuit, backend="numpy", memory_budget_mb=0)
         with pytest.raises(ValueError, match="sim_memory_budget_mb"):
-            PackedSimulator(circuit, memory_budget_mb=-4)
+            FaultSimulator(circuit, memory_budget_mb=-4)
 
 
 class TestScanCompile:

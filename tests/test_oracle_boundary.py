@@ -7,12 +7,16 @@ walk reads every module with :mod:`ast` (nothing is imported) and resolves
 relative imports against the module's own package, so ``from ..oracle
 import x`` is caught as surely as ``import repro.oracle``.  The
 selector that once picked the oracle through the config stays deleted, and
-so do the knobs that picked a second top-up, backtrace or TPI ranking path.
+so do the knobs that picked a second top-up, backtrace or TPI ranking path,
+the name-keyed and three-valued simulators beside the compiled kernel, and
+the Galois PRPG.
 """
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -130,14 +134,40 @@ def test_walk_ignores_lookalikes():
         ("repro.testability", None, "cop"),
         ("repro.testability", None, "compute_cop"),
         ("repro.faults.fault_sim", "FaultSimulator", "shard_state"),
+        ("repro.simulation", None, "comb_sim"),
+        ("repro.simulation", None, "PackedSimulator"),
+        ("repro.simulation", None, "XPropagationSimulator"),
+        ("repro.netlist.gates", None, "PackedValue3"),
+        ("repro.netlist.gates", None, "evaluate_packed3"),
+        ("repro.netlist.gates", None, "evaluate_scalar"),
+        ("repro.faults.fault_sim", "FaultSimulator", "detection_mask"),
+        ("repro.faults.fault_sim", "FaultSimulator", "_table_from_mapping"),
+        ("repro.faults.fault_sim", "FaultSimulator", "detects"),
+        ("repro.faults.fault_sim", "FaultSimulator", "fault_effect_profile"),
+        ("repro.simulation.numpy_backend", None, "table_to_words"),
+        ("repro.bist.lfsr", None, "GaloisLfsr"),
+        ("repro.bist.lfsr", None, "weighted_bits"),
+        ("repro.bist.stumps", "StumpsDomainConfig", "galois"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
     """The oracle is reached by calling it, never through a production knob,
     and no knob or method is left whose only job was to pick a second path."""
     target = importlib.import_module(module)
+    if owner is None and hasattr(target, "__path__"):
+        assert importlib.util.find_spec(f"{module}.{name}") is None
     if owner is not None:
         target = getattr(target, owner)
         if dataclasses.is_dataclass(target):
             assert name not in {field.name for field in dataclasses.fields(target)}
     assert not hasattr(target, name)
+
+
+def test_deleted_parameters_are_gone():
+    """The X check is the structural walk alone and the PRPG is Fibonacci
+    alone: neither takes a parameter that picks a second path."""
+    from repro.bist.lfsr import Prpg
+    from repro.scan.x_blocking import x_contaminated_observation_nets
+
+    assert "structural" not in inspect.signature(x_contaminated_observation_nets).parameters
+    assert "galois" not in inspect.signature(Prpg).parameters

@@ -6,7 +6,8 @@ import pytest
 
 from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
 from repro.netlist import CellLibrary, CircuitBuilder, validate_circuit
-from repro.simulation import PackedSimulator, iter_blocks
+from repro.oracle import ReferencePackedSimulator
+from repro.simulation import iter_blocks, pack_patterns
 from repro.tpi import (
     FaultSimGuidedObservationTpi,
     ObservabilityGuidedTpi,
@@ -150,9 +151,16 @@ class TestApplyObservationPoints:
         reference = circuit.copy("ref")
         apply_observation_points(circuit, ["cloud0", "gated3"])
         patterns = random_patterns(reference, 16, seed=9)
-        ref_rows = PackedSimulator(reference).run_outputs(patterns, reference.primary_outputs)
-        new_rows = PackedSimulator(circuit).run_outputs(patterns, circuit.primary_outputs)
-        assert ref_rows == new_rows
+        block = pack_patterns(patterns)
+        ref_values = ReferencePackedSimulator(reference).simulate_block(
+            block.assignments, block.num_patterns
+        )
+        new_values = ReferencePackedSimulator(circuit).simulate_block(
+            block.assignments, block.num_patterns
+        )
+        assert set(circuit.primary_outputs) == set(reference.primary_outputs)
+        for net in reference.primary_outputs:
+            assert new_values[net] == ref_values[net], net
 
 
 class TestObservabilityBaseline:
