@@ -8,7 +8,8 @@ Three families of properties:
   :func:`repro.bist.polynomials.is_primitive` check.  The exhaustive walks for
   the larger widths are marked ``slow``.
 * **Linear recurrence** -- with the same polynomial, the Fibonacci serial
-  output satisfies the polynomial's linear recurrence.
+  output satisfies the polynomial's linear recurrence, and one period of it
+  has the m-sequence balance and shift-and-add properties.
 * **Streamed generation** -- ``StumpsArchitecture.generate_packed_blocks``
   reproduces ``generate_patterns`` exactly, pattern for pattern, for every
   block size, and the MISRs are unaffected (linearity sanity checks included).
@@ -76,6 +77,31 @@ class TestFibonacciRecurrence:
             for exponent in taps:
                 expected ^= stream[t + exponent]
             assert stream[t + width] == expected
+
+
+    @pytest.mark.parametrize("width", tuple(range(2, 13)))
+    def test_period_is_balanced(self, width):
+        """One period holds ``2**(width-1)`` ones and one zero fewer."""
+        period = (1 << width) - 1
+        stream = _serial_stream(FibonacciLfsr(width, seed=1), period)
+        assert sum(stream) == 1 << (width - 1)
+        assert stream.count(0) == (1 << (width - 1)) - 1
+
+    @pytest.mark.parametrize("width", tuple(range(2, 11)))
+    def test_shift_and_add(self, width):
+        """An m-sequence xor any of its shifts is another of its shifts."""
+        period = (1 << width) - 1
+        stream = _serial_stream(FibonacciLfsr(width, seed=1), period)
+        word = sum(bit << index for index, bit in enumerate(stream))
+        mask = (1 << period) - 1
+
+        def rotate(value, shift):
+            return ((value >> shift) | (value << (period - shift))) & mask
+
+        rotations = {rotate(word, shift) for shift in range(period)}
+        assert len(rotations) == period
+        for shift in range(1, period):
+            assert word ^ rotate(word, shift) in rotations
 
 
 class TestMisrProperties:

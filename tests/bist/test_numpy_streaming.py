@@ -7,10 +7,10 @@ the BIST layer:
   ``StumpsArchitecture.generate_packed_blocks(backend="numpy")`` must produce
   byte-identical packed blocks to the bigint path for widths {64, 256, 1024},
   walk the PRPGs through the identical state sequence (so python- and
-  numpy-generated sessions can be interleaved), and cover the identity
-  phase shifter and partial trailing blocks.  The underlying
-  chunked ``FibonacciLfsr.drain_output_word`` is checked against stepping
-  directly.
+  numpy-generated sessions can be interleaved), and cover two PRPG
+  polynomials, the identity phase shifter and partial trailing blocks.  The
+  underlying chunked ``FibonacciLfsr.drain_output_word`` is checked against
+  stepping directly.
 * **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
   reproduce the scalar unload emulation bit for bit, with and without a
   space compactor, including through the campaign's signature fold stage.
@@ -79,10 +79,15 @@ class TestLfsrDrain:
 
 class TestStreamedBlocks:
     @pytest.mark.parametrize("width", WIDTHS)
-    def test_blocks_byte_identical_and_prpg_state_continues(self, width):
+    @pytest.mark.parametrize("prpg_length", (19, 12))
+    def test_blocks_byte_identical_and_prpg_state_continues(self, width, prpg_length):
         _, architecture = make_architecture(9)
-        reference = StumpsArchitecture(architecture, domain_configs(architecture))
-        vectorised = StumpsArchitecture(architecture, domain_configs(architecture))
+        reference = StumpsArchitecture(
+            architecture, domain_configs(architecture, prpg_length=prpg_length)
+        )
+        vectorised = StumpsArchitecture(
+            architecture, domain_configs(architecture, prpg_length=prpg_length)
+        )
         count = 2 * width + 17  # forces a partial trailing block
         ref_blocks = list(reference.generate_packed_blocks(count, block_size=width))
         vec_blocks = list(

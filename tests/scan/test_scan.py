@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.netlist import CircuitBuilder, GateType, validate_circuit
+from repro.oracle import ReferencePackedSimulator
 from repro.scan import (
     ScanInsertionConfig,
     build_scan_chains,
@@ -157,6 +159,74 @@ class TestWrappersAndXBlocking:
         assert result.residual_contamination == []
         assert result.clean
         assert verify_x_clean(circuit) == []
+
+    def test_x_walk_follows_fanout_not_side_inputs(self):
+        builder = CircuitBuilder(name="xreach")
+        a = builder.input("a")
+        x_source = builder.input("x_src")
+        safe = builder.not_(a, name="safe")
+        tainted = builder.xor(x_source, a, name="tainted")
+        downstream = builder.or_(tainted, safe, name="downstream")
+        builder.output(downstream)
+        circuit = builder.build()
+        observe = ["safe", "tainted", "downstream"]
+        assert x_contaminated_observation_nets(circuit, ["x_src"], observe) == [
+            "tainted",
+            "downstream",
+        ]
+
+    def test_x_walk_stops_at_flop_boundary(self):
+        builder = CircuitBuilder(name="xflop")
+        a = builder.input("a")
+        x_source = builder.input("x_src")
+        captured = builder.and_(x_source, a, name="captured")
+        ff = builder.flop(captured, name="ff")
+        builder.output(builder.or_(ff, a, name="after_ff"))
+        circuit = builder.build()
+        # The flop captures the X (its data input is observed), but the next
+        # pattern loads the flop by scan, so the X goes no further.
+        assert x_contaminated_observation_nets(circuit, ["x_src"]) == ["captured"]
+
+    def test_x_source_observed_directly_contaminates_itself(self):
+        circuit = multi_domain_core()
+        assert x_contaminated_observation_nets(circuit, ["in1"], ["in1", "in0"]) == [
+            "in1"
+        ]
+        assert x_contaminated_observation_nets(circuit, []) == []
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_x_walk_covers_every_two_valued_corner(self, seed):
+        """Any observation net an X input can flip, in either value, is reported."""
+        config = SyntheticCoreConfig(
+            name=f"xwalk_{seed}",
+            clock_domains=("clk1", "clk2"),
+            num_inputs=8,
+            num_outputs=5,
+            register_width=6,
+            pipeline_stages=1,
+            adder_slices=1,
+            adder_width=4,
+            comparator_widths=(6,),
+            decode_cone_width=5,
+            cross_domain_links=1,
+            seed=seed,
+        )
+        circuit = generate_synthetic_core(config).circuit
+        simulator = ReferencePackedSimulator(circuit)
+        observe = circuit.observation_nets()
+        rng = random.Random(seed)
+        stimulus = {net: rng.getrandbits(64) for net in circuit.stimulus_nets()}
+        flipped_anywhere = False
+        for source in circuit.primary_inputs:
+            good = simulator.simulate_block(stimulus, 64)
+            other = dict(stimulus, **{source: ~stimulus[source]})
+            flipped = simulator.simulate_block(other, 64)
+            changed = {net for net in observe if good[net] != flipped[net]}
+            flipped_anywhere |= bool(changed)
+            assert changed <= set(
+                x_contaminated_observation_nets(circuit, [source])
+            ), source
+        assert flipped_anywhere
 
     def test_block_value_validation_and_unknown_net(self):
         circuit = multi_domain_core(with_x_source=True)
