@@ -108,8 +108,8 @@ def _run_serial(circuit, blocks):
 
 def _shard_nodes(circuit, fault_list, blocks, num_shards):
     """The production shard stages (site-local keyed round-robin fault
-    shards, one pattern shard) over ``fault_list``'s undetected faults, so
-    the benchmark measures exactly the plan the pool runs."""
+    shards, each over the whole session) over ``fault_list``'s undetected
+    faults, so the benchmark measures exactly the plan the pool runs."""
     positions, faults = undetected_of_kind(fault_list, StuckAtFault)
     state = FaultSimShardState(
         circuit=circuit,
@@ -117,7 +117,7 @@ def _shard_nodes(circuit, fault_list, blocks, num_shards):
         faults=faults,
     )
     entries = tuple(zip(range(0, PATTERNS, BLOCK_SIZE), blocks))
-    nodes = shard_stage_nodes("bench", state, entries, num_shards, 1, prefix="bench")
+    nodes = shard_stage_nodes("bench", state, entries, num_shards, prefix="bench")
     return positions, nodes
 
 

@@ -76,7 +76,7 @@ def _build_workload():
 def _random_phase(core, config):
     """Flow-shaped fault list after the random phase (fresh every call)."""
     circuit = core.circuit
-    fault_list = fresh_fault_list(circuit, config)
+    fault_list = fresh_fault_list(circuit)
     credit_chain_flush(core, fault_list)
     rng = random.Random(20050307)
     stimulus = circuit.stimulus_nets()

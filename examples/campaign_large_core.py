@@ -146,7 +146,7 @@ def main() -> None:
     )
     offsets = range(0, args.patterns, args.block_size)
     nodes = shard_stage_nodes(
-        "large-core", state, tuple(zip(offsets, blocks)), args.shards, 1,
+        "large-core", state, tuple(zip(offsets, blocks)), args.shards,
         prefix="large-core",
     )
     run = make_scheduler(args.workers).run(nodes)

@@ -39,11 +39,6 @@ class Value5:
         )
 
     @property
-    def is_known(self) -> bool:
-        """True when both components are assigned."""
-        return self.good is not None and self.faulty is not None
-
-    @property
     def symbol(self) -> str:
         """Classical textbook symbol: 0, 1, X, D or D'."""
         if self.good is None or self.faulty is None:

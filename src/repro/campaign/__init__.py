@@ -15,9 +15,9 @@ Public API:
   per-scenario graph builder
   :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
 * :class:`~repro.campaign.pipeline.ShardScanStage` -- the one shard of a
-  stuck-at or transition fault simulation, built per grid cell by
-  :func:`~repro.campaign.pipeline.shard_stage_nodes` from the shard
-  planners in :mod:`repro.campaign.sharding` and min-merged by
+  stuck-at or transition fault simulation, built per fault shard by
+  :func:`~repro.campaign.pipeline.shard_stage_nodes` from the fault
+  planner in :mod:`repro.campaign.sharding` and min-merged by
   :func:`~repro.campaign.results.merge_first_detections`,
 * :mod:`repro.campaign.scheduler` -- one completion loop that drains a
   stage graph, run by two schedulers that differ only in their executor:
@@ -94,12 +94,7 @@ from .pipeline import (
     shard_stage_nodes,
 )
 from ..util.cache import KeyedLruCache
-from .sharding import (
-    contiguous_shards,
-    keyed_round_robin_shards,
-    plan_grid,
-    round_robin_shards,
-)
+from .sharding import contiguous_shards, keyed_round_robin_shards
 
 __all__ = [
     "CampaignResult",
@@ -156,6 +151,4 @@ __all__ = [
     "shard_stage_nodes",
     "contiguous_shards",
     "keyed_round_robin_shards",
-    "plan_grid",
-    "round_robin_shards",
 ]

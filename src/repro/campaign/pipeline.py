@@ -20,7 +20,7 @@ Two properties carry the whole design:
   :mod:`repro.campaign.sharding` become the fan-out rule of
   :class:`FaultSimStage` / :class:`TransitionStage`: once a scenario's fault
   list and pattern blocks exist, a local expander splices one shard node per
-  grid cell plus an order-independent merge node into the graph.  Pooled
+  fault shard plus an order-independent merge node into the graph.  Pooled
   preparation and pooled simulation therefore drain through the *same* pool
   -- scenario B's TPI profiling (itself a full fault simulation under
   ``tpi_method="fault_sim"``) runs while scenario A's shards are in flight,
@@ -29,9 +29,9 @@ Two properties carry the whole design:
 
 Every shard of either fault model is one :class:`ShardScanStage`, built by
 :func:`shard_stage_nodes`: a shard state (stuck-at or transition), the
-shard's fault indices and its own contiguous run of ``(global offset, ...)``
-blocks.  It is the only shard-execution path; sharded simulation outside a
-scenario drains the same nodes through
+shard's fault indices and the session's ``(global offset, ...)`` blocks.
+It is the only shard-execution path; sharded simulation outside a scenario
+drains the same nodes through
 :func:`~repro.campaign.scheduler.make_scheduler`.
 
 Stage tasks ship their scenario's ``LogicBistConfig`` and read everything
@@ -90,12 +90,7 @@ from .scheduler import (
     Expansion,
     StageNode,
 )
-from .sharding import (
-    contiguous_shards,
-    fault_site_keys,
-    keyed_round_robin_shards,
-    plan_grid,
-)
+from .sharding import contiguous_shards, fault_site_keys, keyed_round_robin_shards
 
 #: Flow phase names the stage graph accounts its time to -- exactly the
 #: five :class:`~repro.core.flow.PhaseTiming` buckets the flow has always
@@ -331,7 +326,7 @@ class BuildStumpsStage:
         clock_tree = build_clock_tree(core.circuit, config)
         stumps = build_stumps(core, config)
         capture_schedule = CaptureWindowScheduler(clock_tree).schedule()
-        fault_list = fresh_fault_list(core.circuit, config)
+        fault_list = fresh_fault_list(core.circuit)
         credit_chain_flush(core, fault_list)
         offset_blocks = tuple(
             stumps.packed_session(
@@ -368,17 +363,16 @@ class BuildStumpsStage:
 class FaultSimStage:
     """Phase 4 fan-out rule: shard the fault universe over the session.
 
-    A local expander: once the bundle exists, the PR-2 shard planner
-    (site-local keyed round-robin faults x contiguous block runs) decides the
-    grid, and the expansion splices one :class:`ShardScanStage` per cell
-    plus a :class:`MergeDetectionsStage` reducer into the graph.
+    A local expander: once the bundle exists, the shard planner (site-local
+    keyed round-robin faults) decides the shards, and the expansion splices
+    one :class:`ShardScanStage` per shard plus a
+    :class:`MergeDetectionsStage` reducer into the graph.
     """
 
     bundle_key: str
     prefix: str
     scenario: str
     fault_shards: int
-    pattern_shards: int = 1
 
     def run(self, bundle: ScenarioBundle) -> Expansion:
         shard_nodes = shard_stage_nodes(
@@ -386,7 +380,6 @@ class FaultSimStage:
             bundle.state,
             bundle.offset_blocks,
             self.fault_shards,
-            self.pattern_shards,
             prefix=self.prefix,
             phase=PHASE_RANDOM,
             scenario=self.scenario,
@@ -409,27 +402,21 @@ def shard_stage_nodes(
     state: Union[FaultSimShardState, TransitionSimShardState],
     blocks: tuple,
     fault_shards: int,
-    pattern_shards: int,
     prefix: str,
     phase: str = "",
     scenario: str = "",
 ) -> tuple[StageNode, ...]:
-    """One :class:`ShardScanStage` per cell of the shard grid (site-local
-    keyed round-robin faults x contiguous block runs) over ``state`` and
-    ``blocks``, keyed ``<prefix>/shard<i>``.
+    """One :class:`ShardScanStage` per site-local keyed round-robin fault
+    shard of ``state``, each over the whole session ``blocks``, keyed
+    ``<prefix>/shard<i>``.
 
-    Each stage embeds only the blocks of its own pattern run.  The pooled
-    scheduler pickles a stage per submission, so this keeps the total
-    shipped bytes at fault_shards x session (independent of pattern
-    shards).
+    The pooled scheduler pickles a stage per submission, so the shipped
+    bytes are fault_shards x session.
     """
-    grid = plan_grid(
-        len(state.faults),
-        len(blocks),
-        fault_shards,
-        pattern_shards,
-        fault_keys=fault_site_keys(state.circuit, state.faults),
+    groups = keyed_round_robin_shards(
+        fault_site_keys(state.circuit, state.faults), fault_shards
     )
+    blocks = tuple(blocks)
     return tuple(
         StageNode(
             key=f"{prefix}/shard{shard_id}",
@@ -438,13 +425,13 @@ def shard_stage_nodes(
                 shard_id=shard_id,
                 state=state,
                 fault_indices=fault_group,
-                blocks=tuple(blocks[index] for index in block_group),
+                blocks=blocks,
             ),
             phase=phase,
             scenario=scenario,
             category=CATEGORY_SIM,
         )
-        for shard_id, (fault_group, block_group) in enumerate(grid)
+        for shard_id, fault_group in enumerate(groups)
     )
 
 
@@ -453,11 +440,11 @@ class ShardScanStage:
     """One fault-simulation shard: ``fault_indices`` of ``state.faults``
     scanned over ``blocks``.
 
-    ``blocks`` is the shard's own contiguous run of the session, each entry
-    self-describing -- ``(global offset, PatternBlock)`` pairs under a
-    stuck-at state, ``(global offset, launch, capture)`` triples under a
-    transition state -- so the shard reports campaign-global pattern
-    indices, and its fault indices stay campaign-global for the min-merge.
+    ``blocks`` is the whole session, each entry self-describing --
+    ``(global offset, PatternBlock)`` pairs under a stuck-at state,
+    ``(global offset, launch, capture)`` triples under a transition state
+    -- so the shard reports campaign-global pattern indices, and its fault
+    indices stay campaign-global for the min-merge.
     """
 
     scenario_key: str
@@ -899,7 +886,6 @@ class TransitionStage:
     prefix: str
     scenario: str
     fault_shards: int
-    pattern_shards: int = 1
 
     def run(self, prep: TransitionBundle) -> Expansion:
         shard_nodes = shard_stage_nodes(
@@ -907,7 +893,6 @@ class TransitionStage:
             prep.state,
             prep.pair_blocks,
             self.fault_shards,
-            self.pattern_shards,
             prefix=self.prefix,
             phase=PHASE_AT_SPEED,
             scenario=self.scenario,
@@ -1168,7 +1153,6 @@ def scenario_stage_nodes(
     library: Optional[CellLibrary] = None,
     scenario_name: Optional[str] = None,
     fault_shards: int = 1,
-    pattern_shards: int = 1,
     num_workers: int = 1,
     include_topup: bool = False,
     include_transition: Optional[bool] = None,
@@ -1234,8 +1218,7 @@ def scenario_stage_nodes(
                 bundle_key=keys["bundle"],
                 prefix=keys["fault_sim"],
                 scenario=name,
-                fault_shards=max(1, fault_shards),
-                pattern_shards=max(1, pattern_shards),
+                fault_shards=fault_shards,
             ),
             deps=(keys["bundle"],),
             local=True,
@@ -1280,7 +1263,7 @@ def scenario_stage_nodes(
                     prefix=keys["topup"],
                     scenario=name,
                     config=config,
-                    fault_shards=max(1, fault_shards),
+                    fault_shards=fault_shards,
                 ),
                 deps=(keys["topup_input"],),
                 local=True,
@@ -1321,8 +1304,7 @@ def scenario_stage_nodes(
                     prep_key=keys["transition_prep"],
                     prefix=keys["transition"],
                     scenario=name,
-                    fault_shards=max(1, fault_shards),
-                    pattern_shards=max(1, pattern_shards),
+                    fault_shards=fault_shards,
                 ),
                 deps=(keys["transition_prep"],),
                 local=True,
@@ -1353,7 +1335,7 @@ def scenario_stage_nodes(
                     prefix=keys["skew"],
                     scenario=name,
                     config=config,
-                    trial_shards=max(1, fault_shards),
+                    trial_shards=fault_shards,
                 ),
                 deps=(keys["skew_input"],),
                 local=True,

@@ -187,9 +187,9 @@ def assemble_scenario_canonical(
 ) -> dict:
     """Rebuild a scenario's canonical dict from streamed fragments.
 
-    Inverse of :meth:`ScenarioResult.canonical_sections` +
-    :meth:`ScenarioResult.curve_sections`: given the section payloads and the
-    (reassembled, index-ordered) coverage curves, this produces exactly
+    Inverse of :meth:`ScenarioResult.canonical_sections` plus the coverage
+    curves: given the section payloads and the (reassembled, index-ordered)
+    ``random`` / ``transition`` curves, this produces exactly
     ``ScenarioResult.canonical_dict()`` -- the property the stream suite
     pins down for arbitrary event interleavings.
     """
@@ -299,7 +299,7 @@ class ScenarioResult:
         Keys are a subset of :data:`SECTION_NAMES`; ``base`` is always
         present, the rest only when the scenario ran that phase.  Coverage
         curves are deliberately excluded -- they stream incrementally as
-        deltas (:meth:`curve_sections`) -- and
+        deltas -- and
         :func:`assemble_scenario_canonical` recombines both halves.
         """
         canonical = self.canonical_dict()
@@ -324,22 +324,6 @@ class ScenarioResult:
         if "skew" in canonical:
             sections["skew"] = canonical["skew"]
         return sections
-
-    def curve_sections(self) -> dict[str, list[list]]:
-        """The coverage curves of the canonical report, keyed by curve name.
-
-        ``random`` is always present (possibly empty); ``transition`` only
-        when the scenario measured transition coverage.  Points are the
-        canonical ``[pattern_index, coverage]`` lists.
-        """
-        curves: dict[str, list[list]] = {
-            "random": [list(point) for point in self.coverage_curve]
-        }
-        if self.transition_coverage is not None:
-            curves["transition"] = [
-                list(point) for point in self.transition_coverage_curve
-            ]
-        return curves
 
     def report_bytes(self) -> bytes:
         """Canonical byte-exact report: equal results <=> equal bytes.

@@ -11,16 +11,22 @@ in-process :class:`~repro.campaign.scheduler.SerialScheduler`, the
 deterministic fallback and the bit-exactness oracle; otherwise on the
 resilient :class:`~repro.campaign.scheduler.PooledScheduler`.
 
-The fan-out axes are planned by :mod:`repro.campaign.sharding` (site-local
-fault shards, contiguous pattern shards, one signature shard per clock
-domain) and executed by the pipeline's
-:class:`~repro.campaign.pipeline.ShardScanStage`.  Shard results come back
+Fault shards are planned by :mod:`repro.campaign.sharding` (site-local
+keyed round-robin, each shard over the whole session) and executed by the
+pipeline's :class:`~repro.campaign.pipeline.ShardScanStage`.  Shard results come back
 as per-fault first-detection indices and are min-merged by
 :mod:`repro.campaign.results` -- a reduction independent of shard order and
 worker count, which is what makes the canonical report bytes
 **bit-identical** to the serial compiled-kernel path (``tests/campaign``
 asserts it across shard counts, block sizes, permuted shard assignments,
 worker counts and both execution backends).
+
+The runner is the one campaign driver: :meth:`CampaignRunner.run` is
+:meth:`~CampaignRunner.plan` (name checks, the stage graph),
+:meth:`~CampaignRunner.scheduler` and :meth:`~CampaignRunner.collect`
+(canonical failures, the :class:`~repro.campaign.results.CampaignResult`),
+and :class:`~repro.service.CampaignService` drives its jobs through the
+same three calls.
 """
 
 from __future__ import annotations
@@ -32,7 +38,14 @@ from typing import Iterable, Optional
 from ..core.config import LogicBistConfig
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from .results import CampaignResult, ScenarioResult
+from .pipeline import scenario_stage_nodes
+from .results import (
+    FAILURES_KEY,
+    CampaignResult,
+    ScenarioResult,
+    canonical_failure,
+    sort_failures,
+)
 from .scheduler import make_scheduler
 
 
@@ -51,6 +64,41 @@ class CampaignScenario:
     config: LogicBistConfig = field(default_factory=LogicBistConfig)
 
 
+def check_scenario_names(scenarios: Iterable[CampaignScenario]) -> None:
+    """Raise ``ValueError`` unless every scenario name is distinct and none
+    is the report's reserved ``failures`` section."""
+    names = [scenario.name for scenario in scenarios]
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise ValueError(
+            f"duplicate scenario names {duplicates!r}: results are keyed "
+            "by name, so every scenario needs a distinct one"
+        )
+    if FAILURES_KEY in names:
+        raise ValueError(
+            f"scenario name {FAILURES_KEY!r} is reserved for the "
+            "canonical report's failure section"
+        )
+
+
+@dataclass(frozen=True)
+class CampaignPlan:
+    """One campaign's stage graph, as :meth:`CampaignRunner.plan` built it."""
+
+    #: Every scenario's stage nodes, concatenated in scenario order.
+    nodes: tuple
+    #: Scenario name -> that scenario's artifact keys
+    #: (:func:`~repro.campaign.pipeline.scenario_stage_nodes`).
+    artifact_keys: dict[str, dict[str, str]]
+    #: Scenario name -> its graph key ``<prefix>s<i>:<name>``.
+    key_by_name: dict[str, str]
+
+    def failure_record(self, failure) -> dict:
+        """The canonical report record of one permanent stage failure, its
+        stage key made relative to its scenario's graph key."""
+        return canonical_failure(failure, self.key_by_name[failure.scenario])
+
+
 class CampaignRunner:
     """Fans many (core, config) scenarios out over one worker pool.
 
@@ -66,34 +114,38 @@ class CampaignRunner:
 
     With ``num_workers <= 1`` the identical DAG runs on the in-process
     :class:`~repro.campaign.scheduler.SerialScheduler` -- the deterministic
-    fallback and the bit-exactness oracle.
+    fallback and the bit-exactness oracle.  ``fault_shards`` (default:
+    ``max(1, num_workers)``) must be at least 1.
 
-    Fault tolerance: ``retry_policy`` (default: the scenarios' config
-    ``retry``, else single-attempt) grants stages retries with
-    deterministic backoff, plus soft timeouts and worker-crash recovery in
-    the pooled schedule.  With ``degrade=True`` (the default), a stage that
-    exhausts its attempts quarantines only its scenario -- siblings finish,
-    and the returned :class:`~repro.campaign.results.CampaignResult` is
-    *partial*: the failed scenario moves from ``scenarios`` into the
-    canonical ``failures`` section.  ``degrade=False`` restores
-    fail-the-whole-campaign semantics.  ``chaos`` threads a
-    :class:`~repro.campaign.chaos.ChaosPlan` through the scheduler (test /
-    drill support).
+    Fault tolerance: ``retry_policy`` (default: single-attempt) grants
+    stages retries with deterministic backoff, plus soft timeouts and
+    worker-crash recovery in the pooled schedule.  With ``degrade=True``
+    (the default), a stage that exhausts its attempts quarantines only its
+    scenario -- siblings finish, and the returned
+    :class:`~repro.campaign.results.CampaignResult` is *partial*: the failed
+    scenario moves from ``scenarios`` into the canonical ``failures``
+    section.  ``degrade=False`` restores fail-the-whole-campaign semantics.
+    ``chaos`` threads a :class:`~repro.campaign.chaos.ChaosPlan` through the
+    scheduler (test / drill support).
     """
 
     def __init__(
         self,
         num_workers: int = 1,
         fault_shards: Optional[int] = None,
-        pattern_shards: int = 1,
         mp_context=None,
         retry_policy=None,
         chaos=None,
         degrade: bool = True,
     ) -> None:
+        if fault_shards is None:
+            fault_shards = max(1, num_workers)
+        if fault_shards < 1:
+            raise ValueError(
+                f"fault_shards must be at least 1, got {fault_shards!r}"
+            )
         self.num_workers = num_workers
-        self.fault_shards = fault_shards if fault_shards is not None else max(1, num_workers)
-        self.pattern_shards = pattern_shards
+        self.fault_shards = fault_shards
         self.mp_context = mp_context
         self.retry_policy = retry_policy
         self.chaos = chaos
@@ -122,9 +174,9 @@ class CampaignRunner:
         Scenarios whose config sets ``campaign_topup=True`` additionally run
         the deterministic ATPG top-up phase: PODEM target shards fan out
         through the same pool as everything else (site-local keyed
-        round-robin, the PR-2 partitioning), and a deterministic screen /
-        compact replay merges the cubes -- the scenario's reported coverage
-        and first detections then include the top-up patterns (indices >=
+        round-robin), and a deterministic screen / compact replay merges the
+        cubes -- the scenario's reported coverage and first detections then
+        include the top-up patterns (indices >=
         :data:`repro.atpg.topup.TOPUP_PATTERN_BASE`), byte-identical to the
         serial walk at any worker count.
 
@@ -135,77 +187,68 @@ class CampaignRunner:
         sharded through the same pool and byte-identical to the serial walk
         at any worker/shard count.
         """
-        from .pipeline import scenario_stage_nodes
-        from .results import FAILURES_KEY, canonical_failure, sort_failures
-
         start = time.perf_counter()
+        plan = self.plan(scenarios)
+        pipeline_run = self.scheduler().run(plan.nodes, cancel_token=cancel_token)
+        # Keep the trace (the Amdahl/benchmark diagnostics), drop the
+        # artifact store: it holds every scenario's packed session.
+        self.last_run = pipeline_run.trace_only()
+        return self.collect(plan, pipeline_run, start)
+
+    def plan(
+        self, scenarios: Iterable[CampaignScenario], prefix: str = ""
+    ) -> CampaignPlan:
+        """Check the names and build every scenario's stage subgraph, keyed
+        ``<prefix>s<i>:<name>`` (the service prefixes its job id)."""
         scenarios = list(scenarios)
-        names = [scenario.name for scenario in scenarios]
-        duplicates = sorted({name for name in names if names.count(name) > 1})
-        if duplicates:
-            raise ValueError(
-                f"duplicate scenario names {duplicates!r}: results are keyed "
-                "by name, so every scenario needs a distinct one"
-            )
-        if FAILURES_KEY in names:
-            raise ValueError(
-                f"scenario name {FAILURES_KEY!r} is reserved for the "
-                "canonical report's failure section"
-            )
+        check_scenario_names(scenarios)
         nodes = []
-        scenario_keys: list[str] = []
-        report_keys: dict[str, str] = {}
+        artifact_keys: dict[str, dict[str, str]] = {}
+        key_by_name: dict[str, str] = {}
         for index, scenario in enumerate(scenarios):
-            key = f"s{index}:{scenario.name}"
-            scenario_keys.append(key)
-            scenario_nodes, artifact_keys = scenario_stage_nodes(
+            key = f"{prefix}s{index}:{scenario.name}"
+            scenario_nodes, keys = scenario_stage_nodes(
                 key,
                 scenario.circuit,
                 scenario.config,
                 library=self.library,
                 scenario_name=scenario.name,
                 fault_shards=self.fault_shards,
-                pattern_shards=self.pattern_shards,
                 num_workers=self.num_workers,
                 include_topup=scenario.config.campaign_topup,
-                include_transition=scenario.config.measure_transition_coverage,
-                include_skew=scenario.config.skew_trials > 0,
                 include_report=True,
             )
             nodes.extend(scenario_nodes)
-            report_keys[scenario.name] = artifact_keys["report"]
+            artifact_keys[scenario.name] = keys
+            key_by_name[scenario.name] = key
+        return CampaignPlan(tuple(nodes), artifact_keys, key_by_name)
 
-        retry_policy = self.retry_policy
-        if retry_policy is None:
-            # Scenario configs share one scheduler; the first explicit
-            # per-config policy governs the whole campaign.
-            retry_policy = next(
-                (s.config.retry for s in scenarios if s.config.retry is not None),
-                None,
-            )
-        scheduler = make_scheduler(
+    def scheduler(self):
+        """A fresh scheduler for one campaign (serial at one worker)."""
+        return make_scheduler(
             self.num_workers,
             mp_context=self.mp_context,
-            retry_policy=retry_policy,
+            retry_policy=self.retry_policy,
             chaos=self.chaos,
             degrade=self.degrade,
         )
-        pipeline_run = scheduler.run(nodes, cancel_token=cancel_token)
-        # Keep the trace (the Amdahl/benchmark diagnostics), drop the
-        # artifact store: it holds every scenario's packed session.
-        self.last_run = pipeline_run.trace_only()
 
-        key_by_name = dict(zip(names, scenario_keys))
+    def collect(self, plan: CampaignPlan, run, start: float) -> CampaignResult:
+        """The campaign result of a finished ``run`` of ``plan``: degraded
+        scenarios' canonical failure records, every other scenario's report;
+        ``start`` is the campaign's ``time.perf_counter()`` start."""
         failures: dict[str, list[dict]] = {}
-        for failure in pipeline_run.failures:
-            records = failures.setdefault(failure.scenario, [])
-            records.append(
-                canonical_failure(failure, key_by_name[failure.scenario])
+        for failure in run.failures:
+            failures.setdefault(failure.scenario, []).append(
+                plan.failure_record(failure)
             )
-        failures = {name: sort_failures(records) for name, records in failures.items()}
+        failures = {
+            name: sort_failures(records)
+            for name, records in sorted(failures.items())
+        }
         results: dict[str, ScenarioResult] = {
-            name: pipeline_run.value(key)
-            for name, key in report_keys.items()
+            name: run.value(keys["report"])
+            for name, keys in plan.artifact_keys.items()
             if name not in failures
         }
         return CampaignResult(

@@ -1,44 +1,43 @@
 """Deterministic shard planning for fault-simulation campaigns.
 
-A campaign splits work along two orthogonal axes:
+A campaign splits one scenario's fault list into **fault shards**: faults
+are grouped by their resolved fault site (:func:`fault_site_keys`) and the
+groups are dealt *round-robin* (:func:`keyed_round_robin_shards`).
+Round-robin interleaving balances the work because hard (long-lived)
+faults are scattered through the collapsed ordering, and keeping a site's
+faults together compiles each site's cone plan in one worker only.  Every
+shard scans the whole pattern session, so its first-detection index for a
+fault is the serial one and a min-merge across shards reproduces the
+serial result exactly.
 
-* **fault shards** -- the collapsed fault list is partitioned *round-robin*
-  (shard ``s`` of ``n`` gets faults ``s, s+n, s+2n, ...``).  Round-robin
-  interleaving balances the work because hard (long-lived) faults are
-  scattered through the collapsed ordering, so every shard carries a similar
-  mix of quickly-dropped and long-simulated faults;
-* **pattern shards** -- the ordered stream of packed STUMPS blocks is
-  partitioned into *contiguous* runs.  Contiguity preserves the PRPG's
-  temporal order inside each shard, so a shard's first-detection index for a
-  fault is the true first detection within its pattern range and a min-merge
-  across shards reproduces the serial first-detection index exactly.
+The Monte-Carlo skew sweep splits its trial indices into balanced
+*contiguous* runs instead (:func:`contiguous_shards`).
 
-Both partitions are pure functions of ``(item count, shard count)`` -- no
-RNG, no dependence on worker identity -- which is what makes merged campaign
+Both partitions are pure functions of their inputs -- no RNG, no
+dependence on worker identity -- which is what makes merged campaign
 results independent of shard order and worker count.  The planners return
 plain tuples of indices.
 
-These planners are the **fan-out rule** of
+The fault planner is the **fan-out rule** of
 :class:`~repro.campaign.pipeline.FaultSimStage` /
 :class:`~repro.campaign.pipeline.TransitionStage`: once a scenario's fault
 list and block stream exist,
-:func:`~repro.campaign.pipeline.shard_stage_nodes` turns each cell of the
-grid planned here into one
-:class:`~repro.campaign.pipeline.ShardScanStage` (that cell's fault indices
-and its own block run), and the expansion adds an order-independent merge
-node.
+:func:`~repro.campaign.pipeline.shard_stage_nodes` turns each fault shard
+into one :class:`~repro.campaign.pipeline.ShardScanStage` (that shard's
+fault indices and the whole session), and the expansion adds an
+order-independent merge node.
 
 Shard planning is memory-budget-oblivious by design: a
 ``sim_memory_budget_mb`` ceiling travels inside the shard *states*
 (:class:`~repro.faults.fault_sim.FaultSimShardState`), and each worker's
-numpy scan tiles its own fault subset to fit -- so the planned grid, the
+numpy scan tiles its own fault subset to fit -- so the shard count, the
 merged results and the budget are three independent knobs (any budget is
-byte-invisible at any shard geometry).
+byte-invisible at any shard count).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def fault_site_keys(circuit, faults: Sequence[object]) -> list[str]:
@@ -62,20 +61,6 @@ def fault_site_keys(circuit, faults: Sequence[object]) -> list[str]:
         else:
             keys.append(fault.gate)
     return keys
-
-
-def round_robin_shards(count: int, num_shards: int) -> tuple[tuple[int, ...], ...]:
-    """Partition ``range(count)`` into ``num_shards`` interleaved index groups.
-
-    Empty groups are dropped (sharding 3 items 7 ways yields 3 shards), so a
-    task is never scheduled for an empty shard.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    groups = [
-        tuple(range(start, count, num_shards)) for start in range(num_shards)
-    ]
-    return tuple(group for group in groups if group)
 
 
 def keyed_round_robin_shards(
@@ -122,38 +107,3 @@ def contiguous_shards(count: int, num_shards: int) -> tuple[tuple[int, ...], ...
             runs.append(tuple(range(start, start + size)))
         start += size
     return tuple(runs)
-
-
-def plan_grid(
-    num_faults: int,
-    num_blocks: int,
-    fault_shards: int,
-    pattern_shards: int = 1,
-    fault_keys: Optional[Sequence[object]] = None,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Full shard grid: (fault index group, block index group) per task.
-
-    With ``f`` fault shards and ``p`` pattern shards the campaign runs
-    ``f * p`` independent tasks; every (fault, pattern) cell is covered
-    exactly once, so min-merging per-fault first detections over all tasks
-    is equivalent to the serial scan.
-
-    ``fault_keys`` (one key per fault) switches the fault axis from plain
-    round-robin to :func:`keyed_round_robin_shards` -- same coverage and
-    determinism guarantees, but faults sharing a key (a fault site) stay in
-    one shard.
-    """
-    if fault_keys is not None:
-        if len(fault_keys) != num_faults:
-            raise ValueError("fault_keys must provide one key per fault")
-        fault_groups = keyed_round_robin_shards(fault_keys, fault_shards)
-    else:
-        fault_groups = round_robin_shards(num_faults, fault_shards)
-    block_groups = contiguous_shards(num_blocks, pattern_shards)
-    if not block_groups:
-        block_groups = ((),)
-    return [
-        (faults, blocks_run)
-        for faults in fault_groups
-        for blocks_run in block_groups
-    ]

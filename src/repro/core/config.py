@@ -14,6 +14,10 @@ from ..simulation.packed import BACKENDS, DEFAULT_BLOCK_SIZE
 #: selection, the observability-calculation baseline, or no test points.
 TPI_METHODS = ("fault_sim", "observability", "none")
 
+#: Functional frequency (MHz) of a clock domain that
+#: ``LogicBistConfig.clock_frequencies_mhz`` does not name.
+DEFAULT_FREQUENCY_MHZ = 250.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -165,9 +169,8 @@ class LogicBistConfig:
     # Clocking
     # ------------------------------------------------------------------ #
     #: Functional frequency per clock domain (MHz).  Domains missing from the
-    #: mapping default to ``default_frequency_mhz``.
+    #: mapping default to :data:`DEFAULT_FREQUENCY_MHZ`.
     clock_frequencies_mhz: Mapping[str, float] = field(default_factory=dict)
-    default_frequency_mhz: float = 250.0
     #: Worst-case intra-domain clock skew (ns) used by the capture scheduler.
     intra_domain_skew_ns: float = 0.1
     #: Phase advance (ns) of the PRPG/MISR clock versus the scan-chain clock
@@ -198,8 +201,6 @@ class LogicBistConfig:
     #: Compute per-domain MISR signatures for this many leading random patterns
     #: (0 disables signature emulation; coverage never depends on it).
     signature_patterns: int = 64
-    #: Exclude faults on primary-input pad nets (outside the wrapped core).
-    exclude_pad_faults: bool = True
     #: Fault-simulation block width: patterns packed per bigint word.  Any
     #: width works (coverage results are block-size invariant); wider blocks
     #: (256 / 1024) amortise the compiled kernel's interpreter loop over more
@@ -240,16 +241,6 @@ class LogicBistConfig:
     #: byte-identical across worker counts.  The flow always runs top-up;
     #: this knob only gates the campaign runner's scenarios.
     campaign_topup: bool = False
-
-    # ------------------------------------------------------------------ #
-    # Fault tolerance
-    # ------------------------------------------------------------------ #
-    #: Stage retry/timeout policy applied by the flow's schedulers (and used
-    #: as the default by :class:`~repro.campaign.runner.CampaignRunner`).
-    #: ``None`` keeps the single-attempt policy.  Retries are replayed
-    #: identically by the serial oracle and every pooled schedule, so the
-    #: policy is byte-invisible on runs that eventually succeed.
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if self.tpi_method not in TPI_METHODS:

@@ -59,7 +59,7 @@ from ..timing.skew_analysis import ShiftPathAnalyzer, ShiftPathParameters, Shift
 from ..tpi.observability_tpi import ObservabilityGuidedTpi
 from ..tpi.observation_points import FaultSimGuidedObservationTpi, ObservationPointPlan
 from .bist_ready import BistReadyCore, finalize_with_observation_points
-from .config import LogicBistConfig
+from .config import DEFAULT_FREQUENCY_MHZ, LogicBistConfig
 
 
 @dataclass
@@ -94,7 +94,7 @@ def build_clock_tree(circuit: Circuit, config: LogicBistConfig) -> ClockTreeMode
     """The flow's clock-tree model for ``circuit`` under ``config``."""
     frequencies = {
         domain: float(
-            config.clock_frequencies_mhz.get(domain, config.default_frequency_mhz)
+            config.clock_frequencies_mhz.get(domain, DEFAULT_FREQUENCY_MHZ)
         )
         for domain in circuit.clock_domains()
     }
@@ -156,7 +156,7 @@ def insert_test_points(
                 backend=config.sim_backend,
             )
         )
-        fault_list = fresh_fault_list(core.circuit, config)
+        fault_list = fresh_fault_list(core.circuit)
         simulator = FaultSimulator(
             core.circuit,
             backend=config.sim_backend,
@@ -176,18 +176,17 @@ def insert_test_points(
     return plan
 
 
-def fresh_fault_list(circuit: Circuit, config: LogicBistConfig) -> FaultList:
-    """The flow's collapsed stuck-at fault universe under ``config``."""
+def fresh_fault_list(circuit: Circuit) -> FaultList:
+    """The flow's collapsed stuck-at fault universe: every collapsed fault
+    but those on primary-input pad nets (outside the wrapped core)."""
     collapsed = collapse_stuck_at(circuit)
     table = collapsed.table
-    ids = collapsed.representative_ids
-    if config.exclude_pad_faults:
-        pad = GATE_TYPES.index(GateType.INPUT)
-        ids = [
-            fid
-            for fid in ids
-            if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
-        ]
+    pad = GATE_TYPES.index(GateType.INPUT)
+    ids = [
+        fid
+        for fid in collapsed.representative_ids
+        if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
+    ]
     return FaultList.from_table(table, ids)
 
 
@@ -359,9 +358,8 @@ class LogicBistFlow:
             include_transition=config.measure_transition_coverage,
         )
         # The flow needs every artifact below, so there is no degraded
-        # outcome here: a stage that exhausts config.retry's attempts
-        # raises.  Retries themselves still apply.
-        pipeline_run = SerialScheduler(retry_policy=config.retry).run(nodes)
+        # outcome here: a failing stage raises.
+        pipeline_run = SerialScheduler().run(nodes)
 
         tpi: "TpiOutcome" = pipeline_run.value(keys["tpi"])
         bundle = pipeline_run.value(keys["bundle"])

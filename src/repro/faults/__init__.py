@@ -48,13 +48,9 @@ from .transition_sim import (
     TransitionSimulationResult,
 )
 from .statistics import (
-    CoveragePoint,
-    coverage_curve_from_samples,
     coverage_plateau_slope,
     detection_summary,
-    escape_rate,
     patterns_to_reach,
-    random_resistant_faults,
 )
 
 __all__ = [
@@ -78,11 +74,7 @@ __all__ = [
     "TransitionFaultSimulator",
     "TransitionSimShardState",
     "TransitionSimulationResult",
-    "CoveragePoint",
-    "coverage_curve_from_samples",
     "coverage_plateau_slope",
     "detection_summary",
-    "escape_rate",
     "patterns_to_reach",
-    "random_resistant_faults",
 ]

@@ -1,31 +1,16 @@
-"""Coverage statistics and random-pattern-resistance analysis.
+"""Coverage statistics: coverage-curve milestones and detection summaries.
 
-Small helpers shared by the reporting layer, the test-point insertion engine
-and the benchmark harness: coverage curves, detection profiles, and the
-identification of *random-pattern-resistant* faults -- the population the
-paper attacks with fault-simulation-guided observation points and top-up ATPG.
+Small helpers shared by the reporting layer and the benchmark harness.  A
+flat curve tail is the random-pattern plateau the paper attacks with
+fault-simulation-guided observation points and top-up ATPG.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fault_list import FaultList
 from .models import FaultStatus
-
-
-@dataclass(frozen=True)
-class CoveragePoint:
-    """One sample of a coverage curve."""
-
-    patterns: int
-    coverage: float
-
-
-def coverage_curve_from_samples(samples: Sequence[tuple[int, float]]) -> list[CoveragePoint]:
-    """Convert raw (patterns, coverage) tuples into :class:`CoveragePoint` rows."""
-    return [CoveragePoint(patterns, coverage) for patterns, coverage in samples]
 
 
 def patterns_to_reach(samples: Sequence[tuple[int, float]], target: float) -> int | None:
@@ -57,11 +42,6 @@ def coverage_plateau_slope(
     return (end_cov - start_cov) / span
 
 
-def random_resistant_faults(fault_list: FaultList) -> list[object]:
-    """Faults still undetected after the random phase (the top-up ATPG targets)."""
-    return fault_list.undetected()
-
-
 def detection_summary(fault_list: FaultList) -> dict[str, int | float]:
     """Compact summary used by reports: counts per status plus coverage."""
     return {
@@ -73,8 +53,3 @@ def detection_summary(fault_list: FaultList) -> dict[str, int | float]:
         "coverage": fault_list.coverage(),
         "test_efficiency": fault_list.coverage(exclude_untestable=True),
     }
-
-
-def escape_rate(fault_list: FaultList) -> float:
-    """Fraction of faults that would escape this test (1 - coverage)."""
-    return 1.0 - fault_list.coverage()

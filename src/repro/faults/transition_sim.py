@@ -455,7 +455,7 @@ class TransitionFaultSimulator:
         ``pair_blocks`` is a stream of ``(global pair offset, launch block,
         capture block)`` triples; results are keyed by the fault's index in
         ``faults``.  Per-fault results are independent of every other fault,
-        so fault/pattern sharding plus min-merge reproduces the serial pair
+        so fault sharding plus min-merge reproduces the serial pair
         simulation bit for bit (the shard primitive of the campaign runner).
         """
         order = self._resolve(faults)

@@ -12,7 +12,7 @@ Public API:
 """
 
 from .circuit import Circuit, CircuitError, Gate
-from .builder import CircuitBuilder, chain_of_inverters
+from .builder import CircuitBuilder
 from .gates import (
     CONTROLLED_OUTPUT,
     CONTROLLING_VALUE,
@@ -36,7 +36,6 @@ __all__ = [
     "CircuitError",
     "Gate",
     "CircuitBuilder",
-    "chain_of_inverters",
     "GateType",
     "GateEvaluationError",
     "evaluate_packed",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
 from .circuit import Circuit
 from .gates import GateType, parse_gate_type
@@ -122,7 +122,3 @@ def save_bench(circuit: Circuit, path: Union[str, Path]) -> None:
     """Write a circuit to a .bench file."""
     Path(path).write_text(circuit_to_bench_text(circuit))
 
-
-def parse_bench_lines(lines: Iterable[str], name: str = "bench") -> Circuit:
-    """Parse an iterable of .bench lines (convenience wrapper)."""
-    return parse_bench_text("\n".join(lines), name=name)

@@ -13,7 +13,7 @@ module keeps that construction code readable by providing:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .circuit import Circuit, Gate
 from .gates import GateType
@@ -255,13 +255,3 @@ class CircuitBuilder:
         """Return the underlying circuit (no copy)."""
         return self.circuit
 
-
-def chain_of_inverters(builder: CircuitBuilder, start: str, length: int) -> str:
-    """Append a chain of ``length`` inverters after ``start`` and return the last net.
-
-    Used by the timing experiments to create paths of controllable depth.
-    """
-    net = start
-    for _ in range(length):
-        net = builder.not_(net)
-    return net

@@ -277,10 +277,6 @@ class Circuit:
         except KeyError as exc:
             raise CircuitError(f"no such gate/net: {name!r}") from exc
 
-    def has_net(self, name: str) -> bool:
-        """True when some gate (or PI) drives net ``name``."""
-        return name in self._gates
-
     def __contains__(self, name: str) -> bool:
         return name in self._gates
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..campaign.results import (
     CURVE_NAMES,
@@ -370,10 +370,6 @@ class EventReassembler:
     def scenarios(self) -> list[str]:
         """Scenario names with streamed content, sorted."""
         return sorted(set(self._sections) | set(self._chunks))
-
-    def completed_scenarios(self) -> dict[str, str]:
-        """Scenario -> streamed checksum, for scenarios marked complete."""
-        return dict(self._completed)
 
     def failed_scenarios(self) -> dict[str, list[dict]]:
         """Scenario -> sorted canonical failure records (degraded jobs)."""

@@ -1,12 +1,14 @@
 """The asyncio campaign service: submit, stream, checkpoint, resume.
 
-:class:`CampaignService` is the long-lived front-end over the stage-graph
-schedulers.  Submissions (lists of
-:class:`~repro.campaign.runner.CampaignScenario`) enter an asyncio queue;
-one drain task executes jobs in submission order, each job building the
-same multi-scenario DAG a :class:`~repro.campaign.runner.CampaignRunner`
-would and draining it through a
-:class:`~repro.campaign.scheduler.PooledScheduler` (or the serial walk).
+:class:`CampaignService` is a queue, a journal, a prep cache and an event
+stream around one :class:`~repro.campaign.runner.CampaignRunner`.
+Submissions (lists of :class:`~repro.campaign.runner.CampaignScenario`)
+enter an asyncio queue; one drain task executes jobs in submission order,
+each job planned, scheduled and collected by the runner
+(:meth:`~repro.campaign.runner.CampaignRunner.plan`,
+:meth:`~repro.campaign.runner.CampaignRunner.scheduler`,
+:meth:`~repro.campaign.runner.CampaignRunner.collect`), so a job's report
+is the one ``CampaignRunner.run`` would return for the same scenarios.
 The blocking schedule runs in a worker thread (``asyncio.to_thread``);
 a :class:`~repro.campaign.scheduler.StageObserver` bridges its progress
 back onto the event loop with ``call_soon_threadsafe``, so subscribers see
@@ -53,28 +55,17 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..campaign.pipeline import (
-    RandomPhaseOutcome,
-    TransitionOutcome,
-    scenario_stage_nodes,
-)
-from ..campaign.results import (
-    FAILURES_KEY,
-    CampaignResult,
-    ScenarioResult,
-    canonical_failure,
-    sort_failures,
-)
+from ..campaign.pipeline import RandomPhaseOutcome, TransitionOutcome
+from ..campaign.results import CampaignResult, ScenarioResult
 from ..campaign.chaos import ServiceCrashError
-from ..campaign.runner import CampaignScenario
-from ..campaign.scheduler import (
-    CancelToken,
-    ScheduleCancelled,
-    StageObserver,
-    make_scheduler,
+from ..campaign.runner import (
+    CampaignPlan,
+    CampaignRunner,
+    CampaignScenario,
+    check_scenario_names,
 )
+from ..campaign.scheduler import CancelToken, ScheduleCancelled, StageObserver
 from ..core.config import ServiceConfig
-from ..netlist.library import CellLibrary
 from ..simulation.kernel import KERNEL_CACHE
 from .cache import ScenarioPrepCache
 from .checkpoint import CheckpointStore
@@ -248,7 +239,7 @@ class _JobObserver(StageObserver):
         checkpoints: Optional[CheckpointStore],
         job_id: str,
         checkpoint_every: int,
-        scenario_keys: Optional[dict] = None,
+        plan: CampaignPlan,
         cancel_token: Optional[CancelToken] = None,
         lifecycle_chaos=None,
     ) -> None:
@@ -256,9 +247,8 @@ class _JobObserver(StageObserver):
         self._checkpoints = checkpoints
         self._job_id = job_id
         self._checkpoint_every = checkpoint_every
-        #: scenario name -> scenario graph key, for canonical failure
-        #: records (the scenario prefix is stripped from failing stages).
-        self._scenario_keys = dict(scenario_keys or {})
+        #: The job's stage graph, which canonicalises failure records.
+        self._plan = plan
         self._cancel_token = cancel_token
         #: Optional :class:`~repro.campaign.chaos.LifecycleChaosPlan`:
         #: service-tier fault injection (cancel / deadline / crash) at the
@@ -341,11 +331,10 @@ class _JobObserver(StageObserver):
             scenario=node.scenario,
             error=str(error),
         )
-        scenario_key = self._scenario_keys.get(node.scenario, "")
         self._emitter.emit(
             ScenarioFailed,
             scenario=node.scenario,
-            failure=canonical_failure(failure, scenario_key),
+            failure=self._plan.failure_record(failure),
         )
 
     # -- content dispatch ---------------------------------------------- #
@@ -370,13 +359,15 @@ class _JobObserver(StageObserver):
 
 
 class CampaignService:
-    """Long-lived asyncio front-end over the campaign stage graph.
+    """Long-lived asyncio front-end over one campaign runner.
 
-    Parameters mirror :class:`~repro.campaign.runner.CampaignRunner`
-    (worker count, shard geometry, mp context) plus the service tier:
+    ``num_workers``, ``fault_shards``, ``mp_context`` and ``chaos`` build
+    the service's :class:`~repro.campaign.runner.CampaignRunner` (as
+    :attr:`runner`), together with ``service_config``'s ``retry`` and
+    ``degrade_scenarios``.  The rest is the service tier:
     ``checkpoint_dir`` enables durability/resume, ``service_config``
     (:class:`~repro.core.config.ServiceConfig`) tunes checkpoint cadence,
-    event chunking and cache sizes.  Use as::
+    event chunking, cache sizes and the job lifecycle.  Use as::
 
         service = CampaignService(checkpoint_dir=path)
         await service.start()
@@ -391,28 +382,28 @@ class CampaignService:
         self,
         num_workers: int = 1,
         fault_shards: Optional[int] = None,
-        pattern_shards: int = 1,
         checkpoint_dir=None,
         service_config: Optional[ServiceConfig] = None,
         mp_context=None,
         chaos=None,
         lifecycle_chaos=None,
     ) -> None:
-        self.num_workers = num_workers
-        #: Optional :class:`~repro.campaign.chaos.ChaosPlan` threaded into
-        #: every job's scheduler (testing/fault-drill hook; None in prod).
-        self.chaos = chaos
+        self.config = service_config or ServiceConfig()
+        #: Plans, schedules and collects every job.  ``chaos`` (an optional
+        #: :class:`~repro.campaign.chaos.ChaosPlan`) rides into every job's
+        #: scheduler (testing/fault-drill hook; None in prod).
+        self.runner = CampaignRunner(
+            num_workers=num_workers,
+            fault_shards=fault_shards,
+            mp_context=mp_context,
+            retry_policy=self.config.retry,
+            chaos=chaos,
+            degrade=self.config.degrade_scenarios,
+        )
         #: Optional :class:`~repro.campaign.chaos.LifecycleChaosPlan`:
         #: service-tier injections (cancel/deadline/crash at stage
         #: boundaries) driving the lifecycle test suite; None in prod.
         self.lifecycle_chaos = lifecycle_chaos
-        self.fault_shards = (
-            fault_shards if fault_shards is not None else max(1, num_workers)
-        )
-        self.pattern_shards = pattern_shards
-        self.mp_context = mp_context
-        self.config = service_config or ServiceConfig()
-        self.library = CellLibrary()
         self.checkpoints = (
             CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
         )
@@ -600,18 +591,7 @@ class CampaignService:
         scenarios = tuple(scenarios)
         if not scenarios:
             raise ValueError("a job needs at least one scenario")
-        names = [scenario.name for scenario in scenarios]
-        duplicates = sorted({name for name in names if names.count(name) > 1})
-        if duplicates:
-            raise ValueError(
-                f"duplicate scenario names {duplicates!r}: results are keyed "
-                "by name, so every scenario needs a distinct one"
-            )
-        if FAILURES_KEY in names:
-            raise ValueError(
-                f"scenario name {FAILURES_KEY!r} is reserved for the "
-                "report's degraded-scenario section"
-            )
+        check_scenario_names(scenarios)
         depth = self.config.max_queue_depth
         if depth:
             if wait:
@@ -893,7 +873,6 @@ class CampaignService:
             record.job_id, record.next_seq, sink, self.config.event_chunk
         )
         start = time.perf_counter()
-        scenario_keys: list[str] = []
         token = record.cancel_token or CancelToken()
         # Per-execution wall-clock budget (per-submit override baked into
         # the spec at submission; config default covers legacy specs).
@@ -906,29 +885,15 @@ class CampaignService:
                 # From here on, dying without a terminal state burns one of
                 # the job's resume attempts at the next recovery.
                 self.checkpoints.mark_started(record.job_id)
-            nodes = []
-            scenario_meta = []
+            scenarios = record.spec.scenarios
+            plan = self.runner.plan(scenarios, prefix=f"{record.job_id}/")
             preloads: dict[str, object] = {}
-            for index, scenario in enumerate(record.spec.scenarios):
-                key = f"{record.job_id}/s{index}:{scenario.name}"
-                scenario_keys.append(key)
-                scenario_nodes, artifact_keys = scenario_stage_nodes(
-                    key,
-                    scenario.circuit,
-                    scenario.config,
-                    library=self.library,
-                    scenario_name=scenario.name,
-                    fault_shards=self.fault_shards,
-                    pattern_shards=self.pattern_shards,
-                    num_workers=self.num_workers,
-                    include_topup=scenario.config.campaign_topup,
-                    include_report=True,
-                )
-                nodes.extend(scenario_nodes)
-                scenario_meta.append((scenario, artifact_keys))
+            for scenario in scenarios:
                 preloads.update(
                     self.prep_cache.preloads(
-                        scenario.circuit, scenario.config, artifact_keys
+                        scenario.circuit,
+                        scenario.config,
+                        plan.artifact_keys[scenario.name],
                     )
                 )
 
@@ -936,12 +901,14 @@ class CampaignService:
             if self.checkpoints is not None:
                 resumed = self.checkpoints.has_progress(record.job_id)
                 # Shard children are keyed by index only: a journal from
-                # another shard plan is dropped, never preloaded.
+                # another shard plan is dropped, never preloaded.  The
+                # header keeps its pattern-shard entry, always 1, so
+                # journals written before that axis went still resume.
                 progress = self.checkpoints.load_progress(
                     record.job_id,
                     plan={
-                        "fault_shards": self.fault_shards,
-                        "pattern_shards": self.pattern_shards,
+                        "fault_shards": self.runner.fault_shards,
+                        "pattern_shards": 1,
                     },
                 )
                 # Journaled values win over (content-equal) cache preloads.
@@ -952,59 +919,32 @@ class CampaignService:
                 preloaded_stages=len(preloads),
             )
 
-            key_by_name = {
-                scenario.name: scenario_keys[index]
-                for index, (scenario, _keys) in enumerate(scenario_meta)
-            }
             observer = _JobObserver(
                 emitter,
                 checkpoints=self.checkpoints,
                 job_id=record.job_id,
                 checkpoint_every=self.config.checkpoint_every,
-                scenario_keys=key_by_name,
+                plan=plan,
                 cancel_token=token,
                 lifecycle_chaos=self.lifecycle_chaos,
             )
-            scheduler = make_scheduler(
-                self.num_workers,
-                mp_context=self.mp_context,
-                retry_policy=self.config.retry,
-                chaos=self.chaos,
-                degrade=self.config.degrade_scenarios,
-            )
-            run = scheduler.run(
-                nodes,
+            run = self.runner.scheduler().run(
+                plan.nodes,
                 observer=observer,
                 preloaded=preloads,
                 cancel_token=token,
             )
-
-            failures: dict[str, list[dict]] = {}
-            for failure in run.failures:
-                record_dict = canonical_failure(
-                    failure, key_by_name.get(failure.scenario, "")
-                )
-                failures.setdefault(failure.scenario, []).append(record_dict)
-            failures = {
-                name: sort_failures(records)
-                for name, records in sorted(failures.items())
-            }
-            results = {
-                scenario.name: run.value(keys["report"])
-                for scenario, keys in scenario_meta
-                if scenario.name not in failures
-            }
-            campaign = CampaignResult(
-                scenarios=results,
-                failures=failures,
-                num_workers=self.num_workers,
-                seconds=time.perf_counter() - start,
-            )
+            campaign = self.runner.collect(plan, run, start)
             report = campaign.report_bytes()
-            for scenario, keys in scenario_meta:
-                if scenario.name in failures:
+            for scenario in scenarios:
+                if scenario.name in campaign.failures:
                     continue
-                self.prep_cache.harvest(scenario.circuit, scenario.config, run, keys)
+                self.prep_cache.harvest(
+                    scenario.circuit,
+                    scenario.config,
+                    run,
+                    plan.artifact_keys[scenario.name],
+                )
             record.result = campaign
             record.report = report
             if self.checkpoints is not None:
@@ -1013,10 +953,10 @@ class CampaignService:
                 self.checkpoints.clear_lifecycle(record.job_id)
             emitter.emit(
                 JobFinished,
-                scenarios=tuple(sorted(results)),
+                scenarios=tuple(sorted(campaign.scenarios)),
                 checksum=report_checksum(report),
-                partial=bool(failures),
-                failed_scenarios=tuple(sorted(failures)),
+                partial=campaign.partial,
+                failed_scenarios=tuple(sorted(campaign.failures)),
             )
         except ScheduleCancelled as stop:
             # Cooperative stop at a stage boundary: flush the stages the

@@ -72,10 +72,6 @@ class Waveform:
             self._signals[name] = SignalTrace(name, initial_value)
         return self._signals[name]
 
-    def has_signal(self, name: str) -> bool:
-        """True when a trace with that name exists."""
-        return name in self._signals
-
     def signal_names(self) -> list[str]:
         """Signal names in creation order."""
         return list(self._signals)

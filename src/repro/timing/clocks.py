@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -119,12 +119,6 @@ class ClockTreeModel:
         return [
             spec.insertion_delay_ns + rng.uniform(-half, half) for _ in range(num_sinks)
         ]
-
-    def sample_domain_offset(self, domain_a: str, domain_b: str, trial: int = 0) -> float:
-        """Sample the (signed) arrival-time difference between two domains' trees."""
-        arrivals_a = self.sample_sink_arrivals(domain_a, 1, trial)
-        arrivals_b = self.sample_sink_arrivals(domain_b, 1, trial)
-        return arrivals_a[0] - arrivals_b[0]
 
 
 def make_clock_tree(

@@ -1,11 +1,11 @@
 """Randomized differential harness: sharded campaign vs the serial kernel.
 
 The campaign subsystem's whole claim is *bit-identity*: sharding the
-collapsed fault list and the packed pattern stream across workers, then
-min-merging, must reproduce the serial compiled-kernel results exactly --
-detection statuses, first-detection indices, coverage curves (including
-their floating-point values), per-pattern detection credits, and per-domain
-MISR signatures.  This suite fuzzes random circuits from
+collapsed fault list across workers, each shard scanning the packed pattern
+stream, then min-merging, must reproduce the serial compiled-kernel results
+exactly -- detection statuses, first-detection indices, coverage curves
+(including their floating-point values), per-pattern detection credits, and
+per-domain MISR signatures. This suite fuzzes random circuits from
 :mod:`repro.cores.generator` across shard counts {1, 2, 4, 7} x block sizes
 {64, 256} and asserts exactly that, plus the multiprocessing pool path and
 the flow integration (a pooled campaign run against the serial flow).
@@ -98,7 +98,6 @@ def shard_graph(
     fault_list,
     entries,
     fault_shards,
-    pattern_shards=1,
     num_workers=1,
     sim_backend="python",
     sim_memory_budget_mb=None,
@@ -121,9 +120,7 @@ def shard_graph(
         sim_backend,
         sim_memory_budget_mb,
     )
-    nodes = shard_stage_nodes(
-        "eq", state, entries, fault_shards, pattern_shards, prefix="eq"
-    )
+    nodes = shard_stage_nodes("eq", state, entries, fault_shards, prefix="eq")
     run = make_scheduler(num_workers).run(nodes)
     merged = merge_first_detections(run.value(node.key) for node in nodes)
     boundaries = [entry[0] + entry[1].num_patterns for entry in entries]
@@ -157,39 +154,27 @@ class TestShardedFaultSimEquivalence:
         assert_fault_lists_identical(ref_list, fault_list)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_randomized_cores_across_shard_grid(self, seed):
-        """Fresh random structure per seed, swept over the full shard grid."""
+    def test_randomized_cores_across_shard_counts(self, seed):
+        """Fresh random structure per seed, swept over every shard count."""
         circuit = make_core(seed, domains=1 + seed % 3)
         patterns = random_patterns(circuit, 150, seed + 40)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         for fault_shards in SHARD_COUNTS:
-            for pattern_shards in (1, 2):
-                fault_list = collapse_stuck_at(circuit).to_fault_list()
-                result = shard_graph(
-                    circuit, fault_list, blocks, fault_shards, pattern_shards
-                )
-                assert result.coverage_curve == ref_result.coverage_curve, (
-                    f"curve drift at shards={fault_shards}x{pattern_shards}"
-                )
-                assert_fault_lists_identical(ref_list, fault_list)
-
-    def test_pattern_sharding_preserves_first_detection(self):
-        """A fault seen by several pattern shards keeps its earliest index."""
-        circuit = make_core(21)
-        patterns = random_patterns(circuit, 128, 9)
-        ref_list, _, blocks = serial_reference(circuit, patterns, 32)
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
-        shard_graph(circuit, fault_list, blocks, fault_shards=1, pattern_shards=4)
-        assert_fault_lists_identical(ref_list, fault_list)
+            fault_list = collapse_stuck_at(circuit).to_fault_list()
+            result = shard_graph(circuit, fault_list, blocks, fault_shards)
+            assert result.coverage_curve == ref_result.coverage_curve, (
+                f"curve drift at shards={fault_shards}"
+            )
+            assert_fault_lists_identical(ref_list, fault_list)
 
 
 @pytest.mark.numpy
 class TestNumpyBackendCampaign:
     """The sharded campaign under ``sim_backend="numpy"`` vs the python oracle.
 
-    The shard payloads carry the backend to every worker, so the whole grid
-    -- fault shards, pattern shards, signature shards, multi-scenario runs --
-    must stay byte-identical to the serial python engine.
+    The shard payloads carry the backend to every worker, so every fan-out
+    -- fault shards, signature shards, multi-scenario runs -- must stay
+    byte-identical to the serial python engine.
     """
 
     @pytest.mark.parametrize("fault_shards", (1, 3))
@@ -200,7 +185,7 @@ class TestNumpyBackendCampaign:
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, block_size)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         result = shard_graph(
-            circuit, fault_list, blocks, fault_shards, 2, sim_backend="numpy"
+            circuit, fault_list, blocks, fault_shards, sim_backend="numpy"
         )
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
@@ -239,7 +224,6 @@ class TestNumpyBackendCampaign:
             fault_list,
             blocks,
             fault_shards,
-            2,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
         )
@@ -324,7 +308,7 @@ class TestMultiprocessPool:
         patterns = random_patterns(circuit, 130, 3)
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
-        result = shard_graph(circuit, fault_list, blocks, 4, 2, num_workers=2)
+        result = shard_graph(circuit, fault_list, blocks, 4, num_workers=2)
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
         assert_fault_lists_identical(ref_list, fault_list)
@@ -337,7 +321,7 @@ class TestMultiprocessPool:
         ref_list, ref_result, blocks = serial_reference(circuit, patterns, 64)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         result = shard_graph(
-            circuit, fault_list, blocks, 4, 2, num_workers=2, sim_backend="numpy"
+            circuit, fault_list, blocks, 4, num_workers=2, sim_backend="numpy"
         )
         assert result.coverage_curve == ref_result.coverage_curve
         assert result.detections_per_pattern == ref_result.detections_per_pattern
@@ -357,7 +341,6 @@ class TestMultiprocessPool:
             fault_list,
             blocks,
             4,
-            2,
             num_workers=num_workers,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
@@ -475,7 +458,6 @@ class TestShardedTransitionSim:
             fault_list,
             derive_pair_blocks(circuit, iter_blocks(launch, block_size=32)),
             fault_shards,
-            pattern_shards=2,
         )
         assert result.patterns_simulated == ref_result.pairs_simulated
         assert result.coverage_curve == ref_result.coverage_curve

@@ -19,8 +19,6 @@ from repro.campaign import (
     contiguous_shards,
     keyed_round_robin_shards,
     merge_first_detections,
-    plan_grid,
-    round_robin_shards,
     shard_stage_nodes,
 )
 from repro.core import LogicBistConfig
@@ -28,6 +26,7 @@ from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultList, collapse_stuck_at
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
+from repro.service import CampaignService
 from repro.simulation import iter_blocks
 
 
@@ -50,13 +49,23 @@ def make_core(seed: int, pipeline_stages: int = 1):
 
 
 class TestShardPlanners:
-    def test_round_robin_covers_every_index_once(self):
+    def test_keyed_round_robin_covers_every_index_once(self):
+        """With one key per index the keyed planner deals the indices
+        themselves round-robin, dropping empty shards."""
         for count in (0, 1, 5, 17, 100):
             for shards in (1, 2, 4, 7):
-                groups = round_robin_shards(count, shards)
+                groups = keyed_round_robin_shards(range(count), shards)
                 flat = sorted(i for group in groups for i in group)
                 assert flat == list(range(count))
                 assert all(group for group in groups)
+                assert groups == tuple(
+                    group
+                    for group in (
+                        tuple(range(start, count, shards))
+                        for start in range(shards)
+                    )
+                    if group
+                )
 
     def test_contiguous_covers_every_index_in_order(self):
         for count in (0, 1, 5, 17, 100):
@@ -70,7 +79,8 @@ class TestShardPlanners:
                     assert max(sizes) - min(sizes) <= 1
 
     def test_planners_are_deterministic(self):
-        assert round_robin_shards(37, 5) == round_robin_shards(37, 5)
+        keys = [index % 11 for index in range(37)]
+        assert keyed_round_robin_shards(keys, 5) == keyed_round_robin_shards(keys, 5)
         assert contiguous_shards(37, 5) == contiguous_shards(37, 5)
 
     def test_keyed_round_robin_keeps_groups_together(self):
@@ -91,23 +101,21 @@ class TestShardPlanners:
                 assert len(owners) == 1, f"key {key} split across shards {owners}"
         assert keyed_round_robin_shards(keys, 3) == keyed_round_robin_shards(keys, 3)
 
-    def test_grid_covers_every_cell_exactly_once(self):
-        grid = plan_grid(10, 6, fault_shards=3, pattern_shards=2)
-        cells = [
-            (fault, block)
-            for faults, blocks in grid
-            for fault in faults
-            for block in blocks
-        ]
-        assert sorted(cells) == sorted(
-            (fault, block) for fault in range(10) for block in range(6)
-        )
-
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ValueError):
-            round_robin_shards(5, 0)
+            keyed_round_robin_shards(range(5), 0)
         with pytest.raises(ValueError):
             contiguous_shards(5, -1)
+
+    @pytest.mark.parametrize("fault_shards", (0, -3))
+    def test_runner_rejects_fewer_than_one_fault_shard(self, fault_shards):
+        """A shard count below one is an error at construction, not a
+        silent single shard."""
+        with pytest.raises(ValueError, match="fault_shards"):
+            CampaignRunner(num_workers=1, fault_shards=fault_shards)
+        with pytest.raises(ValueError, match="fault_shards"):
+            CampaignService(num_workers=1, fault_shards=fault_shards)
+        assert CampaignRunner(num_workers=0).fault_shards == 1
 
 
 def random_blocks(circuit, count, seed):
@@ -139,34 +147,28 @@ def transition_session(circuit, count, seed):
 
 
 class TestShardStages:
-    @pytest.mark.parametrize("pattern_shards", (1, 2, 3))
     @pytest.mark.parametrize("fault_shards", (1, 3))
     @pytest.mark.parametrize("session", (stuck_session, transition_session))
-    def test_each_stage_carries_only_its_own_block_run(
-        self, session, fault_shards, pattern_shards
-    ):
+    def test_each_stage_carries_the_whole_session(self, session, fault_shards):
         # Two pipeline stages: launch-on-capture transitions then reach
         # logic every transition shard has to resimulate.
         circuit = make_core(45, pipeline_stages=2)
         state, entries = session(circuit, 200, 8)
         prefix = "s0:grid/random"
-        nodes = shard_stage_nodes(
-            "grid", state, entries, fault_shards, pattern_shards, prefix=prefix
-        )
-        assert len(nodes) == fault_shards * pattern_shards
+        nodes = shard_stage_nodes("grid", state, entries, fault_shards, prefix=prefix)
+        assert len(nodes) == fault_shards
         assert [node.key for node in nodes] == [
             f"{prefix}/shard{i}" for i in range(len(nodes))
         ]
-        offsets = [entry[0] for entry in entries]
+        # Every fault in exactly one shard.
+        owned = sorted(i for node in nodes for i in node.task.fault_indices)
+        assert owned == list(range(len(state.faults)))
         for node in nodes:
             stage = node.task
             assert isinstance(stage, ShardScanStage)
-            # One contiguous run of the session, the very entries (and so
-            # the global offsets) of the stream it was cut from.
-            start = offsets.index(stage.blocks[0][0])
-            run = entries[start : start + len(stage.blocks)]
-            assert all(got is want for got, want in zip(stage.blocks, run))
-            assert len(run) == len(stage.blocks)
+            # The very entries (and so the global offsets) of the session.
+            assert len(stage.blocks) == len(entries)
+            assert all(got is want for got, want in zip(stage.blocks, entries))
             assert stage.run().gate_evals > 0
         shipped = sum(len(node.task.blocks) for node in nodes)
         assert shipped == fault_shards * len(entries)
@@ -177,7 +179,7 @@ class TestPermutedShardAssignment:
         circuit = make_core(41)
         state, entries = stuck_session(circuit, 140, 6)
         nodes = shard_stage_nodes(
-            "perm", state, entries, fault_shards=4, pattern_shards=2, prefix="perm"
+            "perm", state, entries, fault_shards=4, prefix="perm"
         )
         stages = [node.task for node in nodes]
 
@@ -193,7 +195,7 @@ class TestPermutedShardAssignment:
 
     def test_report_bytes_invariant_under_shard_and_worker_count(self):
         """The canonical campaign report is byte-identical across every
-        (fault_shards, pattern_shards, num_workers) execution plan."""
+        (fault_shards, num_workers) execution plan."""
         circuit = make_core(43)
         config = LogicBistConfig(
             total_scan_chains=4,
@@ -203,20 +205,17 @@ class TestPermutedShardAssignment:
             signature_patterns=8,
         )
 
-        def report(fault_shards, pattern_shards, num_workers):
+        def report(fault_shards, num_workers):
             runner = CampaignRunner(
-                num_workers=num_workers,
-                fault_shards=fault_shards,
-                pattern_shards=pattern_shards,
+                num_workers=num_workers, fault_shards=fault_shards
             )
             return runner.run(
                 [CampaignScenario("invariant", circuit, config)]
             ).report_bytes()
 
-        baseline = report(1, 1, 1)
+        baseline = report(1, 1)
         for fault_shards in (2, 4, 7):
-            assert report(fault_shards, 1, 1) == baseline
-        assert report(4, 2, 1) == baseline
+            assert report(fault_shards, 1) == baseline
 
     @pytest.mark.multiprocess
     def test_report_bytes_invariant_under_pool_size(self):

@@ -186,21 +186,17 @@ class TestTransitionSectionMatchesFlowOracle:
 
 
 class TestTransitionReportBytesAcrossShardGeometry:
-    """Serial campaigns: shard geometry must not leak into report bytes."""
+    """Serial campaigns: the shard count must not leak into report bytes."""
 
     @pytest.mark.parametrize("seed", CORE_SEEDS)
-    @pytest.mark.parametrize(
-        "fault_shards,pattern_shards", [(1, 1), (3, 1), (4, 2), (5, 3)]
-    )
-    def test_report_bytes_shard_invariant(self, seed, fault_shards, pattern_shards):
+    @pytest.mark.parametrize("fault_shards", (1, 3, 4, 5))
+    def test_report_bytes_shard_invariant(self, seed, fault_shards):
         scenario = CampaignScenario(
             f"atspeed-{seed}", make_core(seed), at_speed_config()
         )
         reference = CampaignRunner(num_workers=1, fault_shards=1).run([scenario])
         candidate = CampaignRunner(
-            num_workers=1,
-            fault_shards=fault_shards,
-            pattern_shards=pattern_shards,
+            num_workers=1, fault_shards=fault_shards
         ).run([scenario])
         assert candidate.report_bytes() == reference.report_bytes()
 

@@ -204,6 +204,9 @@ class TestConfigurationVariants:
             "topup_block_size": None,
             "pipeline_workers": 0,
             "campaign_fault_shards": None,
+            "retry": None,
+            "exclude_pad_faults": True,
+            "default_frequency_mhz": 250.0,
         }
         config = small_config(random_patterns=96)
         for name, value in deleted.items():

@@ -6,7 +6,8 @@ what that format promises:
 
 * only non-local stages are journaled, each value as it was when its stage
   finished, and a save with nothing to append still leaves the file on disk,
-* a journal starts with the shard plan its records were made under; a
+* a journal starts with the shard plan its records were made under, in
+  one fixed format (``{"fault_shards": n, "pattern_shards": 1}``); a
   resume under another plan (e.g. another worker count) ignores it, since
   shard records are keyed by index only,
 * a torn tail -- cut mid-header, cut mid-payload, or a flipped byte in the
@@ -37,8 +38,10 @@ from repro.service import CampaignService, CheckpointStore, EventReassembler
 from repro.service.checkpoint import (
     CHECKSUM_MAGIC,
     JOURNAL_MAGIC,
+    PLAN_KEY,
     PROGRESS_FILE,
     _frame,
+    _journal_record,
 )
 from repro.service.events import JobStarted
 
@@ -294,6 +297,50 @@ def test_resume_under_another_worker_count_matches_oracle(tmp_path, caplog):
     assert resumed.state == "finished"
     assert resumed.report == expected
     assert EventReassembler().feed_all(events).report_bytes() == expected
+
+
+@pytest.mark.parametrize("pattern_shards", (1, 2))
+def test_journal_plan_header_compatibility(tmp_path, caplog, pattern_shards):
+    """A journal headed ``{"fault_shards": n, "pattern_shards": 1}`` -- the
+    header every service has written -- resumes with its shard outcomes
+    preloaded.  One headed ``pattern_shards: 2`` holds shards cut along
+    the block stream, which no service plans, so it is logged and dropped,
+    never preloaded."""
+    expected = oracle_bytes("python")
+    after_shards = LifecycleChaosPlan(
+        [LifecycleInjection(stage="fault_sim/shard", action="crash",
+                            occurrences=(2,))]
+    )
+    service = CampaignService(
+        fault_shards=3, checkpoint_dir=tmp_path, lifecycle_chaos=after_shards
+    )
+    job_id, crashed = asyncio.run(drive(service, make_scenarios("python")))
+    assert crashed.state == "failed"
+    path = tmp_path / job_id / PROGRESS_FILE
+    blob = path.read_bytes()
+    header = {"fault_shards": 3, "pattern_shards": 1}
+    _, plan_length = record_spans(blob)[0]
+    assert pickle.loads(blob[HEADER_LEN : HEADER_LEN + plan_length]) == (
+        PLAN_KEY, header,
+    )
+    journal = CheckpointStore(tmp_path).load_progress(job_id, plan=header)
+    assert sum("/fault_sim/shard" in key for key in journal) == 3
+
+    path.write_bytes(
+        _journal_record(PLAN_KEY, {**header, "pattern_shards": pattern_shards})
+        + blob[HEADER_LEN + plan_length :]
+    )
+    with caplog.at_level("WARNING", logger=LOGGER):
+        _, resumed = asyncio.run(
+            drive(CampaignService(fault_shards=3, checkpoint_dir=tmp_path),
+                  job_id=job_id)
+        )
+    dropped = any("shard plan" in record.getMessage() for record in caplog.records)
+    assert dropped == (pattern_shards != 1)
+    assert resumed.resumed
+    assert resumed.preloaded_stages == (len(journal) if pattern_shards == 1 else 0)
+    assert resumed.state == "finished"
+    assert resumed.report == expected
 
 
 def test_journal_without_stage_values_still_reports_resumed(tmp_path):

@@ -148,6 +148,34 @@ def test_walk_ignores_lookalikes():
         ("repro.bist.lfsr", None, "GaloisLfsr"),
         ("repro.bist.lfsr", None, "weighted_bits"),
         ("repro.bist.stumps", "StumpsDomainConfig", "galois"),
+        ("repro.core.config", "LogicBistConfig", "retry"),
+        ("repro.core.config", "LogicBistConfig", "exclude_pad_faults"),
+        ("repro.core.config", "LogicBistConfig", "default_frequency_mhz"),
+        ("repro.campaign", None, "plan_grid"),
+        ("repro.campaign", None, "round_robin_shards"),
+        ("repro.campaign.sharding", None, "plan_grid"),
+        ("repro.campaign.sharding", None, "round_robin_shards"),
+        ("repro.campaign.pipeline", "FaultSimStage", "pattern_shards"),
+        ("repro.campaign.pipeline", "TransitionStage", "pattern_shards"),
+        ("repro.campaign.runner", "CampaignRunner", "pattern_shards"),
+        ("repro.service.queue", "CampaignService", "pattern_shards"),
+        ("repro.netlist", None, "chain_of_inverters"),
+        ("repro.netlist.builder", None, "chain_of_inverters"),
+        ("repro.timing.clocks", "ClockTreeModel", "sample_domain_offset"),
+        ("repro.simulation.waveform", "Waveform", "has_signal"),
+        ("repro.service.events", "EventReassembler", "completed_scenarios"),
+        ("repro.netlist.circuit", "Circuit", "has_net"),
+        ("repro.netlist.bench_format", None, "parse_bench_lines"),
+        ("repro.faults", None, "coverage_curve_from_samples"),
+        ("repro.faults", None, "CoveragePoint"),
+        ("repro.faults", None, "random_resistant_faults"),
+        ("repro.faults", None, "escape_rate"),
+        ("repro.faults.statistics", None, "coverage_curve_from_samples"),
+        ("repro.faults.statistics", None, "CoveragePoint"),
+        ("repro.faults.statistics", None, "random_resistant_faults"),
+        ("repro.faults.statistics", None, "escape_rate"),
+        ("repro.atpg.dcalc", "Value5", "is_known"),
+        ("repro.campaign.results", "ScenarioResult", "curve_sections"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
@@ -167,7 +195,14 @@ def test_deleted_parameters_are_gone():
     """The X check is the structural walk alone and the PRPG is Fibonacci
     alone: neither takes a parameter that picks a second path."""
     from repro.bist.lfsr import Prpg
+    from repro.campaign.pipeline import scenario_stage_nodes, shard_stage_nodes
+    from repro.campaign.runner import CampaignRunner
+    from repro.core.flow import fresh_fault_list
     from repro.scan.x_blocking import x_contaminated_observation_nets
+    from repro.service import CampaignService
 
     assert "structural" not in inspect.signature(x_contaminated_observation_nets).parameters
     assert "galois" not in inspect.signature(Prpg).parameters
+    for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
+        assert "pattern_shards" not in inspect.signature(owner).parameters
+    assert "config" not in inspect.signature(fresh_fault_list).parameters
