@@ -3,7 +3,8 @@
 Before PR 4, every campaign scenario's *preparation* -- scan insertion, TPI
 profiling (a full serial fault simulation under ``tpi_method="fault_sim"``)
 and signature-response derivation -- ran serially in the ``CampaignRunner``
-parent before the fault-sim shards fanned out.  On a TPI-heavy multi-scenario
+parent before the fault-sim shards fanned out.  (Today the signature, its
+responses and every domain's MISR fold, is one pooled preparation stage.)  On a TPI-heavy multi-scenario
 campaign that serial fraction Amdahl-caps the speedup well below the worker
 count no matter how well the shards balance.
 
@@ -130,9 +131,10 @@ def run() -> dict:
 
     # Amdahl accounting from the same single-CPU trace.  Before the
     # pipeline, preparation and all control ran serially in the parent and
-    # only the "sim" category (fault-sim shards and the per-domain MISR
-    # folds, which PR 2 already pooled) was pool work; after, only control
-    # stays serial.
+    # only the "sim" category (the fault-sim shards, which PR 2 already
+    # pooled) was pool work; after, only control stays serial.  The MISR
+    # folds, pooled per domain in PR 2, now run inside the one signature
+    # stage and count as preparation.
     serial_before = prep + control
     serial_after = control
     fraction_before = serial_before / total
@@ -146,12 +148,12 @@ def run() -> dict:
 
     rows = [
         {
-            "quantity": "preparation (scan+TPI+session+signature responses)",
+            "quantity": "preparation (scan+TPI+session+signature)",
             "seconds": round(prep, 4),
             "share": f"{prep / total:.1%}",
         },
         {
-            "quantity": "pooled-in-both compute (fault-sim shards + MISR folds)",
+            "quantity": "pooled-in-both compute (fault-sim shards)",
             "seconds": round(sim, 4),
             "share": f"{sim / total:.1%}",
         },

@@ -6,15 +6,18 @@ launch-on-capture transition coverage (Fig. 2) plus the Fig. 3 shift-path
 skew sweep -- only existed in the serial ``LogicBistFlow`` path, so a
 scenario sweep's at-speed compute could never use the worker pool.
 
-PR 6 makes the transition fan-out and a trial-sharded Monte-Carlo skew sweep
-first-class campaign stage nodes.  This benchmark runs a transition-heavy
-multi-domain campaign through the serial scheduler (whose per-stage trace is
-an honest single-CPU measurement of every stage) and derives:
+The transition fan-out and the Monte-Carlo skew sweep are campaign stage
+nodes: the transition scan shards its faults like the stuck-at scan, and the
+skew sweep is one pooled stage per scenario (a thousand trials take about
+10 ms, less than one pooled dispatch, so it does not fan out).  This
+benchmark runs a transition-heavy multi-domain campaign through the serial
+scheduler (whose per-stage trace is an honest single-CPU measurement of
+every stage) and derives:
 
-* **at_speed_share** -- the at-speed phase (transition shards + skew trial
-  shards) as a share of total campaign compute.  The workload is shaped so
-  this is substantial (>= 20 %): if the at-speed stages were still serial,
-  they alone would cap the campaign's speedup,
+* **at_speed_share** -- the at-speed phase (transition preparation and
+  shards + the skew stage) as a share of total campaign compute.  The
+  workload is shaped so this is substantial (>= 20 %): if the at-speed
+  stages were still serial, they alone would cap the campaign's speedup,
 * **projected speedups at 4 workers** (Amdahl from the same trace) with the
   at-speed stages pooled vs counted as parent-serial -- the architecture
   delta this PR delivers, machine-independent,

@@ -7,8 +7,8 @@ functional frequency, and the shift-path clocking analysis (Fig. 3) shows the
 remaining skew-induced violations have cheap structural fixes.  With PR 6 the
 campaign subsystem measures all of that per scenario: a config that sets
 ``measure_transition_coverage`` grows the launch-on-capture transition
-fan-out, ``skew_trials > 0`` adds a trial-sharded Monte-Carlo sweep of the
-shift-path skew, and the canonical report gains ``transition`` and ``skew``
+fan-out, ``skew_trials > 0`` adds a Monte-Carlo sweep of the shift-path
+skew (one pooled stage), and the canonical report gains ``transition`` and ``skew``
 sections next to the stuck-at figures.
 
 This walkthrough runs three multi-clock cores -- different domain counts and
@@ -109,7 +109,7 @@ def main() -> None:
     print(
         f"\nAt-speed campaign: {len(scenarios)} scenarios through one "
         f"{args.workers}-worker pool, {args.shards} fault shards each "
-        "(transition fan-out + trial-sharded skew sweep per scenario)"
+        "(transition fan-out + one skew-sweep stage per scenario)"
     )
     start = time.perf_counter()
     runner = CampaignRunner(num_workers=args.workers, fault_shards=args.shards)

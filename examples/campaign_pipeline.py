@@ -9,7 +9,7 @@ serially in the campaign parent, so one TPI-heavy core stalled the whole
 pool (the Amdahl cap ``benchmarks/bench_pipeline.py`` quantifies).
 
 Now each scenario is a subgraph of typed stages -- scan prep -> TPI ->
-STUMPS/session -> fault-sim shard fan-out -> per-domain signature folds ->
+STUMPS/session -> fault-sim shard fan-out -> per-domain MISR signatures ->
 report -- and *one* scheduler drains the whole multi-scenario DAG: core Y's
 TPI profiling runs while core X's fault-sim shards are still in flight.
 This walkthrough builds such a mixed campaign:

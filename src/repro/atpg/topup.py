@@ -166,6 +166,10 @@ class TopUpAtpg:
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.max_faults is not None and self.max_faults < 0:
+            raise ValueError(
+                f"max_faults must be >= 0 or None, got {self.max_faults!r}"
+            )
         self._rng = random.Random(self.seed)
 
     # ------------------------------------------------------------------ #

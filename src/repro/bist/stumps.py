@@ -300,10 +300,10 @@ class StumpsDomain:
     ) -> int:
         """Fold a whole sequence of captured responses into the MISR.
 
-        This is the per-domain signature shard of the campaign runner: every
-        clock domain's MISR only ever reads its own chains' cells, so one
-        worker per domain folding its filtered response stream reproduces the
-        serial multi-domain unload bit for bit.  Returns the final MISR state.
+        The campaign's signature stage calls this once per clock domain:
+        every domain's MISR only ever reads its own chains' cells, so folding
+        each domain's filtered response stream reproduces the multi-domain
+        unload bit for bit.  Returns the final MISR state.
 
         ``backend="numpy"`` vectorises the unload emulation: the per-cycle
         scan-out slices of every response are gathered with one fancy index,
@@ -369,9 +369,8 @@ class StumpsDomain:
     def cells(self) -> list[str]:
         """All scan-cell names of this domain, chain by chain.
 
-        The campaign runner uses this to filter captured responses down to
-        the cells a domain's MISR can actually see before shipping them to a
-        signature shard worker.
+        The signature stage uses this to filter captured responses down to
+        the cells a domain's MISR can actually see before folding them.
         """
         return [cell for chain in self.chains for cell in chain.cells]
 

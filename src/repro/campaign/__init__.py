@@ -84,17 +84,15 @@ from .pipeline import (
     ShardScanStage,
     SignatureStage,
     SkewOutcome,
-    SkewSweepStage,
     SkewTrialsStage,
     TopUpStage,
     TpiProfileStage,
     TransitionOutcome,
-    TransitionStage,
     scenario_stage_nodes,
     shard_stage_nodes,
 )
 from ..util.cache import KeyedLruCache
-from .sharding import contiguous_shards, keyed_round_robin_shards
+from .sharding import keyed_round_robin_shards
 
 __all__ = [
     "CampaignResult",
@@ -141,14 +139,11 @@ __all__ = [
     "ShardScanStage",
     "SignatureStage",
     "SkewOutcome",
-    "SkewSweepStage",
     "SkewTrialsStage",
     "TopUpStage",
     "TpiProfileStage",
     "TransitionOutcome",
-    "TransitionStage",
     "scenario_stage_nodes",
     "shard_stage_nodes",
-    "contiguous_shards",
     "keyed_round_robin_shards",
 ]

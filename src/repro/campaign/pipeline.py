@@ -16,16 +16,17 @@ Two properties carry the whole design:
   :func:`~repro.core.flow.derive_signature_responses`, ...) the serial flow
   always used, so the serial walk *is* the oracle and the pooled schedule
   cannot drift from it.
-* **Fan-out is just expansion.**  The shard planners of
-  :mod:`repro.campaign.sharding` become the fan-out rule of
-  :class:`FaultSimStage` / :class:`TransitionStage`: once a scenario's fault
-  list and pattern blocks exist, a local expander splices one shard node per
-  fault shard plus an order-independent merge node into the graph.  Pooled
-  preparation and pooled simulation therefore drain through the *same* pool
-  -- scenario B's TPI profiling (itself a full fault simulation under
-  ``tpi_method="fault_sim"``) runs while scenario A's shards are in flight,
-  which removes the serial-preparation Amdahl cap of the pre-pipeline
-  campaign runner.
+* **Fan out only where it pays.**  The two fault scans (stuck-at and
+  transition) and the speculative top-up PODEM are the only phases that
+  fan out: once a scenario's fault list and pattern blocks exist, one
+  local expander (:class:`FaultSimStage` for either scan,
+  :class:`TopUpStage` for top-up) splices one pooled node per fault shard
+  plus a merge node into the graph.  Every other phase is one local trim
+  stage, which ships only the bundle slice the phase reads, plus one pooled
+  stage: the signature (:class:`SignatureStage`), the skew sweep
+  (:class:`SkewTrialsStage`) and the transition preparation.  Pooled
+  preparation and pooled simulation drain through the *same* pool --
+  scenario B's TPI profiling runs while scenario A's shards are in flight.
 
 Every shard of either fault model is one :class:`ShardScanStage`, built by
 :func:`shard_stage_nodes`: a shard state (stuck-at or transition), the
@@ -49,7 +50,7 @@ from typing import Optional, Union
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
 from ..bist.input_selector import InputSelector, InputSource
-from ..bist.stumps import StumpsArchitecture
+from ..bist.stumps import StumpsArchitecture, StumpsDomain
 from ..core.bist_ready import BistReadyCore, prepare_scan_core
 from ..core.config import LogicBistConfig
 from ..core.flow import (
@@ -58,7 +59,6 @@ from ..core.flow import (
     build_stumps,
     credit_chain_flush,
     derive_signature_responses,
-    expand_leading_patterns,
     fresh_fault_list,
     insert_test_points,
 )
@@ -68,14 +68,10 @@ from ..faults.models import StuckAtFault, TransitionFault
 from ..faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from ..simulation.packed import PatternBlock
+from ..simulation.packed import PatternBlock, leading_blocks
 from ..timing.clocks import ClockTreeModel
 from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
-from ..timing.skew_analysis import (
-    MonteCarloSummary,
-    ShiftPathParameters,
-    run_skew_trials,
-)
+from ..timing.skew_analysis import MonteCarloSummary, run_skew_trials
 from ..tpi.observation_points import ObservationPointPlan
 from .results import (
     ScenarioResult,
@@ -90,7 +86,7 @@ from .scheduler import (
     Expansion,
     StageNode,
 )
-from .sharding import contiguous_shards, fault_site_keys, keyed_round_robin_shards
+from .sharding import fault_site_keys, keyed_round_robin_shards
 
 #: Flow phase names the stage graph accounts its time to -- exactly the
 #: five :class:`~repro.core.flow.PhaseTiming` buckets the flow has always
@@ -122,6 +118,7 @@ class ScenarioBundle:
     fault-sim shards (``state`` + ``offset_blocks``) and the structural
     objects the flow result reports (stumps, clock tree, capture schedule)
     travel together because every downstream stage needs some slice of them.
+    Journaled as a stage value, so its fields keep their names.
     """
 
     scenario_key: str
@@ -136,6 +133,11 @@ class ScenarioBundle:
     positions: tuple[int, ...]
     offset_blocks: tuple[tuple[int, PatternBlock], ...]
     boundaries: tuple[int, ...]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, PatternBlock], ...]:
+        """The session the fault-sim shards scan."""
+        return self.offset_blocks
 
 
 @dataclass
@@ -178,6 +180,17 @@ class TopUpInput:
 
 
 @dataclass
+class SignatureInput:
+    """Trimmed bundle slice for the signature stage: the leading blocks the
+    signature slice reads, plus what derives and folds their responses."""
+
+    circuit: Circuit
+    blocks: tuple[PatternBlock, ...]
+    capture_schedule: CaptureSchedule
+    domains: dict[str, StumpsDomain]
+
+
+@dataclass
 class TransitionInput:
     """Trimmed bundle slice for the transition preparation stage."""
 
@@ -189,7 +202,8 @@ class TransitionInput:
 
 @dataclass
 class TransitionBundle:
-    """Fan-out payload of the transition-fault measurement."""
+    """Fan-out payload of the transition-fault measurement (journaled,
+    like :class:`ScenarioBundle`)."""
 
     scenario_key: str
     state: TransitionSimShardState
@@ -198,6 +212,11 @@ class TransitionBundle:
     #: Fault-list position of each fault of ``state.faults``.
     positions: tuple[int, ...]
     boundaries: tuple[int, ...]
+
+    @property
+    def blocks(self) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
+        """The launch/capture session the transition shards scan."""
+        return self.pair_blocks
 
 
 @dataclass
@@ -224,7 +243,7 @@ class TransitionOutcome:
 
 @dataclass
 class SkewInput:
-    """Trimmed bundle slice for the Monte-Carlo skew sweep.
+    """Trimmed bundle slice for the Fig. 3 Monte-Carlo skew sweep.
 
     Carries the double-capture schedule's verdict alongside the timing
     numbers: the sweep reports the schedule's validity so one campaign
@@ -240,7 +259,7 @@ class SkewInput:
 
 @dataclass
 class SkewOutcome:
-    """Merged result of the sharded Fig. 3 Monte-Carlo skew sweep."""
+    """Result of the Fig. 3 Monte-Carlo skew sweep."""
 
     summary: MonteCarloSummary
     schedule_valid: bool
@@ -249,7 +268,6 @@ class SkewOutcome:
     max_skew_ns: float
     skew_range_ns: float
     bist_clock_advance_ns: float
-    num_shards: int = 1
 
     def canonical_dict(self) -> dict:
         """Deterministic content-only view for the scenario report bytes."""
@@ -313,8 +331,8 @@ class BuildStumpsStage:
     """Phase 3: STUMPS + clock tree + capture schedule + session generation.
 
     Streams the whole random-pattern session into packed blocks and bundles
-    the pickleable fault-sim shard state -- the fan-out payload of
-    :class:`FaultSimStage`.
+    the pickleable fault-sim shard state -- the fan-out payload of the
+    stuck-at :class:`FaultSimStage`.
     """
 
     scenario_key: str
@@ -361,36 +379,42 @@ class BuildStumpsStage:
 
 @dataclass(frozen=True)
 class FaultSimStage:
-    """Phase 4 fan-out rule: shard the fault universe over the session.
+    """Fan-out rule of both fault scans: shard a bundle's faults over its
+    session.
 
-    A local expander: once the bundle exists, the shard planner (site-local
-    keyed round-robin faults) decides the shards, and the expansion splices
-    one :class:`ShardScanStage` per shard plus a
-    :class:`MergeDetectionsStage` reducer into the graph.
+    A local expander: once the bundle (a :class:`ScenarioBundle` for the
+    random-pattern stuck-at scan, a :class:`TransitionBundle` for the
+    launch-on-capture transition scan) exists, the site-local keyed
+    round-robin planner decides the shards, and the expansion splices one
+    :class:`ShardScanStage` per shard plus the local ``merge`` reducer
+    (:class:`MergeDetectionsStage` or :class:`TransitionMergeStage`) into
+    the graph.
     """
 
     bundle_key: str
     prefix: str
     scenario: str
     fault_shards: int
+    phase: str
+    merge: Union[MergeDetectionsStage, TransitionMergeStage]
 
-    def run(self, bundle: ScenarioBundle) -> Expansion:
+    def run(self, bundle: Union[ScenarioBundle, TransitionBundle]) -> Expansion:
         shard_nodes = shard_stage_nodes(
             bundle.scenario_key,
             bundle.state,
-            bundle.offset_blocks,
+            bundle.blocks,
             self.fault_shards,
             prefix=self.prefix,
-            phase=PHASE_RANDOM,
+            phase=self.phase,
             scenario=self.scenario,
         )
         merge_key = f"{self.prefix}/merged"
         merge = StageNode(
             key=merge_key,
-            task=MergeDetectionsStage(),
+            task=self.merge,
             deps=(self.bundle_key, *(node.key for node in shard_nodes)),
             local=True,
-            phase=PHASE_RANDOM,
+            phase=self.phase,
             scenario=self.scenario,
             category=CATEGORY_CONTROL,
         )
@@ -503,147 +527,57 @@ class MergeDetectionsStage:
 
 
 @dataclass(frozen=True)
-class SignatureStage:
-    """MISR signature fan-out: derive responses once, fold per clock domain.
+class TrimSignatureInputStage:
+    """Cut the bundle down to what the signature stage reads: the leading
+    ``signature_patterns`` of the session (the block crossing the count is
+    cut to its leading patterns), the circuit, the capture schedule and the
+    clock domains."""
 
-    A local expander over the bundle: response derivation (two compiled-kernel
-    passes over the leading signature slice) becomes one pooled stage, and
-    each clock domain's MISR fold -- independent because a domain's MISR only
-    reads its own chains -- becomes its own node.
-    """
-
-    bundle_key: str
-    prefix: str
-    scenario: str
     config: LogicBistConfig
 
-    def run(self, bundle: ScenarioBundle):
-        if self.config.signature_patterns <= 0:
-            return {}
-        responses_key = f"{self.prefix}/responses"
-        # Embed only the leading blocks the signature slice can reach (plus
-        # the circuit and schedule), not the whole session: pooled inputs
-        # are pickled per submission.
+    def run(self, bundle: ScenarioBundle) -> SignatureInput:
         count = min(self.config.signature_patterns, self.config.random_patterns)
-        leading_blocks: list[PatternBlock] = []
-        covered = 0
-        for _, block in bundle.offset_blocks:
-            if covered >= count:
-                break
-            leading_blocks.append(block)
-            covered += block.num_patterns
-        nodes = [
-            StageNode(
-                key=responses_key,
-                task=SignatureResponsesStage(
-                    self.config,
-                    circuit=bundle.core.circuit,
-                    blocks=tuple(leading_blocks),
-                    capture_schedule=bundle.capture_schedule,
-                ),
-                phase=PHASE_RANDOM,
-                scenario=self.scenario,
-                category=CATEGORY_PREP,
-            )
-        ]
-        fold_keys = []
-        for domain_name, domain in bundle.stumps.domains.items():
-            fold_key = f"{self.prefix}/fold:{domain_name}"
-            fold_keys.append(fold_key)
-            nodes.append(
-                StageNode(
-                    key=fold_key,
-                    # Deep copy: the fold advances the MISR it holds, and
-                    # must never advance the bundle's own stumps state --
-                    # in-process (serial walk) the bundle is the caller's.
-                    # Embedding the copy also keeps the pooled fold's pickle
-                    # down to one domain, not the whole bundle.
-                    task=SignatureFoldStage(
-                        self.config, domain_name, copy.deepcopy(domain)
-                    ),
-                    deps=(responses_key,),
-                    phase=PHASE_RANDOM,
-                    scenario=self.scenario,
-                    # "sim", not "prep": the per-domain folds are shard
-                    # work, so the Amdahl accounting must not credit them
-                    # to the parent-serial bucket.
-                    category=CATEGORY_SIM,
-                )
-            )
-        gather_key = f"{self.prefix}/gathered"
-        nodes.append(
-            StageNode(
-                key=gather_key,
-                task=GatherSignaturesStage(),
-                deps=tuple(fold_keys),
-                local=True,
-                phase=PHASE_RANDOM,
-                scenario=self.scenario,
-                category=CATEGORY_CONTROL,
-            )
+        return SignatureInput(
+            circuit=bundle.core.circuit,
+            blocks=tuple(
+                leading_blocks((block for _, block in bundle.offset_blocks), count)
+            ),
+            capture_schedule=bundle.capture_schedule,
+            domains=bundle.stumps.domains,
         )
-        return Expansion(nodes=tuple(nodes), result=gather_key)
 
 
 @dataclass(frozen=True)
-class SignatureResponsesStage:
-    """Derive the double-capture response stream for the signature slice.
+class SignatureStage:
+    """Per-clock-domain MISR signatures of the leading signature slice.
 
-    Self-contained (built by the :class:`SignatureStage` expander, which has
-    the bundle in hand): carries the circuit, the capture schedule and only
-    the leading blocks the signature slice reads.
+    Derives the double-capture response stream once, then folds each
+    domain's own cells into its MISR.  The folds advance deep copies of the
+    input's domains made inside ``run``, so the bundle's MISRs never move
+    and running one task twice (an in-process retry) signs the same values.
     """
 
     config: LogicBistConfig
-    circuit: Circuit
-    blocks: tuple[PatternBlock, ...]
-    capture_schedule: CaptureSchedule
 
-    def run(self) -> tuple[dict[str, int], ...]:
+    def run(self, inputs: SignatureInput) -> dict[str, int]:
         config = self.config
-        count = min(config.signature_patterns, config.random_patterns)
-        patterns = expand_leading_patterns(list(self.blocks), count)
-        count = min(config.signature_patterns, len(patterns))
-        return tuple(
-            derive_signature_responses(
-                self.circuit,
-                config,
-                patterns[:count],
-                self.capture_schedule,
+        if config.signature_patterns <= 0:
+            return {}
+        patterns = [pattern for block in inputs.blocks for pattern in block.patterns()]
+        responses = derive_signature_responses(
+            inputs.circuit, config, patterns, inputs.capture_schedule
+        )
+        signatures = {}
+        for name, domain in copy.deepcopy(inputs.domains).items():
+            cells = domain.cells()
+            filtered = [
+                {cell: response.get(cell, 0) for cell in cells}
+                for response in responses
+            ]
+            signatures[name] = domain.fold_responses(
+                filtered, backend=config.sim_backend
             )
-        )
-
-
-@dataclass(frozen=True)
-class SignatureFoldStage:
-    """Fold one clock domain's filtered response stream into its MISR.
-
-    Carries its own (already deep-copied) :class:`StumpsDomain`, so a
-    pooled fold ships one domain, not the whole bundle.
-    """
-
-    config: LogicBistConfig
-    domain: str
-    stumps_domain: object
-
-    def run(self, responses) -> tuple[str, int]:
-        cells = self.stumps_domain.cells()
-        filtered = [
-            {cell: response.get(cell, 0) for cell in cells}
-            for response in responses
-        ]
-        signature = self.stumps_domain.fold_responses(
-            filtered, backend=self.config.sim_backend
-        )
-        return (self.domain, signature)
-
-
-@dataclass(frozen=True)
-class GatherSignaturesStage:
-    """Collect the per-domain folds into the signatures mapping."""
-
-    def run(self, *folds: tuple[str, int]) -> dict[str, int]:
-        return dict(folds)
+        return signatures
 
 
 @dataclass(frozen=True)
@@ -879,38 +813,6 @@ class TransitionPrepStage:
 
 
 @dataclass(frozen=True)
-class TransitionStage:
-    """Transition-fault fan-out rule (mirrors :class:`FaultSimStage`)."""
-
-    prep_key: str
-    prefix: str
-    scenario: str
-    fault_shards: int
-
-    def run(self, prep: TransitionBundle) -> Expansion:
-        shard_nodes = shard_stage_nodes(
-            prep.scenario_key,
-            prep.state,
-            prep.pair_blocks,
-            self.fault_shards,
-            prefix=self.prefix,
-            phase=PHASE_AT_SPEED,
-            scenario=self.scenario,
-        )
-        merge_key = f"{self.prefix}/merged"
-        merge = StageNode(
-            key=merge_key,
-            task=TransitionMergeStage(),
-            deps=(self.prep_key, *(node.key for node in shard_nodes)),
-            local=True,
-            phase=PHASE_AT_SPEED,
-            scenario=self.scenario,
-            category=CATEGORY_CONTROL,
-        )
-        return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
-
-
-@dataclass(frozen=True)
 class TransitionMergeStage:
     """Merge transition shard outcomes into the at-speed measurement.
 
@@ -943,7 +845,7 @@ class TrimSkewInputStage:
     """Repackage the bundle's capture schedule into the skew sweep's inputs.
 
     Validates the double-capture schedule on the way: cheap, local, and it
-    keeps the pooled trial stages free of the (unpicklable-size) bundle.
+    keeps the pooled :class:`SkewTrialsStage` free of the bundle.
     """
 
     def run(self, bundle: ScenarioBundle) -> SkewInput:
@@ -958,102 +860,36 @@ class TrimSkewInputStage:
 
 
 @dataclass(frozen=True)
-class SkewSweepStage:
-    """Fig. 3 Monte-Carlo fan-out rule (mirrors :class:`FaultSimStage`).
+class SkewTrialsStage:
+    """The Fig. 3 Monte-Carlo sweep: ``config.skew_trials`` trial-indexed
+    shift-path samples, reported with the capture schedule's verdict.
 
-    A local expander: ``config.skew_trials`` trial indices split into
-    balanced contiguous runs, one pooled :class:`SkewTrialsStage` per run,
-    and a :class:`SkewMergeStage` absorbing the per-run summaries.  Because
-    every trial seeds its own RNG from its index
-    (:func:`~repro.timing.skew_analysis.sample_shift_path_report`), the
-    merged counters are identical to the unsharded
-    :func:`~repro.timing.skew_analysis.run_skew_trials` sweep at any
-    shard/worker count.
+    One pooled stage: a thousand trials take about 10 ms, less than one
+    pooled dispatch, so the sweep does not fan out.
     """
 
-    input_key: str
-    prefix: str
-    scenario: str
     config: LogicBistConfig
-    trial_shards: int = 1
 
-    def run(self, skew_input: SkewInput) -> Expansion:
+    def run(self, skew_input: SkewInput) -> SkewOutcome:
         config = self.config
-        parameters = build_shift_path_parameters(config)
-        runs = contiguous_shards(
-            config.skew_trials, max(1, min(self.trial_shards, config.skew_trials))
-        )
-        shard_nodes = tuple(
-            StageNode(
-                key=f"{self.prefix}/trials{shard_id}",
-                task=SkewTrialsStage(
-                    parameters=parameters,
-                    skew_range_ns=config.skew_range_ns,
-                    bist_clock_advance_ns=config.bist_clock_advance_ns,
-                    seed=config.skew_seed,
-                    trial_indices=run,
-                ),
-                phase=PHASE_AT_SPEED,
-                scenario=self.scenario,
-                category=CATEGORY_SIM,
-            )
-            for shard_id, run in enumerate(runs)
-        )
-        merge_key = f"{self.prefix}/merged"
-        merge = StageNode(
-            key=merge_key,
-            task=SkewMergeStage(self.config),
-            deps=(self.input_key, *(node.key for node in shard_nodes)),
-            local=True,
-            phase=PHASE_AT_SPEED,
-            scenario=self.scenario,
-            category=CATEGORY_CONTROL,
-        )
-        return Expansion(nodes=(*shard_nodes, merge), result=merge_key)
-
-
-@dataclass(frozen=True)
-class SkewTrialsStage:
-    """One contiguous run of trial-indexed shift-path skew samples."""
-
-    parameters: ShiftPathParameters
-    skew_range_ns: float
-    bist_clock_advance_ns: float
-    seed: int
-    trial_indices: tuple[int, ...]
-
-    def run(self) -> MonteCarloSummary:
-        return run_skew_trials(
-            self.parameters,
-            self.skew_range_ns,
-            self.trial_indices,
-            bist_clock_advance_ns=self.bist_clock_advance_ns,
+        summary = run_skew_trials(
+            build_shift_path_parameters(config),
+            config.skew_range_ns,
+            range(config.skew_trials),
+            bist_clock_advance_ns=config.bist_clock_advance_ns,
             # The paper's deployment always applies the re-timing fix (the
             # parent-side shift-path check does the same).
             retiming=True,
-            seed=self.seed,
+            seed=config.skew_seed,
         )
-
-
-@dataclass(frozen=True)
-class SkewMergeStage:
-    """Absorb per-run skew summaries (additive counters, order-independent)."""
-
-    config: LogicBistConfig
-
-    def run(self, skew_input: SkewInput, *summaries) -> SkewOutcome:
-        merged = MonteCarloSummary()
-        for summary in summaries:
-            merged.absorb(summary)
         return SkewOutcome(
-            summary=merged,
+            summary=summary,
             schedule_valid=skew_input.schedule_valid,
             schedule_problems=skew_input.schedule_problems,
             d3_ns=skew_input.d3_ns,
             max_skew_ns=skew_input.max_skew_ns,
-            skew_range_ns=self.config.skew_range_ns,
-            bist_clock_advance_ns=self.config.bist_clock_advance_ns,
-            num_shards=len(summaries),
+            skew_range_ns=config.skew_range_ns,
+            bist_clock_advance_ns=config.bist_clock_advance_ns,
         )
 
 
@@ -1164,7 +1000,8 @@ def scenario_stage_nodes(
     Returns ``(nodes, artifacts)`` where ``artifacts`` maps logical names
     (``"core"``, ``"tpi"``, ``"bundle"``, ``"fault_sim"``, ``"signatures"``,
     and, when included, ``"topup"`` / ``"transition"`` / ``"skew"`` /
-    ``"report"``) to the node keys whose values a finished
+    ``"report"``, plus each trim stage's ``"*_input"``) to the node keys
+    whose values a finished
     :class:`~repro.campaign.scheduler.PipelineRun` holds.  Many scenarios'
     node lists concatenate into one multi-scenario DAG; ``scenario_key`` must
     be unique within the DAG.
@@ -1185,8 +1022,6 @@ def scenario_stage_nodes(
         "core": f"{scenario_key}/core",
         "tpi": f"{scenario_key}/tpi",
         "bundle": f"{scenario_key}/bundle",
-        "fault_sim": f"{scenario_key}/fault_sim",
-        "signatures": f"{scenario_key}/signatures",
     }
     nodes = [
         StageNode(
@@ -1212,163 +1047,93 @@ def scenario_stage_nodes(
             scenario=name,
             category=CATEGORY_PREP,
         ),
-        StageNode(
-            key=keys["fault_sim"],
-            task=FaultSimStage(
-                bundle_key=keys["bundle"],
-                prefix=keys["fault_sim"],
-                scenario=name,
-                fault_shards=fault_shards,
-            ),
-            deps=(keys["bundle"],),
-            local=True,
-            phase=PHASE_RANDOM,
-            scenario=name,
-            category=CATEGORY_CONTROL,
-        ),
-        StageNode(
-            key=keys["signatures"],
-            task=SignatureStage(
-                bundle_key=keys["bundle"],
-                prefix=keys["signatures"],
-                scenario=name,
-                config=config,
-            ),
-            deps=(keys["bundle"],),
-            local=True,
-            phase=PHASE_RANDOM,
-            scenario=name,
-            category=CATEGORY_CONTROL,
-        ),
     ]
+
+    def add(artifact, task, deps, phase, category=CATEGORY_CONTROL, local=True):
+        keys[artifact] = f"{scenario_key}/{artifact}"
+        nodes.append(
+            StageNode(
+                key=keys[artifact],
+                task=task,
+                deps=tuple(keys[dep] for dep in deps),
+                local=local,
+                phase=phase,
+                scenario=name,
+                category=category,
+            )
+        )
+
+    def add_scan(artifact, bundle, phase, merge):
+        task = FaultSimStage(
+            bundle_key=keys[bundle],
+            prefix=f"{scenario_key}/{artifact}",
+            scenario=name,
+            fault_shards=fault_shards,
+            phase=phase,
+            merge=merge,
+        )
+        add(artifact, task, (bundle,), phase)
+
+    # Every phase that does not fan out is a local trim of the bundle plus
+    # one pooled stage.
+    add_scan("fault_sim", "bundle", PHASE_RANDOM, MergeDetectionsStage())
+    add("signature_input", TrimSignatureInputStage(config), ("bundle",), PHASE_RANDOM)
+    add(
+        "signatures",
+        SignatureStage(config),
+        ("signature_input",),
+        PHASE_RANDOM,
+        category=CATEGORY_PREP,
+        local=False,
+    )
     if include_topup:
-        keys["topup_input"] = f"{scenario_key}/topup_input"
-        keys["topup"] = f"{scenario_key}/topup"
-        nodes.append(
-            StageNode(
-                key=keys["topup_input"],
-                task=TrimTopUpInputStage(),
-                deps=(keys["bundle"], keys["fault_sim"]),
-                local=True,
-                phase=PHASE_TOPUP,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
+        add("topup_input", TrimTopUpInputStage(), ("bundle", "fault_sim"), PHASE_TOPUP)
+        task = TopUpStage(
+            input_key=keys["topup_input"],
+            prefix=f"{scenario_key}/topup",
+            scenario=name,
+            config=config,
+            fault_shards=fault_shards,
         )
-        nodes.append(
-            StageNode(
-                key=keys["topup"],
-                task=TopUpStage(
-                    input_key=keys["topup_input"],
-                    prefix=keys["topup"],
-                    scenario=name,
-                    config=config,
-                    fault_shards=fault_shards,
-                ),
-                deps=(keys["topup_input"],),
-                local=True,
-                phase=PHASE_TOPUP,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
-        )
+        add("topup", task, ("topup_input",), PHASE_TOPUP)
     if include_transition:
-        keys["transition_input"] = f"{scenario_key}/transition_input"
-        keys["transition_prep"] = f"{scenario_key}/transition_prep"
-        keys["transition"] = f"{scenario_key}/transition"
-        nodes.append(
-            StageNode(
-                key=keys["transition_input"],
-                task=TrimTransitionInputStage(),
-                deps=(keys["bundle"],),
-                local=True,
-                phase=PHASE_AT_SPEED,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
+        add("transition_input", TrimTransitionInputStage(), ("bundle",), PHASE_AT_SPEED)
+        add(
+            "transition_prep",
+            TransitionPrepStage(config),
+            ("transition_input",),
+            PHASE_AT_SPEED,
+            category=CATEGORY_PREP,
+            local=False,
         )
-        nodes.append(
-            StageNode(
-                key=keys["transition_prep"],
-                task=TransitionPrepStage(config),
-                deps=(keys["transition_input"],),
-                phase=PHASE_AT_SPEED,
-                scenario=name,
-                category=CATEGORY_PREP,
-            )
-        )
-        nodes.append(
-            StageNode(
-                key=keys["transition"],
-                task=TransitionStage(
-                    prep_key=keys["transition_prep"],
-                    prefix=keys["transition"],
-                    scenario=name,
-                    fault_shards=fault_shards,
-                ),
-                deps=(keys["transition_prep"],),
-                local=True,
-                phase=PHASE_AT_SPEED,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
+        add_scan(
+            "transition", "transition_prep", PHASE_AT_SPEED, TransitionMergeStage()
         )
     if include_skew:
-        keys["skew_input"] = f"{scenario_key}/skew_input"
-        keys["skew"] = f"{scenario_key}/skew"
-        nodes.append(
-            StageNode(
-                key=keys["skew_input"],
-                task=TrimSkewInputStage(),
-                deps=(keys["bundle"],),
-                local=True,
-                phase=PHASE_AT_SPEED,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
-        )
-        nodes.append(
-            StageNode(
-                key=keys["skew"],
-                task=SkewSweepStage(
-                    input_key=keys["skew_input"],
-                    prefix=keys["skew"],
-                    scenario=name,
-                    config=config,
-                    trial_shards=fault_shards,
-                ),
-                deps=(keys["skew_input"],),
-                local=True,
-                phase=PHASE_AT_SPEED,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
+        add("skew_input", TrimSkewInputStage(), ("bundle",), PHASE_AT_SPEED)
+        add(
+            "skew",
+            SkewTrialsStage(config),
+            ("skew_input",),
+            PHASE_AT_SPEED,
+            category=CATEGORY_SIM,
+            local=False,
         )
     if include_report:
-        keys["report"] = f"{scenario_key}/report"
-        report_deps = [keys["bundle"], keys["fault_sim"], keys["signatures"]]
-        if include_topup:
-            report_deps.append(keys["topup"])
-        if include_transition:
-            report_deps.append(keys["transition"])
-        if include_skew:
-            report_deps.append(keys["skew"])
-        nodes.append(
-            StageNode(
-                key=keys["report"],
-                task=ReportStage(
-                    name=name,
-                    core_name=circuit.name,
-                    num_workers=num_workers,
-                    has_topup=include_topup,
-                    has_transition=include_transition,
-                    has_skew=include_skew,
-                ),
-                deps=tuple(report_deps),
-                local=True,
-                phase=PHASE_RANDOM,
-                scenario=name,
-                category=CATEGORY_CONTROL,
-            )
+        extras = {
+            "topup": include_topup,
+            "transition": include_transition,
+            "skew": include_skew,
+        }
+        task = ReportStage(
+            name=name,
+            core_name=circuit.name,
+            num_workers=num_workers,
+            has_topup=include_topup,
+            has_transition=include_transition,
+            has_skew=include_skew,
         )
+        deps = ("bundle", "fault_sim", "signatures")
+        deps += tuple(extra for extra, included in extras.items() if included)
+        add("report", task, deps, PHASE_RANDOM)
     return nodes, keys

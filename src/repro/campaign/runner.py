@@ -2,8 +2,8 @@
 
 :class:`CampaignRunner` turns each :class:`CampaignScenario` into its stage
 subgraph (:func:`~repro.campaign.pipeline.scenario_stage_nodes`: scan prep
--> TPI -> STUMPS/session -> fault-sim fan-out -> signature fan-out ->
-report), concatenates the subgraphs into one DAG and drains it through one
+-> TPI -> STUMPS/session -> fault-sim fan-out -> signature -> report),
+concatenates the subgraphs into one DAG and drains it through one
 scheduler, so scenario B's TPI profiling -- itself a full fault simulation
 under ``tpi_method="fault_sim"`` -- runs while scenario A's shards are still
 in flight.  With ``num_workers <= 1`` the same DAG executes on the
@@ -103,7 +103,7 @@ class CampaignRunner:
     """Fans many (core, config) scenarios out over one worker pool.
 
     Each scenario becomes a stage subgraph (scan prep -> TPI -> STUMPS +
-    session -> fault-sim shard fan-out -> signature fan-out -> report); the
+    session -> fault-sim shard fan-out -> signature -> report); the
     subgraphs concatenate into one multi-scenario DAG that a single
     :class:`~repro.campaign.scheduler.PooledScheduler` drains, so *all*
     work -- preparation included -- keeps every worker busy even while
@@ -182,10 +182,10 @@ class CampaignRunner:
 
         Scenarios whose config sets ``measure_transition_coverage`` run the
         launch-on-capture transition fan-out and their canonical report
-        gains a ``transition`` section; ``skew_trials > 0`` adds the sharded
-        Fig. 3 Monte-Carlo skew sweep as a ``skew`` section.  Both are
-        sharded through the same pool and byte-identical to the serial walk
-        at any worker/shard count.
+        gains a ``transition`` section; ``skew_trials > 0`` adds the Fig. 3
+        Monte-Carlo skew sweep (one pooled stage) as a ``skew`` section.
+        Both run through the same pool and are byte-identical to the serial
+        walk at any worker/shard count.
         """
         start = time.perf_counter()
         plan = self.plan(scenarios)

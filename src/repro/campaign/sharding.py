@@ -10,22 +10,21 @@ shard scans the whole pattern session, so its first-detection index for a
 fault is the serial one and a min-merge across shards reproduces the
 serial result exactly.
 
-The Monte-Carlo skew sweep splits its trial indices into balanced
-*contiguous* runs instead (:func:`contiguous_shards`).
+The partition is a pure function of its inputs -- no RNG, no dependence
+on worker identity -- which is what makes merged campaign results
+independent of shard order and worker count.  It returns plain tuples of
+indices.
 
-Both partitions are pure functions of their inputs -- no RNG, no
-dependence on worker identity -- which is what makes merged campaign
-results independent of shard order and worker count.  The planners return
-plain tuples of indices.
-
-The fault planner is the **fan-out rule** of
-:class:`~repro.campaign.pipeline.FaultSimStage` /
-:class:`~repro.campaign.pipeline.TransitionStage`: once a scenario's fault
-list and block stream exist,
-:func:`~repro.campaign.pipeline.shard_stage_nodes` turns each fault shard
-into one :class:`~repro.campaign.pipeline.ShardScanStage` (that shard's
-fault indices and the whole session), and the expansion adds an
-order-independent merge node.
+It is the **fan-out rule** of the only phases that fan out: the one scan
+expander, :class:`~repro.campaign.pipeline.FaultSimStage`, for the stuck-at
+and the transition scan alike (once a bundle's fault list and block stream
+exist, :func:`~repro.campaign.pipeline.shard_stage_nodes` turns each fault
+shard into one :class:`~repro.campaign.pipeline.ShardScanStage` over the
+whole session, and the expansion adds an order-independent merge node),
+and the speculative top-up PODEM shards of
+:class:`~repro.campaign.pipeline.TopUpStage`.  The signature and the
+Monte-Carlo skew sweep are one pooled stage each: splitting them never paid
+for its dispatches.
 
 Shard planning is memory-budget-oblivious by design: a
 ``sim_memory_budget_mb`` ceiling travels inside the shard *states*
@@ -46,9 +45,10 @@ def fault_site_keys(circuit, faults: Sequence[object]) -> list[str]:
     Stem and combinational input-branch faults of a gate share the gate's
     own fanout-cone plan; a branch fault on a flop's D pin resimulates the
     D-driver's site instead.  Keying fault shards by this net keeps every
-    site's cone-plan compilation inside a single worker -- for fault-sim
-    shards *and* for the pooled top-up PODEM shards, whose compiled
-    evaluators pull the very same cone plans from the shared kernel.
+    site's cone-plan compilation inside a single worker -- for the
+    stuck-at and transition scan shards *and* for the top-up PODEM shards,
+    whose compiled evaluators pull the very same cone plans from the
+    shared kernel.
     """
     keys: list[str] = []
     for fault in faults:
@@ -89,21 +89,3 @@ def keyed_round_robin_shards(
         shards[group_index % num_shards].extend(members)
     return tuple(tuple(sorted(shard)) for shard in shards if shard)
 
-
-def contiguous_shards(count: int, num_shards: int) -> tuple[tuple[int, ...], ...]:
-    """Partition ``range(count)`` into ``num_shards`` contiguous index runs.
-
-    The first ``count % num_shards`` runs are one element longer (the
-    classical balanced split).  Empty runs are dropped.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    base, extra = divmod(count, num_shards)
-    runs: list[tuple[int, ...]] = []
-    start = 0
-    for shard in range(num_shards):
-        size = base + (1 if shard < extra else 0)
-        if size:
-            runs.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(runs)

@@ -189,10 +189,9 @@ class LogicBistConfig:
     #: Patterns used for the transition-coverage measurement.
     transition_patterns: int = 256
     #: Monte-Carlo shift-path skew trials (the Fig. 3 sweep) run per
-    #: scenario; 0 disables the sweep.  Trials are trial-index-seeded
-    #: (:func:`~repro.timing.skew_analysis.sample_shift_path_report`), so
-    #: campaign shards partition the index range freely and the merged
-    #: counters are identical at any shard/worker count.
+    #: scenario as one pooled stage; 0 disables the sweep.  Each trial
+    #: seeds its own RNG from its index
+    #: (:func:`~repro.timing.skew_analysis.sample_shift_path_report`).
     skew_trials: int = 0
     #: Chain-clock arrival range (ns) the skew trials sample uniformly.
     skew_range_ns: float = 2.0
@@ -250,6 +249,10 @@ class LogicBistConfig:
         if self.sim_backend not in BACKENDS:
             raise ValueError(
                 f"unknown sim_backend {self.sim_backend!r}: expected one of {BACKENDS}"
+            )
+        if self.topup_max_faults is not None and self.topup_max_faults < 0:
+            raise ValueError(
+                f"topup_max_faults must be >= 0 or None, got {self.topup_max_faults!r}"
             )
         if self.sim_memory_budget_mb is not None:
             if self.sim_memory_budget_mb <= 0:

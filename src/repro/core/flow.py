@@ -52,9 +52,9 @@ from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..netlist.gates import GateType
 from ..simulation.kernel import shared_kernel
-from ..simulation.packed import iter_blocks, leading_blocks, unpack_words
+from ..simulation.packed import iter_blocks, unpack_words
 from ..timing.clocks import ClockTreeModel, make_clock_tree
-from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
+from ..timing.double_capture import CaptureSchedule
 from ..timing.skew_analysis import ShiftPathAnalyzer, ShiftPathParameters, ShiftPathReport
 from ..tpi.observability_tpi import ObservabilityGuidedTpi
 from ..tpi.observation_points import FaultSimGuidedObservationTpi, ObservationPointPlan
@@ -82,7 +82,7 @@ def build_shift_path_parameters(config: LogicBistConfig) -> ShiftPathParameters:
     """The flow's Fig. 3 shift-path electrical parameters under ``config``.
 
     One construction path shared by the parent-side shift-path check and the
-    campaign's sharded Monte-Carlo skew stage, so both analyses always agree
+    campaign's Monte-Carlo skew stage, so both analyses always agree
     on the compactor depth the chain->MISR interface sees.
     """
     return ShiftPathParameters(
@@ -190,36 +190,25 @@ def fresh_fault_list(circuit: Circuit) -> FaultList:
     return FaultList.from_table(table, ids)
 
 
-def expand_leading_patterns(blocks, count: int) -> list[dict]:
-    """Expand the leading ``count`` patterns of a packed block stream."""
-    return [
-        pattern
-        for block in leading_blocks(blocks, count)
-        for pattern in block.patterns()
-    ]
-
-
 def derive_signature_responses(
     circuit: Circuit,
     config: LogicBistConfig,
     patterns: list[dict],
-    schedule: Optional[CaptureSchedule] = None,
+    schedule: CaptureSchedule,
 ) -> list[dict[str, int]]:
     """The captured responses of the double-capture window, per pattern.
 
     Apply the staggered launch pulses, then the capture pulses, and read the
     flop contents that would be shifted into the MISRs.  Input wrapper cells
     capture the (statically driven) pad value at the launch pulse, which is
-    exactly how they contribute launch transitions for delay faults.  Shared
-    by the flow's signature phase and the campaign's per-domain signature
-    shards, so the two can never derive different response streams.
+    exactly how they contribute launch transitions for delay faults.  The
+    campaign's signature stage derives one stream and folds every clock
+    domain's cells from it.
 
     The patterns are packed once, both pulse passes run on the packed blocks
     (:func:`~repro.faults.transition_sim.derive_capture_block`) and the flop
     words are unpacked once.
     """
-    if schedule is None:
-        schedule = CaptureWindowScheduler(build_clock_tree(circuit, config)).schedule()
     kernel = shared_kernel(circuit)
     group_updates = capture_group_updates(kernel, schedule.pulse_order)
     flop_names = circuit.flop_names()
@@ -296,7 +285,7 @@ class LogicBistResult:
     #: budget, curve) -- a :class:`~repro.campaign.pipeline.TransitionOutcome`
     #: when ``measure_transition_coverage`` is set, else ``None``.
     transition: Optional[object] = None
-    #: Sharded Fig. 3 Monte-Carlo sweep -- a
+    #: Fig. 3 Monte-Carlo sweep -- a
     #: :class:`~repro.campaign.pipeline.SkewOutcome` when ``skew_trials > 0``.
     skew_sweep: Optional[object] = None
     signatures: dict[str, int] = field(default_factory=dict)
@@ -318,15 +307,15 @@ class LogicBistFlow:
     The flow *is* the degenerate serial walk of the campaign
     stage graph (:mod:`repro.campaign.pipeline`): ``run`` wires the
     scenario's phases -- scan prep, TPI, STUMPS/session assembly, fault-sim
-    shard fan-out, per-domain MISR signature folds, top-up ATPG, optional
+    shard fan-out, per-domain MISR signatures, top-up ATPG, optional
     transition measurement -- into stage nodes and executes them on the
     in-process :class:`~repro.campaign.scheduler.SerialScheduler` (the
     bit-exactness oracle) with one fault shard.  A pooled run of the same
     graph is a :class:`~repro.campaign.runner.CampaignRunner` with
     ``num_workers >= 2``; it reports the same numbers.
 
-    Note: the signature folds operate on per-domain copies (as the campaign
-    always did), so ``result.stumps`` no longer carries post-fold MISR state
+    Note: the signature stage folds copies of the clock domains, so
+    ``result.stumps`` carries no post-fold MISR state
     -- read signatures from ``result.signatures``, the values are identical.
     PRPG/MISR *register state* in ``result.stumps`` was never part of the
     contract either.

@@ -217,21 +217,6 @@ class MonteCarloSummary:
         if report.only_fixable_violations:
             self.only_fixable += 1
 
-    def absorb(self, other: "MonteCarloSummary") -> None:
-        """Add another summary's counters into this one.
-
-        Every field is an additive count, so absorbing per-shard summaries in
-        any order reproduces the single-sweep summary exactly -- the property
-        the campaign's sharded skew stage relies on.
-        """
-        self.trials += other.trials
-        self.clean += other.clean
-        self.prpg_to_chain_setup += other.prpg_to_chain_setup
-        self.prpg_to_chain_hold += other.prpg_to_chain_hold
-        self.chain_to_misr_setup += other.chain_to_misr_setup
-        self.chain_to_misr_hold += other.chain_to_misr_hold
-        self.only_fixable += other.only_fixable
-
     def as_dict(self) -> dict[str, int]:
         """Canonical integer-only view (stable keys, deterministic values)."""
         return {
@@ -293,10 +278,9 @@ def sample_shift_path_report(
 
     Draws the same distribution as :func:`monte_carlo_violations` but seeds a
     fresh RNG from ``(seed, trial)`` instead of advancing one sequential
-    stream: trial ``k`` produces the same sample whether it runs first, last,
-    or in another process.  Any partition of a trial-index range therefore
-    reproduces the unsharded sweep exactly, which is what lets the campaign
-    shard Fig. 3 sweeps across workers like fault shards.
+    stream: trial ``k`` produces the same sample whichever trials run
+    before it.  The campaign's skew sweep and its report bytes are built
+    on these per-trial seeds.
     """
     rng = random.Random(f"{seed}:trial:{trial}")
     nominal_chain_arrival = skew_range_ns / 2
@@ -319,9 +303,9 @@ def run_skew_trials(
 ) -> MonteCarloSummary:
     """Aggregate trial-indexed skew samples for the given trial indices.
 
-    ``run_skew_trials(p, r, range(n))`` is the serial oracle; summing (via
-    :meth:`MonteCarloSummary.absorb`) the summaries of any partition of
-    ``range(n)`` yields the identical counters.
+    ``run_skew_trials(p, r, range(n))`` is the campaign's Fig. 3 sweep
+    (:class:`~repro.campaign.pipeline.SkewTrialsStage`): one pooled stage,
+    since a thousand trials take about 10 ms.
     """
     summary = MonteCarloSummary()
     for trial in trials:

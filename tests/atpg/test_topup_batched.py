@@ -11,6 +11,8 @@ import random
 import pytest
 
 from repro.atpg import TOPUP_PATTERN_BASE, PodemAtpg, TopUpAtpg
+from repro.cores.benchmarks import comparator_core
+from repro.core.flow import fresh_fault_list
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.oracle import run_topup_reference
@@ -138,6 +140,16 @@ class TestMaxFaultsAccounting:
             )
         assert result.skipped_targets == undetected - cap
         assert result.attempted_faults <= cap
+
+    def test_negative_cap_rejected(self):
+        """``max_faults=-1`` once planned every target but the last and
+        recorded one more skipped target than there were faults."""
+        circuit = comparator_core(width=6, easy_outputs=2)
+        with pytest.raises(ValueError, match="max_faults"):
+            TopUpAtpg(circuit, max_faults=-1)
+        fault_list = fresh_fault_list(circuit)
+        targets, skipped = TopUpAtpg(circuit, max_faults=0).plan_targets(fault_list)
+        assert (targets, skipped) == ([], len(fault_list.undetected()))
 
     def test_uncapped_run_records_zero_skipped(self):
         circuit = hard_core(80)

@@ -13,7 +13,7 @@ the BIST layer:
   stepping directly.
 * **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
   reproduce the scalar unload emulation bit for bit, with and without a
-  space compactor, including through the campaign's signature fold stage.
+  space compactor, including through the campaign's signature stage.
 """
 
 import random
@@ -23,10 +23,13 @@ import pytest
 from repro.bist import StumpsArchitecture
 from repro.bist.lfsr import FibonacciLfsr, _LfsrBase
 from repro.bist.stumps import StumpsDomainConfig
-from repro.campaign.pipeline import SignatureFoldStage
+from repro.campaign.pipeline import SignatureInput, SignatureStage
 from repro.core import LogicBistConfig
+from repro.core.flow import build_clock_tree
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.scan import build_scan_chains
+from repro.simulation import iter_blocks, shared_kernel
+from repro.timing import CaptureWindowScheduler
 
 pytestmark = pytest.mark.numpy
 
@@ -180,20 +183,25 @@ class TestVectorisedMisrFold:
             )
             assert actual == expected, name
 
-    def test_signature_shard_task_backend(self):
-        """The campaign's signature fold stage folds identically on both backends."""
-        import copy
-
+    def test_signature_stage_backend(self):
+        """The campaign's signature stage signs identically on both backends."""
         circuit, architecture = make_architecture(17)
         stumps = StumpsArchitecture(architecture, domain_configs(architecture))
-        responses = tuple(self._responses(circuit, 16, 5))
-        for name, domain in stumps.domains.items():
-            folds = [
-                SignatureFoldStage(
-                    LogicBistConfig(sim_backend=backend),
-                    name,
-                    copy.deepcopy(domain),
-                ).run(responses)
-                for backend in ("python", "numpy")
-            ]
-            assert folds[0] == folds[1]
+        nets = shared_kernel(circuit).stimulus_names
+        rng = random.Random(5)
+        patterns = [{net: rng.randint(0, 1) for net in nets} for _ in range(16)]
+        config = LogicBistConfig()
+        inputs = SignatureInput(
+            circuit=circuit,
+            blocks=tuple(iter_blocks(patterns, block_size=8, nets=nets)),
+            capture_schedule=CaptureWindowScheduler(
+                build_clock_tree(circuit, config)
+            ).schedule(),
+            domains=stumps.domains,
+        )
+        signatures = [
+            SignatureStage(LogicBistConfig(sim_backend=backend)).run(inputs)
+            for backend in ("python", "numpy")
+        ]
+        assert sorted(signatures[0]) == sorted(stumps.domains)
+        assert signatures[0] == signatures[1]

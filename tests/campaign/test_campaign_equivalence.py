@@ -173,7 +173,7 @@ class TestNumpyBackendCampaign:
     """The sharded campaign under ``sim_backend="numpy"`` vs the python oracle.
 
     The shard payloads carry the backend to every worker, so every fan-out
-    -- fault shards, signature shards, multi-scenario runs -- must stay
+    -- fault shards, the signature stage, multi-scenario runs -- must stay
     byte-identical to the serial python engine.
     """
 

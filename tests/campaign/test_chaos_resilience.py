@@ -283,7 +283,7 @@ class TestWorkerCrashRecovery:
         fail and recover within a bounded wall-clock, pinned across worker
         counts -- never a silent hang."""
         for num_workers in (2, 4):
-            plan = ExplicitChaosPlan.single("beta/signatures/responses", kind="exit")
+            plan = ExplicitChaosPlan.single("beta/signatures", kind="exit")
             start = time.monotonic()
             _, campaign = run_chaotic(num_workers, plan)
             elapsed = time.monotonic() - start
@@ -376,7 +376,7 @@ class TestGracefulDegradation:
         plan = ExplicitChaosPlan(
             [
                 Injection(stage="beta/core", attempts=()),
-                Injection(stage="gamma/signatures/responses", attempts=()),
+                Injection(stage="gamma/signatures", attempts=()),
             ]
         )
         _, campaign = run_chaotic(1, plan)

@@ -24,8 +24,9 @@ from repro.campaign import (
     SerialScheduler,
     StageNode,
 )
-from repro.campaign.pipeline import PHASE_ORDER
+from repro.campaign.pipeline import PHASE_ORDER, scenario_stage_nodes
 from repro.core import LogicBistConfig, LogicBistFlow
+from repro.cores import tiny_recipe
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
 WORKER_COUNTS = (1, 2, 4)
@@ -197,6 +198,69 @@ class TestCampaignTrace:
             categories = {r.category for r in trace if r.scenario == name}
             assert {"prep", "sim"} <= categories
         assert all(record.seconds >= 0.0 for record in trace)
+
+
+def at_speed_scenarios():
+    """Two scenarios that sign, measure transitions and sweep the skew."""
+    config = tpi_heavy_config(
+        tpi_method="none",
+        observation_point_budget=0,
+        measure_transition_coverage=True,
+        transition_patterns=32,
+        skew_trials=40,
+    )
+    return [
+        CampaignScenario("left", make_core(45), config),
+        CampaignScenario("right", make_core(46, domains=3), config),
+    ]
+
+
+@pytest.fixture(scope="module")
+def at_speed_oracle():
+    return CampaignRunner(num_workers=1).run(at_speed_scenarios()).report_bytes()
+
+
+class TestFanOutOnlyWherePays:
+    """The scans fan out; the signature and the skew sweep are one pooled
+    stage each at every shard and worker count."""
+
+    @pytest.mark.parametrize(
+        "num_workers", (1, pytest.param(2, marks=pytest.mark.multiprocess))
+    )
+    @pytest.mark.parametrize("fault_shards", (1, 2, 4))
+    def test_one_pooled_signature_and_skew_stage(
+        self, num_workers, fault_shards, at_speed_oracle
+    ):
+        runner = CampaignRunner(num_workers=num_workers, fault_shards=fault_shards)
+        campaign = runner.run(at_speed_scenarios())
+        assert campaign.report_bytes() == at_speed_oracle
+        for name in ("left", "right"):
+            pooled = [
+                record.key.split("/", 1)[1]
+                for record in runner.last_run.trace
+                if record.scenario == name and not record.local
+            ]
+            assert [k for k in pooled if k.startswith("signature")] == ["signatures"]
+            assert [k for k in pooled if k.startswith("skew")] == ["skew"]
+            shards = [k for k in pooled if k.startswith("fault_sim/shard")]
+            assert len(shards) == fault_shards
+
+    def test_rerun_of_one_signature_task_signs_the_same(self):
+        """The stage folds copies: a second run of the same task object (an
+        in-process retry) signs the same values and leaves the bundle's
+        MISRs where they were."""
+        # make_core's pipelines flush to all-zero responses under the
+        # double-capture pulses; the tiny recipe's do not.
+        config = LogicBistConfig(random_patterns=64, signature_patterns=16)
+        nodes, keys = scenario_stage_nodes("s", tiny_recipe().build().circuit, config)
+        run = SerialScheduler().run(nodes)
+        inputs = run.value(keys["signature_input"])
+        [task] = [node.task for node in nodes if node.key == keys["signatures"]]
+        states = {name: d.misr.state for name, d in inputs.domains.items()}
+        first = task.run(inputs)
+        assert all(first.values())
+        assert task.run(inputs) == first == run.value(keys["signatures"])
+        assert {name: d.misr.state for name, d in inputs.domains.items()} == states
 
 
 # --------------------------------------------------------------------- #

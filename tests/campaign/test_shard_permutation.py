@@ -16,7 +16,6 @@ from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
     ShardScanStage,
-    contiguous_shards,
     keyed_round_robin_shards,
     merge_first_detections,
     shard_stage_nodes,
@@ -67,21 +66,9 @@ class TestShardPlanners:
                     if group
                 )
 
-    def test_contiguous_covers_every_index_in_order(self):
-        for count in (0, 1, 5, 17, 100):
-            for shards in (1, 2, 4, 7):
-                groups = contiguous_shards(count, shards)
-                flat = [i for group in groups for i in group]
-                assert flat == list(range(count))
-                # Balanced: sizes differ by at most one.
-                if groups:
-                    sizes = {len(group) for group in groups}
-                    assert max(sizes) - min(sizes) <= 1
-
     def test_planners_are_deterministic(self):
         keys = [index % 11 for index in range(37)]
         assert keyed_round_robin_shards(keys, 5) == keyed_round_robin_shards(keys, 5)
-        assert contiguous_shards(37, 5) == contiguous_shards(37, 5)
 
     def test_keyed_round_robin_keeps_groups_together(self):
         """Faults sharing a site key never split across shards (cone-plan
@@ -104,8 +91,6 @@ class TestShardPlanners:
     def test_invalid_shard_counts_rejected(self):
         with pytest.raises(ValueError):
             keyed_round_robin_shards(range(5), 0)
-        with pytest.raises(ValueError):
-            contiguous_shards(5, -1)
 
     @pytest.mark.parametrize("fault_shards", (0, -3))
     def test_runner_rejects_fewer_than_one_fault_shard(self, fault_shards):

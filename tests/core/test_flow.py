@@ -189,6 +189,13 @@ class TestConfigurationVariants:
         with pytest.raises(ValueError, match="sim_memory_budget_mb"):
             small_config(sim_memory_budget_mb=-16)
 
+    def test_negative_topup_cap_rejected(self):
+        """A negative cap would slice off the last target and count it
+        skipped twice; ``0`` (no top-up) and ``None`` (no cap) stay valid."""
+        with pytest.raises(ValueError, match="topup_max_faults"):
+            small_config(topup_max_faults=-1)
+        assert small_config(topup_max_faults=0).topup_max_faults == 0
+
     def test_config_pickled_with_atpg_engine_still_loads(self):
         """A spec or journal pickled while ``LogicBistConfig`` still had a
         deleted field loads as the same config: equality and the prep

@@ -16,6 +16,8 @@ what that format promises:
   produces the serial oracle's bytes,
 * a whole-store snapshot written by older code, or any unframed blob, is
   logged and ignored without being unpickled,
+* records at stage keys an older graph had and today's has not are
+  preloaded but satisfy no node, so such a journal resumes to the oracle,
 * a cancel flushes the records a coarse ``checkpoint_every`` buffered,
 * saves never rewrite: on a pooled multi-scenario job the bytes written
   across every ``save_progress`` add up to the journal's final size.
@@ -44,6 +46,7 @@ from repro.service.checkpoint import (
     _journal_record,
 )
 from repro.service.events import JobStarted
+from repro.timing import MonteCarloSummary
 
 from test_checkpoint_resume import (
     make_core,
@@ -341,6 +344,38 @@ def test_journal_plan_header_compatibility(tmp_path, caplog, pattern_shards):
     assert resumed.preloaded_stages == (len(journal) if pattern_shards == 1 else 0)
     assert resumed.state == "finished"
     assert resumed.report == expected
+
+
+def test_journal_with_retired_stage_keys_resumes_to_oracle(tmp_path):
+    """Older graphs journaled the signature's responses stage and
+    per-domain folds, and the skew sweep's trial shards.  No node of
+    today's graph has those keys, so a journal holding them -- with values
+    that would corrupt the report if any node consumed them -- resumes to
+    the serial oracle's bytes."""
+    expected = oracle_bytes("python")
+    job_id, crashed, _, _ = run_service(
+        tmp_path, make_scenarios("python"), crash_after=4
+    )
+    assert crashed.state == "failed"
+    journal = CheckpointStore(tmp_path).load_progress(job_id, plan=SERIAL_PLAN)
+    [core_key] = [key for key in journal if key.endswith("/core")]
+    prefix = core_key[: -len("/core")]
+    retired = {
+        f"{prefix}/signatures/responses": ({"never": 1},),
+        f"{prefix}/signatures/fold:clk1": ("clk1", 12345),
+        f"{prefix}/skew/trials0": MonteCarloSummary(trials=999, clean=999),
+    }
+    with open(tmp_path / job_id / PROGRESS_FILE, "ab") as handle:
+        for key, value in retired.items():
+            handle.write(_journal_record(key, value))
+
+    _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
+    started = next(e for e in events if isinstance(e, JobStarted))
+    assert started.resumed
+    assert started.preloaded_stages == len(journal) + len(retired)
+    assert resumed.state == "finished"
+    assert resumed.report == expected
+    assert EventReassembler().feed_all(events).report_bytes() == expected
 
 
 def test_journal_without_stage_values_still_reports_resumed(tmp_path):

@@ -156,7 +156,7 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.sharding", None, "plan_grid"),
         ("repro.campaign.sharding", None, "round_robin_shards"),
         ("repro.campaign.pipeline", "FaultSimStage", "pattern_shards"),
-        ("repro.campaign.pipeline", "TransitionStage", "pattern_shards"),
+        ("repro.campaign.pipeline", None, "TransitionStage"),
         ("repro.campaign.runner", "CampaignRunner", "pattern_shards"),
         ("repro.service.queue", "CampaignService", "pattern_shards"),
         ("repro.netlist", None, "chain_of_inverters"),
@@ -176,6 +176,19 @@ def test_walk_ignores_lookalikes():
         ("repro.faults.statistics", None, "escape_rate"),
         ("repro.atpg.dcalc", "Value5", "is_known"),
         ("repro.campaign.results", "ScenarioResult", "curve_sections"),
+        ("repro.campaign", None, "TransitionStage"),
+        ("repro.campaign", None, "SkewSweepStage"),
+        ("repro.campaign", None, "contiguous_shards"),
+        ("repro.campaign.pipeline", None, "SkewSweepStage"),
+        ("repro.campaign.pipeline", None, "SkewMergeStage"),
+        ("repro.campaign.pipeline", None, "SignatureResponsesStage"),
+        ("repro.campaign.pipeline", None, "SignatureFoldStage"),
+        ("repro.campaign.pipeline", None, "GatherSignaturesStage"),
+        ("repro.campaign.pipeline", "SkewOutcome", "num_shards"),
+        ("repro.campaign.pipeline", "SkewTrialsStage", "trial_indices"),
+        ("repro.campaign.sharding", None, "contiguous_shards"),
+        ("repro.timing.skew_analysis", "MonteCarloSummary", "absorb"),
+        ("repro.core.flow", None, "expand_leading_patterns"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
