@@ -19,7 +19,9 @@ patterns produced per second of end-to-end top-up time -- with an acceptance
 bar of ``>= 3x`` for the compiled engine.  A second section records the
 end-to-end Table-1 flow time (scaled Core X), since the top-up phase is a
 large share of a full flow run; the flow has one ATPG engine, so that
-section has no reference column.
+section has no reference column; it records instead the mean PODEM
+seconds per target for each outcome (success, untestable, aborted), the
+per-target cost any engine that classifies aborted targets competes with.
 
 The workload mirrors the flow: scan-prepared core, flow-collapsed fault list
 with chain-flush credit, a 512-pattern random phase, then top-up over the
@@ -38,9 +40,12 @@ or through pytest:
 from __future__ import annotations
 
 import random
+import statistics
 import time
+from collections import defaultdict
+from contextlib import contextmanager
 
-from repro.atpg import TopUpAtpg
+from repro.atpg import PodemAtpg, TopUpAtpg
 from repro.core import LogicBistConfig, LogicBistFlow, prepare_scan_core
 from repro.core.flow import credit_chain_flush, fresh_fault_list
 from repro.cores import core_x_recipe, core_y_recipe
@@ -64,6 +69,8 @@ REPEATS = scaled(2, 1)
 TARGET_SPEEDUP = 3.0
 #: Table-1 flow pattern budget (scaled Core X).
 FLOW_RANDOM_PATTERNS = scaled(512, 64)
+#: Table-1 flow PODEM backtrack limit (the flow's own, as in perfbench).
+FLOW_BACKTRACK_LIMIT = 60
 
 
 def _build_workload():
@@ -130,6 +137,25 @@ def _run_topup(core, config, walk):
     return best
 
 
+@contextmanager
+def _timed_podem():
+    """Time every ``PodemAtpg.generate`` call in the block, by outcome."""
+    samples = defaultdict(list)
+    generate = PodemAtpg.generate
+
+    def timed(self, fault):
+        start = time.perf_counter()
+        result = generate(self, fault)
+        samples[result.outcome.value].append(time.perf_counter() - start)
+        return result
+
+    PodemAtpg.generate = timed
+    try:
+        yield samples
+    finally:
+        PodemAtpg.generate = generate
+
+
 def _run_flow():
     recipe = core_x_recipe()
     core = recipe.build()
@@ -140,13 +166,19 @@ def _run_flow():
         random_patterns=FLOW_RANDOM_PATTERNS,
         prpg_length=recipe.prpg_length,
         clock_frequencies_mhz=recipe.clock_frequencies_mhz,
-        topup_backtrack_limit=60,
+        topup_backtrack_limit=FLOW_BACKTRACK_LIMIT,
         signature_patterns=32,
         block_size=BLOCK_SIZE,
     )
-    start = time.perf_counter()
-    result = LogicBistFlow(config).run(core.circuit, core_name=recipe.name)
-    return time.perf_counter() - start, result
+    with _timed_podem() as samples:
+        start = time.perf_counter()
+        result = LogicBistFlow(config).run(core.circuit, core_name=recipe.name)
+        seconds = time.perf_counter() - start
+    by_outcome = {
+        outcome: {"targets": len(times), "mean_podem_s": round(statistics.fmean(times), 5)}
+        for outcome, times in sorted(samples.items())
+    }
+    return seconds, result, by_outcome
 
 
 def run() -> dict:
@@ -172,7 +204,7 @@ def run() -> dict:
     ref_pps = ref_result.pattern_count / ref_seconds
     cmp_pps = cmp_result.pattern_count / cmp_seconds
 
-    flow_seconds, flow = _run_flow()
+    flow_seconds, flow, podem_by_outcome = _run_flow()
 
     runs = [
         {
@@ -215,6 +247,8 @@ def run() -> dict:
             "seconds": round(flow_seconds, 2),
             "topup_patterns": flow.top_up_pattern_count,
             "fault_coverage_final": round(flow.fault_coverage_final, 6),
+            "backtrack_limit": FLOW_BACKTRACK_LIMIT,
+            "podem_by_outcome": podem_by_outcome,
         },
         "bit_identical_to_reference": identical,
         "target_speedup": TARGET_SPEEDUP,

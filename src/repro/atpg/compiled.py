@@ -1,42 +1,44 @@
-"""Kernel-indexed 5-valued implication engine for PODEM.
+"""Kernel-indexed composite-valued implication engine for PODEM.
 
 This is the ATPG counterpart of the compiled simulation kernel: the
 reference :class:`~repro.oracle.implication.FaultedEvaluator` rebuilds a full
-``dict[str, Value5]`` on every PODEM decision, which made ATPG the last hot
-path still running on name-keyed dicts.  :class:`CompiledFaultedEvaluator`
+``dict[str, Value5]`` on every PODEM decision.  :class:`CompiledFaultedEvaluator`
 lowers the same composite (good/faulty) three-valued implication onto the
 shared :class:`~repro.simulation.kernel.CompiledKernel`:
 
-* values live in two flat lists indexed by dense net ID (``None`` = X),
-* implication is **event-driven**: assigning or retracting one stimulus
-  net evaluates the gates reading it and, in topological order, the readers
-  of every gate whose good or faulty value actually changed -- for a
-  feed-forward netlist this reaches exactly the fixpoint the reference
-  engine computes from scratch, while a change masked by a controlling
-  input stops at the net's direct readers,
-* gates are evaluated through a table of per-opcode three-valued
-  evaluators; an evaluator starts from a copy of the fault-free all-X
-  state and injects its fault with the same event-driven pass,
-* the D-frontier scan walks only the fault site's cone (a discrepancy can
-  exist nowhere else), and the X-path check runs over interned ID adjacency
-  arrays,
-* per-kernel derived analyses -- the ATPG fanout adjacency and the all-X
-  state -- are computed once per circuit digest and memoised in
-  ``CompiledKernel.analysis_cache``, so every fault targeted through
-  :func:`~repro.simulation.kernel.shared_kernel` reuses them.
+* each net holds one composite code ``3*good + faulty`` over {0, 1, X=2}
+  in one flat list indexed by dense net ID,
+* a gate is evaluated by one tuple lookup on its input codes, in a
+  per-gate-type table built once from the three-valued evaluators below (a
+  gate wider than 3 inputs folds them pairwise, then inverts).  Outside the
+  fault's cone the faulty component equals the good one, so one lookup
+  serves both circuits; only the stem gate and a branch fault's owning gate
+  take a special path that injects the stuck value,
+* implication is event-driven: one :meth:`~CompiledFaultedEvaluator.apply`
+  call sets stimulus nets (one for a PODEM decision; for a backtrack, every
+  retracted decision plus the flipped one) and runs one pass that evaluates,
+  in topological order, the gates reading a changed net -- on a
+  feed-forward netlist exactly the fixpoint the reference engine computes
+  from scratch, while a change masked by a controlling input stops at the
+  net's direct readers,
+* the D-frontier scan and the test check read only the fault site's cone (a
+  discrepancy can exist nowhere else),
+* the ATPG adjacency (with the per-net gate tables) and the all-X state are
+  memoised per kernel in ``CompiledKernel.analysis_cache``.
 
-Equivalence contract: for any assignment sequence the flat arrays hold
-exactly the values the reference engine's ``implied_values`` would produce,
-and the frontier / X-path / test predicates agree decision for decision --
-``tests/atpg/test_compiled_podem.py`` asserts this differentially, which is
-what lets the compiled engine be the default without perturbing a single
-generated cube.
+Equivalence contract: after any sequence of ``apply`` calls the code array
+holds exactly the values the reference engine's ``implied_values`` would
+produce, and the frontier / X-path / test predicates agree decision for
+decision -- ``tests/atpg/test_compiled_podem.py`` asserts this
+differentially, so the compiled engine perturbs no generated cube.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from itertools import product
+from typing import Iterable, Optional, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gates import CONTROLLING_VALUE, OPCODE_GATE_TYPES, GateType
@@ -56,6 +58,16 @@ INVERTING_OPS = frozenset(
     op for op, gate_type in OPCODE_GATE_TYPES.items() if gate_type.is_inverting
 )
 
+#: The X component of a composite code ``3*good + faulty``.
+X3 = 2
+#: Composite code -> True when its good or faulty component is X.
+HAS_X: tuple[bool, ...] = tuple(code // 3 == X3 or code % 3 == X3 for code in range(9))
+#: Composite code -> True for D (1/0) and D' (0/1).
+IS_DISCREPANCY: tuple[bool, ...] = tuple(code in (1, 3) for code in range(9))
+#: Component -> its three-valued form (``None`` = X), and back.
+_TRIT_VALUE = (0, 1, None)
+_TRIT_CODE = {0: 0, 1: 1, None: X3}
+
 
 def _mux3(v: list) -> Optional[int]:
     sel, a, b = v
@@ -68,7 +80,7 @@ def _mux3(v: list) -> Optional[int]:
 
 #: Gate type -> scalar three-valued evaluator over the gate's input values
 #: (``None`` = X), semantically identical to
-#: :func:`repro.oracle.implication._eval3`.
+#: :func:`repro.oracle.implication._eval3`; the lookup tables' only input.
 _EVAL3_BY_TYPE = {
     GateType.AND: lambda v: 0 if 0 in v else None if None in v else 1,
     GateType.NAND: lambda v: 1 if 0 in v else None if None in v else 0,
@@ -82,11 +94,50 @@ _EVAL3_BY_TYPE = {
     GateType.CONST0: lambda v: 0,
     GateType.CONST1: lambda v: 1,
 }
-#: The evaluators indexed by opcode (opcodes are dense small integers; the
-#: 2-input specialisations share their gate type's evaluator).
-_EVAL3 = tuple(
-    _EVAL3_BY_TYPE[OPCODE_GATE_TYPES[op]] for op in range(len(OPCODE_GATE_TYPES))
-)
+#: Inverting gate type -> the type whose 2-input table folds a wide gate.
+_FOLD_BASE = {GateType.NAND: GateType.AND, GateType.NOR: GateType.OR, GateType.XNOR: GateType.XOR}
+_FOLD = 4  # lookup kind of a gate wider than 3 inputs
+
+
+@lru_cache(maxsize=None)
+def _lookup_table(gate_type: GateType, arity: int) -> tuple[int, ...]:
+    """Composite output code for every tuple of ``arity`` input codes, indexed
+    by the input codes read as a base-9 number (first input most significant)."""
+    evaluate = _EVAL3_BY_TYPE[gate_type]
+    return tuple(
+        3 * _TRIT_CODE[evaluate([_TRIT_VALUE[code // 3] for code in codes])]
+        + _TRIT_CODE[evaluate([_TRIT_VALUE[code % 3] for code in codes])]
+        for codes in product(range(9), repeat=arity)
+    )
+
+
+def _gate_lookup(op: int, num_inputs: int) -> tuple[int, object]:
+    """A gate's ``(kind, table)``: ``kind`` is how many leading input codes
+    index ``table`` (0 to 3), or :data:`_FOLD` with ``table`` = (2-input
+    table of the non-inverting base type, the gate's own 1-input table)."""
+    gate_type = OPCODE_GATE_TYPES[op]
+    if gate_type in (GateType.CONST0, GateType.CONST1):
+        num_inputs = 0
+    elif gate_type in (GateType.NOT, GateType.BUF):
+        num_inputs = 1  # only the first input is read
+    if num_inputs > 3:
+        base = _FOLD_BASE.get(gate_type, gate_type)
+        return _FOLD, (_lookup_table(base, 2), _lookup_table(gate_type, 1))
+    return num_inputs, _lookup_table(gate_type, num_inputs)
+
+
+def _evaluate_codes(kind: int, table, codes: Sequence[int]) -> int:
+    """One gate's output code from its input codes."""
+    if kind == _FOLD:
+        fold, post = table
+        code = codes[0]
+        for other in codes[1:]:
+            code = fold[code * 9 + other]
+        return post[code]
+    index = 0
+    for code in codes[:kind]:
+        index = index * 9 + code
+    return table[index]
 
 
 # --------------------------------------------------------------------------- #
@@ -108,6 +159,9 @@ class AtpgAdjacency:
     observe_ids:
         IDs of the circuit's default observation nets
         (``Circuit.observation_nets()``).
+    gates:
+        Per net ID, ``(kind, table, input IDs)`` for a combinational gate's
+        output (see :func:`_gate_lookup`), ``None`` for a stimulus net.
     """
 
     def __init__(self, kernel: CompiledKernel) -> None:
@@ -122,6 +176,9 @@ class AtpgAdjacency:
         for sid in kernel.stimulus_ids:
             self.stimulus[sid] = 1
         self.observe_ids = tuple(net_id[name] for name in circuit.observation_nets())
+        self.gates: list[Optional[tuple[int, object, tuple[int, ...]]]] = [None] * kernel.num_nets
+        for op, out, ins in zip(kernel.ops, kernel.outs, kernel.operands):
+            self.gates[out] = (*_gate_lookup(op, len(ins)), ins)
 
 
 def atpg_adjacency(kernel: CompiledKernel) -> AtpgAdjacency:
@@ -133,21 +190,23 @@ def atpg_adjacency(kernel: CompiledKernel) -> AtpgAdjacency:
     return adjacency
 
 
-def all_x_state(kernel: CompiledKernel) -> tuple[Optional[int], ...]:
-    """Fault-free three-valued net values with every stimulus net at X.
+def all_x_state(kernel: CompiledKernel) -> tuple[int, ...]:
+    """Fault-free composite codes with every stimulus net at X.
 
     Every :class:`CompiledFaultedEvaluator` starts from this state: only
     constants and what they alone decide are known.  It does not depend on
     the fault, so it is computed once per kernel (one forward pass) and
     cached via ``analysis_cache``; each evaluator copies it into its own
-    good and faulty lists and injects its fault with one event-driven pass.
+    code list and injects its fault with one event-driven pass.
     """
     cached = kernel.analysis_cache.get("atpg_all_x_state")
     if cached is None:
-        values: list[Optional[int]] = [None] * kernel.num_nets
-        for op, out, ins in zip(kernel.ops, kernel.outs, kernel.operands):
-            values[out] = _EVAL3[op]([values[i] for i in ins])
-        cached = tuple(values)
+        gates = atpg_adjacency(kernel).gates
+        codes = [3 * X3 + X3] * kernel.num_nets
+        for out in kernel.outs:
+            kind, table, ins = gates[out]
+            codes[out] = _evaluate_codes(kind, table, [codes[i] for i in ins])
+        cached = tuple(codes)
         kernel.analysis_cache["atpg_all_x_state"] = cached
     return cached
 
@@ -158,10 +217,9 @@ def all_x_state(kernel: CompiledKernel) -> tuple[Optional[int], ...]:
 class CompiledFaultedEvaluator:
     """Event-driven good/faulty implication for one stuck-at fault, in ID space.
 
-    The engine holds one persistent pair of value arrays.  ``assign`` /
-    ``retract`` update a stimulus net and re-evaluate only the gates its
-    change reaches (see :meth:`_propagate`); every query then reads the flat
-    arrays directly.  All net identities are kernel IDs;
+    The engine holds one persistent composite-code array, ``codes``, and
+    counts its gate evaluations in ``gate_evals``; :meth:`apply` updates it
+    and every query reads it directly.  All net identities are kernel IDs;
     :class:`~repro.atpg.podem.PodemAtpg` translates back to names only when
     it packages the final test cube.
     """
@@ -185,9 +243,10 @@ class CompiledFaultedEvaluator:
             if observe_nets is None
             else tuple(net_id[name] for name in observe_nets)
         )
-        self._observe_mask = bytearray(kern.num_nets)
+        # Where an X-path ends: an observation net or a flop's D net.
+        self._sinks = bytearray(self.adjacency.feeds_flop_d)
         for oid in self.observe_ids:
-            self._observe_mask[oid] = 1
+            self._sinks[oid] = 1
 
         # Fault-site resolution, mirroring the reference engine exactly:
         # stem faults force the whole net in the faulty component; branch
@@ -206,14 +265,16 @@ class CompiledFaultedEvaluator:
                 self._flop_pseudo = True
             else:
                 self._branch_owner = net_id[fault.gate]
+        # The one gate whose evaluation injects the fault (-1: none).
+        self._fault_gate = net_id[fault.gate] if not self._flop_pseudo else -1
         #: Net whose good value decides activation (= ``fault.faulted_net``).
         self.site_net_id: int = net_id[fault.faulted_net(circuit)]
 
         # The fault's region: the fault site's cone (plus, for a
         # combinational branch fault, the owning gate itself, which precedes
         # its cone in topological order).  Discrepancies cannot exist
-        # anywhere else, so the D-frontier scan walks only this region and
-        # implication evaluates the faulty circuit only inside it.
+        # anywhere else, so the D-frontier scan walks only this region and the
+        # test check reads only the observation nets inside it.
         cone_outs: tuple[int, ...] = ()
         if self._stem_site is not None:
             cone_outs = kern.cone_plan(self._stem_site).outs
@@ -222,163 +283,136 @@ class CompiledFaultedEvaluator:
         self._frontier_schedule = tuple(
             (out, kern.operands[kern.sched_pos[out]]) for out in cone_outs
         )
-        self._in_cone = bytearray(kern.num_nets)
-        for out in cone_outs:
-            self._in_cone[out] = 1
+        region = {self._stem_site, *cone_outs}
+        self._observed_in_region = tuple(oid for oid in self.observe_ids if oid in region)
 
-        base = all_x_state(kern)
-        self.good: list[Optional[int]] = list(base)
-        self.faulty: list[Optional[int]] = list(base)
-        if self._stem_site is not None:
-            self.faulty[self._stem_site] = fault.value
-            self._propagate(self.adjacency.comb_readers[self._stem_site])
-        elif self._branch_owner is not None:
-            self._propagate((self._branch_owner,))
+        self.codes: list[int] = list(all_x_state(kern))
+        self.gate_evals = 0
+        if self._stem_site is not None and self.adjacency.stimulus[self._stem_site]:
+            self.apply(((self._stem_site, None),))
+        elif self._fault_gate >= 0:
+            self._propagate((self._fault_gate,))
 
     # ------------------------------------------------------------------ #
     # Implication
     # ------------------------------------------------------------------ #
+    def _inject(self, out: int, code: int) -> int:
+        """The fault gate's ``code`` with the stuck value injected: into the
+        stem's faulty component, or into the branch owner's faulted input."""
+        value = self.fault.value
+        if out == self._stem_site:
+            return code - code % 3 + value
+        kind, table, ins = self.adjacency.gates[out]
+        codes = [self.codes[i] for i in ins]
+        codes[self._branch_pin] += value - codes[self._branch_pin] % 3
+        return _evaluate_codes(kind, table, codes)
+
     def _propagate(self, seeds: Sequence[int]) -> None:
         """Event-driven re-implication starting at the gates ``seeds``.
 
         ``seeds`` are gate output IDs.  Net IDs are topological positions,
         so popping the smallest pending ID evaluates each gate once, after
         every input that changed; a gate's readers are queued only when its
-        good or faulty value actually changed.  On a feed-forward netlist
-        this reaches the same fixpoint as re-evaluating the whole cone.
+        code actually changed.  On a feed-forward netlist this reaches the
+        same fixpoint as re-evaluating the whole cone.
         """
-        good = self.good
-        faulty = self.faulty
-        kern = self.kernel
-        sched_pos = kern.sched_pos
-        ops = kern.ops
-        operands = kern.operands
+        codes = self.codes
+        gates = self.adjacency.gates
         readers = self.adjacency.comb_readers
-        evaluators = _EVAL3
-        stem = self._stem_site
-        owner = self._branch_owner
-        pin = self._branch_pin
-        fault_value = self.fault.value
-        in_cone = self._in_cone
+        fault_gate = self._fault_gate
         heap = list(seeds)
         heapify(heap)
         last = -1
+        evals = 0
         while heap:
             out = heappop(heap)
             if out == last:  # a gate queued by several changed inputs
                 continue
             last = out
-            pos = sched_pos[out]
-            ins = operands[pos]
-            evaluate = evaluators[ops[pos]]
-            good_out = evaluate([good[i] for i in ins])
-            if out == stem:
-                faulty_out = fault_value
-            elif in_cone[out]:
-                faulty_ins = [faulty[i] for i in ins]
-                if out == owner:
-                    faulty_ins[pin] = fault_value
-                faulty_out = evaluate(faulty_ins)
+            evals += 1
+            kind, table, ins = gates[out]
+            if kind == 2:  # the bulk of every netlist
+                a, b = ins
+                code = table[codes[a] * 9 + codes[b]]
             else:
-                faulty_out = good_out
-            if good_out != good[out] or faulty_out != faulty[out]:
-                good[out] = good_out
-                faulty[out] = faulty_out
+                code = _evaluate_codes(kind, table, [codes[i] for i in ins])
+            if out == fault_gate:
+                code = self._inject(out, code)
+            if code != codes[out]:
+                codes[out] = code
                 for reader in readers[out]:
                     heappush(heap, reader)
+        self.gate_evals += evals
 
-    def assign(self, net_id: int, value: int) -> None:
-        """Set one stimulus net to 0/1 and incrementally re-implicate."""
-        self.good[net_id] = value
-        self.faulty[net_id] = (
-            self.fault.value if net_id == self._stem_site else value
-        )
-        self._propagate(self.adjacency.comb_readers[net_id])
-
-    def retract(self, net_id: int) -> None:
-        """Return one stimulus net to X and incrementally re-implicate."""
-        self.good[net_id] = None
-        self.faulty[net_id] = (
-            self.fault.value if net_id == self._stem_site else None
-        )
-        self._propagate(self.adjacency.comb_readers[net_id])
+    def apply(self, changes: Iterable[tuple[int, Optional[int]]]) -> None:
+        """Set stimulus nets to 0/1 (``None``: back to X) and re-imply once."""
+        codes = self.codes
+        readers = self.adjacency.comb_readers
+        seeds: list[int] = []
+        for net_id, value in changes:
+            good = X3 if value is None else value
+            faulty = self.fault.value if net_id == self._stem_site else good
+            codes[net_id] = 3 * good + faulty
+            seeds += readers[net_id]
+        self._propagate(seeds)
 
     # ------------------------------------------------------------------ #
     # PODEM queries
     # ------------------------------------------------------------------ #
     def is_test(self) -> bool:
         """True when some observation net carries D or D'."""
-        good = self.good
-        faulty = self.faulty
-        for oid in self.observe_ids:
-            g = good[oid]
-            if g is not None:
-                f = faulty[oid]
-                if f is not None and f != g:
-                    return True
-        if self._flop_pseudo:
-            g = good[self.site_net_id]
-            if g is not None and g != self.fault.value:
+        codes = self.codes
+        for oid in self._observed_in_region:
+            if IS_DISCREPANCY[codes[oid]]:
                 return True
-        return False
+        # A flop-D-pin branch fault shows at its pseudo net (good = not stuck).
+        return self._flop_pseudo and codes[self.site_net_id] // 3 == 1 - self.fault.value
 
     def fault_activated(self) -> Optional[bool]:
         """Good value at the fault site vs the stuck value (None while X)."""
-        g = self.good[self.site_net_id]
-        if g is None:
+        good = self.codes[self.site_net_id] // 3
+        if good == X3:
             return None
-        return g != self.fault.value
+        return good != self.fault.value
 
     def d_frontier(self) -> list[int]:
         """Output IDs of D-frontier gates, in schedule (topological) order."""
-        good = self.good
-        faulty = self.faulty
+        codes = self.codes
         frontier: list[int] = []
         branch_owner = self._branch_owner
         for out, ins in self._frontier_schedule:
-            if good[out] is not None and faulty[out] is not None:
+            if not HAS_X[codes[out]]:
                 continue
-            advanced = False
             for i in ins:
-                g = good[i]
-                if g is not None:
-                    f = faulty[i]
-                    if f is not None and f != g:
-                        frontier.append(out)
-                        advanced = True
-                        break
-            if advanced:
-                continue
-            if out == branch_owner:
-                site_good = good[ins[self._branch_pin]]
-                if site_good is not None and site_good != self.fault.value:
+                if IS_DISCREPANCY[codes[i]]:
+                    frontier.append(out)
+                    break
+            else:
+                if (
+                    out == branch_owner
+                    and codes[ins[self._branch_pin]] // 3 == 1 - self.fault.value
+                ):
                     frontier.append(out)
         return frontier
 
     def x_path_exists(self, frontier: Sequence[int]) -> bool:
         """Can a frontier discrepancy still reach an observation net?"""
-        good = self.good
-        faulty = self.faulty
-        observe = self._observe_mask
-        feeds_flop_d = self.adjacency.feeds_flop_d
+        codes = self.codes
+        sinks = self._sinks
         readers = self.adjacency.comb_readers
-        visited = bytearray(self.kernel.num_nets)
+        visited: set[int] = set()
         stack = list(frontier)
         while stack:
             nid = stack.pop()
-            if visited[nid]:
+            if nid in visited:
                 continue
-            visited[nid] = 1
-            if observe[nid] or feeds_flop_d[nid]:
+            visited.add(nid)
+            if sinks[nid]:
                 return True
             for successor in readers[nid]:
-                if good[successor] is None or faulty[successor] is None:
+                if HAS_X[codes[successor]]:
                     stack.append(successor)
         return False
-
-    def is_x(self, net_id: int) -> bool:
-        """True when the net's composite value is not fully known."""
-        return self.good[net_id] is None or self.faulty[net_id] is None
 
     # ------------------------------------------------------------------ #
     # Diagnostics
@@ -394,11 +428,11 @@ class CompiledFaultedEvaluator:
         from .dcalc import value5
 
         values = {
-            name: value5(self.good[nid], self.faulty[nid])
-            for nid, name in enumerate(self.kernel.net_names)
+            name: value5(_TRIT_VALUE[code // 3], _TRIT_VALUE[code % 3])
+            for name, code in zip(self.kernel.net_names, self.codes)
         }
         if self._flop_pseudo:
             values[f"{self.fault.gate}.D"] = value5(
-                self.good[self.site_net_id], self.fault.value
+                _TRIT_VALUE[self.codes[self.site_net_id] // 3], self.fault.value
             )
         return values

@@ -17,9 +17,9 @@ classical PODEM algorithm on the full-scan combinational view:
 The search is bounded by a backtrack limit; exceeding it marks the fault
 *aborted*, while exhausting the decision tree proves the fault *untestable*.
 
-Implication runs on the kernel-indexed event-driven engine of
-:mod:`repro.atpg.compiled` -- flat ID arrays, re-implication of only the
-gates whose inputs changed, interned frontier/X-path checks.  The name-keyed
+Implication runs on the composite-code engine of :mod:`repro.atpg.compiled`:
+a decision is one ``apply`` call, and so is a backtrack (it retracts every
+popped decision and sets the flipped value in one pass).  The name-keyed
 search it replaced is kept as an oracle,
 :func:`repro.oracle.podem.generate_reference`: the cubes, backtrack and
 decision counts and outcomes of both are identical fault for fault (by
@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 from ..faults.models import StuckAtFault
 from ..netlist.circuit import Circuit
 from ..netlist.gates import OP_CONST0, OP_CONST1
-from .compiled import INVERTING_OPS, OP_CONTROLLING_VALUE, CompiledFaultedEvaluator
+from .compiled import HAS_X, INVERTING_OPS, OP_CONTROLLING_VALUE, X3, CompiledFaultedEvaluator
 
 
 class AtpgOutcome(enum.Enum):
@@ -79,7 +79,11 @@ class TestCube:
         return TestCube(merged, self.fault)
 
     def fill_random(self, rng, stimulus_nets: Sequence[str]) -> dict[str, int]:
-        """Fully-specified pattern: unassigned stimulus nets take random values."""
+        """Fully-specified pattern: unassigned stimulus nets take random values.
+
+        One ``rng.randint(0, 1)`` is drawn for every stimulus net, assigned or
+        not (a care bit discards its draw), so the RNG stream does not depend
+        on the cube's care bits."""
         return {
             net: self.assignments.get(net, rng.randint(0, 1)) for net in stimulus_nets
         }
@@ -143,25 +147,26 @@ class PodemAtpg:
                     assignment[target_net] = target_value
                     stack.append((target_net, target_value, False))
                     decisions += 1
-                    evaluator.assign(target_net, target_value)
+                    evaluator.apply(((target_net, target_value),))
                     continue
 
-            # Dead end: backtrack.
-            flipped = False
+            # Dead end: retract the flipped decisions, flip the latest unflipped one.
+            changes: list[tuple[int, Optional[int]]] = []
             while stack:
                 net, value, already_flipped = stack.pop()
                 del assignment[net]
-                evaluator.retract(net)
-                if not already_flipped:
-                    backtracks += 1
-                    if backtracks > self.backtrack_limit:
-                        return AtpgResult(AtpgOutcome.ABORTED, None, backtracks, decisions)
-                    assignment[net] = 1 - value
-                    stack.append((net, 1 - value, True))
-                    evaluator.assign(net, 1 - value)
-                    flipped = True
-                    break
-            if not flipped:
+                if already_flipped:
+                    changes.append((net, None))
+                    continue
+                backtracks += 1
+                if backtracks > self.backtrack_limit:
+                    return AtpgResult(AtpgOutcome.ABORTED, None, backtracks, decisions)
+                assignment[net] = 1 - value
+                stack.append((net, 1 - value, True))
+                changes.append((net, 1 - value))
+                evaluator.apply(changes)
+                break
+            else:
                 return AtpgResult(AtpgOutcome.UNTESTABLE, None, backtracks, decisions)
 
     def _objective_ids(
@@ -197,7 +202,7 @@ class PodemAtpg:
         control = OP_CONTROLLING_VALUE.get(op)
         non_controlling = 1 - control if control is not None else 1
         for nid in kernel.operands[pos]:
-            if evaluator.is_x(nid):
+            if HAS_X[evaluator.codes[nid]]:
                 return nid, non_controlling
         return None
 
@@ -210,6 +215,7 @@ class PodemAtpg:
         """Trace the objective back to an unassigned stimulus net (ID space),
         descending into the first X input of each gate."""
         kernel = evaluator.kernel
+        codes = evaluator.codes
         stimulus = evaluator.adjacency.stimulus
         sched_pos = kernel.sched_pos
         net, value = objective_net, objective_value
@@ -229,12 +235,12 @@ class PodemAtpg:
                 value = 1 - value
             chosen: Optional[int] = None
             for nid in kernel.operands[pos]:
-                if evaluator.is_x(nid):
+                if HAS_X[codes[nid]]:
                     chosen = nid
                     break
             if chosen is None:
                 return None, value
             net = chosen
-        if evaluator.good[net] is not None:
+        if codes[net] // 3 != X3:  # the good value is already assigned
             return None, value
         return net, value

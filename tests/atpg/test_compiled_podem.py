@@ -5,18 +5,25 @@ runs; the name-keyed :class:`~repro.oracle.implication.FaultedEvaluator` and
 :func:`~repro.oracle.podem.generate_reference` search are its bit-exactness
 oracle.  These tests pin the equivalence at both levels:
 
-* evaluator level -- after any interleaving of assignments and retractions
-  the incremental engine's flat arrays hold exactly the values a full
-  reference re-implication produces, and every PODEM predicate (test check,
-  activation, D-frontier, X-path) agrees,
+* evaluator level -- after any interleaving of assignments, retractions
+  and batched backtracks (several retractions plus one flip in one
+  ``apply``) the incremental engine's code array holds exactly the values a
+  full reference re-implication produces, and every PODEM predicate (test
+  check, activation, D-frontier, X-path) agrees,
+* gate level -- every composite lookup table (and the pairwise fold of
+  wide gates) matches the reference three-valued evaluator on both
+  components,
 * search level -- ``PodemAtpg`` and the oracle search produce identical
-  outcomes, cubes, backtrack and decision counts, fault for fault.
+  outcomes, cubes, backtrack and decision counts, fault for fault -- also
+  at a backtrack limit low enough that aborts dominate.
 
 Plus the compiled-only feature: per-kernel analysis caching via
 ``shared_kernel``.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,8 +33,7 @@ from repro.atpg import (
     PodemAtpg,
     atpg_adjacency,
 )
-from repro.atpg import compiled
-from repro.atpg.compiled import all_x_state
+from repro.atpg.compiled import X3, _evaluate_codes, _gate_lookup, all_x_state
 from repro.faults import (
     OUTPUT_PIN,
     StuckAtFault,
@@ -35,8 +41,9 @@ from repro.faults import (
     enumerate_stuck_at_faults,
 )
 from repro.netlist import CircuitBuilder, GateType, parse_bench_text
-from repro.netlist.gates import OPCODE_GATE_TYPES
+from repro.netlist.gates import gate_opcode
 from repro.oracle import FaultedEvaluator, generate_reference
+from repro.oracle.implication import _eval3
 from repro.simulation.kernel import shared_kernel
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
@@ -126,7 +133,10 @@ def masked_cone_circuit():
 
 
 def assert_engines_agree(circuit, fault, seed, steps=25):
-    """Drive both evaluators through one assign/retract walk and compare."""
+    """Drive both evaluators through one random walk of ``apply`` calls and
+    compare after every step.  A step assigns one net, retracts one, or --
+    like a PODEM backtrack -- retracts several nets and flips another in a
+    single call."""
     rng = random.Random(seed)
     reference = FaultedEvaluator(circuit, fault)
     compiled = CompiledFaultedEvaluator(circuit, fault)
@@ -134,17 +144,28 @@ def assert_engines_agree(circuit, fault, seed, steps=25):
     nets = circuit.stimulus_nets()
     assignment = {}
     for _ in range(steps):
-        if assignment and rng.random() < 0.35:
+        roll = rng.random()
+        if len(assignment) >= 2 and roll < 0.2:
+            *retracted, flipped = rng.sample(
+                sorted(assignment), rng.randint(2, len(assignment))
+            )
+            for net in retracted:
+                del assignment[net]
+            assignment[flipped] = 1 - assignment[flipped]
+            changes = [(net, None) for net in retracted]
+            changes.append((flipped, assignment[flipped]))
+        elif assignment and roll < 0.4:
             net = rng.choice(sorted(assignment))
             del assignment[net]
-            compiled.retract(net_id[net])
+            changes = [(net, None)]
         else:
             net = rng.choice(nets)
             if net in assignment:
                 continue
             value = rng.randint(0, 1)
             assignment[net] = value
-            compiled.assign(net_id[net], value)
+            changes = [(net, value)]
+        compiled.apply([(net_id[net], value) for net, value in changes])
         values = reference.implied_values(assignment)
         assert values == compiled.values_by_name()
         assert reference.is_test(values) == compiled.is_test()
@@ -204,25 +225,69 @@ class TestEvaluatorEquivalence:
         reference = FaultedEvaluator(circuit, fault, observe_nets=["G11"])
         compiled = CompiledFaultedEvaluator(circuit, fault, observe_nets=["G11"])
         values = reference.implied_values({"G3": 1, "G6": 0})
-        compiled.assign(compiled.kernel.net_id["G3"], 1)
-        compiled.assign(compiled.kernel.net_id["G6"], 0)
+        net_id = compiled.kernel.net_id
+        compiled.apply([(net_id["G3"], 1), (net_id["G6"], 0)])
         assert reference.is_test(values) and compiled.is_test()
+
+
+#: A three-valued component -> its reference form (``None`` = X).
+TRIT = (0, 1, None)
+
+
+class TestCompositeTables:
+    @pytest.mark.parametrize(
+        "gate_type, arity",
+        [
+            (gate_type, arity)
+            for gate_type in (
+                GateType.AND,
+                GateType.NAND,
+                GateType.OR,
+                GateType.NOR,
+                GateType.XOR,
+                GateType.XNOR,
+            )
+            for arity in (1, 2, 3, 4)
+        ]
+        + [(GateType.NOT, 1), (GateType.BUF, 1), (GateType.MUX, 3)],
+    )
+    def test_lookup_matches_reference_on_both_components(self, gate_type, arity):
+        # Arity 4 takes the pairwise fold; the others one table lookup.
+        kind, table = _gate_lookup(gate_opcode(gate_type, arity), arity)
+        for codes in itertools.product(range(9), repeat=arity):
+            good = _eval3(gate_type, [TRIT[code // 3] for code in codes])
+            faulty = _eval3(gate_type, [TRIT[code % 3] for code in codes])
+            expected = 3 * (X3 if good is None else good) + (X3 if faulty is None else faulty)
+            assert _evaluate_codes(kind, table, codes) == expected, codes
+
+
+def assert_podem_equivalent(circuit, backtrack_limit):
+    """Run both searches on every collapsed fault; return the outcome counts."""
+    compiled = PodemAtpg(circuit, backtrack_limit=backtrack_limit)
+    outcomes = Counter()
+    for fault in collapse_stuck_at(circuit).representatives:
+        expected = generate_reference(circuit, fault, backtrack_limit=backtrack_limit)
+        actual = compiled.generate(fault)
+        assert expected.outcome is actual.outcome, str(fault)
+        assert expected.backtracks == actual.backtracks, str(fault)
+        assert expected.decisions == actual.decisions, str(fault)
+        if expected.outcome is AtpgOutcome.SUCCESS:
+            assert expected.cube.assignments == actual.cube.assignments, str(fault)
+        outcomes[actual.outcome] += 1
+    return outcomes
 
 
 class TestPodemEquivalence:
     @pytest.mark.parametrize("circuit_factory", [c17, hard_core])
     def test_identical_results_fault_for_fault(self, circuit_factory):
-        circuit = circuit_factory()
-        faults = collapse_stuck_at(circuit).representatives
-        compiled = PodemAtpg(circuit, backtrack_limit=60)
-        for fault in faults:
-            expected = generate_reference(circuit, fault, backtrack_limit=60)
-            actual = compiled.generate(fault)
-            assert expected.outcome is actual.outcome, str(fault)
-            assert expected.backtracks == actual.backtracks, str(fault)
-            assert expected.decisions == actual.decisions, str(fault)
-            if expected.outcome is AtpgOutcome.SUCCESS:
-                assert expected.cube.assignments == actual.cube.assignments, str(fault)
+        assert_podem_equivalent(circuit_factory(), backtrack_limit=60)
+
+    def test_identical_results_where_aborts_dominate(self):
+        # At limit 3 most hard_core targets abort, so the search keeps
+        # taking multi-decision backtracks -- one batched ``apply`` each.
+        outcomes = assert_podem_equivalent(hard_core(), backtrack_limit=3)
+        assert all(outcomes[outcome] >= 1 for outcome in AtpgOutcome), outcomes
+        assert outcomes[AtpgOutcome.ABORTED] > outcomes[AtpgOutcome.UNTESTABLE]
 
 
 class TestAnalysisCache:
@@ -253,76 +318,61 @@ class TestAnalysisCache:
         kernel = first.kernel
         cached = kernel.analysis_cache["atpg_all_x_state"]
         snapshot = list(cached)
-        # Constants (and what they alone decide) are known; the rest is X.
+        # Constants (and what they alone decide) are known; the rest is X
+        # (composite codes: 3*good + faulty).
         net_id = kernel.net_id
-        assert cached[net_id["one"]] == 1 and cached[net_id["kz"]] == 0
-        assert cached[net_id["k"]] is None and cached[net_id["x"]] is None
+        assert cached[net_id["one"]] == 3 * 1 + 1 and cached[net_id["kz"]] == 0
+        assert cached[net_id["k"]] == cached[net_id["x"]] == 3 * X3 + X3
         second = CompiledFaultedEvaluator(circuit, StuckAtFault("mk", 0, 1))
         assert second.kernel is kernel
         assert all_x_state(kernel) is cached
         assert kernel.analysis_cache["atpg_all_x_state"] is cached
         for evaluator in (first, second):
-            assert evaluator.good is not cached and evaluator.faulty is not cached
-            for name in ("a", "s", "c", "d", "ff"):
-                evaluator.assign(net_id[name], 1)
-            assert evaluator.good != snapshot
+            assert evaluator.codes is not cached
+            evaluator.apply([(net_id[name], 1) for name in ("a", "s", "c", "d", "ff")])
+            assert evaluator.codes != snapshot
         # The evaluators worked on copies: the shared state is untouched.
         assert list(cached) == snapshot
         assert kernel.analysis_cache["atpg_all_x_state"] is cached
 
 
-def count_evaluations(monkeypatch):
-    """Wrap the per-opcode evaluators; returns the live opcode -> calls map."""
-    calls = {}
-
-    def counting(op, evaluate):
-        def wrapper(values):
-            calls[op] = calls.get(op, 0) + 1
-            return evaluate(values)
-
-        return wrapper
-
-    monkeypatch.setattr(
-        compiled,
-        "_EVAL3",
-        tuple(counting(op, evaluate) for op, evaluate in enumerate(compiled._EVAL3)),
-    )
-    return calls
-
-
 class TestEventDrivenImplication:
-    def evaluated_types(self, calls):
-        return {OPCODE_GATE_TYPES[op] for op in calls}
-
-    def test_masked_assignment_evaluates_only_direct_readers(self, monkeypatch):
+    def test_masked_assignment_evaluates_only_direct_readers(self):
         circuit = masked_cone_circuit()
         fault = StuckAtFault("y", OUTPUT_PIN, 0)
         evaluator = CompiledFaultedEvaluator(circuit, fault)
         net_id = evaluator.kernel.net_id
         cone_gates = len(evaluator.kernel.cone_plan(net_id["x"]).outs)
-        evaluator.assign(net_id["c"], 0)
-        evaluator.assign(net_id["d"], 1)
-        calls = count_evaluations(monkeypatch)
-        evaluator.assign(net_id["x"], 1)
+        evaluator.apply([(net_id["c"], 0), (net_id["d"], 1)])
+        before = evaluator.gate_evals
+        evaluator.apply([(net_id["x"], 1)])
         # Both readers of x are held by their controlling side inputs: each
-        # is evaluated once (good only -- neither is in the fault's cone)
-        # and nothing downstream of them is.
-        assert self.evaluated_types(calls) == {GateType.AND, GateType.NOR}
-        assert sum(calls.values()) == 2
+        # is evaluated once and nothing downstream of them is.
+        assert len(evaluator.adjacency.comb_readers[net_id["x"]]) == 2
+        assert evaluator.gate_evals - before == 2
         assert cone_gates > 2
         reference = FaultedEvaluator(circuit, fault)
         assignment = {"c": 0, "d": 1, "x": 1}
         assert reference.implied_values(assignment) == evaluator.values_by_name()
 
-    def test_unmasked_assignment_reaches_the_cone(self, monkeypatch):
+    def test_unmasked_assignment_reaches_the_cone(self):
         circuit = masked_cone_circuit()
         evaluator = CompiledFaultedEvaluator(circuit, StuckAtFault("y", OUTPUT_PIN, 0))
-        net_id = evaluator.kernel.net_id
-        evaluator.assign(net_id["c"], 1)
-        evaluator.assign(net_id["d"], 0)
-        calls = count_evaluations(monkeypatch)
-        evaluator.assign(net_id["x"], 1)
-        assert self.evaluated_types(calls) == {
+        kernel = evaluator.kernel
+        net_id = kernel.net_id
+        evaluator.apply([(net_id["c"], 1), (net_id["d"], 0)])
+        before_codes = list(evaluator.codes)
+        before = evaluator.gate_evals
+        evaluator.apply([(net_id["x"], 1)])
+        # Every gate of x's cone is evaluated exactly once ...
+        assert evaluator.gate_evals - before == len(kernel.cone_plan(net_id["x"]).outs)
+        # ... and every one of them changes, through each gate type.
+        evaluated = {
+            circuit.gate(kernel.net_names[nid]).gate_type
+            for nid, (old, new) in enumerate(zip(before_codes, evaluator.codes))
+            if old != new and nid != net_id["x"]
+        }
+        assert evaluated == {
             GateType.AND,
             GateType.NOR,
             GateType.NOT,
