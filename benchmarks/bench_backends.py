@@ -16,16 +16,17 @@ block sizes {64, 256, 1024, 4096} for both execution backends:
   caches, so kernel compilation, cone plans and the scan compile are paid
   inside the timed section -- next to the warm one.
 * **streamed pattern generation** --
-  ``StumpsArchitecture.generate_packed_blocks`` drained for the same
-  pattern budget (the PRPG/phase-shifter emulation feeding the random
-  phase).
+  ``StumpsArchitecture.generate_packed_blocks`` (the bit-sliced PRPG and
+  phase-shifter emulation both backends use to feed the random phase)
+  drained at blocks 64 and 1024, against the per-cycle stepping reference
+  ``generate_patterns`` for the same pattern budget.
 * **transition preparation** -- the launch/capture pair blocks of a
   ``GEN_PATTERNS``-pattern at-speed measurement at block 1024 under Core
   Y's staggered capture order, built two ways: the per-pattern dict path
   (``generate_patterns`` -> ``derive_capture_patterns`` -> two
   ``iter_blocks`` packs zipped into triples) and the packed path the
-  pipeline's transition preparation runs (``generate_packed_blocks`` on
-  the numpy backend -> ``derive_pair_blocks``).  The two are asserted
+  pipeline's transition preparation runs (``generate_packed_blocks`` ->
+  ``derive_pair_blocks``).  The two are asserted
   dict-equal.
 
 Every fault-sim run's final coverage is asserted identical across backends
@@ -53,11 +54,10 @@ Recorded in ``benchmarks/BENCH_backends.json``:
 * ``speedup_fault_sim_same_block`` -- both backends at the numpy backend's
   best block size,
 * ``speedup_fault_sim_best_vs_best`` -- each backend at its own best width,
-* ``speedup_pattern_gen`` -- streamed generation at its best block size
-  (acceptance bar: >= 2x); the best of four medians, so biased high and
-  recorded only,
-* ``speedup_pattern_gen_1024`` -- streamed generation at the fixed block
-  1024, the median of back-to-back python/numpy ratios (gated),
+* ``speedup_sliced_gen_64`` / ``speedup_sliced_gen_1024`` -- the stepping
+  ``generate_patterns`` time over the bit-sliced ``generate_packed_blocks``
+  time at blocks 64 and 1024, medians of back-to-back ratios (acceptance
+  bar: >= 2x each; the block-1024 ratio is gated),
 * ``speedup_transition_prep`` -- the dict path's time over the packed
   path's, the median of back-to-back ratios (gated).
 
@@ -110,6 +110,8 @@ BLOCK_SIZES = scaled((64, 256, 1024, 4096), (64, 256))
 REPEATS = scaled(7, 1)
 #: Cold campaigns per backend (each rebuilds the circuit).
 COLD_REPEATS = scaled(9, 1)
+#: Block widths of the streamed-generation ratios.
+GEN_BLOCK_SIZES = (64, 1024)
 #: Acceptance bars.
 TARGET_FAULT_SIM_SPEEDUP = 3.0
 TARGET_PATTERN_GEN_SPEEDUP = 2.0
@@ -168,15 +170,19 @@ def _fault_sim(make_circuit, patterns, block_size, coverages: set, cold=False):
 
 
 def _pattern_generation(architecture, block_size):
-    """One timed streamed generation of ``GEN_PATTERNS`` patterns per call."""
+    """One timed generation of ``GEN_PATTERNS`` patterns per call: stepped
+    into per-pattern dicts, or bit-sliced into drained packed blocks."""
 
-    def run(backend: str) -> float:
+    def run(path: str) -> float:
         stumps = StumpsArchitecture(architecture, seed=9)
         start = time.perf_counter()
-        for _block in stumps.generate_packed_blocks(
-            GEN_PATTERNS, block_size=block_size, backend=backend
-        ):
-            pass
+        if path == "stepping":
+            stumps.generate_patterns(GEN_PATTERNS)
+        else:
+            for _block in stumps.generate_packed_blocks(
+                GEN_PATTERNS, block_size=block_size
+            ):
+                pass
         return time.perf_counter() - start
 
     return run
@@ -203,9 +209,7 @@ def _transition_prep(circuit, architecture, pulse_order, results: list):
         else:
             pair_blocks = derive_pair_blocks(
                 circuit,
-                stumps.generate_packed_blocks(
-                    GEN_PATTERNS, block_size=1024, backend="numpy"
-                ),
+                stumps.generate_packed_blocks(GEN_PATTERNS, block_size=1024),
                 pulse_order,
             )
         seconds = time.perf_counter() - start
@@ -252,20 +256,22 @@ def run() -> dict:
     assert len(coverages) == 1, f"backends disagreed on coverage: {coverages}"
 
     gen_rows = []
-    gen_seconds: dict[tuple[str, int], float] = {}
     architecture = build_scan_chains(circuit, total_chains=14)
-    for block_size in BLOCK_SIZES:
-        best, speedup = _best_of(_pattern_generation(architecture, block_size), REPEATS)
-        for backend in ("python", "numpy"):
-            gen_seconds[(backend, block_size)] = best[backend]
+    for block_size in GEN_BLOCK_SIZES:
+        best, speedup = _best_of(
+            _pattern_generation(architecture, block_size),
+            REPEATS,
+            variants=("stepping", "sliced"),
+        )
         gen_rows.append(
             {
                 "block_size": block_size,
-                "python_seconds": round(best["python"], 4),
-                "numpy_seconds": round(best["numpy"], 4),
+                "stepping_seconds": round(best["stepping"], 4),
+                "sliced_seconds": round(best["sliced"], 4),
                 "speedup": round(speedup, 2),
             }
         )
+    gen_speedups = {row["block_size"]: row["speedup"] for row in gen_rows}
 
     # Long-session sample: the paper's 20K-pattern budget at one mid width.
     _, _, long_patterns = _build_workload(LONG_PATTERNS)
@@ -293,13 +299,6 @@ def run() -> dict:
     )
     row_1024 = next(
         (row for row in fault_rows if row["block_size"] == 1024), fault_rows[-1]
-    )
-    gen_best_block = min(BLOCK_SIZES, key=lambda block: gen_seconds[("numpy", block)])
-    speedup_pattern_gen = next(
-        row["speedup"] for row in gen_rows if row["block_size"] == gen_best_block
-    )
-    gen_row_1024 = next(
-        (row for row in gen_rows if row["block_size"] == 1024), gen_rows[-1]
     )
 
     # Transition preparation under Core Y's staggered capture order.
@@ -342,8 +341,8 @@ def run() -> dict:
         "speedup_fault_sim": round(speedup_fault_sim, 2),
         "speedup_fault_sim_same_block": round(speedup_same_block, 2),
         "speedup_fault_sim_best_vs_best": round(speedup_best_vs_best, 2),
-        "speedup_pattern_gen": round(speedup_pattern_gen, 2),
-        "speedup_pattern_gen_1024": gen_row_1024["speedup"],
+        "speedup_sliced_gen_64": gen_speedups[64],
+        "speedup_sliced_gen_1024": gen_speedups[1024],
         "transition_prep": {
             "patterns": GEN_PATTERNS,
             "block_size": 1024,
@@ -370,10 +369,10 @@ def run() -> dict:
             "trade-off is visible.  Best-of-N with warm per-process "
             "compilation caches on both backends -- the steady state of a "
             "campaign worker; the cold columns rebuild the circuit per run, "
-            "so compilation is timed too.  speedup_pattern_gen is the best "
-            "of four block sizes' medians (biased high, recorded only); "
-            "speedup_pattern_gen_1024 and speedup_transition_prep are "
-            "medians of back-to-back ratios at block 1024."
+            "so compilation is timed too.  speedup_sliced_gen_64/_1024 "
+            "divide the stepping generate_patterns time by the bit-sliced "
+            "generate_packed_blocks time; they and speedup_transition_prep "
+            "are medians of back-to-back ratios."
         ),
     }
     path = write_bench_json("backends", payload)
@@ -384,13 +383,12 @@ def run() -> dict:
         f"python@default-64; same-block {speedup_same_block:.2f}x, "
         f"best-vs-best {speedup_best_vs_best:.2f}x, target >= "
         f"{TARGET_FAULT_SIM_SPEEDUP}x); long 20K session @1024: "
-        f"{long_speedup:.2f}x; pattern gen: "
-        f"{speedup_pattern_gen:.2f}x at block {gen_best_block} "
-        f"(target >= {TARGET_PATTERN_GEN_SPEEDUP}x); block 1024: "
+        f"{long_speedup:.2f}x; sliced pattern gen vs stepping: "
+        f"{gen_speedups[64]:.2f}x at block 64, {gen_speedups[1024]:.2f}x at "
+        f"1024 (target >= {TARGET_PATTERN_GEN_SPEEDUP}x); block 1024: "
         f"{row_1024['speedup']:.2f}x warm (target >= "
         f"{TARGET_WARM_SPEEDUP_1024}x), {row_1024['cold_speedup']:.2f}x cold "
-        f"(target >= {TARGET_COLD_SPEEDUP_1024}x); pattern gen @1024: "
-        f"{gen_row_1024['speedup']:.2f}x; transition prep dict/packed: "
+        f"(target >= {TARGET_COLD_SPEEDUP_1024}x); transition prep dict/packed: "
         f"{speedup_transition_prep:.2f}x -> {path.name}"
     )
     return payload
@@ -401,7 +399,8 @@ def meets_targets(payload: dict) -> bool:
     return (
         payload["speedup_fault_sim"] >= TARGET_FAULT_SIM_SPEEDUP
         and payload["speedup_fault_sim_same_block"] >= 2.0
-        and payload["speedup_pattern_gen"] >= TARGET_PATTERN_GEN_SPEEDUP
+        and payload["speedup_sliced_gen_64"] >= TARGET_PATTERN_GEN_SPEEDUP
+        and payload["speedup_sliced_gen_1024"] >= TARGET_PATTERN_GEN_SPEEDUP
     )
 
 

@@ -25,15 +25,14 @@ TOLERANCE = 0.15
 #: Gated ratio fields (higher is better) of each benchmark record.  The
 #: ``backends`` ratios that divide times from different rounds minutes apart
 #: (``speedup_fault_sim``, ``speedup_fault_sim_best_vs_best``) drift with the
-#: host and are recorded only, as is ``speedup_pattern_gen``: the best of
-#: four block sizes' medians is biased high, so its fixed-block form
-#: ``speedup_pattern_gen_1024`` is gated instead.
+#: host and are recorded only, as is ``speedup_sliced_gen_64``: one
+#: streamed-generation ratio, at block 1024, is gated.
 GATED = {
     "backends": (
         "speedup_fault_sim_same_block",
         "speedup_fault_sim_1024",
         "cold_speedup_fault_sim_1024",
-        "speedup_pattern_gen_1024",
+        "speedup_sliced_gen_1024",
         "speedup_transition_prep",
     ),
     "scan_memory": ("peak_reduction_tight_budget", "throughput_ratio_mid_budget"),

@@ -9,7 +9,8 @@ chains (:mod:`repro.bist.phase_shifter`).
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+import functools
+from typing import Iterator, Optional, Sequence
 
 from .polynomials import (
     polynomial_degree,
@@ -18,11 +19,48 @@ from .polynomials import (
 )
 
 
-class _LfsrBase:
-    """State storage and iteration helpers of an LFSR.
+def _xor_select(values: Sequence[int], mask: int) -> int:
+    """XOR of ``values[k]`` over the set bits *k* of ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= values[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
-    Its :meth:`drain_output_word` steps one clock at a time: the reference
-    the chunked :meth:`FibonacciLfsr.drain_output_word` is tested against.
+
+@functools.lru_cache(maxsize=256)
+def _jump_rows(polynomial: tuple[int, ...], steps: int, doublings: int) -> tuple[int, ...]:
+    """Rows of the Fibonacci state-transition matrix to the ``steps * 2**doublings``.
+
+    Row *i* masks the current stages whose XOR is stage *i* that many steps
+    later.  The base rows follow the recurrence symbolically; each doubling
+    squares the previous rows.
+    """
+    if doublings:
+        half = _jump_rows(polynomial, steps, doublings - 1)
+        return tuple(_xor_select(half, row) for row in half)
+    length = polynomial_degree(polynomial)
+    taps = [e for e in polynomial_taps(polynomial) if e > 0]
+    rows = [1 << stage for stage in range(length)]
+    for base in range(steps):
+        row = rows[base]
+        for exponent in taps:
+            row ^= rows[base + exponent]
+        rows.append(row)
+    return tuple(rows[steps:])
+
+
+class FibonacciLfsr:
+    """External-XOR (Fibonacci) LFSR.
+
+    The new bit entering stage ``length-1`` is the XOR of the tap stages; the
+    serial output is stage 0.  So the stages are a sliding window over the
+    output stream ``s``: stage *i* after *n* steps is ``s[n + i]``, and
+    ``s[n + length] = s[n] ^ XOR(s[n + e] for tap stages e)``.
+    :meth:`step` clocks the register once; :meth:`sliced_stream` advances it
+    many patterns at once through that linearity, bit-sliced across the
+    patterns.
     """
 
     def __init__(
@@ -41,6 +79,9 @@ class _LfsrBase:
                 f"does not match LFSR length {length}"
             )
         self._mask = (1 << length) - 1
+        # Tap exponent e corresponds to stage e-1 feeding the XOR (plus the
+        # constant term handled by stage 0 / output bit).
+        self._tap_stages = [e for e in polynomial_taps(self.polynomial) if e > 0]
         self.state = 0
         self.reseed(seed)
 
@@ -67,29 +108,18 @@ class _LfsrBase:
     # ------------------------------------------------------------------ #
     # Iteration
     # ------------------------------------------------------------------ #
-    def step(self) -> int:  # pragma: no cover - overridden
+    def step(self) -> int:
         """Advance one clock; returns the serial output bit."""
-        raise NotImplementedError
+        output = self.state & 1
+        feedback = output
+        for exponent in self._tap_stages:
+            feedback ^= (self.state >> exponent) & 1
+        self.state = (self.state >> 1) | (feedback << (self.length - 1))
+        return output
 
     def run(self, cycles: int) -> list[int]:
         """Advance ``cycles`` clocks, returning the serial output bit stream."""
         return [self.step() for _ in range(cycles)]
-
-    def drain_output_word(self, count: int) -> int:
-        """Advance ``count`` clocks; return the output stream as one packed word.
-
-        Bit *t* of the result is the serial output of step ``t + 1`` -- the
-        packed form of :meth:`run`.  The generic implementation simply steps;
-        :class:`FibonacciLfsr` overrides it with a chunked linear-recurrence
-        form that produces up to ``length - max_tap`` bits per Python
-        operation (the fast path of the streamed ndarray pattern
-        generation), with the identical final state.
-        """
-        word = 0
-        for index in range(count):
-            if self.step():
-                word |= 1 << index
-        return word
 
     def states(self, cycles: int) -> Iterator[int]:
         """Yield the state value after each of ``cycles`` steps."""
@@ -113,63 +143,44 @@ class _LfsrBase:
                 return count
         return count
 
+    def sliced_stream(self, count: int, stride: int, depth: int) -> list[int]:
+        """Advance ``count * stride`` clocks; return the stream bit-sliced.
 
-class FibonacciLfsr(_LfsrBase):
-    """External-XOR (Fibonacci) LFSR.
-
-    The new bit entering stage ``length-1`` is the XOR of the tap stages; the
-    serial output is stage 0.
-    """
-
-    def __init__(
-        self,
-        length: int,
-        polynomial: Optional[tuple[int, ...]] = None,
-        seed: int = 1,
-    ) -> None:
-        super().__init__(length, polynomial, seed)
-        # Tap exponent e corresponds to stage e-1 feeding the XOR (plus the
-        # constant term handled by stage 0 / output bit).
-        self._tap_stages = [e for e in polynomial_taps(self.polynomial) if e > 0]
-
-    def step(self) -> int:
-        output = self.state & 1
-        feedback = output
-        for exponent in self._tap_stages:
-            feedback ^= (self.state >> exponent) & 1
-        self.state = (self.state >> 1) | (feedback << (self.length - 1))
-        return output
-
-    def drain_output_word(self, count: int) -> int:
-        """Chunked form of the generic :meth:`_LfsrBase.drain_output_word`.
-
-        A Fibonacci LFSR's stages are a sliding window over its output
-        stream ``s``: stage *i* after *n* steps equals ``s[n + i]``, with
-        ``s[0 .. length)`` being the current state bits and the linear
-        recurrence ``s[n] = s[n - L] ^ XOR(s[n - L + e] for tap stages e)``.
-        That lets ``L - max_tap`` new bits be produced per Python bigint
-        operation instead of one per :meth:`step` call.  Output word and
-        final state are bit-identical to stepping (asserted by the
-        streaming equivalence tests).
+        Column *r* (``0 <= r < depth``) is a ``count``-bit int whose bit *j*
+        is ``s[j * stride + r]``: stage *r* of the state ``j * stride`` steps
+        on while ``r < length``.  Those first ``length`` columns, one bit
+        beyond (the final state), are built by doubling: the states of
+        patterns ``[m, 2m)`` are the jump matrix ``M**(stride * m)`` applied,
+        row mask by row mask, to the columns of ``[0, m)``.  Every further
+        column is the recurrence, one ``count``-bit XOR per tap.  The state
+        afterwards equals ``count * stride`` calls to :meth:`step`.
         """
-        if count <= 0:
-            return 0
         length = self.length
+        polynomial = tuple(self.polynomial)
+        columns = self.state_bits()
+        have = 1
+        doublings = 0
+        while have <= count:
+            take = min(have, count + 1 - have)
+            low = (1 << take) - 1
+            sources = columns if take == have else [column & low for column in columns]
+            rows = _jump_rows(polynomial, stride, doublings)
+            columns = [
+                column | (_xor_select(sources, row) << have)
+                for column, row in zip(columns, rows)
+            ]
+            have += take
+            doublings += 1
+        self.state = sum(((column >> count) & 1) << i for i, column in enumerate(columns))
+        mask = (1 << count) - 1
+        columns = [column & mask for column in columns]
         taps = self._tap_stages
-        chunk = length - (max(taps) if taps else 0)
-        stream = self.state  # bits [0, length): the current stage values
-        produced = length
-        total = count + length
-        while produced < total:
-            take = min(chunk, total - produced)
-            base = produced - length
-            feedback = stream >> base
+        for base in range(depth - length):
+            column = columns[base]
             for exponent in taps:
-                feedback ^= stream >> (base + exponent)
-            stream |= (feedback & ((1 << take) - 1)) << produced
-            produced += take
-        self.state = (stream >> count) & self._mask
-        return stream & ((1 << count) - 1)
+                column ^= columns[base + exponent]
+            columns.append(column)
+        return columns
 
 
 class Prpg:
@@ -208,17 +219,6 @@ class Prpg:
         self.lfsr.step()
         return self.lfsr.state_bits()
 
-    def next_state_int(self) -> int:
-        """Advance one shift cycle and return the new state as one integer.
-
-        The packed pattern-generation path uses this together with
-        :meth:`~repro.bist.phase_shifter.PhaseShifter.outputs_word` to avoid
-        materialising a Python list of state bits per shift cycle.
-        """
-        self.lfsr.step()
-        return self.lfsr.state
-
     def generate_states(self, cycles: int) -> list[list[int]]:
         """Parallel state bits for ``cycles`` consecutive shift cycles."""
         return [self.next_state_bits() for _ in range(cycles)]
-

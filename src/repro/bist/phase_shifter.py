@@ -64,11 +64,6 @@ class PhaseShifter:
                 self.channel_taps.append(candidate)
         if len(self.channel_taps) != self.num_channels:
             raise ValueError("channel_taps length must equal num_channels")
-        #: Per-channel PRPG-stage bit masks (tap set as an integer), used by
-        #: the packed fast path :meth:`outputs_word`.
-        self._tap_masks = [
-            sum(1 << tap for tap in taps) for taps in self.channel_taps
-        ]
 
     def outputs(self, state_bits: Sequence[int]) -> list[int]:
         """Channel values for one PRPG state (one per scan chain)."""
@@ -81,19 +76,6 @@ class PhaseShifter:
                 value ^= state_bits[tap]
             result.append(value)
         return result
-
-    def outputs_word(self, state: int) -> int:
-        """Channel values for one PRPG state, packed one bit per channel.
-
-        Bit *c* of the result is the XOR of the PRPG stages tapped by channel
-        *c* -- identical to ``outputs(state_bits)[c]`` but computed with one
-        mask-and-popcount per channel instead of per-tap list indexing.
-        """
-        word = 0
-        for channel, tap_mask in enumerate(self._tap_masks):
-            if (state & tap_mask).bit_count() & 1:
-                word |= 1 << channel
-        return word
 
     def xor_gate_count(self) -> int:
         """Number of 2-input XOR gates needed to build the network (area model)."""

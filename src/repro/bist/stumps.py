@@ -20,11 +20,26 @@ Besides the structure, the module emulates the data path: pattern generation
 (what state a shift window loads into every scan cell) and response compaction
 (what signature a captured response produces), which is what the end-to-end
 flow and the signature tests use.
+
+Pattern generation has one packed path for both simulation backends, built on
+the TPG being linear.  A Fibonacci PRPG of length ``L`` is a window over its
+output stream ``s``, and a cell at position *p* of a chain shifted for ``C``
+cycles loads, in pattern *j*, the XOR of ``s[j*C + C - p + t]`` over the
+chain's PRPG taps *t* (its phase-shifter channel's taps, or through a space
+expander the symmetric difference of its channels' taps).  So the generator
+computes, for ``N`` patterns at once, the bit-sliced columns
+``D_r = sum(s[j*C + r] << j)``: ``D_0 .. D_{L-1}`` (the pattern-start states)
+by doubling with cached jump matrices ``M**(C * 2**k)``, every later column by
+the recurrence with one ``N``-bit XOR per tap, and each cell's word as a XOR of
+a few columns.  :meth:`StumpsDomain.generate_load` steps the PRPG once per
+shift cycle and stays the reference the packed path is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import operator
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from ..scan.chains import ScanChainArchitecture
@@ -39,6 +54,11 @@ from .lfsr import Prpg
 from .misr import Misr
 from .phase_shifter import PhaseShifter, identity_phase_shifter
 from .space import SpaceCompactor, SpaceExpander, identity_compactor
+
+#: Patterns the bit-sliced generator computes per pass, rounded down to whole
+#: blocks (at least one): each domain holds ``shift cycles + PRPG length``
+#: stream columns of this many bits at a time.
+_CHUNK_PATTERNS = 4096
 
 
 @dataclass
@@ -96,10 +116,14 @@ class StumpsDomain:
         )
         misr_length = max(2, misr_length)
         self.misr = Misr(misr_length)
-        #: Cached per-shift-window cell coordinate maps (numpy generation).
-        self._cell_maps: dict[int, tuple] = {}
         #: Cached vectorised-unload structures (numpy MISR fold).
         self._fold_map: Optional[tuple] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles of older code carry the per-window cell maps of a deleted
+        # ndarray generator; nothing reads them.
+        state.pop("_cell_maps", None)
+        self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Pattern generation (shift window emulation)
@@ -131,146 +155,53 @@ class StumpsDomain:
         return load
 
     def generate_packed_load(
-        self,
-        num_patterns: int,
-        shift_cycles: Optional[int] = None,
-        backend: str = PYTHON_BACKEND,
+        self, num_patterns: int, shift_cycles: Optional[int] = None
     ) -> dict[str, int]:
         """Emulate ``num_patterns`` consecutive shift windows, packed per cell.
 
         Returns scan-cell name -> packed word where bit *i* is the value the
-        cell is loaded with in pattern *i*.  The PRPG advances through exactly
-        the same state sequence as ``num_patterns`` calls to
-        :meth:`generate_load`, but the per-pattern dicts are never built: the
-        phase-shifter output is kept as one integer per shift cycle (bit *c* =
-        chain *c*) and scattered straight into the per-cell words.
-
-        With ``backend="numpy"`` the whole window is generated on ndarray
-        bit planes instead: the PRPG output stream is drained in chunked
-        bigint form, the phase-shifter XORs become array slices, and the
-        per-cell scatter becomes one fancy-indexed gather plus
-        ``np.packbits``.  The returned words -- and the PRPG state
-        afterwards -- are bit-identical to the python backend; a configured
-        space expander runs the python loop.
+        cell is loaded with in pattern *i*, and leaves the PRPG where
+        ``num_patterns`` calls to :meth:`generate_load` would.  A cell at
+        position *p* gets the XOR of the bit-sliced stream columns
+        ``C - p + t`` over its chain's taps *t*
+        (:meth:`~repro.bist.lfsr.FibonacciLfsr.sliced_stream`, see the module
+        docstring); cells deeper than the ``C``-cycle shift window load 0.
         """
         cycles = shift_cycles if shift_cycles is not None else self.max_chain_length
-        if (
-            resolve_backend(backend) == NUMPY_BACKEND
-            and self.expander is None
-            and num_patterns > 0
-            and cycles > 0
-        ):
-            return self._generate_packed_load_numpy(num_patterns, cycles)
-        words: dict[str, int] = {
-            cell: 0 for chain in self.chains for cell in chain.cells
-        }
-        prpg = self.prpg
-        shifter = self.phase_shifter
-        expander = self.expander
-        for pattern in range(num_patterns):
-            per_cycle: list[int] = []
-            if expander is None:
-                for _ in range(cycles):
-                    per_cycle.append(shifter.outputs_word(prpg.next_state_int()))
-            else:
-                for _ in range(cycles):
-                    channels = expander.expand(shifter.outputs(prpg.next_state_bits()))
-                    word = 0
-                    for channel, bit in enumerate(channels):
-                        if bit:
-                            word |= 1 << channel
-                    per_cycle.append(word)
-            bit = 1 << pattern
-            for chain_index, chain in enumerate(self.chains):
-                for position, cell in enumerate(chain.cells):
-                    source_cycle = cycles - 1 - position
-                    if source_cycle >= 0 and (per_cycle[source_cycle] >> chain_index) & 1:
-                        words[cell] |= bit
+        columns = self.prpg.lfsr.sliced_stream(
+            num_patterns, cycles, cycles + self.prpg.length
+        )
+        words: dict[str, int] = {}
+        for chain, taps in zip(self.chains, self._chain_taps()):
+            for position, cell in enumerate(chain.cells):
+                word = 0
+                if position < cycles:
+                    for tap in taps:
+                        word ^= columns[cycles - position + tap]
+                words[cell] = word
         return words
 
-    # ------------------------------------------------------------------ #
-    # ndarray bit-plane pattern generation (the "numpy" backend)
-    # ------------------------------------------------------------------ #
-    def _cell_map(self, cycles: int):
-        """Cached (cell names, source-cycle array, chain array, zero cells).
+    def _chain_taps(self) -> list[tuple[int, ...]]:
+        """Per chain, the PRPG stages whose XOR drives its scan-in.
 
-        Maps every scan cell to the phase-shifter (cycle, chain) coordinate
-        its loaded value comes from; cells deeper than the shift window fall
-        off the end and always load 0.
+        Through a space expander a chain XORs several phase-shifter channels,
+        so its taps are the symmetric difference of theirs.
         """
-        cached = self._cell_maps.get(cycles)
-        if cached is None:
-            names: list[str] = []
-            sources: list[int] = []
-            chains: list[int] = []
-            zero_cells: list[str] = []
-            for chain_index, chain in enumerate(self.chains):
-                for position, cell in enumerate(chain.cells):
-                    source_cycle = cycles - 1 - position
-                    if source_cycle < 0:
-                        zero_cells.append(cell)
-                    else:
-                        names.append(cell)
-                        sources.append(source_cycle)
-                        chains.append(chain_index)
-            cached = (
-                names,
-                _np.array(sources, dtype=_np.intp),
-                _np.array(chains, dtype=_np.intp),
-                zero_cells,
-            )
-            self._cell_maps[cycles] = cached
-        return cached
-
-    def _channel_bit_matrix(self, total_cycles: int):
-        """Phase-shifter output bits for ``total_cycles`` consecutive shift
-        cycles as a ``(total_cycles, chain_count)`` uint8 matrix; the PRPG
-        advances by exactly ``total_cycles`` steps.
-
-        Stage i after n steps is output-stream bit n + i, so draining the
-        stream once turns every phase-shifter tap XOR into a slice XOR over
-        the unpacked stream bits.
-        """
-        lfsr = self.prpg.lfsr
-        length = lfsr.length
-        drained = lfsr.drain_output_word(total_cycles)
-        stream_word = drained | (lfsr.state << total_cycles)
-        stream = _np.unpackbits(
-            _np.frombuffer(
-                stream_word.to_bytes((total_cycles + length + 7) // 8, "little"),
-                dtype=_np.uint8,
-            ),
-            bitorder="little",
-        )[: total_cycles + length]
-        channels = _np.empty((total_cycles, self.chain_count), dtype=_np.uint8)
-        # Channel c at 0-based cycle g reads the state after g + 1 steps:
-        # XOR of stream[g + 1 + tap] over its taps.
-        for channel, taps in enumerate(self.phase_shifter.channel_taps):
-            first = taps[0] + 1
-            acc = stream[first : first + total_cycles].copy()
-            for tap in taps[1:]:
-                acc ^= stream[tap + 1 : tap + 1 + total_cycles]
-            channels[:, channel] = acc
-        return channels
-
-    def _generate_packed_load_numpy(
-        self, num_patterns: int, cycles: int
-    ) -> dict[str, int]:
-        """ndarray bit-plane form of :meth:`generate_packed_load`."""
-        channels = self._channel_bit_matrix(num_patterns * cycles)
-        names, source_cycles, chain_indices, zero_cells = self._cell_map(cycles)
-        words = {cell: 0 for cell in zero_cells}
-        if names:
-            per_pattern = channels.reshape(num_patterns, cycles, self.chain_count)
-            bits = per_pattern[:, source_cycles, chain_indices]
-            packed = _np.packbits(bits, axis=0, bitorder="little").T
-            row_bytes = packed.tobytes()
-            stride = packed.shape[1]
-            for index, cell in enumerate(names):
-                words[cell] = int.from_bytes(
-                    row_bytes[index * stride : (index + 1) * stride], "little"
-                )
-        return words
+        masks = [
+            functools.reduce(operator.xor, (1 << tap for tap in taps), 0)
+            for taps in self.phase_shifter.channel_taps
+        ]
+        if self.expander is not None:
+            if len(masks) < self.expander.num_inputs:
+                raise ValueError("not enough input bits")
+            masks = [
+                functools.reduce(operator.xor, (masks[k] for k in taps), 0)
+                for taps in self.expander.output_taps
+            ]
+        return [
+            tuple(stage for stage in range(self.prpg.length) if (mask >> stage) & 1)
+            for mask in masks
+        ]
 
     # ------------------------------------------------------------------ #
     # Response compaction (unload window emulation)
@@ -446,53 +377,54 @@ class StumpsArchitecture:
         return [self.generate_pattern() for _ in range(count)]
 
     def generate_packed_blocks(
-        self,
-        count: int,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str = PYTHON_BACKEND,
+        self, count: int, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> Iterator[PatternBlock]:
         """Stream ``count`` scan-load patterns as packed blocks.
 
-        Steps every domain's PRPG/phase shifter directly into packed per-cell
-        words (bit *i* of a word = the value loaded in pattern *i*) without
-        ever building per-pattern dicts, and yields
-        :class:`~repro.simulation.packed.PatternBlock` instances of at most
-        ``block_size`` patterns.  Pattern-for-pattern identical to
-        :meth:`generate_patterns` from the same PRPG state -- the streamed and
-        list forms are interchangeable.  ``backend="numpy"`` selects the
-        ndarray bit-plane generation path per domain (byte-identical blocks,
-        identical PRPG walk; see :meth:`StumpsDomain.generate_packed_load`).
+        Yields :class:`~repro.simulation.packed.PatternBlock` instances of at
+        most ``block_size`` patterns (bit *i* of a word = the value loaded in
+        pattern *i*), pattern for pattern what :meth:`generate_patterns`
+        returns from the same PRPG state, without a per-pattern dict.  One
+        path serves both simulation backends: every domain's words come from
+        :meth:`StumpsDomain.generate_packed_load`, computed for a chunk of
+        whole blocks (``_CHUNK_PATTERNS`` patterns, at least one block) and
+        sliced block by block with a shift and a mask.  So the PRPGs advance
+        a whole chunk at once, when its first block is drawn; a drained
+        generator leaves them where :meth:`generate_patterns` would.
         """
         if block_size <= 0:
             raise ValueError("block_size must be positive")
-        resolve_backend(backend)
-        remaining = count
-        while remaining > 0:
-            num = min(block_size, remaining)
-            assignments: dict[str, int] = {}
-            for domain in self.domains.values():
-                assignments.update(domain.generate_packed_load(num, backend=backend))
-            yield PatternBlock(assignments, num)
-            remaining -= num
+        chunk = max(1, _CHUNK_PATTERNS // block_size) * block_size
+        for start in range(0, count, chunk):
+            num = min(chunk, count - start)
+            loads = [
+                domain.generate_packed_load(num) for domain in self.domains.values()
+            ]
+            for offset in range(0, num, block_size):
+                width = min(block_size, num - offset)
+                mask = (1 << width) - 1
+                yield PatternBlock(
+                    {
+                        cell: (word >> offset) & mask
+                        for load in loads
+                        for cell, word in load.items()
+                    },
+                    width,
+                )
 
     def packed_session(
-        self,
-        count: int,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        backend: str = PYTHON_BACKEND,
+        self, count: int, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> Iterator[tuple[int, PatternBlock]]:
         """Stream a whole BIST session as ``(global pattern offset, block)`` pairs.
 
-        The sharded campaign path consumes this form: the offsets make every
-        block self-describing, so blocks can be partitioned across pattern
-        shards while first-detection indices stay globally meaningful.
-        Pattern-for-pattern identical to :meth:`generate_packed_blocks` (it
-        is the same PRPG walk, merely enumerated).
+        The campaign's session stage consumes this form: the offsets make
+        every block self-describing, so first-detection indices stay
+        globally meaningful wherever a block is scanned.  It is
+        :meth:`generate_packed_blocks` enumerated: the same bit-sliced PRPG
+        walk, advancing a chunk of blocks at a time.
         """
         offset = 0
-        for block in self.generate_packed_blocks(
-            count, block_size=block_size, backend=backend
-        ):
+        for block in self.generate_packed_blocks(count, block_size=block_size):
             yield offset, block
             offset += block.num_patterns
 

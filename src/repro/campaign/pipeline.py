@@ -348,9 +348,7 @@ class BuildStumpsStage:
         credit_chain_flush(core, fault_list)
         offset_blocks = tuple(
             stumps.packed_session(
-                config.random_patterns,
-                block_size=config.block_size,
-                backend=config.sim_backend,
+                config.random_patterns, block_size=config.block_size
             )
         )
         positions, faults = undetected_of_kind(fault_list, StuckAtFault)
@@ -765,9 +763,9 @@ class TransitionPrepStage:
     """Phase 6 preparation: packed launch blocks + derived capture blocks.
 
     The launch blocks stream straight from the reset PRPG
-    (``generate_packed_blocks`` on the scenario's backend, pattern for
-    pattern what ``generate_patterns`` loads) and each capture block is
-    derived from its launch block in place
+    (``generate_packed_blocks``, the one bit-sliced PRPG path of both
+    backends, pattern for pattern what ``generate_patterns`` loads) and
+    each capture block is derived from its launch block in place
     (:func:`~repro.faults.transition_sim.derive_pair_blocks`), so no
     per-pattern dict is built.  This is the serial half of the transition
     measurement; as a pooled stage it overlaps everything else in the
@@ -784,9 +782,7 @@ class TransitionPrepStage:
         pair_blocks = derive_pair_blocks(
             circuit,
             stumps.generate_packed_blocks(
-                config.transition_patterns,
-                block_size=config.block_size,
-                backend=config.sim_backend,
+                config.transition_patterns, block_size=config.block_size
             ),
             inputs.capture_schedule.pulse_order,
         )

@@ -212,9 +212,9 @@ class LogicBistConfig:
     #: on fault-simulation campaigns, results bit-identical; requires the
     #: optional NumPy dependency, ``pip install "repro[fast]"``, and raises
     #: a clear error when it is absent).  Applies to the TPI profiling
-    #: simulation, the random-pattern phase (streamed pattern generation
-    #: included), the transition-coverage measurement and -- via the shard
-    #: payloads -- every campaign worker.
+    #: simulation, the random-pattern phase, the transition-coverage
+    #: measurement and -- via the shard payloads -- every campaign worker;
+    #: pattern generation is one bit-sliced path on either backend.
     sim_backend: str = "python"
     #: Peak fault-scan memory budget in MB for the ``"numpy"`` backend (None
     #: = unbounded, the historical behavior).  The vectorised PPSFP scan

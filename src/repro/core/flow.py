@@ -151,9 +151,7 @@ def insert_test_points(
     else:
         blocks = list(
             build_stumps(core, config).generate_packed_blocks(
-                config.tpi_profile_patterns,
-                block_size=config.block_size,
-                backend=config.sim_backend,
+                config.tpi_profile_patterns, block_size=config.block_size
             )
         )
         fault_list = fresh_fault_list(core.circuit)

@@ -11,11 +11,21 @@ Three families of properties:
   output satisfies the polynomial's linear recurrence, and one period of it
   has the m-sequence balance and shift-and-add properties.
 * **Streamed generation** -- ``StumpsArchitecture.generate_packed_blocks``
-  reproduces ``generate_patterns`` exactly, pattern for pattern, for every
-  block size, and the MISRs are unaffected (linearity sanity checks included).
+  (the bit-sliced generator both backends use) reproduces the per-cycle
+  stepping of ``generate_patterns`` exactly, pattern for pattern, and leaves
+  every PRPG in the same state: a Hypothesis property over PRPG lengths,
+  phase shifter and space expander on or off, uneven chains, shift windows
+  below, at and above the longest chain, and pattern counts around powers
+  of two in blocks of 1 to 1024.  A pickled architecture (also one carrying
+  the deleted generator's cell-map cache) loads and generates identically,
+  and the MISRs are unaffected (linearity sanity checks included).
 """
 
+import pickle
+from multiprocessing.reduction import ForkingPickler
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bist import (
     FibonacciLfsr,
@@ -29,8 +39,9 @@ from repro.bist.polynomials import (
     polynomial_taps,
     primitive_polynomial,
 )
+from repro.bist.stumps import _CHUNK_PATTERNS
 from repro.netlist import CircuitBuilder
-from repro.scan import build_scan_chains
+from repro.scan import ScanChain, ScanChainArchitecture, build_scan_chains
 
 FAST_WIDTHS = tuple(range(2, 14))
 SLOW_WIDTHS = tuple(range(14, 21))
@@ -199,3 +210,128 @@ class TestStreamedGeneration:
         second_b = stumps_b.generate_patterns(10)
         assert first_b == first_a
         assert second_b == second_a
+
+    def test_session_across_chunks(self):
+        """A session longer than two generator passes, in blocks that do
+        not divide a pass, still equals stepping."""
+        count = 2 * _CHUNK_PATTERNS + 3
+        stepped = self.make_stumps()
+        sliced = self.make_stumps()
+        expected = stepped.generate_patterns(count)
+        blocks = list(sliced.generate_packed_blocks(count, block_size=1000))
+        assert [p for block in blocks for p in block.patterns()] == expected
+        assert _prpg_states(sliced) == _prpg_states(stepped)
+
+    def test_list_packed_list_continues_one_walk(self):
+        """``generate_pattern``, drained generators, then ``generate_pattern``
+        again walk the PRPGs exactly as stepping throughout does."""
+        stepped = self.make_stumps(expander=True)
+        mixed = self.make_stumps(expander=True)
+        expected = stepped.generate_patterns(1 + 9 + 5 + 1)
+        actual = [mixed.generate_pattern()]
+        for count in (9, 5):
+            actual += [
+                pattern
+                for block in mixed.generate_packed_blocks(count, block_size=4)
+                for pattern in block.patterns()
+            ]
+        actual.append(mixed.generate_pattern())
+        assert actual == expected
+
+    def test_pickle_from_older_code_loads_and_generates(self):
+        """An architecture pickled with the per-window cell-map cache of the
+        deleted ndarray generator loads, drops it, and generates the same
+        session as a fresh one."""
+        old = self.make_stumps()
+        for domain in old.domains.values():
+            cells = domain.cells()
+            domain._cell_maps = {domain.max_chain_length: (cells, [0], [0], [])}
+        loaded = pickle.loads(pickle.dumps(old))
+        assert not any(hasattr(d, "_cell_maps") for d in loaded.domains.values())
+        fresh = self.make_stumps()
+        assert [b.assignments for b in loaded.generate_packed_blocks(70, 32)] == [
+            b.assignments for b in fresh.generate_packed_blocks(70, 32)
+        ]
+
+    def test_session_leaves_no_cache_on_the_instance(self):
+        """Generating grows nothing that a pooled stage would pickle: the
+        dispatch payload is the size it was before, and smaller than with
+        the deleted generator's (even empty) cell-map cache."""
+        stumps = self.make_stumps()
+        before = len(ForkingPickler.dumps(stumps))
+        for _block in stumps.generate_packed_blocks(300, block_size=64):
+            pass
+        stumps.reset()  # the same PRPG states as before, so the same ints
+        assert len(ForkingPickler.dumps(stumps)) == before
+        for domain in stumps.domains.values():
+            domain._cell_maps = {}
+        assert before < len(ForkingPickler.dumps(stumps))
+
+
+#: PRPG lengths the property draws (every tabulated width up to 32).
+PROPERTY_WIDTHS = sorted(width for width in PRIMITIVE_POLYNOMIALS if 2 <= width <= 32)
+
+
+@st.composite
+def stumps_sessions(draw):
+    """An architecture of one or two domains with uneven chains, its STUMPS
+    configs, a shift window relative to the longest chain, a pattern count
+    around a power of two and a block size."""
+    width = draw(st.sampled_from(PROPERTY_WIDTHS))
+    chains, configs = [], []
+    for index in range(draw(st.integers(1, 2))):
+        domain = f"clk{index}"
+        lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=4))
+        for number, length in enumerate(lengths):
+            cells = [f"{domain}_c{number}_{position}" for position in range(length)]
+            chains.append(ScanChain(f"{domain}_chain{number}", domain, cells))
+        expander = draw(st.none() | st.integers(1, len(lengths)))
+        configs.append(
+            StumpsDomainConfig(
+                domain=domain,
+                prpg_length=width,
+                prpg_seed=draw(st.integers(1, (1 << width) - 1)),
+                use_phase_shifter=draw(st.booleans()),
+                phase_shifter_seed=draw(st.integers(0, 50)),
+                expander_inputs=expander,
+            )
+        )
+    window = draw(st.sampled_from(("below", "at", "above")))
+    power = 1 << draw(st.integers(1, 12))
+    count = draw(st.sampled_from((0, 1, power - 1, power, power + 1)))
+    block_size = draw(st.sampled_from((1, 7, 64, 1024)))
+    return ScanChainArchitecture(chains), configs, window, count, block_size
+
+
+def _prpg_states(stumps):
+    return [domain.prpg.state for domain in stumps.domains.values()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(stumps_sessions())
+def test_bit_sliced_generation_equals_stepping(session):
+    """Packed words equal the per-cycle stepping reference, and the PRPGs
+    end in the same state.  At the longest chain this is the whole
+    architecture in blocks; below and above it, each domain's packed load
+    for that window against ``generate_load`` with the same window."""
+    architecture, configs, window, count, block_size = session
+    stepped = StumpsArchitecture(architecture, configs)
+    sliced = StumpsArchitecture(architecture, configs)
+    if window == "at":
+        expected = stepped.generate_patterns(count)
+        blocks = list(sliced.generate_packed_blocks(count, block_size=block_size))
+        assert [block.num_patterns for block in blocks] == [
+            min(block_size, count - start) for start in range(0, count, block_size)
+        ]
+        assert [p for block in blocks for p in block.patterns()] == expected
+    else:
+        for name, domain in sliced.domains.items():
+            reference = stepped.domains[name]
+            cycles = max(0, domain.max_chain_length + (-1 if window == "below" else 2))
+            expected = [reference.generate_load(cycles) for _ in range(count)]
+            words = domain.generate_packed_load(count, cycles)
+            assert [
+                {cell: (word >> j) & 1 for cell, word in words.items()}
+                for j in range(count)
+            ] == expected
+    assert _prpg_states(sliced) == _prpg_states(stepped)

@@ -189,6 +189,15 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.sharding", None, "contiguous_shards"),
         ("repro.timing.skew_analysis", "MonteCarloSummary", "absorb"),
         ("repro.core.flow", None, "expand_leading_patterns"),
+        ("repro.bist.stumps", "StumpsDomain", "_cell_map"),
+        ("repro.bist.stumps", "StumpsDomain", "_cell_maps"),
+        ("repro.bist.stumps", "StumpsDomain", "_channel_bit_matrix"),
+        ("repro.bist.stumps", "StumpsDomain", "_generate_packed_load_numpy"),
+        ("repro.bist.lfsr", None, "_LfsrBase"),
+        ("repro.bist.lfsr", "FibonacciLfsr", "drain_output_word"),
+        ("repro.bist.lfsr", "Prpg", "next_state_int"),
+        ("repro.bist.phase_shifter", "PhaseShifter", "outputs_word"),
+        ("repro.bist.phase_shifter", "PhaseShifter", "_tap_masks"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
@@ -206,8 +215,10 @@ def test_engine_selector_is_gone(module, owner, name):
 
 def test_deleted_parameters_are_gone():
     """The X check is the structural walk alone and the PRPG is Fibonacci
-    alone: neither takes a parameter that picks a second path."""
+    alone, and one bit-sliced generator serves both backends: none takes a
+    parameter that picks a second path."""
     from repro.bist.lfsr import Prpg
+    from repro.bist.stumps import StumpsArchitecture, StumpsDomain
     from repro.campaign.pipeline import scenario_stage_nodes, shard_stage_nodes
     from repro.campaign.runner import CampaignRunner
     from repro.core.flow import fresh_fault_list
@@ -216,6 +227,12 @@ def test_deleted_parameters_are_gone():
 
     assert "structural" not in inspect.signature(x_contaminated_observation_nets).parameters
     assert "galois" not in inspect.signature(Prpg).parameters
+    for method in (
+        StumpsDomain.generate_packed_load,
+        StumpsArchitecture.generate_packed_blocks,
+        StumpsArchitecture.packed_session,
+    ):
+        assert "backend" not in inspect.signature(method).parameters
     for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
         assert "pattern_shards" not in inspect.signature(owner).parameters
     assert "config" not in inspect.signature(fresh_fault_list).parameters
