@@ -189,7 +189,9 @@ class Prpg:
     In a STUMPS architecture one PRPG feeds many scan chains in parallel; the
     value presented to chain *c* in a shift cycle is (after the phase shifter)
     a XOR of PRPG stages.  This wrapper advances the LFSR once per shift cycle
-    and hands the full state to the phase shifter.
+    and hands the full state to the phase shifter; the packed generator
+    advances :attr:`lfsr` many patterns at once through
+    :meth:`FibonacciLfsr.sliced_stream`.
     """
 
     def __init__(
