@@ -1,10 +1,18 @@
-"""Equivalence suite for the vectorised MISR fold of the numpy backend.
+"""Equivalence suite for the streamed BIST data-path emulation.
 
-``StumpsDomain.fold_responses(backend="numpy")`` must reproduce the scalar
-unload emulation bit for bit, with and without a space compactor, including
-through the campaign's signature stage.  Pattern generation has no numpy
-form: one bit-sliced generator serves both backends, and its property test
-against the per-cycle stepping reference lives in ``test_lfsr_properties.py``.
+* **Pattern streaming** -- pattern generation has no numpy form: one
+  bit-sliced generator serves both backends.  Its LFSR primitive,
+  ``FibonacciLfsr.sliced_stream``, must equal stepping bit for bit, and
+  ``StumpsArchitecture.generate_packed_blocks`` must equal the per-cycle
+  stepping reference ``generate_patterns`` on a multi-domain synthetic core
+  for widths {64, 256, 1024} with partial trailing blocks, two PRPG
+  polynomials and the identity phase shifter, walking the PRPGs through the
+  identical state sequence (so stepped and sliced generation interleave).
+  The Hypothesis property over random geometries lives in
+  ``test_lfsr_properties.py``.
+* **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
+  reproduce the scalar unload emulation bit for bit, with and without a
+  space compactor, including through the campaign's signature stage.
 """
 
 import random
@@ -12,6 +20,7 @@ import random
 import pytest
 
 from repro.bist import StumpsArchitecture
+from repro.bist.lfsr import FibonacciLfsr
 from repro.bist.stumps import StumpsDomainConfig
 from repro.campaign.pipeline import SignatureInput, SignatureStage
 from repro.core import LogicBistConfig
@@ -21,7 +30,7 @@ from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks, shared_kernel
 from repro.timing import CaptureWindowScheduler
 
-pytestmark = pytest.mark.numpy
+WIDTHS = (64, 256, 1024)
 
 
 def make_architecture(seed: int, domains: int = 3, total_chains: int = 6):
@@ -55,6 +64,94 @@ def domain_configs(architecture, **overrides):
     ]
 
 
+def prpg_states(stumps):
+    return {name: domain.prpg.state for name, domain in stumps.domains.items()}
+
+
+class TestLfsrDrain:
+    @pytest.mark.parametrize("length", (5, 14, 19, 23))
+    @pytest.mark.parametrize("count", (0, 1, 63, 64, 200, 1337))
+    def test_fibonacci_chunked_drain_matches_stepping(self, length, count):
+        """``sliced_stream`` with stride 1 drains ``count`` output bits at
+        once: column *r* is the stream from bit *r* on, and the register
+        ends where ``count`` steps leave it."""
+        seed = 0x5A5A5A % ((1 << length) - 1) + 1
+        depth = length + 3
+        chunked = FibonacciLfsr(length, seed=seed)
+        stepped = FibonacciLfsr(length, seed=seed)
+        columns = chunked.sliced_stream(count, 1, depth)
+        stream = stepped.run(count)
+        final_state = stepped.state
+        stream += stepped.run(depth)
+        expected = [
+            sum(bit << j for j, bit in enumerate(stream[r : r + count]))
+            for r in range(depth)
+        ]
+        assert columns == expected
+        assert chunked.state == final_state
+
+
+class TestStreamedBlocks:
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("prpg_length", (19, 12))
+    def test_blocks_byte_identical_and_prpg_state_continues(self, width, prpg_length):
+        _, architecture = make_architecture(9)
+        reference = StumpsArchitecture(
+            architecture, domain_configs(architecture, prpg_length=prpg_length)
+        )
+        sliced = StumpsArchitecture(
+            architecture, domain_configs(architecture, prpg_length=prpg_length)
+        )
+        count = 2 * width + 17  # forces a partial trailing block
+        expected = reference.generate_patterns(count)
+        blocks = list(sliced.generate_packed_blocks(count, block_size=width))
+        assert [block.num_patterns for block in blocks] == [width, width, 17]
+        assert [p for block in blocks for p in block.patterns()] == expected
+        assert prpg_states(sliced) == prpg_states(reference)
+
+    def test_backends_interleave_mid_session(self):
+        """Stepped patterns, then sliced blocks, then stepped patterns again
+        continue one PRPG walk."""
+        _, architecture = make_architecture(5)
+        serial = StumpsArchitecture(architecture, domain_configs(architecture))
+        mixed = StumpsArchitecture(architecture, domain_configs(architecture))
+        expected = serial.generate_patterns(64 + 128 + 10)
+        actual = mixed.generate_patterns(64)
+        actual += [
+            pattern
+            for block in mixed.generate_packed_blocks(128, block_size=64)
+            for pattern in block.patterns()
+        ]
+        actual += mixed.generate_patterns(10)
+        assert actual == expected
+        assert prpg_states(mixed) == prpg_states(serial)
+
+    def test_identity_phase_shifter(self):
+        _, architecture = make_architecture(7)
+        reference = StumpsArchitecture(
+            architecture, domain_configs(architecture, use_phase_shifter=False)
+        )
+        sliced = StumpsArchitecture(
+            architecture, domain_configs(architecture, use_phase_shifter=False)
+        )
+        expected = reference.generate_patterns(100)
+        blocks = list(sliced.generate_packed_blocks(100, block_size=64))
+        assert [p for block in blocks for p in block.patterns()] == expected
+        assert prpg_states(sliced) == prpg_states(reference)
+
+    def test_matches_per_pattern_generation(self):
+        """One block wider than the session equals the per-pattern dicts."""
+        _, architecture = make_architecture(3)
+        listy = StumpsArchitecture(architecture, domain_configs(architecture))
+        sliced = StumpsArchitecture(architecture, domain_configs(architecture))
+        patterns = listy.generate_patterns(70)
+        (block,) = list(sliced.generate_packed_blocks(70, block_size=128))
+        for index, pattern in enumerate(patterns):
+            for cell, value in pattern.items():
+                assert (block.assignments.get(cell, 0) >> index) & 1 == value
+
+
+@pytest.mark.numpy
 class TestVectorisedMisrFold:
     def _responses(self, circuit, count, seed):
         rng = random.Random(seed)
