@@ -75,9 +75,9 @@ def test_table1_full_flow(benchmark, recipe_factory):
         f"Shape checks -- {recipe.name}",
         [{"check": name, "ok": passed} for name, passed in checks.items()],
     )
-    benchmark.extra_info["fault_coverage_random"] = result.fault_coverage_random
-    benchmark.extra_info["fault_coverage_final"] = result.fault_coverage_final
-    benchmark.extra_info["top_up_patterns"] = result.top_up_pattern_count
+    benchmark.extra_info["fault_coverage_random"] = result.coverage_random
+    benchmark.extra_info["fault_coverage_final"] = result.coverage
+    benchmark.extra_info["top_up_patterns"] = result.topup_pattern_count
 
     # Qualitative agreement with the paper (see module docstring).  The
     # "final_coverage_high" check is reported in the table above but not

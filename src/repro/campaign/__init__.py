@@ -23,7 +23,7 @@ Public API:
   stage graph, run by two schedulers that differ only in their executor:
   the deterministic in-process
   :class:`~repro.campaign.scheduler.SerialScheduler` (the oracle; the
-  serial :class:`~repro.core.flow.LogicBistFlow` walk) and the
+  one-scenario campaign :class:`~repro.core.flow.LogicBistFlow` runs on) and the
   :class:`~repro.campaign.scheduler.PooledScheduler`, whose non-local
   stages run on a resilient worker pool.
 

@@ -11,11 +11,12 @@ task object, each data hand-off a declared dependency, and
 
 Two properties carry the whole design:
 
-* **One code path.**  Every stage body calls the same module-level flow
-  helpers (:func:`~repro.core.flow.insert_test_points`,
-  :func:`~repro.core.flow.derive_signature_responses`, ...) the serial flow
-  always used, so the serial walk *is* the oracle and the pooled schedule
-  cannot drift from it.
+* **One code path.**  Every stage body calls the same module-level
+  structure helpers (:func:`~repro.core.bist_ready.insert_test_points`,
+  :func:`~repro.core.bist_ready.derive_signature_responses`, ...), and the
+  flow (:class:`~repro.core.flow.LogicBistFlow`) is a one-scenario campaign
+  over this graph, so the serial walk *is* the oracle and the pooled
+  schedule cannot drift from it.
 * **Fan out only where it pays.**  The two fault scans (stuck-at and
   transition) and the speculative top-up PODEM are the only phases that
   fan out: once a scenario's fault list and pattern blocks exist, one
@@ -51,9 +52,8 @@ from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
 from ..bist.input_selector import InputSelector, InputSource
 from ..bist.stumps import StumpsArchitecture, StumpsDomain
-from ..core.bist_ready import BistReadyCore, prepare_scan_core
-from ..core.config import LogicBistConfig
-from ..core.flow import (
+from ..core.bist_ready import (
+    BistReadyCore,
     build_clock_tree,
     build_shift_path_parameters,
     build_stumps,
@@ -61,7 +61,9 @@ from ..core.flow import (
     derive_signature_responses,
     fresh_fault_list,
     insert_test_points,
+    prepare_scan_core,
 )
+from ..core.config import LogicBistConfig
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
 from ..faults.models import StuckAtFault, TransitionFault
@@ -986,33 +988,26 @@ def scenario_stage_nodes(
     scenario_name: Optional[str] = None,
     fault_shards: int = 1,
     num_workers: int = 1,
-    include_topup: bool = False,
-    include_transition: Optional[bool] = None,
-    include_skew: Optional[bool] = None,
-    include_report: bool = False,
 ) -> tuple[list[StageNode], dict[str, str]]:
     """Wire one (core, config) scenario into stage-graph nodes.
 
+    The graph follows the config alone: the top-up stages come from
+    ``campaign_topup``, the transition stages from
+    ``measure_transition_coverage``, the skew stage from ``skew_trials > 0``,
+    and the report stage is always built.
+
     Returns ``(nodes, artifacts)`` where ``artifacts`` maps logical names
     (``"core"``, ``"tpi"``, ``"bundle"``, ``"fault_sim"``, ``"signatures"``,
-    and, when included, ``"topup"`` / ``"transition"`` / ``"skew"`` /
-    ``"report"``, plus each trim stage's ``"*_input"``) to the node keys
-    whose values a finished
+    ``"report"``, and, when the config asks for them, ``"topup"`` /
+    ``"transition"`` / ``"skew"``, plus each trim stage's ``"*_input"``) to
+    the node keys whose values a finished
     :class:`~repro.campaign.scheduler.PipelineRun` holds.  Many scenarios'
     node lists concatenate into one multi-scenario DAG; ``scenario_key`` must
     be unique within the DAG.
-
-    ``include_transition`` / ``include_skew`` default to the scenario
-    config's own measurement requests (``measure_transition_coverage`` /
-    ``skew_trials > 0``): a config asking for an at-speed measurement gets
-    the stages without every caller having to re-plumb the flags -- the
-    campaign runner dropped ``measure_transition_coverage`` silently for
-    exactly that reason.  Pass an explicit bool to override either way.
     """
-    if include_transition is None:
-        include_transition = config.measure_transition_coverage
-    if include_skew is None:
-        include_skew = config.skew_trials > 0
+    include_topup = config.campaign_topup
+    include_transition = config.measure_transition_coverage
+    include_skew = config.skew_trials > 0
     name = scenario_name or circuit.name
     keys = {
         "core": f"{scenario_key}/core",
@@ -1115,21 +1110,20 @@ def scenario_stage_nodes(
             category=CATEGORY_SIM,
             local=False,
         )
-    if include_report:
-        extras = {
-            "topup": include_topup,
-            "transition": include_transition,
-            "skew": include_skew,
-        }
-        task = ReportStage(
-            name=name,
-            core_name=circuit.name,
-            num_workers=num_workers,
-            has_topup=include_topup,
-            has_transition=include_transition,
-            has_skew=include_skew,
-        )
-        deps = ("bundle", "fault_sim", "signatures")
-        deps += tuple(extra for extra, included in extras.items() if included)
-        add("report", task, deps, PHASE_RANDOM)
+    extras = {
+        "topup": include_topup,
+        "transition": include_transition,
+        "skew": include_skew,
+    }
+    task = ReportStage(
+        name=name,
+        core_name=circuit.name,
+        num_workers=num_workers,
+        has_topup=include_topup,
+        has_transition=include_transition,
+        has_skew=include_skew,
+    )
+    deps = ("bundle", "fault_sim", "signatures")
+    deps += tuple(extra for extra, included in extras.items() if included)
+    add("report", task, deps, PHASE_RANDOM)
     return nodes, keys

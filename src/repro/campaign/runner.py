@@ -21,12 +21,14 @@ worker count, which is what makes the canonical report bytes
 asserts it across shard counts, block sizes, permuted shard assignments,
 worker counts and both execution backends).
 
-The runner is the one campaign driver: :meth:`CampaignRunner.run` is
+The runner is the one scenario driver: :meth:`CampaignRunner.run` is
 :meth:`~CampaignRunner.plan` (name checks, the stage graph),
 :meth:`~CampaignRunner.scheduler` and :meth:`~CampaignRunner.collect`
-(canonical failures, the :class:`~repro.campaign.results.CampaignResult`),
-and :class:`~repro.service.CampaignService` drives its jobs through the
-same three calls.
+(canonical failures, the :class:`~repro.campaign.results.CampaignResult`).
+:class:`~repro.service.CampaignService` drives its jobs through the same
+three calls, and so does :class:`~repro.core.flow.LogicBistFlow`: the flow
+is a one-scenario campaign with top-up on and degradation off, which also
+reads the BIST-ready structures out of the finished run.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ from .scheduler import make_scheduler
 class CampaignScenario:
     """One (core, config) pair of a campaign.
 
-    ``circuit`` is the raw IP-core netlist; the pipeline performs the same
-    BIST-ready preparation the flow does (scan insertion, test-point
-    insertion, per-domain STUMPS, chain-flush credit) before
-    fault-simulating the random-pattern session.
+    ``circuit`` is the raw IP-core netlist; the pipeline performs the
+    BIST-ready preparation (scan insertion, test-point insertion, per-domain
+    STUMPS, chain-flush credit) before fault-simulating the random-pattern
+    session.
     """
 
     name: str
@@ -215,8 +217,6 @@ class CampaignRunner:
                 scenario_name=scenario.name,
                 fault_shards=self.fault_shards,
                 num_workers=self.num_workers,
-                include_topup=scenario.config.campaign_topup,
-                include_report=True,
             )
             nodes.extend(scenario_nodes)
             artifact_keys[scenario.name] = keys

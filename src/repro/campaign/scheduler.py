@@ -8,9 +8,9 @@ non-local stages run on:
 
 * :class:`SerialScheduler` runs every stage on the in-process executor,
   which runs a stage the moment it is submitted.  The walk is deterministic
-  -- the serial :class:`~repro.core.flow.LogicBistFlow` *is* this scheduler
-  -- which keeps the serial flow the bit-exactness oracle of every pooled
-  run with one shared stage implementation.
+  -- :class:`~repro.core.flow.LogicBistFlow`, a one-scenario campaign, runs
+  on it -- which keeps the serial walk the bit-exactness oracle of every
+  pooled run with one shared stage implementation.
 * :class:`PooledScheduler` submits non-local stages to a resilient
   ``multiprocessing`` worker pool.  Every ready stage is submitted
   immediately, so stages of *different* scenarios overlap freely: scenario

@@ -237,8 +237,8 @@ class LogicBistConfig:
     #: fan out through the campaign pool (site-local keyed round-robin) and
     #: a deterministic screen/compact replay merges the cubes, so reported
     #: coverage and first detections include the top-up patterns and stay
-    #: byte-identical across worker counts.  The flow always runs top-up;
-    #: this knob only gates the campaign runner's scenarios.
+    #: byte-identical across worker counts.  The flow is a one-scenario
+    #: campaign with top-up on: it plans the caller's config with this set.
     campaign_topup: bool = False
 
     def __post_init__(self) -> None:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.atpg import TOPUP_PATTERN_BASE, PodemAtpg, TopUpAtpg
 from repro.cores.benchmarks import comparator_core
-from repro.core.flow import fresh_fault_list
+from repro.core.bist_ready import fresh_fault_list
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.oracle import run_topup_reference

@@ -156,9 +156,6 @@ class TestFlowTopUpIntegration:
         )
         result = LogicBistFlow(config).run(circuit, core_name="hard-core")
         assert result.topup is not None
-        assert result.top_up_pattern_count == result.topup.pattern_count
-        assert result.fault_coverage_final == pytest.approx(
-            result.topup.coverage_after
-        )
-        assert result.fault_coverage_final > result.fault_coverage_random
-        assert result.coverage_gain_from_topup > 0.0
+        assert result.topup_pattern_count == result.topup.pattern_count
+        assert result.coverage == pytest.approx(result.topup.coverage_after)
+        assert result.coverage > result.coverage_random

@@ -24,7 +24,7 @@ from repro.bist.lfsr import FibonacciLfsr
 from repro.bist.stumps import StumpsDomainConfig
 from repro.campaign.pipeline import SignatureInput, SignatureStage
 from repro.core import LogicBistConfig
-from repro.core.flow import build_clock_tree
+from repro.core.bist_ready import build_clock_tree
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks, shared_kernel

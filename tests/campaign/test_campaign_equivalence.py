@@ -401,15 +401,13 @@ class TestSignatureSharding:
             random_patterns=64,
             signature_patterns=12,
             topup_max_faults=0,
+            campaign_topup=True,
         )
         campaign = CampaignRunner(num_workers=1, fault_shards=3).run(
             [CampaignScenario("flow-parity", circuit, config)]
         )
-        flow_result = LogicBistFlow(config).run(circuit)
-        scenario = campaign["flow-parity"]
-        assert scenario.signatures == dict(sorted(flow_result.signatures.items()))
-        assert scenario.coverage == flow_result.fault_coverage_random
-        assert scenario.coverage_curve == flow_result.coverage_curve
+        flow_result = LogicBistFlow(config).run(circuit, core_name="flow-parity")
+        assert flow_result.report_bytes() == campaign["flow-parity"].report_bytes()
 
     def test_campaign_matches_flow_with_tpi_enabled(self):
         """TPI-enabled configs (the library default) get the flow's coverage.
@@ -427,16 +425,14 @@ class TestSignatureSharding:
             random_patterns=64,
             signature_patterns=12,
             topup_max_faults=0,
+            campaign_topup=True,
         )
         campaign = CampaignRunner(num_workers=1, fault_shards=3).run(
             [CampaignScenario("tpi-parity", circuit, config)]
         )
-        flow_result = LogicBistFlow(config).run(circuit)
-        scenario = campaign["tpi-parity"]
-        assert flow_result.test_point_count > 0  # TPI really fired
-        assert scenario.coverage == flow_result.fault_coverage_random
-        assert scenario.coverage_curve == flow_result.coverage_curve
-        assert scenario.signatures == dict(sorted(flow_result.signatures.items()))
+        flow_result = LogicBistFlow(config).run(circuit, core_name="tpi-parity")
+        assert flow_result.bist_ready.test_point_count > 0  # TPI really fired
+        assert flow_result.report_bytes() == campaign["tpi-parity"].report_bytes()
 
 
 class TestShardedTransitionSim:
@@ -479,19 +475,9 @@ class TestFlowIntegration:
             topup_backtrack_limit=60,
             campaign_topup=True,
         )
-        serial = LogicBistFlow(config).run(circuit)
+        serial = LogicBistFlow(config).run(circuit, core_name="flow")
         sharded = CampaignRunner(num_workers=2, fault_shards=4).run(
             [CampaignScenario("flow", circuit, config)]
         )["flow"]
-        assert sharded.coverage_random == serial.fault_coverage_random
-        assert sharded.coverage_curve == serial.coverage_curve
-        assert sharded.signatures == dict(sorted(serial.signatures.items()))
-        assert sharded.coverage == serial.fault_coverage_final
-        assert sharded.topup_pattern_count == serial.top_up_pattern_count
-        ref_list = serial.fault_list
-        got_list = sharded.fault_list
-        for fault in ref_list.faults():
-            assert (
-                got_list.record(fault).first_detection
-                == ref_list.record(fault).first_detection
-            ), str(fault)
+        assert serial.topup_pattern_count > 0  # top-up really generated
+        assert sharded.report_bytes() == serial.report_bytes()

@@ -73,31 +73,17 @@ def flow_fingerprint(result) -> tuple:
         for record in (result.fault_list.record(fault),)
     )
     topup = result.topup
-    transition = result.transition
     return (
-        sorted(result.signatures.items()),
-        result.coverage_curve,
-        result.fault_coverage_random,
-        result.fault_coverage_final,
-        result.test_point_count,
+        result.report_bytes(),
+        result.bist_ready.test_point_count,
         faults,
-        None
-        if topup is None
-        else (
+        (
             topup.attempted_faults,
             topup.successful_faults,
             topup.untestable_faults,
             topup.aborted_faults,
             topup.backtracks,
             repr(topup.patterns),
-        ),
-        None
-        if transition is None
-        else (
-            transition.coverage,
-            transition.detected,
-            transition.coverage_curve,
-            sorted(transition.first_detections.items()),
         ),
     )
 
@@ -144,7 +130,7 @@ class TestSharedKernelCache:
         )
         kernel_module.KERNEL_CACHE.clear()
         result_a = LogicBistFlow(flow_a).run(raw)
-        assert result_a.test_point_count > 0
+        assert result_a.bist_ready.test_point_count > 0
         after_a = flow_fingerprint(LogicBistFlow(flow_b).run(raw))
         kernel_module.KERNEL_CACHE.clear()
         cold = flow_fingerprint(LogicBistFlow(flow_b).run(raw))

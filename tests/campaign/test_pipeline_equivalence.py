@@ -90,37 +90,46 @@ def mixed_scenarios(sim_backend="python"):
     ]
 
 
+def flow_scenarios(scenarios):
+    """``scenarios`` as the flow plans them: top-up on, here with no
+    targets, so the flow and the campaign run the same stage graph."""
+    return [
+        CampaignScenario(
+            scenario.name,
+            scenario.circuit,
+            dataclasses.replace(
+                scenario.config, campaign_topup=True, topup_max_faults=0
+            ),
+        )
+        for scenario in scenarios
+    ]
+
+
 class TestPipelinedPreparationMatchesFlowOracle:
     """Serial stage walk == the serial flow, TPI preparation included."""
 
     def test_serial_pipeline_matches_flow_per_scenario(self):
-        scenarios = mixed_scenarios()
+        scenarios = flow_scenarios(mixed_scenarios())
         campaign = CampaignRunner(num_workers=1, fault_shards=3).run(scenarios)
         for scenario in scenarios:
-            flow_result = LogicBistFlow(
-                dataclasses.replace(scenario.config, topup_max_faults=0)
-            ).run(scenario.circuit)
-            got = campaign[scenario.name]
+            flow_result = LogicBistFlow(scenario.config).run(
+                scenario.circuit, core_name=scenario.name
+            )
             if scenario.config.tpi_method == "fault_sim":
-                assert flow_result.test_point_count > 0  # TPI really fired
-            assert got.coverage == flow_result.fault_coverage_random
-            assert got.coverage_curve == flow_result.coverage_curve
-            assert got.signatures == dict(sorted(flow_result.signatures.items()))
+                assert flow_result.bist_ready.test_point_count > 0  # TPI fired
+            assert flow_result.report_bytes() == campaign[scenario.name].report_bytes()
 
     @pytest.mark.numpy
     def test_numpy_serial_pipeline_matches_python_flow(self):
         """Backend rides every stage payload: numpy pipeline == python flow."""
-        scenarios = mixed_scenarios(sim_backend="numpy")
+        scenarios = flow_scenarios(mixed_scenarios(sim_backend="numpy"))
         campaign = CampaignRunner(num_workers=1, fault_shards=3).run(scenarios)
         for scenario in scenarios:
-            python_config = dataclasses.replace(
-                scenario.config, sim_backend="python", topup_max_faults=0
+            python_config = dataclasses.replace(scenario.config, sim_backend="python")
+            flow_result = LogicBistFlow(python_config).run(
+                scenario.circuit, core_name=scenario.name
             )
-            flow_result = LogicBistFlow(python_config).run(scenario.circuit)
-            got = campaign[scenario.name]
-            assert got.coverage == flow_result.fault_coverage_random
-            assert got.coverage_curve == flow_result.coverage_curve
-            assert got.signatures == dict(sorted(flow_result.signatures.items()))
+            assert flow_result.report_bytes() == campaign[scenario.name].report_bytes()
 
 
 @pytest.mark.multiprocess
@@ -165,23 +174,64 @@ class TestPipelinedReportBytesAcrossWorkers:
             topup_backtrack_limit=60,
             campaign_topup=True,
         )
-        serial = LogicBistFlow(config).run(circuit)
+        serial = LogicBistFlow(config).run(circuit, core_name="flow")
         pooled = CampaignRunner(num_workers=2).run(
             [CampaignScenario("flow", circuit, config)]
         )["flow"]
-        assert serial.test_point_count > 0  # TPI really fired
-        assert pooled.total_faults == serial.total_faults
-        assert pooled.coverage_random == serial.fault_coverage_random
-        assert pooled.coverage_curve == serial.coverage_curve
-        assert pooled.signatures == dict(sorted(serial.signatures.items()))
-        assert pooled.coverage == serial.fault_coverage_final
-        assert pooled.topup_pattern_count == serial.top_up_pattern_count
-        assert pooled.transition_coverage == serial.transition_coverage
-        for fault in serial.fault_list.faults():
-            assert (
-                pooled.fault_list.record(fault).first_detection
-                == serial.fault_list.record(fault).first_detection
-            ), str(fault)
+        assert serial.bist_ready.test_point_count > 0  # TPI really fired
+        assert b'"topup"' in serial.report_bytes()
+        assert b'"transition"' in serial.report_bytes()
+        assert pooled.report_bytes() == serial.report_bytes()
+
+
+def one_core_cases():
+    """Three generated cores, one of them with fault-sim TPI, the transition
+    measurement and the skew sweep all on."""
+    return [
+        (
+            "at-speed",
+            make_core(47),
+            tpi_heavy_config(
+                measure_transition_coverage=True,
+                transition_patterns=32,
+                skew_trials=24,
+                topup_backtrack_limit=40,
+            ),
+        ),
+        (
+            "observability",
+            make_core(48, domains=3),
+            tpi_heavy_config(tpi_method="observability", topup_backtrack_limit=40),
+        ),
+        (
+            "plain",
+            make_core(49, domains=1),
+            tpi_heavy_config(
+                tpi_method="none", observation_point_budget=0, topup_max_faults=8
+            ),
+        ),
+    ]
+
+
+class TestFlowIsOneScenarioCampaign:
+    """The flow's report is the campaign's for the same scenario, with
+    top-up on, at one worker and at two."""
+
+    @pytest.mark.parametrize(
+        "num_workers", (1, pytest.param(2, marks=pytest.mark.multiprocess))
+    )
+    def test_flow_report_bytes_equal_campaign(self, num_workers):
+        for name, circuit, config in one_core_cases():
+            flow_result = LogicBistFlow(config).run(circuit, core_name=name)
+            campaign = CampaignRunner(num_workers=num_workers).run(
+                [
+                    CampaignScenario(
+                        name, circuit, dataclasses.replace(config, campaign_topup=True)
+                    )
+                ]
+            )
+            assert flow_result.config == config
+            assert flow_result.report_bytes() == campaign[name].report_bytes(), name
 
 
 class TestCampaignTrace:

@@ -121,7 +121,6 @@ def flow_graph(key, fault_shards):
         at_speed_config(),
         scenario_name="flow",
         fault_shards=fault_shards,
-        include_topup=True,
     )
     return nodes
 
@@ -135,8 +134,6 @@ def campaign_graph(key, fault_shards):
             at_speed_config(),
             scenario_name=f"s{index}",
             fault_shards=fault_shards,
-            include_topup=True,
-            include_report=True,
         )
         nodes.extend(scenario_nodes)
     return nodes

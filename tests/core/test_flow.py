@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign.pipeline import TpiProfileStage
 from repro.core import (
     LogicBistConfig,
     LogicBistFlow,
@@ -9,6 +10,7 @@ from repro.core import (
     coverage_shape_checks,
     prepare_scan_core,
 )
+from repro.core.report import area_overhead_fraction
 from repro.cores import comparator_core, tiny_recipe
 from repro.faults import FaultStatus
 from repro.netlist import validate_circuit
@@ -57,19 +59,22 @@ class TestPrepareScanCore:
 class TestFlowResult:
     def test_structure_numbers(self, flow_result):
         result = flow_result
-        assert result.clock_domain_count == 2
+        table = build_table1_report(result).as_dict()
+        assert table["# of Clock Domains"] == 2
         # The paper's architectural rule: one PRPG/MISR pair per clock domain.
-        assert result.prpg_count == 2
-        assert result.misr_count == 2
-        assert result.scan_chain_count == result.bist_ready.architecture.chain_count
-        assert result.flop_count == result.bist_ready.circuit.flop_count()
-        assert result.gate_count > 0
-        assert result.max_chain_length > 0
+        assert table["# of PRPGs"] == 2
+        assert table["# of MISRs"] == 2
+        assert table["# of Scan Chains"] == result.bist_ready.architecture.chain_count
+        assert table["# of FFs"] == result.bist_ready.circuit.flop_count()
+        assert table["Gate Count"] > 0
+        assert table["Max. Chain Length"] > 0
 
     def test_observation_points_inserted(self, flow_result):
         result = flow_result
-        assert 0 < result.test_point_count <= 3
-        assert len(result.bist_ready.observation_flops) == result.test_point_count
+        assert 0 < result.bist_ready.test_point_count <= 3
+        assert build_table1_report(result).row("# of Test Points").measured == (
+            f"{result.bist_ready.test_point_count} (Obv-Only)"
+        )
         # The observation-point cells are real scan cells in the final chains.
         cells = {
             cell
@@ -80,14 +85,13 @@ class TestFlowResult:
 
     def test_coverage_shape(self, flow_result):
         result = flow_result
-        assert 0.3 < result.fault_coverage_random < 1.0
-        assert result.fault_coverage_final >= result.fault_coverage_random
-        assert result.coverage_gain_from_topup >= 0.0
+        assert 0.3 < result.coverage_random < 1.0
+        assert result.coverage >= result.coverage_random
         # Every remaining undetected fault was at least attempted by ATPG.
         remaining = result.fault_list.with_status(FaultStatus.UNDETECTED)
         assert remaining == []
         curve = result.coverage_curve
-        assert curve[-1][0] == result.random_pattern_count
+        assert curve[-1][0] == result.patterns_simulated == result.config.random_patterns
         assert all(b >= a for (_, a), (_, b) in zip(curve, curve[1:]))
 
     def test_topup_patterns_fully_specified(self, flow_result):
@@ -121,7 +125,10 @@ class TestFlowResult:
         assert report.only_fixable_violations
 
     def test_area_overhead_positive(self, flow_result):
-        assert flow_result.area_overhead_fraction > 0.0
+        assert area_overhead_fraction(flow_result) > 0.0
+        assert build_table1_report(flow_result).row("Overhead").measured == (
+            area_overhead_fraction(flow_result)
+        )
 
     def test_phase_timings_cover_flow(self, flow_result):
         names = [timing.name for timing in flow_result.phase_timings]
@@ -133,6 +140,23 @@ class TestFlowResult:
             "at_speed_analysis",
         ]
         assert flow_result.cpu_time_seconds >= sum(t.seconds for t in flow_result.phase_timings) * 0.5
+
+
+class TestFailFast:
+    def test_failing_stage_raises_from_run(self, monkeypatch):
+        """The flow needs every artifact, so a failing stage raises its own
+        error rather than degrading to a partial report."""
+
+        class ProfileFailed(RuntimeError):
+            pass
+
+        def fail(self, core):
+            raise ProfileFailed("profiling failed")
+
+        monkeypatch.setattr(TpiProfileStage, "run", fail)
+        circuit = comparator_core(width=8, easy_outputs=2)
+        with pytest.raises(ProfileFailed, match="profiling failed"):
+            LogicBistFlow(small_config(random_patterns=96)).run(circuit)
 
 
 class TestReporting:
@@ -165,14 +189,14 @@ class TestConfigurationVariants:
     def test_tpi_none_inserts_no_points(self):
         circuit = comparator_core(width=8, easy_outputs=2)
         result = LogicBistFlow(small_config(tpi_method="none", random_patterns=96)).run(circuit)
-        assert result.test_point_count == 0
+        assert result.bist_ready.test_point_count == 0
 
     def test_tpi_observability_baseline(self):
         circuit = comparator_core(width=8, easy_outputs=2)
         result = LogicBistFlow(
             small_config(tpi_method="observability", random_patterns=96)
         ).run(circuit)
-        assert result.test_point_count > 0
+        assert result.bist_ready.test_point_count > 0
 
     def test_unknown_tpi_method_rejected(self):
         """A misspelt method fails at construction, not in a retried stage."""
@@ -249,7 +273,7 @@ class TestConfigurationVariants:
                 tpi_method="none",
             )
         ).run(circuit)
-        for length in result.misr_lengths.values():
+        for length in result.stumps.misr_lengths().values():
             assert length <= 4
 
     def test_tiny_recipe_end_to_end(self):
@@ -265,5 +289,5 @@ class TestConfigurationVariants:
             topup_backtrack_limit=50,
         )
         result = LogicBistFlow(config).run(core.circuit, core_name=recipe.name)
-        assert result.fault_coverage_final > result.fault_coverage_random * 0.99
-        assert result.prpg_count == 2
+        assert result.coverage > result.coverage_random * 0.99
+        assert result.stumps.prpg_count() == 2

@@ -18,7 +18,7 @@ import pytest
 from repro.bist import StumpsArchitecture, StumpsDomainConfig
 from repro.campaign.pipeline import TransitionInput, TransitionPrepStage
 from repro.core import LogicBistConfig
-from repro.core.flow import build_clock_tree
+from repro.core.bist_ready import build_clock_tree
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
 from repro.oracle import derive_capture_patterns

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core import LogicBistConfig, LogicBistFlow
+from repro.core import LogicBistConfig, LogicBistFlow, build_table1_report
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "flow_golden.json"
@@ -117,22 +117,28 @@ def golden_cases() -> dict[str, tuple[SyntheticCoreConfig, LogicBistConfig]]:
 
 
 def run_case(core_config: SyntheticCoreConfig, config: LogicBistConfig) -> dict:
-    """Run the flow once and extract the pinned measurements."""
+    """Run the flow once and extract the pinned measurements.
+
+    The structure numbers come from the Table 1 report, the coverage
+    figures from the scenario fields; the keys keep the names the golden
+    file has always used.
+    """
     core = generate_synthetic_core(core_config)
     result = LogicBistFlow(config).run(core.circuit, core_name=core_config.name)
+    table = build_table1_report(result).as_dict()
     return {
-        "gate_count": result.gate_count,
-        "flop_count": result.flop_count,
-        "scan_chain_count": result.scan_chain_count,
-        "clock_domain_count": result.clock_domain_count,
-        "prpg_count": result.prpg_count,
-        "misr_count": result.misr_count,
-        "test_point_count": result.test_point_count,
+        "gate_count": table["Gate Count"],
+        "flop_count": table["# of FFs"],
+        "scan_chain_count": table["# of Scan Chains"],
+        "clock_domain_count": table["# of Clock Domains"],
+        "prpg_count": table["# of PRPGs"],
+        "misr_count": table["# of MISRs"],
+        "test_point_count": result.bist_ready.test_point_count,
         "total_faults": result.total_faults,
-        "random_pattern_count": result.random_pattern_count,
-        "fault_coverage_random": round(result.fault_coverage_random, FLOAT_DECIMALS),
-        "top_up_pattern_count": result.top_up_pattern_count,
-        "fault_coverage_final": round(result.fault_coverage_final, FLOAT_DECIMALS),
+        "random_pattern_count": result.patterns_simulated,
+        "fault_coverage_random": round(result.coverage_random, FLOAT_DECIMALS),
+        "top_up_pattern_count": result.topup_pattern_count,
+        "fault_coverage_final": round(result.coverage, FLOAT_DECIMALS),
         "signatures": {domain: sig for domain, sig in sorted(result.signatures.items())},
         "coverage_curve_tail": [
             [patterns, round(coverage, FLOAT_DECIMALS)]

@@ -47,8 +47,9 @@ class TestTpiComparisonIntegration:
         baseline = LogicBistFlow(
             LogicBistConfig(**base_config, tpi_method="observability")
         ).run(circuit)
-        assert guided.fault_coverage_random >= baseline.fault_coverage_random
-        assert guided.test_point_count <= 2 and baseline.test_point_count <= 2
+        assert guided.coverage_random >= baseline.coverage_random
+        assert guided.bist_ready.test_point_count <= 2
+        assert baseline.bist_ready.test_point_count <= 2
 
 
 class TestBistDataPathIntegration:
@@ -139,5 +140,5 @@ class TestScanPlusFlowConsistency:
         )
         prepared = prepare_scan_core(circuit, config)
         result = LogicBistFlow(config).run(circuit)
-        assert result.scan_chain_count == prepared.architecture.chain_count
-        assert result.flop_count == prepared.circuit.flop_count()
+        assert result.bist_ready.architecture.chain_count == prepared.architecture.chain_count
+        assert result.bist_ready.circuit.flop_count() == prepared.circuit.flop_count()

@@ -62,10 +62,10 @@ def test_numpy_backend_matches_golden(golden):
     core = generate_synthetic_core(core_config)
     result = LogicBistFlow(numpy_config).run(core.circuit, core_name=core_config.name)
     expected = golden["golden_beta"]
-    assert round(result.fault_coverage_random, 12) == expected["fault_coverage_random"]
-    assert round(result.fault_coverage_final, 12) == expected["fault_coverage_final"]
-    assert result.top_up_pattern_count == expected["top_up_pattern_count"]
-    assert result.test_point_count == expected["test_point_count"]
+    assert round(result.coverage_random, 12) == expected["fault_coverage_random"]
+    assert round(result.coverage, 12) == expected["fault_coverage_final"]
+    assert result.topup_pattern_count == expected["top_up_pattern_count"]
+    assert result.bist_ready.test_point_count == expected["test_point_count"]
     assert dict(sorted(result.signatures.items())) == expected["signatures"]
     assert result.total_faults == expected["total_faults"]
     assert [
@@ -87,9 +87,9 @@ def test_block_size_invariance_of_flow_results(golden):
     core = generate_synthetic_core(core_config)
     result = LogicBistFlow(wide_config).run(core.circuit, core_name=core_config.name)
     expected = golden["golden_beta"]
-    assert round(result.fault_coverage_random, 12) == expected["fault_coverage_random"]
-    assert round(result.fault_coverage_final, 12) == expected["fault_coverage_final"]
-    assert result.top_up_pattern_count == expected["top_up_pattern_count"]
-    assert result.test_point_count == expected["test_point_count"]
+    assert round(result.coverage_random, 12) == expected["fault_coverage_random"]
+    assert round(result.coverage, 12) == expected["fault_coverage_final"]
+    assert result.topup_pattern_count == expected["top_up_pattern_count"]
+    assert result.bist_ready.test_point_count == expected["test_point_count"]
     assert dict(sorted(result.signatures.items())) == expected["signatures"]
     assert result.total_faults == expected["total_faults"]

@@ -216,12 +216,16 @@ def test_engine_selector_is_gone(module, owner, name):
 def test_deleted_parameters_are_gone():
     """The X check is the structural walk alone and the PRPG is Fibonacci
     alone, and one bit-sliced generator serves both backends: none takes a
-    parameter that picks a second path."""
+    parameter that picks a second path.  A scenario's stage graph follows
+    its config alone, and the flow's result is a scenario report that keeps
+    no second name for a scenario field."""
     from repro.bist.lfsr import Prpg
     from repro.bist.stumps import StumpsArchitecture, StumpsDomain
     from repro.campaign.pipeline import scenario_stage_nodes, shard_stage_nodes
+    from repro.campaign.results import ScenarioResult
     from repro.campaign.runner import CampaignRunner
-    from repro.core.flow import fresh_fault_list
+    from repro.core.bist_ready import fresh_fault_list
+    from repro.core.flow import LogicBistResult
     from repro.scan.x_blocking import x_contaminated_observation_nets
     from repro.service import CampaignService
 
@@ -236,3 +240,27 @@ def test_deleted_parameters_are_gone():
     for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
         assert "pattern_shards" not in inspect.signature(owner).parameters
     assert "config" not in inspect.signature(fresh_fault_list).parameters
+    graph_parameters = inspect.signature(scenario_stage_nodes).parameters
+    for name in ("include_topup", "include_transition", "include_skew", "include_report"):
+        assert name not in graph_parameters
+    assert issubclass(LogicBistResult, ScenarioResult)
+    result_fields = {field.name for field in dataclasses.fields(LogicBistResult)}
+    for name in (
+        "fault_coverage_random",
+        "fault_coverage_final",
+        "top_up_pattern_count",
+        "random_pattern_count",
+        "gate_count",
+        "flop_count",
+        "scan_chain_count",
+        "max_chain_length",
+        "clock_domain_count",
+        "prpg_count",
+        "prpg_length",
+        "misr_count",
+        "misr_lengths",
+        "test_point_count",
+        "area_overhead_fraction",
+        "coverage_gain_from_topup",
+    ):
+        assert name not in result_fields and not hasattr(LogicBistResult, name), name
