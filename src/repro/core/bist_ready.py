@@ -246,14 +246,15 @@ def derive_signature_responses(
 ) -> list[dict[str, int]]:
     """The captured responses of the double-capture window, per pattern.
 
-    Apply the staggered launch pulses, then the capture pulses, and read the
+    Apply the schedule's pulse order once -- it already lists every domain's
+    launch pulse and its capture pulse, staggered in time -- and read the
     flop contents that would be shifted into the MISRs.  Input wrapper cells
     capture the (statically driven) pad value at the launch pulse, which is
     exactly how they contribute launch transitions for delay faults.  The
     campaign's signature stage derives one stream and folds every clock
     domain's cells from it.
 
-    The patterns are packed once, both pulse passes run on the packed blocks
+    The patterns are packed once, the pulses run on the packed blocks
     (:func:`~repro.faults.transition_sim.derive_capture_block`) and the flop
     words are unpacked once.
     """
@@ -264,9 +265,7 @@ def derive_signature_responses(
     for block in iter_blocks(
         patterns, block_size=config.block_size, nets=kernel.stimulus_names
     ):
-        after_launch = derive_capture_block(kernel, block, group_updates)
-        after_capture = derive_capture_block(kernel, after_launch, group_updates)
-        words = after_capture.assignments
+        words = derive_capture_block(kernel, block, group_updates).assignments
         responses.extend(
             unpack_words({name: words[name] for name in flop_names}, block.num_patterns)
         )
