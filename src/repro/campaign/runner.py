@@ -37,7 +37,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..core.config import LogicBistConfig
+from ..core.config import LogicBistConfig, RetryPolicy
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from .pipeline import scenario_stage_nodes
@@ -48,7 +48,7 @@ from .results import (
     canonical_failure,
     sort_failures,
 )
-from .scheduler import make_scheduler
+from .scheduler import _ResilientPool, make_scheduler
 
 
 @dataclass
@@ -129,6 +129,14 @@ class CampaignRunner:
     section.  ``degrade=False`` restores fail-the-whole-campaign semantics.
     ``chaos`` threads a :class:`~repro.campaign.chaos.ChaosPlan` through the
     scheduler (test / drill support).
+
+    Pool ownership: :meth:`open_pool` opens :attr:`pool`, and every pooled
+    scheduler the runner makes from then on drains through its workers,
+    and the kernels they compiled, until :meth:`close` reaps them.  A
+    campaign that ends early (cancel, deadline, fatal error) replaces only
+    the workers still running its stages.  With no pool open, each pooled
+    :meth:`run` opens one and reaps it before returning, so a standalone
+    run leaves no process behind.
     """
 
     def __init__(
@@ -159,6 +167,10 @@ class CampaignRunner:
         #: ``retries``, ``failures``, ``cancelled``) only, never part of
         #: the canonical report.
         self.last_run = None
+        #: The worker pool every pooled scheduler of this runner drains
+        #: through; ``None`` until :meth:`open_pool`, and again after
+        #: :meth:`close`.
+        self.pool: Optional[_ResilientPool] = None
 
     # ------------------------------------------------------------------ #
     def run(
@@ -224,14 +236,31 @@ class CampaignRunner:
         return CampaignPlan(tuple(nodes), artifact_keys, key_by_name)
 
     def scheduler(self):
-        """A fresh scheduler for one campaign (serial at one worker)."""
+        """A fresh scheduler for one campaign: serial at one worker, else
+        pooled on :attr:`pool` when one is open, or on a pool of its own
+        that its run reaps."""
         return make_scheduler(
             self.num_workers,
             mp_context=self.mp_context,
             retry_policy=self.retry_policy,
             chaos=self.chaos,
             degrade=self.degrade,
+            pool=self.pool,
         )
+
+    def open_pool(self) -> None:
+        """Open :attr:`pool` (at ``num_workers >= 2``, unless one is open);
+        every later :meth:`scheduler` runs on it until :meth:`close`."""
+        if self.num_workers >= 2 and self.pool is None:
+            self.pool = _ResilientPool(
+                self.num_workers, self.retry_policy or RetryPolicy(), self.mp_context
+            )
+
+    def close(self) -> None:
+        """Reap :attr:`pool`'s workers (a no-op when none is open)."""
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
 
     def collect(self, plan: CampaignPlan, run, start: float) -> CampaignResult:
         """The campaign result of a finished ``run`` of ``plan``: degraded

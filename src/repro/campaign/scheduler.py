@@ -73,8 +73,8 @@ Both schedulers additionally support the service tier
   :class:`PipelineRun`, a checkpoint-consistent resume point.  The token
   doubles as the job-deadline mechanism: an armed deadline trips it with
   reason ``"timeout"``.  The pooled scheduler abandons its outstanding
-  stages (the pool is force-terminated, per-schedule, so nothing leaks into
-  the next job).
+  stages: it drops their queued attempts and replaces the workers still
+  running them, so nothing leaks into the next schedule on the same pool.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ class StageObserver:
     always a consistent resume point -- the service's checkpointer journals
     the finished stage there.  Callbacks execute on the scheduler's
     thread; an exception raised from one aborts the schedule (the pooled
-    scheduler tears its pool down), which is exactly the semantics a failed
-    checkpoint write wants.
+    scheduler abandons the stages still in flight), which is exactly the
+    semantics a failed checkpoint write wants.
     """
 
     def on_run_begin(self, run: "PipelineRun") -> None:
@@ -651,9 +651,6 @@ class _InProcessExecutor:
         done, self._done = self._done, []
         return done
 
-    def shutdown(self, force: bool = False) -> None:
-        pass
-
 
 class _StageScheduler:
     """The completion loop both schedulers run; subclasses pick the executor.
@@ -692,11 +689,15 @@ class _StageScheduler:
         try:
             self._drain(state, local, executor, observer, cancel_token)
         except BaseException:
-            executor.shutdown(force=True)
+            self._release(executor, ended_early=True)
             raise
-        executor.shutdown()
+        self._release(executor, ended_early=False)
         state.run.seconds = time.perf_counter() - start
         return state.run
+
+    def _release(self, executor, ended_early: bool) -> None:
+        """Hand the executor back after a run (the in-process one holds
+        nothing)."""
 
     def _drain(self, state, local, executor, observer, cancel_token) -> None:
         policy = local.policy
@@ -925,10 +926,19 @@ class _ResilientPool:
     Submitted attempts queue for an idle worker in order of the time they
     become due, so a retry's backoff is a later due time and never blocks
     the completion loop while other stages dispatch.
+
+    The pool outlives a schedule when its owner keeps it: a schedule that
+    drains finishes with every worker idle, and one that ends early calls
+    :meth:`reset`.  Its owner calls :meth:`shutdown` to reap the workers.
     """
 
-    def __init__(self, ctx, num_workers: int, policy: RetryPolicy) -> None:
-        self.ctx = ctx
+    def __init__(self, num_workers: int, policy: RetryPolicy, mp_context=None) -> None:
+        # ``fork`` is the cheap start method where available (Linux); stage
+        # inputs and results always travel as pickles, so the choice only
+        # affects pool start-up cost.
+        self.ctx = mp_context or multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+        )
         self.policy = policy
         self._ids = itertools.count()
         self.handles: dict[int, _WorkerHandle] = {}
@@ -1068,6 +1078,13 @@ class _ResilientPool:
         handle.abandon()
         self._spawn()
 
+    def reset(self) -> None:
+        """End a schedule early: drop its queued attempts and replace (with
+        their result channels) the workers still running its stages."""
+        self._queue.clear()
+        for handle in [h for h in self.handles.values() if h.assignment is not None]:
+            self.replace(handle)
+
     def shutdown(self, force: bool = False) -> None:
         for handle in self.handles.values():
             if force:
@@ -1101,6 +1118,11 @@ class PooledScheduler(_StageScheduler):
     worker terminated and respawned and the stage resubmitted as a retry
     attempt under the same :class:`~repro.core.config.RetryPolicy` that
     governs ordinary stage exceptions.
+
+    Without ``pool``, each :meth:`run` opens a pool of ``num_workers`` and
+    reaps it before returning.  With one, the run leaves it open for the
+    next; a run that ends early (cancel, deadline, fatal error) only resets
+    it (:meth:`_ResilientPool.reset`).
     """
 
     def __init__(
@@ -1110,6 +1132,7 @@ class PooledScheduler(_StageScheduler):
         retry_policy: Optional[RetryPolicy] = None,
         chaos=None,
         degrade: bool = False,
+        pool: Optional[_ResilientPool] = None,
     ) -> None:
         if num_workers < 2:
             raise ValueError(
@@ -1119,15 +1142,19 @@ class PooledScheduler(_StageScheduler):
         super().__init__(retry_policy=retry_policy, chaos=chaos, degrade=degrade)
         self.num_workers = num_workers
         self.mp_context = mp_context
+        #: The caller's pool, which outlives this scheduler's runs.
+        self.pool = pool
 
     def _executor(self, local: _InProcessExecutor) -> _ResilientPool:
-        # ``fork`` is the cheap start method where available (Linux); stage
-        # inputs and results always travel as pickles, so the choice only
-        # affects pool start-up cost.
-        ctx = self.mp_context or multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-        )
-        return _ResilientPool(ctx, self.num_workers, local.policy)
+        if self.pool is not None:
+            return self.pool
+        return _ResilientPool(self.num_workers, local.policy, self.mp_context)
+
+    def _release(self, executor: _ResilientPool, ended_early: bool) -> None:
+        if executor is not self.pool:
+            executor.shutdown(force=ended_early)
+        elif ended_early:
+            executor.reset()
 
 
 def make_scheduler(
@@ -1136,8 +1163,10 @@ def make_scheduler(
     retry_policy: Optional[RetryPolicy] = None,
     chaos=None,
     degrade: bool = False,
+    pool: Optional[_ResilientPool] = None,
 ) -> _StageScheduler:
-    """The serial walk for ``num_workers <= 1``, else a pool that wide."""
+    """The serial walk for ``num_workers <= 1``, else a pool that wide
+    (``pool``, when given, which the scheduler leaves open)."""
     if num_workers >= 2:
         return PooledScheduler(
             num_workers,
@@ -1145,5 +1174,6 @@ def make_scheduler(
             retry_policy=retry_policy,
             chaos=chaos,
             degrade=degrade,
+            pool=pool,
         )
     return SerialScheduler(retry_policy=retry_policy, chaos=chaos, degrade=degrade)

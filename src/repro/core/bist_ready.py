@@ -56,13 +56,18 @@ from .config import DEFAULT_FREQUENCY_MHZ, LogicBistConfig
 class BistReadyCore:
     """The scan-inserted, X-blocked, test-point-equipped core."""
 
-    original: Circuit
     circuit: Circuit
     scan_result: ScanInsertionResult
     architecture: ScanChainArchitecture
     observation_nets: list[str] = field(default_factory=list)
     observation_flops: list[str] = field(default_factory=list)
     tpi_plan: Optional[ObservationPointPlan] = None
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickles of older code carry the submitted circuit as ``original``;
+        # nothing reads it.
+        state.pop("original", None)
+        self.__dict__.update(state)
 
     @property
     def test_point_count(self) -> int:
@@ -99,7 +104,6 @@ def prepare_scan_core(
     if residual:
         raise ValueError(f"X sources still reach observation nets: {residual[:5]}")
     return BistReadyCore(
-        original=circuit,
         circuit=result.circuit,
         scan_result=result,
         architecture=result.architecture,

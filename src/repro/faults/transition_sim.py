@@ -68,17 +68,23 @@ def capture_group_updates(
         pulse_order = [circuit.clock_domains()]
     held = set(hold_cells or ())
     net_id = kernel.net_id
-    group_updates: GroupUpdates = []
-    for group in pulse_order:
-        group_set = set(group)
-        group_updates.append(
-            [
-                (net_id[flop.name], net_id[flop.inputs[0]])
-                for flop in circuit.flops()
-                if flop.clock_domain in group_set and flop.name not in held
-            ]
-        )
-    return group_updates
+    # One pass over the gates buckets the updates by domain; a group of
+    # several domains merges its buckets back into insertion order.
+    by_domain: dict[str, list[tuple[int, int, int]]] = {}
+    for position, flop in enumerate(circuit.flops()):
+        if flop.name not in held:
+            by_domain.setdefault(flop.clock_domain, []).append(
+                (position, net_id[flop.name], net_id[flop.inputs[0]])
+            )
+    return [
+        [
+            (q_id, d_id)
+            for _, q_id, d_id in sorted(
+                update for domain in set(group) for update in by_domain.get(domain, ())
+            )
+        ]
+        for group in pulse_order
+    ]
 
 
 def derive_capture_block(

@@ -303,10 +303,6 @@ class Circuit:
         """Sorted list of distinct clock-domain names used by the flops."""
         return sorted({g.clock_domain for g in self.flops() if g.clock_domain})
 
-    def flops_in_domain(self, domain: str) -> list[Gate]:
-        """All DFFs belonging to clock domain ``domain``."""
-        return [g for g in self.flops() if g.clock_domain == domain]
-
     # ------------------------------------------------------------------ #
     # Derived structure: fanout, levelisation, topological order
     # ------------------------------------------------------------------ #

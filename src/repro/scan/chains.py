@@ -120,11 +120,13 @@ def build_scan_chains(
     if sum(given) > 1:
         raise ValueError("give at most one of max_chain_length, chains_per_domain, total_chains")
 
-    domains = circuit.clock_domains()
-    cells_by_domain: dict[str, list[str]] = {
-        domain: sorted(flop.name for flop in circuit.flops_in_domain(domain))
-        for domain in domains
-    }
+    cells_by_domain: dict[str, list[str]] = {}
+    for flop in circuit.flops():
+        if flop.clock_domain:
+            cells_by_domain.setdefault(flop.clock_domain, []).append(flop.name)
+    for cells in cells_by_domain.values():
+        cells.sort()
+    domains = sorted(cells_by_domain)
 
     counts: dict[str, int] = {}
     if chains_per_domain is not None:

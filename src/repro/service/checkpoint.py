@@ -365,13 +365,3 @@ class CheckpointStore:
             if self._path(job_id, SPEC_FILE).exists()
             and not self._path(job_id, REPORT_FILE).exists()
         ]
-
-    def discard(self, job_id: str) -> None:
-        """Remove every artifact of ``job_id`` (report included)."""
-        self.drop_unsaved(job_id)
-        directory = self.job_dir(job_id)
-        if not directory.exists():
-            return
-        for entry in directory.iterdir():
-            entry.unlink()
-        directory.rmdir()

@@ -27,6 +27,16 @@ resumed report bytes are identical to an uninterrupted run
 Scenario keys are **deterministic** (``<job_id>/s<i>:<name>``): a resumed
 schedule must address the same artifacts the crashed one checkpointed.
 
+Worker pool: with ``num_workers >= 2`` the service's jobs share one pool,
+the runner's (:attr:`~repro.campaign.runner.CampaignRunner.pool`).  The
+first job opens it -- not :meth:`CampaignService.start`, so a service that
+runs nothing forks nothing -- and every later job reuses its workers and
+the compiled kernels they cache.  A job that ends early (cancel, deadline,
+fatal error) replaces only the workers still running its stages, and a
+worker lost to a crash is respawned within its job; neither touches the
+next job.  :meth:`CampaignService.stop` reaps the workers once the drain
+has finished.
+
 Job lifecycle (PR 10): every job moves through the state machine
 ``queued -> running -> finished | partial | failed | cancelled | timeout |
 quarantined``.  :meth:`CampaignService.cancel` removes a queued job or
@@ -529,7 +539,8 @@ class CampaignService:
         to the cancel path and waits one more ``timeout_s``; if the stop
         still hasn't completed (a stage blocking past every deadline),
         ``asyncio.TimeoutError`` propagates with the drain task intact --
-        call ``stop()`` again to keep waiting.
+        call ``stop()`` again to keep waiting.  Once the drain has finished,
+        the jobs' worker pool is reaped.
         """
         if mode not in ("drain", "cancel"):
             raise ValueError(f"unknown stop mode {mode!r}")
@@ -554,6 +565,7 @@ class CampaignService:
                 self._begin_stop_cancel()
                 await asyncio.wait_for(asyncio.shield(drain), timeout_s)
         self._drain_task = None
+        await asyncio.to_thread(self.runner.close)
 
     def _begin_stop_cancel(self) -> None:
         """Switch shutdown to the cancel path (loop thread only)."""
@@ -928,6 +940,7 @@ class CampaignService:
                 cancel_token=token,
                 lifecycle_chaos=self.lifecycle_chaos,
             )
+            self.runner.open_pool()
             run = self.runner.scheduler().run(
                 plan.nodes,
                 observer=observer,

@@ -55,6 +55,21 @@ class TestPrepareScanCore:
         core = prepare_scan_core(circuit, small_config(total_scan_chains=4))
         assert core.architecture.chain_count == 4
 
+    def test_core_pickled_with_original_still_loads(self):
+        """A journal or prep-cache record written while ``BistReadyCore``
+        still kept the submitted circuit as ``original`` loads as the same
+        core, without the dead copy."""
+        import pickle
+
+        circuit = comparator_core(width=8)
+        core = prepare_scan_core(circuit, small_config())
+        old = pickle.loads(pickle.dumps(core))
+        old.__dict__["original"] = circuit
+        loaded = pickle.loads(pickle.dumps(old))
+        assert not hasattr(loaded, "original")
+        assert loaded.circuit.digest == core.circuit.digest
+        assert loaded.architecture.chains == core.architecture.chains
+
 
 class TestFlowResult:
     def test_structure_numbers(self, flow_result):

@@ -90,8 +90,9 @@ class TestSyntheticCoreGenerator:
         assert len(circuit.primary_outputs) == 5
         assert set(circuit.clock_domains()) == {"c1", "c2", "c3"}
         # Every domain holds at least its pipeline registers.
+        domains = [flop.clock_domain for flop in circuit.flops()]
         for domain in ("c1", "c2", "c3"):
-            assert len(circuit.flops_in_domain(domain)) >= 6
+            assert domains.count(domain) >= 6
         assert len(core.x_source_nets) == 2
         for net in core.x_source_nets:
             assert circuit.gate(net).attributes.get("x_source")

@@ -52,8 +52,10 @@ class TestCircuitConstruction:
     def test_clock_domains(self):
         circuit = simple_sequential_circuit()
         assert circuit.clock_domains() == ["clk1", "clk2"]
-        assert [f.name for f in circuit.flops_in_domain("clk1")] == ["ff1"]
-        assert [f.name for f in circuit.flops_in_domain("clk2")] == ["ff2"]
+        assert {f.name: f.clock_domain for f in circuit.flops()} == {
+            "ff1": "clk1",
+            "ff2": "clk2",
+        }
 
     def test_default_clock_domain(self):
         circuit = Circuit()

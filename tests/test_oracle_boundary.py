@@ -198,6 +198,9 @@ def test_walk_ignores_lookalikes():
         ("repro.bist.lfsr", "Prpg", "next_state_int"),
         ("repro.bist.phase_shifter", "PhaseShifter", "outputs_word"),
         ("repro.bist.phase_shifter", "PhaseShifter", "_tap_masks"),
+        ("repro.core.bist_ready", "BistReadyCore", "original"),
+        ("repro.netlist.circuit", "Circuit", "flops_in_domain"),
+        ("repro.service.checkpoint", "CheckpointStore", "discard"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
