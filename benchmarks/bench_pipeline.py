@@ -3,10 +3,17 @@
 Before PR 4, every campaign scenario's *preparation* -- scan insertion, TPI
 profiling (a full serial fault simulation under ``tpi_method="fault_sim"``)
 and signature-response derivation -- ran serially in the ``CampaignRunner``
-parent before the fault-sim shards fanned out.  (Today the signature, its
-responses and every domain's MISR fold, is one pooled preparation stage.)  On a TPI-heavy multi-scenario
+parent before the fault-sim shards fanned out.  On a TPI-heavy multi-scenario
 campaign that serial fraction Amdahl-caps the speedup well below the worker
 count no matter how well the shards balance.
+
+The split below goes by stage *category* (``prep``, ``sim``, ``control``),
+not by where a stage runs.  Scan insertion, TPI profiling and the shards
+run in pool workers; the bundle (STUMPS and session), the signature and
+the skew sweep run in the parent because each computes less than one
+pooled dispatch costs, yet they still count as ``prep`` or ``sim``.  So
+``serial_fraction_after`` counts only the ``control`` stages, and
+``speedup_wall_4w`` is the one number here that measures the placement.
 
 The stage-graph pipeline makes preparation pooled work.  This benchmark runs
 a 4-scenario TPI-heavy campaign through the serial scheduler (whose per-stage

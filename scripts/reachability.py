@@ -1,6 +1,7 @@
 """Reachability probe: the lines of ``src/repro`` that no user path enters.
 
-Runs every example in ``examples/`` and the three perfbench workloads
+Runs every example in ``examples/`` (the service walkthrough a second time
+with ``--workers 2``) and the three perfbench workloads
 (``--trace 1 --seconds 2``) with a profile hook in every Python process they
 start, then sums the lines of the ``src/repro`` functions none of them
 entered::
@@ -33,6 +34,11 @@ from pathlib import Path
 ORACLE_PACKAGE = "repro/oracle/"
 
 PERFBENCH_WORKLOADS = ("table1_core_x", "core_y_at_speed", "service_campaign")
+
+#: Examples that also run with these arguments, after their default run:
+#: the service walkthrough defaults to one worker, and its pooled recovery
+#: paths (the pool reset after a cancel) run only with a pool.
+EXAMPLE_REPEATS = {"campaign_service.py": (["--workers", "2"],)}
 
 HOOK = '''\
 import os
@@ -67,8 +73,13 @@ threading.setprofile(_hook)
 
 
 def commands(root: Path) -> list[list[str]]:
-    """Every user path the probe drives: the examples, then perfbench."""
-    runs = [[sys.executable, str(path)] for path in sorted((root / "examples").glob("*.py"))]
+    """Every user path the probe drives: the examples (some twice), then
+    perfbench."""
+    runs = []
+    for path in sorted((root / "examples").glob("*.py")):
+        runs.append([sys.executable, str(path)])
+        for arguments in EXAMPLE_REPEATS.get(path.name, ()):
+            runs.append([sys.executable, str(path), *arguments])
     for workload in PERFBENCH_WORKLOADS:
         runs.append([
             sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,

@@ -6,9 +6,10 @@ Public API:
   :class:`~repro.campaign.runner.CampaignScenario` -- fan many
   (core, :class:`~repro.core.config.LogicBistConfig`) scenario pairs out
   over one worker pool.  The runner drives the **stage-graph pipeline**:
-  preparation (scan insertion, TPI profiling, STUMPS/session assembly,
-  signature-response derivation) is pooled work alongside the fault-sim
-  shards, not parent-process serial code,
+  scan insertion and TPI profiling are pooled work alongside the fault-sim
+  and PODEM shards, and the stages that compute less than one pooled
+  dispatch costs (STUMPS/session assembly, the signature, the transition
+  preparation, the skew sweep) run in the parent,
 * :mod:`repro.campaign.pipeline` -- the typed stage tasks
   (:class:`~repro.campaign.pipeline.PrepareCoreStage`,
   :class:`~repro.campaign.pipeline.TpiProfileStage`, ...) and the

@@ -17,21 +17,36 @@ Two properties carry the whole design:
   flow (:class:`~repro.core.flow.LogicBistFlow`) is a one-scenario campaign
   over this graph, so the serial walk *is* the oracle and the pooled
   schedule cannot drift from it.
-* **Fan out only where it pays.**  The two fault scans (stuck-at and
-  transition) and the speculative top-up PODEM are the only phases that
-  fan out: once a scenario's fault list and pattern blocks exist, one
-  local expander (:class:`FaultSimStage` for either scan,
-  :class:`TopUpStage` for top-up) splices one pooled node per fault shard
-  plus a merge node into the graph.  Every other phase is one local trim
-  stage, which ships only the bundle slice the phase reads, plus one pooled
-  stage: the signature (:class:`SignatureStage`), the skew sweep
-  (:class:`SkewTrialsStage`) and the transition preparation.  Pooled
-  preparation and pooled simulation drain through the *same* pool --
-  scenario B's TPI profiling runs while scenario A's shards are in flight.
+* **Pool only what pays.**  One pooled dispatch costs about 10-15 ms:
+  the task is pickled in the parent and unpickled in a worker, and its
+  result is pickled back, unpickled and pickled once more for the
+  service journal, so the cost grows with what the stage ships.  A stage
+  runs in a worker only when its compute is well above that cost.  The
+  placement is static: it is the ``local`` flag :func:`scenario_stage_nodes`
+  sets.  (Stage times here are from the service benchmark's TPI-heavy
+  scenarios on a 2-CPU host.)
+
+  - Pooled: scan insertion (:class:`PrepareCoreStage`), TPI profiling
+    (:class:`TpiProfileStage`, 50-100 ms under ``tpi_method="fault_sim"``)
+    and the stages of the three phases that fan out: the stuck-at and
+    transition scans (:class:`FaultSimStage` splices one
+    :class:`ShardScanStage` per fault shard plus a local merge) and
+    top-up (:class:`TopUpStage` splices one speculative
+    :class:`PodemShardStage` per target shard plus the replay that
+    screens their cubes).
+  - Local: the bundle (:class:`BuildStumpsStage`, 12-36 ms of compute
+    behind a 190 KB result), the signature (5-6 ms), the transition
+    preparation (5-6 ms) and the skew sweep (11-13 ms), each of which
+    reads the bundle in place, plus every expander, merge and the report.
+
+  Pooled preparation and pooled simulation drain through the *same*
+  pool -- scenario B's TPI profiling runs while scenario A's shards are
+  in flight.
 
 Every shard of either fault model is one :class:`ShardScanStage`, built by
-:func:`shard_stage_nodes`: a shard state (stuck-at or transition), the
-shard's fault indices and the session's ``(global offset, ...)`` blocks.
+:func:`shard_stage_nodes`: a shard state (stuck-at or transition) holding
+only the shard's own faults, their campaign-global indices and the
+session's ``(global offset, ...)`` blocks.
 It is the only shard-execution path; sharded simulation outside a scenario
 drains the same nodes through
 :func:`~repro.campaign.scheduler.make_scheduler`.
@@ -45,13 +60,13 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
 from ..bist.input_selector import InputSelector, InputSource
-from ..bist.stumps import StumpsArchitecture, StumpsDomain
+from ..bist.stumps import StumpsArchitecture
 from ..core.bist_ready import (
     BistReadyCore,
     build_clock_tree,
@@ -116,11 +131,13 @@ class TpiOutcome:
 class ScenarioBundle:
     """Everything the post-preparation phases of one scenario consume.
 
-    Produced by :class:`BuildStumpsStage`; the fan-out payload of the
-    fault-sim shards (``state`` + ``offset_blocks``) and the structural
-    objects the flow result reports (stumps, clock tree, capture schedule)
-    travel together because every downstream stage needs some slice of them.
-    Journaled as a stage value, so its fields keep their names.
+    Produced by :class:`BuildStumpsStage` in the parent; the fan-out
+    payload of the fault-sim shards (``state`` + ``offset_blocks``) and the
+    structural objects the flow result reports (stumps, clock tree, capture
+    schedule) travel together because every downstream stage reads some
+    slice of them in place.  It is not journaled, but journals written when
+    the stage was pooled hold it at ``<scenario>/bundle`` and a resume
+    preloads that record, so its fields keep their names.
     """
 
     scenario_key: str
@@ -182,30 +199,13 @@ class TopUpInput:
 
 
 @dataclass
-class SignatureInput:
-    """Trimmed bundle slice for the signature stage: the leading blocks the
-    signature slice reads, plus what derives and folds their responses."""
-
-    circuit: Circuit
-    blocks: tuple[PatternBlock, ...]
-    capture_schedule: CaptureSchedule
-    domains: dict[str, StumpsDomain]
-
-
-@dataclass
-class TransitionInput:
-    """Trimmed bundle slice for the transition preparation stage."""
-
-    scenario_key: str
-    circuit: Circuit
-    stumps: StumpsArchitecture
-    capture_schedule: CaptureSchedule
-
-
-@dataclass
 class TransitionBundle:
-    """Fan-out payload of the transition-fault measurement (journaled,
-    like :class:`ScenarioBundle`)."""
+    """Fan-out payload of the transition-fault measurement.
+
+    Built in the parent and not journaled; like :class:`ScenarioBundle`,
+    older journals hold it at ``<scenario>/transition_prep``, so its fields
+    keep their names.
+    """
 
     scenario_key: str
     state: TransitionSimShardState
@@ -244,24 +244,14 @@ class TransitionOutcome:
 
 
 @dataclass
-class SkewInput:
-    """Trimmed bundle slice for the Fig. 3 Monte-Carlo skew sweep.
+class SkewOutcome:
+    """Result of the Fig. 3 Monte-Carlo skew sweep.
 
     Carries the double-capture schedule's verdict alongside the timing
-    numbers: the sweep reports the schedule's validity so one campaign
-    report answers both Fig. 2 (is the capture window sound?) and Fig. 3
-    (do the shift-path interfaces survive the sampled skew?).
+    numbers, so one campaign report answers both Fig. 2 (is the capture
+    window sound?) and Fig. 3 (do the shift-path interfaces survive the
+    sampled skew?).
     """
-
-    schedule_valid: bool
-    schedule_problems: tuple[str, ...]
-    d3_ns: float
-    max_skew_ns: float
-
-
-@dataclass
-class SkewOutcome:
-    """Result of the Fig. 3 Monte-Carlo skew sweep."""
 
     summary: MonteCarloSummary
     schedule_valid: bool
@@ -434,8 +424,9 @@ def shard_stage_nodes(
     shard of ``state``, each over the whole session ``blocks``, keyed
     ``<prefix>/shard<i>``.
 
-    The pooled scheduler pickles a stage per submission, so the shipped
-    bytes are fault_shards x session.
+    Each shard's state holds only that shard's faults, in ``fault_indices``
+    order.  The pooled scheduler pickles a stage per submission, so the
+    shipped bytes are fault_shards x session plus each fault once.
     """
     groups = keyed_round_robin_shards(
         fault_site_keys(state.circuit, state.faults), fault_shards
@@ -447,7 +438,9 @@ def shard_stage_nodes(
             task=ShardScanStage(
                 scenario_key=scenario_key,
                 shard_id=shard_id,
-                state=state,
+                state=replace(
+                    state, faults=tuple(state.faults[i] for i in fault_group)
+                ),
                 fault_indices=fault_group,
                 blocks=blocks,
             ),
@@ -461,14 +454,14 @@ def shard_stage_nodes(
 
 @dataclass(frozen=True)
 class ShardScanStage:
-    """One fault-simulation shard: ``fault_indices`` of ``state.faults``
-    scanned over ``blocks``.
+    """One fault-simulation shard: ``state.faults`` scanned over ``blocks``.
 
+    ``state.faults[k]`` is the campaign's fault ``fault_indices[k]``, and
+    the outcome reports that campaign-global index for the min-merge.
     ``blocks`` is the whole session, each entry self-describing --
     ``(global offset, PatternBlock)`` pairs under a stuck-at state,
     ``(global offset, launch, capture)`` triples under a transition state
-    -- so the shard reports campaign-global pattern indices, and its fault
-    indices stay campaign-global for the min-merge.
+    -- so the shard reports campaign-global pattern indices too.
     """
 
     scenario_key: str
@@ -492,9 +485,8 @@ class ShardScanStage:
             else engine.stuck_engine
         )
         indices = self.fault_indices
-        faults = [self.state.faults[index] for index in indices]
         evals_before = counter.gate_evals
-        found = engine.first_detections(faults, self.blocks)
+        found = engine.first_detections(list(self.state.faults), self.blocks)
         seconds = time.perf_counter() - start
         return ShardOutcome(
             scenario_key=self.scenario_key,
@@ -527,48 +519,31 @@ class MergeDetectionsStage:
 
 
 @dataclass(frozen=True)
-class TrimSignatureInputStage:
-    """Cut the bundle down to what the signature stage reads: the leading
-    ``signature_patterns`` of the session (the block crossing the count is
-    cut to its leading patterns), the circuit, the capture schedule and the
-    clock domains."""
-
-    config: LogicBistConfig
-
-    def run(self, bundle: ScenarioBundle) -> SignatureInput:
-        count = min(self.config.signature_patterns, self.config.random_patterns)
-        return SignatureInput(
-            circuit=bundle.core.circuit,
-            blocks=tuple(
-                leading_blocks((block for _, block in bundle.offset_blocks), count)
-            ),
-            capture_schedule=bundle.capture_schedule,
-            domains=bundle.stumps.domains,
-        )
-
-
-@dataclass(frozen=True)
 class SignatureStage:
     """Per-clock-domain MISR signatures of the leading signature slice.
 
-    Derives the double-capture response stream once, then folds each
-    domain's own cells into its MISR.  The folds advance deep copies of the
-    input's domains made inside ``run``, so the bundle's MISRs never move
-    and running one task twice (an in-process retry) signs the same values.
+    Derives the double-capture response stream of the session's leading
+    ``signature_patterns`` once (the block crossing the count is cut to its
+    leading patterns), then folds each domain's own cells into its MISR.
+    The folds advance deep copies of the bundle's domains made inside
+    ``run``, so the bundle's MISRs never move and running one task twice
+    (an in-process retry) signs the same values.
     """
 
     config: LogicBistConfig
 
-    def run(self, inputs: SignatureInput) -> dict[str, int]:
+    def run(self, bundle: ScenarioBundle) -> dict[str, int]:
         config = self.config
         if config.signature_patterns <= 0:
             return {}
-        patterns = [pattern for block in inputs.blocks for pattern in block.patterns()]
+        count = min(config.signature_patterns, config.random_patterns)
+        blocks = leading_blocks((block for _, block in bundle.offset_blocks), count)
+        patterns = [pattern for block in blocks for pattern in block.patterns()]
         responses = derive_signature_responses(
-            inputs.circuit, config, patterns, inputs.capture_schedule
+            bundle.core.circuit, config, patterns, bundle.capture_schedule
         )
         signatures = {}
-        for name, domain in copy.deepcopy(inputs.domains).items():
+        for name, domain in copy.deepcopy(bundle.stumps.domains).items():
             cells = domain.cells()
             filtered = [
                 {cell: response.get(cell, 0) for cell in cells}
@@ -748,19 +723,6 @@ class TopUpMergeStage:
 
 
 @dataclass(frozen=True)
-class TrimTransitionInputStage:
-    """Repackage the bundle into the transition preparation's inputs."""
-
-    def run(self, bundle: ScenarioBundle) -> TransitionInput:
-        return TransitionInput(
-            scenario_key=bundle.scenario_key,
-            circuit=bundle.core.circuit,
-            stumps=bundle.stumps,
-            capture_schedule=bundle.capture_schedule,
-        )
-
-
-@dataclass(frozen=True)
 class TransitionPrepStage:
     """Phase 6 preparation: packed launch blocks + derived capture blocks.
 
@@ -770,23 +732,25 @@ class TransitionPrepStage:
     each capture block is derived from its launch block in place
     (:func:`~repro.faults.transition_sim.derive_pair_blocks`), so no
     per-pattern dict is built.  This is the serial half of the transition
-    measurement; as a pooled stage it overlaps everything else in the
-    campaign.
+    measurement.  It resets and re-streams the bundle's own PRPGs, so a
+    rerun streams the same blocks.  The reset also resets the bundle's
+    MISRs, which never leave their initial state (the signature stage folds
+    copies), so the two stages sign and stream the same in either order.
     """
 
     config: LogicBistConfig
 
-    def run(self, inputs: TransitionInput) -> TransitionBundle:
+    def run(self, bundle: ScenarioBundle) -> TransitionBundle:
         config = self.config
-        circuit = inputs.circuit
-        stumps = inputs.stumps
+        circuit = bundle.core.circuit
+        stumps = bundle.stumps
         stumps.reset()
         pair_blocks = derive_pair_blocks(
             circuit,
             stumps.generate_packed_blocks(
                 config.transition_patterns, block_size=config.block_size
             ),
-            inputs.capture_schedule.pulse_order,
+            bundle.capture_schedule.pulse_order,
         )
         fault_list = FaultList.transition(circuit)
         positions, faults = undetected_of_kind(fault_list, TransitionFault)
@@ -798,7 +762,7 @@ class TransitionPrepStage:
             sim_memory_budget_mb=config.sim_memory_budget_mb,
         )
         return TransitionBundle(
-            scenario_key=inputs.scenario_key,
+            scenario_key=bundle.scenario_key,
             state=state,
             pair_blocks=pair_blocks,
             fault_list=fault_list,
@@ -839,37 +803,21 @@ class TransitionMergeStage:
 
 
 @dataclass(frozen=True)
-class TrimSkewInputStage:
-    """Repackage the bundle's capture schedule into the skew sweep's inputs.
-
-    Validates the double-capture schedule on the way: cheap, local, and it
-    keeps the pooled :class:`SkewTrialsStage` free of the bundle.
-    """
-
-    def run(self, bundle: ScenarioBundle) -> SkewInput:
-        schedule = bundle.capture_schedule
-        problems = tuple(schedule.validate())
-        return SkewInput(
-            schedule_valid=not problems,
-            schedule_problems=problems,
-            d3_ns=schedule.d3_ns,
-            max_skew_ns=schedule.max_skew_ns,
-        )
-
-
-@dataclass(frozen=True)
 class SkewTrialsStage:
     """The Fig. 3 Monte-Carlo sweep: ``config.skew_trials`` trial-indexed
-    shift-path samples, reported with the capture schedule's verdict.
+    shift-path samples, reported with the bundle's capture schedule and its
+    verdict.
 
-    One pooled stage: a thousand trials take about 10 ms, less than one
-    pooled dispatch, so the sweep does not fan out.
+    A thousand trials take about 10 ms, less than one pooled dispatch, so
+    the sweep neither fans out nor leaves the parent.
     """
 
     config: LogicBistConfig
 
-    def run(self, skew_input: SkewInput) -> SkewOutcome:
+    def run(self, bundle: ScenarioBundle) -> SkewOutcome:
         config = self.config
+        schedule = bundle.capture_schedule
+        problems = tuple(schedule.validate())
         summary = run_skew_trials(
             build_shift_path_parameters(config),
             config.skew_range_ns,
@@ -882,10 +830,10 @@ class SkewTrialsStage:
         )
         return SkewOutcome(
             summary=summary,
-            schedule_valid=skew_input.schedule_valid,
-            schedule_problems=skew_input.schedule_problems,
-            d3_ns=skew_input.d3_ns,
-            max_skew_ns=skew_input.max_skew_ns,
+            schedule_valid=not problems,
+            schedule_problems=problems,
+            d3_ns=schedule.d3_ns,
+            max_skew_ns=schedule.max_skew_ns,
             skew_range_ns=config.skew_range_ns,
             bist_clock_advance_ns=config.bist_clock_advance_ns,
         )
@@ -996,10 +944,14 @@ def scenario_stage_nodes(
     ``measure_transition_coverage``, the skew stage from ``skew_trials > 0``,
     and the report stage is always built.
 
+    Only ``core`` and ``tpi`` are pooled nodes here; every other node runs
+    in the parent, and the expanders splice in the pooled scan shards and
+    top-up stages.
+
     Returns ``(nodes, artifacts)`` where ``artifacts`` maps logical names
     (``"core"``, ``"tpi"``, ``"bundle"``, ``"fault_sim"``, ``"signatures"``,
-    ``"report"``, and, when the config asks for them, ``"topup"`` /
-    ``"transition"`` / ``"skew"``, plus each trim stage's ``"*_input"``) to
+    ``"report"``, and, when the config asks for them, ``"topup_input"`` /
+    ``"topup"``, ``"transition_prep"`` / ``"transition"`` and ``"skew"``) to
     the node keys whose values a finished
     :class:`~repro.campaign.scheduler.PipelineRun` holds.  Many scenarios'
     node lists concatenate into one multi-scenario DAG; ``scenario_key`` must
@@ -1009,11 +961,8 @@ def scenario_stage_nodes(
     include_transition = config.measure_transition_coverage
     include_skew = config.skew_trials > 0
     name = scenario_name or circuit.name
-    keys = {
-        "core": f"{scenario_key}/core",
-        "tpi": f"{scenario_key}/tpi",
-        "bundle": f"{scenario_key}/bundle",
-    }
+    keys = {"core": f"{scenario_key}/core", "tpi": f"{scenario_key}/tpi"}
+    # The two pooled nodes; every node ``add`` builds runs in the parent.
     nodes = [
         StageNode(
             key=keys["core"],
@@ -1030,24 +979,16 @@ def scenario_stage_nodes(
             scenario=name,
             category=CATEGORY_PREP,
         ),
-        StageNode(
-            key=keys["bundle"],
-            task=BuildStumpsStage(scenario_key, config),
-            deps=(keys["tpi"],),
-            phase=PHASE_RANDOM,
-            scenario=name,
-            category=CATEGORY_PREP,
-        ),
     ]
 
-    def add(artifact, task, deps, phase, category=CATEGORY_CONTROL, local=True):
+    def add(artifact, task, deps, phase, category=CATEGORY_CONTROL):
         keys[artifact] = f"{scenario_key}/{artifact}"
         nodes.append(
             StageNode(
                 key=keys[artifact],
                 task=task,
                 deps=tuple(keys[dep] for dep in deps),
-                local=local,
+                local=True,
                 phase=phase,
                 scenario=name,
                 category=category,
@@ -1065,18 +1006,10 @@ def scenario_stage_nodes(
         )
         add(artifact, task, (bundle,), phase)
 
-    # Every phase that does not fan out is a local trim of the bundle plus
-    # one pooled stage.
+    bundle = BuildStumpsStage(scenario_key, config)
+    add("bundle", bundle, ("tpi",), PHASE_RANDOM, CATEGORY_PREP)
     add_scan("fault_sim", "bundle", PHASE_RANDOM, MergeDetectionsStage())
-    add("signature_input", TrimSignatureInputStage(config), ("bundle",), PHASE_RANDOM)
-    add(
-        "signatures",
-        SignatureStage(config),
-        ("signature_input",),
-        PHASE_RANDOM,
-        category=CATEGORY_PREP,
-        local=False,
-    )
+    add("signatures", SignatureStage(config), ("bundle",), PHASE_RANDOM, CATEGORY_PREP)
     if include_topup:
         add("topup_input", TrimTopUpInputStage(), ("bundle", "fault_sim"), PHASE_TOPUP)
         task = TopUpStage(
@@ -1088,28 +1021,18 @@ def scenario_stage_nodes(
         )
         add("topup", task, ("topup_input",), PHASE_TOPUP)
     if include_transition:
-        add("transition_input", TrimTransitionInputStage(), ("bundle",), PHASE_AT_SPEED)
         add(
             "transition_prep",
             TransitionPrepStage(config),
-            ("transition_input",),
+            ("bundle",),
             PHASE_AT_SPEED,
-            category=CATEGORY_PREP,
-            local=False,
+            CATEGORY_PREP,
         )
         add_scan(
             "transition", "transition_prep", PHASE_AT_SPEED, TransitionMergeStage()
         )
     if include_skew:
-        add("skew_input", TrimSkewInputStage(), ("bundle",), PHASE_AT_SPEED)
-        add(
-            "skew",
-            SkewTrialsStage(config),
-            ("skew_input",),
-            PHASE_AT_SPEED,
-            category=CATEGORY_SIM,
-            local=False,
-        )
+        add("skew", SkewTrialsStage(config), ("bundle",), PHASE_AT_SPEED, CATEGORY_SIM)
     extras = {
         "topup": include_topup,
         "transition": include_transition,

@@ -107,12 +107,12 @@ class CampaignRunner:
     Each scenario becomes a stage subgraph (scan prep -> TPI -> STUMPS +
     session -> fault-sim shard fan-out -> signature -> report); the
     subgraphs concatenate into one multi-scenario DAG that a single
-    :class:`~repro.campaign.scheduler.PooledScheduler` drains, so *all*
-    work -- preparation included -- keeps every worker busy even while
-    small scenarios finish early.  Only the shard planning and the
-    order-independent merges stay in the parent, which is what drops the
-    serial (Amdahl) fraction of a TPI-heavy campaign to the few percent
-    ``benchmarks/bench_pipeline.py`` records.
+    :class:`~repro.campaign.scheduler.PooledScheduler` drains, so the heavy
+    work -- scan insertion, TPI profiling and every fault and PODEM shard
+    -- keeps every worker busy even while small scenarios finish early.
+    Stages that compute less than one pooled dispatch costs (the bundle,
+    signature, transition preparation, skew sweep, shard planning, merges
+    and report) run in the parent; see :mod:`repro.campaign.pipeline`.
 
     With ``num_workers <= 1`` the identical DAG runs on the in-process
     :class:`~repro.campaign.scheduler.SerialScheduler` -- the deterministic
@@ -197,9 +197,9 @@ class CampaignRunner:
         Scenarios whose config sets ``measure_transition_coverage`` run the
         launch-on-capture transition fan-out and their canonical report
         gains a ``transition`` section; ``skew_trials > 0`` adds the Fig. 3
-        Monte-Carlo skew sweep (one pooled stage) as a ``skew`` section.
-        Both run through the same pool and are byte-identical to the serial
-        walk at any worker/shard count.
+        Monte-Carlo skew sweep (one stage in the parent) as a ``skew``
+        section.  Both are byte-identical to the serial walk at any
+        worker/shard count.
         """
         start = time.perf_counter()
         plan = self.plan(scenarios)

@@ -23,8 +23,8 @@ shard into one :class:`~repro.campaign.pipeline.ShardScanStage` over the
 whole session, and the expansion adds an order-independent merge node),
 and the speculative top-up PODEM shards of
 :class:`~repro.campaign.pipeline.TopUpStage`.  The signature and the
-Monte-Carlo skew sweep are one pooled stage each: splitting them never paid
-for its dispatches.
+Monte-Carlo skew sweep are one stage each, run in the parent: splitting
+them, or even shipping them to one worker, never paid for its dispatches.
 
 Shard planning is memory-budget-oblivious by design: a
 ``sim_memory_budget_mb`` ceiling travels inside the shard *states*

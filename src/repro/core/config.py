@@ -189,7 +189,7 @@ class LogicBistConfig:
     #: Patterns used for the transition-coverage measurement.
     transition_patterns: int = 256
     #: Monte-Carlo shift-path skew trials (the Fig. 3 sweep) run per
-    #: scenario as one pooled stage; 0 disables the sweep.  Each trial
+    #: scenario as one stage in the campaign parent; 0 disables the sweep.  Each trial
     #: seeds its own RNG from its index
     #: (:func:`~repro.timing.skew_analysis.sample_shift_path_report`).
     skew_trials: int = 0

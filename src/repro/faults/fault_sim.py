@@ -98,9 +98,10 @@ class FaultSimShardState:
 
     A shard worker reconstructs the full compiled-kernel engine from this
     record alone: the circuit (plain dataclasses all the way down), the
-    observation nets, and the *canonical fault ordering* of the campaign.
-    Shard tasks then reference faults by index into ``faults``, which keeps
-    the merge step (and the pickles) small and makes merged results
+    observation nets, and the faults.  A scenario's state holds every fault
+    in the campaign's *canonical order*; each shard ships a copy holding
+    only its own faults, and reports them by their canonical indices, which
+    keeps the merge step (and the pickles) small and makes merged results
     independent of shard order and worker count.
     """
 

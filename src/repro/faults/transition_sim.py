@@ -159,7 +159,7 @@ class TransitionSimShardState:
     Mirrors :class:`~repro.faults.fault_sim.FaultSimShardState`: a worker
     process rebuilds the full launch-on-capture engine (compiled kernel plus
     stuck-at observability machinery) from the circuit, the observation nets,
-    and the canonical fault ordering that shard tasks index into.
+    and the faults (every fault in canonical order, or one shard's own).
     """
 
     circuit: Circuit

@@ -19,8 +19,8 @@ SCOAP guidance) while the kernel is still in its LRU.
 
 Correctness story: preparation is deterministic, preloading it skips stages
 that would have produced equal artifacts, and the prepared objects are not
-mutated by later phases (pooled stages work on pickled copies; the serial
-report path reads, never writes, the prepared core) -- so cache hits and
+mutated by later phases (pooled stages work on pickled copies; the stages
+in the parent read, never write, the prepared core) -- so cache hits and
 evictions change no report byte, which ``tests/campaign/test_kernel_cache.py``
 pins down with a maxsize-1 thrashing run.
 """

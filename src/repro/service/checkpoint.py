@@ -10,8 +10,9 @@ Layout (everything under one root directory, one subdirectory per job)::
 
 ``progress.pkl`` is an append-only journal with one sha256-framed ``(stage
 key, value)`` record per finished non-local stage, pickled as the stage
-finishes.  Local stages (expanders, trims, merges, report assembly) are
-never written; they re-run on resume.  Non-local values cross a pipe in
+finishes.  Local stages (the bundle, signature, transition preparation and
+skew sweep, expanders, trims, merges, report assembly) are never written;
+they re-run on resume.  Non-local values cross a pipe in
 every pooled run, so pickling them one by one changes no report byte (the
 pooled differential suites prove it); local outputs alias and mutate
 earlier artifacts, so they are re-derived, never stored.  Expansion

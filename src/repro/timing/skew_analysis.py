@@ -304,8 +304,8 @@ def run_skew_trials(
     """Aggregate trial-indexed skew samples for the given trial indices.
 
     ``run_skew_trials(p, r, range(n))`` is the campaign's Fig. 3 sweep
-    (:class:`~repro.campaign.pipeline.SkewTrialsStage`): one pooled stage,
-    since a thousand trials take about 10 ms.
+    (:class:`~repro.campaign.pipeline.SkewTrialsStage`): one stage in the
+    campaign parent, since a thousand trials take about 10 ms.
     """
     summary = MonteCarloSummary()
     for trial in trials:

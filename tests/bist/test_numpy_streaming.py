@@ -16,19 +16,19 @@
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from repro.bist import StumpsArchitecture
 from repro.bist.lfsr import FibonacciLfsr
 from repro.bist.stumps import StumpsDomainConfig
-from repro.campaign.pipeline import SignatureInput, SignatureStage
+from repro.campaign import SerialScheduler
+from repro.campaign.pipeline import SignatureStage, scenario_stage_nodes
 from repro.core import LogicBistConfig
-from repro.core.bist_ready import build_clock_tree
+from repro.cores import tiny_recipe
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.scan import build_scan_chains
-from repro.simulation import iter_blocks, shared_kernel
-from repro.timing import CaptureWindowScheduler
 
 WIDTHS = (64, 256, 1024)
 
@@ -189,24 +189,19 @@ class TestVectorisedMisrFold:
             assert actual == expected, name
 
     def test_signature_stage_backend(self):
-        """The campaign's signature stage signs identically on both backends."""
-        circuit, architecture = make_architecture(17)
-        stumps = StumpsArchitecture(architecture, domain_configs(architecture))
-        nets = shared_kernel(circuit).stimulus_names
-        rng = random.Random(5)
-        patterns = [{net: rng.randint(0, 1) for net in nets} for _ in range(16)]
-        config = LogicBistConfig()
-        inputs = SignatureInput(
-            circuit=circuit,
-            blocks=tuple(iter_blocks(patterns, block_size=8, nets=nets)),
-            capture_schedule=CaptureWindowScheduler(
-                build_clock_tree(circuit, config)
-            ).schedule(),
-            domains=stumps.domains,
+        """The campaign's signature stage signs a scenario bundle
+        identically on both backends.  Twenty signature patterns over
+        8-pattern blocks cut the third block short."""
+        config = LogicBistConfig(
+            random_patterns=64, signature_patterns=20, block_size=8
         )
+        nodes, keys = scenario_stage_nodes("s", tiny_recipe().build().circuit, config)
+        # core -> tpi -> bundle: the bundle is all the stage reads.
+        bundle = SerialScheduler().run(nodes[:3]).value(keys["bundle"])
         signatures = [
-            SignatureStage(LogicBistConfig(sim_backend=backend)).run(inputs)
+            SignatureStage(replace(config, sim_backend=backend)).run(bundle)
             for backend in ("python", "numpy")
         ]
-        assert sorted(signatures[0]) == sorted(stumps.domains)
+        assert sorted(signatures[0]) == sorted(bundle.stumps.domains)
+        assert all(signatures[0].values())
         assert signatures[0] == signatures[1]

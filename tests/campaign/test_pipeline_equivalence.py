@@ -270,30 +270,32 @@ def at_speed_oracle():
     return CampaignRunner(num_workers=1).run(at_speed_scenarios()).report_bytes()
 
 
-class TestFanOutOnlyWherePays:
-    """The scans fan out; the signature and the skew sweep are one pooled
-    stage each at every shard and worker count."""
+class TestPoolOnlyWhatPays:
+    """Scan insertion, TPI profiling and the scan shards are the only
+    pooled stages; the bundle, signature, transition preparation and skew
+    sweep run in the parent, at every shard and worker count."""
 
     @pytest.mark.parametrize(
         "num_workers", (1, pytest.param(2, marks=pytest.mark.multiprocess))
     )
     @pytest.mark.parametrize("fault_shards", (1, 2, 4))
-    def test_one_pooled_signature_and_skew_stage(
+    def test_only_core_tpi_and_shards_are_pooled(
         self, num_workers, fault_shards, at_speed_oracle
     ):
         runner = CampaignRunner(num_workers=num_workers, fault_shards=fault_shards)
         campaign = runner.run(at_speed_scenarios())
         assert campaign.report_bytes() == at_speed_oracle
+        shards = [
+            f"{scan}/shard{index}"
+            for scan in ("fault_sim", "transition")
+            for index in range(fault_shards)
+        ]
         for name in ("left", "right"):
-            pooled = [
-                record.key.split("/", 1)[1]
-                for record in runner.last_run.trace
-                if record.scenario == name and not record.local
-            ]
-            assert [k for k in pooled if k.startswith("signature")] == ["signatures"]
-            assert [k for k in pooled if k.startswith("skew")] == ["skew"]
-            shards = [k for k in pooled if k.startswith("fault_sim/shard")]
-            assert len(shards) == fault_shards
+            trace = [r for r in runner.last_run.trace if r.scenario == name]
+            pooled = [r.key.split("/", 1)[1] for r in trace if not r.local]
+            assert sorted(pooled) == sorted(["core", "tpi", *shards])
+            local = {r.key.split("/", 1)[1] for r in trace if r.local}
+            assert {"bundle", "signatures", "transition_prep", "skew"} <= local
 
     def test_rerun_of_one_signature_task_signs_the_same(self):
         """The stage folds copies: a second run of the same task object (an
@@ -304,13 +306,14 @@ class TestFanOutOnlyWherePays:
         config = LogicBistConfig(random_patterns=64, signature_patterns=16)
         nodes, keys = scenario_stage_nodes("s", tiny_recipe().build().circuit, config)
         run = SerialScheduler().run(nodes)
-        inputs = run.value(keys["signature_input"])
+        bundle = run.value(keys["bundle"])
+        domains = bundle.stumps.domains
         [task] = [node.task for node in nodes if node.key == keys["signatures"]]
-        states = {name: d.misr.state for name, d in inputs.domains.items()}
-        first = task.run(inputs)
+        states = {name: d.misr.state for name, d in domains.items()}
+        first = task.run(bundle)
         assert all(first.values())
-        assert task.run(inputs) == first == run.value(keys["signatures"])
-        assert {name: d.misr.state for name, d in inputs.domains.items()} == states
+        assert task.run(bundle) == first == run.value(keys["signatures"])
+        assert {name: d.misr.state for name, d in domains.items()} == states
 
 
 # --------------------------------------------------------------------- #

@@ -8,6 +8,7 @@ and assert the canonical report bytes are **byte-identical** -- the
 regression for the classic "results depend on worker scheduling" bug class.
 """
 
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
     ShardScanStage,
+    StageObserver,
     keyed_round_robin_shards,
     merge_first_detections,
     shard_stage_nodes,
@@ -131,6 +133,17 @@ def transition_session(circuit, count, seed):
     return state, derive_pair_blocks(circuit, random_blocks(circuit, count, seed))
 
 
+class ShardTasks(StageObserver):
+    """Collects the shard stage tasks a schedule starts, by stage key."""
+
+    def __init__(self) -> None:
+        self.tasks: dict[str, ShardScanStage] = {}
+
+    def on_stage_start(self, node) -> None:
+        if isinstance(node.task, ShardScanStage):
+            self.tasks[node.key] = node.task
+
+
 class TestShardStages:
     @pytest.mark.parametrize("fault_shards", (1, 3))
     @pytest.mark.parametrize("session", (stuck_session, transition_session))
@@ -157,6 +170,46 @@ class TestShardStages:
             assert stage.run().gate_evals > 0
         shipped = sum(len(node.task.blocks) for node in nodes)
         assert shipped == fault_shards * len(entries)
+
+    @pytest.mark.parametrize("fault_shards", (1, 2, 4))
+    def test_each_shard_ships_only_its_own_faults(self, fault_shards):
+        """Every stuck-at and transition shard of a campaign ships a state
+        holding exactly its own faults, in ``fault_indices`` order, while
+        its indices stay campaign-global; the report bytes equal the serial
+        oracle's."""
+        config = LogicBistConfig(
+            total_scan_chains=4,
+            tpi_method="none",
+            observation_point_budget=0,
+            random_patterns=96,
+            signature_patterns=8,
+            measure_transition_coverage=True,
+            transition_patterns=48,
+        )
+        scenarios = [CampaignScenario("own", make_core(45, pipeline_stages=2), config)]
+        oracle = CampaignRunner(num_workers=1, fault_shards=1).run(scenarios)
+        runner = CampaignRunner(num_workers=1, fault_shards=fault_shards)
+        plan = runner.plan(scenarios)
+        shards = ShardTasks()
+        run = runner.scheduler().run(plan.nodes, observer=shards)
+        assert runner.collect(plan, run, 0.0).report_bytes() == oracle.report_bytes()
+        keys = plan.artifact_keys["own"]
+        scans = (("fault_sim", "bundle"), ("transition", "transition_prep"))
+        for scan, source in scans:
+            universe = run.value(keys[source]).state.faults
+            tasks = [
+                task for key, task in shards.tasks.items()
+                if key.startswith(f"{keys[scan]}/shard")
+            ]
+            assert 1 <= len(tasks) <= fault_shards
+            owned = sorted(i for task in tasks for i in task.fault_indices)
+            assert owned == list(range(len(universe)))
+            for task in tasks:
+                shipped = pickle.loads(pickle.dumps(task))
+                assert len(shipped.state.faults) == len(task.fault_indices)
+                assert list(shipped.state.faults) == [
+                    universe[i] for i in task.fault_indices
+                ]
 
 
 class TestPermutedShardAssignment:

@@ -15,6 +15,7 @@ from repro.campaign import CampaignRunner, CampaignScenario
 from repro.core import LogicBistConfig
 from repro.core.bist_ready import derive_signature_responses
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
+from repro.simulation.packed import leading_blocks
 
 #: Least share of ones over one domain's cells and signature patterns.
 MIN_RESPONSE_DENSITY = 0.05
@@ -52,7 +53,7 @@ def pipeline_core(seed: int):
 
 @pytest.fixture(scope="module")
 def signed_scenarios():
-    """Each scenario's signature inputs and reported signatures."""
+    """Each scenario's bundle and reported signatures."""
     scenarios = [
         CampaignScenario(f"core_{seed}", pipeline_core(seed), CONFIG)
         for seed in range(600, 604)
@@ -62,7 +63,7 @@ def signed_scenarios():
     run = runner.scheduler().run(plan.nodes)
     return {
         name: (
-            run.value(keys["signature_input"]),
+            run.value(keys["bundle"]),
             run.value(keys["report"]).signatures,
         )
         for name, keys in plan.artifact_keys.items()
@@ -71,13 +72,16 @@ def signed_scenarios():
 
 @pytest.mark.parametrize("seed", range(600, 604))
 def test_every_domain_response_clears_density_floor(signed_scenarios, seed):
-    inputs, _ = signed_scenarios[f"core_{seed}"]
-    patterns = [pattern for block in inputs.blocks for pattern in block.patterns()]
+    bundle, _ = signed_scenarios[f"core_{seed}"]
+    blocks = leading_blocks(
+        (block for _, block in bundle.offset_blocks), CONFIG.signature_patterns
+    )
+    patterns = [pattern for block in blocks for pattern in block.patterns()]
     responses = derive_signature_responses(
-        inputs.circuit, CONFIG, patterns, inputs.capture_schedule
+        bundle.core.circuit, CONFIG, patterns, bundle.capture_schedule
     )
     assert len(responses) == CONFIG.signature_patterns
-    for name, domain in inputs.domains.items():
+    for name, domain in bundle.stumps.domains.items():
         cells = domain.cells()
         ones = sum(response.get(cell, 0) for response in responses for cell in cells)
         density = ones / (len(cells) * len(responses))

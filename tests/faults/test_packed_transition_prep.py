@@ -16,9 +16,9 @@ backends.
 import pytest
 
 from repro.bist import StumpsArchitecture, StumpsDomainConfig
-from repro.campaign.pipeline import TransitionInput, TransitionPrepStage
+from repro.campaign.pipeline import ScenarioBundle, TransitionPrepStage
 from repro.core import LogicBistConfig
-from repro.core.bist_ready import build_clock_tree
+from repro.core.bist_ready import BistReadyCore, build_clock_tree
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
 from repro.oracle import derive_capture_patterns
@@ -67,6 +67,26 @@ def make_stumps(circuit, expander=False):
             StumpsDomainConfig(domain="clkC", prpg_seed=6, phase_shifter_seed=11),
         ]
     return StumpsArchitecture(architecture, configs, seed=5)
+
+
+def prep_bundle(circuit, stumps, schedule):
+    """A scenario bundle holding what the transition preparation reads --
+    the circuit, the STUMPS and the capture schedule; the stuck-at session
+    it does not read is left empty."""
+    return ScenarioBundle(
+        scenario_key="prep",
+        core=BistReadyCore(
+            circuit, scan_result=None, architecture=stumps.chain_architecture
+        ),
+        stumps=stumps,
+        clock_tree=None,
+        capture_schedule=schedule,
+        fault_list=None,
+        state=None,
+        positions=(),
+        offset_blocks=(),
+        boundaries=(),
+    )
 
 
 def prpg_states(stumps):
@@ -132,9 +152,7 @@ def test_transition_prep_stage_matches_dict_path(backend, block_size, count):
     expected = dict_path(circuit, reference, count, block_size, schedule.pulse_order)
     stumps = make_stumps(circuit)
     stumps.generate_patterns(7)  # the stage resets the PRPGs first
-    bundle = TransitionPrepStage(config).run(
-        TransitionInput("prep", circuit, stumps, schedule)
-    )
+    bundle = TransitionPrepStage(config).run(prep_bundle(circuit, stumps, schedule))
     assert bundle.pair_blocks == expected
     assert bundle.boundaries[-1] == count
     assert prpg_states(stumps) == prpg_states(reference)

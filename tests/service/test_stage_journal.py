@@ -18,6 +18,9 @@ what that format promises:
   logged and ignored without being unpickled,
 * records at stage keys an older graph had and today's has not are
   preloaded but satisfy no node, so such a journal resumes to the oracle,
+* records at the keys of stages that were pooled then and run in the
+  parent now (bundle, signatures, transition prep, skew) are preloaded and
+  satisfy their nodes, and such a journal resumes to the oracle too,
 * a cancel flushes the records a coarse ``checkpoint_every`` buffered,
 * saves never rewrite: on a pooled multi-scenario job the bytes written
   across every ``save_progress`` add up to the journal's final size.
@@ -34,7 +37,7 @@ from repro.campaign import (
     LifecycleChaosPlan,
     LifecycleInjection,
 )
-from repro.campaign.scheduler import StageNode
+from repro.campaign.scheduler import StageNode, StageObserver
 from repro.core.config import LogicBistConfig, ServiceConfig
 from repro.service import CampaignService, CheckpointStore, EventReassembler
 from repro.service.checkpoint import (
@@ -45,7 +48,7 @@ from repro.service.checkpoint import (
     _frame,
     _journal_record,
 )
-from repro.service.events import JobStarted
+from repro.service.events import JobStarted, StageFinished, StageStarted
 from repro.timing import MonteCarloSummary
 
 from test_checkpoint_resume import (
@@ -410,9 +413,71 @@ def test_failed_job_releases_its_unsaved_records(tmp_path):
     assert not service.checkpoints._pending
 
 
+#: The stages that ran in pool workers, and so were journaled, before they
+#: moved into the parent.
+PARENT_SIDE = ("bundle", "signatures", "transition_prep", "skew")
+
+
+class FinishPickles(StageObserver):
+    """Pickles each named stage's value as it finishes, as a journal did."""
+
+    def __init__(self, keys) -> None:
+        self.keys = set(keys)
+        self.blobs: dict[str, bytes] = {}
+
+    def on_stage_finish(self, node, value, seconds) -> None:
+        if node.key in self.keys:
+            self.blobs[node.key] = pickle.dumps(value)
+
+
+def test_journal_with_parent_side_stage_records_resumes_to_oracle(tmp_path):
+    """Journals written while the bundle, signature, transition preparation
+    and skew sweep were pooled hold records at those stage keys.  The keys
+    did not change, so a resume preloads such records, skips their stages
+    and still produces the serial oracle's bytes."""
+    expected = oracle_bytes("python")
+    job_id, crashed, _, _ = run_service(
+        tmp_path, make_scenarios("python"), crash_after=1
+    )
+    assert crashed.state == "failed"
+    journal = CheckpointStore(tmp_path).load_progress(job_id, plan=SERIAL_PLAN)
+    assert not any(key.endswith(PARENT_SIDE) for key in journal)
+
+    runner = CampaignRunner()
+    plan = runner.plan(make_scenarios("python"), prefix=f"{job_id}/")
+    keys = plan.artifact_keys["svc"]
+    observer = FinishPickles(keys[name] for name in PARENT_SIDE)
+    runner.scheduler().run(plan.nodes, observer=observer)
+    assert sorted(observer.blobs) == sorted(keys[name] for name in PARENT_SIDE)
+    with open(tmp_path / job_id / PROGRESS_FILE, "ab") as handle:
+        for key, blob in observer.blobs.items():
+            handle.write(_journal_record(key, pickle.loads(blob)))
+
+    _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
+    started = next(e for e in events if isinstance(e, JobStarted))
+    assert started.resumed
+    assert started.preloaded_stages == len(journal) + len(PARENT_SIDE)
+    ran = {e.stage for e in events if isinstance(e, StageStarted)}
+    assert not ran & set(observer.blobs)
+    assert resumed.state == "finished"
+    assert resumed.report == expected
+    assert EventReassembler().feed_all(events).report_bytes() == expected
+
+
+def non_local_keys(scenarios, job_id: str) -> set:
+    """The keys of every pooled stage a clean serial run of ``scenarios``
+    under ``job_id`` finishes, spliced shard stages included."""
+    runner = CampaignRunner()
+    plan = runner.plan(scenarios, prefix=f"{job_id}/")
+    run = runner.scheduler().run(plan.nodes)
+    return {record.key for record in run.trace if not record.local}
+
+
 def test_cancel_flushes_records_buffered_by_a_coarse_cadence(tmp_path):
     """With ``checkpoint_every`` larger than the job, nothing is appended
-    while it runs; a cancel must still flush every finished stage."""
+    while it runs; a cancel must still flush every finished stage: the
+    journal holds exactly the non-local stages that finished before the
+    cancel."""
     coarse = ServiceConfig(checkpoint_every=10_000)
 
     async def cancel_session():
@@ -429,7 +494,11 @@ def test_cancel_flushes_records_buffered_by_a_coarse_cadence(tmp_path):
     journal = CheckpointStore(tmp_path).load_progress(
         cancelled.job_id, plan=SERIAL_PLAN
     )
-    assert journal and len(journal) >= 3
+    finished = [e.stage for e in cancelled.events if isinstance(e, StageFinished)]
+    assert len(finished) == 7
+    pooled = non_local_keys(make_scenarios("python"), cancelled.job_id)
+    assert sorted(journal) == sorted(key for key in finished if key in pooled)
+    assert journal
 
     async def resume_session():
         service = CampaignService(checkpoint_dir=tmp_path, service_config=coarse)

@@ -201,6 +201,12 @@ def test_walk_ignores_lookalikes():
         ("repro.core.bist_ready", "BistReadyCore", "original"),
         ("repro.netlist.circuit", "Circuit", "flops_in_domain"),
         ("repro.service.checkpoint", "CheckpointStore", "discard"),
+        ("repro.campaign.pipeline", None, "TrimSignatureInputStage"),
+        ("repro.campaign.pipeline", None, "TrimTransitionInputStage"),
+        ("repro.campaign.pipeline", None, "TrimSkewInputStage"),
+        ("repro.campaign.pipeline", None, "SignatureInput"),
+        ("repro.campaign.pipeline", None, "TransitionInput"),
+        ("repro.campaign.pipeline", None, "SkewInput"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):

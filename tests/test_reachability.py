@@ -128,6 +128,16 @@ def test_commands_run_every_example_then_each_workload(reach, tmp_path):
         assert run[run.index("--seconds") + 1] == "2"
 
 
+def test_repeated_example_runs_again_with_its_arguments(reach, tmp_path):
+    write_toy_checkout(tmp_path)
+    (tmp_path / "examples" / "campaign_service.py").write_text(EXAMPLE)
+    runs = reach.commands(tmp_path)
+    names = [Path(run[1]).name for run in runs]
+    assert names[:4] == ["a_runs.py", "b_fails.py"] + ["campaign_service.py"] * 2
+    assert runs[2][2:] == []
+    assert runs[3][2:] == ["--workers", "2"]
+
+
 def test_failed_command_is_reported(probed):
     _root, failed, _seen = probed
     assert len(failed) == 1
