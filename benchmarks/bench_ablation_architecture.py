@@ -28,6 +28,13 @@ from repro.bist import (
 )
 from repro.cores import comparator_core
 from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.oracle import (
+    compactor_outputs,
+    generate_patterns,
+    phase_shifter_outputs,
+    prpg_step,
+    simulate_patterns,
+)
 from repro.scan import build_scan_chains
 
 from conftest import print_rows, scaled
@@ -50,10 +57,10 @@ def _coverage_with_stumps(circuit, architecture, use_phase_shifter):
     rng = random.Random(5)
     patterns = [
         {**pattern, **{pi: rng.randint(0, 1) for pi in circuit.primary_inputs}}
-        for pattern in stumps.generate_patterns(PATTERNS)
+        for pattern in generate_patterns(stumps, PATTERNS)
     ]
     fault_list = collapse_stuck_at(circuit).to_fault_list()
-    FaultSimulator(circuit).simulate(fault_list, patterns)
+    simulate_patterns(FaultSimulator(circuit), fault_list, patterns)
     return fault_list.coverage()
 
 
@@ -85,10 +92,10 @@ def test_ablation_phase_shifter_vs_raw_taps(benchmark):
     sequences_shifted = [[] for _ in range(8)]
     sequences_raw = [[] for _ in range(8)]
     for _ in range(256):
-        bits = prpg.next_state_bits()
-        for channel, bit in enumerate(shifted.outputs(bits)):
+        bits = prpg_step(prpg)
+        for channel, bit in enumerate(phase_shifter_outputs(shifted, bits)):
             sequences_shifted[channel].append(bit)
-        for channel, bit in enumerate(raw.outputs(bits)):
+        for channel, bit in enumerate(phase_shifter_outputs(raw, bits)):
             sequences_raw[channel].append(bit)
     benchmark.extra_info["correlation_with_ps"] = shifted.correlation(sequences_shifted)
     benchmark.extra_info["correlation_raw"] = raw.correlation(sequences_raw)
@@ -118,7 +125,7 @@ def test_ablation_space_compactor_masking(benchmark):
             def signature(compactor_block, stream):
                 misr = Misr(19)
                 for row in stream:
-                    misr.compact(compactor_block.compact(row))
+                    misr.compact(compactor_outputs(compactor_block, row))
                 return misr.signature
 
             if signature(compactor, good) == signature(compactor, faulty):

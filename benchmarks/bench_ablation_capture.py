@@ -20,7 +20,12 @@ from repro.faults import (
     TransitionFaultSimulator,
     collapse_stuck_at,
 )
-from repro.oracle import derive_capture_patterns, simulate_with_derived_capture
+from repro.oracle import (
+    derive_capture_patterns,
+    generate_patterns,
+    simulate_patterns,
+    simulate_with_derived_capture,
+)
 from repro.timing import CaptureWindowScheduler, make_clock_tree
 
 from conftest import print_rows, scaled
@@ -42,7 +47,7 @@ def _setup():
     stumps = StumpsArchitecture(prepared.architecture, seed=13)
     tree = make_clock_tree({"clkA": 200.0, "clkB": 125.0}, intra_domain_skew_ns=0.1)
     schedule = CaptureWindowScheduler(tree).schedule()
-    launch_patterns = stumps.generate_patterns(PATTERN_PAIRS)
+    launch_patterns = generate_patterns(stumps, PATTERN_PAIRS)
     return circuit, schedule, launch_patterns
 
 
@@ -92,12 +97,12 @@ def test_ablation_double_capture_keeps_stuck_at_coverage(benchmark):
 
     def run():
         stuck_launch = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(stuck_launch, launch_patterns)
+        simulate_patterns(FaultSimulator(circuit), stuck_launch, launch_patterns)
         capture_patterns = derive_capture_patterns(
             circuit, launch_patterns, schedule.pulse_order
         )
         stuck_capture = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(stuck_capture, capture_patterns)
+        simulate_patterns(FaultSimulator(circuit), stuck_capture, capture_patterns)
         return stuck_launch, stuck_capture
 
     stuck_launch, stuck_capture = benchmark.pedantic(run, rounds=1, iterations=1)

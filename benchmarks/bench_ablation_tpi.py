@@ -13,6 +13,7 @@ import random
 from repro.bist import StumpsArchitecture
 from repro.cores import comparator_core
 from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.oracle import generate_patterns, simulate_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 from repro.tpi import FaultSimGuidedObservationTpi, ObservabilityGuidedTpi
@@ -27,7 +28,7 @@ def _patterns(circuit, stumps, count, seed=7):
     rng = random.Random(seed)
     return [
         {**pattern, **{pi: rng.randint(0, 1) for pi in circuit.primary_inputs}}
-        for pattern in stumps.generate_patterns(count)
+        for pattern in generate_patterns(stumps, count)
     ]
 
 
@@ -36,7 +37,7 @@ def _coverage(circuit, patterns, observe_extra=()):
     simulator = FaultSimulator(circuit)
     for net in observe_extra:
         simulator.add_observation_net(net)
-    simulator.simulate(fault_list, patterns)
+    simulate_patterns(simulator, fault_list, patterns)
     return fault_list
 
 

@@ -89,7 +89,7 @@ from repro.core.bist_ready import build_clock_tree
 from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.faults.transition_sim import derive_pair_blocks
-from repro.oracle import derive_capture_patterns
+from repro.oracle import derive_capture_patterns, generate_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import HAVE_NUMPY, iter_blocks
 from repro.simulation.kernel import KERNEL_CACHE
@@ -183,7 +183,7 @@ def _pattern_generation(architecture, block_size):
         stumps = StumpsArchitecture(architecture, seed=9)
         start = time.perf_counter()
         if path == "stepping":
-            stumps.generate_patterns(GEN_PATTERNS)
+            generate_patterns(stumps, GEN_PATTERNS)
         else:
             for _block in stumps.generate_packed_blocks(
                 GEN_PATTERNS, block_size=block_size
@@ -208,7 +208,7 @@ def _transition_prep(circuit, architecture, pulse_order, results: list):
         stumps = StumpsArchitecture(architecture, seed=9)
         start = time.perf_counter()
         if path == "dict":
-            launch = stumps.generate_patterns(GEN_PATTERNS)
+            launch = generate_patterns(stumps, GEN_PATTERNS)
             capture = derive_capture_patterns(circuit, launch, pulse_order)
             nets = circuit.stimulus_nets()
             pair_blocks = tuple(

@@ -36,7 +36,7 @@ from repro.cores import core_y_recipe
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
-from repro.oracle import ReferenceFaultSimulator
+from repro.oracle import ReferenceFaultSimulator, generate_patterns, simulate_patterns
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 
@@ -83,7 +83,7 @@ def _run_pattern_generation(circuit, count, block_size):
 
     stumps = StumpsArchitecture(architecture, seed=9)
     start = time.perf_counter()
-    stumps.generate_patterns(count)
+    generate_patterns(stumps, count)
     dict_seconds = time.perf_counter() - start
 
     stumps = StumpsArchitecture(architecture, seed=9)

@@ -6,19 +6,21 @@ MISR), clock-gating block, controller and Boundary-Scan port.  This benchmark
 assembles its data path around the scaled Core X (the controller and the
 Boundary-Scan port are not modelled; the flow charges them a fixed area
 estimate) and measures the cost of the two data-path operations the
-architecture performs once per pattern:
+architecture performs, on one packed block of patterns (bit *j* of a cell's
+word belongs to pattern *j*), the only form the flow holds a session in:
 
 * pattern generation (PRPG -> phase shifter -> scan-load state), and
 * response compaction (captured state -> per-domain MISR signatures),
 
 and asserts the structural properties Fig. 1 mandates (one PRPG/MISR pair per
-clock domain, chains never crossing domains).  A third case times the input
-selector's switch between PRPG and externally applied (top-up) patterns.
+clock domain, chains never crossing domains).  The input selector is not
+modelled: top-up patterns are packed and simulated like any other block.
 """
 
-from repro.bist import InputSelector, InputSource, StumpsArchitecture
+from repro.bist import StumpsArchitecture
 from repro.core import LogicBistConfig, prepare_scan_core
 from repro.cores import core_x_recipe
+from repro.simulation import DEFAULT_BLOCK_SIZE, PatternBlock
 
 from conftest import print_rows
 
@@ -36,10 +38,15 @@ def _prepare():
 
 
 def test_fig1_pattern_generation_throughput(benchmark):
-    """Time to generate one full scan-load pattern across every domain."""
+    """Time to generate one packed block of scan loads across every domain."""
     prepared, stumps = _prepare()
-    pattern = benchmark(stumps.generate_pattern)
-    assert set(pattern) == set(prepared.circuit.flop_names())
+
+    def one_block():
+        return next(stumps.generate_packed_blocks(DEFAULT_BLOCK_SIZE))
+
+    block = benchmark(one_block)
+    assert block.num_patterns == DEFAULT_BLOCK_SIZE
+    assert set(block.assignments) == set(prepared.circuit.flop_names())
 
     rows = [
         {
@@ -62,28 +69,20 @@ def test_fig1_pattern_generation_throughput(benchmark):
 
 
 def test_fig1_response_compaction_throughput(benchmark):
-    """Time to compact one captured response into every domain's MISR."""
+    """Time to fold one packed block of captured responses into every
+    domain's MISR."""
     prepared, stumps = _prepare()
-    captured = {name: (i & 1) for i, name in enumerate(prepared.circuit.flop_names())}
-    signatures = benchmark(stumps.compact_response, captured)
+    flops = prepared.circuit.flop_names()
+    captured = PatternBlock(
+        {name: (0x5A5A5A5A5A5A5A5A >> (i % 7)) for i, name in enumerate(flops)},
+        DEFAULT_BLOCK_SIZE,
+    )
+
+    def fold():
+        return {
+            name: domain.fold_responses([captured])
+            for name, domain in stumps.domains.items()
+        }
+
+    signatures = benchmark(fold)
     assert set(signatures) == set(prepared.circuit.clock_domains())
-
-
-def test_fig1_input_selector(benchmark):
-    """The test-access path: top-up patterns in through the input selector,
-    signatures out."""
-    prepared, stumps = _prepare()
-    selector = InputSelector(stumps)
-
-    def access_cycle():
-        pattern = selector.next_pattern()
-        selector.load_external_patterns([pattern])
-        selector.select(InputSource.EXTERNAL)
-        replayed = selector.next_pattern()
-        selector.select(InputSource.PRPG)
-        signature = stumps.signatures()
-        return replayed, signature[sorted(signature)[0]]
-
-    replayed, signature_readout = benchmark(access_cycle)
-    assert set(replayed) == set(prepared.circuit.flop_names())
-    assert isinstance(signature_readout, int)

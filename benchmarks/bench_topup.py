@@ -50,7 +50,7 @@ from repro.core import LogicBistConfig, LogicBistFlow, prepare_scan_core
 from repro.core.bist_ready import credit_chain_flush, fresh_fault_list
 from repro.cores import core_x_recipe, core_y_recipe
 from repro.faults import FaultSimulator
-from repro.oracle import run_topup_reference
+from repro.oracle import run_topup_reference, simulate_patterns
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
 
@@ -96,7 +96,7 @@ def _random_phase(core, config):
         {net: rng.randint(0, 1) for net in stimulus}
         for _ in range(RANDOM_PATTERNS)
     ]
-    FaultSimulator(circuit).simulate(fault_list, patterns, block_size=BLOCK_SIZE)
+    simulate_patterns(FaultSimulator(circuit), fault_list, patterns, block_size=BLOCK_SIZE)
     return fault_list
 
 

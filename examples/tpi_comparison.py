@@ -20,23 +20,43 @@ Run with::
 """
 
 import argparse
+import random
 
 from repro.bist import StumpsArchitecture
 from repro.cores import comparator_core
 from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.scan import build_scan_chains
-from repro.simulation import iter_blocks
+from repro.simulation import PatternBlock
 from repro.tpi import FaultSimGuidedObservationTpi, ObservabilityGuidedTpi
 
 
-def coverage_with_points(circuit, patterns, nets):
+def coverage_with_points(circuit, blocks, nets):
     """Random-pattern coverage when ``nets`` are observed as test points."""
     fault_list = collapse_stuck_at(circuit).to_fault_list()
     simulator = FaultSimulator(circuit)
     for net in nets:
         simulator.add_observation_net(net)
-    simulator.simulate(fault_list, patterns)
+    simulator.simulate_blocks(fault_list, blocks)
     return fault_list.coverage()
+
+
+def session_blocks(circuit, stumps, count, rng):
+    """The PRPG session in packed blocks, with random primary-input words.
+
+    The PRPG drives the scan cells; in the full flow the primary inputs are
+    wrapped by scan cells too, so model that here by giving the PI pads
+    random values from a separate seeded source, drawn pattern by pattern.
+    """
+    blocks = []
+    for block in stumps.generate_packed_blocks(count):
+        words = dict(block.assignments)
+        pads = {pi: 0 for pi in circuit.primary_inputs}
+        for index in range(block.num_patterns):
+            for pi in pads:
+                pads[pi] |= rng.randint(0, 1) << index
+        words.update(pads)
+        blocks.append(PatternBlock(words, block.num_patterns))
+    return blocks
 
 
 def main() -> None:
@@ -48,20 +68,11 @@ def main() -> None:
     circuit = comparator_core(width=12, easy_outputs=4)
     architecture = build_scan_chains(circuit, total_chains=2)
     stumps = StumpsArchitecture(architecture, seed=7)
-    # The PRPG drives the scan cells; in the full flow the primary inputs are
-    # wrapped by scan cells too, so model that here by giving the PI pads
-    # random values from a separate seeded source.
-    import random
-
-    rng = random.Random(7)
-    patterns = [
-        {**pattern, **{pi: rng.randint(0, 1) for pi in circuit.primary_inputs}}
-        for pattern in stumps.generate_patterns(args.patterns)
-    ]
+    blocks = session_blocks(circuit, stumps, args.patterns, random.Random(7))
 
     # Baseline random coverage and the resistant-fault population.
     fault_list = collapse_stuck_at(circuit).to_fault_list()
-    FaultSimulator(circuit).simulate(fault_list, patterns)
+    FaultSimulator(circuit).simulate_blocks(fault_list, blocks)
     no_tp = fault_list.coverage()
     print(f"Core: {circuit.gate_count()} gates, {circuit.flop_count()} flops, "
           f"{len(fault_list)} collapsed faults")
@@ -71,15 +82,13 @@ def main() -> None:
           f"({len(fault_list.undetected())} faults undetected)")
 
     observability_plan = ObservabilityGuidedTpi(circuit, budget=args.budget).select()
-    cov_observability = coverage_with_points(circuit, patterns, observability_plan.nets)
+    cov_observability = coverage_with_points(circuit, blocks, observability_plan.nets)
     print(f"Coverage with SCOAP-observability points: {cov_observability * 100:6.2f}%  "
           f"at {observability_plan.nets}")
 
     guided = FaultSimGuidedObservationTpi(circuit, budget=args.budget, profile_patterns=128)
-    guided_plan = guided.select(
-        fault_list, iter_blocks(patterns, nets=circuit.stimulus_nets())
-    )
-    cov_guided = coverage_with_points(circuit, patterns, guided_plan.nets)
+    guided_plan = guided.select(fault_list, blocks)
+    cov_guided = coverage_with_points(circuit, blocks, guided_plan.nets)
     print(f"Coverage with fault-sim-guided points:    {cov_guided * 100:6.2f}%  "
           f"at {guided_plan.nets}")
     print()

@@ -19,11 +19,12 @@ invocations, the random-fill RNG stream and every pattern byte -- exactly
 match the one-pattern-at-a-time walk, which is kept as an oracle in
 :mod:`repro.oracle.topup`.
 
-The top-up patterns are applied through the input selector of the BIST
-architecture (Fig. 1) -- in silicon they would be scanned in through the
-Boundary-Scan port instead of coming from the PRPG.  Their campaign pattern
-indices live in their own range starting at :data:`TOPUP_PATTERN_BASE`, so
-they can never collide with random-phase indices.
+In silicon the top-up patterns would be scanned in through the
+Boundary-Scan port (Fig. 1's input selector) instead of coming from the
+PRPG; here they are packed and screened like any block.  Their campaign
+pattern indices live in their own range starting at
+:data:`TOPUP_PATTERN_BASE`, so they can never collide with random-phase
+indices.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..faults.models import FaultStatus, StuckAtFault
 from ..netlist.circuit import Circuit
-from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, mask_for
+from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks, mask_for
 from .compaction import merge_compatible_cubes
 from .podem import AtpgOutcome, AtpgResult, PodemAtpg, TestCube
 
@@ -362,10 +363,9 @@ class TopUpAtpg:
             cube.fill_random(self._rng, stimulus_nets)
             for cube in merge_compatible_cubes(cubes)
         ]
-        simulator.simulate(
+        simulator.simulate_blocks(
             fault_list,
-            new,
-            block_size=self.block_size,
+            iter_blocks(new, block_size=self.block_size, nets=stimulus_nets),
             drop_detected=True,
             pattern_offset=TOPUP_PATTERN_BASE + len(patterns),
         )

@@ -1,4 +1,4 @@
-"""BIST components (S8): PRPG, phase shifter, MISR, STUMPS, input selector.
+"""BIST components (S8): PRPG, phase shifter, MISR, STUMPS.
 
 Public API:
 
@@ -7,13 +7,15 @@ Public API:
 * :class:`~repro.bist.space.SpaceExpander` / :class:`~repro.bist.space.SpaceCompactor`,
 * :class:`~repro.bist.misr.Misr` and the signature helpers,
 * :class:`~repro.bist.stumps.StumpsArchitecture` / :class:`~repro.bist.stumps.StumpsDomain`,
-* :class:`~repro.bist.input_selector.InputSelector`,
 * the primitive-polynomial table in :mod:`repro.bist.polynomials`.
 
 The BIST controller and the Boundary-Scan TAP are not modelled: the flow
-charges them a fixed area estimate.  The scalar sequential simulator that
-checks a STUMPS session cycle by cycle is an oracle in
-:mod:`repro.oracle.sequential`.
+charges them a fixed area estimate, and Fig. 1's input selector is not
+modelled either: top-up patterns are packed and simulated like any other
+external cubes.  The scalar sequential simulator that checks a STUMPS
+session cycle by cycle is an oracle in :mod:`repro.oracle.sequential`; the
+stepping PRPG and the per-cycle unload that check the packed session are
+oracles in :mod:`repro.oracle.patterns`.
 """
 
 from .polynomials import (
@@ -35,7 +37,6 @@ from .misr import (
     signatures_differ,
 )
 from .stumps import StumpsArchitecture, StumpsDomain, StumpsDomainConfig
-from .input_selector import InputSelector, InputSource
 
 __all__ = [
     "PRIMITIVE_POLYNOMIALS",
@@ -59,6 +60,4 @@ __all__ = [
     "StumpsArchitecture",
     "StumpsDomain",
     "StumpsDomainConfig",
-    "InputSelector",
-    "InputSource",
 ]

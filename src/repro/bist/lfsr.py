@@ -188,10 +188,10 @@ class Prpg:
 
     In a STUMPS architecture one PRPG feeds many scan chains in parallel; the
     value presented to chain *c* in a shift cycle is (after the phase shifter)
-    a XOR of PRPG stages.  This wrapper advances the LFSR once per shift cycle
-    and hands the full state to the phase shifter; the packed generator
-    advances :attr:`lfsr` many patterns at once through
-    :meth:`FibonacciLfsr.sliced_stream`.
+    a XOR of PRPG stages.  The packed generator advances :attr:`lfsr` many
+    patterns at once through :meth:`FibonacciLfsr.sliced_stream`; stepping it
+    once per shift cycle is the oracle's job
+    (:func:`repro.oracle.patterns.prpg_step`).
     """
 
     def __init__(
@@ -215,12 +215,3 @@ class Prpg:
     def reseed(self, seed: int) -> None:
         """Load a new non-zero seed (e.g. through Boundary-Scan)."""
         self.lfsr.reseed(seed)
-
-    def next_state_bits(self) -> list[int]:
-        """Advance one shift cycle and return the new parallel state bits."""
-        self.lfsr.step()
-        return self.lfsr.state_bits()
-
-    def generate_states(self, cycles: int) -> list[list[int]]:
-        """Parallel state bits for ``cycles`` consecutive shift cycles."""
-        return [self.next_state_bits() for _ in range(cycles)]

@@ -70,10 +70,12 @@ class Misr:
         """Absorb one pre-packed response slice (bit *i* = MISR input *i*).
 
         The single home of the MISR update -- :meth:`compact` merely packs
-        its bit list into a word first -- so the scalar unload path and the
-        vectorised fold (which builds the injected words with ndarray
-        gathers, see :meth:`repro.bist.stumps.StumpsDomain.fold_responses`)
-        cannot drift apart.
+        its bit list into a word first -- so the packed fold
+        (:meth:`repro.bist.stumps.StumpsDomain.fold_responses`, which XORs
+        each compactor group's cell words and injects one word per pattern
+        and unload cycle) and the per-cycle unload oracle
+        (:func:`repro.oracle.patterns.compact_domain_response`) cannot drift
+        apart.
         """
         # LFSR step (Galois) ...
         lsb = self.state & 1

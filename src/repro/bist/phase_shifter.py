@@ -65,18 +65,6 @@ class PhaseShifter:
         if len(self.channel_taps) != self.num_channels:
             raise ValueError("channel_taps length must equal num_channels")
 
-    def outputs(self, state_bits: Sequence[int]) -> list[int]:
-        """Channel values for one PRPG state (one per scan chain)."""
-        if len(state_bits) < self.prpg_length:
-            raise ValueError("state_bits shorter than prpg_length")
-        result = []
-        for taps in self.channel_taps:
-            value = 0
-            for tap in taps:
-                value ^= state_bits[tap]
-            result.append(value)
-        return result
-
     def xor_gate_count(self) -> int:
         """Number of 2-input XOR gates needed to build the network (area model)."""
         return sum(max(0, len(taps) - 1) for taps in self.channel_taps)

@@ -20,7 +20,6 @@ quantifies exactly that trade-off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 
 @dataclass
@@ -48,18 +47,6 @@ class SpaceExpander:
         if len(self.output_taps) != self.num_outputs:
             raise ValueError("output_taps length must equal num_outputs")
 
-    def expand(self, inputs: Sequence[int]) -> list[int]:
-        """One cycle of expansion: TPG channel bits -> chain input bits."""
-        if len(inputs) < self.num_inputs:
-            raise ValueError("not enough input bits")
-        outputs = []
-        for taps in self.output_taps:
-            value = 0
-            for tap in taps:
-                value ^= inputs[tap]
-            outputs.append(value)
-        return outputs
-
     def xor_gate_count(self) -> int:
         """2-input XOR gates required (area model)."""
         return sum(max(0, len(taps) - 1) for taps in self.output_taps)
@@ -81,15 +68,6 @@ class SpaceCompactor:
     def group_of(self, input_index: int) -> int:
         """MISR input that chain output ``input_index`` folds onto."""
         return input_index % self.num_outputs
-
-    def compact(self, inputs: Sequence[int]) -> list[int]:
-        """One cycle of compaction: chain output bits -> MISR input bits."""
-        if len(inputs) != self.num_inputs:
-            raise ValueError(f"expected {self.num_inputs} bits, got {len(inputs)}")
-        outputs = [0] * self.num_outputs
-        for index, bit in enumerate(inputs):
-            outputs[self.group_of(index)] ^= bit
-        return outputs
 
     def xor_gate_count(self) -> int:
         """2-input XOR gates required (area model)."""

@@ -16,10 +16,11 @@ no shift path ever crosses a domain boundary, so only the *capture* window has
 to worry about inter-domain skew (handled by the double-capture scheduler in
 :mod:`repro.timing.double_capture`).
 
-Besides the structure, the module emulates the data path: pattern generation
-(what state a shift window loads into every scan cell) and response compaction
-(what signature a captured response produces), which is what the end-to-end
-flow and the signature tests use.
+Besides the structure, the module emulates the data path on packed blocks
+(bit *j* of a cell's word belongs to pattern *j*): pattern generation (what
+state the shift windows load into every scan cell) and response compaction
+(what signature the captured responses produce), which is what the
+end-to-end flow and the signature tests use.
 
 Pattern generation has one packed path for both simulation backends, built on
 the TPG being linear.  A Fibonacci PRPG of length ``L`` is a window over its
@@ -31,8 +32,10 @@ computes, for ``N`` patterns at once, the bit-sliced columns
 ``D_r = sum(s[j*C + r] << j)``: ``D_0 .. D_{L-1}`` (the pattern-start states)
 by doubling with cached jump matrices ``M**(C * 2**k)``, every later column by
 the recurrence with one ``N``-bit XOR per tap, and each cell's word as a XOR of
-a few columns.  :meth:`StumpsDomain.generate_load` steps the PRPG once per
-shift cycle and stays the reference the packed path is tested against.
+a few columns.  Response compaction is one packed unload
+(:meth:`StumpsDomain.fold_responses`).  The per-pattern references both are
+tested against -- the PRPG stepped once per shift cycle and the MISR clocked
+once per unload slice -- live in :mod:`repro.oracle.patterns`.
 """
 
 from __future__ import annotations
@@ -40,16 +43,10 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..scan.chains import ScanChainArchitecture
-from ..simulation.numpy_backend import (
-    NUMPY_BACKEND,
-    PYTHON_BACKEND,
-    np as _np,
-    resolve_backend,
-)
-from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock
+from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, mask_for
 from .lfsr import Prpg
 from .misr import Misr
 from .phase_shifter import PhaseShifter, identity_phase_shifter
@@ -116,44 +113,18 @@ class StumpsDomain:
         )
         misr_length = max(2, misr_length)
         self.misr = Misr(misr_length)
-        #: Cached vectorised-unload structures (numpy MISR fold).
-        self._fold_map: Optional[tuple] = None
 
     def __setstate__(self, state: dict) -> None:
         # Pickles of older code carry the per-window cell maps of a deleted
-        # ndarray generator; nothing reads them.
+        # ndarray generator and the gather map of a deleted ndarray MISR
+        # fold; nothing reads them.
         state.pop("_cell_maps", None)
+        state.pop("_fold_map", None)
         self.__dict__.update(state)
 
     # ------------------------------------------------------------------ #
     # Pattern generation (shift window emulation)
     # ------------------------------------------------------------------ #
-    def generate_load(self, shift_cycles: Optional[int] = None) -> dict[str, int]:
-        """Emulate one shift window; returns scan-cell name -> loaded value.
-
-        The PRPG advances once per shift cycle; the phase-shifter output for
-        chain *c* at cycle *t* enters the chain's scan-in and ends up at
-        position ``shift_cycles - 1 - t`` if it has not fallen off the end.
-        """
-        cycles = shift_cycles if shift_cycles is not None else self.max_chain_length
-        per_cycle_channels: list[list[int]] = []
-        for _ in range(cycles):
-            bits = self.prpg.next_state_bits()
-            channels = self.phase_shifter.outputs(bits)
-            if self.expander is not None:
-                channels = self.expander.expand(channels)
-            per_cycle_channels.append(channels)
-
-        load: dict[str, int] = {}
-        for chain_index, chain in enumerate(self.chains):
-            for position, cell in enumerate(chain.cells):
-                source_cycle = cycles - 1 - position
-                if source_cycle < 0:
-                    load[cell] = 0
-                else:
-                    load[cell] = per_cycle_channels[source_cycle][chain_index]
-        return load
-
     def generate_packed_load(
         self, num_patterns: int, shift_cycles: Optional[int] = None
     ) -> dict[str, int]:
@@ -161,7 +132,8 @@ class StumpsDomain:
 
         Returns scan-cell name -> packed word where bit *i* is the value the
         cell is loaded with in pattern *i*, and leaves the PRPG where
-        ``num_patterns`` calls to :meth:`generate_load` would.  A cell at
+        ``num_patterns`` stepped shift windows would
+        (:func:`repro.oracle.patterns.generate_load`).  A cell at
         position *p* gets the XOR of the bit-sliced stream columns
         ``C - p + t`` over its chain's taps *t*
         (:meth:`~repro.bist.lfsr.FibonacciLfsr.sliced_stream`, see the module
@@ -206,104 +178,64 @@ class StumpsDomain:
     # ------------------------------------------------------------------ #
     # Response compaction (unload window emulation)
     # ------------------------------------------------------------------ #
-    def compact_response(self, captured: Mapping[str, int]) -> int:
-        """Shift out a captured response and fold it into the MISR.
+    def fold_responses(self, response_blocks: Iterable[PatternBlock]) -> int:
+        """Unload a stream of packed captured responses into the MISR.
 
-        ``captured`` maps scan-cell names to their post-capture values.  Cells
-        missing from the mapping contribute 0.  Returns the MISR state after
-        the unload.
+        Bit *j* of a block's word for a scan cell is that cell's captured
+        value in pattern *j*; cells missing from a block contribute 0.  The
+        campaign's signature stage calls this once per clock domain: every
+        domain's MISR only ever reads its own chains' cells, so each domain
+        folds the same response stream.  Unload cycle *c* reads the cell at
+        position ``length - 1 - c`` of every chain (0 past a chain's head)
+        and the space compactor XORs each group's chains onto one MISR
+        input, so for each cycle the fold XORs each group's cell words.  Then
+        pattern by pattern, cycle by cycle, it injects the group bits as one
+        word through :meth:`~repro.bist.misr.Misr.compact_word`.  Returns the
+        final MISR state.
         """
-        for cycle in range(self.max_chain_length):
-            slice_bits: list[int] = []
-            for chain in self.chains:
-                position = chain.length - 1 - cycle
-                if position < 0:
-                    slice_bits.append(0)
-                else:
-                    slice_bits.append(int(captured.get(chain.cells[position], 0)) & 1)
-            self.misr.compact(self.compactor.compact(slice_bits))
-        return self.misr.state
-
-    def fold_responses(
-        self,
-        responses: Sequence[Mapping[str, int]],
-        backend: str = PYTHON_BACKEND,
-    ) -> int:
-        """Fold a whole sequence of captured responses into the MISR.
-
-        The campaign's signature stage calls this once per clock domain:
-        every domain's MISR only ever reads its own chains' cells, so folding
-        each domain's filtered response stream reproduces the multi-domain
-        unload bit for bit.  Returns the final MISR state.
-
-        ``backend="numpy"`` vectorises the unload emulation: the per-cycle
-        scan-out slices of every response are gathered with one fancy index,
-        XOR-folded through the space compactor and packed into injected MISR
-        words in bulk; only the (inherently sequential) MISR steps remain a
-        Python loop, through the same :meth:`~repro.bist.misr.Misr.compact_word`
-        update the scalar path uses.  Falls back to the python loop when the
-        compactor has more than 62 outputs (the bulk fold shifts int64
-        words, and shift 63 would hit the sign bit).
-        """
-        if (
-            resolve_backend(backend) == NUMPY_BACKEND
-            and len(responses) > 0
-            and self.compactor.num_outputs <= 62
-        ):
-            misr = self.misr
-            for injected in self._injected_words_numpy(responses):
-                misr.compact_word(injected)
-            return misr.state
-        for captured in responses:
-            self.compact_response(captured)
-        return self.misr.state
-
-    def _injected_words_numpy(self, responses: Sequence[Mapping[str, int]]):
-        """Per-(response, unload cycle) injected MISR words, vectorised.
-
-        Bit-identical to :meth:`compact_response`'s slice building: cell
-        values are read chain by chain (missing cells as 0), positions past
-        a chain's length contribute 0, and the space compactor's XOR fold
-        onto output ``chain_index %% num_outputs`` is applied via shifted
-        XOR reduction.
-        """
-        fold_map = self._fold_map
-        if fold_map is None:
-            cells = self.cells()
-            column_of = {cell: i for i, cell in enumerate(cells)}
-            gather = _np.full(
-                (self.max_chain_length, self.chain_count), len(cells), dtype=_np.intp
+        groups = self.compactor.num_outputs
+        if groups > self.misr.length:
+            raise ValueError(
+                f"{groups} compactor outputs exceed MISR length {self.misr.length}"
             )
-            for cycle in range(self.max_chain_length):
-                for chain_index, chain in enumerate(self.chains):
-                    position = chain.length - 1 - cycle
-                    if position >= 0:
-                        gather[cycle, chain_index] = column_of[chain.cells[position]]
-            shifts = _np.array(
+        group_of = self.compactor.group_of
+        # Per unload cycle, per MISR input (highest first), the cells it reads.
+        unload = [
+            [
                 [
-                    self.compactor.group_of(chain_index)
-                    for chain_index in range(self.chain_count)
-                ],
-                dtype=_np.int64,
-            )
-            fold_map = (cells, gather, shifts)
-            self._fold_map = fold_map
-        cells, gather, shifts = fold_map
-        bits = _np.zeros((len(responses), len(cells) + 1), dtype=_np.int64)
-        for row, captured in enumerate(responses):
-            get = captured.get
-            bits[row, : len(cells)] = [int(get(cell, 0)) & 1 for cell in cells]
-        slices = bits[:, gather]  # (responses, cycles, chains)
-        injected = _np.bitwise_xor.reduce(slices << shifts[None, None, :], axis=2)
-        return [int(word) for word in injected.ravel()]
-
-    def cells(self) -> list[str]:
-        """All scan-cell names of this domain, chain by chain.
-
-        The signature stage uses this to filter captured responses down to
-        the cells a domain's MISR can actually see before folding them.
-        """
-        return [cell for chain in self.chains for cell in chain.cells]
+                    chain.cells[chain.length - 1 - cycle]
+                    for index, chain in enumerate(self.chains)
+                    if group_of(index) == group and cycle < chain.length
+                ]
+                for group in reversed(range(groups))
+            ]
+            for cycle in range(self.max_chain_length)
+        ]
+        compact_word = self.misr.compact_word
+        for block in response_blocks:
+            num = block.num_patterns
+            if num <= 0:
+                continue
+            get = block.assignments.get
+            mask = mask_for(num)
+            width = f"0{num}b"
+            # Per cycle, each pattern's injected word, the last pattern first
+            # (a binary string's first character is its top bit).
+            columns = []
+            for sources in unload:
+                rows = [
+                    format(
+                        functools.reduce(operator.xor, [get(cell, 0) for cell in cells], 0)
+                        & mask,
+                        width,
+                    )
+                    for cells in sources
+                ]
+                columns.append([int("".join(bits), 2) for bits in zip(*rows)])
+            for injected in reversed(list(zip(*columns))):
+                for word in injected:
+                    compact_word(word)
+        return self.misr.state
 
     @property
     def signature(self) -> int:
@@ -359,23 +291,6 @@ class StumpsArchitecture:
     # ------------------------------------------------------------------ #
     # Data-path emulation across all domains
     # ------------------------------------------------------------------ #
-    def generate_pattern(self) -> dict[str, int]:
-        """One shift window across every domain: scan-cell name -> loaded value.
-
-        All domains shift simultaneously (they share the shift window in
-        Fig. 2), each for its own chain length; the slow SE signal spans the
-        longest domain, shorter domains simply idle afterwards, which does not
-        change the loaded values.
-        """
-        load: dict[str, int] = {}
-        for domain in self.domains.values():
-            load.update(domain.generate_load())
-        return load
-
-    def generate_patterns(self, count: int) -> list[dict[str, int]]:
-        """Generate ``count`` consecutive scan-load patterns."""
-        return [self.generate_pattern() for _ in range(count)]
-
     def generate_packed_blocks(
         self, count: int, block_size: int = DEFAULT_BLOCK_SIZE
     ) -> Iterator[PatternBlock]:
@@ -383,14 +298,15 @@ class StumpsArchitecture:
 
         Yields :class:`~repro.simulation.packed.PatternBlock` instances of at
         most ``block_size`` patterns (bit *i* of a word = the value loaded in
-        pattern *i*), pattern for pattern what :meth:`generate_patterns`
-        returns from the same PRPG state, without a per-pattern dict.  One
+        pattern *i*), pattern for pattern what the stepping reference
+        :func:`repro.oracle.patterns.generate_patterns` returns from the same
+        PRPG state, without a per-pattern dict.  One
         path serves both simulation backends: every domain's words come from
         :meth:`StumpsDomain.generate_packed_load`, computed for a chunk of
         whole blocks (``_CHUNK_PATTERNS`` patterns, at least one block) and
         sliced block by block with a shift and a mask.  So the PRPGs advance
         a whole chunk at once, when its first block is drawn; a drained
-        generator leaves them where :meth:`generate_patterns` would.
+        generator leaves them where stepping would.
         """
         if block_size <= 0:
             raise ValueError("block_size must be positive")
@@ -427,12 +343,6 @@ class StumpsArchitecture:
         for block in self.generate_packed_blocks(count, block_size=block_size):
             yield offset, block
             offset += block.num_patterns
-
-    def compact_response(self, captured: Mapping[str, int]) -> dict[str, int]:
-        """Fold one captured response into every domain's MISR; returns the states."""
-        return {
-            name: domain.compact_response(captured) for name, domain in self.domains.items()
-        }
 
     def signatures(self) -> dict[str, int]:
         """Current per-domain signatures."""

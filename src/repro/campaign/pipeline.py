@@ -35,7 +35,7 @@ Two properties carry the whole design:
     :class:`PodemShardStage` per target shard plus the replay that
     screens their cubes).
   - Local: the bundle (:class:`BuildStumpsStage`, 12-36 ms of compute
-    behind a 190 KB result), the signature (5-6 ms), the transition
+    behind a 190 KB result), the signature (2-3 ms), the transition
     preparation (5-6 ms) and the skew sweep (11-13 ms), each of which
     reads the bundle in place, plus every expander, merge and the report.
 
@@ -65,7 +65,6 @@ from typing import Optional, Union
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
-from ..bist.input_selector import InputSelector, InputSource
 from ..bist.stumps import StumpsArchitecture
 from ..core.bist_ready import (
     BistReadyCore,
@@ -523,11 +522,12 @@ class SignatureStage:
     """Per-clock-domain MISR signatures of the leading signature slice.
 
     Derives the double-capture response stream of the session's leading
-    ``signature_patterns`` once (the block crossing the count is cut to its
-    leading patterns), then folds each domain's own cells into its MISR.
-    The folds advance deep copies of the bundle's domains made inside
-    ``run``, so the bundle's MISRs never move and running one task twice
-    (an in-process retry) signs the same values.
+    ``signature_patterns`` once, packed (the block crossing the count is
+    cut to its leading patterns), then folds each domain's own cells into
+    its MISR (:meth:`~repro.bist.stumps.StumpsDomain.fold_responses`).  No
+    per-pattern dict is built.  The folds advance deep copies of the
+    bundle's domains made inside ``run``, so the bundle's MISRs never move
+    and running one task twice (an in-process retry) signs the same values.
     """
 
     config: LogicBistConfig
@@ -537,22 +537,15 @@ class SignatureStage:
         if config.signature_patterns <= 0:
             return {}
         count = min(config.signature_patterns, config.random_patterns)
-        blocks = leading_blocks((block for _, block in bundle.offset_blocks), count)
-        patterns = [pattern for block in blocks for pattern in block.patterns()]
         responses = derive_signature_responses(
-            bundle.core.circuit, config, patterns, bundle.capture_schedule
+            bundle.core.circuit,
+            leading_blocks((block for _, block in bundle.offset_blocks), count),
+            bundle.capture_schedule,
         )
-        signatures = {}
-        for name, domain in copy.deepcopy(bundle.stumps.domains).items():
-            cells = domain.cells()
-            filtered = [
-                {cell: response.get(cell, 0) for cell in cells}
-                for response in responses
-            ]
-            signatures[name] = domain.fold_responses(
-                filtered, backend=config.sim_backend
-            )
-        return signatures
+        return {
+            name: domain.fold_responses(responses)
+            for name, domain in copy.deepcopy(bundle.stumps.domains).items()
+        }
 
 
 @dataclass(frozen=True)
@@ -582,15 +575,6 @@ def build_topup_atpg(circuit: Circuit, config: LogicBistConfig) -> TopUpAtpg:
         block_size=config.block_size,
         sim_backend=config.sim_backend,
     )
-
-
-def _apply_input_selector(core: BistReadyCore, config: LogicBistConfig,
-                          result: TopUpResult) -> None:
-    """Route the generated top-up patterns through the Fig. 1 input selector."""
-    if result.patterns:
-        selector = InputSelector(build_stumps(core, config))
-        selector.load_external_patterns(result.patterns)
-        selector.select(InputSource.EXTERNAL)
 
 
 @dataclass(frozen=True)
@@ -674,8 +658,6 @@ class TopUpSerialStage:
         config = self.config
         fault_list = inputs.fault_list
         result = build_topup_atpg(inputs.core.circuit, config).run(fault_list)
-        # The top-up patterns reach the core through the input selector.
-        _apply_input_selector(inputs.core, config, result)
         return TopUpOutcome(result=result, fault_list=fault_list)
 
 
@@ -718,7 +700,6 @@ class TopUpMergeStage:
             for index, attempt in shard:
                 prepared[targets[index]] = attempt
         result = topup.run_prepared(fault_list, prepared)
-        _apply_input_selector(inputs.core, config, result)
         return TopUpOutcome(result=result, fault_list=fault_list)
 
 
@@ -728,7 +709,7 @@ class TransitionPrepStage:
 
     The launch blocks stream straight from the reset PRPG
     (``generate_packed_blocks``, the one bit-sliced PRPG path of both
-    backends, pattern for pattern what ``generate_patterns`` loads) and
+    backends, pattern for pattern what stepping the PRPGs loads) and
     each capture block is derived from its launch block in place
     (:func:`~repro.faults.transition_sim.derive_pair_blocks`), so no
     per-pattern dict is built.  This is the serial half of the transition

@@ -23,7 +23,7 @@ phase of the campaign pipeline (:mod:`repro.campaign.pipeline`) calls:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..bist.stumps import StumpsArchitecture, StumpsDomainConfig
 from ..faults.collapse import collapse_stuck_at
@@ -39,7 +39,7 @@ from ..scan.chains import ScanChainArchitecture, build_scan_chains, verify_chain
 from ..scan.insertion import ScanInsertionConfig, ScanInsertionResult, insert_scan
 from ..scan.x_blocking import verify_x_clean
 from ..simulation.kernel import shared_kernel
-from ..simulation.packed import iter_blocks, unpack_words
+from ..simulation.packed import PatternBlock
 from ..timing.clocks import ClockTreeModel, make_clock_tree
 from ..timing.double_capture import CaptureSchedule
 from ..timing.skew_analysis import ShiftPathParameters
@@ -244,11 +244,10 @@ def fresh_fault_list(circuit: Circuit) -> FaultList:
 
 def derive_signature_responses(
     circuit: Circuit,
-    config: LogicBistConfig,
-    patterns: list[dict],
+    blocks: Iterable[PatternBlock],
     schedule: CaptureSchedule,
-) -> list[dict[str, int]]:
-    """The captured responses of the double-capture window, per pattern.
+) -> list[PatternBlock]:
+    """The captured responses of the double-capture window, block by block.
 
     Apply the schedule's pulse order once -- it already lists every domain's
     launch pulse and its capture pulse, staggered in time -- and read the
@@ -258,20 +257,19 @@ def derive_signature_responses(
     campaign's signature stage derives one stream and folds every clock
     domain's cells from it.
 
-    The patterns are packed once, the pulses run on the packed blocks
-    (:func:`~repro.faults.transition_sim.derive_capture_block`) and the flop
-    words are unpacked once.
+    The pulses run on each packed session block in place
+    (:func:`~repro.faults.transition_sim.derive_capture_block`; stimulus nets
+    missing from a block read 0), and each returned block holds that block's
+    packed flop words.
     """
     kernel = shared_kernel(circuit)
     group_updates = capture_group_updates(kernel, schedule.pulse_order)
     flop_names = circuit.flop_names()
-    responses: list[dict[str, int]] = []
-    for block in iter_blocks(
-        patterns, block_size=config.block_size, nets=kernel.stimulus_names
-    ):
+    responses: list[PatternBlock] = []
+    for block in blocks:
         words = derive_capture_block(kernel, block, group_updates).assignments
-        responses.extend(
-            unpack_words({name: words[name] for name in flop_names}, block.num_patterns)
+        responses.append(
+            PatternBlock({name: words[name] for name in flop_names}, block.num_patterns)
         )
     return responses
 

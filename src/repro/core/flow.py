@@ -16,8 +16,8 @@ order a real DFT insertion + sign-off flow would:
    simulation with dropping gives "Fault Coverage 1"; MISR signatures are
    computed for a leading slice of the session.
 4. **Top-up ATPG phase** -- PODEM targets the remaining faults, cubes are
-   compacted and random-filled, and the patterns are applied through the
-   input selector, giving "# of Top-Up Patterns" and "Fault Coverage 2".
+   compacted and random-filled, and the patterns are fault-simulated in
+   packed blocks, giving "# of Top-Up Patterns" and "Fault Coverage 2".
 5. **At-speed timing assembly** -- the clock-gating block and the
    double-capture scheduler produce the Fig. 2 capture schedule; optionally a
    launch-on-capture transition-fault simulation and a Monte-Carlo skew

@@ -19,11 +19,11 @@ fault sites are pre-resolved to ``(site ID, opcode, operand IDs)`` records,
 and every fanout cone is lowered once into a per-site
 :class:`~repro.simulation.kernel.ConePlan` (sorted schedule slices plus the
 frontier nets read from the fault-free base).
-:meth:`FaultSimulator.simulate` packs a list of pattern dicts into blocks;
 :meth:`FaultSimulator.simulate_blocks` consumes pre-packed
 :class:`~repro.simulation.packed.PatternBlock` streams (e.g. from
 ``StumpsArchitecture.generate_packed_blocks``) without ever materialising
-per-pattern dicts.
+per-pattern dicts; the pattern-list form the tests use is
+:func:`repro.oracle.patterns.simulate_patterns`.
 
 The same engine exposes :meth:`FaultSimulator.fault_effect_profile_ids`,
 which the paper's fault-simulation-guided test-point insertion uses: instead
@@ -54,7 +54,7 @@ from ..simulation.numpy_backend import (
     scan_kernel_for,
     words_for,
 )
-from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks, mask_for
+from ..simulation.packed import PatternBlock, mask_for
 from ..util.cache import KeyedLruCache
 from .fault_list import SITE_CONST, FaultList, stuck_at_table
 from .models import StuckAtFault
@@ -377,50 +377,6 @@ class FaultSimulator:
         self._np_scan = (key, scan)
         return scan
 
-    def simulate(
-        self,
-        fault_list: FaultList,
-        patterns: Sequence[Mapping[str, int]],
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        drop_detected: bool = True,
-        pattern_offset: int = 0,
-        strict: bool = False,
-    ) -> FaultSimulationResult:
-        """Fault-simulate ``patterns`` against ``fault_list``.
-
-        Parameters
-        ----------
-        fault_list:
-            Faults to simulate; their status is updated in place.
-        patterns:
-            Sequence of stimulus dicts (primary inputs and flop outputs).
-        block_size:
-            Patterns per packed block (wider blocks amortise the interpreter
-            loop over more patterns; 256 is a good throughput choice).
-        drop_detected:
-            Stop simulating a fault once it has been detected (the paper's BIST
-            coverage numbers use dropping; N-detect studies disable it).
-        pattern_offset:
-            Index of the first pattern within the overall campaign, used so
-            that first-detection indices stay globally meaningful when random
-            and top-up phases are simulated in separate calls.
-        strict:
-            When true, any pattern containing a net that is not a stimulus net
-            (e.g. a misspelled name, which the packing step would otherwise
-            silently drop to 0) raises
-            :class:`~repro.simulation.kernel.StrictStimulusError`.
-        """
-        if strict:
-            check_strict_patterns(self.circuit, patterns)
-        stimulus_nets = self.circuit.stimulus_nets()
-        blocks = iter_blocks(patterns, block_size=block_size, nets=stimulus_nets)
-        return self.simulate_blocks(
-            fault_list,
-            blocks,
-            drop_detected=drop_detected,
-            pattern_offset=pattern_offset,
-        )
-
     def simulate_blocks(
         self,
         fault_list: FaultList,
@@ -430,12 +386,12 @@ class FaultSimulator:
     ) -> FaultSimulationResult:
         """Fault-simulate a stream of pre-packed pattern blocks.
 
-        This is the streaming entry point: blocks may come from
-        ``iter_blocks`` over a pattern list or directly from
-        ``StumpsArchitecture.generate_packed_blocks`` without any per-pattern
-        dict ever being built.  Scan cells / stimulus nets missing from a
-        block's assignments default to the all-zero word, exactly as in the
-        pattern-list path.  Faults are tracked as (list position, table ID)
+        This is the one scan entry point: blocks may come from
+        ``iter_blocks`` over a pattern list (the top-up screen's filled
+        cubes) or directly from ``StumpsArchitecture.generate_packed_blocks``
+        without any per-pattern dict ever being built.  Scan cells /
+        stimulus nets missing from a block's assignments default to the
+        all-zero word.  Faults are tracked as (list position, table ID)
         pairs; detections mark the list by position.
         """
         positions = fault_list.undetected_positions()

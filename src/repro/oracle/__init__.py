@@ -43,6 +43,40 @@ benchmarks call it directly.  Each oracle checks one production path:
   ``tests/simulation/test_numpy_backend.py``,
   ``benchmarks/bench_backends.py``, ``bench_ablation_capture.py``).
 
+* :mod:`repro.oracle.patterns` -- the per-pattern session paths.
+  Production holds a session only as packed blocks; these take and return
+  one dict per pattern:
+
+  - :func:`~repro.oracle.patterns.generate_load` /
+    :func:`~repro.oracle.patterns.generate_pattern` /
+    :func:`~repro.oracle.patterns.generate_patterns` step the PRPG once per
+    shift cycle.  The bit-sliced ``generate_packed_load`` /
+    ``generate_packed_blocks`` must equal them pattern for pattern and leave
+    the PRPGs in the same state (``tests/bist/test_lfsr_properties.py``,
+    ``tests/bist/test_numpy_streaming.py``; the "stepping" side of
+    ``benchmarks/bench_backends.py``).
+  - :func:`~repro.oracle.patterns.compact_domain_response` /
+    :func:`~repro.oracle.patterns.compact_response` /
+    :func:`~repro.oracle.patterns.fold_response_patterns` clock the MISR
+    once per unload slice.  The packed
+    :meth:`StumpsDomain.fold_responses
+    <repro.bist.stumps.StumpsDomain.fold_responses>` and the campaign's
+    signature stage must sign the same (``tests/bist/test_misr_fold.py``,
+    ``tests/campaign/test_campaign_equivalence.py``); the sequential
+    session checks use them too (``tests/bist/test_stumps_controller.py``,
+    ``tests/integration/test_end_to_end.py``).
+  - :func:`~repro.oracle.patterns.prpg_step`,
+    :func:`~repro.oracle.patterns.phase_shifter_outputs`,
+    :func:`~repro.oracle.patterns.expander_outputs` and
+    :func:`~repro.oracle.patterns.compactor_outputs` are one cycle of each
+    block those walks step (``tests/bist/test_lfsr_misr.py``).
+  - :func:`~repro.oracle.patterns.block_pattern` /
+    :func:`~repro.oracle.patterns.block_patterns` unpack a block
+    (``tests/simulation/test_comb_sim.py`` checks they invert packing).
+  - :func:`~repro.oracle.patterns.simulate_patterns` packs a pattern list
+    and scans it with ``FaultSimulator.simulate_blocks``: the tests' and
+    benchmarks' pattern-list driver, and the top-up walk's screen above.
+
 :meth:`TransitionFaultSimulator.simulate_pairs
 <repro.faults.transition_sim.TransitionFaultSimulator.simulate_pairs>`, the
 tests' pair oracle, stays on the simulator: the benchmark tracer wraps it
@@ -50,6 +84,21 @@ there.
 """
 
 from .implication import FaultedEvaluator
+from .patterns import (
+    block_pattern,
+    block_patterns,
+    compact_domain_response,
+    compact_response,
+    compactor_outputs,
+    expander_outputs,
+    fold_response_patterns,
+    generate_load,
+    generate_pattern,
+    generate_patterns,
+    phase_shifter_outputs,
+    prpg_step,
+    simulate_patterns,
+)
 from .podem import generate_reference
 from .reference import ReferenceFaultSimulator, ReferencePackedSimulator
 from .sequential import SequentialSimulator
@@ -58,6 +107,19 @@ from .transition import derive_capture_patterns, simulate_with_derived_capture
 
 __all__ = [
     "FaultedEvaluator",
+    "block_pattern",
+    "block_patterns",
+    "compact_domain_response",
+    "compact_response",
+    "compactor_outputs",
+    "expander_outputs",
+    "fold_response_patterns",
+    "generate_load",
+    "generate_pattern",
+    "generate_patterns",
+    "phase_shifter_outputs",
+    "prpg_step",
+    "simulate_patterns",
     "generate_reference",
     "ReferenceFaultSimulator",
     "ReferencePackedSimulator",

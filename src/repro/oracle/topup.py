@@ -23,6 +23,7 @@ from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulator
 from ..faults.models import StuckAtFault
 from ..netlist.circuit import Circuit
+from .patterns import simulate_patterns
 from .podem import generate_reference
 
 
@@ -79,13 +80,14 @@ def run_topup_reference(
             continue
         cubes.append(cube)
         filled = cube.fill_random(rng, stimulus_nets)
-        scratch_sim.simulate(scratch, [filled], drop_detected=True)
+        simulate_patterns(scratch_sim, scratch, [filled], drop_detected=True)
 
     # Apply the final (compacted) pattern set to the real fault list.
     simulator = FaultSimulator(circuit, observe_nets)
     patterns = [cube.fill_random(rng, stimulus_nets) for cube in merge_compatible_cubes(cubes)]
-    simulator.simulate(
-        fault_list, patterns, drop_detected=True, pattern_offset=TOPUP_PATTERN_BASE
+    simulate_patterns(
+        simulator, fault_list, patterns, drop_detected=True,
+        pattern_offset=TOPUP_PATTERN_BASE,
     )
 
     # The merged cubes are filled afresh, so they can miss a screened target:
@@ -96,7 +98,8 @@ def run_topup_reference(
     repair_patterns = [
         cube.fill_random(rng, stimulus_nets) for cube in merge_compatible_cubes(repairs)
     ]
-    simulator.simulate(
+    simulate_patterns(
+        simulator,
         fault_list,
         repair_patterns,
         drop_detected=True,

@@ -24,6 +24,7 @@ from ..faults.transition_sim import (
 from ..netlist.circuit import Circuit
 from ..simulation.kernel import shared_kernel
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, iter_blocks
+from .patterns import block_patterns
 
 
 def derive_capture_patterns(
@@ -64,7 +65,7 @@ def derive_capture_patterns(
     for block in iter_blocks(
         launch_patterns, block_size=block_size, nets=kernel.stimulus_names
     ):
-        results.extend(derive_capture_block(kernel, block, group_updates).patterns())
+        results.extend(block_patterns(derive_capture_block(kernel, block, group_updates)))
     return results
 
 

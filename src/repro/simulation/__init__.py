@@ -23,7 +23,6 @@ from .packed import (
     leading_blocks,
     mask_for,
     pack_patterns,
-    unpack_words,
 )
 from .kernel import CompiledKernel, ConePlan, StrictStimulusError, shared_kernel
 from .numpy_backend import (
@@ -43,7 +42,6 @@ __all__ = [
     "leading_blocks",
     "mask_for",
     "pack_patterns",
-    "unpack_words",
     "CompiledKernel",
     "ConePlan",
     "StrictStimulusError",

@@ -12,11 +12,13 @@ bit; ``DEFAULT_BLOCK_SIZE`` below is only the default, and every simulator,
 the flow config (``LogicBistConfig.block_size``) and the streamed STUMPS
 pattern generator accept any positive width.
 
-This module provides the conversion helpers between the two representations:
-
-* a *pattern list*: ``list[dict[net, 0|1]]`` -- convenient for tests and ATPG,
-* a *packed block*: ``dict[net, int]`` plus a pattern count -- what the
-  simulators consume.
+This module holds the packed form -- a *packed block*: ``dict[net, int]``
+plus a pattern count, what the simulators consume -- and packs one way
+only: :func:`pack_patterns` and :func:`iter_blocks` turn a pattern list
+(``list[dict[net, 0|1]]``, e.g. filled top-up cubes) into blocks, and
+:func:`leading_blocks` cuts a block stream to its leading patterns.  The
+BIST session is generated packed and never unpacked; the per-pattern
+expansions the tests compare against live in :mod:`repro.oracle.patterns`.
 """
 
 from __future__ import annotations
@@ -75,18 +77,6 @@ class PatternBlock:
         if not 0 <= pattern_index < self.num_patterns:
             raise IndexError(f"pattern index {pattern_index} out of range")
         return (self.assignments.get(net, 0) >> pattern_index) & 1
-
-    def pattern(self, pattern_index: int) -> dict[str, int]:
-        """Extract one pattern as a net -> value dict."""
-        if not 0 <= pattern_index < self.num_patterns:
-            raise IndexError(f"pattern index {pattern_index} out of range")
-        return {
-            net: (word >> pattern_index) & 1 for net, word in self.assignments.items()
-        }
-
-    def patterns(self) -> list[dict[str, int]]:
-        """Expand the whole block back into a pattern list."""
-        return [self.pattern(i) for i in range(self.num_patterns)]
 
 
 def pack_patterns(
@@ -158,8 +148,3 @@ def leading_blocks(blocks: Iterable[PatternBlock], count: int) -> Iterator[Patte
             )
         remaining -= block.num_patterns
         yield block
-
-
-def unpack_words(words: Mapping[str, int], num_patterns: int) -> list[dict[str, int]]:
-    """Expand packed per-net words into a list of per-pattern dicts."""
-    return PatternBlock(dict(words), num_patterns).patterns()

@@ -15,7 +15,7 @@ from repro.cores.benchmarks import comparator_core
 from repro.core.bist_ready import fresh_fault_list
 from repro.faults import FaultSimulator, FaultStatus, StuckAtFault, collapse_stuck_at
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.oracle import run_topup_reference
+from repro.oracle import run_topup_reference, simulate_patterns
 
 
 def hard_core(seed=77):
@@ -41,7 +41,7 @@ def run_random_phase(circuit, count=128, seed=3):
     rng = random.Random(seed)
     nets = circuit.stimulus_nets()
     patterns = [{net: rng.randint(0, 1) for net in nets} for _ in range(count)]
-    FaultSimulator(circuit).simulate(fault_list, patterns)
+    simulate_patterns(FaultSimulator(circuit), fault_list, patterns)
     return fault_list
 
 

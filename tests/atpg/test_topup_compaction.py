@@ -17,6 +17,7 @@ from repro.faults import (
     collapse_stuck_at,
 )
 from repro.netlist import CircuitBuilder, parse_bench_text
+from repro.oracle import simulate_patterns
 
 C17_TEXT = """
 INPUT(G1)
@@ -104,7 +105,7 @@ class TestTopUpAtpg:
             {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(128)
         ]
         simulator = FaultSimulator(circuit)
-        simulator.simulate(fault_list, random_patterns)
+        simulate_patterns(simulator, fault_list, random_patterns)
         coverage_random = fault_list.coverage()
         assert coverage_random < 1.0  # the comparator resists random patterns
 
@@ -124,16 +125,16 @@ class TestTopUpAtpg:
         patterns = [
             {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(64)
         ]
-        FaultSimulator(circuit).simulate(fault_list, patterns)
+        simulate_patterns(FaultSimulator(circuit), fault_list, patterns)
         merged = TopUpAtpg(circuit, backtrack_limit=500, seed=9).run(fault_list)
         cov_merged = fault_list.coverage()
         # The uncompacted set: one random-filled pattern per cube.
         plain_list = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(plain_list, patterns)
+        simulate_patterns(FaultSimulator(circuit), plain_list, patterns)
         fill = random.Random(9)
         stimulus = circuit.stimulus_nets()
         plain = [cube.fill_random(fill, stimulus) for cube in merged.cubes]
-        FaultSimulator(circuit).simulate(plain_list, plain)
+        simulate_patterns(FaultSimulator(circuit), plain_list, plain)
         cov_plain = plain_list.coverage()
         # Cube merging can only reduce the pattern count relative to the
         # number of successful cubes it starts from.

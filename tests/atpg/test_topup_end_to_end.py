@@ -17,7 +17,7 @@ from repro.atpg import TopUpAtpg, merge_compatible_cubes
 from repro.core import LogicBistConfig, LogicBistFlow
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultSimulator, FaultStatus, collapse_stuck_at
-from repro.oracle import ReferenceFaultSimulator
+from repro.oracle import ReferenceFaultSimulator, simulate_patterns
 
 
 def hard_fault_core(seed: int = 77):
@@ -48,7 +48,7 @@ def run_random_phase(circuit, count=128, seed=3):
     rng = random.Random(seed)
     nets = circuit.stimulus_nets()
     patterns = [{net: rng.randint(0, 1) for net in nets} for _ in range(count)]
-    FaultSimulator(circuit).simulate(fault_list, patterns)
+    simulate_patterns(FaultSimulator(circuit), fault_list, patterns)
     return fault_list
 
 
@@ -126,7 +126,7 @@ class TestCompactedPatternCountInvariants:
         rng = random.Random(23)
         stimulus = circuit.stimulus_nets()
         plain = [cube.fill_random(rng, stimulus) for cube in merged.cubes]
-        FaultSimulator(circuit).simulate(plain_list, plain)
+        simulate_patterns(FaultSimulator(circuit), plain_list, plain)
         coverage_plain = plain_list.coverage()
         assert merged.pattern_count <= len(plain)
         # Merged patterns are supersets of their cubes, so they can only

@@ -1,4 +1,8 @@
-"""Tests for primitive polynomials, LFSRs/PRPGs, phase shifters, space blocks and MISRs."""
+"""Tests for primitive polynomials, LFSRs/PRPGs, phase shifters, space blocks and MISRs.
+
+The per-cycle models of the PRPG step and the XOR networks are oracles
+(:mod:`repro.oracle.patterns`); production reads only the blocks' taps.
+"""
 
 import random
 
@@ -24,6 +28,12 @@ from repro.bist import (
     signatures_differ,
 )
 from repro.bist.polynomials import PRIMITIVE_POLYNOMIALS
+from repro.oracle import (
+    compactor_outputs,
+    expander_outputs,
+    phase_shifter_outputs,
+    prpg_step,
+)
 
 
 class TestPolynomials:
@@ -107,11 +117,11 @@ class TestLfsr:
 
     def test_prpg_wrapper(self):
         prpg = Prpg(19, seed=7)
-        states = prpg.generate_states(10)
+        states = [prpg_step(prpg) for _ in range(10)]
         assert len(states) == 10
         assert all(len(bits) == 19 for bits in states)
         prpg.reseed(7)
-        assert prpg.generate_states(10) == states
+        assert [prpg_step(prpg) for _ in range(10)] == states
 
 
 class TestPhaseShifter:
@@ -124,7 +134,7 @@ class TestPhaseShifter:
     def test_outputs_are_xor_of_taps(self):
         ps = PhaseShifter(prpg_length=8, num_channels=5, seed=1)
         state = [1, 0, 1, 1, 0, 0, 1, 0]
-        outputs = ps.outputs(state)
+        outputs = phase_shifter_outputs(ps, state)
         for channel, taps in enumerate(ps.channel_taps):
             expected = 0
             for tap in taps:
@@ -137,7 +147,7 @@ class TestPhaseShifter:
             prpg = Prpg(16, seed=0xACE1)
             sequences = [[] for _ in range(shifter.num_channels)]
             for _ in range(cycles):
-                outs = shifter.outputs(prpg.next_state_bits())
+                outs = phase_shifter_outputs(shifter, prpg_step(prpg))
                 for channel, bit in enumerate(outs):
                     sequences[channel].append(bit)
             return sequences
@@ -161,7 +171,7 @@ class TestPhaseShifter:
             PhaseShifter(prpg_length=8, num_channels=2, channel_taps=[(0,)])
         ps = PhaseShifter(prpg_length=8, num_channels=2)
         with pytest.raises(ValueError):
-            ps.outputs([1, 0, 1])
+            phase_shifter_outputs(ps, [1, 0, 1])
 
     def test_xor_gate_count(self):
         ps = PhaseShifter(prpg_length=19, num_channels=10, taps_per_channel=3, seed=1)
@@ -172,15 +182,15 @@ class TestSpaceBlocks:
     def test_expander_shapes_and_determinism(self):
         expander = SpaceExpander(num_inputs=4, num_outputs=10)
         bits = [1, 0, 1, 1]
-        out = expander.expand(bits)
+        out = expander_outputs(expander, bits)
         assert len(out) == 10
-        assert out == SpaceExpander(num_inputs=4, num_outputs=10).expand(bits)
+        assert out == expander_outputs(SpaceExpander(num_inputs=4, num_outputs=10), bits)
         with pytest.raises(ValueError):
-            expander.expand([1, 0])
+            expander_outputs(expander, [1, 0])
 
     def test_compactor_folding(self):
         compactor = SpaceCompactor(num_inputs=6, num_outputs=2)
-        out = compactor.compact([1, 0, 1, 1, 0, 0])
+        out = compactor_outputs(compactor, [1, 0, 1, 1, 0, 0])
         # Groups: inputs {0,2,4} -> output 0, {1,3,5} -> output 1.
         assert out == [1 ^ 1 ^ 0, 0 ^ 1 ^ 0]
         assert compactor.xor_gate_count() == 4
@@ -189,7 +199,7 @@ class TestSpaceBlocks:
     def test_identity_compactor_is_transparent(self):
         compactor = identity_compactor(5)
         bits = [1, 0, 0, 1, 1]
-        assert compactor.compact(bits) == bits
+        assert compactor_outputs(compactor, bits) == bits
         assert compactor.xor_gate_count() == 0
         assert compactor.xor_tree_depth() == 0
 
@@ -199,7 +209,7 @@ class TestSpaceBlocks:
         with pytest.raises(ValueError):
             SpaceCompactor(num_inputs=0, num_outputs=0)
         with pytest.raises(ValueError):
-            SpaceCompactor(num_inputs=4, num_outputs=2).compact([1, 0])
+            compactor_outputs(SpaceCompactor(num_inputs=4, num_outputs=2), [1, 0])
 
 
 class TestMisr:

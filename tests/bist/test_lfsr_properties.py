@@ -12,7 +12,8 @@ Three families of properties:
   has the m-sequence balance and shift-and-add properties.
 * **Streamed generation** -- ``StumpsArchitecture.generate_packed_blocks``
   (the bit-sliced generator both backends use) reproduces the per-cycle
-  stepping of ``generate_patterns`` exactly, pattern for pattern, and leaves
+  stepping reference :func:`repro.oracle.patterns.generate_patterns`
+  exactly, pattern for pattern, and leaves
   every PRPG in the same state: a Hypothesis property over PRPG lengths,
   phase shifter and space expander on or off, uneven chains, shift windows
   below, at and above the longest chain, and pattern counts around powers
@@ -41,6 +42,12 @@ from repro.bist.polynomials import (
 )
 from repro.bist.stumps import _CHUNK_PATTERNS
 from repro.netlist import CircuitBuilder
+from repro.oracle import (
+    block_patterns,
+    generate_load,
+    generate_pattern,
+    generate_patterns,
+)
 from repro.scan import ScanChain, ScanChainArchitecture, build_scan_chains
 
 FAST_WIDTHS = tuple(range(2, 14))
@@ -179,35 +186,35 @@ class TestStreamedGeneration:
     @pytest.mark.parametrize("block_size", (1, 7, 64, 256))
     def test_packed_blocks_reproduce_generate_patterns(self, block_size):
         count = 37
-        expected = self.make_stumps().generate_patterns(count)
+        expected = generate_patterns(self.make_stumps(), count)
         blocks = list(
             self.make_stumps().generate_packed_blocks(count, block_size=block_size)
         )
         assert sum(block.num_patterns for block in blocks) == count
-        streamed = [pattern for block in blocks for pattern in block.patterns()]
+        streamed = [pattern for block in blocks for pattern in block_patterns(block)]
         assert streamed == expected
 
     def test_packed_blocks_with_space_expander(self):
         """The (rarely used) expander path must stream identically too."""
-        expected = self.make_stumps(expander=True).generate_patterns(12)
+        expected = generate_patterns(self.make_stumps(expander=True), 12)
         blocks = list(
             self.make_stumps(expander=True).generate_packed_blocks(12, block_size=8)
         )
-        streamed = [pattern for block in blocks for pattern in block.patterns()]
+        streamed = [pattern for block in blocks for pattern in block_patterns(block)]
         assert streamed == expected
 
     def test_packed_blocks_advance_prpg_state_identically(self):
         """Interleaving list and packed generation continues one global stream."""
         stumps_a = self.make_stumps()
         stumps_b = self.make_stumps()
-        first_a = stumps_a.generate_patterns(10)
-        second_a = stumps_a.generate_patterns(10)
+        first_a = generate_patterns(stumps_a, 10)
+        second_a = generate_patterns(stumps_a, 10)
         first_b = [
             pattern
             for block in stumps_b.generate_packed_blocks(10, block_size=4)
-            for pattern in block.patterns()
+            for pattern in block_patterns(block)
         ]
-        second_b = stumps_b.generate_patterns(10)
+        second_b = generate_patterns(stumps_b, 10)
         assert first_b == first_a
         assert second_b == second_a
 
@@ -217,9 +224,9 @@ class TestStreamedGeneration:
         count = 2 * _CHUNK_PATTERNS + 3
         stepped = self.make_stumps()
         sliced = self.make_stumps()
-        expected = stepped.generate_patterns(count)
+        expected = generate_patterns(stepped, count)
         blocks = list(sliced.generate_packed_blocks(count, block_size=1000))
-        assert [p for block in blocks for p in block.patterns()] == expected
+        assert [p for block in blocks for p in block_patterns(block)] == expected
         assert _prpg_states(sliced) == _prpg_states(stepped)
 
     def test_list_packed_list_continues_one_walk(self):
@@ -227,15 +234,15 @@ class TestStreamedGeneration:
         again walk the PRPGs exactly as stepping throughout does."""
         stepped = self.make_stumps(expander=True)
         mixed = self.make_stumps(expander=True)
-        expected = stepped.generate_patterns(1 + 9 + 5 + 1)
-        actual = [mixed.generate_pattern()]
+        expected = generate_patterns(stepped, 1 + 9 + 5 + 1)
+        actual = [generate_pattern(mixed)]
         for count in (9, 5):
             actual += [
                 pattern
                 for block in mixed.generate_packed_blocks(count, block_size=4)
-                for pattern in block.patterns()
+                for pattern in block_patterns(block)
             ]
-        actual.append(mixed.generate_pattern())
+        actual.append(generate_pattern(mixed))
         assert actual == expected
 
     def test_pickle_from_older_code_loads_and_generates(self):
@@ -244,7 +251,7 @@ class TestStreamedGeneration:
         session as a fresh one."""
         old = self.make_stumps()
         for domain in old.domains.values():
-            cells = domain.cells()
+            cells = [cell for chain in domain.chains for cell in chain.cells]
             domain._cell_maps = {domain.max_chain_length: (cells, [0], [0], [])}
         loaded = pickle.loads(pickle.dumps(old))
         assert not any(hasattr(d, "_cell_maps") for d in loaded.domains.values())
@@ -318,17 +325,17 @@ def test_bit_sliced_generation_equals_stepping(session):
     stepped = StumpsArchitecture(architecture, configs)
     sliced = StumpsArchitecture(architecture, configs)
     if window == "at":
-        expected = stepped.generate_patterns(count)
+        expected = generate_patterns(stepped, count)
         blocks = list(sliced.generate_packed_blocks(count, block_size=block_size))
         assert [block.num_patterns for block in blocks] == [
             min(block_size, count - start) for start in range(0, count, block_size)
         ]
-        assert [p for block in blocks for p in block.patterns()] == expected
+        assert [p for block in blocks for p in block_patterns(block)] == expected
     else:
         for name, domain in sliced.domains.items():
             reference = stepped.domains[name]
             cycles = max(0, domain.max_chain_length + (-1 if window == "below" else 2))
-            expected = [reference.generate_load(cycles) for _ in range(count)]
+            expected = [generate_load(reference, cycles) for _ in range(count)]
             words = domain.generate_packed_load(count, cycles)
             assert [
                 {cell: (word >> j) & 1 for cell, word in words.items()}

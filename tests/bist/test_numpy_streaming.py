@@ -1,33 +1,24 @@
-"""Equivalence suite for the streamed BIST data-path emulation.
+"""Equivalence suite for the streamed BIST pattern generation.
 
-* **Pattern streaming** -- pattern generation has no numpy form: one
-  bit-sliced generator serves both backends.  Its LFSR primitive,
-  ``FibonacciLfsr.sliced_stream``, must equal stepping bit for bit, and
-  ``StumpsArchitecture.generate_packed_blocks`` must equal the per-cycle
-  stepping reference ``generate_patterns`` on a multi-domain synthetic core
-  for widths {64, 256, 1024} with partial trailing blocks, two PRPG
-  polynomials and the identity phase shifter, walking the PRPGs through the
-  identical state sequence (so stepped and sliced generation interleave).
-  The Hypothesis property over random geometries lives in
-  ``test_lfsr_properties.py``.
-* **MISR fold** -- ``StumpsDomain.fold_responses(backend="numpy")`` must
-  reproduce the scalar unload emulation bit for bit, with and without a
-  space compactor, including through the campaign's signature stage.
+Pattern generation has no numpy form: one bit-sliced generator serves both
+backends.  Its LFSR primitive, ``FibonacciLfsr.sliced_stream``, must equal
+stepping bit for bit, and ``StumpsArchitecture.generate_packed_blocks`` must
+equal the per-cycle stepping reference
+:func:`repro.oracle.patterns.generate_patterns` on a multi-domain synthetic
+core for widths {64, 256, 1024} with partial trailing blocks, two PRPG
+polynomials and the identity phase shifter, walking the PRPGs through the
+identical state sequence (so stepped and sliced generation interleave).  The Hypothesis property over random geometries
+lives in ``test_lfsr_properties.py``; the MISR fold (one packed path for
+both backends too) is checked in ``test_misr_fold.py``.
 """
-
-import random
-from dataclasses import replace
 
 import pytest
 
 from repro.bist import StumpsArchitecture
 from repro.bist.lfsr import FibonacciLfsr
 from repro.bist.stumps import StumpsDomainConfig
-from repro.campaign import SerialScheduler
-from repro.campaign.pipeline import SignatureStage, scenario_stage_nodes
-from repro.core import LogicBistConfig
-from repro.cores import tiny_recipe
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
+from repro.oracle import block_patterns, generate_patterns
 from repro.scan import build_scan_chains
 
 WIDTHS = (64, 256, 1024)
@@ -103,10 +94,10 @@ class TestStreamedBlocks:
             architecture, domain_configs(architecture, prpg_length=prpg_length)
         )
         count = 2 * width + 17  # forces a partial trailing block
-        expected = reference.generate_patterns(count)
+        expected = generate_patterns(reference, count)
         blocks = list(sliced.generate_packed_blocks(count, block_size=width))
         assert [block.num_patterns for block in blocks] == [width, width, 17]
-        assert [p for block in blocks for p in block.patterns()] == expected
+        assert [p for block in blocks for p in block_patterns(block)] == expected
         assert prpg_states(sliced) == prpg_states(reference)
 
     def test_backends_interleave_mid_session(self):
@@ -115,14 +106,14 @@ class TestStreamedBlocks:
         _, architecture = make_architecture(5)
         serial = StumpsArchitecture(architecture, domain_configs(architecture))
         mixed = StumpsArchitecture(architecture, domain_configs(architecture))
-        expected = serial.generate_patterns(64 + 128 + 10)
-        actual = mixed.generate_patterns(64)
+        expected = generate_patterns(serial, 64 + 128 + 10)
+        actual = generate_patterns(mixed, 64)
         actual += [
             pattern
             for block in mixed.generate_packed_blocks(128, block_size=64)
-            for pattern in block.patterns()
+            for pattern in block_patterns(block)
         ]
-        actual += mixed.generate_patterns(10)
+        actual += generate_patterns(mixed, 10)
         assert actual == expected
         assert prpg_states(mixed) == prpg_states(serial)
 
@@ -134,9 +125,9 @@ class TestStreamedBlocks:
         sliced = StumpsArchitecture(
             architecture, domain_configs(architecture, use_phase_shifter=False)
         )
-        expected = reference.generate_patterns(100)
+        expected = generate_patterns(reference, 100)
         blocks = list(sliced.generate_packed_blocks(100, block_size=64))
-        assert [p for block in blocks for p in block.patterns()] == expected
+        assert [p for block in blocks for p in block_patterns(block)] == expected
         assert prpg_states(sliced) == prpg_states(reference)
 
     def test_matches_per_pattern_generation(self):
@@ -144,64 +135,9 @@ class TestStreamedBlocks:
         _, architecture = make_architecture(3)
         listy = StumpsArchitecture(architecture, domain_configs(architecture))
         sliced = StumpsArchitecture(architecture, domain_configs(architecture))
-        patterns = listy.generate_patterns(70)
+        patterns = generate_patterns(listy, 70)
         (block,) = list(sliced.generate_packed_blocks(70, block_size=128))
         for index, pattern in enumerate(patterns):
             for cell, value in pattern.items():
                 assert (block.assignments.get(cell, 0) >> index) & 1 == value
 
-
-@pytest.mark.numpy
-class TestVectorisedMisrFold:
-    def _responses(self, circuit, count, seed):
-        rng = random.Random(seed)
-        flops = circuit.flop_names()
-        return [
-            {name: rng.randint(0, 1) for name in flops} for _ in range(count)
-        ]
-
-    @pytest.mark.parametrize("compactor_outputs", (None, 2))
-    def test_fold_matches_scalar_unload(self, compactor_outputs):
-        circuit, architecture = make_architecture(13)
-        reference = StumpsArchitecture(
-            architecture,
-            domain_configs(
-                architecture, compactor_outputs=compactor_outputs, misr_length=19
-            ),
-        )
-        vectorised = StumpsArchitecture(
-            architecture,
-            domain_configs(
-                architecture, compactor_outputs=compactor_outputs, misr_length=19
-            ),
-        )
-        responses = self._responses(circuit, 24, 99)
-        for name in reference.domains:
-            cells = reference.domains[name].cells()
-            filtered = [
-                {cell: response.get(cell, 0) for cell in cells}
-                for response in responses
-            ]
-            expected = reference.domains[name].fold_responses(filtered)
-            actual = vectorised.domains[name].fold_responses(
-                filtered, backend="numpy"
-            )
-            assert actual == expected, name
-
-    def test_signature_stage_backend(self):
-        """The campaign's signature stage signs a scenario bundle
-        identically on both backends.  Twenty signature patterns over
-        8-pattern blocks cut the third block short."""
-        config = LogicBistConfig(
-            random_patterns=64, signature_patterns=20, block_size=8
-        )
-        nodes, keys = scenario_stage_nodes("s", tiny_recipe().build().circuit, config)
-        # core -> tpi -> bundle: the bundle is all the stage reads.
-        bundle = SerialScheduler().run(nodes[:3]).value(keys["bundle"])
-        signatures = [
-            SignatureStage(replace(config, sim_backend=backend)).run(bundle)
-            for backend in ("python", "numpy")
-        ]
-        assert sorted(signatures[0]) == sorted(bundle.stumps.domains)
-        assert all(signatures[0].values())
-        assert signatures[0] == signatures[1]

@@ -1,10 +1,15 @@
-"""Tests for the STUMPS assembly and the input selector."""
+"""Tests for the STUMPS assembly, run through the per-pattern oracle session."""
 
 import pytest
 
-from repro.bist import InputSelector, InputSource, StumpsArchitecture, StumpsDomainConfig
+from repro.bist import StumpsArchitecture, StumpsDomainConfig
 from repro.netlist import CircuitBuilder
-from repro.oracle import SequentialSimulator
+from repro.oracle import (
+    SequentialSimulator,
+    compact_response,
+    generate_pattern,
+    generate_patterns,
+)
 from repro.scan import build_scan_chains
 
 
@@ -46,37 +51,37 @@ class TestStumpsArchitecture:
 
     def test_generate_pattern_covers_every_scan_cell(self):
         circuit, arch, stumps = self.make()
-        pattern = stumps.generate_pattern()
+        pattern = generate_pattern(stumps)
         assert set(pattern) == set(circuit.flop_names())
         assert all(v in (0, 1) for v in pattern.values())
 
     def test_patterns_are_deterministic_and_varied(self):
         _, _, stumps_a = self.make()
         _, _, stumps_b = self.make()
-        patterns_a = stumps_a.generate_patterns(20)
-        patterns_b = stumps_b.generate_patterns(20)
+        patterns_a = generate_patterns(stumps_a, 20)
+        patterns_b = generate_patterns(stumps_b, 20)
         assert patterns_a == patterns_b
         # Consecutive patterns must not all be identical.
         assert any(patterns_a[i] != patterns_a[i + 1] for i in range(19))
 
     def test_reset_restores_sequence_and_signature(self):
         _, _, stumps = self.make()
-        first = stumps.generate_patterns(5)
-        stumps.compact_response({cell: 1 for cell in first[0]})
+        first = generate_patterns(stumps, 5)
+        compact_response(stumps, {cell: 1 for cell in first[0]})
         assert any(sig != 0 for sig in stumps.signatures().values())
         stumps.reset()
-        assert stumps.generate_patterns(5) == first
+        assert generate_patterns(stumps, 5) == first
         assert all(sig == 0 for sig in stumps.signatures().values())
 
     def test_signature_sensitivity_to_response_error(self):
         """A single flipped capture bit must change the affected domain's signature."""
         circuit, _, stumps = self.make()
         response = {cell: 0 for cell in circuit.flop_names()}
-        good = dict(stumps.compact_response(response))
+        good = dict(compact_response(stumps, response))
         stumps.reset()
         corrupted = dict(response)
         corrupted["a_ff0"] = 1
-        bad = stumps.compact_response(corrupted)
+        bad = compact_response(stumps, corrupted)
         assert bad["clkA"] != good["clkA"]
         assert bad["clkB"] == good["clkB"]  # error confined to its own domain
 
@@ -117,7 +122,7 @@ class TestStumpsArchitecture:
         loaded = pickle.loads(pickle.dumps(old))
         assert [loaded.domains[c.domain].config for c in configs] == configs
         fresh = StumpsArchitecture(arch, configs)
-        assert loaded.generate_patterns(40) == fresh.generate_patterns(40)
+        assert generate_patterns(loaded, 40) == generate_patterns(fresh, 40)
         for name, domain in fresh.domains.items():
             assert loaded.domains[name].prpg.state == domain.prpg.state
         with pytest.raises(TypeError, match="galois"):
@@ -144,42 +149,16 @@ class TestStumpsArchitecture:
             stumps.reset()
             sim = SequentialSimulator(circuit)
             for _ in range(patterns):
-                load = stumps.generate_pattern()
+                load = generate_pattern(stumps)
                 sim.load_state(load)
                 sim.step({net: 0 for net in circuit.primary_inputs})
                 captured = dict(sim.state)
                 if broken_cell is not None:
                     captured[broken_cell] ^= 1  # model a capture-path defect
-                stumps.compact_response(captured)
+                compact_response(stumps, captured)
             return dict(stumps.signatures())
 
         golden = run_session()
         faulty = run_session(broken_cell="b_ff2")
         assert faulty["clkB"] != golden["clkB"]
 
-
-class TestInputSelector:
-    def make(self):
-        circuit = two_domain_core()
-        arch = build_scan_chains(circuit)
-        return circuit, InputSelector(StumpsArchitecture(arch, seed=2))
-
-    def test_prpg_mode_generates_patterns(self):
-        circuit, selector = self.make()
-        pattern = selector.next_pattern()
-        assert set(pattern) == set(circuit.flop_names())
-
-    def test_external_mode_replays_queue(self):
-        circuit, selector = self.make()
-        topup = [{name: 1 for name in circuit.flop_names()}]
-        selector.load_external_patterns(topup)
-        selector.select(InputSource.EXTERNAL)
-        assert selector.external_remaining == 1
-        assert selector.next_pattern() == topup[0]
-        assert selector.external_remaining == 0
-        with pytest.raises(RuntimeError):
-            selector.next_pattern()
-
-    def test_next_patterns_batch(self):
-        _, selector = self.make()
-        assert len(selector.next_patterns(5)) == 5

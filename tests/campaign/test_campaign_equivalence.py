@@ -41,7 +41,7 @@ from repro.faults import (
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.models import StuckAtFault, TransitionFault
 from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
-from repro.oracle import derive_capture_patterns
+from repro.oracle import compact_response, derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 
@@ -377,18 +377,16 @@ class TestSignatureSharding:
 
         serial = StumpsArchitecture(architecture, seed=5)
         for response in responses:
-            serial.compact_response(response)
+            compact_response(serial, response)
         expected = serial.signatures()
 
+        # The whole packed response stream, in blocks that cut across it.
+        blocks = list(iter_blocks(responses, block_size=10))
         sharded = StumpsArchitecture(architecture, seed=5)
-        actual = {}
-        for name, domain in sharded.domains.items():
-            cells = domain.cells()
-            filtered = [
-                {cell: response.get(cell, 0) for cell in cells}
-                for response in responses
-            ]
-            actual[name] = domain.fold_responses(filtered)
+        actual = {
+            name: domain.fold_responses(blocks)
+            for name, domain in sharded.domains.items()
+        }
         assert actual == expected
 
     def test_campaign_signatures_match_flow(self):

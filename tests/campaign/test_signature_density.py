@@ -76,15 +76,19 @@ def test_every_domain_response_clears_density_floor(signed_scenarios, seed):
     blocks = leading_blocks(
         (block for _, block in bundle.offset_blocks), CONFIG.signature_patterns
     )
-    patterns = [pattern for block in blocks for pattern in block.patterns()]
     responses = derive_signature_responses(
-        bundle.core.circuit, CONFIG, patterns, bundle.capture_schedule
+        bundle.core.circuit, blocks, bundle.capture_schedule
     )
-    assert len(responses) == CONFIG.signature_patterns
+    count = sum(block.num_patterns for block in responses)
+    assert count == CONFIG.signature_patterns
     for name, domain in bundle.stumps.domains.items():
-        cells = domain.cells()
-        ones = sum(response.get(cell, 0) for response in responses for cell in cells)
-        density = ones / (len(cells) * len(responses))
+        cells = [cell for chain in domain.chains for cell in chain.cells]
+        ones = sum(
+            block.assignments.get(cell, 0).bit_count()
+            for block in responses
+            for cell in cells
+        )
+        density = ones / (len(cells) * count)
         assert density >= MIN_RESPONSE_DENSITY, (name, density)
 
 

@@ -35,7 +35,7 @@ from repro.faults import (
 )
 from repro.faults.fault_list import GATE_TYPES, FaultRecord
 from repro.simulation import iter_blocks
-from repro.oracle import ReferenceFaultSimulator
+from repro.oracle import ReferenceFaultSimulator, simulate_patterns
 
 from test_collapse_differential import reference_collapse
 
@@ -198,8 +198,11 @@ def test_simulation_matches_object_reference(backend, seed, block_size, budget_m
     fault_list = collapsed.to_fault_list()
     for fault in flush:
         fault_list.mark_detected(fault, -1)
-    result = FaultSimulator(circuit, backend=backend, memory_budget_mb=budget_mb).simulate(
-        fault_list, patterns, block_size=block_size
+    result = simulate_patterns(
+        FaultSimulator(circuit, backend=backend, memory_budget_mb=budget_mb),
+        fault_list,
+        patterns,
+        block_size=block_size,
     )
     assert_same_records(reference, fault_list)
     assert result.coverage_curve == expected_curve

@@ -17,7 +17,7 @@ from repro.faults import (
 )
 from repro.faults.transition_sim import TransitionFaultSimulator
 from repro.netlist import CircuitBuilder, evaluate_packed, parse_bench_text
-from repro.oracle import ReferencePackedSimulator
+from repro.oracle import ReferencePackedSimulator, simulate_patterns
 from repro.simulation import iter_blocks
 from repro.simulation.kernel import shared_kernel
 
@@ -140,7 +140,7 @@ class TestCampaignSimulation:
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         sim = FaultSimulator(circuit)
-        result = sim.simulate(fault_list, exhaustive_patterns(C17_INPUTS))
+        result = simulate_patterns(sim, fault_list, exhaustive_patterns(C17_INPUTS))
         # c17 is fully testable: every collapsed fault is detectable.
         assert result.coverage == pytest.approx(1.0)
         assert result.patterns_simulated == 32
@@ -149,7 +149,7 @@ class TestCampaignSimulation:
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         sim = FaultSimulator(circuit)
-        result = sim.simulate(fault_list, exhaustive_patterns(C17_INPUTS), block_size=8)
+        result = simulate_patterns(sim, fault_list, exhaustive_patterns(C17_INPUTS), block_size=8)
         for fault in fault_list.detected():
             record = fault_list.record(fault)
             assert record.first_detection is not None
@@ -160,7 +160,7 @@ class TestCampaignSimulation:
         circuit = c17()
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         sim = FaultSimulator(circuit)
-        sim.simulate(fault_list, exhaustive_patterns(C17_INPUTS), pattern_offset=100)
+        simulate_patterns(sim, fault_list, exhaustive_patterns(C17_INPUTS), pattern_offset=100)
         detections = [fault_list.record(f).first_detection for f in fault_list.detected()]
         assert min(detections) >= 100
 
@@ -170,7 +170,7 @@ class TestCampaignSimulation:
         covs = []
         for block_size in (1, 7, 64):
             fl = collapse_stuck_at(circuit).to_fault_list()
-            FaultSimulator(circuit).simulate(fl, patterns, block_size=block_size)
+            simulate_patterns(FaultSimulator(circuit), fl, patterns, block_size=block_size)
             covs.append(fl.coverage())
         assert covs[0] == covs[1] == covs[2]
 
@@ -178,7 +178,9 @@ class TestCampaignSimulation:
         circuit = c17()
         fl = collapse_stuck_at(circuit).to_fault_list()
         sim = FaultSimulator(circuit)
-        sim.simulate(fl, exhaustive_patterns(C17_INPUTS), drop_detected=False, block_size=4)
+        simulate_patterns(
+            sim, fl, exhaustive_patterns(C17_INPUTS), drop_detected=False, block_size=4
+        )
         histogram = fl.n_detect_histogram(max_n=10)
         # With dropping disabled across 8 blocks, many faults must be detected
         # in more than one block.
@@ -188,7 +190,7 @@ class TestCampaignSimulation:
         circuit = c17()
         fl = collapse_stuck_at(circuit).to_fault_list()
         sim = FaultSimulator(circuit)
-        result = sim.simulate(fl, exhaustive_patterns(C17_INPUTS), block_size=4)
+        result = simulate_patterns(sim, fl, exhaustive_patterns(C17_INPUTS), block_size=4)
         coverages = [cov for _, cov in result.coverage_curve]
         assert coverages == sorted(coverages)
         assert patterns_to_reach(result.coverage_curve, 1.0) is not None
@@ -272,7 +274,7 @@ class TestRandomPatternBehaviour:
         patterns = [
             {net: rng.randint(0, 1) for net in circuit.primary_inputs} for _ in range(96)
         ]
-        result = sim.simulate(fault_list, patterns)
+        result = simulate_patterns(sim, fault_list, patterns)
         # The comparator output s-a-0 needs an exact 12-bit match: probability
         # 2^-12 per random pattern, so its equivalence class should remain
         # undetected here.

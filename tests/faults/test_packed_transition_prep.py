@@ -21,7 +21,7 @@ from repro.core import LogicBistConfig
 from repro.core.bist_ready import BistReadyCore, build_clock_tree
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
-from repro.oracle import derive_capture_patterns
+from repro.oracle import derive_capture_patterns, generate_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
 from repro.timing.double_capture import CaptureWindowScheduler
@@ -94,7 +94,7 @@ def prpg_states(stumps):
 
 
 def dict_path(circuit, stumps, count, block_size, pulse_order, hold_cells=None):
-    launch = stumps.generate_patterns(count)
+    launch = generate_patterns(stumps, count)
     capture = derive_capture_patterns(circuit, launch, pulse_order, hold_cells)
     nets = circuit.stimulus_nets()
     return tuple(
@@ -151,7 +151,7 @@ def test_transition_prep_stage_matches_dict_path(backend, block_size, count):
     reference = make_stumps(circuit)
     expected = dict_path(circuit, reference, count, block_size, schedule.pulse_order)
     stumps = make_stumps(circuit)
-    stumps.generate_patterns(7)  # the stage resets the PRPGs first
+    generate_patterns(stumps, 7)  # the stage resets the PRPGs first
     bundle = TransitionPrepStage(config).run(prep_bundle(circuit, stumps, schedule))
     assert bundle.pair_blocks == expected
     assert bundle.boundaries[-1] == count

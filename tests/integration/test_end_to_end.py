@@ -18,6 +18,12 @@ from repro.faults import (
     TransitionFaultSimulator,
     collapse_stuck_at,
 )
+from repro.oracle import (
+    compact_response,
+    generate_pattern,
+    generate_patterns,
+    simulate_patterns,
+)
 from repro.scan import build_scan_chains
 from repro.oracle import (
     SequentialSimulator,
@@ -59,7 +65,7 @@ class TestBistDataPathIntegration:
         stumps.reset()
         sim = SequentialSimulator(circuit)
         for index in range(patterns):
-            load = stumps.generate_pattern()
+            load = generate_pattern(stumps)
             sim.load_state(load)
             sim.step({net: 0 for net in circuit.primary_inputs})
             captured = dict(sim.state)
@@ -67,7 +73,7 @@ class TestBistDataPathIntegration:
                 # A single-bit response error anywhere in the stream can never
                 # alias in an LFSR-based MISR, so one flip is enough.
                 captured[flip_cell] ^= 1
-            stumps.compact_response(captured)
+            compact_response(stumps, captured)
         return dict(stumps.signatures())
 
     def test_signature_repeatability_and_fault_sensitivity(self):
@@ -91,10 +97,10 @@ class TestBistDataPathIntegration:
         circuit = s27_like()
         architecture = build_scan_chains(circuit, total_chains=1)
         stumps = StumpsArchitecture(architecture, seed=3)
-        patterns = stumps.generate_patterns(16)
+        patterns = generate_patterns(stumps, 16)
         fault_list = collapse_stuck_at(circuit).to_fault_list()
         simulator = FaultSimulator(circuit)
-        result = simulator.simulate(fault_list, patterns)
+        result = simulate_patterns(simulator, fault_list, patterns)
         assert result.coverage > 0.5
 
 
@@ -107,7 +113,7 @@ class TestAtSpeedIntegration:
 
         architecture = build_scan_chains(circuit, total_chains=2)
         stumps = StumpsArchitecture(architecture, seed=5)
-        launch_patterns = stumps.generate_patterns(64)
+        launch_patterns = generate_patterns(stumps, 64)
         fault_list = FaultList.transition(circuit)
         simulator = TransitionFaultSimulator(circuit)
         result = simulate_with_derived_capture(
@@ -121,7 +127,7 @@ class TestAtSpeedIntegration:
         circuit = comparator_core(width=6, easy_outputs=2)
         architecture = build_scan_chains(circuit, total_chains=2)
         stumps = StumpsArchitecture(architecture, seed=9)
-        patterns = stumps.generate_patterns(32)
+        patterns = generate_patterns(stumps, 32)
         a_first = derive_capture_patterns(circuit, patterns, [["clkA"], ["clkB"]])
         b_first = derive_capture_patterns(circuit, patterns, [["clkB"], ["clkA"]])
         assert a_first != b_first

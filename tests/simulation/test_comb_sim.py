@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netlist import CircuitBuilder, GateType, parse_bench_text
-from repro.oracle import ReferencePackedSimulator
+from repro.oracle import ReferencePackedSimulator, block_pattern, block_patterns
 from repro.simulation import (
     PatternBlock,
     iter_blocks,
@@ -54,7 +54,7 @@ def run(circuit, patterns, block_size=64):
     rows = []
     for block in iter_blocks(patterns, block_size=block_size):
         values = block_values(circuit, block.assignments, block.num_patterns)
-        rows.extend(PatternBlock(values, block.num_patterns).patterns())
+        rows.extend(block_patterns(PatternBlock(values, block.num_patterns)))
     return rows
 
 
@@ -72,7 +72,7 @@ class TestPackedHelpers:
         assert block.num_patterns == 3
         assert block.assignments["a"] == 0b101
         assert block.assignments["b"] == 0b110
-        assert block.patterns() == patterns
+        assert block_patterns(block) == patterns
 
     def test_pack_rejects_non_binary(self):
         with pytest.raises(ValueError):
@@ -97,7 +97,7 @@ class TestPackedHelpers:
         blocks = list(leading_blocks(stream(), 6))
         assert [b.num_patterns for b in blocks] == [4, 2]
         assert blocks[1].assignments == {"a": 0b10, "b": 0b11}
-        assert [p for b in blocks for p in b.patterns()] == patterns[:6]
+        assert [p for b in blocks for p in block_patterns(b)] == patterns[:6]
         # A count that ends on a block boundary draws no further block.
         drawn.clear()
         assert [b.num_patterns for b in leading_blocks(stream(), 8)] == [4, 4]
@@ -107,7 +107,7 @@ class TestPackedHelpers:
     def test_pattern_block_bounds(self):
         block = pack_patterns([{"a": 1}])
         with pytest.raises(IndexError):
-            block.pattern(1)
+            block_pattern(block, 1)
         with pytest.raises(IndexError):
             block.value_of("a", 5)
 

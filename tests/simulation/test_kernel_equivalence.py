@@ -17,8 +17,12 @@ import random
 import pytest
 
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultSimulator, collapse_stuck_at
-from repro.oracle import ReferenceFaultSimulator, ReferencePackedSimulator
+from repro.faults import FaultSimulator, check_strict_patterns, collapse_stuck_at
+from repro.oracle import (
+    ReferenceFaultSimulator,
+    ReferencePackedSimulator,
+    simulate_patterns,
+)
 from repro.simulation import StrictStimulusError, iter_blocks, mask_for, shared_kernel
 from repro.simulation.numpy_backend import numpy_kernel_for, plane_to_word, words_for
 
@@ -157,8 +161,8 @@ class TestFaultSimulatorEquivalence:
         )
 
         fl_new = collapse_stuck_at(circuit).to_fault_list()
-        result = FaultSimulator(circuit, backend=backend).simulate(
-            fl_new, patterns, block_size=block_size
+        result = simulate_patterns(
+            FaultSimulator(circuit, backend=backend), fl_new, patterns, block_size=block_size
         )
 
         assert result.patterns_simulated == len(patterns)
@@ -178,8 +182,8 @@ class TestFaultSimulatorEquivalence:
         baseline = None
         for block_size in BLOCK_SIZES:
             fault_list = collapse_stuck_at(circuit).to_fault_list()
-            FaultSimulator(circuit).simulate(
-                fault_list, patterns, block_size=block_size
+            simulate_patterns(
+                FaultSimulator(circuit), fault_list, patterns, block_size=block_size
             )
             snapshot = {
                 str(fault): (
@@ -287,8 +291,8 @@ class TestRandomizedDifferentialFuzz:
         _, curve_ref = reference.simulate(fl_ref, patterns, block_size=block_size)
 
         fl_new = collapse_stuck_at(circuit).to_fault_list()
-        result = FaultSimulator(circuit, backend=backend).simulate(
-            fl_new, patterns, block_size=block_size
+        result = simulate_patterns(
+            FaultSimulator(circuit, backend=backend), fl_new, patterns, block_size=block_size
         )
 
         assert result.coverage_curve == curve_ref
@@ -354,14 +358,12 @@ class TestStrictStimulusMode:
         values = block_values(circuit, stimulus, 1)
         assert values[first] == 0
 
-    def test_strict_fault_simulation_rejects_misspelled_pattern(self):
+    def test_strict_pattern_check_rejects_misspelled_pattern(self):
         circuit = make_core(6)
-        simulator = FaultSimulator(circuit)
-        fault_list = collapse_stuck_at(circuit).to_fault_list()
         patterns = random_patterns(circuit, 4, 3)
         patterns[2]["no_such_net"] = 1
         with pytest.raises(StrictStimulusError, match="pattern 2"):
-            simulator.simulate(fault_list, patterns, strict=True)
+            check_strict_patterns(circuit, patterns)
 
     def test_complete_stimulus_passes_strict(self):
         circuit = make_core(6)

@@ -23,7 +23,11 @@ from repro.faults import (
     TransitionFaultSimulator,
     collapse_stuck_at,
 )
-from repro.oracle import derive_capture_patterns, simulate_with_derived_capture
+from repro.oracle import (
+    derive_capture_patterns,
+    simulate_patterns,
+    simulate_with_derived_capture,
+)
 from repro.simulation import (
     HAVE_NUMPY,
     SimBackendError,
@@ -146,8 +150,8 @@ class TestValueTableEquivalence:
         fl_py = collapse_stuck_at(circuit).to_fault_list()
         fl_np = collapse_stuck_at(circuit).to_fault_list()
         patterns = random_patterns(circuit, 16, 1)
-        FaultSimulator(circuit).simulate(fl_py, patterns)
-        FaultSimulator(circuit, backend="numpy").simulate(fl_np, patterns)
+        simulate_patterns(FaultSimulator(circuit), fl_py, patterns)
+        simulate_patterns(FaultSimulator(circuit, backend="numpy"), fl_np, patterns)
         assert_fault_lists_identical(fl_py, fl_np)
 
     def test_strict_stimulus_mode(self):
@@ -170,12 +174,12 @@ class TestFaultSimEquivalence:
         patterns = random_patterns(circuit, 96, seed + 31)
 
         fl_py = collapse_stuck_at(circuit).to_fault_list()
-        result_py = FaultSimulator(circuit).simulate(
-            fl_py, patterns, block_size=block_size
+        result_py = simulate_patterns(
+            FaultSimulator(circuit), fl_py, patterns, block_size=block_size
         )
         fl_np = collapse_stuck_at(circuit).to_fault_list()
-        result_np = FaultSimulator(circuit, backend="numpy").simulate(
-            fl_np, patterns, block_size=block_size
+        result_np = simulate_patterns(
+            FaultSimulator(circuit, backend="numpy"), fl_np, patterns, block_size=block_size
         )
 
         assert result_np.patterns_simulated == result_py.patterns_simulated
@@ -241,15 +245,15 @@ class TestFaultSimEquivalence:
         vec = FaultSimulator(circuit, backend="numpy")
         fl_py = collapse_stuck_at(circuit).to_fault_list()
         fl_np = collapse_stuck_at(circuit).to_fault_list()
-        py.simulate(fl_py, patterns)
-        vec.simulate(fl_np, patterns)
+        simulate_patterns(py, fl_py, patterns)
+        simulate_patterns(vec, fl_np, patterns)
         assert_fault_lists_identical(fl_py, fl_np)
         py.add_observation_net(candidates[0])
         vec.add_observation_net(candidates[0])
         fl_py2 = collapse_stuck_at(circuit).to_fault_list()
         fl_np2 = collapse_stuck_at(circuit).to_fault_list()
-        py.simulate(fl_py2, patterns)
-        vec.simulate(fl_np2, patterns)
+        simulate_patterns(py, fl_py2, patterns)
+        simulate_patterns(vec, fl_np2, patterns)
         assert_fault_lists_identical(fl_py2, fl_np2)
 
 
@@ -270,12 +274,12 @@ class TestWidthLruWorkspaces:
         # a two-entry cache.
         patterns = random_patterns(circuit, 520, 41)
         fl_py = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(fl_py, patterns, block_size=64)
+        simulate_patterns(FaultSimulator(circuit), fl_py, patterns, block_size=64)
         vec = FaultSimulator(circuit, backend="numpy")
         scan = None
         for block_size in (64, 256, 1024, 64, 256):
             fl_np = collapse_stuck_at(circuit).to_fault_list()
-            vec.simulate(fl_np, patterns, block_size=block_size)
+            simulate_patterns(vec, fl_np, patterns, block_size=block_size)
             # Detection statuses and first-detection indices are
             # block-size-invariant, so one python run oracles every width.
             assert_fault_lists_identical(fl_py, fl_np)
@@ -407,11 +411,11 @@ class TestMemoryBudgetTiling:
         budget_mb = self._mb(floor + (full - floor) * 0.3)
 
         fl_py = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(fl_py, patterns, block_size=64)
+        simulate_patterns(FaultSimulator(circuit), fl_py, patterns, block_size=64)
         vec = FaultSimulator(circuit, backend="numpy", memory_budget_mb=budget_mb)
         for block_size in (64, 256, 17):
             fl_np = collapse_stuck_at(circuit).to_fault_list()
-            vec.simulate(fl_np, patterns, block_size=block_size)
+            simulate_patterns(vec, fl_np, patterns, block_size=block_size)
             # Statuses and first detections are block-size-invariant, so the
             # one python run oracles every width.
             assert_fault_lists_identical(fl_py, fl_np)
@@ -514,10 +518,10 @@ class TestScanCompile:
         circuit = make_core(32)
         patterns = random_patterns(circuit, 640, 92)
         fl_py = collapse_stuck_at(circuit).to_fault_list()
-        FaultSimulator(circuit).simulate(fl_py, patterns, block_size=64)
+        simulate_patterns(FaultSimulator(circuit), fl_py, patterns, block_size=64)
         fl_np = collapse_stuck_at(circuit).to_fault_list()
         engine = FaultSimulator(circuit, backend="numpy")
-        engine.simulate(fl_np, patterns, block_size=64)
+        simulate_patterns(engine, fl_np, patterns, block_size=64)
         assert_fault_lists_identical(fl_py, fl_np)
         scan = engine._np_scan[1]
         # Dropping pruned the live set; the prune re-assembled the one tile
@@ -680,12 +684,12 @@ class TestFuzzedEquivalence:
         block_size = rng.choice(BLOCK_SIZES)
         patterns = random_patterns(circuit, rng.randint(40, 120), 6000 + seed)
         fl_py = collapse_stuck_at(circuit).to_fault_list()
-        result_py = FaultSimulator(circuit).simulate(
-            fl_py, patterns, block_size=block_size
+        result_py = simulate_patterns(
+            FaultSimulator(circuit), fl_py, patterns, block_size=block_size
         )
         fl_np = collapse_stuck_at(circuit).to_fault_list()
-        result_np = FaultSimulator(circuit, backend="numpy").simulate(
-            fl_np, patterns, block_size=block_size
+        result_np = simulate_patterns(
+            FaultSimulator(circuit, backend="numpy"), fl_np, patterns, block_size=block_size
         )
         assert result_np.coverage_curve == result_py.coverage_curve
         assert result_np.detections_per_pattern == result_py.detections_per_pattern

@@ -8,8 +8,11 @@ relative imports against the module's own package, so ``from ..oracle
 import x`` is caught as surely as ``import repro.oracle``.  The
 selector that once picked the oracle through the config stays deleted, and
 so do the knobs that picked a second top-up, backtrace or TPI ranking path,
-the name-keyed and three-valued simulators beside the compiled kernel, and
-the Galois PRPG.
+the name-keyed and three-valued simulators beside the compiled kernel, the
+Galois PRPG, the no-op input selector and the per-pattern session paths
+(the stepping PRPG with its per-cycle phase shifter and space expander,
+the per-cycle unload with its space compactor, block unpacking and the dict
+fault simulation now live in :mod:`repro.oracle.patterns`).
 """
 
 import ast
@@ -207,6 +210,31 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.pipeline", None, "SignatureInput"),
         ("repro.campaign.pipeline", None, "TransitionInput"),
         ("repro.campaign.pipeline", None, "SkewInput"),
+        ("repro.bist", None, "input_selector"),
+        ("repro.bist", None, "InputSelector"),
+        ("repro.bist", None, "InputSource"),
+        ("repro.campaign.pipeline", None, "_apply_input_selector"),
+        ("repro.campaign.pipeline", None, "InputSelector"),
+        ("repro.bist.stumps", "StumpsDomain", "generate_load"),
+        ("repro.bist.stumps", "StumpsDomain", "compact_response"),
+        ("repro.bist.stumps", "StumpsDomain", "_injected_words_numpy"),
+        ("repro.bist.stumps", "StumpsArchitecture", "generate_pattern"),
+        ("repro.bist.stumps", "StumpsArchitecture", "generate_patterns"),
+        ("repro.bist.stumps", "StumpsArchitecture", "compact_response"),
+        ("repro.bist.stumps", None, "resolve_backend"),
+        ("repro.bist.stumps", None, "NUMPY_BACKEND"),
+        ("repro.simulation.packed", "PatternBlock", "pattern"),
+        ("repro.simulation.packed", "PatternBlock", "patterns"),
+        ("repro.simulation.packed", None, "unpack_words"),
+        ("repro.simulation", None, "unpack_words"),
+        ("repro.core.bist_ready", None, "unpack_words"),
+        ("repro.faults.fault_sim", "FaultSimulator", "simulate"),
+        ("repro.bist.stumps", "StumpsDomain", "cells"),
+        ("repro.bist.lfsr", "Prpg", "next_state_bits"),
+        ("repro.bist.lfsr", "Prpg", "generate_states"),
+        ("repro.bist.phase_shifter", "PhaseShifter", "outputs"),
+        ("repro.bist.space", "SpaceExpander", "expand"),
+        ("repro.bist.space", "SpaceCompactor", "compact"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
@@ -233,7 +261,7 @@ def test_deleted_parameters_are_gone():
     from repro.campaign.pipeline import scenario_stage_nodes, shard_stage_nodes
     from repro.campaign.results import ScenarioResult
     from repro.campaign.runner import CampaignRunner
-    from repro.core.bist_ready import fresh_fault_list
+    from repro.core.bist_ready import derive_signature_responses, fresh_fault_list
     from repro.core.flow import LogicBistResult
     from repro.scan.x_blocking import x_contaminated_observation_nets
     from repro.service import CampaignService
@@ -249,6 +277,9 @@ def test_deleted_parameters_are_gone():
     for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
         assert "pattern_shards" not in inspect.signature(owner).parameters
     assert "config" not in inspect.signature(fresh_fault_list).parameters
+    # The signature folds packed responses, one way for both backends.
+    assert "backend" not in inspect.signature(StumpsDomain.fold_responses).parameters
+    assert "config" not in inspect.signature(derive_signature_responses).parameters
     graph_parameters = inspect.signature(scenario_stage_nodes).parameters
     for name in ("include_topup", "include_transition", "include_skew", "include_report"):
         assert name not in graph_parameters

@@ -6,7 +6,7 @@ import pytest
 
 from repro.faults import FaultList, FaultSimulator, collapse_stuck_at
 from repro.netlist import CellLibrary, CircuitBuilder, validate_circuit
-from repro.oracle import ReferencePackedSimulator
+from repro.oracle import ReferencePackedSimulator, simulate_patterns
 from repro.simulation import iter_blocks, pack_patterns
 from repro.tpi import (
     FaultSimGuidedObservationTpi,
@@ -57,7 +57,7 @@ class TestFaultSimGuidedTpi:
 
         # Phase 1: random-pattern coverage without test points.
         baseline_list = collapsed.to_fault_list()
-        FaultSimulator(circuit).simulate(baseline_list, patterns)
+        simulate_patterns(FaultSimulator(circuit), baseline_list, patterns)
         baseline_cov = baseline_list.coverage()
         assert baseline_cov < 1.0
 
@@ -73,7 +73,7 @@ class TestFaultSimGuidedTpi:
         simulator = FaultSimulator(circuit)
         for net in plan.nets:
             simulator.add_observation_net(net)
-        simulator.simulate(improved_list, patterns)
+        simulate_patterns(simulator, improved_list, patterns)
         assert improved_list.coverage() > baseline_cov
 
     def test_zero_budget_returns_empty_plan(self):
@@ -98,7 +98,7 @@ class TestFaultSimGuidedTpi:
         collapsed = collapse_stuck_at(circuit)
         fl = collapsed.to_fault_list()
         patterns = random_patterns(circuit, 96, seed=3)
-        FaultSimulator(circuit).simulate(fl, patterns)
+        simulate_patterns(FaultSimulator(circuit), fl, patterns)
         plan = FaultSimGuidedObservationTpi(circuit, budget=6).select(fl, packed(circuit, patterns))
         seen = set()
         for faults in plan.covered_faults.values():
@@ -111,7 +111,7 @@ class TestFaultSimGuidedTpi:
         collapsed = collapse_stuck_at(circuit)
         fl = collapsed.to_fault_list()
         patterns = random_patterns(circuit, 64, seed=3)
-        FaultSimulator(circuit).simulate(fl, patterns)
+        simulate_patterns(FaultSimulator(circuit), fl, patterns)
         plan = FaultSimGuidedObservationTpi(circuit, budget=3).select(fl, packed(circuit, patterns))
         library = CellLibrary()
         assert plan.area_overhead(library) == pytest.approx(
