@@ -789,8 +789,9 @@ class SkewTrialsStage:
     shift-path samples, reported with the bundle's capture schedule and its
     verdict.
 
-    A thousand trials take about 10 ms, less than one pooled dispatch, so
-    the sweep neither fans out nor leaves the parent.
+    A thousand trials take about 10 ms on a 2-CPU host (16 ms while each
+    trial built a report), less than one pooled dispatch, so the sweep
+    neither fans out nor leaves the parent.
     """
 
     config: LogicBistConfig

@@ -230,15 +230,18 @@ def insert_test_points(
 
 def fresh_fault_list(circuit: Circuit) -> FaultList:
     """The collapsed stuck-at fault universe: every collapsed fault but
-    those on primary-input pad nets (outside the wrapped core)."""
-    collapsed = collapse_stuck_at(circuit)
-    table = collapsed.table
-    pad = GATE_TYPES.index(GateType.INPUT)
-    ids = [
-        fid
-        for fid in collapsed.representative_ids
-        if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
-    ]
+    those on primary-input pad nets (outside the wrapped core).  The IDs are
+    memoised per compiled kernel (so per circuit digest); every call returns
+    a fresh list over them."""
+    table = stuck_at_table(circuit)
+    ids = table.kernel.analysis_cache.get("fresh_fault_ids")
+    if ids is None:
+        pad = GATE_TYPES.index(GateType.INPUT)
+        ids = table.kernel.analysis_cache["fresh_fault_ids"] = tuple(
+            fid
+            for fid in collapse_stuck_at(circuit).representative_ids
+            if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
+        )
     return FaultList.from_table(table, ids)
 
 

@@ -191,7 +191,7 @@ class LogicBistConfig:
     #: Monte-Carlo shift-path skew trials (the Fig. 3 sweep) run per
     #: scenario as one stage in the campaign parent; 0 disables the sweep.  Each trial
     #: seeds its own RNG from its index
-    #: (:func:`~repro.timing.skew_analysis.sample_shift_path_report`).
+    #: (:func:`~repro.timing.skew_analysis.run_skew_trials`).
     skew_trials: int = 0
     #: Chain-clock arrival range (ns) the skew trials sample uniformly.
     skew_range_ns: float = 2.0

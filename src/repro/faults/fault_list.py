@@ -222,13 +222,18 @@ def enumerate_transition_faults(
 ) -> list[TransitionFault]:
     """Enumerate transition-delay faults (slow-to-rise / slow-to-fall): one
     pair per stuck-at site pair of the universe, slow-to-rise first (its
-    equivalent stuck-at fault is the s-a-0 row)."""
+    equivalent stuck-at fault is the s-a-0 row).  Memoised per compiled
+    kernel (so per circuit digest); every call returns a fresh list."""
     table = stuck_at_table(circuit)
-    names = table.kernel.net_names
-    return [
-        TransitionFault(names[table.gate[fid]], table.pin[fid], table.value[fid] == 0)
-        for fid in universe_ids(table, include_branches)
-    ]
+    cache, key = table.kernel.analysis_cache, f"transition_faults:{include_branches}"
+    faults = cache.get(key)
+    if faults is None:
+        names = table.kernel.net_names
+        faults = cache[key] = tuple(
+            TransitionFault(names[table.gate[fid]], table.pin[fid], table.value[fid] == 0)
+            for fid in universe_ids(table, include_branches)
+        )
+    return list(faults)
 
 
 @dataclass

@@ -43,6 +43,11 @@ benchmarks call it directly.  Each oracle checks one production path:
   ``tests/simulation/test_numpy_backend.py``,
   ``benchmarks/bench_backends.py``, ``bench_ablation_capture.py``).
 
+* :func:`~repro.oracle.skew.sample_shift_path_report` -- one Fig. 3 skew
+  trial as a :class:`~repro.timing.skew_analysis.ShiftPathReport`.  The
+  tallying :func:`~repro.timing.skew_analysis.run_skew_trials` sweep must
+  count the same verdicts (``tests/timing/test_schedule_properties.py``).
+
 * :mod:`repro.oracle.patterns` -- the per-pattern session paths.
   Production holds a session only as packed blocks; these take and return
   one dict per pattern:
@@ -102,6 +107,7 @@ from .patterns import (
 from .podem import generate_reference
 from .reference import ReferenceFaultSimulator, ReferencePackedSimulator
 from .sequential import SequentialSimulator
+from .skew import sample_shift_path_report
 from .topup import run_topup_reference
 from .transition import derive_capture_patterns, simulate_with_derived_capture
 
@@ -124,6 +130,7 @@ __all__ = [
     "ReferenceFaultSimulator",
     "ReferencePackedSimulator",
     "SequentialSimulator",
+    "sample_shift_path_report",
     "run_topup_reference",
     "derive_capture_patterns",
     "simulate_with_derived_capture",

@@ -19,6 +19,8 @@ Table 1 report consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Mapping, Optional
 
 from ..netlist.circuit import Circuit
@@ -88,6 +90,26 @@ def _majority_domain(circuit: Circuit, nets: list[str], fallback: str) -> str:
     return max(votes, key=lambda d: (votes[d], d))
 
 
+def _input_domains(circuit: Circuit, fallback: str) -> dict[str, str]:
+    """:func:`_majority_domain` of every primary input, from one topological
+    sweep of int bitsets (bit i: the i-th PI reaches the net).  An input
+    wrapper reads only its own PI, so wrapping changes no other PI's cone."""
+    pis = circuit.primary_inputs
+    reach = {pi: 1 << bit for bit, pi in enumerate(pis)}
+    for name in circuit.topological_order():
+        gate = circuit.gate(name)
+        if name not in reach:  # cones stop at flops: a flop's output reaches none
+            reach[name] = 0 if gate.is_flop else reduce(or_, (reach[n] for n in gate.inputs), 0)
+    votes: list[dict[str, int]] = [{} for _ in pis]
+    for flop in circuit.flops():
+        mask = reduce(or_, (reach[n] for n in flop.inputs), 0) if flop.clock_domain else 0
+        while mask:
+            pi_votes = votes[(mask & -mask).bit_length() - 1]
+            pi_votes[flop.clock_domain] = pi_votes.get(flop.clock_domain, 0) + 1
+            mask &= mask - 1
+    return {pi: max(v, key=lambda d: (v[d], d)) if v else fallback for pi, v in zip(pis, votes)}
+
+
 def wrap_primary_inputs(
     circuit: Circuit, clock_domain: Optional[str] = None
 ) -> list[str]:
@@ -99,13 +121,14 @@ def wrap_primary_inputs(
     """
     created: list[str] = []
     domains = circuit.clock_domains() or ["clk"]
+    pi_domains = {} if clock_domain else _input_domains(circuit, domains[0])
     for pi in circuit.primary_inputs:
         # Deduplicate: a gate using the PI on several pins appears once here,
         # and replace_input_net rewires all of its pins in one call.
         consumers = list(dict.fromkeys(circuit.fanout(pi)))
         if not consumers:
             continue
-        domain = clock_domain or _majority_domain(circuit, [pi], domains[0])
+        domain = clock_domain or pi_domains[pi]
         name = f"wrap_in_{pi}"
         circuit.add_gate(name, GateType.DFF, [pi], clock_domain=domain, wrapper_cell=True)
         for consumer in consumers:

@@ -14,8 +14,9 @@ circuit's digest and a conservative config fingerprint, so an equal circuit
 resubmitted as another object hits too.  A hit preloads those artifacts
 into the next job's stage graph, so the prepared circuit flows into the
 random/top-up/at-speed phases and ``shared_kernel`` serves its compiled
-kernel **and** every memoised ``analysis_cache`` entry (ATPG adjacency,
-SCOAP guidance) while the kernel is still in its LRU.
+kernel **and** every memoised ``analysis_cache`` entry (stuck-at table,
+collapsed and transition fault universes, site plans, ATPG adjacency)
+while the kernel is still in its LRU.
 
 Correctness story: preparation is deterministic, preloading it skips stages
 that would have produced equal artifacts, and the prepared objects are not

@@ -220,8 +220,13 @@ class CheckpointStore:
         there was nothing to append; a new journal starts with the plan
         record.
         """
-        self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
-        with open(self._path(job_id, PROGRESS_FILE), "ab") as handle:
+        path = self._path(job_id, PROGRESS_FILE)
+        try:
+            handle = open(path, "ab")
+        except FileNotFoundError:  # no job directory yet (or it was deleted)
+            self.job_dir(job_id).mkdir(parents=True, exist_ok=True)
+            handle = open(path, "ab")
+        with handle:
             if handle.tell() == 0:
                 handle.write(_journal_record(PLAN_KEY, self._plans.get(job_id)))
             handle.writelines(self._pending.pop(job_id, ()))

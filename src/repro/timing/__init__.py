@@ -27,7 +27,6 @@ from .skew_analysis import (
     ShiftPathReport,
     monte_carlo_violations,
     run_skew_trials,
-    sample_shift_path_report,
 )
 from .waveform_gen import (
     BistWaveformConfig,
@@ -54,7 +53,6 @@ __all__ = [
     "ShiftPathReport",
     "monte_carlo_violations",
     "run_skew_trials",
-    "sample_shift_path_report",
     "BistWaveformConfig",
     "domain_capture_pulse_times",
     "generate_bist_waveform",

@@ -66,14 +66,6 @@ class ShiftPathParameters:
             return self.xor_level_delay_ns
         return CellLibrary().delay_ns(GateType.XOR, 2)
 
-    def chain_to_misr_total_max(self) -> float:
-        """Worst-case chain->MISR path delay including the compactor tree."""
-        return self.chain_to_misr_max_ns + self.compactor_depth * self.resolved_xor_delay()
-
-    def chain_to_misr_total_min(self) -> float:
-        """Best-case chain->MISR path delay including the compactor tree."""
-        return self.chain_to_misr_min_ns + self.compactor_depth * self.resolved_xor_delay()
-
 
 @dataclass
 class InterfaceTiming:
@@ -136,6 +128,26 @@ class ShiftPathReport:
         return all(kind in allowed for kind in self.violation_kinds)
 
 
+def _margins(
+    p: ShiftPathParameters, xor_delay_ns: float, chain: float, bist: float, retiming: bool
+) -> tuple[float, float, float, float]:
+    """PRPG->chain setup and hold, then chain->MISR setup and hold margins
+    of one slice (chain / BIST clock arrivals; ``xor_delay_ns`` is
+    ``p.resolved_xor_delay()``)."""
+    prpg_min = p.prpg_to_chain_min_ns + (p.shift_period_ns / 2 if retiming else 0.0)
+    prpg_max = p.prpg_to_chain_max_ns + (p.shift_period_ns / 2 if retiming else 0.0)
+    misr_max = p.chain_to_misr_max_ns + p.compactor_depth * xor_delay_ns
+    misr_min = p.chain_to_misr_min_ns + p.compactor_depth * xor_delay_ns
+    return (
+        # PRPG (launch @ bist clock) -> first chain cell (capture @ chain clock).
+        (chain + p.shift_period_ns - p.setup_ns) - (bist + p.clk_to_q_ns + prpg_max),
+        (bist + p.clk_to_q_ns + prpg_min) - (chain + p.hold_ns),
+        # Last chain cell (launch @ chain clock) -> MISR (capture @ bist clock).
+        (bist + p.shift_period_ns - p.setup_ns) - (chain + p.clk_to_q_ns + misr_max),
+        (chain + p.clk_to_q_ns + misr_min) - (bist + p.hold_ns),
+    )
+
+
 class ShiftPathAnalyzer:
     """Evaluates shift-path timing for a given BIST-vs-chain clock phase."""
 
@@ -162,35 +174,13 @@ class ShiftPathAnalyzer:
             PRPG->chain path (the standard hold fix).
         """
         p = self.parameters
-        advance = chain_clock_arrival_ns - bist_clock_arrival_ns
-
-        prpg_min = p.prpg_to_chain_min_ns + (p.shift_period_ns / 2 if retiming else 0.0)
-        prpg_max = p.prpg_to_chain_max_ns + (p.shift_period_ns / 2 if retiming else 0.0)
-
-        # PRPG (launch @ bist clock) -> first chain cell (capture @ chain clock).
-        prpg_setup_margin = (
-            (chain_clock_arrival_ns + p.shift_period_ns - p.setup_ns)
-            - (bist_clock_arrival_ns + p.clk_to_q_ns + prpg_max)
+        prpg_setup, prpg_hold, misr_setup, misr_hold = _margins(
+            p, p.resolved_xor_delay(), chain_clock_arrival_ns, bist_clock_arrival_ns, retiming
         )
-        prpg_hold_margin = (
-            (bist_clock_arrival_ns + p.clk_to_q_ns + prpg_min)
-            - (chain_clock_arrival_ns + p.hold_ns)
-        )
-
-        # Last chain cell (launch @ chain clock) -> MISR (capture @ bist clock).
-        misr_setup_margin = (
-            (bist_clock_arrival_ns + p.shift_period_ns - p.setup_ns)
-            - (chain_clock_arrival_ns + p.clk_to_q_ns + p.chain_to_misr_total_max())
-        )
-        misr_hold_margin = (
-            (chain_clock_arrival_ns + p.clk_to_q_ns + p.chain_to_misr_total_min())
-            - (bist_clock_arrival_ns + p.hold_ns)
-        )
-
         return ShiftPathReport(
-            prpg_to_chain=InterfaceTiming("prpg_to_chain", prpg_setup_margin, prpg_hold_margin),
-            chain_to_misr=InterfaceTiming("chain_to_misr", misr_setup_margin, misr_hold_margin),
-            bist_clock_advance_ns=advance,
+            prpg_to_chain=InterfaceTiming("prpg_to_chain", prpg_setup, prpg_hold),
+            chain_to_misr=InterfaceTiming("chain_to_misr", misr_setup, misr_hold),
+            bist_clock_advance_ns=chain_clock_arrival_ns - bist_clock_arrival_ns,
             retiming_applied=retiming,
         )
 
@@ -216,6 +206,18 @@ class MonteCarloSummary:
             setattr(self, kind, getattr(self, kind) + 1)
         if report.only_fixable_violations:
             self.only_fixable += 1
+
+    def tally(self, prpg_setup: bool, prpg_hold: bool, misr_setup: bool, misr_hold: bool) -> None:
+        """Accumulate one slice from its four verdicts (margin < 0), as
+        :meth:`record` does from its report."""
+        self.trials += 1
+        self.clean += not (prpg_setup or prpg_hold or misr_setup or misr_hold)
+        self.prpg_to_chain_setup += prpg_setup
+        self.prpg_to_chain_hold += prpg_hold
+        self.chain_to_misr_setup += misr_setup
+        self.chain_to_misr_hold += misr_hold
+        # Fixable: PRPG->chain hold (re-timing) and chain->MISR setup.
+        self.only_fixable += not (prpg_setup or misr_hold)
 
     def as_dict(self) -> dict[str, int]:
         """Canonical integer-only view (stable keys, deterministic values)."""
@@ -266,33 +268,6 @@ def monte_carlo_violations(
     return summary
 
 
-def sample_shift_path_report(
-    parameters: ShiftPathParameters,
-    skew_range_ns: float,
-    trial: int,
-    seed: int = 2005,
-    bist_clock_advance_ns: float = 0.0,
-    retiming: bool = False,
-) -> ShiftPathReport:
-    """One trial-indexed Monte-Carlo shift-path sample.
-
-    Draws the same distribution as :func:`monte_carlo_violations` but seeds a
-    fresh RNG from ``(seed, trial)`` instead of advancing one sequential
-    stream: trial ``k`` produces the same sample whichever trials run
-    before it.  The campaign's skew sweep and its report bytes are built
-    on these per-trial seeds.
-    """
-    rng = random.Random(f"{seed}:trial:{trial}")
-    nominal_chain_arrival = skew_range_ns / 2
-    chain_arrival = rng.uniform(0.0, skew_range_ns)
-    bist_arrival = nominal_chain_arrival - bist_clock_advance_ns + rng.uniform(
-        -0.1 * skew_range_ns, 0.1 * skew_range_ns
-    )
-    return ShiftPathAnalyzer(parameters).analyze(
-        chain_arrival, bist_arrival, retiming=retiming
-    )
-
-
 def run_skew_trials(
     parameters: ShiftPathParameters,
     skew_range_ns: float,
@@ -303,20 +278,24 @@ def run_skew_trials(
 ) -> MonteCarloSummary:
     """Aggregate trial-indexed skew samples for the given trial indices.
 
-    ``run_skew_trials(p, r, range(n))`` is the campaign's Fig. 3 sweep
-    (:class:`~repro.campaign.pipeline.SkewTrialsStage`): one stage in the
-    campaign parent, since a thousand trials take about 10 ms.
+    Draws the same distribution as :func:`monte_carlo_violations` but seeds a
+    fresh RNG from ``(seed, trial)`` instead of advancing one sequential
+    stream: trial ``k`` produces the same sample whichever trials run
+    before it.  ``run_skew_trials(p, r, range(n))`` is the campaign's
+    Fig. 3 sweep (:class:`~repro.campaign.pipeline.SkewTrialsStage`).  It
+    tallies each trial's margins, building no report; a thousand trials
+    take about 10 ms on a 2-CPU host, 8 of them seeding the RNGs.  Its
+    per-trial reference is :func:`repro.oracle.skew.sample_shift_path_report`.
     """
+    xor_delay_ns = parameters.resolved_xor_delay()
+    nominal_chain_arrival = skew_range_ns / 2
     summary = MonteCarloSummary()
     for trial in trials:
-        summary.record(
-            sample_shift_path_report(
-                parameters,
-                skew_range_ns,
-                trial,
-                seed=seed,
-                bist_clock_advance_ns=bist_clock_advance_ns,
-                retiming=retiming,
-            )
+        rng = random.Random(f"{seed}:trial:{trial}")
+        chain_arrival = rng.uniform(0.0, skew_range_ns)
+        bist_arrival = nominal_chain_arrival - bist_clock_advance_ns + rng.uniform(
+            -0.1 * skew_range_ns, 0.1 * skew_range_ns
         )
+        margins = _margins(parameters, xor_delay_ns, chain_arrival, bist_arrival, retiming)
+        summary.tally(*(margin < 0 for margin in margins))
     return summary

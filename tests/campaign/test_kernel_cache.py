@@ -10,7 +10,10 @@ or a prepared scenario.  What this module pins down:
 * the kernel cache is bounded: compiled kernels no longer live as long as
   the process;
 * eviction only ever costs a recompile -- a size-1 kernel cache and a
-  size-1 prep cache change no report byte.
+  size-1 prep cache change no report byte;
+* the collapsed stuck-at and the transition fault universes are derived
+  once per kernel: a memo hit equals a fresh derivation, every call hands
+  out an independent list, and a circuit edited in place gets its own.
 """
 
 import dataclasses
@@ -20,10 +23,19 @@ import weakref
 import pytest
 
 from repro.campaign import CampaignRunner, CampaignScenario, KeyedLruCache
-from repro.core import LogicBistConfig, LogicBistFlow
+from repro.core import LogicBistConfig, LogicBistFlow, bist_ready
+from repro.core.bist_ready import fresh_fault_list
+from repro.cores import core_x_recipe
+from repro.faults import collapse_stuck_at, enumerate_transition_faults
+from repro.faults import fault_list as fault_list_module
+from repro.faults.fault_list import GATE_TYPES, FaultList, stuck_at_table, universe_ids
+from repro.faults.models import OUTPUT_PIN, TransitionFault
+from repro.netlist.gates import GateType
+from repro.scan.insertion import insert_scan
 from repro.service.cache import ScenarioPrepCache
 from repro.simulation import kernel as kernel_module
 from repro.simulation.kernel import shared_kernel
+from repro.tpi.observation_points import apply_observation_points
 
 from test_pipeline_equivalence import make_core
 
@@ -161,6 +173,110 @@ class TestSharedKernelCache:
         assert len(live) > bound
         assert sum(ref() is not None for ref in live) <= bound
         assert len(kernel_module.KERNEL_CACHE) <= bound
+
+
+def collapsed_universe(circuit) -> list[int]:
+    """``fresh_fault_list``'s IDs derived afresh: the collapse's
+    representatives but the primary-input pad stems."""
+    table = stuck_at_table(circuit)
+    pad = GATE_TYPES.index(GateType.INPUT)
+    return [
+        fid
+        for fid in collapse_stuck_at(circuit).representative_ids
+        if not (table.pin[fid] == OUTPUT_PIN and table.gate_type[fid] == pad)
+    ]
+
+
+def transition_universe(circuit, include_branches: bool) -> list:
+    """``enumerate_transition_faults`` derived afresh from the table."""
+    table = stuck_at_table(circuit)
+    names = table.kernel.net_names
+    return [
+        TransitionFault(names[table.gate[fid]], table.pin[fid], table.value[fid] == 0)
+        for fid in universe_ids(table, include_branches)
+    ]
+
+
+#: Generated cores, raw and scan-inserted, and Core X.
+MEMO_CIRCUITS = {
+    "core81": lambda: make_core(81),
+    "core82_1domain": lambda: make_core(82, domains=1),
+    "core81_scan": lambda: insert_scan(make_core(81)).circuit,
+    "core83_scan": lambda: insert_scan(make_core(83)).circuit,
+    "core_x": lambda: core_x_recipe().build().circuit,
+}
+
+
+def observe_two_nets(circuit) -> None:
+    """What test-point insertion does to the circuit it profiled."""
+    nets = [gate.name for gate in circuit.combinational_gates()][:2]
+    apply_observation_points(circuit, nets)
+
+
+def no_derivation(*args, **kwargs):
+    raise AssertionError("a memo hit derived the universe again")
+
+
+class TestFaultUniverseMemo:
+    @pytest.mark.parametrize("name", sorted(MEMO_CIRCUITS))
+    def test_memo_hit_equals_a_fresh_collapse(self, name, monkeypatch):
+        circuit = MEMO_CIRCUITS[name]()
+        first = fresh_fault_list(circuit)
+        expected = collapsed_universe(circuit)
+        monkeypatch.setattr(bist_ready, "collapse_stuck_at", no_derivation)
+        # Hits: the same object again, and an equal copy built anew.
+        for source in (circuit, circuit.copy()):
+            hit = fresh_fault_list(source)
+            assert hit.ids == first.ids == expected
+            assert hit.table is stuck_at_table(circuit)
+
+    def test_lists_from_one_memo_are_independent(self):
+        circuit = make_core(84)
+        first, second = fresh_fault_list(circuit), fresh_fault_list(circuit)
+        assert first.ids == second.ids and first.ids is not second.ids
+        for position in range(len(first)):
+            first.mark_detected_at(position, pattern_index=position)
+        first.ids.reverse()
+        assert first.coverage() == 1.0
+        assert second.detected_count() == 0
+        assert second.undetected_positions() == list(range(len(second)))
+        assert fresh_fault_list(circuit).ids == collapsed_universe(circuit)
+
+    def test_circuit_edited_in_place_gets_its_own_universe(self):
+        circuit = insert_scan(make_core(85)).circuit
+        before = fresh_fault_list(circuit).ids
+        old_kernel = shared_kernel(circuit)
+        observe_two_nets(circuit)
+        after = fresh_fault_list(circuit)
+        assert shared_kernel(circuit) is not old_kernel
+        assert after.ids == collapsed_universe(circuit)
+        assert len(after) > len(before)
+        assert fresh_fault_list(circuit).ids == after.ids
+
+    @pytest.mark.parametrize("include_branches", (False, True))
+    @pytest.mark.parametrize("name", sorted(MEMO_CIRCUITS))
+    def test_transition_memo_hit_equals_a_fresh_enumeration(
+        self, name, include_branches, monkeypatch
+    ):
+        circuit = MEMO_CIRCUITS[name]()
+        first = enumerate_transition_faults(circuit, include_branches)
+        expected = transition_universe(circuit, include_branches)
+        assert first == expected
+        first.clear()  # a caller's edit reaches no later call
+        monkeypatch.setattr(fault_list_module, "TransitionFault", no_derivation)
+        for source in (circuit, circuit.copy()):
+            assert enumerate_transition_faults(source, include_branches) == expected
+
+    def test_transition_lists_are_independent_and_follow_edits(self):
+        circuit = insert_scan(make_core(86)).circuit
+        first, second = FaultList.transition(circuit), FaultList.transition(circuit)
+        first.mark_detected(first.faults()[0], pattern_index=0)
+        assert first.detected_count() == 1 and second.detected_count() == 0
+        before = enumerate_transition_faults(circuit)
+        observe_two_nets(circuit)
+        after = enumerate_transition_faults(circuit)
+        assert after == transition_universe(circuit, False)
+        assert len(after) > len(before)
 
 
 class TestEvictionDoesNotChangeResults:

@@ -21,6 +21,8 @@ what that format promises:
 * records at the keys of stages that were pooled then and run in the
   parent now (bundle, signatures, transition prep, skew) are preloaded and
   satisfy their nodes, and such a journal resumes to the oracle too,
+* a job directory deleted between two appends is made anew by the next
+  save, which heads a new journal; the job resumes from it to the oracle,
 * a cancel flushes the records a coarse ``checkpoint_every`` buffered,
 * saves never rewrite: on a pooled multi-scenario job the bytes written
   across every ``save_progress`` add up to the journal's final size.
@@ -28,6 +30,8 @@ what that format promises:
 
 import asyncio
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +56,7 @@ from repro.service.events import JobStarted, StageFinished, StageStarted
 from repro.timing import MonteCarloSummary
 
 from test_checkpoint_resume import (
+    CrashingStore,
     make_core,
     make_scenarios,
     oracle_bytes,
@@ -166,6 +171,70 @@ def test_unsaved_records_are_dropped_on_load(tmp_path):
     assert store.load_progress("job-x") == {"a": 1}
     store.save_progress("job-x", None)
     assert CheckpointStore(tmp_path).load_progress("job-x") == {"a": 1}
+
+
+def no_mkdir(*args, **kwargs):
+    raise AssertionError("an append to an existing job directory made one")
+
+
+def test_save_recreates_a_deleted_job_directory(tmp_path, monkeypatch):
+    """The append makes the job directory only when it is missing; the
+    records appended before the deletion are gone, and the new journal is
+    headed by the plan again."""
+    store = CheckpointStore(tmp_path)
+    assert store.load_progress("job-x", plan=SERIAL_PLAN) is None
+    journal_of(store, "job-x", {"a": 1})
+    with monkeypatch.context() as patch:
+        patch.setattr(Path, "mkdir", no_mkdir)
+        journal_of(store, "job-x", {"c": 3})  # the directory exists: no mkdir
+    shutil.rmtree(tmp_path / "job-x")
+    journal_of(store, "job-x", {"b": 2})
+    path = tmp_path / "job-x" / PROGRESS_FILE
+    assert len(record_spans(path.read_bytes())) == 2
+    assert CheckpointStore(tmp_path).load_progress("job-x", plan=SERIAL_PLAN) == {
+        "b": 2
+    }
+
+
+class DirectoryDeletingStore(CrashingStore):
+    """Deletes the job directory (the spec with it) just before the
+    ``delete_before``-th append and keeps the spec, so a restart can be
+    handed the job back."""
+
+    def __init__(self, root, delete_before: int, crash_after: int) -> None:
+        super().__init__(root, crash_after)
+        self.delete_before = delete_before
+        self.spec = None
+
+    def save_progress(self, job_id, run):
+        if self.saves + 1 == self.delete_before:
+            self.spec = self.load_spec(job_id)
+            shutil.rmtree(self.job_dir(job_id))
+        super().save_progress(job_id, run)
+
+
+def test_job_directory_deleted_between_appends_resumes_to_oracle(tmp_path):
+    expected = oracle_bytes("python")
+    service = CampaignService(checkpoint_dir=tmp_path)
+    # Save 1 journals the core stage, save 2 the TPI stage.
+    store = service.checkpoints = DirectoryDeletingStore(
+        tmp_path, delete_before=2, crash_after=10
+    )
+    job_id, crashed = asyncio.run(drive(service, make_scenarios("python")))
+    assert crashed.state == "failed" and store.saves == 10
+    assert store.spec is not None
+    # Saves 2 to 10 are on disk, under a fresh plan record; the core is not.
+    journal = CheckpointStore(tmp_path).load_progress(job_id, plan=SERIAL_PLAN)
+    assert any(key.endswith("/tpi") for key in journal)
+    assert not any(key.endswith("/core") for key in journal)
+
+    CheckpointStore(tmp_path).save_spec(job_id, store.spec)
+    _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
+    started = next(e for e in events if isinstance(e, JobStarted))
+    assert started.resumed and started.preloaded_stages == len(journal)
+    assert resumed.state == "finished"
+    assert resumed.report == expected
+    assert EventReassembler().feed_all(events).report_bytes() == expected
 
 
 #: Ways to damage the last record, given the blob and that record's

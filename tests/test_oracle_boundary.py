@@ -191,6 +191,10 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.pipeline", "SkewTrialsStage", "trial_indices"),
         ("repro.campaign.sharding", None, "contiguous_shards"),
         ("repro.timing.skew_analysis", "MonteCarloSummary", "absorb"),
+        ("repro.timing.skew_analysis", None, "sample_shift_path_report"),
+        ("repro.timing", None, "sample_shift_path_report"),
+        ("repro.timing.skew_analysis", "ShiftPathParameters", "chain_to_misr_total_max"),
+        ("repro.timing.skew_analysis", "ShiftPathParameters", "chain_to_misr_total_min"),
         ("repro.core.flow", None, "expand_leading_patterns"),
         ("repro.bist.stumps", "StumpsDomain", "_cell_map"),
         ("repro.bist.stumps", "StumpsDomain", "_cell_maps"),

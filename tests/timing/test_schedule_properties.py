@@ -10,7 +10,8 @@ families of properties:
   clean -- and ``validate()`` *catches* every kind of injected violation
   (off-speed capture, skew-swallowed inter-domain gap, early SE rise),
 * the trial-indexed skew sampling behind the campaign's Fig. 3 sweep is
-  deterministic per trial index, whichever trials run before it.
+  deterministic per trial index, whichever trials run before it, and the
+  sweep's tallied counters are the sum of the per-trial reports' verdicts.
 """
 
 import dataclasses
@@ -18,13 +19,14 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.oracle.skew import sample_shift_path_report
 from repro.timing import (
     CaptureWindowScheduler,
+    MonteCarloSummary,
     ShiftPathParameters,
     make_clock_tree,
     monte_carlo_violations,
     run_skew_trials,
-    sample_shift_path_report,
 )
 
 pytestmark = pytest.mark.transition
@@ -178,6 +180,46 @@ class TestTrialIndexedSkewSampling:
         # Deal the trials round-robin over ``shards`` runs, then concatenate.
         dealt = [t for start in range(shards) for t in range(start, trials, shards)]
         assert sweep(dealt) == sweep(range(trials))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        compactor_depth=st.integers(min_value=0, max_value=3),
+        retiming=st.booleans(),
+        advance=st.floats(min_value=-2.0, max_value=3.0),
+        skew_range=st.floats(min_value=0.05, max_value=12.0),
+        shift_period=st.floats(min_value=0.8, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+        trials=st.one_of(
+            st.just([]),
+            st.integers(min_value=0, max_value=10_000).map(lambda t: [t]),
+            st.lists(
+                st.integers(min_value=0, max_value=10_000), unique=True, max_size=80
+            ),
+        ),
+    )
+    def test_tallied_sweep_sums_per_trial_report_verdicts(
+        self, compactor_depth, retiming, advance, skew_range, shift_period, seed, trials
+    ):
+        """``run_skew_trials`` tallies margins without building reports; its
+        counters equal the per-trial ``sample_shift_path_report`` verdicts
+        summed, for empty, single and non-contiguous trial sets."""
+        parameters = ShiftPathParameters(
+            shift_period_ns=shift_period, compactor_depth=compactor_depth
+        )
+        expected = MonteCarloSummary()
+        for trial in trials:
+            expected.record(
+                sample_shift_path_report(
+                    parameters, skew_range, trial, seed=seed,
+                    bist_clock_advance_ns=advance, retiming=retiming,
+                )
+            )
+        summary = run_skew_trials(
+            parameters, skew_range, trials,
+            bist_clock_advance_ns=advance, retiming=retiming, seed=seed,
+        )
+        assert summary.as_dict() == expected.as_dict()
+        assert all(type(value) is int for value in summary.as_dict().values())
 
     def test_trial_sweep_mirrors_sequential_monte_carlo_distribution(self):
         """Same distribution as monte_carlo_violations: the advance collapses
