@@ -39,9 +39,11 @@ from __future__ import annotations
 import os
 import random
 import time
+from dataclasses import dataclass
 from itertools import accumulate
 
 from repro.campaign import (
+    SessionSpec,
     build_simulation_result,
     merge_first_detections,
     shard_stage_nodes,
@@ -56,6 +58,24 @@ from repro.simulation import iter_blocks
 from repro.simulation.kernel import KERNEL_CACHE
 
 from conftest import print_rows, scaled, smoke_mode, write_bench_json
+
+
+@dataclass(frozen=True)
+class BlockSource:
+    """Pre-packed blocks standing in for a STUMPS as a
+    :class:`~repro.campaign.pipeline.SessionSpec`'s pattern source: it has
+    nothing to reset and never changes, so a copy of it is itself."""
+
+    blocks: tuple
+
+    def reset(self) -> None:
+        pass
+
+    def generate_packed_blocks(self, count, block_size):
+        return iter(self.blocks)
+
+    def __deepcopy__(self, memo):
+        return self
 
 #: Patterns per engine run (every engine simulates this same workload).
 #: Large enough that each worker's fixed cost (kernel build + its share of
@@ -116,8 +136,8 @@ def _shard_nodes(circuit, fault_list, blocks, num_shards):
         observe_nets=tuple(circuit.observation_nets()),
         faults=faults,
     )
-    entries = tuple(zip(range(0, PATTERNS, BLOCK_SIZE), blocks))
-    nodes = shard_stage_nodes("bench", state, entries, num_shards, prefix="bench")
+    session = SessionSpec(BlockSource(tuple(blocks)), PATTERNS, BLOCK_SIZE)
+    nodes = shard_stage_nodes("bench", state, session, num_shards, prefix="bench")
     return positions, nodes
 
 

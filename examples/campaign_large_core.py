@@ -27,6 +27,7 @@ Run with::
 import argparse
 import random
 import time
+from dataclasses import dataclass
 
 try:
     import resource
@@ -34,6 +35,7 @@ except ImportError:  # pragma: no cover - non-POSIX hosts
     resource = None
 
 from repro.campaign import (
+    SessionSpec,
     build_simulation_result,
     merge_first_detections,
     shard_stage_nodes,
@@ -45,6 +47,24 @@ from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.models import StuckAtFault
 from repro.simulation import HAVE_NUMPY, iter_blocks
+
+
+@dataclass(frozen=True)
+class BlockSource:
+    """Pre-packed blocks standing in for a STUMPS as a
+    :class:`~repro.campaign.pipeline.SessionSpec`'s pattern source: it has
+    nothing to reset and never changes, so a copy of it is itself."""
+
+    blocks: tuple
+
+    def reset(self) -> None:
+        pass
+
+    def generate_packed_blocks(self, count, block_size):
+        return iter(self.blocks)
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def peak_rss_mb() -> float:
@@ -144,18 +164,14 @@ def main() -> None:
         sim_backend="numpy",
         sim_memory_budget_mb=args.budget_mb,
     )
-    offsets = range(0, args.patterns, args.block_size)
+    session = SessionSpec(BlockSource(tuple(blocks)), args.patterns, args.block_size)
     nodes = shard_stage_nodes(
-        "large-core", state, tuple(zip(offsets, blocks)), args.shards,
-        prefix="large-core",
+        "large-core", state, session, args.shards, prefix="large-core"
     )
     run = make_scheduler(args.workers).run(nodes)
     merged = merge_first_detections(run.value(node.key) for node in nodes)
     build_simulation_result(
-        campaign_list,
-        positions,
-        merged,
-        [offset + block.num_patterns for offset, block in zip(offsets, blocks)],
+        campaign_list, positions, merged, list(session.boundaries)
     )
     seconds = time.perf_counter() - start
     print(

@@ -328,22 +328,6 @@ class StumpsArchitecture:
                     width,
                 )
 
-    def packed_session(
-        self, count: int, block_size: int = DEFAULT_BLOCK_SIZE
-    ) -> Iterator[tuple[int, PatternBlock]]:
-        """Stream a whole BIST session as ``(global pattern offset, block)`` pairs.
-
-        The campaign's session stage consumes this form: the offsets make
-        every block self-describing, so first-detection indices stay
-        globally meaningful wherever a block is scanned.  It is
-        :meth:`generate_packed_blocks` enumerated: the same bit-sliced PRPG
-        walk, advancing a chunk of blocks at a time.
-        """
-        offset = 0
-        for block in self.generate_packed_blocks(count, block_size=block_size):
-            yield offset, block
-            offset += block.num_patterns
-
     def signatures(self) -> dict[str, int]:
         """Current per-domain signatures."""
         return {name: domain.signature for name, domain in self.domains.items()}

@@ -8,7 +8,7 @@ Public API:
   over one worker pool.  The runner drives the **stage-graph pipeline**:
   scan insertion and TPI profiling are pooled work alongside the fault-sim
   and PODEM shards, and the stages that compute less than one pooled
-  dispatch costs (STUMPS/session assembly, the signature, the transition
+  dispatch costs (STUMPS assembly, the signature, the transition
   preparation, the skew sweep) run in the parent,
 * :mod:`repro.campaign.pipeline` -- the typed stage tasks
   (:class:`~repro.campaign.pipeline.PrepareCoreStage`,
@@ -16,7 +16,9 @@ Public API:
   per-scenario graph builder
   :func:`~repro.campaign.pipeline.scenario_stage_nodes`,
 * :class:`~repro.campaign.pipeline.ShardScanStage` -- the one shard of a
-  stuck-at or transition fault simulation, built per fault shard by
+  stuck-at or transition fault simulation, which regenerates its session
+  from a :class:`~repro.campaign.pipeline.SessionSpec`, built per fault
+  shard by
   :func:`~repro.campaign.pipeline.shard_stage_nodes` from the fault
   planner in :mod:`repro.campaign.sharding` and min-merged by
   :func:`~repro.campaign.results.merge_first_detections`,
@@ -82,6 +84,7 @@ from .pipeline import (
     PrepareCoreStage,
     ReportStage,
     ScenarioBundle,
+    SessionSpec,
     ShardScanStage,
     SignatureStage,
     SkewOutcome,
@@ -137,6 +140,7 @@ __all__ = [
     "PrepareCoreStage",
     "ReportStage",
     "ScenarioBundle",
+    "SessionSpec",
     "ShardScanStage",
     "SignatureStage",
     "SkewOutcome",

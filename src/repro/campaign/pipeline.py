@@ -34,10 +34,10 @@ Two properties carry the whole design:
     top-up (:class:`TopUpStage` splices one speculative
     :class:`PodemShardStage` per target shard plus the replay that
     screens their cubes).
-  - Local: the bundle (:class:`BuildStumpsStage`, 12-36 ms of compute
-    behind a 190 KB result), the signature (2-3 ms), the transition
-    preparation (5-6 ms) and the skew sweep (11-13 ms), each of which
-    reads the bundle in place, plus every expander, merge and the report.
+  - Local: the bundle (:class:`BuildStumpsStage`, which generates no
+    pattern), the signature (2-3 ms), the transition preparation and the
+    skew sweep (11-13 ms), each of which reads the bundle in place, plus
+    every expander, merge and the report.
 
   Pooled preparation and pooled simulation drain through the *same*
   pool -- scenario B's TPI profiling runs while scenario A's shards are
@@ -46,7 +46,8 @@ Two properties carry the whole design:
 Every shard of either fault model is one :class:`ShardScanStage`, built by
 :func:`shard_stage_nodes`: a shard state (stuck-at or transition) holding
 only the shard's own faults, their campaign-global indices and the
-session's ``(global offset, ...)`` blocks.
+session's :class:`SessionSpec` -- the seed a BIST tester stores, not the
+patterns -- from which the shard regenerates the blocks it scans.
 It is the only shard-execution path; sharded simulation outside a scenario
 drains the same nodes through
 :func:`~repro.campaign.scheduler.make_scheduler`.
@@ -61,7 +62,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
@@ -84,7 +85,7 @@ from ..faults.models import StuckAtFault, TransitionFault
 from ..faults.transition_sim import TransitionSimShardState, derive_pair_blocks
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
-from ..simulation.packed import PatternBlock, leading_blocks
+from ..simulation.packed import PatternBlock
 from ..timing.clocks import ClockTreeModel
 from ..timing.double_capture import CaptureSchedule, CaptureWindowScheduler
 from ..timing.skew_analysis import MonteCarloSummary, run_skew_trials
@@ -126,17 +127,55 @@ class TpiOutcome:
     plan: Optional[ObservationPointPlan]
 
 
+@dataclass(frozen=True)
+class SessionSpec:
+    """A BIST session as a tester stores it, and the only form in which a
+    session crosses a stage boundary: the STUMPS whose reset PRPGs generate
+    it (or any source with ``reset`` and ``generate_packed_blocks``), its
+    pattern count and its block size.  The stream starts from a reset deep
+    copy, so it never moves ``stumps`` and yields the same blocks on every
+    run, even from an advanced STUMPS (as in older journals' bundles)."""
+
+    stumps: StumpsArchitecture
+    patterns: int
+    block_size: int
+
+    def blocks(self) -> Iterator[tuple[int, PatternBlock]]:
+        """The session as ``(global pattern offset, block)`` pairs, generated
+        a chunk of blocks at a time as they are drawn."""
+        stumps = copy.deepcopy(self.stumps)
+        stumps.reset()
+        offset = 0
+        for block in stumps.generate_packed_blocks(
+            self.patterns, block_size=self.block_size
+        ):
+            yield offset, block
+            offset += block.num_patterns
+
+    def pair_blocks(self, circuit: Circuit, pulse_order) -> tuple:
+        """The session as launch-on-capture ``(offset, launch, capture)``
+        triples (:func:`~repro.faults.transition_sim.derive_pair_blocks`)."""
+        return derive_pair_blocks(circuit, (b for _, b in self.blocks()), pulse_order)
+
+    @property
+    def boundaries(self) -> tuple[int, ...]:
+        """Cumulative pattern count after each block (all full but the last)."""
+        ends = range(self.block_size, self.patterns + self.block_size, self.block_size)
+        return tuple(min(end, self.patterns) for end in ends)
+
+
 @dataclass
 class ScenarioBundle:
     """Everything the post-preparation phases of one scenario consume.
 
-    Produced by :class:`BuildStumpsStage` in the parent; the fan-out
-    payload of the fault-sim shards (``state`` + ``offset_blocks``) and the
-    structural objects the flow result reports (stumps, clock tree, capture
-    schedule) travel together because every downstream stage reads some
-    slice of them in place.  It is not journaled, but journals written when
-    the stage was pooled hold it at ``<scenario>/bundle`` and a resume
-    preloads that record, so its fields keep their names.
+    Produced by :class:`BuildStumpsStage` in the parent: the stuck-at shard
+    state and the structural objects the flow result reports, which every
+    downstream stage reads some slice of in place.  A consumer of the
+    session builds a :class:`SessionSpec` from ``stumps``; no stage moves
+    them.  The bundle is not journaled, but journals written when the stage
+    was pooled hold it at ``<scenario>/bundle`` (with the session older code
+    kept here, which nothing reads) and a resume preloads that record, so
+    its fields keep their names.
     """
 
     scenario_key: str
@@ -149,13 +188,6 @@ class ScenarioBundle:
     #: Fault-list position of each fault of ``state.faults`` (what the
     #: merge marks).
     positions: tuple[int, ...]
-    offset_blocks: tuple[tuple[int, PatternBlock], ...]
-    boundaries: tuple[int, ...]
-
-    @property
-    def blocks(self) -> tuple[tuple[int, PatternBlock], ...]:
-        """The session the fault-sim shards scan."""
-        return self.offset_blocks
 
 
 @dataclass
@@ -199,25 +231,19 @@ class TopUpInput:
 
 @dataclass
 class TransitionBundle:
-    """Fan-out payload of the transition-fault measurement.
+    """The transition-fault universe the at-speed scan shards.
 
     Built in the parent and not journaled; like :class:`ScenarioBundle`,
     older journals hold it at ``<scenario>/transition_prep``, so its fields
-    keep their names.
+    keep their names; its shards read their session from the
+    :class:`ScenarioBundle`, never an older record's pair blocks.
     """
 
     scenario_key: str
     state: TransitionSimShardState
-    pair_blocks: tuple[tuple[int, PatternBlock, PatternBlock], ...]
     fault_list: FaultList
     #: Fault-list position of each fault of ``state.faults``.
     positions: tuple[int, ...]
-    boundaries: tuple[int, ...]
-
-    @property
-    def blocks(self) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
-        """The launch/capture session the transition shards scan."""
-        return self.pair_blocks
 
 
 @dataclass
@@ -319,11 +345,11 @@ class TpiProfileStage:
 
 @dataclass(frozen=True)
 class BuildStumpsStage:
-    """Phase 3: STUMPS + clock tree + capture schedule + session generation.
+    """Phase 3: STUMPS + clock tree + capture schedule + stuck-at universe.
 
-    Streams the whole random-pattern session into packed blocks and bundles
-    the pickleable fault-sim shard state -- the fan-out payload of the
-    stuck-at :class:`FaultSimStage`.
+    Bundles the reset STUMPS (the session's seed) with the pickleable
+    fault-sim shard state -- the fan-out payload of the stuck-at
+    :class:`FaultSimStage`.  No pattern is generated here.
     """
 
     scenario_key: str
@@ -337,11 +363,6 @@ class BuildStumpsStage:
         capture_schedule = CaptureWindowScheduler(clock_tree).schedule()
         fault_list = fresh_fault_list(core.circuit)
         credit_chain_flush(core, fault_list)
-        offset_blocks = tuple(
-            stumps.packed_session(
-                config.random_patterns, block_size=config.block_size
-            )
-        )
         positions, faults = undetected_of_kind(fault_list, StuckAtFault)
         state = FaultSimShardState(
             circuit=core.circuit,
@@ -359,10 +380,6 @@ class BuildStumpsStage:
             fault_list=fault_list,
             state=state,
             positions=positions,
-            offset_blocks=offset_blocks,
-            boundaries=tuple(
-                offset + block.num_patterns for offset, block in offset_blocks
-            ),
         )
 
 
@@ -371,39 +388,51 @@ class FaultSimStage:
     """Fan-out rule of both fault scans: shard a bundle's faults over its
     session.
 
-    A local expander: once the bundle (a :class:`ScenarioBundle` for the
-    random-pattern stuck-at scan, a :class:`TransitionBundle` for the
-    launch-on-capture transition scan) exists, the site-local keyed
+    A local expander.  Given the :class:`ScenarioBundle` alone it shards the
+    random-pattern stuck-at scan; given the :class:`TransitionBundle` too,
+    the launch-on-capture transition scan.  The site-local keyed
     round-robin planner decides the shards, and the expansion splices one
-    :class:`ShardScanStage` per shard plus the local ``merge`` reducer
-    (:class:`MergeDetectionsStage` or :class:`TransitionMergeStage`) into
-    the graph.
+    :class:`ShardScanStage` per shard, each over the scan's
+    :class:`SessionSpec`, plus the local merge (:class:`MergeDetectionsStage`
+    or :class:`TransitionMergeStage`) into the graph.
     """
 
     bundle_key: str
     prefix: str
     scenario: str
     fault_shards: int
-    phase: str
-    merge: Union[MergeDetectionsStage, TransitionMergeStage]
+    config: LogicBistConfig
 
-    def run(self, bundle: Union[ScenarioBundle, TransitionBundle]) -> Expansion:
+    def run(
+        self, bundle: ScenarioBundle, prep: Optional[TransitionBundle] = None
+    ) -> Expansion:
+        config = self.config
+        if prep is None:
+            faults, patterns, phase, merge = (
+                bundle, config.random_patterns, PHASE_RANDOM, MergeDetectionsStage
+            )
+        else:
+            faults, patterns, phase, merge = (
+                prep, config.transition_patterns, PHASE_AT_SPEED, TransitionMergeStage
+            )
+        session = SessionSpec(bundle.stumps, patterns, config.block_size)
         shard_nodes = shard_stage_nodes(
             bundle.scenario_key,
-            bundle.state,
-            bundle.blocks,
+            faults.state,
+            session,
             self.fault_shards,
             prefix=self.prefix,
-            phase=self.phase,
+            phase=phase,
             scenario=self.scenario,
+            pulse_order=None if prep is None else bundle.capture_schedule.pulse_order,
         )
         merge_key = f"{self.prefix}/merged"
         merge = StageNode(
             key=merge_key,
-            task=self.merge,
+            task=merge(session.boundaries),
             deps=(self.bundle_key, *(node.key for node in shard_nodes)),
             local=True,
-            phase=self.phase,
+            phase=phase,
             scenario=self.scenario,
             category=CATEGORY_CONTROL,
         )
@@ -413,24 +442,24 @@ class FaultSimStage:
 def shard_stage_nodes(
     scenario_key: str,
     state: Union[FaultSimShardState, TransitionSimShardState],
-    blocks: tuple,
+    session: SessionSpec,
     fault_shards: int,
     prefix: str,
     phase: str = "",
     scenario: str = "",
+    pulse_order: Optional[Sequence[Sequence[str]]] = None,
 ) -> tuple[StageNode, ...]:
     """One :class:`ShardScanStage` per site-local keyed round-robin fault
-    shard of ``state``, each over the whole session ``blocks``, keyed
+    shard of ``state``, each over the whole ``session``, keyed
     ``<prefix>/shard<i>``.
 
     Each shard's state holds only that shard's faults, in ``fault_indices``
-    order.  The pooled scheduler pickles a stage per submission, so the
-    shipped bytes are fault_shards x session plus each fault once.
+    order, so the pooled scheduler ships each fault once plus fault_shards
+    x the spec, whatever the session's length.
     """
     groups = keyed_round_robin_shards(
         fault_site_keys(state.circuit, state.faults), fault_shards
     )
-    blocks = tuple(blocks)
     return tuple(
         StageNode(
             key=f"{prefix}/shard{shard_id}",
@@ -441,7 +470,8 @@ def shard_stage_nodes(
                     state, faults=tuple(state.faults[i] for i in fault_group)
                 ),
                 fault_indices=fault_group,
-                blocks=blocks,
+                session=session,
+                pulse_order=pulse_order,
             ),
             phase=phase,
             scenario=scenario,
@@ -453,39 +483,40 @@ def shard_stage_nodes(
 
 @dataclass(frozen=True)
 class ShardScanStage:
-    """One fault-simulation shard: ``state.faults`` scanned over ``blocks``.
+    """One fault-simulation shard: ``state.faults`` scanned over ``session``.
 
     ``state.faults[k]`` is the campaign's fault ``fault_indices[k]``, and
-    the outcome reports that campaign-global index for the min-merge.
-    ``blocks`` is the whole session, each entry self-describing --
-    ``(global offset, PatternBlock)`` pairs under a stuck-at state,
-    ``(global offset, launch, capture)`` triples under a transition state
-    -- so the shard reports campaign-global pattern indices too.
+    the outcome reports that campaign-global index for the min-merge.  The
+    shard scans its regenerated session as it is drawn -- under a
+    transition state as pairs whose capture blocks it derives under
+    ``pulse_order`` -- so it reports campaign-global pattern indices too.
     """
 
     scenario_key: str
     shard_id: int
     state: Union[FaultSimShardState, TransitionSimShardState]
     fault_indices: tuple[int, ...]
-    blocks: tuple
+    session: SessionSpec
+    pulse_order: Optional[Sequence[Sequence[str]]] = None
 
     def run(self) -> ShardOutcome:
-        # The timer covers engine construction too: a worker's first shard
-        # of a circuit really pays kernel compilation, and the recorded
-        # per-shard seconds must reflect that full cost.
+        # The timer covers engine construction and session generation too:
+        # a worker's first shard of a circuit really pays kernel
+        # compilation, and the recorded per-shard seconds must reflect that
+        # full cost.
         start = time.perf_counter()
         engine = self.state.build_simulator()
         # The stuck-at engine counts its own gate evaluations; the
         # transition engine delegates them to its embedded stuck-at
         # observability engine.
-        counter = (
-            engine
-            if isinstance(self.state, FaultSimShardState)
-            else engine.stuck_engine
-        )
+        if isinstance(self.state, FaultSimShardState):
+            counter, blocks = engine, self.session.blocks()
+        else:
+            counter = engine.stuck_engine
+            blocks = self.session.pair_blocks(self.state.circuit, self.pulse_order)
         indices = self.fault_indices
         evals_before = counter.gate_evals
-        found = engine.first_detections(list(self.state.faults), self.blocks)
+        found = engine.first_detections(list(self.state.faults), blocks)
         seconds = time.perf_counter() - start
         return ShardOutcome(
             scenario_key=self.scenario_key,
@@ -498,7 +529,10 @@ class ShardScanStage:
 
 @dataclass(frozen=True)
 class MergeDetectionsStage:
-    """Min-merge the shard outcomes back into the serial-equivalent result."""
+    """Min-merge the shard outcomes back into the serial-equivalent result,
+    sampling the curve at the session's block ``boundaries``."""
+
+    boundaries: tuple[int, ...]
 
     def run(self, bundle: ScenarioBundle, *outcomes) -> RandomPhaseOutcome:
         merged = merge_first_detections(outcomes)
@@ -506,7 +540,7 @@ class MergeDetectionsStage:
             bundle.fault_list,
             bundle.positions,
             merged,
-            list(bundle.boundaries),
+            list(self.boundaries),
         )
         return RandomPhaseOutcome(
             result=result,
@@ -521,13 +555,12 @@ class MergeDetectionsStage:
 class SignatureStage:
     """Per-clock-domain MISR signatures of the leading signature slice.
 
-    Derives the double-capture response stream of the session's leading
-    ``signature_patterns`` once, packed (the block crossing the count is
-    cut to its leading patterns), then folds each domain's own cells into
-    its MISR (:meth:`~repro.bist.stumps.StumpsDomain.fold_responses`).  No
-    per-pattern dict is built.  The folds advance deep copies of the
-    bundle's domains made inside ``run``, so the bundle's MISRs never move
-    and running one task twice (an in-process retry) signs the same values.
+    Regenerates the session's leading ``signature_patterns`` (a
+    :class:`SessionSpec` of that length), derives their double-capture
+    responses once, packed, and folds each domain's own cells into its MISR
+    (:meth:`~repro.bist.stumps.StumpsDomain.fold_responses`).  The folds
+    advance deep copies of the bundle's domains made inside ``run``, so the
+    bundle's MISRs never move and a re-run signs the same values.
     """
 
     config: LogicBistConfig
@@ -537,9 +570,10 @@ class SignatureStage:
         if config.signature_patterns <= 0:
             return {}
         count = min(config.signature_patterns, config.random_patterns)
+        session = SessionSpec(bundle.stumps, count, config.block_size)
         responses = derive_signature_responses(
             bundle.core.circuit,
-            leading_blocks((block for _, block in bundle.offset_blocks), count),
+            (block for _, block in session.blocks()),
             bundle.capture_schedule,
         )
         return {
@@ -705,18 +739,12 @@ class TopUpMergeStage:
 
 @dataclass(frozen=True)
 class TransitionPrepStage:
-    """Phase 6 preparation: packed launch blocks + derived capture blocks.
+    """Phase 6 preparation: the transition-fault universe of the core.
 
-    The launch blocks stream straight from the reset PRPG
-    (``generate_packed_blocks``, the one bit-sliced PRPG path of both
-    backends, pattern for pattern what stepping the PRPGs loads) and
-    each capture block is derived from its launch block in place
-    (:func:`~repro.faults.transition_sim.derive_pair_blocks`), so no
-    per-pattern dict is built.  This is the serial half of the transition
-    measurement.  It resets and re-streams the bundle's own PRPGs, so a
-    rerun streams the same blocks.  The reset also resets the bundle's
-    MISRs, which never leave their initial state (the signature stage folds
-    copies), so the two stages sign and stream the same in either order.
+    Builds the pickleable transition shard state of every undetected
+    transition fault.  No pattern is generated here: each transition shard
+    regenerates the launch blocks from the bundle's :class:`SessionSpec`
+    and derives their capture blocks itself.
     """
 
     config: LogicBistConfig
@@ -724,15 +752,6 @@ class TransitionPrepStage:
     def run(self, bundle: ScenarioBundle) -> TransitionBundle:
         config = self.config
         circuit = bundle.core.circuit
-        stumps = bundle.stumps
-        stumps.reset()
-        pair_blocks = derive_pair_blocks(
-            circuit,
-            stumps.generate_packed_blocks(
-                config.transition_patterns, block_size=config.block_size
-            ),
-            bundle.capture_schedule.pulse_order,
-        )
         fault_list = FaultList.transition(circuit)
         positions, faults = undetected_of_kind(fault_list, TransitionFault)
         state = TransitionSimShardState(
@@ -745,13 +764,8 @@ class TransitionPrepStage:
         return TransitionBundle(
             scenario_key=bundle.scenario_key,
             state=state,
-            pair_blocks=pair_blocks,
             fault_list=fault_list,
             positions=positions,
-            boundaries=tuple(
-                offset + launch_block.num_patterns
-                for offset, launch_block, _ in pair_blocks
-            ),
         )
 
 
@@ -764,10 +778,12 @@ class TransitionMergeStage:
     the serial transition simulation at any shard/worker count.
     """
 
+    boundaries: tuple[int, ...]
+
     def run(self, prep: TransitionBundle, *outcomes) -> TransitionOutcome:
         merged = merge_first_detections(outcomes)
         result = build_simulation_result(
-            prep.fault_list, prep.positions, merged, list(prep.boundaries)
+            prep.fault_list, prep.positions, merged, list(self.boundaries)
         )
         fault_list = prep.fault_list
         return TransitionOutcome(
@@ -977,20 +993,19 @@ def scenario_stage_nodes(
             )
         )
 
-    def add_scan(artifact, bundle, phase, merge):
+    def add_scan(artifact, bundles, phase):
         task = FaultSimStage(
-            bundle_key=keys[bundle],
+            bundle_key=keys[bundles[-1]],
             prefix=f"{scenario_key}/{artifact}",
             scenario=name,
             fault_shards=fault_shards,
-            phase=phase,
-            merge=merge,
+            config=config,
         )
-        add(artifact, task, (bundle,), phase)
+        add(artifact, task, bundles, phase)
 
     bundle = BuildStumpsStage(scenario_key, config)
     add("bundle", bundle, ("tpi",), PHASE_RANDOM, CATEGORY_PREP)
-    add_scan("fault_sim", "bundle", PHASE_RANDOM, MergeDetectionsStage())
+    add_scan("fault_sim", ("bundle",), PHASE_RANDOM)
     add("signatures", SignatureStage(config), ("bundle",), PHASE_RANDOM, CATEGORY_PREP)
     if include_topup:
         add("topup_input", TrimTopUpInputStage(), ("bundle", "fault_sim"), PHASE_TOPUP)
@@ -1010,9 +1025,7 @@ def scenario_stage_nodes(
             PHASE_AT_SPEED,
             CATEGORY_PREP,
         )
-        add_scan(
-            "transition", "transition_prep", PHASE_AT_SPEED, TransitionMergeStage()
-        )
+        add_scan("transition", ("bundle", "transition_prep"), PHASE_AT_SPEED)
     if include_skew:
         add("skew", SkewTrialsStage(config), ("bundle",), PHASE_AT_SPEED, CATEGORY_SIM)
     extras = {

@@ -205,7 +205,7 @@ class CampaignRunner:
         plan = self.plan(scenarios)
         pipeline_run = self.scheduler().run(plan.nodes, cancel_token=cancel_token)
         # Keep the trace (the Amdahl/benchmark diagnostics), drop the
-        # artifact store: it holds every scenario's packed session.
+        # artifact store: it holds every scenario's circuits and faults.
         self.last_run = pipeline_run.trace_only()
         return self.collect(plan, pipeline_run, start)
 

@@ -50,32 +50,28 @@ GroupUpdates = list[list[tuple[int, int]]]
 def capture_group_updates(
     kernel: CompiledKernel,
     pulse_order: Optional[Sequence[Sequence[str]]] = None,
-    hold_cells: Optional[Sequence[str]] = None,
 ) -> GroupUpdates:
     """Resolve a capture pulse order to the flop updates of each pulse group.
 
     ``pulse_order`` lists the ordered groups of clock domains receiving their
     *first* capture pulse, e.g. ``[["clk1"], ["clk2"]]`` for the staggered
     two-domain capture of Fig. 2; ``None`` pulses every domain
-    simultaneously.  ``hold_cells`` are flops that keep their scan-loaded
-    value through the capture window (wrapper cells modelled in hold mode);
-    the flow and the campaign pass none, so their input wrapper cells
-    capture the statically driven pad value at the launch pulse like every
-    other flop.  The result is what :func:`derive_capture_block` applies.
+    simultaneously.  Every flop captures, input wrapper cells included:
+    they capture the statically driven pad value at the launch pulse like
+    every other flop.  The result is what :func:`derive_capture_block`
+    applies.
     """
     circuit = kernel.circuit
     if pulse_order is None:
         pulse_order = [circuit.clock_domains()]
-    held = set(hold_cells or ())
     net_id = kernel.net_id
     # One pass over the gates buckets the updates by domain; a group of
     # several domains merges its buckets back into insertion order.
     by_domain: dict[str, list[tuple[int, int, int]]] = {}
     for position, flop in enumerate(circuit.flops()):
-        if flop.name not in held:
-            by_domain.setdefault(flop.clock_domain, []).append(
-                (position, net_id[flop.name], net_id[flop.inputs[0]])
-            )
+        by_domain.setdefault(flop.clock_domain, []).append(
+            (position, net_id[flop.name], net_id[flop.inputs[0]])
+        )
     return [
         [
             (q_id, d_id)
@@ -94,7 +90,7 @@ def derive_capture_block(
 ) -> PatternBlock:
     """The packed capture-cycle stimulus of one packed launch block.
 
-    The single home of the pulse and hold semantics: the launch words are
+    The single home of the pulse semantics: the launch words are
     loaded into a fresh kernel table, then each pulse group evaluates the
     combinational logic and moves its flops' D values onto their Q nets, so
     a later group sees the already-updated state of an earlier group.  The
@@ -125,7 +121,6 @@ def derive_pair_blocks(
     circuit: Circuit,
     launch_blocks: Iterable[PatternBlock],
     pulse_order: Optional[Sequence[Sequence[str]]] = None,
-    hold_cells: Optional[Sequence[str]] = None,
 ) -> tuple[tuple[int, PatternBlock, PatternBlock], ...]:
     """Packed launch blocks -> ``(offset, launch, capture)`` pair triples.
 
@@ -136,7 +131,7 @@ def derive_pair_blocks(
     pattern list is packed) and its capture block is derived in place.
     """
     kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(kernel, pulse_order, hold_cells)
+    group_updates = capture_group_updates(kernel, pulse_order)
     pair_blocks: list[tuple[int, PatternBlock, PatternBlock]] = []
     cursor = 0
     for block in launch_blocks:

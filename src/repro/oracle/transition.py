@@ -31,7 +31,6 @@ def derive_capture_patterns(
     circuit: Circuit,
     launch_patterns: Sequence[Mapping[str, int]],
     pulse_order: Optional[Sequence[Sequence[str]]] = None,
-    hold_cells: Optional[Sequence[str]] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> list[dict[str, int]]:
     """Compute the capture-cycle stimulus for each launch pattern.
@@ -47,7 +46,7 @@ def derive_capture_patterns(
     launch_patterns:
         Per-pattern stimulus: primary inputs and flop outputs (the scan-loaded
         state), exactly what the shift window establishes.
-    pulse_order, hold_cells:
+    pulse_order:
         As for :func:`~repro.faults.transition_sim.capture_group_updates`.
 
     Returns
@@ -60,7 +59,7 @@ def derive_capture_patterns(
         is where cross-domain logic differs from the simultaneous case).
     """
     kernel = shared_kernel(circuit)
-    group_updates = capture_group_updates(kernel, pulse_order, hold_cells)
+    group_updates = capture_group_updates(kernel, pulse_order)
     results: list[dict[str, int]] = []
     for block in iter_blocks(
         launch_patterns, block_size=block_size, nets=kernel.stimulus_names
@@ -74,7 +73,6 @@ def simulate_with_derived_capture(
     fault_list: FaultList,
     launch_patterns: Sequence[Mapping[str, int]],
     pulse_order: Optional[Sequence[Sequence[str]]] = None,
-    hold_cells: Optional[Sequence[str]] = None,
     strict: bool = False,
     **kwargs: object,
 ) -> TransitionSimulationResult:
@@ -93,7 +91,7 @@ def simulate_with_derived_capture(
             label="launch pattern",
         )
     capture_patterns = derive_capture_patterns(
-        simulator.circuit, launch_patterns, pulse_order, hold_cells
+        simulator.circuit, launch_patterns, pulse_order
     )
     return simulator.simulate_pairs(
         fault_list, launch_patterns, capture_patterns, **kwargs

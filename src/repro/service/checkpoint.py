@@ -218,9 +218,12 @@ class CheckpointStore:
         they came from, passed so subclasses can act at this exact
         checkpoint boundary.  ``progress.pkl`` exists afterwards even when
         there was nothing to append; a new journal starts with the plan
-        record.
+        record.  With nothing to append to an existing journal, the file is
+        not opened at all.
         """
         path = self._path(job_id, PROGRESS_FILE)
+        if not self._pending.get(job_id) and path.exists():
+            return
         try:
             handle = open(path, "ab")
         except FileNotFoundError:  # no job directory yet (or it was deleted)

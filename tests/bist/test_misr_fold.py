@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bist import StumpsArchitecture, StumpsDomainConfig
 from repro.campaign import SerialScheduler
-from repro.campaign.pipeline import SignatureStage, scenario_stage_nodes
+from repro.campaign.pipeline import SessionSpec, SignatureStage, scenario_stage_nodes
 from repro.core import LogicBistConfig
 from repro.cores import tiny_recipe
 from repro.oracle import (
@@ -109,7 +109,8 @@ def test_signature_stage_signs_the_per_pattern_oracle_path():
     assert sorted(signatures) == sorted(bundle.stumps.domains)
     assert all(signatures.values())
 
-    blocks = leading_blocks((block for _, block in bundle.offset_blocks), 20)
+    session = SessionSpec(bundle.stumps, config.random_patterns, config.block_size)
+    blocks = leading_blocks((block for _, block in session.blocks()), 20)
     launch = [pattern for block in blocks for pattern in block_patterns(block)]
     responses = derive_capture_patterns(
         bundle.core.circuit, launch, bundle.capture_schedule.pulse_order

@@ -11,12 +11,14 @@ per-domain MISR signatures. This suite fuzzes random circuits from
 the flow integration (a pooled campaign run against the serial flow).
 
 Hand-made block streams go through :func:`shard_graph`, which drains the
-production shard stages exactly as a scenario's fault-sim fan-out does;
+production shard stages exactly as a scenario's fault-sim fan-out does,
+over a session spec whose pattern source replays the hand-made blocks;
 :meth:`FaultSimulator.simulate_blocks` and
 :meth:`TransitionFaultSimulator.simulate_pairs` are the references.
 """
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.bist import StumpsArchitecture
 from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
+    SessionSpec,
     build_simulation_result,
     merge_first_detections,
     shard_stage_nodes,
@@ -40,7 +43,7 @@ from repro.faults import (
 )
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.models import StuckAtFault, TransitionFault
-from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
+from repro.faults.transition_sim import TransitionSimShardState
 from repro.oracle import compact_response, derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
@@ -83,33 +86,48 @@ def random_patterns(circuit, count: int, seed: int):
 
 def serial_reference(circuit, patterns, block_size):
     """The serial oracle: fault list + result from the plain kernel engine,
-    and the session as ``(offset, block)`` entries."""
+    and the session's packed blocks."""
     fault_list = collapse_stuck_at(circuit).to_fault_list()
     blocks = list(
         iter_blocks(patterns, block_size=block_size, nets=circuit.stimulus_nets())
     )
     result = FaultSimulator(circuit).simulate_blocks(fault_list, blocks)
-    entries = tuple(zip(range(0, len(patterns), block_size), blocks))
-    return fault_list, result, entries
+    return fault_list, result, blocks
+
+
+@dataclass(frozen=True)
+class BlockSource:
+    """A pattern source replaying hand-made packed blocks in place of a
+    STUMPS: it has nothing to reset, and yields its blocks whatever the
+    spec's count and block size (the caller keeps them consistent)."""
+
+    blocks: tuple
+
+    def reset(self) -> None:
+        pass
+
+    def generate_packed_blocks(self, count, block_size):
+        return iter(self.blocks)
 
 
 def shard_graph(
     circuit,
     fault_list,
-    entries,
+    blocks,
     fault_shards,
     num_workers=1,
     sim_backend="python",
     sim_memory_budget_mb=None,
+    transition=False,
 ):
-    """Sharded simulation of ``fault_list`` over hand-made ``entries``:
-    ``(offset, block)`` pairs for stuck-at faults, ``(offset, launch,
-    capture)`` triples for transition faults.  The shard stages drain
-    through the schedulers and merge as in ``FaultSimStage`` /
-    ``MergeDetectionsStage``."""
+    """Sharded simulation of ``fault_list`` over hand-made packed
+    ``blocks``: stuck-at faults scan them, transition faults scan them as
+    launch blocks with capture blocks derived under a simultaneous pulse.
+    The shard stages drain through the schedulers and merge as in
+    ``FaultSimStage`` / ``MergeDetectionsStage``."""
     kind, state_cls = (
         (TransitionFault, TransitionSimShardState)
-        if len(entries[0]) == 3
+        if transition
         else (StuckAtFault, FaultSimShardState)
     )
     positions, faults = undetected_of_kind(fault_list, kind)
@@ -120,11 +138,18 @@ def shard_graph(
         sim_backend,
         sim_memory_budget_mb,
     )
-    nodes = shard_stage_nodes("eq", state, entries, fault_shards, prefix="eq")
+    blocks = tuple(blocks)
+    session = SessionSpec(
+        BlockSource(blocks),
+        sum(block.num_patterns for block in blocks),
+        blocks[0].num_patterns,
+    )
+    nodes = shard_stage_nodes("eq", state, session, fault_shards, prefix="eq")
     run = make_scheduler(num_workers).run(nodes)
     merged = merge_first_detections(run.value(node.key) for node in nodes)
-    boundaries = [entry[0] + entry[1].num_patterns for entry in entries]
-    return build_simulation_result(fault_list, positions, merged, boundaries)
+    return build_simulation_result(
+        fault_list, positions, merged, list(session.boundaries)
+    )
 
 
 def assert_fault_lists_identical(reference: FaultList, candidate: FaultList):
@@ -204,9 +229,10 @@ class TestNumpyBackendCampaign:
         shard_graph(
             circuit,
             fault_list,
-            derive_pair_blocks(circuit, iter_blocks(launch, block_size=64)),
+            iter_blocks(launch, block_size=64),
             fault_shards=3,
             sim_backend="numpy",
+            transition=True,
         )
         assert_fault_lists_identical(ref_list, fault_list)
 
@@ -244,10 +270,11 @@ class TestNumpyBackendCampaign:
         shard_graph(
             circuit,
             fault_list,
-            derive_pair_blocks(circuit, iter_blocks(launch, block_size=64)),
+            iter_blocks(launch, block_size=64),
             fault_shards=3,
             sim_backend="numpy",
             sim_memory_budget_mb=0.05,
+            transition=True,
         )
         assert_fault_lists_identical(ref_list, fault_list)
 
@@ -450,8 +477,9 @@ class TestShardedTransitionSim:
         result = shard_graph(
             circuit,
             fault_list,
-            derive_pair_blocks(circuit, iter_blocks(launch, block_size=32)),
+            iter_blocks(launch, block_size=32),
             fault_shards,
+            transition=True,
         )
         assert result.patterns_simulated == ref_result.pairs_simulated
         assert result.coverage_curve == ref_result.coverage_curve

@@ -10,12 +10,15 @@ regression for the classic "results depend on worker scheduling" bug class.
 
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.bist import StumpsArchitecture
 from repro.campaign import (
     CampaignRunner,
     CampaignScenario,
+    SessionSpec,
     ShardScanStage,
     StageObserver,
     keyed_round_robin_shards,
@@ -23,12 +26,14 @@ from repro.campaign import (
     shard_stage_nodes,
 )
 from repro.core import LogicBistConfig
+from repro.core.bist_ready import build_stumps
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
 from repro.faults import FaultList, collapse_stuck_at
 from repro.faults.fault_sim import FaultSimShardState
-from repro.faults.transition_sim import TransitionSimShardState, derive_pair_blocks
+from repro.faults.transition_sim import TransitionSimShardState
+from repro.scan import build_scan_chains
 from repro.service import CampaignService
-from repro.simulation import iter_blocks
+from repro.simulation.kernel import KERNEL_CACHE
 
 
 def make_core(seed: int, pipeline_stages: int = 1):
@@ -105,32 +110,37 @@ class TestShardPlanners:
         assert CampaignRunner(num_workers=0).fault_shards == 1
 
 
-def random_blocks(circuit, count, seed):
-    rng = random.Random(seed)
-    nets = circuit.stimulus_nets()
-    patterns = [{n: rng.randint(0, 1) for n in nets} for _ in range(count)]
-    return list(iter_blocks(patterns, block_size=32, nets=nets))
+def session_of(circuit, count, seed):
+    """A STUMPS session over the core's flops, PRPGs seeded from ``seed``,
+    in 32-pattern blocks."""
+    architecture = build_scan_chains(
+        circuit, chains_per_domain={"clk1": 2, "clk2": 2}
+    )
+    return SessionSpec(StumpsArchitecture(architecture, seed=seed), count, 32)
 
 
 def stuck_session(circuit, count, seed):
-    """A stuck-at shard state and its ``(offset, block)`` session."""
+    """A stuck-at shard state and its session spec."""
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
         faults=tuple(collapse_stuck_at(circuit).to_fault_list().undetected()),
     )
-    blocks = random_blocks(circuit, count, seed)
-    return state, tuple(zip(range(0, count, 32), blocks))
+    return state, session_of(circuit, count, seed)
 
 
 def transition_session(circuit, count, seed):
-    """A transition shard state and its ``(offset, launch, capture)`` session."""
+    """A transition shard state and its session spec."""
     state = TransitionSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
         faults=tuple(FaultList.transition(circuit).undetected()),
     )
-    return state, derive_pair_blocks(circuit, random_blocks(circuit, count, seed))
+    return state, session_of(circuit, count, seed)
+
+
+def prpg_states(stumps):
+    return {name: domain.prpg.state for name, domain in stumps.domains.items()}
 
 
 class ShardTasks(StageObserver):
@@ -147,13 +157,18 @@ class ShardTasks(StageObserver):
 class TestShardStages:
     @pytest.mark.parametrize("fault_shards", (1, 3))
     @pytest.mark.parametrize("session", (stuck_session, transition_session))
-    def test_each_stage_carries_the_whole_session(self, session, fault_shards):
+    def test_each_stage_carries_the_session_spec(self, session, fault_shards):
+        """Every shard gets the spec itself, not its blocks, and
+        regenerates the session from it: a stage run twice (an in-process
+        retry) reports the same detections, and the spec's STUMPS never
+        moves."""
         # Two pipeline stages: launch-on-capture transitions then reach
         # logic every transition shard has to resimulate.
         circuit = make_core(45, pipeline_stages=2)
-        state, entries = session(circuit, 200, 8)
+        state, spec = session(circuit, 200, 8)
+        initial = prpg_states(spec.stumps)
         prefix = "s0:grid/random"
-        nodes = shard_stage_nodes("grid", state, entries, fault_shards, prefix=prefix)
+        nodes = shard_stage_nodes("grid", state, spec, fault_shards, prefix=prefix)
         assert len(nodes) == fault_shards
         assert [node.key for node in nodes] == [
             f"{prefix}/shard{i}" for i in range(len(nodes))
@@ -164,12 +179,44 @@ class TestShardStages:
         for node in nodes:
             stage = node.task
             assert isinstance(stage, ShardScanStage)
-            # The very entries (and so the global offsets) of the session.
-            assert len(stage.blocks) == len(entries)
-            assert all(got is want for got, want in zip(stage.blocks, entries))
-            assert stage.run().gate_evals > 0
-        shipped = sum(len(node.task.blocks) for node in nodes)
-        assert shipped == fault_shards * len(entries)
+            assert stage.session is spec
+            first = stage.run()
+            assert first.gate_evals > 0
+            assert replace(stage.run(), seconds=0.0) == replace(first, seconds=0.0)
+        assert prpg_states(spec.stumps) == initial
+
+    def test_scenario_shards_ship_a_spec_of_constant_size(self):
+        """In a whole scenario graph the bundle's STUMPS stay reset (their
+        PRPGs equal a fresh ``build_stumps``'s), and every shard stage
+        pickles to the same size at 512 and at 4096 random patterns."""
+        circuit = make_core(45, pipeline_stages=2)
+        sizes = {}
+        for patterns in (512, 4096):
+            # Both runs derive their fault objects afresh, so the pickles
+            # share strings with the circuit alike.
+            KERNEL_CACHE.clear()
+            config = LogicBistConfig(
+                total_scan_chains=4,
+                tpi_method="none",
+                observation_point_budget=0,
+                random_patterns=patterns,
+                signature_patterns=8,
+                measure_transition_coverage=True,
+                transition_patterns=48,
+            )
+            scenarios = [CampaignScenario("spec", circuit, config)]
+            runner = CampaignRunner(num_workers=1, fault_shards=2)
+            plan = runner.plan(scenarios)
+            shards = ShardTasks()
+            run = runner.scheduler().run(plan.nodes, observer=shards)
+            bundle = run.value(plan.artifact_keys["spec"]["bundle"])
+            fresh = build_stumps(bundle.core, config)
+            assert prpg_states(bundle.stumps) == prpg_states(fresh)
+            assert len(shards.tasks) == 4  # two stuck-at, two transition
+            sizes[patterns] = {
+                key: len(pickle.dumps(task)) for key, task in shards.tasks.items()
+            }
+        assert sizes[512] == sizes[4096]
 
     @pytest.mark.parametrize("fault_shards", (1, 2, 4))
     def test_each_shard_ships_only_its_own_faults(self, fault_shards):

@@ -11,7 +11,7 @@ signature must be non-zero.
 
 import pytest
 
-from repro.campaign import CampaignRunner, CampaignScenario
+from repro.campaign import CampaignRunner, CampaignScenario, SessionSpec
 from repro.core import LogicBistConfig
 from repro.core.bist_ready import derive_signature_responses
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
@@ -73,8 +73,9 @@ def signed_scenarios():
 @pytest.mark.parametrize("seed", range(600, 604))
 def test_every_domain_response_clears_density_floor(signed_scenarios, seed):
     bundle, _ = signed_scenarios[f"core_{seed}"]
+    session = SessionSpec(bundle.stumps, CONFIG.random_patterns, CONFIG.block_size)
     blocks = leading_blocks(
-        (block for _, block in bundle.offset_blocks), CONFIG.signature_patterns
+        (block for _, block in session.blocks()), CONFIG.signature_patterns
     )
     responses = derive_signature_responses(
         bundle.core.circuit, blocks, bundle.capture_schedule

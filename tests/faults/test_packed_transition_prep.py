@@ -1,24 +1,28 @@
 """Differential test: packed transition preparation vs the dict path.
 
-The transition preparation builds its ``(offset, launch, capture)`` pair
-blocks straight from ``generate_packed_blocks`` and derives each capture
-block in place (:func:`~repro.faults.transition_sim.derive_pair_blocks`).
-The reference is the per-pattern dict path it replaced:
-``generate_patterns`` -> :func:`derive_capture_patterns` -> two
+A transition shard builds its ``(offset, launch, capture)`` pair blocks
+from its session spec (:meth:`~repro.campaign.pipeline.SessionSpec.pair_blocks`):
+the launch blocks stream straight from ``generate_packed_blocks`` and each
+capture block is derived in place
+(:func:`~repro.faults.transition_sim.derive_pair_blocks`).  The reference is
+the per-pattern dict path it replaced: ``generate_patterns`` ->
+:func:`derive_capture_patterns` -> two
 :func:`~repro.simulation.packed.iter_blocks` packs over the stimulus nets,
 zipped into ``(offset, launch, capture)`` triples.  Both must produce
 dict-equal triples and leave every PRPG in the same state, across block
-sizes (with a tail block), a staggered multi-domain pulse order, held cells
-and a STUMPS with a space expander; the prep stage is checked on both
-backends.
+sizes (with a tail block), a staggered multi-domain pulse order and a
+STUMPS with a space expander.  The spec regenerates its session from a
+reset copy of an advanced STUMPS at every count from 0 past one generator
+chunk.
 """
 
 import pytest
 
 from repro.bist import StumpsArchitecture, StumpsDomainConfig
-from repro.campaign.pipeline import ScenarioBundle, TransitionPrepStage
+from repro.bist.stumps import _CHUNK_PATTERNS
+from repro.campaign import SessionSpec
 from repro.core import LogicBistConfig
-from repro.core.bist_ready import BistReadyCore, build_clock_tree
+from repro.core.bist_ready import build_clock_tree
 from repro.faults.transition_sim import derive_pair_blocks
 from repro.netlist import CircuitBuilder
 from repro.oracle import derive_capture_patterns, generate_patterns
@@ -28,7 +32,6 @@ from repro.timing.double_capture import CaptureWindowScheduler
 
 pytestmark = pytest.mark.transition
 
-BACKENDS = ("python", pytest.param("numpy", marks=pytest.mark.numpy))
 
 #: Block sizes and pattern counts: every count leaves a partial tail block.
 GEOMETRIES = ((64, 230), (100, 230), (1024, 1100))
@@ -69,33 +72,13 @@ def make_stumps(circuit, expander=False):
     return StumpsArchitecture(architecture, configs, seed=5)
 
 
-def prep_bundle(circuit, stumps, schedule):
-    """A scenario bundle holding what the transition preparation reads --
-    the circuit, the STUMPS and the capture schedule; the stuck-at session
-    it does not read is left empty."""
-    return ScenarioBundle(
-        scenario_key="prep",
-        core=BistReadyCore(
-            circuit, scan_result=None, architecture=stumps.chain_architecture
-        ),
-        stumps=stumps,
-        clock_tree=None,
-        capture_schedule=schedule,
-        fault_list=None,
-        state=None,
-        positions=(),
-        offset_blocks=(),
-        boundaries=(),
-    )
-
-
 def prpg_states(stumps):
     return {name: domain.prpg.state for name, domain in stumps.domains.items()}
 
 
-def dict_path(circuit, stumps, count, block_size, pulse_order, hold_cells=None):
+def dict_path(circuit, stumps, count, block_size, pulse_order):
     launch = generate_patterns(stumps, count)
-    capture = derive_capture_patterns(circuit, launch, pulse_order, hold_cells)
+    capture = derive_capture_patterns(circuit, launch, pulse_order)
     nets = circuit.stimulus_nets()
     return tuple(
         zip(
@@ -108,27 +91,19 @@ def dict_path(circuit, stumps, count, block_size, pulse_order, hold_cells=None):
 
 @pytest.mark.parametrize("block_size,count", GEOMETRIES)
 @pytest.mark.parametrize(
-    "pulse_order,hold_cells,expander",
-    [
-        (None, None, False),
-        (STAGGERED, None, False),
-        (STAGGERED, ("clkA_ff2", "clkB_ff0", "clkC_ff4"), False),
-        (STAGGERED, None, True),
-    ],
-    ids=["simultaneous", "staggered", "held", "expander"],
+    "pulse_order,expander",
+    [(None, False), (STAGGERED, False), (STAGGERED, True)],
+    ids=["simultaneous", "staggered", "expander"],
 )
-def test_packed_pair_blocks_match_dict_path(
-    block_size, count, pulse_order, hold_cells, expander
-):
+def test_packed_pair_blocks_match_dict_path(block_size, count, pulse_order, expander):
     circuit = make_circuit()
     reference = make_stumps(circuit, expander)
     packed = make_stumps(circuit, expander)
-    expected = dict_path(circuit, reference, count, block_size, pulse_order, hold_cells)
+    expected = dict_path(circuit, reference, count, block_size, pulse_order)
     actual = derive_pair_blocks(
         circuit,
         packed.generate_packed_blocks(count, block_size=block_size),
         pulse_order,
-        hold_cells,
     )
     assert [offset for offset, _, _ in actual] == list(range(0, count, block_size))
     assert actual[-1][1].num_patterns == count % block_size
@@ -136,14 +111,45 @@ def test_packed_pair_blocks_match_dict_path(
     assert prpg_states(packed) == prpg_states(reference)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+#: The spec's block size, and counts around it and past one generator chunk.
+SPEC_BLOCK = 64
+SPEC_COUNTS = (0, 1, SPEC_BLOCK - 1, SPEC_BLOCK, SPEC_BLOCK + 1, _CHUNK_PATTERNS + 70)
+
+
+@pytest.mark.parametrize("count", SPEC_COUNTS)
+def test_session_spec_regenerates_from_reset(count):
+    """A spec built from a STUMPS the session already advanced streams what
+    a freshly built STUMPS generates, from offset 0, with the boundaries
+    the merges sample; its pair stream is that stream's pair blocks; and
+    the STUMPS it was built from does not move."""
+    circuit = make_circuit()
+    advanced = make_stumps(circuit)
+    generate_patterns(advanced, 7)
+    moved = prpg_states(advanced)
+    spec = SessionSpec(advanced, count, SPEC_BLOCK)
+    fresh = list(make_stumps(circuit).generate_packed_blocks(count, block_size=SPEC_BLOCK))
+    entries = list(spec.blocks())
+    assert [block for _, block in entries] == fresh
+    assert [offset for offset, _ in entries] == list(range(0, count, SPEC_BLOCK))
+    assert list(spec.boundaries) == [
+        offset + block.num_patterns for offset, block in entries
+    ]
+    assert spec.pair_blocks(circuit, STAGGERED) == derive_pair_blocks(
+        circuit, fresh, STAGGERED
+    )
+    assert list(spec.blocks()) == entries
+    assert prpg_states(advanced) == moved
+
+
 @pytest.mark.parametrize("block_size,count", GEOMETRIES[:2])
-def test_transition_prep_stage_matches_dict_path(backend, block_size, count):
+def test_transition_session_matches_dict_path(block_size, count):
+    """What a transition shard scans: the spec's pair stream under the
+    capture window scheduler's staggered pulse order, from an advanced
+    STUMPS, equals the dict path of a fresh one."""
     circuit = make_circuit()
     config = LogicBistConfig(
         transition_patterns=count,
         block_size=block_size,
-        sim_backend=backend,
         clock_frequencies_mhz=FREQUENCIES,
     )
     schedule = CaptureWindowScheduler(build_clock_tree(circuit, config)).schedule()
@@ -151,8 +157,7 @@ def test_transition_prep_stage_matches_dict_path(backend, block_size, count):
     reference = make_stumps(circuit)
     expected = dict_path(circuit, reference, count, block_size, schedule.pulse_order)
     stumps = make_stumps(circuit)
-    generate_patterns(stumps, 7)  # the stage resets the PRPGs first
-    bundle = TransitionPrepStage(config).run(prep_bundle(circuit, stumps, schedule))
-    assert bundle.pair_blocks == expected
-    assert bundle.boundaries[-1] == count
-    assert prpg_states(stumps) == prpg_states(reference)
+    generate_patterns(stumps, 7)  # the spec resets a copy of the PRPGs first
+    session = SessionSpec(stumps, config.transition_patterns, config.block_size)
+    assert session.pair_blocks(circuit, schedule.pulse_order) == expected
+    assert session.boundaries[-1] == count

@@ -5,7 +5,8 @@ finished non-local stage, appended as the job runs.  This suite pins down
 what that format promises:
 
 * only non-local stages are journaled, each value as it was when its stage
-  finished, and a save with nothing to append still leaves the file on disk,
+  finished, and a save with nothing to append still leaves the file on disk
+  but does not touch an existing one,
 * a journal starts with the shard plan its records were made under, in
   one fixed format (``{"fault_shards": n, "pattern_shards": 1}``); a
   resume under another plan (e.g. another worker count) ignores it, since
@@ -20,7 +21,9 @@ what that format promises:
   preloaded but satisfy no node, so such a journal resumes to the oracle,
 * records at the keys of stages that were pooled then and run in the
   parent now (bundle, signatures, transition prep, skew) are preloaded and
-  satisfy their nodes, and such a journal resumes to the oracle too,
+  satisfy their nodes, and such a journal resumes to the oracle too, even
+  when its bundles carry the packed session and the advanced STUMPS that
+  older code kept in them,
 * a job directory deleted between two appends is made anew by the next
   save, which heads a new journal; the job resumes from it to the oracle,
 * a cancel flushes the records a coarse ``checkpoint_every`` buffered,
@@ -40,8 +43,10 @@ from repro.campaign import (
     CampaignScenario,
     LifecycleChaosPlan,
     LifecycleInjection,
+    SessionSpec,
 )
 from repro.campaign.scheduler import StageNode, StageObserver
+from repro.core.bist_ready import build_stumps
 from repro.core.config import LogicBistConfig, ServiceConfig
 from repro.service import CampaignService, CheckpointStore, EventReassembler
 from repro.service.checkpoint import (
@@ -135,6 +140,23 @@ def test_empty_save_leaves_the_journal_on_disk(tmp_path):
     assert len(record_spans(path.read_bytes())) == 1  # the plan record
     assert store.has_progress("job-x")
     assert store.load_progress("job-x") is None
+
+
+def test_empty_save_does_not_touch_an_existing_journal(tmp_path):
+    """With nothing pending, a save leaves an existing journal's bytes and
+    modification time as they were; a later save still appends."""
+    store = CheckpointStore(tmp_path)
+    journal_of(store, "job-x", {"a": 1})
+    path = tmp_path / "job-x" / PROGRESS_FILE
+    blob, mtime = path.read_bytes(), path.stat().st_mtime_ns
+    store.record_stage("job-x", node("merge", local=True), "local only")
+    store.save_progress("job-x", None)
+    store.save_progress("job-x", None)
+    assert path.read_bytes() == blob
+    assert path.stat().st_mtime_ns == mtime
+    journal_of(store, "job-x", {"b": 2})
+    assert path.read_bytes().startswith(blob)
+    assert CheckpointStore(tmp_path).load_progress("job-x") == {"a": 1, "b": 2}
 
 
 def test_journal_from_another_shard_plan_is_ignored(tmp_path, caplog):
@@ -499,11 +521,38 @@ class FinishPickles(StageObserver):
             self.blobs[node.key] = pickle.dumps(value)
 
 
-def test_journal_with_parent_side_stage_records_resumes_to_oracle(tmp_path):
+def with_parent_session(records, keys, config) -> None:
+    """Give the bundle and transition-preparation records what older code
+    kept in them: the packed session, its boundaries and the pair blocks,
+    and a bundle STUMPS the session advanced."""
+    bundle = records[keys["bundle"]]
+    fresh = build_stumps(bundle.core, config)
+    session = SessionSpec(fresh, config.random_patterns, config.block_size)
+    bundle.offset_blocks = tuple(session.blocks())
+    bundle.boundaries = session.boundaries
+    for _ in bundle.stumps.generate_packed_blocks(
+        config.random_patterns, block_size=config.block_size
+    ):
+        pass
+    prpgs = lambda stumps: [d.prpg.state for d in stumps.domains.values()]
+    assert prpgs(bundle.stumps) != prpgs(fresh)
+    prep = records[keys["transition_prep"]]
+    pairs = SessionSpec(fresh, config.transition_patterns, config.block_size)
+    prep.pair_blocks = pairs.pair_blocks(
+        bundle.core.circuit, bundle.capture_schedule.pulse_order
+    )
+    prep.boundaries = pairs.boundaries
+
+
+@pytest.mark.parametrize("parent_session", (False, True), ids=("now", "older"))
+def test_journal_with_parent_side_stage_records_resumes_to_oracle(
+    tmp_path, parent_session
+):
     """Journals written while the bundle, signature, transition preparation
     and skew sweep were pooled hold records at those stage keys.  The keys
     did not change, so a resume preloads such records, skips their stages
-    and still produces the serial oracle's bytes."""
+    and still produces the serial oracle's bytes -- also when the records
+    carry the session and the advanced STUMPS older code kept in them."""
     expected = oracle_bytes("python")
     job_id, crashed, _, _ = run_service(
         tmp_path, make_scenarios("python"), crash_after=1
@@ -518,9 +567,12 @@ def test_journal_with_parent_side_stage_records_resumes_to_oracle(tmp_path):
     observer = FinishPickles(keys[name] for name in PARENT_SIDE)
     runner.scheduler().run(plan.nodes, observer=observer)
     assert sorted(observer.blobs) == sorted(keys[name] for name in PARENT_SIDE)
+    records = {key: pickle.loads(blob) for key, blob in observer.blobs.items()}
+    if parent_session:
+        with_parent_session(records, keys, make_scenarios("python")[0].config)
     with open(tmp_path / job_id / PROGRESS_FILE, "ab") as handle:
-        for key, blob in observer.blobs.items():
-            handle.write(_journal_record(key, pickle.loads(blob)))
+        for key, value in records.items():
+            handle.write(_journal_record(key, value))
 
     _, resumed, events, _ = run_service(tmp_path, resume_job=job_id)
     started = next(e for e in events if isinstance(e, JobStarted))

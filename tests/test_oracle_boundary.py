@@ -239,6 +239,14 @@ def test_walk_ignores_lookalikes():
         ("repro.bist.phase_shifter", "PhaseShifter", "outputs"),
         ("repro.bist.space", "SpaceExpander", "expand"),
         ("repro.bist.space", "SpaceCompactor", "compact"),
+        ("repro.bist.stumps", "StumpsArchitecture", "packed_session"),
+        ("repro.campaign.pipeline", "ScenarioBundle", "offset_blocks"),
+        ("repro.campaign.pipeline", "ScenarioBundle", "blocks"),
+        ("repro.campaign.pipeline", "ScenarioBundle", "boundaries"),
+        ("repro.campaign.pipeline", "TransitionBundle", "pair_blocks"),
+        ("repro.campaign.pipeline", "TransitionBundle", "blocks"),
+        ("repro.campaign.pipeline", "TransitionBundle", "boundaries"),
+        ("repro.campaign.pipeline", "ShardScanStage", "blocks"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
@@ -267,6 +275,11 @@ def test_deleted_parameters_are_gone():
     from repro.campaign.runner import CampaignRunner
     from repro.core.bist_ready import derive_signature_responses, fresh_fault_list
     from repro.core.flow import LogicBistResult
+    from repro.faults.transition_sim import capture_group_updates, derive_pair_blocks
+    from repro.oracle.transition import (
+        derive_capture_patterns,
+        simulate_with_derived_capture,
+    )
     from repro.scan.x_blocking import x_contaminated_observation_nets
     from repro.service import CampaignService
 
@@ -275,12 +288,19 @@ def test_deleted_parameters_are_gone():
     for method in (
         StumpsDomain.generate_packed_load,
         StumpsArchitecture.generate_packed_blocks,
-        StumpsArchitecture.packed_session,
     ):
         assert "backend" not in inspect.signature(method).parameters
     for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
         assert "pattern_shards" not in inspect.signature(owner).parameters
     assert "config" not in inspect.signature(fresh_fault_list).parameters
+    # Every flop captures: no capture derivation holds cells.
+    for function in (
+        capture_group_updates,
+        derive_pair_blocks,
+        derive_capture_patterns,
+        simulate_with_derived_capture,
+    ):
+        assert "hold_cells" not in inspect.signature(function).parameters
     # The signature folds packed responses, one way for both backends.
     assert "backend" not in inspect.signature(StumpsDomain.fold_responses).parameters
     assert "config" not in inspect.signature(derive_signature_responses).parameters
