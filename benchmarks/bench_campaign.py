@@ -48,12 +48,10 @@ from repro.campaign import (
     merge_first_detections,
     shard_stage_nodes,
 )
-from repro.campaign.pipeline import undetected_of_kind
 from repro.campaign.scheduler import make_scheduler
 from repro.cores import core_y_recipe
-from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults import FaultSimulator, collapse_stuck_at, stuck_at_table
 from repro.faults.fault_sim import FaultSimShardState
-from repro.faults.models import StuckAtFault
 from repro.simulation import iter_blocks
 from repro.simulation.kernel import KERNEL_CACHE
 
@@ -64,18 +62,15 @@ from conftest import print_rows, scaled, smoke_mode, write_bench_json
 class BlockSource:
     """Pre-packed blocks standing in for a STUMPS as a
     :class:`~repro.campaign.pipeline.SessionSpec`'s pattern source: it has
-    nothing to reset and never changes, so a copy of it is itself."""
+    nothing to reset and never changes, so its reset copy is itself."""
 
     blocks: tuple
 
-    def reset(self) -> None:
-        pass
+    def reset_copy(self) -> "BlockSource":
+        return self
 
     def generate_packed_blocks(self, count, block_size):
         return iter(self.blocks)
-
-    def __deepcopy__(self, memo):
-        return self
 
 #: Patterns per engine run (every engine simulates this same workload).
 #: Large enough that each worker's fixed cost (kernel build + its share of
@@ -130,11 +125,11 @@ def _shard_nodes(circuit, fault_list, blocks, num_shards):
     """The production shard stages (site-local keyed round-robin fault
     shards, each over the whole session) over ``fault_list``'s undetected
     faults, so the benchmark measures exactly the plan the pool runs."""
-    positions, faults = undetected_of_kind(fault_list, StuckAtFault)
+    positions = fault_list.undetected_positions()
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
-        faults=faults,
+        rows=tuple(fault_list.table_ids(stuck_at_table(circuit), positions)),
     )
     session = SessionSpec(BlockSource(tuple(blocks)), PATTERNS, BLOCK_SIZE)
     nodes = shard_stage_nodes("bench", state, session, num_shards, prefix="bench")

@@ -40,12 +40,10 @@ from repro.campaign import (
     merge_first_detections,
     shard_stage_nodes,
 )
-from repro.campaign.pipeline import undetected_of_kind
 from repro.campaign.scheduler import make_scheduler
 from repro.cores import core_y_recipe
-from repro.faults import FaultSimulator, collapse_stuck_at
+from repro.faults import FaultSimulator, collapse_stuck_at, stuck_at_table
 from repro.faults.fault_sim import FaultSimShardState
-from repro.faults.models import StuckAtFault
 from repro.simulation import HAVE_NUMPY, iter_blocks
 
 
@@ -53,18 +51,15 @@ from repro.simulation import HAVE_NUMPY, iter_blocks
 class BlockSource:
     """Pre-packed blocks standing in for a STUMPS as a
     :class:`~repro.campaign.pipeline.SessionSpec`'s pattern source: it has
-    nothing to reset and never changes, so a copy of it is itself."""
+    nothing to reset and never changes, so its reset copy is itself."""
 
     blocks: tuple
 
-    def reset(self) -> None:
-        pass
+    def reset_copy(self) -> "BlockSource":
+        return self
 
     def generate_packed_blocks(self, count, block_size):
         return iter(self.blocks)
-
-    def __deepcopy__(self, memo):
-        return self
 
 
 def peak_rss_mb() -> float:
@@ -156,11 +151,11 @@ def main() -> None:
     )
     campaign_list = collapse_stuck_at(circuit).to_fault_list()
     start = time.perf_counter()
-    positions, faults = undetected_of_kind(campaign_list, StuckAtFault)
+    positions = campaign_list.undetected_positions()
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
-        faults=faults,
+        rows=tuple(campaign_list.table_ids(stuck_at_table(circuit), positions)),
         sim_backend="numpy",
         sim_memory_budget_mb=args.budget_mb,
     )

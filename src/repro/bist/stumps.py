@@ -40,6 +40,7 @@ once per unload slice -- live in :mod:`repro.oracle.patterns`.
 
 from __future__ import annotations
 
+import copy
 import functools
 import operator
 from dataclasses import dataclass
@@ -336,6 +337,19 @@ class StumpsArchitecture:
         """Reset every domain's PRPG and MISR."""
         for domain in self.domains.values():
             domain.reset()
+
+    def reset_copy(self) -> "StumpsArchitecture":
+        """A copy to stream a session from: it owns reseeded copies of the
+        PRPGs -- the only state :meth:`generate_packed_blocks` moves -- and
+        shares every other block (chains, phase shifters, compactors, MISRs)
+        with this architecture, so generating from it never moves ``self``."""
+        clone = copy.copy(self)
+        clone.domains = {}
+        for name, domain in self.domains.items():
+            twin = clone.domains[name] = copy.copy(domain)
+            twin.prpg = copy.deepcopy(domain.prpg)
+            twin.prpg.reseed(domain.config.prpg_seed)
+        return clone
 
     # ------------------------------------------------------------------ #
     # Reporting

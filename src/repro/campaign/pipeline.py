@@ -44,10 +44,11 @@ Two properties carry the whole design:
   in flight.
 
 Every shard of either fault model is one :class:`ShardScanStage`, built by
-:func:`shard_stage_nodes`: a shard state (stuck-at or transition) holding
-only the shard's own faults, their campaign-global indices and the
-session's :class:`SessionSpec` -- the seed a BIST tester stores, not the
-patterns -- from which the shard regenerates the blocks it scans.
+:func:`shard_stage_nodes`: one shard state holding only the shard's own
+faults, as rows of the circuit's stuck-at table (a transition fault is its
+equivalent stuck-at row), their campaign-global indices and the session's
+:class:`SessionSpec` -- the seed a BIST tester stores, not the patterns --
+from which the shard regenerates the blocks it scans.
 It is the only shard-execution path; sharded simulation outside a scenario
 drains the same nodes through
 :func:`~repro.campaign.scheduler.make_scheduler`.
@@ -62,7 +63,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from ..atpg.podem import AtpgResult
 from ..atpg.topup import TopUpAtpg, TopUpResult
@@ -79,10 +80,10 @@ from ..core.bist_ready import (
     prepare_scan_core,
 )
 from ..core.config import LogicBistConfig
-from ..faults.fault_list import FaultList
+from ..faults.fault_list import FaultList, stuck_at_table
 from ..faults.fault_sim import FaultSimShardState, FaultSimulationResult
-from ..faults.models import StuckAtFault, TransitionFault
-from ..faults.transition_sim import TransitionSimShardState, derive_pair_blocks
+from ..faults.models import StuckAtFault
+from ..faults.transition_sim import derive_pair_blocks
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
 from ..simulation.packed import PatternBlock
@@ -103,7 +104,7 @@ from .scheduler import (
     Expansion,
     StageNode,
 )
-from .sharding import fault_site_keys, keyed_round_robin_shards
+from .sharding import keyed_round_robin_shards
 
 #: Flow phase names the stage graph accounts its time to -- exactly the
 #: five :class:`~repro.core.flow.PhaseTiming` buckets the flow has always
@@ -131,10 +132,11 @@ class TpiOutcome:
 class SessionSpec:
     """A BIST session as a tester stores it, and the only form in which a
     session crosses a stage boundary: the STUMPS whose reset PRPGs generate
-    it (or any source with ``reset`` and ``generate_packed_blocks``), its
-    pattern count and its block size.  The stream starts from a reset deep
-    copy, so it never moves ``stumps`` and yields the same blocks on every
-    run, even from an advanced STUMPS (as in older journals' bundles)."""
+    it (or any source with ``reset_copy`` and ``generate_packed_blocks``),
+    its pattern count and its block size.  The stream starts from a
+    :meth:`~repro.bist.stumps.StumpsArchitecture.reset_copy`, so it never
+    moves ``stumps`` and yields the same blocks on every run, even from an
+    advanced STUMPS (as in older journals' bundles)."""
 
     stumps: StumpsArchitecture
     patterns: int
@@ -143,10 +145,8 @@ class SessionSpec:
     def blocks(self) -> Iterator[tuple[int, PatternBlock]]:
         """The session as ``(global pattern offset, block)`` pairs, generated
         a chunk of blocks at a time as they are drawn."""
-        stumps = copy.deepcopy(self.stumps)
-        stumps.reset()
         offset = 0
-        for block in stumps.generate_packed_blocks(
+        for block in self.stumps.reset_copy().generate_packed_blocks(
             self.patterns, block_size=self.block_size
         ):
             yield offset, block
@@ -168,12 +168,13 @@ class SessionSpec:
 class ScenarioBundle:
     """Everything the post-preparation phases of one scenario consume.
 
-    Produced by :class:`BuildStumpsStage` in the parent: the stuck-at shard
-    state and the structural objects the flow result reports, which every
-    downstream stage reads some slice of in place.  A consumer of the
-    session builds a :class:`SessionSpec` from ``stumps``; no stage moves
-    them.  The bundle is not journaled, but journals written when the stage
-    was pooled hold it at ``<scenario>/bundle`` (with the session older code
+    Produced by :class:`BuildStumpsStage` in the parent: the stuck-at fault
+    list with the positions the random-pattern scan shards, and the
+    structural objects the flow result reports, which every downstream
+    stage reads some slice of in place.  A consumer of the session builds a
+    :class:`SessionSpec` from ``stumps``; no stage moves them.  The bundle
+    is not journaled, but journals written when the stage was pooled hold it
+    at ``<scenario>/bundle`` (with a shard state and the session older code
     kept here, which nothing reads) and a resume preloads that record, so
     its fields keep their names.
     """
@@ -184,9 +185,8 @@ class ScenarioBundle:
     clock_tree: ClockTreeModel
     capture_schedule: CaptureSchedule
     fault_list: FaultList
-    state: FaultSimShardState
-    #: Fault-list position of each fault of ``state.faults`` (what the
-    #: merge marks).
+    #: Fault-list positions of the faults the scan shards, in canonical
+    #: order (what the merge marks).
     positions: tuple[int, ...]
 
 
@@ -219,10 +219,9 @@ class TopUpOutcome:
 class TopUpInput:
     """What the top-up stage actually reads -- a trimmed bundle slice.
 
-    Pooled stage inputs are pickled per submission, so stages that need only
-    a corner of the :class:`ScenarioBundle` receive one of these trim
-    records (built by a cheap local node) instead of re-shipping the whole
-    packed session.
+    Built by a cheap local node from the bundle and the merged random
+    phase: the core and the post-random fault list, which the top-up
+    credits.
     """
 
     core: BistReadyCore
@@ -234,15 +233,14 @@ class TransitionBundle:
     """The transition-fault universe the at-speed scan shards.
 
     Built in the parent and not journaled; like :class:`ScenarioBundle`,
-    older journals hold it at ``<scenario>/transition_prep``, so its fields
-    keep their names; its shards read their session from the
-    :class:`ScenarioBundle`, never an older record's pair blocks.
+    older journals hold it at ``<scenario>/transition_prep`` (with a shard
+    state and pair blocks, which nothing reads), so its fields keep their
+    names; its shards read their session from the :class:`ScenarioBundle`.
     """
 
     scenario_key: str
-    state: TransitionSimShardState
     fault_list: FaultList
-    #: Fault-list position of each fault of ``state.faults``.
+    #: Fault-list positions of the faults the scan shards, in canonical order.
     positions: tuple[int, ...]
 
 
@@ -299,18 +297,6 @@ class SkewOutcome:
         }
 
 
-def undetected_of_kind(fault_list: FaultList, kind: type) -> tuple[tuple, tuple]:
-    """``(positions, faults)`` of the list's undetected faults of ``kind``:
-    a shard state's canonical order and where the merge marks it."""
-    positions = fault_list.undetected_positions()
-    pairs = [
-        (position, fault)
-        for position, fault in zip(positions, fault_list.faults_at(positions))
-        if isinstance(fault, kind)
-    ]
-    return tuple(p for p, _ in pairs), tuple(f for _, f in pairs)
-
-
 # --------------------------------------------------------------------- #
 # Stage tasks
 # --------------------------------------------------------------------- #
@@ -347,9 +333,9 @@ class TpiProfileStage:
 class BuildStumpsStage:
     """Phase 3: STUMPS + clock tree + capture schedule + stuck-at universe.
 
-    Bundles the reset STUMPS (the session's seed) with the pickleable
-    fault-sim shard state -- the fan-out payload of the stuck-at
-    :class:`FaultSimStage`.  No pattern is generated here.
+    Bundles the reset STUMPS (the session's seed) with the fault list whose
+    undetected faults the stuck-at :class:`FaultSimStage` shards.  No
+    pattern is generated here.
     """
 
     scenario_key: str
@@ -363,14 +349,6 @@ class BuildStumpsStage:
         capture_schedule = CaptureWindowScheduler(clock_tree).schedule()
         fault_list = fresh_fault_list(core.circuit)
         credit_chain_flush(core, fault_list)
-        positions, faults = undetected_of_kind(fault_list, StuckAtFault)
-        state = FaultSimShardState(
-            circuit=core.circuit,
-            observe_nets=tuple(core.circuit.observation_nets()),
-            faults=faults,
-            sim_backend=config.sim_backend,
-            sim_memory_budget_mb=config.sim_memory_budget_mb,
-        )
         return ScenarioBundle(
             scenario_key=self.scenario_key,
             core=core,
@@ -378,8 +356,7 @@ class BuildStumpsStage:
             clock_tree=clock_tree,
             capture_schedule=capture_schedule,
             fault_list=fault_list,
-            state=state,
-            positions=positions,
+            positions=tuple(fault_list.undetected_positions()),
         )
 
 
@@ -390,11 +367,13 @@ class FaultSimStage:
 
     A local expander.  Given the :class:`ScenarioBundle` alone it shards the
     random-pattern stuck-at scan; given the :class:`TransitionBundle` too,
-    the launch-on-capture transition scan.  The site-local keyed
-    round-robin planner decides the shards, and the expansion splices one
-    :class:`ShardScanStage` per shard, each over the scan's
-    :class:`SessionSpec`, plus the local merge (:class:`MergeDetectionsStage`
-    or :class:`TransitionMergeStage`) into the graph.
+    the launch-on-capture transition scan.  Either way the faults at the
+    bundle's ``positions`` become stuck-at table rows in one shard state,
+    the site-local keyed round-robin planner decides the shards, and the
+    expansion splices one :class:`ShardScanStage` per shard, each over the
+    scan's :class:`SessionSpec`, plus the local merge
+    (:class:`MergeDetectionsStage` or :class:`TransitionMergeStage`) into
+    the graph.
     """
 
     bundle_key: str
@@ -416,9 +395,20 @@ class FaultSimStage:
                 prep, config.transition_patterns, PHASE_AT_SPEED, TransitionMergeStage
             )
         session = SessionSpec(bundle.stumps, patterns, config.block_size)
+        circuit = bundle.core.circuit
+        state = FaultSimShardState(
+            circuit=circuit,
+            observe_nets=tuple(circuit.observation_nets()),
+            rows=tuple(
+                faults.fault_list.table_ids(stuck_at_table(circuit), faults.positions)
+            ),
+            sim_backend=config.sim_backend,
+            sim_memory_budget_mb=config.sim_memory_budget_mb,
+            transition=prep is not None,
+        )
         shard_nodes = shard_stage_nodes(
             bundle.scenario_key,
-            faults.state,
+            state,
             session,
             self.fault_shards,
             prefix=self.prefix,
@@ -441,7 +431,7 @@ class FaultSimStage:
 
 def shard_stage_nodes(
     scenario_key: str,
-    state: Union[FaultSimShardState, TransitionSimShardState],
+    state: FaultSimShardState,
     session: SessionSpec,
     fault_shards: int,
     prefix: str,
@@ -453,12 +443,21 @@ def shard_stage_nodes(
     shard of ``state``, each over the whole ``session``, keyed
     ``<prefix>/shard<i>``.
 
-    Each shard's state holds only that shard's faults, in ``fault_indices``
-    order, so the pooled scheduler ships each fault once plus fault_shards
-    x the spec, whatever the session's length.
+    Rows are keyed by the stuck-at table's ``site`` column.  Each shard's
+    state holds only that shard's rows, in ``fault_indices`` order, so the
+    pooled scheduler ships each fault once plus fault_shards x the spec,
+    whatever the session's length.  A row outside the enumerated universe
+    is refused: it exists in this process's table alone.
     """
+    table = stuck_at_table(state.circuit)
+    foreign = [row for row in state.rows if row >= table.universe]
+    if foreign:
+        raise ValueError(
+            f"stuck-at rows {foreign[:5]} lie outside the enumerated universe "
+            f"of {table.universe} rows; no worker's table holds them"
+        )
     groups = keyed_round_robin_shards(
-        fault_site_keys(state.circuit, state.faults), fault_shards
+        [table.site[row] for row in state.rows], fault_shards
     )
     return tuple(
         StageNode(
@@ -466,9 +465,7 @@ def shard_stage_nodes(
             task=ShardScanStage(
                 scenario_key=scenario_key,
                 shard_id=shard_id,
-                state=replace(
-                    state, faults=tuple(state.faults[i] for i in fault_group)
-                ),
+                state=replace(state, rows=tuple(state.rows[i] for i in fault_group)),
                 fault_indices=fault_group,
                 session=session,
                 pulse_order=pulse_order,
@@ -483,10 +480,10 @@ def shard_stage_nodes(
 
 @dataclass(frozen=True)
 class ShardScanStage:
-    """One fault-simulation shard: ``state.faults`` scanned over ``session``.
+    """One fault-simulation shard: ``state.rows`` scanned over ``session``.
 
-    ``state.faults[k]`` is the campaign's fault ``fault_indices[k]``, and
-    the outcome reports that campaign-global index for the min-merge.  The
+    ``state.rows[k]`` is the campaign's fault ``fault_indices[k]``, and the
+    outcome reports that campaign-global index for the min-merge.  The
     shard scans its regenerated session as it is drawn -- under a
     transition state as pairs whose capture blocks it derives under
     ``pulse_order`` -- so it reports campaign-global pattern indices too.
@@ -494,7 +491,7 @@ class ShardScanStage:
 
     scenario_key: str
     shard_id: int
-    state: Union[FaultSimShardState, TransitionSimShardState]
+    state: FaultSimShardState
     fault_indices: tuple[int, ...]
     session: SessionSpec
     pulse_order: Optional[Sequence[Sequence[str]]] = None
@@ -505,24 +502,22 @@ class ShardScanStage:
         # compilation, and the recorded per-shard seconds must reflect that
         # full cost.
         start = time.perf_counter()
-        engine = self.state.build_simulator()
-        # The stuck-at engine counts its own gate evaluations; the
-        # transition engine delegates them to its embedded stuck-at
-        # observability engine.
-        if isinstance(self.state, FaultSimShardState):
-            counter, blocks = engine, self.session.blocks()
-        else:
-            counter = engine.stuck_engine
-            blocks = self.session.pair_blocks(self.state.circuit, self.pulse_order)
+        state = self.state
+        engine = state.build_simulator()
+        blocks = (
+            self.session.pair_blocks(state.circuit, self.pulse_order)
+            if state.transition
+            else self.session.blocks()
+        )
         indices = self.fault_indices
-        evals_before = counter.gate_evals
-        found = engine.first_detections(list(self.state.faults), blocks)
+        evals_before = engine.gate_evals
+        found = engine.first_detections(state.rows, blocks)
         seconds = time.perf_counter() - start
         return ShardOutcome(
             scenario_key=self.scenario_key,
             shard_id=self.shard_id,
             first_detections={indices[k]: pattern for k, pattern in found.items()},
-            gate_evals=counter.gate_evals - evals_before,
+            gate_evals=engine.gate_evals - evals_before,
             seconds=seconds,
         )
 
@@ -653,8 +648,9 @@ class TopUpStage:
                 category=CATEGORY_PREP,
             )
             return Expansion(nodes=(node,), result=serial_key)
+        table = stuck_at_table(circuit)
         groups = keyed_round_robin_shards(
-            fault_site_keys(circuit, targets), self.fault_shards
+            [table.site[row] for row in table.ids_of(targets)], self.fault_shards
         )
         shard_nodes = tuple(
             StageNode(
@@ -741,31 +737,17 @@ class TopUpMergeStage:
 class TransitionPrepStage:
     """Phase 6 preparation: the transition-fault universe of the core.
 
-    Builds the pickleable transition shard state of every undetected
-    transition fault.  No pattern is generated here: each transition shard
-    regenerates the launch blocks from the bundle's :class:`SessionSpec`
-    and derives their capture blocks itself.
+    No pattern is generated here: each transition shard regenerates the
+    launch blocks from the bundle's :class:`SessionSpec` and derives their
+    capture blocks itself.
     """
 
-    config: LogicBistConfig
-
     def run(self, bundle: ScenarioBundle) -> TransitionBundle:
-        config = self.config
-        circuit = bundle.core.circuit
-        fault_list = FaultList.transition(circuit)
-        positions, faults = undetected_of_kind(fault_list, TransitionFault)
-        state = TransitionSimShardState(
-            circuit=circuit,
-            observe_nets=tuple(circuit.observation_nets()),
-            faults=faults,
-            sim_backend=config.sim_backend,
-            sim_memory_budget_mb=config.sim_memory_budget_mb,
-        )
+        fault_list = FaultList.transition(bundle.core.circuit)
         return TransitionBundle(
             scenario_key=bundle.scenario_key,
-            state=state,
             fault_list=fault_list,
-            positions=positions,
+            positions=tuple(fault_list.undetected_positions()),
         )
 
 
@@ -1020,7 +1002,7 @@ def scenario_stage_nodes(
     if include_transition:
         add(
             "transition_prep",
-            TransitionPrepStage(config),
+            TransitionPrepStage(),
             ("bundle",),
             PHASE_AT_SPEED,
             CATEGORY_PREP,

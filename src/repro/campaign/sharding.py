@@ -1,8 +1,11 @@
 """Deterministic shard planning for fault-simulation campaigns.
 
 A campaign splits one scenario's fault list into **fault shards**: faults
-are grouped by their resolved fault site (:func:`fault_site_keys`) and the
-groups are dealt *round-robin* (:func:`keyed_round_robin_shards`).
+are grouped by their resolved fault site -- the ``site`` column of their
+stuck-at table rows, the net whose fanout cone a fault's resimulation and
+its PODEM evaluator read (a transition fault's row is its equivalent
+stuck-at row) -- and the groups are dealt *round-robin*
+(:func:`keyed_round_robin_shards`).
 Round-robin interleaving balances the work because hard (long-lived)
 faults are scattered through the collapsed ordering, and keeping a site's
 faults together compiles each site's cone plan in one worker only.  Every
@@ -27,8 +30,9 @@ Monte-Carlo skew sweep are one stage each, run in the parent: splitting
 them, or even shipping them to one worker, never paid for its dispatches.
 
 Shard planning is memory-budget-oblivious by design: a
-``sim_memory_budget_mb`` ceiling travels inside the shard *states*
-(:class:`~repro.faults.fault_sim.FaultSimShardState`), and each worker's
+``sim_memory_budget_mb`` ceiling travels inside the shard *state*
+(:class:`~repro.faults.fault_sim.FaultSimShardState`, one class for both
+fault models, holding the shard's table rows), and each worker's
 numpy scan tiles its own fault subset to fit -- so the shard count, the
 merged results and the budget are three independent knobs (any budget is
 byte-invisible at any shard count).
@@ -37,30 +41,6 @@ byte-invisible at any shard count).
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def fault_site_keys(circuit, faults: Sequence[object]) -> list[str]:
-    """Resolved fault-site net per fault (the shard-locality key).
-
-    Stem and combinational input-branch faults of a gate share the gate's
-    own fanout-cone plan; a branch fault on a flop's D pin resimulates the
-    D-driver's site instead.  Keying fault shards by this net keeps every
-    site's cone-plan compilation inside a single worker -- for the
-    stuck-at and transition scan shards *and* for the top-up PODEM shards,
-    whose compiled evaluators pull the very same cone plans from the
-    shared kernel.
-    """
-    keys: list[str] = []
-    for fault in faults:
-        if fault.is_stem:
-            keys.append(fault.gate)
-            continue
-        gate = circuit.gate(fault.gate)
-        if gate.is_flop:
-            keys.append(gate.inputs[fault.pin])
-        else:
-            keys.append(fault.gate)
-    return keys
 
 
 def keyed_round_robin_shards(

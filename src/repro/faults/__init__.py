@@ -20,7 +20,8 @@ pre-compiled into per-site ID schedules, and pattern blocks of any width
 (64 / 256 / 1024 patterns per word) stream through
 :meth:`~repro.faults.fault_sim.FaultSimulator.simulate_blocks` without
 per-pattern dicts.  Faults are integers too: a stuck-at fault is its row in
-the kernel's stuck-at table, which collapsing, both simulators' scans, the
+the kernel's stuck-at table (a transition fault is the row of its equivalent
+stuck-at fault), which collapsing, both simulators' scans, the
 numpy scan compile, shard merges and TPI's coverage sets all index; fault
 lists keep statuses in arrays by position.  Fault objects and the name-keyed
 entry points remain as thin adapters at the API edge.
@@ -40,13 +41,8 @@ from .fault_sim import (
     FaultSimShardState,
     FaultSimulationResult,
     FaultSimulator,
-    check_strict_patterns,
 )
-from .transition_sim import (
-    TransitionFaultSimulator,
-    TransitionSimShardState,
-    TransitionSimulationResult,
-)
+from .transition_sim import TransitionFaultSimulator, TransitionSimulationResult
 from .statistics import (
     coverage_plateau_slope,
     detection_summary,
@@ -70,9 +66,7 @@ __all__ = [
     "FaultSimShardState",
     "FaultSimulationResult",
     "FaultSimulator",
-    "check_strict_patterns",
     "TransitionFaultSimulator",
-    "TransitionSimShardState",
     "TransitionSimulationResult",
     "coverage_plateau_slope",
     "detection_summary",

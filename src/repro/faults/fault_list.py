@@ -120,8 +120,9 @@ class StuckAtTable:
     def id_of(self, fault: StuckAtFault) -> int:
         """The fault's ID, appending rows for a fault outside the universe.
 
-        Raises ``KeyError`` for an unknown gate and ``IndexError`` for a pin
-        the gate does not have.
+        A transition fault's ID is its equivalent stuck-at fault's: its
+        ``value`` is the launch value.  Raises ``KeyError`` for an unknown
+        gate and ``IndexError`` for a pin the gate does not have.
         """
         gid = self.kernel.net_id[fault.gate]
         fid = self.find(gid, fault.pin, fault.value)
@@ -348,7 +349,8 @@ class FaultList:
         return [faults[p] for p in positions]
 
     def table_ids(self, table: StuckAtTable, positions: Sequence[int]) -> list[int]:
-        """``table`` IDs of the (stuck-at) faults at ``positions``."""
+        """``table`` IDs of the faults at ``positions`` (a transition
+        fault's is its equivalent stuck-at row)."""
         if self.table is table:
             ids = self.ids
             return [ids[p] for p in positions]

@@ -23,7 +23,11 @@ frontier nets read from the fault-free base).
 :class:`~repro.simulation.packed.PatternBlock` streams (e.g. from
 ``StumpsArchitecture.generate_packed_blocks``) without ever materialising
 per-pattern dicts; the pattern-list form the tests use is
-:func:`repro.oracle.patterns.simulate_patterns`.
+:func:`repro.oracle.patterns.simulate_patterns`.  Each backend has one drop
+loop, and it scans the launch-on-capture transition model too
+(:mod:`repro.faults.transition_sim`): a row's detection mask is ANDed with
+a gate word, the block mask for a stuck-at scan or the row's activation
+under a launch block.
 
 The same engine exposes :meth:`FaultSimulator.fault_effect_profile_ids`,
 which the paper's fault-simulation-guided test-point insertion uses: instead
@@ -36,11 +40,13 @@ faults into detected ones.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import partial
+from itertools import repeat
+from typing import Iterable, Optional, Sequence
 
 from ..netlist.circuit import Circuit
 from ..netlist.gates import evaluate_packed
-from ..simulation.kernel import StrictStimulusError, shared_kernel
+from ..simulation.kernel import shared_kernel
 from ..simulation.numpy_backend import (
     NUMPY_BACKEND,
     PYTHON_BACKEND,
@@ -52,6 +58,7 @@ from ..simulation.numpy_backend import (
     resolve_backend,
     resolve_memory_budget_mb,
     scan_kernel_for,
+    width_cache,
     words_for,
 )
 from ..simulation.packed import PatternBlock, mask_for
@@ -60,64 +67,45 @@ from .fault_list import SITE_CONST, FaultList, stuck_at_table
 from .models import StuckAtFault
 
 
-def check_strict_patterns(
-    circuit: Circuit,
-    patterns: Sequence[Mapping[str, int]],
-    require_complete: bool = False,
-    label: str = "pattern",
-) -> None:
-    """Validate a pattern list against the circuit's stimulus nets.
-
-    Raises :class:`~repro.simulation.kernel.StrictStimulusError` when a
-    pattern assigns a net that is not a stimulus net (the classic misspelled
-    name, which the packing step would otherwise silently drop to 0) or --
-    with ``require_complete`` -- when a stimulus net is missing from a
-    pattern (which would otherwise silently read as 0).
-    """
-    stimulus_nets = circuit.stimulus_nets()
-    allowed = set(stimulus_nets)
-    for index, pattern in enumerate(patterns):
-        unknown = [net for net in pattern if net not in allowed]
-        if unknown:
-            raise StrictStimulusError(
-                f"{label} {index} assigns non-stimulus nets "
-                f"{unknown[:5]!r}{'...' if len(unknown) > 5 else ''}"
-            )
-        if require_complete and len(pattern) < len(allowed):
-            missing = [net for net in stimulus_nets if net not in pattern]
-            if missing:
-                raise StrictStimulusError(
-                    f"{label} {index} is missing stimulus nets "
-                    f"{missing[:5]!r}{'...' if len(missing) > 5 else ''}"
-                )
-
-
 @dataclass(frozen=True)
 class FaultSimShardState:
-    """Pickleable description of one fault-simulation shard's compiled state.
+    """Pickleable description of one fault-simulation shard, of either fault
+    model.
 
-    A shard worker reconstructs the full compiled-kernel engine from this
-    record alone: the circuit (plain dataclasses all the way down), the
-    observation nets, and the faults.  A scenario's state holds every fault
-    in the campaign's *canonical order*; each shard ships a copy holding
-    only its own faults, and reports them by their canonical indices, which
-    keeps the merge step (and the pickles) small and makes merged results
-    independent of shard order and worker count.
+    A shard worker rebuilds the compiled engine from this record alone: the
+    circuit (plain dataclasses all the way down), the observation nets and
+    the faults as rows of the circuit's stuck-at table.  Only enumerated
+    rows (below ``table.universe``) ship, so a worker's own compile of the
+    circuit names the same faults.  Under ``transition`` each row is the
+    equivalent stuck-at row of a transition fault (an s-a-0 row is
+    slow-to-rise) and the engine scans launch-on-capture pairs.  A
+    scenario's shards each hold only their own rows, and report them by
+    their canonical indices, which keeps the merge step (and the pickles)
+    small and makes merged results independent of shard order and worker
+    count.
     """
 
     circuit: Circuit
     observe_nets: tuple[str, ...]
-    faults: tuple[StuckAtFault, ...]
+    rows: tuple[int, ...]
     #: Execution backend the shard worker compiles ("python" or "numpy").
     sim_backend: str = PYTHON_BACKEND
     #: Peak scan-memory budget every pooled worker obeys (numpy backend;
     #: ``None`` = unbounded).  Carried in the shard state so a campaign's
     #: budget survives pickling into worker processes.
     sim_memory_budget_mb: Optional[float] = None
+    #: The fault model: transition faults under launch/capture pairs.
+    transition: bool = False
 
-    def build_simulator(self) -> "FaultSimulator":
-        """Compile a fresh :class:`FaultSimulator` for this shard state."""
-        return FaultSimulator(
+    def build_simulator(self):
+        """Compile a fresh engine for this shard state: a
+        :class:`FaultSimulator`, or a
+        :class:`~repro.faults.transition_sim.TransitionFaultSimulator` under
+        ``transition``."""
+        engine = FaultSimulator
+        if self.transition:
+            from .transition_sim import TransitionFaultSimulator as engine
+        return engine(
             self.circuit,
             list(self.observe_nets),
             backend=self.sim_backend,
@@ -298,37 +286,6 @@ class FaultSimulator:
     # ------------------------------------------------------------------ #
     # Campaign-level simulation
     # ------------------------------------------------------------------ #
-    def _scan_block(
-        self,
-        active: list[tuple[int, tuple]],
-        good: list[int],
-        mask: int,
-        drop_detected: bool = True,
-    ) -> tuple[list[tuple[int, int]], list[tuple[int, tuple]]]:
-        """One PPSFP pass of all ``active`` ``(tag, table spec)`` pairs over a
-        simulated block.
-
-        Returns ``(detections, still_active)`` where each detection is
-        ``(tag, first detecting bit within the block)``.  This is the one
-        place the per-block detection logic lives: the serial campaign
-        (:meth:`simulate_blocks`) and the sharded scan
-        (:meth:`first_detections`) both run through it, so the serial oracle
-        and the shard primitive cannot drift apart.
-        """
-        detections: list[tuple[int, int]] = []
-        still_active: list[tuple[int, tuple]] = []
-        detect = self._detection
-        for entry in active:
-            detection = detect(entry[1], good, mask)
-            if detection:
-                first_bit = (detection & -detection).bit_length() - 1
-                detections.append((entry[0], first_bit))
-                if not drop_detected:
-                    still_active.append(entry)
-            else:
-                still_active.append(entry)
-        return detections, still_active
-
     def _numpy_scan(self, ids: Sequence[int]) -> FaultScanKernel:
         """Compiled vectorised scan for a canonical fault-ID order.
 
@@ -394,15 +351,32 @@ class FaultSimulator:
         all-zero word.  Faults are tracked as (list position, table ID)
         pairs; detections mark the list by position.
         """
-        positions = fault_list.undetected_positions()
+        return self.simulate_list(
+            fault_list,
+            fault_list.undetected_positions(),
+            ((None, block) for block in blocks),
+            drop_detected,
+            pattern_offset,
+        )
+
+    def simulate_list(
+        self,
+        fault_list: FaultList,
+        positions: Sequence[int],
+        pairs: Iterable[tuple[Optional[PatternBlock], PatternBlock]],
+        drop_detected: bool = True,
+        pattern_offset: int = 0,
+    ) -> FaultSimulationResult:
+        """Scan the faults at ``positions`` of ``fault_list`` over
+        ``(launch, block)`` pairs (see :meth:`_python_blocks`), marking
+        detections by list position: the list driver of both fault models
+        (:meth:`simulate_blocks`, and
+        :meth:`~repro.faults.transition_sim.TransitionFaultSimulator.simulate_pairs`
+        with launch blocks)."""
         ids = fault_list.table_ids(self.table, positions)
         result = FaultSimulationResult(fault_list, 0)
         simulated = 0
-        if self.backend == NUMPY_BACKEND:
-            scan_blocks = self._numpy_blocks(ids, blocks, drop_detected)
-        else:
-            scan_blocks = self._python_blocks(ids, blocks, drop_detected)
-        for num, detections in scan_blocks:
+        for num, detections in self._scan(ids, pairs, drop_detected):
             result.detections_per_pattern.extend([0] * num)
             for index, first_bit in detections:
                 fault_list.mark_detected_at(
@@ -414,71 +388,164 @@ class FaultSimulator:
         result.patterns_simulated = simulated
         return result
 
-    def _python_blocks(self, ids: Sequence[int], blocks, drop_detected: bool = True):
-        """Per block: ``(patterns, [(index into ids, first bit)])``, the
-        python backend's PPSFP with dropping."""
+    def _scan(self, ids: Sequence[int], pairs, drop_detected: bool = True):
+        """The backend's drop loop over ``(launch, block)`` pairs."""
+        if self.backend == NUMPY_BACKEND:
+            return self._numpy_blocks(ids, pairs, drop_detected)
+        return self._python_blocks(ids, pairs, drop_detected)
+
+    def _load(self, good: list[int], block: PatternBlock, mask: int) -> None:
+        """Load ``block`` into a good-value table and forward-evaluate it."""
+        self.kernel.set_stimulus(good, block.assignments, mask)
+        self.kernel.evaluate(good, mask)
+        self.gate_evals += self.kernel.num_gates
+
+    def _np_load(self, nk, table, block: PatternBlock, mask_plane) -> None:
+        """:meth:`_load` on a numpy bit-plane table."""
+        num = block.num_patterns
+        nk.set_stimulus(table, block.assignments, mask_for(num), words_for(num))
+        nk.evaluate(table, mask_plane)
+        self.gate_evals += self.kernel.num_gates
+
+    def _launch_sites(self, ids: Sequence[int]) -> tuple[list[int], list[int]]:
+        """Per row: the net its transition is launched at, and its stuck
+        value (0: slow-to-rise, the site must rise; 1: slow-to-fall)."""
+        table = self.table
+        return [table.faulted_net(fid) for fid in ids], [table.value[fid] for fid in ids]
+
+    def _activation(self, ids: Sequence[int]):
+        """The python activation gate of the rows ``ids``: ``gate(launch,
+        good, mask, active)`` loads the launch block and returns each
+        ``(index, spec)`` entry's launch-on-capture activation word -- the
+        transition at its site from the launch values to ``good`` that its
+        stuck value names."""
+        sites = list(zip(*self._launch_sites(ids)))
+        launch_good = self.kernel.make_table()
+
+        def gate(launch: PatternBlock, good: list[int], mask: int, active) -> list[int]:
+            self._load(launch_good, launch, mask)
+            words = []
+            for index, _ in active:
+                site, value = sites[index]
+                before, after = launch_good[site], good[site]
+                words.append((before & ~after if value else after & ~before) & mask)
+            return words
+
+        return gate
+
+    def _np_activation(self, nk, ids: Sequence[int]):
+        """:meth:`_activation` on bit planes: ``gate(launch, table,
+        mask_plane)`` returns the activation rows of the whole order."""
+        site_list, values = self._launch_sites(ids)
+        sites = np.array(site_list, dtype=np.intp)
+        falls = np.array(values, dtype=bool)[:, None]
+        launch_tables = width_cache()
+
+        def gate(launch: PatternBlock, table, mask_plane):
+            num_words = table.shape[1]
+            launch_table = launch_tables.get_or_build(
+                num_words, lambda: nk.make_table(num_words)
+            )
+            self._np_load(nk, launch_table, launch, mask_plane)
+            before, after = launch_table[sites], table[sites]
+            return np.where(falls, before & ~after, ~before & after) & mask_plane
+
+        return gate
+
+    def _python_blocks(self, ids: Sequence[int], pairs, drop_detected: bool = True):
+        """Per ``(launch, block)`` pair: ``(patterns, [(index into ids, first
+        bit)])``, the python backend's PPSFP with dropping.
+
+        A row's detection mask under ``block`` is ANDed with its gate word:
+        the block mask when ``launch`` is ``None`` (a stuck-at scan), else
+        its launch-on-capture activation (:meth:`_activation`).  A row whose
+        gate word is 0 skips the cone resimulation.
+        """
         spec = self.table.spec
         active = [(index, spec(fid)) for index, fid in enumerate(ids)]
-        kernel = self.kernel
         good = self._good
-        for block in blocks:
+        detect = self._detection
+        activation = None
+        for launch, block in pairs:
             num = block.num_patterns
             mask = mask_for(num)
-            kernel.set_stimulus(good, block.assignments, mask)
-            kernel.evaluate(good, mask)
-            self.gate_evals += kernel.num_gates
-            detections, active = self._scan_block(active, good, mask, drop_detected)
+            self._load(good, block, mask)
+            if launch is None:
+                gates = repeat(mask)
+            else:
+                activation = activation or self._activation(ids)
+                gates = activation(launch, good, mask, active)
+            detections: list[tuple[int, int]] = []
+            still_active = []
+            for entry, gate in zip(active, gates):
+                detection = gate and gate & detect(entry[1], good, mask)
+                if detection:
+                    detections.append((entry[0], (detection & -detection).bit_length() - 1))
+                    if not drop_detected:
+                        still_active.append(entry)
+                else:
+                    still_active.append(entry)
+            active = still_active
             yield num, detections
 
     def _np_block_pass(
-        self, scan: FaultScanKernel, block: PatternBlock, active: list[int]
+        self, scan: FaultScanKernel, block: PatternBlock, active: list[int], gate=None
     ) -> tuple[dict, int]:
         """One numpy-backend block: load, forward-evaluate, scan the actives.
 
-        The single home of the per-block numpy execution, shared by the
-        campaign loop and the shard primitive through
-        :meth:`_numpy_blocks`.  Returns ``(detection rows by canonical
-        position, block pattern count)``.  The fault-free pass always runs
-        (the python backend does too, and its gate-evaluation accounting must
-        match); the fault scan is skipped when nothing is active.
+        The single home of the per-block numpy execution (see
+        :meth:`_numpy_blocks`).  Returns ``(detection rows by canonical
+        position, block pattern count)``.  With a ``gate`` (a bound
+        :meth:`_np_activation` gate) only positions with a live activation
+        are scanned and each row is ANDed with its activation, so a row may
+        be all zero.  The fault-free pass always runs (the python backend
+        does too, and its gate-evaluation accounting must match).
         """
         num = block.num_patterns
-        mask = mask_for(num)
         num_words = words_for(num)
-        np_kernel = scan.nk
+        nk = scan.nk
         table = scan.table_for(num_words)
-        mask_plane = np_kernel.mask_plane(mask, num_words)
-        np_kernel.set_stimulus(table, block.assignments, mask, num_words)
-        np_kernel.evaluate(table, mask_plane)
-        self.gate_evals += self.kernel.num_gates
+        mask_plane = nk.mask_plane(mask_for(num), num_words)
+        self._np_load(nk, table, block, mask_plane)
+        gates = None
+        if gate is not None:
+            gates = gate(table, mask_plane)
+            live = gates.any(axis=1)
+            active = [position for position in active if live[position]]
         if not active:
             return {}, num
         rows, resim_evals = scan.scan_positions(table, mask_plane, num_words, active)
         self.gate_evals += resim_evals
+        if gates is not None:
+            rows = {position: row & gates[position] for position, row in rows.items()}
         return rows, num
 
-    def _numpy_blocks(self, ids: Sequence[int], blocks, drop_detected: bool = True):
+    def _numpy_blocks(self, ids: Sequence[int], pairs, drop_detected: bool = True):
         """The ``"numpy"`` backend form of :meth:`_python_blocks`: level-
         batched bit-plane forward simulation plus the fault-vectorised
         union-cone scan, over the active positions of one compiled order
         (compiled at the first block)."""
-        scan = None
+        scan = activation = None
         active = list(range(len(ids)))
-        for block in blocks:
+        for launch, block in pairs:
             if scan is None:
                 scan = self._numpy_scan(ids)
                 scan.ensure_live(active)
-            rows, num = self._np_block_pass(scan, block, active)
+            gate = None
+            if launch is not None:
+                activation = activation or self._np_activation(scan.nk, ids)
+                gate = partial(activation, launch)
+            rows, num = self._np_block_pass(scan, block, active, gate)
             detections: list[tuple[int, int]] = []
             still_active: list[int] = []
             for position in active:
                 row = rows.get(position)
-                if row is None:
-                    still_active.append(position)
-                    continue
-                word = plane_to_word(row)
-                detections.append((position, (word & -word).bit_length() - 1))
-                if not drop_detected:
+                word = 0 if row is None else plane_to_word(row)
+                if word:
+                    detections.append((position, (word & -word).bit_length() - 1))
+                    if not drop_detected:
+                        still_active.append(position)
+                else:
                     still_active.append(position)
             active = still_active
             scan.maybe_prune(active)
@@ -489,34 +556,43 @@ class FaultSimulator:
     # ------------------------------------------------------------------ #
     def first_detections(
         self,
-        faults: Sequence[StuckAtFault],
+        faults: Sequence[int],
         blocks: Iterable[tuple[int, PatternBlock]],
     ) -> dict[int, int]:
         """First-detection scan: the shard primitive of the campaign runner.
 
-        ``blocks`` is a stream of ``(global pattern offset, PatternBlock)``
-        pairs.  For every fault the *global index of the first detecting
-        pattern* within the stream is returned, keyed by the fault's index
-        in ``faults`` (faults never detected are absent).  Detection of one
-        fault never depends on any other fault -- fault dropping is a pure
-        optimisation here -- so partitioning faults and/or pattern blocks
-        across shards and min-merging the returned indices reproduces the
-        serial result bit for bit.
+        ``faults`` are stuck-at table rows and ``blocks`` is a stream of
+        ``(global pattern offset, PatternBlock)`` pairs.  For every fault
+        the *global index of the first detecting pattern* within the stream
+        is returned, keyed by the fault's index in ``faults`` (faults never
+        detected are absent).  Detection of one fault never depends on any
+        other fault -- fault dropping is a pure optimisation here -- so
+        partitioning faults and/or pattern blocks across shards and
+        min-merging the returned indices reproduces the serial result bit
+        for bit.
         """
-        ids = self.table.ids_of(faults)
-        scan = self._numpy_blocks if self.backend == NUMPY_BACKEND else self._python_blocks
+        return self.first_detections_over(
+            faults, ((offset, None, block) for offset, block in blocks)
+        )
+
+    def first_detections_over(
+        self,
+        ids: Sequence[int],
+        triples: Iterable[tuple[int, Optional[PatternBlock], PatternBlock]],
+    ) -> dict[int, int]:
+        """:meth:`first_detections` over ``(offset, launch, block)``
+        triples, the stream both fault models' shard primitives scan."""
         detections: dict[int, int] = {}
-        remaining = len(ids)
         offsets = []
 
         def stream():
-            for offset, block in blocks:
-                if len(detections) == remaining:
+            for offset, launch, block in triples:
+                if len(detections) == len(ids):
                     return
                 offsets.append(offset)
-                yield block
+                yield launch, block
 
-        for _num, found in scan(ids, stream()):
+        for _num, found in self._scan(ids, stream()):
             for index, first_bit in found:
                 detections[index] = offsets[-1] + first_bit
         return detections

@@ -117,6 +117,12 @@ class TransitionFault:
         return 0 if self.slow_to_rise else 1
 
     @property
+    def value(self) -> int:
+        """The stuck value of :meth:`equivalent_stuck_at`, so a transition
+        fault resolves to that fault's stuck-at table row."""
+        return self.initial_value
+
+    @property
     def final_value(self) -> int:
         """Value the site must transition to in the capture cycle."""
         return 1 if self.slow_to_rise else 0

@@ -81,6 +81,9 @@ benchmarks call it directly.  Each oracle checks one production path:
   - :func:`~repro.oracle.patterns.simulate_patterns` packs a pattern list
     and scans it with ``FaultSimulator.simulate_blocks``: the tests' and
     benchmarks' pattern-list driver, and the top-up walk's screen above.
+  - :func:`~repro.oracle.patterns.check_strict_patterns` refuses a
+    hand-built pattern list that assigns a non-stimulus net or (on request)
+    omits one, either of which packing would read as 0.
 
 :meth:`TransitionFaultSimulator.simulate_pairs
 <repro.faults.transition_sim.TransitionFaultSimulator.simulate_pairs>`, the
@@ -92,6 +95,7 @@ from .implication import FaultedEvaluator
 from .patterns import (
     block_pattern,
     block_patterns,
+    check_strict_patterns,
     compact_domain_response,
     compact_response,
     compactor_outputs,
@@ -115,6 +119,7 @@ __all__ = [
     "FaultedEvaluator",
     "block_pattern",
     "block_patterns",
+    "check_strict_patterns",
     "compact_domain_response",
     "compact_response",
     "compactor_outputs",

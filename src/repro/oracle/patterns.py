@@ -10,7 +10,9 @@ scan cell's word for a whole block of patterns, and the packed fold
 words.  These helpers take and return one dict per pattern instead, the way
 the hardware of Fig. 1 runs: the PRPG steps once per shift cycle, the MISR
 absorbs one scan-out slice per unload cycle, and a fault simulation packs a
-pattern list first.  They are what the packed paths are checked against.
+pattern list first (:func:`check_strict_patterns` refuses a hand-built list
+that names a net the packing would drop).  They are what the packed paths
+are checked against.
 The per-cycle models of the blocks they step -- the PRPG advanced one
 cycle, one cycle of the phase shifter, space expander and space compactor
 XOR networks -- live here too: production only reads those blocks' taps.
@@ -26,6 +28,8 @@ from ..bist.space import SpaceCompactor, SpaceExpander
 from ..bist.stumps import StumpsArchitecture, StumpsDomain
 from ..faults.fault_list import FaultList
 from ..faults.fault_sim import FaultSimulationResult, FaultSimulator
+from ..netlist.circuit import Circuit
+from ..simulation.kernel import StrictStimulusError
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, PatternBlock, iter_blocks
 
 
@@ -192,3 +196,35 @@ def simulate_patterns(
     return simulator.simulate_blocks(
         fault_list, blocks, drop_detected=drop_detected, pattern_offset=pattern_offset
     )
+
+
+def check_strict_patterns(
+    circuit: Circuit,
+    patterns: Sequence[Mapping[str, int]],
+    require_complete: bool = False,
+    label: str = "pattern",
+) -> None:
+    """Validate a pattern list against the circuit's stimulus nets.
+
+    Raises :class:`~repro.simulation.kernel.StrictStimulusError` when a
+    pattern assigns a net that is not a stimulus net (the classic misspelled
+    name, which the packing step would otherwise silently drop to 0) or --
+    with ``require_complete`` -- when a stimulus net is missing from a
+    pattern (which would otherwise silently read as 0).
+    """
+    stimulus_nets = circuit.stimulus_nets()
+    allowed = set(stimulus_nets)
+    for index, pattern in enumerate(patterns):
+        unknown = [net for net in pattern if net not in allowed]
+        if unknown:
+            raise StrictStimulusError(
+                f"{label} {index} assigns non-stimulus nets "
+                f"{unknown[:5]!r}{'...' if len(unknown) > 5 else ''}"
+            )
+        if require_complete and len(pattern) < len(allowed):
+            missing = [net for net in stimulus_nets if net not in pattern]
+            if missing:
+                raise StrictStimulusError(
+                    f"{label} {index} is missing stimulus nets "
+                    f"{missing[:5]!r}{'...' if len(missing) > 5 else ''}"
+                )

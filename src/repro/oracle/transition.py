@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from ..faults.fault_list import FaultList
-from ..faults.fault_sim import check_strict_patterns
 from ..faults.transition_sim import (
     TransitionFaultSimulator,
     TransitionSimulationResult,
@@ -24,7 +23,7 @@ from ..faults.transition_sim import (
 from ..netlist.circuit import Circuit
 from ..simulation.kernel import shared_kernel
 from ..simulation.packed import DEFAULT_BLOCK_SIZE, iter_blocks
-from .patterns import block_patterns
+from .patterns import block_patterns, check_strict_patterns
 
 
 def derive_capture_patterns(

@@ -31,7 +31,6 @@ from repro.campaign import (
     merge_first_detections,
     shard_stage_nodes,
 )
-from repro.campaign.pipeline import undetected_of_kind
 from repro.campaign.scheduler import make_scheduler
 from repro.core import LogicBistConfig, LogicBistFlow
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
@@ -40,10 +39,9 @@ from repro.faults import (
     FaultSimulator,
     TransitionFaultSimulator,
     collapse_stuck_at,
+    stuck_at_table,
 )
 from repro.faults.fault_sim import FaultSimShardState
-from repro.faults.models import StuckAtFault, TransitionFault
-from repro.faults.transition_sim import TransitionSimShardState
 from repro.oracle import compact_response, derive_capture_patterns
 from repro.scan import build_scan_chains
 from repro.simulation import iter_blocks
@@ -103,8 +101,8 @@ class BlockSource:
 
     blocks: tuple
 
-    def reset(self) -> None:
-        pass
+    def reset_copy(self) -> "BlockSource":
+        return self
 
     def generate_packed_blocks(self, count, block_size):
         return iter(self.blocks)
@@ -125,18 +123,14 @@ def shard_graph(
     launch blocks with capture blocks derived under a simultaneous pulse.
     The shard stages drain through the schedulers and merge as in
     ``FaultSimStage`` / ``MergeDetectionsStage``."""
-    kind, state_cls = (
-        (TransitionFault, TransitionSimShardState)
-        if transition
-        else (StuckAtFault, FaultSimShardState)
-    )
-    positions, faults = undetected_of_kind(fault_list, kind)
-    state = state_cls(
+    positions = fault_list.undetected_positions()
+    state = FaultSimShardState(
         circuit,
         tuple(circuit.observation_nets()),
-        faults,
+        tuple(fault_list.table_ids(stuck_at_table(circuit), positions)),
         sim_backend,
         sim_memory_budget_mb,
+        transition,
     )
     blocks = tuple(blocks)
     session = SessionSpec(

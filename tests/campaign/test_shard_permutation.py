@@ -28,9 +28,9 @@ from repro.campaign import (
 from repro.core import LogicBistConfig
 from repro.core.bist_ready import build_stumps
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultList, collapse_stuck_at
+from repro.faults import FaultList, collapse_stuck_at, stuck_at_table
 from repro.faults.fault_sim import FaultSimShardState
-from repro.faults.transition_sim import TransitionSimShardState
+from repro.faults.models import StuckAtFault
 from repro.scan import build_scan_chains
 from repro.service import CampaignService
 from repro.simulation.kernel import KERNEL_CACHE
@@ -121,20 +121,23 @@ def session_of(circuit, count, seed):
 
 def stuck_session(circuit, count, seed):
     """A stuck-at shard state and its session spec."""
+    faults = collapse_stuck_at(circuit).to_fault_list().undetected()
     state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
-        faults=tuple(collapse_stuck_at(circuit).to_fault_list().undetected()),
+        rows=tuple(stuck_at_table(circuit).ids_of(faults)),
     )
     return state, session_of(circuit, count, seed)
 
 
 def transition_session(circuit, count, seed):
     """A transition shard state and its session spec."""
-    state = TransitionSimShardState(
+    faults = FaultList.transition(circuit).undetected()
+    state = FaultSimShardState(
         circuit=circuit,
         observe_nets=tuple(circuit.observation_nets()),
-        faults=tuple(FaultList.transition(circuit).undetected()),
+        rows=tuple(stuck_at_table(circuit).ids_of(faults)),
+        transition=True,
     )
     return state, session_of(circuit, count, seed)
 
@@ -175,7 +178,7 @@ class TestShardStages:
         ]
         # Every fault in exactly one shard.
         owned = sorted(i for node in nodes for i in node.task.fault_indices)
-        assert owned == list(range(len(state.faults)))
+        assert owned == list(range(len(state.rows)))
         for node in nodes:
             stage = node.task
             assert isinstance(stage, ShardScanStage)
@@ -184,6 +187,25 @@ class TestShardStages:
             assert first.gate_evals > 0
             assert replace(stage.run(), seconds=0.0) == replace(first, seconds=0.0)
         assert prpg_states(spec.stumps) == initial
+
+    def test_rows_outside_the_universe_are_refused(self):
+        """A row ``StuckAtTable.id_of`` appended for a fault outside the
+        enumerated universe exists in this process's table alone, so no
+        shard may ship it."""
+        circuit = make_core(45)
+        table = stuck_at_table(circuit)
+        fanout = circuit.fanout_map()
+        gate = next(
+            gate for gate in circuit.combinational_gates()
+            if gate.inputs and len(fanout.get(gate.inputs[0], ())) == 1
+        )
+        row = table.id_of(StuckAtFault(gate.name, 0, 1))
+        assert row >= table.universe
+        state, spec = stuck_session(circuit, 32, 3)
+        shard_stage_nodes("guard", state, spec, 2, prefix="guard")
+        appended = replace(state, rows=(*state.rows, row))
+        with pytest.raises(ValueError, match="universe"):
+            shard_stage_nodes("guard", appended, spec, 2, prefix="guard")
 
     def test_scenario_shards_ship_a_spec_of_constant_size(self):
         """In a whole scenario graph the bundle's STUMPS stay reset (their
@@ -242,8 +264,10 @@ class TestShardStages:
         assert runner.collect(plan, run, 0.0).report_bytes() == oracle.report_bytes()
         keys = plan.artifact_keys["own"]
         scans = (("fault_sim", "bundle"), ("transition", "transition_prep"))
+        table = stuck_at_table(run.value(keys["bundle"]).core.circuit)
         for scan, source in scans:
-            universe = run.value(keys[source]).state.faults
+            faults = run.value(keys[source])
+            universe = faults.fault_list.table_ids(table, faults.positions)
             tasks = [
                 task for key, task in shards.tasks.items()
                 if key.startswith(f"{keys[scan]}/shard")
@@ -253,8 +277,8 @@ class TestShardStages:
             assert owned == list(range(len(universe)))
             for task in tasks:
                 shipped = pickle.loads(pickle.dumps(task))
-                assert len(shipped.state.faults) == len(task.fault_indices)
-                assert list(shipped.state.faults) == [
+                assert len(shipped.state.rows) == len(task.fault_indices)
+                assert list(shipped.state.rows) == [
                     universe[i] for i in task.fault_indices
                 ]
 

@@ -12,6 +12,7 @@ from repro.faults import (
 from repro.netlist import CircuitBuilder
 from repro.oracle import (
     SequentialSimulator,
+    check_strict_patterns,
     derive_capture_patterns,
     simulate_with_derived_capture,
 )
@@ -149,13 +150,13 @@ class TestTransitionDetection:
 
     def test_strict_rejects_misspelled_capture_net(self):
         circuit = shift_register_circuit()
-        sim = TransitionFaultSimulator(circuit)
         launch = [{"d": 1, "ff0": 0, "ff1": 0}]
         capture = [{"d": 1, "ff0": 1, "ff1": 0, "no_such_net": 1}]
         with pytest.raises(StrictStimulusError, match="capture pattern 0"):
-            sim.simulate_pairs(
-                FaultList.transition(circuit), launch, capture, strict=True
-            )
+            for patterns, label in ((launch, "launch"), (capture, "capture")):
+                check_strict_patterns(
+                    circuit, patterns, require_complete=True, label=f"{label} pattern"
+                )
 
     def test_strict_accepts_complete_derived_pairs(self):
         """Well-formed launch patterns pass strict end to end (derived capture

@@ -17,10 +17,11 @@ import random
 import pytest
 
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import FaultSimulator, check_strict_patterns, collapse_stuck_at
+from repro.faults import FaultSimulator, collapse_stuck_at
 from repro.oracle import (
     ReferenceFaultSimulator,
     ReferencePackedSimulator,
+    check_strict_patterns,
     simulate_patterns,
 )
 from repro.simulation import StrictStimulusError, iter_blocks, mask_for, shared_kernel

@@ -22,6 +22,7 @@ from repro.faults import (
     FaultSimulator,
     TransitionFaultSimulator,
     collapse_stuck_at,
+    stuck_at_table,
 )
 from repro.oracle import (
     derive_capture_patterns,
@@ -212,10 +213,10 @@ class TestFaultSimEquivalence:
             iter_blocks(patterns, block_size=64, nets=circuit.stimulus_nets())
         )
         offset_blocks = [(1000 + i * 64, block) for i, block in enumerate(blocks)]
-        faults = tuple(collapse_stuck_at(circuit).representatives)
-        expected = FaultSimulator(circuit).first_detections(faults, offset_blocks)
+        rows = stuck_at_table(circuit).ids_of(collapse_stuck_at(circuit).representatives)
+        expected = FaultSimulator(circuit).first_detections(rows, offset_blocks)
         actual = FaultSimulator(circuit, backend="numpy").first_detections(
-            faults, offset_blocks
+            rows, offset_blocks
         )
         assert actual == expected
 
@@ -639,12 +640,10 @@ class TestTransitionEquivalence:
             (i * 32, lb, cb)
             for i, (lb, cb) in enumerate(zip(launch_blocks, capture_blocks))
         ]
-        faults = list(FaultList.transition(circuit).undetected())
-        expected = TransitionFaultSimulator(circuit).first_detections(
-            faults, pair_blocks
-        )
+        rows = stuck_at_table(circuit).ids_of(FaultList.transition(circuit).undetected())
+        expected = TransitionFaultSimulator(circuit).first_detections(rows, pair_blocks)
         actual = TransitionFaultSimulator(circuit, backend="numpy").first_detections(
-            faults, pair_blocks
+            rows, pair_blocks
         )
         assert actual == expected
 

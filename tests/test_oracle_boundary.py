@@ -11,8 +11,11 @@ so do the knobs that picked a second top-up, backtrace or TPI ranking path,
 the name-keyed and three-valued simulators beside the compiled kernel, the
 Galois PRPG, the no-op input selector and the per-pattern session paths
 (the stepping PRPG with its per-cycle phase shifter and space expander,
-the per-cycle unload with its space compactor, block unpacking and the dict
-fault simulation now live in :mod:`repro.oracle.patterns`).
+the per-cycle unload with its space compactor, block unpacking, the dict
+fault simulation and the strict check of a hand-built pattern list now live
+in :mod:`repro.oracle.patterns`).  The transition engine's second drop
+loops and shard-state class stay deleted too: both fault models scan
+through one loop per backend and ship as one shard state of table rows.
 """
 
 import ast
@@ -247,6 +250,26 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.pipeline", "TransitionBundle", "blocks"),
         ("repro.campaign.pipeline", "TransitionBundle", "boundaries"),
         ("repro.campaign.pipeline", "ShardScanStage", "blocks"),
+        ("repro.faults.transition_sim", None, "_NumpyPairScan"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "_python_pairs"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "_numpy_pairs"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "_np_pair_pass"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "_numpy_pair_scan"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "_resolve"),
+        ("repro.faults.transition_sim", "TransitionFaultSimulator", "add_observation_net"),
+        ("repro.faults.fault_sim", "FaultSimulator", "_scan_block"),
+        ("repro.faults.fault_sim", "FaultSimShardState", "faults"),
+        ("repro.faults.fault_sim", None, "check_strict_patterns"),
+        ("repro.faults", None, "check_strict_patterns"),
+        ("repro.faults", None, "TransitionSimShardState"),
+        ("repro.campaign.sharding", None, "fault_site_keys"),
+        ("repro.campaign", None, "fault_site_keys"),
+        ("repro.campaign.pipeline", None, "fault_site_keys"),
+        ("repro.campaign.pipeline", None, "undetected_of_kind"),
+        ("repro.campaign.pipeline", None, "TransitionSimShardState"),
+        ("repro.campaign.pipeline", "ScenarioBundle", "state"),
+        ("repro.campaign.pipeline", "TransitionBundle", "state"),
+        ("repro.campaign.pipeline", "TransitionPrepStage", "config"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
@@ -275,7 +298,11 @@ def test_deleted_parameters_are_gone():
     from repro.campaign.runner import CampaignRunner
     from repro.core.bist_ready import derive_signature_responses, fresh_fault_list
     from repro.core.flow import LogicBistResult
-    from repro.faults.transition_sim import capture_group_updates, derive_pair_blocks
+    from repro.faults.transition_sim import (
+        TransitionFaultSimulator,
+        capture_group_updates,
+        derive_pair_blocks,
+    )
     from repro.oracle.transition import (
         derive_capture_patterns,
         simulate_with_derived_capture,
@@ -293,6 +320,9 @@ def test_deleted_parameters_are_gone():
     for owner in (CampaignRunner, CampaignService, scenario_stage_nodes, shard_stage_nodes):
         assert "pattern_shards" not in inspect.signature(owner).parameters
     assert "config" not in inspect.signature(fresh_fault_list).parameters
+    # Hand-built pattern lists are checked behind the oracle boundary
+    # (repro.oracle.patterns.check_strict_patterns), not by the pair scan.
+    assert "strict" not in inspect.signature(TransitionFaultSimulator.simulate_pairs).parameters
     # Every flop captures: no capture derivation holds cells.
     for function in (
         capture_group_updates,
