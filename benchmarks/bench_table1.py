@@ -1,8 +1,9 @@
 """Benchmark: Table 1 -- the full logic BIST flow on scaled Core X and Core Y.
 
 Regenerates every row of the paper's Table 1 for both cores (on the scaled
-synthetic stand-ins; see DESIGN.md for the substitution note) and records the
-end-to-end flow runtime with pytest-benchmark.  The absolute coverage and
+synthetic stand-ins; see the substitution note in
+``src/repro/cores/recipes.py``) and records the end-to-end flow runtime
+with pytest-benchmark.  The absolute coverage and
 overhead values differ from the paper because the cores and pattern budgets
 are scaled; the *shape* checks assert the qualitative agreement the
 reproduction targets:

@@ -5,8 +5,8 @@ Core X in the paper is a 218 K-gate, 2-clock-domain commercial CPU core tested
 at 250 MHz with 2 x 19-bit PRPGs, 2 MISRs, 1 K observation-only test points,
 20 K random patterns (93.82 % coverage) and 135 top-up patterns (97.12 %).
 
-This example runs the same flow on the scaled synthetic stand-in (see
-DESIGN.md for the substitution rationale) and prints the measured numbers next
+This example runs the same flow on the scaled synthetic stand-in (see the
+substitution note in ``src/repro/cores/recipes.py``) and prints the measured numbers next
 to the paper's.  Use ``--scale``/``--patterns`` to trade runtime for fidelity.
 
 Run with::

@@ -1,7 +1,7 @@
 """Setuptools entry point.
 
-The pyproject.toml [project] table carries the metadata; this file exists so
-that ``pip install -e .`` works with older setuptools/pip stacks (legacy
+This file carries the package metadata (there is no ``pyproject.toml``), so
+``pip install -e .`` works with older setuptools/pip stacks too (legacy
 ``setup.py develop`` editable installs) in offline environments without the
 ``wheel`` package.
 """

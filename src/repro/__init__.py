@@ -1,6 +1,8 @@
 """Reproduction of "At-Speed Logic BIST for IP Cores" (Cheon et al., DATE 2005).
 
-The package is organised as one subpackage per subsystem (see DESIGN.md):
+The package is organised as one subpackage per subsystem (the synthetic
+cores that stand in for the paper's are explained in
+:mod:`repro.cores.recipes`):
 
 * :mod:`repro.netlist` -- gate-level netlist substrate,
 * :mod:`repro.simulation` -- logic / timing simulation,
@@ -14,7 +16,11 @@ The package is organised as one subpackage per subsystem (see DESIGN.md):
 * :mod:`repro.core` -- the end-to-end logic BIST flow and reporting,
 * :mod:`repro.cores` -- synthetic CPU-like IP cores and benchmark circuits,
 * :mod:`repro.campaign` -- sharded multi-process fault-simulation campaigns
-  over many (core, config) scenarios, bit-identical to the serial kernel.
+  over many (core, config) scenarios, bit-identical to the serial kernel,
+* :mod:`repro.service` -- the campaign service: job queue, checkpoints and
+  resume, event streams,
+* :mod:`repro.oracle` -- the reference models the production engines are
+  tested against (no other subpackage imports them).
 
 The most common entry point is :class:`repro.core.LogicBistFlow`.
 """

@@ -238,16 +238,6 @@ class StumpsDomain:
                     compact_word(word)
         return self.misr.state
 
-    @property
-    def signature(self) -> int:
-        """Current MISR signature for this domain."""
-        return self.misr.signature
-
-    def reset(self) -> None:
-        """Reset PRPG seed and MISR state to their configured initial values."""
-        self.prpg.reseed(self.config.prpg_seed)
-        self.misr.reset()
-
     def statistics(self) -> dict[str, object]:
         """Structure summary (feeds the Table 1 report rows)."""
         return {
@@ -328,15 +318,6 @@ class StumpsArchitecture:
                     },
                     width,
                 )
-
-    def signatures(self) -> dict[str, int]:
-        """Current per-domain signatures."""
-        return {name: domain.signature for name, domain in self.domains.items()}
-
-    def reset(self) -> None:
-        """Reset every domain's PRPG and MISR."""
-        for domain in self.domains.values():
-            domain.reset()
 
     def reset_copy(self) -> "StumpsArchitecture":
         """A copy to stream a session from: it owns reseeded copies of the

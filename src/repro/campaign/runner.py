@@ -40,6 +40,7 @@ from typing import Iterable, Optional
 from ..core.config import LogicBistConfig, RetryPolicy
 from ..netlist.circuit import Circuit
 from ..netlist.library import CellLibrary
+from ..simulation.numpy_backend import HAVE_NUMPY, NUMPY_BACKEND, load_numpy
 from .pipeline import scenario_stage_nodes
 from .results import (
     FAILURES_KEY,
@@ -213,9 +214,14 @@ class CampaignRunner:
         self, scenarios: Iterable[CampaignScenario], prefix: str = ""
     ) -> CampaignPlan:
         """Check the names and build every scenario's stage subgraph, keyed
-        ``<prefix>s<i>:<name>`` (the service prefixes its job id)."""
+        ``<prefix>s<i>:<name>`` (the service prefixes its job id).  NumPy is
+        imported here for a numpy-backend scenario, so forked workers inherit it."""
         scenarios = list(scenarios)
         check_scenario_names(scenarios)
+        if HAVE_NUMPY and any(
+            scenario.config.sim_backend == NUMPY_BACKEND for scenario in scenarios
+        ):
+            load_numpy()
         nodes = []
         artifact_keys: dict[str, dict[str, str]] = {}
         key_by_name: dict[str, str] = {}

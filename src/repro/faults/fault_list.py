@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType
 from ..simulation.kernel import CompiledKernel, shared_kernel
+from ..simulation.numpy_backend import load_numpy
 from .models import OUTPUT_PIN, FaultStatus, StuckAtFault, TransitionFault, site_label
 
 #: Site kinds of a table row.
@@ -170,8 +171,7 @@ class StuckAtTable:
 
     def arrays(self) -> dict:
         """The columns as numpy arrays (rebuilt when the table has grown)."""
-        from ..simulation.numpy_backend import np
-
+        np = load_numpy()
         cached = self._arrays
         if cached is None or cached[0] != len(self.gate):
             columns = ("gate", "pin", "value", "site", "kind", "gate_type")

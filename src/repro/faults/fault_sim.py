@@ -52,7 +52,7 @@ from ..simulation.numpy_backend import (
     PYTHON_BACKEND,
     FaultArrays,
     FaultScanKernel,
-    np,
+    load_numpy,
     numpy_kernel_for,
     plane_to_word,
     resolve_backend,
@@ -297,6 +297,7 @@ class FaultSimulator:
         site, so recompiling for a different fault order (the ATPG top-up
         after the random phase) only pays the array assembly.
         """
+        np = load_numpy()
         ids = np.asarray(ids, dtype=np.intp)
         key = ids.tobytes()
         cached = self._np_scan
@@ -436,6 +437,7 @@ class FaultSimulator:
     def _np_activation(self, nk, ids: Sequence[int]):
         """:meth:`_activation` on bit planes: ``gate(launch, table,
         mask_plane)`` returns the activation rows of the whole order."""
+        np = load_numpy()
         site_list, values = self._launch_sites(ids)
         sites = np.array(site_list, dtype=np.intp)
         falls = np.array(values, dtype=bool)[:, None]

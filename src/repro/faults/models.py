@@ -107,35 +107,16 @@ class TransitionFault:
             raise ValueError("pin must be OUTPUT_PIN or a non-negative input index")
 
     @property
-    def is_stem(self) -> bool:
-        """True when the fault is on the gate's output stem."""
-        return self.pin == OUTPUT_PIN
-
-    @property
     def initial_value(self) -> int:
         """Value the site must hold in the launch cycle."""
         return 0 if self.slow_to_rise else 1
 
     @property
     def value(self) -> int:
-        """The stuck value of :meth:`equivalent_stuck_at`, so a transition
-        fault resolves to that fault's stuck-at table row."""
+        """The stuck value of the equivalent stuck-at fault (the site stuck
+        at its launch value), so a transition fault resolves to that fault's
+        stuck-at table row."""
         return self.initial_value
-
-    @property
-    def final_value(self) -> int:
-        """Value the site must transition to in the capture cycle."""
-        return 1 if self.slow_to_rise else 0
-
-    def equivalent_stuck_at(self) -> StuckAtFault:
-        """The stuck-at fault whose detection in the capture cycle implies detection."""
-        return StuckAtFault(self.gate, self.pin, self.initial_value)
-
-    def faulted_net(self, circuit: Circuit) -> str:
-        """Name of the net whose transition the fault slows."""
-        if self.is_stem:
-            return self.gate
-        return circuit.gate(self.gate).inputs[self.pin]
 
     def __str__(self) -> str:
         kind = "STR" if self.slow_to_rise else "STF"

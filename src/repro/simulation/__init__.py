@@ -11,6 +11,9 @@ Public API:
 * the pattern-packing helpers in :mod:`repro.simulation.packed` (the block
   width is a free parameter: 64 / 256 / 1024-bit words all work).
 
+:data:`~repro.simulation.numpy_backend.HAVE_NUMPY` says that NumPy is installed;
+it is imported only when the ``"numpy"`` backend is first selected.
+
 The models the kernel is tested against -- the pre-kernel name-keyed
 simulators and the scalar cycle-accurate sequential simulator -- are oracles
 in :mod:`repro.oracle`.

@@ -53,14 +53,15 @@ Both structures are **bit-identical** to the python backend by construction
 (``tests/simulation/test_numpy_backend.py`` and the backend-parametrised
 kernel-equivalence fuzz suite).
 
-NumPy is an optional dependency (``pip install repro[fast]``); importing this
-module without it merely sets :data:`HAVE_NUMPY` false, and selecting the
-``"numpy"`` backend then raises :class:`SimBackendError` with an actionable
-message.
+NumPy is an optional dependency (``pip install repro[fast]``) that importing
+this module does not import: :data:`HAVE_NUMPY` says it is installed, and
+:func:`load_numpy` imports it when the ``"numpy"`` backend is selected, which
+without NumPy raises :class:`SimBackendError` with an actionable message.
 """
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from itertools import chain
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -88,31 +89,45 @@ from ..util.cache import KeyedLruCache
 from .kernel import CompiledKernel, ConePlan
 from .packed import BACKENDS, NUMPY_BACKEND, PYTHON_BACKEND
 
-try:  # pragma: no cover - exercised implicitly by every numpy test
-    import numpy as np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the dependency-free fast tier
-    np = None
+try:  # finding the spec imports nothing
+    HAVE_NUMPY = find_spec("numpy") is not None
+except ImportError:  # pragma: no cover - an import hook refusing numpy
     HAVE_NUMPY = False
+
+np = None  # the numpy module once load_numpy() has run
 
 
 class SimBackendError(RuntimeError):
     """Raised for unknown backends or a numpy backend without NumPy."""
 
 
-def resolve_backend(backend: str) -> str:
-    """Validate a backend name, failing fast with an actionable message."""
-    if backend not in BACKENDS:
-        raise SimBackendError(
-            f"unknown sim backend {backend!r}: expected one of {BACKENDS}"
-        )
-    if backend == NUMPY_BACKEND and not HAVE_NUMPY:
+def load_numpy():
+    """NumPy, imported on first call and bound as this module's ``np``: the
+    one way any numpy path reaches the package."""
+    global np
+    try:
+        if not HAVE_NUMPY:
+            raise ImportError("numpy is not installed")
+        if np is None:
+            import numpy as np
+    except ImportError as error:
         raise SimBackendError(
             'sim_backend="numpy" requested but NumPy is not installed; '
             'install the optional extra (pip install "repro[fast]") or keep '
             'the default sim_backend="python"'
+        ) from error
+    return np
+
+
+def resolve_backend(backend: str) -> str:
+    """Validate a backend name, failing fast with an actionable message;
+    selecting ``"numpy"`` imports NumPy (:func:`load_numpy`)."""
+    if backend not in BACKENDS:
+        raise SimBackendError(
+            f"unknown sim backend {backend!r}: expected one of {BACKENDS}"
         )
+    if backend == NUMPY_BACKEND:
+        load_numpy()
     return backend
 
 

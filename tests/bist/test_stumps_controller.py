@@ -64,21 +64,23 @@ class TestStumpsArchitecture:
         # Consecutive patterns must not all be identical.
         assert any(patterns_a[i] != patterns_a[i + 1] for i in range(19))
 
-    def test_reset_restores_sequence_and_signature(self):
+    def test_reset_copy_restarts_the_sequence(self):
+        """The session source a stream starts from: reseeded PRPGs, so it
+        replays the advanced architecture's patterns without moving it."""
         _, _, stumps = self.make()
         first = generate_patterns(stumps, 5)
-        compact_response(stumps, {cell: 1 for cell in first[0]})
-        assert any(sig != 0 for sig in stumps.signatures().values())
-        stumps.reset()
-        assert generate_patterns(stumps, 5) == first
-        assert all(sig == 0 for sig in stumps.signatures().values())
+        moved = {name: domain.prpg.state for name, domain in stumps.domains.items()}
+        assert generate_patterns(stumps.reset_copy(), 5) == first
+        assert {name: d.prpg.state for name, d in stumps.domains.items()} == moved
+        signatures = compact_response(stumps, {cell: 1 for cell in first[0]})
+        assert any(sig != 0 for sig in signatures.values())
 
     def test_signature_sensitivity_to_response_error(self):
         """A single flipped capture bit must change the affected domain's signature."""
         circuit, _, stumps = self.make()
         response = {cell: 0 for cell in circuit.flop_names()}
-        good = dict(compact_response(stumps, response))
-        stumps.reset()
+        good = compact_response(stumps, response)
+        _, _, stumps = self.make()
         corrupted = dict(response)
         corrupted["a_ff0"] = 1
         bad = compact_response(stumps, corrupted)
@@ -142,11 +144,8 @@ class TestStumpsArchitecture:
         Running the same session on a fault-free and a faulted core must give
         different signatures (that is the whole point of the architecture).
         """
-        circuit, arch, stumps = self.make()
-        chains = arch.as_mapping()
-
         def run_session(broken_cell=None, patterns=8):
-            stumps.reset()
+            circuit, _, stumps = self.make()
             sim = SequentialSimulator(circuit)
             for _ in range(patterns):
                 load = generate_pattern(stumps)
@@ -155,8 +154,8 @@ class TestStumpsArchitecture:
                 captured = dict(sim.state)
                 if broken_cell is not None:
                     captured[broken_cell] ^= 1  # model a capture-path defect
-                compact_response(stumps, captured)
-            return dict(stumps.signatures())
+                signatures = compact_response(stumps, captured)
+            return signatures
 
         golden = run_session()
         faulty = run_session(broken_cell="b_ff2")

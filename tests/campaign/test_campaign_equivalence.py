@@ -398,8 +398,7 @@ class TestSignatureSharding:
 
         serial = StumpsArchitecture(architecture, seed=5)
         for response in responses:
-            compact_response(serial, response)
-        expected = serial.signatures()
+            expected = compact_response(serial, response)
 
         # The whole packed response stream, in blocks that cut across it.
         blocks = list(iter_blocks(responses, block_size=10))

@@ -28,7 +28,7 @@ from repro.campaign.pipeline import (
 )
 from repro.core import LogicBistConfig
 from repro.cores.generator import SyntheticCoreConfig, generate_synthetic_core
-from repro.faults import enumerate_stuck_at_faults, stuck_at_table
+from repro.faults import OUTPUT_PIN, enumerate_stuck_at_faults, stuck_at_table
 from repro.faults.fault_sim import FaultSimShardState
 from repro.faults.transition_sim import TransitionSimShardState
 
@@ -52,7 +52,7 @@ def site_keys_by_name(circuit, faults):
     keys = []
     for fault in faults:
         gate = circuit.gate(fault.gate)
-        if not fault.is_stem and gate.is_flop:
+        if fault.pin != OUTPUT_PIN and gate.is_flop:
             keys.append(gate.inputs[fault.pin])
         else:
             keys.append(fault.gate)

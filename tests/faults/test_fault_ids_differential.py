@@ -214,7 +214,9 @@ def test_simulation_matches_object_reference(backend, seed, block_size, budget_m
 def scan_fault_arrays(engine, faults):
     """The per-fault scan compile inputs: each fault's site record resolved
     from the fault object against the circuit, one plan entry per fault."""
-    from repro.simulation.numpy_backend import FaultArrays, np
+    from repro.simulation.numpy_backend import FaultArrays, load_numpy
+
+    np = load_numpy()
 
     circuit, net_id = engine.circuit, engine.kernel.net_id
     rows = []

@@ -11,6 +11,7 @@ from repro.faults import (
     detection_summary,
     enumerate_stuck_at_faults,
     enumerate_transition_faults,
+    stuck_at_table,
 )
 from repro.netlist import CircuitBuilder, parse_bench_text
 
@@ -63,13 +64,15 @@ class TestStuckAtFault:
 
 class TestTransitionFault:
     def test_launch_capture_values(self):
+        """A transition fault resolves to the stuck-at row of its site stuck
+        at the launch value: the row the transition scan gates."""
+        table = stuck_at_table(c17())
         str_fault = TransitionFault("G10", OUTPUT_PIN, slow_to_rise=True)
-        assert str_fault.initial_value == 0
-        assert str_fault.final_value == 1
-        assert str_fault.equivalent_stuck_at() == StuckAtFault("G10", OUTPUT_PIN, 0)
-        stf_fault = TransitionFault("G10", OUTPUT_PIN, slow_to_rise=False)
-        assert stf_fault.initial_value == 1
-        assert stf_fault.equivalent_stuck_at().value == 1
+        assert str_fault.initial_value == str_fault.value == 0
+        assert table.id_of(str_fault) == table.id_of(StuckAtFault("G10", OUTPUT_PIN, 0))
+        stf_fault = TransitionFault("G16", 1, slow_to_rise=False)
+        assert stf_fault.initial_value == stf_fault.value == 1
+        assert table.id_of(stf_fault) == table.id_of(StuckAtFault("G16", 1, 1))
 
     def test_str(self):
         assert "STR" in str(TransitionFault("G1", OUTPUT_PIN, True))

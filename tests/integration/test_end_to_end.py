@@ -61,8 +61,8 @@ class TestTpiComparisonIntegration:
 class TestBistDataPathIntegration:
     """PRPG -> chains -> capture -> MISR, end to end on a sequential benchmark."""
 
-    def _run_session(self, circuit, chains, stumps, patterns, flip_cell=None):
-        stumps.reset()
+    def _run_session(self, circuit, architecture, patterns, flip_cell=None):
+        stumps = StumpsArchitecture(architecture, seed=11)
         sim = SequentialSimulator(circuit)
         for index in range(patterns):
             load = generate_pattern(stumps)
@@ -73,18 +73,16 @@ class TestBistDataPathIntegration:
                 # A single-bit response error anywhere in the stream can never
                 # alias in an LFSR-based MISR, so one flip is enough.
                 captured[flip_cell] ^= 1
-            compact_response(stumps, captured)
-        return dict(stumps.signatures())
+            signatures = compact_response(stumps, captured)
+        return signatures
 
     def test_signature_repeatability_and_fault_sensitivity(self):
         circuit = s27_like()
         architecture = build_scan_chains(circuit, total_chains=1)
-        stumps = StumpsArchitecture(architecture, seed=11)
-        chains = architecture.as_mapping()
-        golden_a = self._run_session(circuit, chains, stumps, patterns=12)
-        golden_b = self._run_session(circuit, chains, stumps, patterns=12)
+        golden_a = self._run_session(circuit, architecture, patterns=12)
+        golden_b = self._run_session(circuit, architecture, patterns=12)
         assert golden_a == golden_b
-        corrupted = self._run_session(circuit, chains, stumps, patterns=12, flip_cell="G11")
+        corrupted = self._run_session(circuit, architecture, patterns=12, flip_cell="G11")
         assert corrupted != golden_a
 
     def test_fault_detection_consistency_between_engines(self):

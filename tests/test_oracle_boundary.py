@@ -16,6 +16,10 @@ fault simulation and the strict check of a hand-built pattern list now live
 in :mod:`repro.oracle.patterns`).  The transition engine's second drop
 loops and shard-state class stay deleted too: both fault models scan
 through one loop per backend and ship as one shard state of table rows.
+The STUMPS in-place resets and signature readers and the transition
+fault's stuck-at helpers stay deleted: a stream restarts from
+``reset_copy``, a signature is what the fold returns, and a transition
+fault reaches its stuck-at row through ``value``.
 """
 
 import ast
@@ -270,6 +274,14 @@ def test_walk_ignores_lookalikes():
         ("repro.campaign.pipeline", "ScenarioBundle", "state"),
         ("repro.campaign.pipeline", "TransitionBundle", "state"),
         ("repro.campaign.pipeline", "TransitionPrepStage", "config"),
+        ("repro.bist.stumps", "StumpsArchitecture", "reset"),
+        ("repro.bist.stumps", "StumpsArchitecture", "signatures"),
+        ("repro.bist.stumps", "StumpsDomain", "reset"),
+        ("repro.bist.stumps", "StumpsDomain", "signature"),
+        ("repro.faults.models", "TransitionFault", "is_stem"),
+        ("repro.faults.models", "TransitionFault", "faulted_net"),
+        ("repro.faults.models", "TransitionFault", "final_value"),
+        ("repro.faults.models", "TransitionFault", "equivalent_stuck_at"),
     ],
 )
 def test_engine_selector_is_gone(module, owner, name):
